@@ -107,6 +107,8 @@ class QuadNum:
         return _make(o.a - self.a, o.b - self.b, self.m)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _make(self.a * other, self.b * other, self.m)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -6,9 +6,17 @@ Exit codes (stable contract; CI treats any nonzero as red):
   0  success, all checks pass
   2  domain/validation error (inputs outside the mathematical domain)
   3  requested Hadamard order not reachable from the generator set
-  4  artifact parse error
-  5  a certification or bound check failed
-  6  resource/enumeration cap exceeded
+  4  artifact parse error: unreadable or non-object JSON, a missing or
+     malformed field, values outside the artifact's domain, or
+     structurally incompatible values (StructuralError, e.g. mixed
+     radicands)
+  5  a certification or bound check failed, including a vanishing
+     denominator met during exact arithmetic (ExactArithmeticError)
+  6  resource/enumeration cap exceeded; `epsh --cap` still writes the best
+     split found within the cap, marked "partial": true
+
+`verify` checks every file it is given and exits with the worst code among
+them.
 
 All sampling randomness sits behind --seed (default 0); artifacts are
 written atomically (temp file + rename) in canonical JSON.
@@ -27,9 +35,11 @@ from .epsh import EpsHadamard, best_reduction
 from .errors import (
     CertificationError,
     DomainError,
+    ExactArithmeticError,
     NotConstructibleError,
     ParseError,
     ResourceLimitError,
+    StructuralError,
 )
 from .hadamard import find_hadamard
 from .rbd import build_affine_rbd, verify_rbd
@@ -66,15 +76,28 @@ def cmd_hadamard(args) -> int:
 
 def cmd_epsh(args) -> int:
     h = find_hadamard(args.order)
-    y = best_reduction(h, args.t, search_scope=args.scope, cap=args.cap)
-    _emit(jsonio.eps_hadamard_obj(y), args.out)
+    capped = None
+    try:
+        y = best_reduction(h, args.t, search_scope=args.scope, cap=args.cap)
+    except ResourceLimitError as exc:
+        if exc.partial_best is None:
+            raise
+        capped, y = exc, exc.partial_best
+    _emit(jsonio.eps_hadamard_obj(y, partial=capped is not None), args.out)
     uc = y.provenance.uclass
     _say(
         f"k={y.order} eps={float(y.epsilon):.6f} (exact {y.epsilon.expr()}) "
         f"eps_upper={float(y.epsilon_upper):.6f} variant={y.variant} "
-        f"u-class=({uc.kappa},{uc.gamma},{uc.vartheta}) method={y.provenance.method}",
+        f"u-class=({uc.kappa},{uc.gamma},{uc.vartheta}) method={y.provenance.method}"
+        + (" partial=true" if capped is not None else ""),
         args.out,
     )
+    if capped is not None:
+        sys.stderr.write(
+            f"resource limit: {capped}; wrote the best of the first {args.cap} "
+            "splits, marked partial\n"
+        )
+        return EXIT_RESOURCE
     return EXIT_OK
 
 
@@ -172,16 +195,29 @@ def cmd_armub(args) -> int:
     return EXIT_OK if ledger_ok(ledger) else EXIT_CHECK_FAILED
 
 
+def _certificate_parts(obj):
+    """(report, stored ledger) of a certificate artifact."""
+    try:
+        report, stored = obj["report"], obj["ledger"]
+        verdicts = [line["verdict"] for line in stored]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad certificate artifact: {type(exc).__name__} {exc}") from exc
+    return jsonio.parse_report(report), verdicts
+
+
 def cmd_verify(args) -> int:
     worst = EXIT_OK
     for path in args.files:
-        obj = jsonio.load_json(path)
-        kind = jsonio.detect_kind(obj)
         try:
+            obj = jsonio.load_json(path)
+            kind = jsonio.detect_kind(obj)
+            note = ""
             if kind == "hadamard":
                 jsonio.parse_sign_matrix(obj)
             elif kind == "eps-hadamard":
                 jsonio.parse_eps_hadamard(obj)
+                if obj.get("partial"):
+                    note = " (partial: best split within the search cap)"
             elif kind == "rbd":
                 jsonio.parse_rbd(obj)
             elif kind == "basis-set":
@@ -189,21 +225,20 @@ def cmd_verify(args) -> int:
             elif kind == "report":
                 jsonio.parse_report(obj)
             elif kind == "certificate":
-                report = jsonio.parse_report(obj["report"])
+                report, stored = _certificate_parts(obj)
                 lines = check_theorem_bounds(report)
-                stored = obj["ledger"]
                 recomputed = jsonio.ledger_obj(lines)
-                if [l["verdict"] for l in stored] != [l["verdict"] for l in recomputed]:
+                if stored != [l["verdict"] for l in recomputed]:
                     raise CertificationError("ledger verdicts do not reproduce")
                 if not ledger_ok(lines):
                     raise CertificationError("certificate contains failing checks")
             else:
                 raise ParseError(f"unknown artifact kind {kind!r}")
-            print(f"{path}: {kind}: ok")
-        except CertificationError as exc:
+            print(f"{path}: {kind}: ok{note}")
+        except (CertificationError, ExactArithmeticError) as exc:
             print(f"{path}: {kind}: CHECK FAILED: {exc}")
             worst = max(worst, EXIT_CHECK_FAILED)
-        except ParseError as exc:
+        except (ParseError, StructuralError, DomainError) as exc:
             print(f"{path}: parse error: {exc}")
             worst = max(worst, EXIT_PARSE)
     return worst
@@ -213,7 +248,7 @@ def cmd_ledger(args) -> int:
     obj = jsonio.load_json(args.file)
     kind = jsonio.detect_kind(obj)
     if kind == "certificate":
-        report = jsonio.parse_report(obj["report"])
+        report, _ = _certificate_parts(obj)
     elif kind == "report":
         report = jsonio.parse_report(obj)
     else:
@@ -290,7 +325,13 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
+    except StructuralError as exc:
+        sys.stderr.write(f"parse error: structurally incompatible values: {exc}\n")
+        return EXIT_PARSE
     except CertificationError as exc:
+        sys.stderr.write(f"certification failed: {exc}\n")
+        return EXIT_CHECK_FAILED
+    except ExactArithmeticError as exc:
         sys.stderr.write(f"certification failed: {exc}\n")
         return EXIT_CHECK_FAILED
     except ResourceLimitError as exc:

@@ -21,10 +21,23 @@ Epsilon is computed from the definition: the maximum over entries of
 q = k*Y_ij^2; deviations below 1/sqrt(k) count.  The maximum upward
 deviation alone is kept as a separate diagnostic (`epsilon_upper`)
 because several reported per-case expressions track only that side.
+
+Split search (`best_reduction`) scores candidates without building them.
+For a fixed U (signs applied) and variant, both routes give
+Y_ij = D_ij/sqrt(M) + w_i^T C v_j with one t x t coefficient matrix C, where
+w_i is row i of W and v_j column j of V.  An entry is therefore fixed by its
+code (D_ij, w_i, v_j), one of 2^(1+2t) <= 128, and |Y_ij| by the code alone.
+The screen computes each code's exact magnitude, epsilon and window check
+once per (U, variant) that occurs, ranks every epsilon exactly on one scale,
+and reduces each split to the set of codes its entries take.  A candidate's
+epsilon is the largest among its codes, which is exactly the epsilon its
+EpsHadamard would certify, so the screen picks the same split as building
+every candidate would; only the winner is built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -402,10 +415,10 @@ class EpsHadamard:
 
     Stored as a sum of (scalar coefficient, integer matrix) terms over
     Q(sqrt(radicand)) -- plain rationals when the radicand is a perfect
-    square.  Orthogonality (both Y Y^T and Y^T Y), the entry-magnitude
-    window, and epsilon are certified exactly at construction; epsilon < 1
-    is recorded rather than enforced, since it is only guaranteed for
-    t < sqrt(n).
+    square.  Orthogonality (Y Y^T = I, which implies Y^T Y = I), the
+    entry-magnitude window, and epsilon are certified exactly at
+    construction; epsilon < 1 is recorded rather than enforced, since it is
+    only guaranteed for t < sqrt(n).
     """
 
     __slots__ = (
@@ -458,66 +471,70 @@ class EpsHadamard:
         ordered = sorted(abs_map.values(), key=_sort_key_scalar)
         self._distinct = ordered  # list of [abs value, combo ids]
 
+        # epsilon depends on |Y_ij| alone: one ExactEps per distinct magnitude
+        group_eps = [_entry_eps(k, av, None) for av, _ in ordered]
+        top = ExactEps.zero()
+        for cand in group_eps:
+            if top.cmp(cand) < 0:
+                top = cand
         eps = ExactEps.zero()
-        eps_loc = None
-        for ci, v in enumerate(values):
-            first = tuple(int(x) for x in np.argwhere(self._entry_combo_ids == ci)[0])
-            cand = _entry_eps(k, v, first)
-            if eps.cmp(cand) < 0:
-                eps, eps_loc = cand, first
+        if not top.is_zero():
+            # located at the first combination (in id order) attaining it
+            eps_ci, gi = min(
+                (min(ids), gi)
+                for gi, ((_, ids), cand) in enumerate(zip(ordered, group_eps))
+                if cand.cmp(top) == 0
+            )
+            first = tuple(int(x) for x in np.argwhere(self._entry_combo_ids == eps_ci)[0])
+            eps = ExactEps(group_eps[gi].q, location=first)
         self.epsilon = eps
         # largest upward deviation alone (0 if no entry exceeds 1/sqrt(k))
         up = ExactEps.zero()
-        for ci, v in enumerate(values):
-            cand = _entry_eps(k, v, None)
+        for cand in group_eps:
             if cand.side > 0 and up.cmp(cand) < 0:
                 up = cand
         self.epsilon_upper = up
         self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
 
     def verify_orthogonal(self):
-        """Exact check of Y Y^T = I and Y^T Y = I via integer Gram matrices."""
+        """Exact check of Y Y^T = I via integer Gram matrices.  Y is square,
+        so Y Y^T = I makes Y^T the inverse of Y, and Y^T Y = I follows."""
         k = self.order
         coeffs = [c for c, _ in self.terms]
         mats = [m.astype(np.int64) for _, m in self.terms]
-        for transpose_first in (False, True):
-            grams = []
-            scalars = []
-            for r, (cr, ar) in enumerate(zip(coeffs, mats)):
-                for s_, (cs, as_) in enumerate(zip(coeffs, mats)):
-                    g = (ar.T @ as_) if transpose_first else (ar @ as_.T)
-                    grams.append(g.reshape(k * k))
-                    scalars.append(cr * cs)
-            stacked = np.stack(grams).T  # (k^2, P)
-            diag = np.eye(k, dtype=np.int64).reshape(k * k, 1)
-            combos, inverse = np.unique(
-                np.hstack([stacked, diag]), axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(k, k)
-            for ci, row in enumerate(combos):
-                total: Scalar = Fraction(0)
-                for c, m in zip(scalars, row[:-1]):
-                    if m:
-                        total = total + c * int(m)
-                want = Fraction(int(row[-1]))
-                if cmp_values(total, want) != 0:
-                    idx = np.argwhere(inverse == ci)[0]
-                    raise CertificationError(
-                        f"orthogonality violated at {tuple(int(x) for x in idx)}: "
-                        f"got {total}, expected {want}"
-                    )
+        grams = []
+        scalars = []
+        for cr, ar in zip(coeffs, mats):
+            for cs, as_ in zip(coeffs, mats):
+                grams.append((ar @ as_.T).reshape(k * k))
+                scalars.append(cr * cs)
+        stacked = np.stack(grams).T  # (k^2, P)
+        diag = np.eye(k, dtype=np.int64).reshape(k * k, 1)
+        combos, inverse = np.unique(
+            np.hstack([stacked, diag]), axis=0, return_inverse=True
+        )
+        inverse = inverse.reshape(k, k)
+        for ci, row in enumerate(combos):
+            total: Scalar = Fraction(0)
+            for c, m in zip(scalars, row[:-1]):
+                if m:
+                    total = total + c * int(m)
+            want = Fraction(int(row[-1]))
+            if cmp_values(total, want) != 0:
+                idx = np.argwhere(inverse == ci)[0]
+                raise CertificationError(
+                    f"orthogonality violated at {tuple(int(x) for x in idx)}: "
+                    f"got {total}, expected {want}"
+                )
 
     def _certify_window(self):
         """Entry magnitudes must lie in the closed interval of the reduction
         theorem whenever 1 <= t and t < sqrt(M)."""
-        t = self.provenance.t
-        m = self.radicand
         self.window_ok = True
-        if t < 1 or t * t >= m:
+        window = _window(self.provenance.t, self.radicand)
+        if window is None:
             return
-        sqrt_m = exact_sqrt(m)
-        lo = (1 - Fraction(t) / (sqrt_m - t)) / sqrt_m
-        hi = (1 + Fraction(t) / (sqrt_m - t)) / sqrt_m
+        lo, hi = window
         for av, _ in self._distinct:
             if cmp_values(av, lo) < 0 or cmp_values(av, hi) > 0:
                 self.window_ok = False
@@ -610,6 +627,19 @@ class EpsHadamard:
         return cls(k, radicand, terms, provenance)
 
 
+@functools.lru_cache(maxsize=64)
+def _window(t: int, m: int) -> Optional[tuple[Scalar, Scalar]]:
+    """Closed interval of the reduction theorem for the entry magnitudes of
+    a reduction of order m by t, or None where it does not apply."""
+    if t < 1 or t * t >= m:
+        return None
+    sqrt_m = exact_sqrt(m)
+    return (
+        (1 - Fraction(t) / (sqrt_m - t)) / sqrt_m,
+        (1 + Fraction(t) / (sqrt_m - t)) / sqrt_m,
+    )
+
+
 def _frozen(m) -> np.ndarray:
     arr = np.asarray(m, dtype=np.int64).copy()
     arr.setflags(write=False)
@@ -696,6 +726,23 @@ def _check_reduction_pre(split: BlockSplit):
         )
 
 
+def _schur_coeffs(u: np.ndarray, variant: str, m: int) -> list[list[Scalar]]:
+    """The t x t matrix C with Y = D/sqrt(M) + W C V, by exact elimination
+    of (I +/- U/sqrt(M))."""
+    t = u.shape[0]
+    sqrt_m = exact_sqrt(m)
+    sign = 1 if variant == "Y1" else -1
+    a = [
+        [
+            Fraction(int(i == j)) + sign * int(u[i, j]) / sqrt_m
+            for j in range(t)
+        ]
+        for i in range(t)
+    ]
+    x = _kmat_inverse(a)
+    return [[(-sign) * x[i][j] / m for j in range(t)] for i in range(t)]
+
+
 def schur_reduce(split: BlockSplit, variant: str, verify: bool = True) -> EpsHadamard:
     """General reduction via exact elimination of (I +/- U/sqrt(M)).
 
@@ -707,23 +754,13 @@ def schur_reduce(split: BlockSplit, variant: str, verify: bool = True) -> EpsHad
         raise DomainError(f"variant must be Y1 or Y2, got {variant!r}")
     m = split.source.order
     t = split.t
-    sqrt_m = exact_sqrt(m)
     u = split.u_matrix()
-    sign = 1 if variant == "Y1" else -1
-    a = [
-        [
-            Fraction(int(i == j)) + sign * int(u[i, j]) / sqrt_m
-            for j in range(t)
-        ]
-        for i in range(t)
-    ]
-    x = _kmat_inverse(a)
+    coeffs = _schur_coeffs(u, variant, m)
     w, v, d = split.w_matrix(), split.v_matrix(), split.d_matrix()
-    terms: list[tuple[Scalar, np.ndarray]] = [(1 / sqrt_m, d)]
+    terms: list[tuple[Scalar, np.ndarray]] = [(1 / exact_sqrt(m), d)]
     for i in range(t):
         for j in range(t):
-            coeff = (-sign) * x[i][j] / m
-            terms.append((coeff, np.outer(w[:, i], v[j, :])))
+            terms.append((coeffs[i][j], np.outer(w[:, i], v[j, :])))
     prov = Provenance(
         source_label=split.source.label,
         source_order=m,
@@ -794,6 +831,22 @@ def lemma_inverse(u, radicand: int, sign: int = 1) -> tuple[list[list[Scalar]], 
     return inv, den
 
 
+def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
+                       m: int) -> list[tuple[Scalar, np.ndarray]]:
+    """[(c_p, U_eff^p)] for p = 0, 1, 2 with Y = D/sqrt(M) + sum_p c_p W U_eff^p V,
+    where U_eff = U for Y1 and -U for Y2."""
+    alpha = exact_sqrt(m)
+    if variant == "Y1":
+        kappa, gamma, vartheta = uclass.kappa, uclass.gamma, uclass.vartheta
+        outer_sign, u_eff = -1, u
+    else:
+        kappa, gamma, vartheta = _negated_params(uclass)
+        outer_sign, u_eff = 1, -u
+    x, y, z, _den = _poly_inverse_coeffs(kappa, gamma, vartheta, alpha)
+    powers = (np.eye(u.shape[0], dtype=np.int64), u_eff, u_eff @ u_eff)
+    return [(outer_sign * c / alpha, p) for c, p in zip((x, y, z), powers)]
+
+
 def closed_form(split: BlockSplit, uclass: UClass, variant: str,
                 verify: bool = True) -> EpsHadamard:
     """Reduction via the explicit polynomial-in-U inverse of the relation.
@@ -814,23 +867,11 @@ def closed_form(split: BlockSplit, uclass: UClass, variant: str,
     if uclass.t != split.t or not uclass.relation_holds(u):
         raise DomainError("U does not match the supplied relation")
     m = split.source.order
-    alpha = exact_sqrt(m)
-    if variant == "Y1":
-        kappa, gamma, vartheta = uclass.kappa, uclass.gamma, uclass.vartheta
-        outer_sign, u_eff = -1, u
-    else:
-        kappa, gamma, vartheta = _negated_params(uclass)
-        outer_sign, u_eff = 1, -u
-    x, y, z, _den = _poly_inverse_coeffs(kappa, gamma, vartheta, alpha)
     w, v, d = split.w_matrix(), split.v_matrix(), split.d_matrix()
-    wv = w @ v
-    wuv = w @ u_eff @ v
-    wu2v = w @ u_eff @ u_eff @ v
-    terms: list[tuple[Scalar, np.ndarray]] = [(1 / alpha, d)]
-    for coeff, mat in ((x, wv), (y, wuv), (z, wu2v)):
-        scaled = outer_sign * coeff / alpha
-        if sign_of(scaled) != 0:
-            terms.append((scaled, mat))
+    terms: list[tuple[Scalar, np.ndarray]] = [(1 / exact_sqrt(m), d)]
+    for coeff, power in _closed_form_coeffs(u, uclass, variant, m):
+        if sign_of(coeff) != 0:
+            terms.append((coeff, w @ power @ v))
     prov = Provenance(
         source_label=split.source.label,
         source_order=m,
@@ -855,27 +896,26 @@ def reduce_split(split: BlockSplit, variant: str, verify: bool = True) -> EpsHad
 
 
 # ---------------------------------------------------------------------------
-# Search over splits
+# Search over splits: the exact epsilon screen
 # ---------------------------------------------------------------------------
 
 _SCOPES = ("corner-only", "row-col-permutations", "permutations-and-negations")
+_VARIANTS = ("Y2", "Y1")  # evaluation order of the two variants of a split
+_SCREEN_BUDGET = 1 << 17  # elements per working array of the screen
 
 
-def _iter_splits(h: SignMatrix, t: int, scope: str):
-    if scope == "corner-only":
-        yield corner_split(h, t)
-        return
-    order = h.order
-    negs = (
-        list(itertools.product((False, True), repeat=t))
-        if scope == "permutations-and-negations"
-        else [(False,) * t]
-    )
-    for rows in itertools.combinations(range(order), t):
-        for cols in itertools.combinations(range(order), t):
-            for rn in negs:
-                for cn in negs:
-                    yield BlockSplit(h, rows, cols, rn, cn)
+def _coefficient_matrix(u: np.ndarray, variant: str, m: int) -> list[list[Scalar]]:
+    """The t x t matrix C with Y = D/sqrt(M) + W C V, by reduce_split's route:
+    the closed form when it exists for U, exact elimination otherwise."""
+    uclass = classify_u(u)
+    if not uclass.closed_form_available:
+        return _schur_coeffs(u, variant, m)
+    t = u.shape[0]
+    coeffs = _closed_form_coeffs(u, uclass, variant, m)
+    return [
+        [sum((c * int(p[a, b]) for c, p in coeffs), Fraction(0)) for b in range(t)]
+        for a in range(t)
+    ]
 
 
 def _scope_size(order: int, t: int, scope: str) -> int:
@@ -887,16 +927,253 @@ def _scope_size(order: int, t: int, scope: str) -> int:
     return pairs
 
 
+def _scope_axes(order: int, t: int, scope: str):
+    """(row selections, column selections as an (n, t) array, negation masks),
+    each in search order.  Bit a of a mask negates selected row/column a."""
+    if scope == "corner-only":
+        selections = [tuple(range(t))]
+    else:
+        selections = list(itertools.combinations(range(order), t))
+    if scope == "permutations-and-negations":
+        masks = [
+            sum(int(b) << a for a, b in enumerate(neg))
+            for neg in itertools.product((False, True), repeat=t)
+        ]
+    else:
+        masks = [0]
+    return selections, np.array(selections, dtype=np.intp), masks
+
+
+def _mask_tuple(mask: int, t: int) -> tuple[bool, ...]:
+    return tuple(bool(mask >> a & 1) for a in range(t))
+
+
+def _occurrence(bits: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
+    """occ[c, code]: whether some entry of the split (rows, cols[c]) has the
+    entry code (d << 2t) | (w << t) | v.  Bit a of w (of v) is set when
+    W_ia (V_aj) is -1, and d is set when D_ij is -1; no negations applied."""
+    m = bits.shape[0]
+    t = len(rows)
+    n = len(cols)
+    ncodes = 1 << (1 + 2 * t)
+    weights = (1 << np.arange(t)).astype(np.uint8)
+    rest = np.setdiff1d(np.arange(m), rows)
+    v_code = (bits[list(rows)] * weights[:, None]).sum(axis=0, dtype=np.uint8)
+    base = (bits[rest] << (2 * t)) | v_code  # (k, m): d and v of every column
+    w_code = (bits[rest][:, cols] * weights).sum(axis=-1, dtype=np.uint8)  # (k, n)
+    codes = base[None, :, :] | (w_code.T[:, :, None] << t)  # (n, k, m)
+    codes[np.arange(n)[:, None], :, cols] = ncodes  # selected columns: spare bin
+    occ = np.zeros((n, ncodes + 1), dtype=bool)
+    occ[np.arange(n)[:, None], codes.reshape(n, -1)] = True
+    return occ[:, :ncodes]
+
+
+def _signed_sums(base: Scalar, terms: Sequence[Scalar]) -> list[Scalar]:
+    """base + sum_b s_b * terms[b] for every sign vector s, indexed by the
+    bit pattern with bit b set when s_b = -1."""
+    out = [base]
+    for x in terms:
+        out = [y + x for y in out] + [y - x for y in out]
+    return out
+
+
+class _EpsScreen:
+    """Exact epsilon and window check of every entry code, for each U that
+    occurs and each variant, ranked on one global scale.
+
+    For fixed U (signs applied) and variant, Y_ij = D_ij/sqrt(M) + w_i^T C v_j,
+    so |Y_ij| = |1/sqrt(M) + (D_ij w_i)^T C v_j| depends on the entry code
+    alone.  ``rank_tab[lut[u], variant, code]`` is the rank of that code's
+    epsilon among all epsilons that occur (equal epsilons share a rank), or
+    ``sentinel`` when its magnitude lies outside the reduction window.
+    """
+
+    def __init__(self, u_codes: Sequence[int], t: int, m: int):
+        k = m - t
+        full = (1 << t) - 1
+        code = np.arange(1 << (1 + 2 * t))
+        d, w = code >> (2 * t), (code >> t) & full
+        self.mag_of_code = ((w ^ (full * d)) << t) | (code & full)
+        self.window = _window(t, m)
+        inv_sqrt_m = 1 / exact_sqrt(m)
+        self.lut = np.full(1 << (t * t), -1, dtype=np.intp)
+        self.mags: list[list[list[Scalar]]] = []  # [u][variant][magnitude index]
+        checked: dict = {}  # magnitude key -> (epsilon key, outside window)
+        eps_by_key: dict = {}
+        keys = []  # [u][variant][magnitude index] -> magnitude key
+        for ui, uc in enumerate(u_codes):
+            self.lut[uc] = ui
+            u = np.array([[-1 if uc >> (a * t + b) & 1 else 1 for b in range(t)]
+                          for a in range(t)], dtype=np.int64)
+            per_u_mags, per_u_keys = [], []
+            for variant in _VARIANTS:
+                c = _coefficient_matrix(u, variant, m)
+                # (w^T C)_b for every sign vector w, indexed by w's bits
+                wc = [_signed_sums(Fraction(0), [c[a][b] for a in range(t)])
+                      for b in range(t)]
+                mags: list = [None] * (1 << (2 * t))
+                for wi in range(1 << (t - 1)):  # (-w, -v) gives the same value
+                    values = _signed_sums(inv_sqrt_m, [wc[b][wi] for b in range(t)])
+                    for vi, value in enumerate(values):
+                        av = abs(value) if isinstance(value, QuadNum) else abs(Fraction(value))
+                        idx = (wi << t) | vi
+                        mags[idx] = mags[idx ^ ((1 << (2 * t)) - 1)] = av
+                mkeys = [_scalar_key(av) for av in mags]
+                for key, av in zip(mkeys, mags):
+                    if key not in checked:
+                        eps = _entry_eps(k, av, None)
+                        eps_key = _scalar_key(eps.q)
+                        eps_by_key.setdefault(eps_key, eps)
+                        checked[key] = (eps_key, self.window is not None and (
+                            cmp_values(av, self.window[0]) < 0
+                            or cmp_values(av, self.window[1]) > 0))
+                per_u_mags.append(mags)
+                per_u_keys.append(mkeys)
+            self.mags.append(per_u_mags)
+            keys.append(per_u_keys)
+        # one exact global order; equal epsilons (cmp == 0) share a rank
+        ordered = sorted(eps_by_key.items(),
+                         key=functools.cmp_to_key(lambda x, y: x[1].cmp(y[1])))
+        rank_of: dict = {}
+        self.eps: list[ExactEps] = []
+        for eps_key, eps in ordered:
+            if not self.eps or self.eps[-1].cmp(eps) != 0:
+                self.eps.append(eps)
+            rank_of[eps_key] = len(self.eps) - 1
+        self.sentinel = len(self.eps)
+        code_rank = {
+            key: self.sentinel if outside else rank_of[eps_key]
+            for key, (eps_key, outside) in checked.items()
+        }
+        by_mag = np.array(
+            [[[code_rank[key] for key in kv] for kv in ku] for ku in keys],
+            dtype=np.int32,
+        )  # (u, variant, magnitude index)
+        self.rank_tab = by_mag[:, :, self.mag_of_code]  # (u, variant, code)
+
+    def ranks(self, occ: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
+        """Candidate ranks (n, negations, variant) from occ (n, negations,
+        code) and the U codes (n, negations), both with negations applied."""
+        tab = self.rank_tab[self.lut[u_codes]]  # (n, negations, variant, code)
+        return np.where(occ[:, :, None, :], tab, -1).max(axis=-1)
+
+    def violation(self, occ: np.ndarray, u_code: int, vi: int) -> Scalar:
+        """The smallest out-of-window magnitude among the occurring codes."""
+        ui = self.lut[u_code]
+        codes = np.flatnonzero(occ & (self.rank_tab[ui, vi] == self.sentinel))
+        out = [self.mags[ui][vi][self.mag_of_code[c]] for c in codes]
+        return min(out, key=functools.cmp_to_key(cmp_values))
+
+
+class _SplitScreen:
+    """The first ``cap`` splits of a scope, batched by row selection in
+    search order, with the exact epsilon rank of each of their candidates.
+
+    Candidate i of a row selection is split i // 2 of the batch, in the
+    order (column selection, row negations, column negations), with variant
+    _VARIANTS[i % 2].
+    """
+
+    def __init__(self, h: SignMatrix, t: int, scope: str, cap: int):
+        self.h, self.t, self.cap = h, t, cap
+        m = h.order
+        self.bits = (h.rows < 0).astype(np.uint8)
+        self.selections, self.all_cols, masks = _scope_axes(m, t, scope)
+        self.nneg2 = len(masks) ** 2
+        self.rn = np.repeat(masks, len(masks))  # row mask of negation pair index
+        self.cn = np.tile(masks, len(masks))  # column mask of negation pair index
+        self.u_flip = np.zeros(self.nneg2, dtype=np.int64)  # U_ab -> rn_a U_ab cn_b
+        for a in range(t):
+            for b in range(t):
+                self.u_flip |= (((self.rn >> a) ^ (self.cn >> b)) & 1) << (a * t + b)
+        code_flip = (self.cn << t) | self.rn  # W -> W * cn, V -> rn * V; D unchanged
+        self.perm = np.arange(1 << (1 + 2 * t))[None, :] ^ code_flip[:, None]
+        self.chunk = max(1, _SCREEN_BUDGET // max(
+            (m - t) * m, self.nneg2 * 2 * self.perm.shape[1]))
+        seen_u: set[int] = set()
+        for rows, cols, used in self.batches():
+            u_codes = self.u_codes(rows, cols)
+            seen_u.update(np.unique(u_codes.reshape(-1)[:used]).tolist())
+        if not seen_u:
+            raise DomainError("no candidate splits in scope")
+        self.table = _EpsScreen(sorted(seen_u), t, m)
+
+    def batches(self):
+        """(rows, cols, used): the column selections of one row selection
+        within the first cap splits, and the number of its splits that are."""
+        left = self.cap
+        for rows in self.selections:
+            if left <= 0:
+                return
+            used = min(len(self.all_cols) * self.nneg2, left)
+            left -= used
+            yield rows, self.all_cols[: -(-used // self.nneg2)], used
+
+    def u_codes(self, rows, cols: np.ndarray) -> np.ndarray:
+        """Code of U for each column selection and negation pair, negations
+        applied: bit a*t+b is set when U_ab = -1."""
+        t = self.t
+        sub = self.bits[list(rows)][:, cols].astype(np.int64)  # (t, n, t)
+        weights = 1 << np.arange(t * t, dtype=np.int64).reshape(t, t)
+        return np.einsum("acb,ab->c", sub, weights)[:, None] ^ self.u_flip
+
+    def candidate(self, rows, cols: np.ndarray, i: int) -> tuple[BlockSplit, str]:
+        s, vi = divmod(i, 2)
+        ci, ni = divmod(s, self.nneg2)
+        split = BlockSplit(self.h, rows, cols[ci],
+                           _mask_tuple(int(self.rn[ni]), self.t),
+                           _mask_tuple(int(self.cn[ni]), self.t))
+        return split, _VARIANTS[vi]
+
+    def ranks(self, rows, cols: np.ndarray, used: int) -> np.ndarray:
+        """Rank of each of the first 2*used candidates of a batch; raises
+        CertificationError for the first one with a code outside the window."""
+        table, per_col = self.table, self.nneg2 * 2
+        parts = []
+        for start in range(0, len(cols), self.chunk):
+            part = cols[start:start + self.chunk]
+            occ = _occurrence(self.bits, rows, part)[:, self.perm]  # (n, negations, code)
+            u_codes = self.u_codes(rows, part)
+            ranks = table.ranks(occ, u_codes).reshape(-1)[: 2 * used - start * per_col]
+            hits = np.flatnonzero(ranks == table.sentinel)
+            if hits.size:
+                i = int(hits[0])
+                split, variant = self.candidate(rows, part, i)
+                ci, ni = divmod(i // 2, self.nneg2)
+                av = table.violation(occ[ci, ni], int(u_codes[ci, ni]), i % 2)
+                lo, hi = table.window
+                raise CertificationError(
+                    f"entry magnitude {av} outside window [{lo}, {hi}] "
+                    f"in {split!r} {variant}"
+                )
+            parts.append(ranks)
+        return np.concatenate(parts)
+
+
 def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
                    cap: int = 100_000) -> EpsHadamard:
     """Minimum-epsilon reduction over the splits in scope.
 
-    Both variants are evaluated for every candidate split (closed form for
-    classified U, elimination otherwise).  Ties break deterministically:
-    lexicographically smallest index sets and negation masks, then variant
-    Y2.  If the scope holds more than ``cap`` splits, the first ``cap`` are
-    evaluated in lexicographic order and a ResourceLimitError carrying the
-    partial best is raised.
+    Both variants of every candidate split are scored exactly, without
+    building them: for a fixed U (signs applied) and variant, an entry of Y
+    is D_ij/sqrt(M) + w_i^T C v_j, where C is the t x t coefficient matrix
+    of the route ``reduce_split`` takes (closed form, else elimination).  So
+    every entry falls into one of 2^(1+2t) codes (D_ij, w_i, v_j), and a
+    candidate's epsilon is the largest epsilon among the codes its entries
+    take.  The screen evaluates each code's exact |value|, epsilon and
+    window check once per (U, variant) that occurs, ranks all epsilons with
+    ``ExactEps.cmp``, and per split computes only which codes occur, batched
+    over the splits that share a row selection.  It is exact: two candidates
+    compare as their rebuilt ``EpsHadamard`` epsilons would, and an
+    occurring code outside the reduction window raises CertificationError
+    as the candidate's construction would.
+
+    Splits are searched in the order (rows, cols, row negations, col
+    negations), variant Y2 before Y1, and the first minimum wins: ties break
+    to the lexicographically smallest index sets and negation masks, then
+    Y2.  Only the winner is built, once, with orthogonality verified.  If
+    the scope holds more than ``cap`` splits, the first ``cap`` are searched
+    and a ResourceLimitError carrying the partial best is raised.
     """
     if not h.hadamard_verified:
         raise DomainError("best_reduction requires a hadamard-verified matrix")
@@ -907,48 +1184,26 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
     if t * t >= h.order:
         raise DomainError(f"t={t} must satisfy t < sqrt({h.order})")
 
-    best: Optional[EpsHadamard] = None
-    overflow = _scope_size(h.order, t, search_scope) > cap
-    seen = 0
-    for split in _iter_splits(h, t, search_scope):
-        if seen >= cap:
-            break
-        seen += 1
-        for variant in ("Y2", "Y1"):
-            cand = reduce_split(split, variant, verify=False)
-            if best is None or _candidate_better(cand, best):
-                best = cand
-    if best is None:
-        raise DomainError("no candidate splits in scope")
-    final = reduce_split(
-        BlockSplit(
-            h,
-            best.provenance.row_select,
-            best.provenance.col_select,
-            best.provenance.row_negate,
-            best.provenance.col_negate,
-        ),
-        best.provenance.variant,
-        verify=True,
-    )
-    if overflow:
-        raise ResourceLimitError(
-            f"search scope exceeds cap of {cap} splits", partial_best=final
+    search = _SplitScreen(h, t, search_scope, cap)
+    best = None  # (rank, rows, cols, candidate index)
+    for rows, cols, used in search.batches():
+        ranks = search.ranks(rows, cols, used)
+        i = int(np.argmin(ranks))
+        if best is None or ranks[i] < best[0]:
+            best = (int(ranks[i]), rows, cols, i)
+
+    rank, rows, cols, i = best
+    split, variant = search.candidate(rows, cols, i)
+    y = reduce_split(split, variant, verify=True)
+    if y.epsilon.cmp(search.table.eps[rank]) != 0:
+        raise CertificationError(
+            f"screened epsilon {search.table.eps[rank]!r} != rebuilt {y.epsilon!r}"
         )
-    return final
-
-
-def _candidate_better(cand: EpsHadamard, best: EpsHadamard) -> bool:
-    c = cand.epsilon.cmp(best.epsilon)
-    if c != 0:
-        return c < 0
-    return _tie_key(cand) < _tie_key(best)
-
-
-def _tie_key(y: EpsHadamard):
-    p = y.provenance
-    return (p.row_select, p.col_select, p.row_negate, p.col_negate,
-            0 if p.variant == "Y2" else 1)
+    if _scope_size(h.order, t, search_scope) > cap:
+        raise ResourceLimitError(
+            f"search scope exceeds cap of {cap} splits", partial_best=y
+        )
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +29,12 @@ def dumps_canonical(obj) -> str:
 
 
 def write_atomic(path: str, text: str):
+    """Write through a temp file in the same directory and a rename.  The
+    temp file is created with mode 0666 less the umask, the mode a plain
+    open() gives, so the artifact is not left owner-only."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -63,7 +66,7 @@ def frac_parse(obj) -> Fraction:
     try:
         num, den = obj
         return Fraction(int(num), int(den))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {obj!r}") from exc
 
 
@@ -194,9 +197,11 @@ def parse_provenance(obj) -> Provenance:
     )
 
 
-def eps_hadamard_obj(y: EpsHadamard) -> dict:
+def eps_hadamard_obj(y: EpsHadamard, partial: bool = False) -> dict:
+    """The artifact of y; ``partial`` marks the best split of a search that
+    stopped at its cap (the field is omitted otherwise)."""
     m = y.radicand
-    return {
+    out = {
         "kind": "eps-hadamard",
         "k": y.order,
         "m": m,
@@ -208,9 +213,14 @@ def eps_hadamard_obj(y: EpsHadamard) -> dict:
         "epsilon_upper": eps_wire(y.epsilon_upper, m),
         "provenance": provenance_obj(y.provenance),
     }
+    if partial:
+        out["partial"] = True
+    return out
 
 
 def parse_eps_hadamard(obj) -> EpsHadamard:
+    if isinstance(obj, dict) and not isinstance(obj.get("partial", False), bool):
+        raise ParseError(f"bad eps-hadamard artifact: partial={obj['partial']!r}")
     try:
         k = int(obj["k"])
         m = int(obj["m"])
@@ -219,7 +229,9 @@ def parse_eps_hadamard(obj) -> EpsHadamard:
         ]
         prov = parse_provenance(obj["provenance"])
         stored_eps = eps_parse(obj["epsilon"], m)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        if isinstance(exc, ParseError):
+            raise
         raise ParseError(f"bad eps-hadamard artifact: {exc}") from exc
     if len(rows) != k:
         raise ParseError(f"declared k={k} != actual {len(rows)}")
@@ -447,6 +459,8 @@ def ledger_obj(lines) -> list[dict]:
 
 
 def detect_kind(obj) -> str:
-    if isinstance(obj, dict) and "kind" in obj:
+    if not isinstance(obj, dict):
+        raise ParseError(f"artifact is a JSON {type(obj).__name__}, not an object")
+    if "kind" in obj:
         return str(obj["kind"])
     raise ParseError("artifact has no 'kind' field")

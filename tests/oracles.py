@@ -9,6 +9,7 @@ sum stays below 2**53), and direct set arithmetic for designs.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +17,8 @@ import numpy as np
 import sympy
 
 from armub.algebra import QuadNum
-from armub.epsh import BlockSplit
+from armub.epsh import BlockSplit, corner_split, reduce_split
+from armub.errors import DomainError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +256,50 @@ def find_placements(h, targets) -> dict:
             if len(found) == len(targets):
                 return found
     return found
+
+
+# ---------------------------------------------------------------------------
+# Split search, one EpsHadamard per candidate
+# ---------------------------------------------------------------------------
+
+def best_reduction_loop(h, t, search_scope="corner-only", cap=100_000):
+    """Reference split search: builds every candidate (both variants of each
+    split) as an EpsHadamard and keeps the first minimum epsilon in the
+    order (rows, cols, row negations, col negations), Y2 before Y1.  Same
+    contract as ``armub.epsh.best_reduction``, including ``cap``."""
+    if t * t >= h.order:
+        raise DomainError(f"t={t} must satisfy t < sqrt({h.order})")
+    if search_scope == "corner-only":
+        splits = iter([corner_split(h, t)])
+        size = 1
+    else:
+        negs = (
+            list(itertools.product((False, True), repeat=t))
+            if search_scope == "permutations-and-negations"
+            else [(False,) * t]
+        )
+        combos = list(itertools.combinations(range(h.order), t))
+        splits = (
+            BlockSplit(h, rows, cols, rn, cn)
+            for rows in combos for cols in combos for rn in negs for cn in negs
+        )
+        size = math.comb(h.order, t) ** 2 * len(negs) ** 2
+    best = None
+    for split in itertools.islice(splits, max(cap, 0)):
+        for variant in ("Y2", "Y1"):
+            cand = reduce_split(split, variant, verify=False)
+            if best is None or cand.epsilon.cmp(best.epsilon) < 0:
+                best = cand
+    if best is None:
+        raise DomainError("no candidate splits in scope")
+    p = best.provenance
+    final = reduce_split(
+        BlockSplit(h, p.row_select, p.col_select, p.row_negate, p.col_negate),
+        p.variant,
+        verify=True,
+    )
+    if size > cap:
+        raise ResourceLimitError(
+            f"search scope exceeds cap of {cap} splits", partial_best=final
+        )
+    return final

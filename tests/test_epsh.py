@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from armub import jsonio
+from armub import epsh, jsonio
 from armub.algebra import QuadNum, cmp_values, exact_sqrt, sign_of
 from armub.epsh import (
     BlockSplit,
@@ -23,7 +23,12 @@ from armub.epsh import (
 )
 from armub.errors import CertificationError, DomainError, ResourceLimitError
 from armub.hadamard import find_hadamard, sylvester
-from oracles import assert_matches_sympy, find_placements, sympy_reduction
+from oracles import (
+    assert_matches_sympy,
+    best_reduction_loop,
+    find_placements,
+    sympy_reduction,
+)
 
 H4_T1_SMALL_VARIANT = [
     [Fraction(-2, 3), Fraction(1, 3), Fraction(-2, 3)],
@@ -397,6 +402,83 @@ def test_best_reduction_cap():
         best_reduction(h8, 1, search_scope="row-col-permutations", cap=5)
     partial = err.value.partial_best
     assert partial is not None and partial.order == 7
+
+
+def _search(fn, h, t, scope, cap):
+    """(result, whether the cap was hit) of a split search."""
+    try:
+        return fn(h, t, scope, cap), False
+    except ResourceLimitError as err:
+        return err.partial_best, True
+
+
+# Full scopes, then the first `cap` splits of scopes too large for the
+# per-candidate loop.  The capped t = 3 scopes reach U outside the published
+# lists, so they cover the elimination route as well as the closed forms.
+@pytest.mark.parametrize("order, t, scope, cap", [
+    (8, 1, "row-col-permutations", 100_000),
+    (8, 2, "row-col-permutations", 100_000),
+    (12, 1, "row-col-permutations", 100_000),
+    (8, 1, "permutations-and-negations", 100_000),
+    (12, 1, "permutations-and-negations", 100_000),
+    (12, 2, "row-col-permutations", 60),
+    (8, 2, "permutations-and-negations", 60),
+    (12, 3, "permutations-and-negations", 8),
+    (16, 3, "permutations-and-negations", 32),
+])
+def test_screen_matches_candidate_loop(order, t, scope, cap):
+    h = find_hadamard(order)
+    got, got_capped = _search(best_reduction, h, t, scope, cap)
+    want, want_capped = _search(best_reduction_loop, h, t, scope, cap)
+    assert got_capped == want_capped
+    assert got.provenance == want.provenance  # split, negations, variant
+    assert got.epsilon.cmp(want.epsilon) == 0
+    assert jsonio.dumps_canonical(jsonio.eps_hadamard_obj(got)) == \
+        jsonio.dumps_canonical(jsonio.eps_hadamard_obj(want))
+
+
+@pytest.mark.parametrize("order, t, cap", [(8, 2, 64), (16, 3, 16)])
+def test_screen_ranks_every_candidate(order, t, cap):
+    """Each candidate's screened epsilon equals that of its EpsHadamard, not
+    only the winner's."""
+    search = epsh._SplitScreen(find_hadamard(order), t, "permutations-and-negations", cap)
+    seen = 0
+    for rows, cols, used in search.batches():
+        ranks = search.ranks(rows, cols, used)
+        assert len(ranks) == 2 * used
+        for i, rank in enumerate(ranks):
+            split, variant = search.candidate(rows, cols, i)
+            y = reduce_split(split, variant, verify=False)
+            assert search.table.eps[rank].cmp(y.epsilon) == 0, (split, variant)
+        seen += used
+    assert seen == cap
+
+
+def test_screen_builds_only_the_winner(monkeypatch):
+    inits = []
+    original = EpsHadamard.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(kwargs.get("verify", True))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EpsHadamard, "__init__", counting)
+    y = best_reduction(find_hadamard(16), 2, search_scope="row-col-permutations")
+    assert inits == [True]  # one verified build for 14,400 splits
+    p = y.provenance
+    assert (p.row_select, p.col_select, p.variant) == ((0, 1), (1, 2), "Y1")
+
+
+def test_screen_window_violation_raises(monkeypatch):
+    """A code whose magnitude lies outside the window fails the search, as
+    the candidate's own construction would."""
+    h = find_hadamard(8)
+    y = best_reduction(h, 1)
+    lo, _ = epsh._window(1, 8)
+    top = y.max_abs_entry()
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, top - Fraction(1, 10**6)))
+    with pytest.raises(CertificationError, match=r"outside window .* rows=\(0,\), cols=\(0,\)"):
+        best_reduction(h, 1)
 
 
 def test_best_reduction_rejects_large_t():
