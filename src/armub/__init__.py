@@ -6,8 +6,8 @@ real quadratic extensions); floating point appears only in rendered
 reports.
 """
 
-from .algebra import GfElem, GfField, QuadNum, exact_sqrt, gf_make, quad_sign, quad_to_float
-from .bases import BasisSet, SparseBasis, assemble, vector_at
+from .algebra import GfField, QuadNum, exact_sqrt, gf_make, quad_sign, quad_to_float
+from .bases import BasisSet, SparseBasis, assemble
 from .epsh import (
     BlockSplit,
     EpsHadamard,
@@ -38,7 +38,6 @@ from .verify import (
     ExactBeta,
     UnbiasednessReport,
     check_theorem_bounds,
-    classify,
     cross_stats,
     ledger_ok,
 )

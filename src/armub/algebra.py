@@ -6,7 +6,7 @@ Three scalar domains are used throughout the package:
   positive denominator, so the required invariants hold by construction);
 * the real quadratic field Q(sqrt(m)) -- :class:`QuadNum`, values a + b*sqrt(m)
   with rational a, b and a squarefree radicand m >= 2;
-* finite fields GF(p^e) for odd p -- :class:`GfField` / :class:`GfElem`.
+* finite fields GF(p^e) for odd p -- :class:`GfField`.
 
 No floating point is used anywhere in a certification path; floats appear
 only in rendered reports via :func:`quad_to_float`.
@@ -233,21 +233,6 @@ def _frac_sign(x: Fraction) -> int:
     return (n > 0) - (n < 0)
 
 
-def quad_arith(x: Scalar, y: Scalar, op: str) -> Scalar:
-    """Named wrapper over the field operators: op in {add, sub, mul, div}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if sign_of(y) == 0:
-            raise ExactArithmeticError("division by zero")
-        return x / y
-    raise DomainError(f"unknown operation {op!r}")
-
-
 def sign_of(x: Scalar) -> int:
     """Exact sign of any supported scalar (int, Fraction, QuadNum)."""
     if isinstance(x, QuadNum):
@@ -349,72 +334,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class GfElem:
-    """An element of GF(p^e): a field handle plus an integer code.
-
-    The code's base-p digits are the polynomial coefficients, digit j being
-    the coefficient of x^j; ascending code order is the canonical
-    enumeration of field elements.
-    """
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: "GfField", code: int):
-        if not 0 <= code < field.q:
-            raise DomainError(f"code {code} outside GF({field.q})")
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        c, p, out = self.code, self.field.p, []
-        for _ in range(self.field.e):
-            out.append(c % p)
-            c //= p
-        return tuple(out)
-
-    def _check(self, other) -> "GfElem":
-        if not isinstance(other, GfElem) or other.field is not self.field:
-            raise StructuralError("mixed finite fields")
-        return other
-
-    def __add__(self, other):
-        return GfElem(self.field, self.field.add(self.code, self._check(other).code))
-
-    def __sub__(self, other):
-        return GfElem(self.field, self.field.sub(self.code, self._check(other).code))
-
-    def __mul__(self, other):
-        return GfElem(self.field, self.field.mul(self.code, self._check(other).code))
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        return GfElem(self.field, self.field.mul(self.code, self.field.inv(o.code)))
-
-    def __neg__(self):
-        return GfElem(self.field, self.field.neg(self.code))
-
-    def __pow__(self, k: int):
-        return GfElem(self.field, self.field.pow(self.code, k))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GfElem)
-            and other.field is self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __repr__(self):
-        return f"GfElem(GF({self.field.q}), {self.code})"
-
-
 class GfField:
     """GF(p^e) with log/exp tables over the smallest monic irreducible.
 
-    Elements are integer codes (see :class:`GfElem`).  The modulus is the
+    Elements are integer codes: the code's base-p digits are the polynomial
+    coefficients, digit j being the coefficient of x^j, and ascending code
+    order is the canonical enumeration of field elements.  The modulus is the
     lexicographically smallest monic irreducible polynomial of degree e,
     found by exhaustive search, so field tables are reproducible across
     runs.  Construct via :func:`gf_make`.
@@ -629,12 +554,6 @@ class GfField:
         ex = (int(self._log[a]) * k) % (self.q - 1)
         return int(self._exp[ex])
 
-    def is_square(self, a: int) -> bool:
-        """True for nonzero quadratic residues (q odd)."""
-        if a == 0:
-            return False
-        return int(self._log[a]) % 2 == 0
-
     # -- bulk operations (numpy code arrays) --------------------------------
 
     def mul_arr(self, a, b):
@@ -663,12 +582,6 @@ class GfField:
             a, b = a // self.p, b // self.p
             mult *= self.p
         return out
-
-    def element(self, code: int) -> GfElem:
-        return GfElem(self, code)
-
-    def elements(self):
-        return (GfElem(self, c) for c in range(self.q))
 
     def __repr__(self):
         return f"GfField(p={self.p}, e={self.e})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Scalar, cmp_values, sign_of
+from .algebra import Scalar
 from .epsh import EpsHadamard
 from .errors import CertificationError, DomainError
 from .rbd import Rbd
@@ -54,23 +54,6 @@ class SparseBasis:
     def support(self, index: int) -> tuple[int, ...]:
         block = self.block_of_vector(index)
         return tuple(int(p) for p in self.blocks[block])
-
-    def dense_columns(self) -> list[list[Scalar]]:
-        """Column vectors as dense exact lists (small d only)."""
-        from fractions import Fraction
-
-        cols = []
-        for i in range(self.d):
-            col: list[Scalar] = [Fraction(0)] * self.d
-            for coord, val in self.vector(i):
-                col[coord] = val
-            cols.append(col)
-        return cols
-
-
-def vector_at(basis: SparseBasis, index: int) -> list[tuple[int, Scalar]]:
-    """The (block, row)-addressed vector of a basis."""
-    return basis.vector(index)
 
 
 class BasisSet:
@@ -127,26 +110,3 @@ def assemble(rbd: Rbd, y: EpsHadamard) -> BasisSet:
             raise CertificationError(f"class {l} is not a partition")
     return BasisSet(rbd, y, [SparseBasis(rbd, y, l) for l in range(rbd.r)])
 
-
-def sparse_orthonormality_check(basis: SparseBasis) -> bool:
-    """Literal exact B^T B = I using only coordinate-sharing vector pairs.
-
-    Vectors of different blocks never share coordinates, so only the
-    s within-block k x k Grams contribute.  Quadratic in k per block;
-    intended for modest d (tests, spot checks).
-    """
-    from fractions import Fraction
-
-    k = basis.k
-    for b in range(basis.rbd.s):  # s blocks in this class
-        for i in range(k):
-            vi = dict(basis.vector(b * k + i))
-            for j in range(i, k):
-                acc: Scalar = Fraction(0)
-                for coord, val in basis.vector(b * k + j):
-                    if coord in vi:
-                        acc = acc + vi[coord] * val
-                want = Fraction(int(i == j))
-                if cmp_values(acc, want) != 0:
-                    return False
-    return True

@@ -18,8 +18,7 @@ Exit codes (stable contract; CI treats any nonzero as red):
 `verify` checks every file it is given and exits with the worst code among
 them.
 
-All sampling randomness sits behind --seed (default 0); artifacts are
-written atomically (temp file + rename) in canonical JSON.
+Artifacts are written atomically (temp file + rename) in canonical JSON.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .errors import (
     StructuralError,
 )
 from .hadamard import find_hadamard
-from .rbd import build_affine_rbd, verify_rbd
+from .rbd import build_affine_rbd
 from .verify import check_theorem_bounds, cross_stats, ledger_ok
 
 EXIT_OK = 0
@@ -108,17 +107,6 @@ def cmd_rbd(args) -> int:
     return EXIT_OK
 
 
-def _parse_mode(text: str) -> tuple[str, int]:
-    if text == "exhaustive":
-        return "exhaustive", 0
-    if text.startswith("sampled:"):
-        try:
-            return "sampled", int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise DomainError(f"bad mode {text!r}") from exc
-    raise DomainError(f"mode must be 'exhaustive' or 'sampled:N', got {text!r}")
-
-
 def _provide_y(k: int, t: int, scope: str, cap: int):
     """Orthogonal matrix of order k: exact H_k/sqrt(k) when such an order
     admits a real Hadamard matrix, else reduction of H_{k+t}."""
@@ -134,12 +122,10 @@ def cmd_armub(args) -> int:
         raise DomainError("t must be 1, 2 or 3")
     if (k + t) % 4 != 0 and not (k in (1, 2) or k % 4 == 0):
         raise DomainError(f"k + t = {k + t} must be divisible by 4")
-    mode, pairs = _parse_mode(args.mode)
     y, source = _provide_y(k, t, args.scope, args.cap)
     design = build_affine_rbd(k, s)
     bs = assemble(design, y)
-    report = cross_stats(bs, mode=mode, pairs=pairs, seed=args.seed,
-                         threads=args.threads)
+    report = cross_stats(bs)
     # the report reflects the pipeline configuration even when Y came from
     # an exact Hadamard matrix rather than a reduction
     n = (k + t) // 4 if (k + t) % 4 == 0 else None
@@ -172,10 +158,7 @@ def cmd_armub(args) -> int:
     )
     certificate = {
         "kind": "certificate",
-        "config": {
-            "k": k, "s": s, "t": t, "d": k * s, "scope": args.scope,
-            "mode": args.mode, "seed": args.seed,
-        },
+        "config": {"k": k, "s": s, "t": t, "d": k * s, "scope": args.scope},
         "artifacts": {name: os.path.basename(p) for name, p in paths.items()},
         "report": jsonio.report_obj(report),
         "ledger": jsonio.ledger_obj(ledger),
@@ -294,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["corner-only", "row-col-permutations",
                             "permutations-and-negations"])
     p.add_argument("--cap", type=int, default=100_000)
-    p.add_argument("--mode", default="exhaustive",
-                   help="'exhaustive' or 'sampled:N' (N basis pairs)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="armub-out")
     p.set_defaults(func=cmd_armub)
 

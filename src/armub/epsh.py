@@ -468,7 +468,8 @@ class EpsHadamard:
         for ci, v in enumerate(values):
             av = abs(v) if isinstance(v, QuadNum) else abs(Fraction(v))
             abs_map.setdefault(_scalar_key(av), [av, []])[1].append(ci)
-        ordered = sorted(abs_map.values(), key=_sort_key_scalar)
+        ordered = sorted(abs_map.values(),
+                         key=functools.cmp_to_key(lambda x, y: cmp_values(x[0], y[0])))
         self._distinct = ordered  # list of [abs value, combo ids]
 
         # epsilon depends on |Y_ij| alone: one ExactEps per distinct magnitude
@@ -653,23 +654,6 @@ def _scalar_key(v: Scalar):
         return (v.a.numerator, v.a.denominator, v.b.numerator, v.b.denominator, v.m)
     f = Fraction(v)
     return (f.numerator, f.denominator)
-
-
-def _sort_key_scalar(item):
-    return _CmpWrap(item[0])
-
-
-class _CmpWrap:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return cmp_values(self.v, other.v) < 0
-
-    def __eq__(self, other):
-        return cmp_values(self.v, other.v) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ import json
 import os
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import Scalar, QuadNum, cmp_values, square_free_split
 from .bases import BasisSet, assemble
 from .epsh import EpsHadamard, ExactEps, Provenance
@@ -171,6 +169,8 @@ def provenance_obj(p: Provenance) -> dict:
 def parse_provenance(obj) -> Provenance:
     from .epsh import UClass
 
+    if not isinstance(obj, dict):
+        raise ParseError(f"bad provenance {obj!r}")
     uclass = None
     if obj.get("u_relation"):
         u = obj["u_relation"]
@@ -233,8 +233,8 @@ def parse_eps_hadamard(obj) -> EpsHadamard:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad eps-hadamard artifact: {exc}") from exc
-    if len(rows) != k:
-        raise ParseError(f"declared k={k} != actual {len(rows)}")
+    if k < 1 or len(rows) != k:
+        raise ParseError(f"declared k={k}, {len(rows)} entry rows")
     y = EpsHadamard.from_scalar_rows(rows, m, prov)  # re-certifies exactly
     if y.epsilon.cmp(stored_eps) != 0:
         raise CertificationError(
@@ -260,21 +260,21 @@ def rbd_obj(r: Rbd) -> dict:
     }
 
 
-def parse_rbd(obj, full_verify: bool = True) -> Rbd:
+def parse_rbd(obj) -> Rbd:
     try:
         r = Rbd(
             int(obj["d"]), int(obj["k"]), int(obj["s"]), obj["classes"],
             provenance=str(obj.get("provenance", "")),
         )
-        declared_mu = obj["mu"]
+        declared_mu = None if obj["mu"] is None else int(obj["mu"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad rbd artifact: {exc}") from exc
-    cert = verify_rbd(r, full=full_verify)
+    cert = verify_rbd(r)
     if not cert.valid:
         raise CertificationError(f"design re-check failed: {cert.violations}")
-    if declared_mu is not None and cert.mu != int(declared_mu):
+    if declared_mu is not None and cert.mu != declared_mu:
         raise CertificationError(
             f"declared mu={declared_mu} but verified mu={cert.mu}"
         )
@@ -286,11 +286,8 @@ def parse_rbd(obj, full_verify: bool = True) -> Rbd:
 # BasisSet
 # ---------------------------------------------------------------------------
 
-MATERIALIZE_LIMIT = 512
-
-
 def basis_set_obj(bs: BasisSet) -> dict:
-    out = {
+    return {
         "kind": "basis-set",
         "d": bs.d,
         "k": bs.k,
@@ -298,63 +295,20 @@ def basis_set_obj(bs: BasisSet) -> dict:
         "design": rbd_obj(bs.rbd),
         "y": eps_hadamard_obj(bs.y),
     }
-    if bs.d <= MATERIALIZE_LIMIT:
-        m = bs.y.radicand
-        out["vectors"] = [
-            [
-                {
-                    "coords": [c for c, _ in b.vector(i)],
-                    "values": [scalar_wire(v, m) for _, v in b.vector(i)],
-                }
-                for i in range(bs.d)
-            ]
-            for b in bs.bases
-        ]
-    return out
 
 
 def parse_basis_set(obj) -> BasisSet:
+    if isinstance(obj, dict) and "vectors" in obj:
+        raise ParseError(
+            "bad basis-set artifact: unknown field 'vectors' "
+            "(the bases are assembled from 'design' and 'y')"
+        )
     try:
         r = parse_rbd(obj["design"])
         y = parse_eps_hadamard(obj["y"])
     except KeyError as exc:
         raise ParseError(f"bad basis-set artifact: {exc}") from exc
-    bs = assemble(r, y)
-    if "vectors" in obj:
-        m = y.radicand
-        for b, vecs in zip(bs.bases, obj["vectors"]):
-            for i, rec in enumerate(vecs):
-                got = b.vector(i)
-                coords = [int(c) for c in rec["coords"]]
-                values = [scalar_parse(v, m) for v in rec["values"]]
-                if coords != [c for c, _ in got] or any(
-                    cmp_values(u, v) != 0
-                    for (_, u), v in zip(got, values)
-                ):
-                    raise CertificationError(
-                        f"stored vector {i} of basis {b.class_index} "
-                        "does not match the assembly"
-                    )
-    return bs
-
-
-def basis_set_csv(bs: BasisSet) -> str:
-    """Sparse-triplet CSV (exact entries) for d <= 256."""
-    from .errors import DomainError
-
-    if bs.d > 256:
-        raise DomainError("dense CSV export limited to d <= 256")
-    lines = ["basis,vector,coord,a_num,a_den,b_num,b_den,radicand"]
-    m = bs.y.radicand
-    for b in bs.bases:
-        for i in range(bs.d):
-            for coord, v in b.vector(i):
-                w = scalar_wire(v, m)
-                lines.append(
-                    f"{b.class_index},{i},{coord},{w['a'][0]},{w['a'][1]},"
-                    f"{w['b'][0]},{w['b'][1]},{m}"
-                )
-    return "\n".join(lines) + "\n"
+    return assemble(r, y)
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +389,12 @@ def parse_report(obj):
         for a, b in zip(delta, delta[1:]):
             if cmp_values(a.value, b.value) >= 0:
                 raise CertificationError("delta values not strictly ascending")
-    label, _ = classify_delta(
-        delta, beta, report.d, report.evidence == "exhaustive"
-    )
+    label = classify_delta(delta, beta, report.d)
     if label != report.classification:
         raise CertificationError(
             f"stored classification {report.classification} != recomputed {label}"
         )
     return report
-
-
-def report_csv(report) -> str:
-    lines = ["value_float,count"]
-    from .algebra import quad_to_float
-
-    for dv in report.delta:
-        lines.append(f"{quad_to_float(dv.value, 70)!r},{dv.count}")
-    return "\n".join(lines) + "\n"
 
 
 def ledger_obj(lines) -> list[dict]:

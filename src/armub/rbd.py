@@ -80,7 +80,6 @@ class RbdCertificate:
     mu: int
     violations: list[str] = field(default_factory=list)
     class_pairs_checked: int = 0
-    mode: str = "full"
 
     def __bool__(self):
         return self.valid
@@ -104,21 +103,18 @@ def build_affine_rbd(k: int, s: int) -> Rbd:
         y = f.add_arr(np.arange(s, dtype=np.int64)[:, None], shift[None, :])
         blocks[slope] = rows[None, :] * s + y  # ascending in a, hence sorted
     design = Rbd(k * s, k, s, blocks, provenance=f"affine(k={k}, s={s})")
-    cert = verify_rbd(design, full=True)
+    cert = verify_rbd(design)
     if not cert.valid or cert.mu != 1:
         raise AssertionError(f"affine design failed self-verification: {cert}")
     design.mu = 1
     return design
 
 
-def verify_rbd(r: Rbd, full: bool = True, sample_pairs: int = 1024,
-               seed: int = 0) -> RbdCertificate:
+def verify_rbd(r: Rbd) -> RbdCertificate:
     """Check the partition property per class, block sortedness, and mu.
 
-    ``full`` examines every cross-class block pair (via per-class-pair
-    intersection histograms); otherwise ``sample_pairs`` random block
-    pairs are drawn from a counter-based (Philox) generator.  Violations
-    are reported, not raised.
+    Every cross-class block pair is examined, through one intersection
+    histogram per class pair.  Violations are reported, not raised.
     """
     violations: list[str] = []
     d, k, s, nclasses = r.d, r.k, r.s, r.r
@@ -132,29 +128,15 @@ def verify_rbd(r: Rbd, full: bool = True, sample_pairs: int = 1024,
             violations.append(f"class {l} has an unsorted or repeated block")
 
     mu = 0
-    if full:
-        pairs = 0
-        for l in range(nclasses):
-            bl = r.block_map(l)
-            for m in range(l + 1, nclasses):
-                bm = r.block_map(m)
-                covered = (bl >= 0) & (bm >= 0)  # robust to broken partitions
-                counts = np.bincount((bl * s + bm)[covered], minlength=s * s)
-                mu = max(mu, int(counts.max()))
-                pairs += 1
-        mode = "full"
-        checked = pairs
-    else:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        if nclasses < 2:
-            raise DomainError("sampled verification needs at least two classes")
-        checked = sample_pairs
-        for _ in range(sample_pairs):
-            l, m = rng.choice(nclasses, size=2, replace=False)
-            i, j = int(rng.integers(s)), int(rng.integers(s))
-            inter = np.intersect1d(r.classes[l][i], r.classes[m][j]).size
-            mu = max(mu, int(inter))
-        mode = f"sampled(seed={seed})"
+    pairs = 0
+    for l in range(nclasses):
+        bl = r.block_map(l)
+        for m in range(l + 1, nclasses):
+            bm = r.block_map(m)
+            covered = (bl >= 0) & (bm >= 0)  # robust to broken partitions
+            counts = np.bincount((bl * s + bm)[covered], minlength=s * s)
+            mu = max(mu, int(counts.max()))
+            pairs += 1
 
     if r.mu is not None and mu > r.mu:
         violations.append(f"recorded mu={r.mu} but observed {mu}")
@@ -162,6 +144,5 @@ def verify_rbd(r: Rbd, full: bool = True, sample_pairs: int = 1024,
         valid=not violations,
         mu=mu,
         violations=violations,
-        class_pairs_checked=checked,
-        mode=mode,
+        class_pairs_checked=pairs,
     )

@@ -3,14 +3,10 @@
 Inner products between vectors of different bases are structurally sparse:
 with mu = 1 the supports of two cross-basis vectors share at most one
 coordinate, so every cross inner product is zero or a single product of
-two Y entries.  Both computation routes exploit this but are independent:
-
-* exhaustive mode aggregates, per basis pair, the count of sharing block
-  pairs by (column, column) position and contracts it with per-column
-  magnitude histograms of Y -- every one of the d^2 vector pairs is
-  accounted for without materializing it;
-* sampled mode draws whole basis pairs (counter-based Philox generator)
-  and materializes all k^2 products for every sharing block pair.
+two Y entries.  Per basis pair, the count of sharing block pairs by
+(column, column) position is contracted with per-column magnitude
+histograms of Y, so every one of the d^2 vector pairs of every basis pair
+is accounted for without materializing it.
 
 Values are collected by exact equality (no floating tolerance exists in
 classification); beta = sqrt(d) * max|<u,v>| is held exactly via its
@@ -19,6 +15,7 @@ square.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,7 +85,7 @@ class UnbiasednessReport:
     pairs_checked: int
     coverage: dict
     classification: str
-    evidence: str  # "exhaustive" | "sampled" (lower-bound classification)
+    evidence: str  # "exhaustive": every cross pair of every basis pair
     window_ok: bool
     beta_le_eps_chain: bool  # beta <= (1+eps)^2 sqrt(d)/k, exact
     max_abs_y_sq: Scalar  # (max |Y_ij|)^2, for the formula-route certificate
@@ -120,10 +117,14 @@ def _merge_counts(acc: dict, key_scalar: Scalar, count: int):
         acc[key] = [key_scalar, count]
 
 
-def _pair_stats_factored(bs: BasisSet, l: int, m: int, ids, col_counts, nvals):
-    """Exact per-basis-pair histogram over |Y_a,p * Y_b,q| value ids."""
+def _pair_stats(bs: BasisSet, l: int, m: int, col_counts):
+    """Exact per-basis-pair histogram over |Y_a,p * Y_b,q| value ids.
+
+    Every entry of the contraction is a count bounded by d * k^2 < 2^63,
+    so the int64 matrix products are exact.
+    """
     r = bs.rbd
-    s, k, d = r.s, r.k, r.d
+    s, k = r.s, r.k
     bl, bm = r.block_map(l), r.block_map(m)
     joint = np.bincount(bl * s + bm, minlength=s * s)
     if int(joint.max()) > 1:
@@ -132,46 +133,14 @@ def _pair_stats_factored(bs: BasisSet, l: int, m: int, ids, col_counts, nvals):
         )
     cp = np.bincount(r.pos_map(l) * k + r.pos_map(m), minlength=k * k)
     cp = cp.reshape(k, k)
-    vv = np.einsum("pv,pq,qw->vw", col_counts, cp, col_counts, dtype=np.int64)
-    sharing_block_pairs = int(cp.sum())
-    zeros = (s * s - sharing_block_pairs) * k * k
+    vv = col_counts.T @ cp @ col_counts
+    zeros = (s * s - int(cp.sum())) * k * k
     return vv, zeros
 
 
-def _pair_stats_literal(bs: BasisSet, l: int, m: int, ids, nvals):
-    """Materialize all k^2 products for every sharing block pair."""
-    r = bs.rbd
-    s, k, d = r.s, r.k, r.d
-    bl, bm = r.block_map(l), r.block_map(m)
-    joint = np.bincount(bl * s + bm, minlength=s * s)
-    if int(joint.max()) > 1:
-        raise CertificationError(
-            f"support law violated between classes {l} and {m} (mu > 1)"
-        )
-    shared = np.full((s, s), -1, dtype=np.int64)
-    shared[bl, bm] = np.arange(d)
-    pl, pm = r.pos_map(l), r.pos_map(m)
-    vv = np.zeros(nvals * nvals, dtype=np.int64)
-    pairs = np.argwhere(shared >= 0)
-    for bi, bj in pairs:
-        p = int(shared[bi, bj])
-        u = ids[:, pl[p]]
-        w = ids[:, pm[p]]
-        vv += np.bincount(
-            (u[:, None] * nvals + w[None, :]).reshape(-1), minlength=nvals * nvals
-        )
-    zeros = (s * s - len(pairs)) * k * k
-    return vv.reshape(nvals, nvals), zeros
-
-
-def cross_stats(bs: BasisSet, mode: str = "exhaustive", pairs: int = 0,
-                seed: int = 0, threads: int = 1) -> UnbiasednessReport:
-    """Collect exact cross-basis inner-product statistics.
-
-    ``mode="exhaustive"`` covers every basis pair; ``mode="sampled"``
-    draws ``pairs`` distinct basis pairs with a Philox generator keyed by
-    ``seed`` and checks each of them in full (all d^2 vector pairs).
-    """
+def cross_stats(bs: BasisSet) -> UnbiasednessReport:
+    """Exact inner-product statistics over every vector pair of every pair
+    of distinct bases."""
     nb = bs.num_bases
     if nb < 2:
         raise DomainError("need at least two bases for cross statistics")
@@ -180,49 +149,16 @@ def cross_stats(bs: BasisSet, mode: str = "exhaustive", pairs: int = 0,
     k = bs.k
     col_counts = np.stack(
         [np.bincount(ids[:, c], minlength=nvals) for c in range(k)]
-    )  # (k, nvals)
-
-    all_pairs = [(l, m) for l in range(nb) for m in range(l + 1, nb)]
-    if mode == "exhaustive":
-        chosen = all_pairs
-        coverage = {"mode": "exhaustive", "basis_pairs": len(chosen)}
-    elif mode == "sampled":
-        if pairs <= 0:
-            raise DomainError("sampled mode requires a positive basis-pair count")
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        npick = min(pairs, len(all_pairs))
-        picked = rng.choice(len(all_pairs), size=npick, replace=False)
-        chosen = [all_pairs[i] for i in sorted(int(x) for x in picked)]
-        coverage = {
-            "mode": "sampled",
-            "basis_pairs": npick,
-            "requested": pairs,
-            "seed": seed,
-            "generator": "philox",
-        }
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-
-    def run_pair(pair):
-        l, m = pair
-        if mode == "exhaustive":
-            return _pair_stats_factored(bs, l, m, ids, col_counts, nvals)
-        return _pair_stats_literal(bs, l, m, ids, nvals)
+    ).astype(np.int64)  # (k, nvals)
 
     vv_total = np.zeros((nvals, nvals), dtype=np.int64)
     zeros_total = 0
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for vv, zeros in pool.map(run_pair, chosen):
-                vv_total += vv
-                zeros_total += zeros
-    else:
-        for pair in chosen:
-            vv, zeros = run_pair(pair)
+    for l in range(nb):
+        for m in range(l + 1, nb):
+            vv, zeros = _pair_stats(bs, l, m, col_counts)
             vv_total += vv
             zeros_total += zeros
+    basis_pairs = nb * (nb - 1) // 2
 
     # collapse the id histogram into exact value counts
     acc: dict = {}
@@ -233,7 +169,8 @@ def cross_stats(bs: BasisSet, mode: str = "exhaustive", pairs: int = 0,
             c = int(vv_total[v, w])
             if c:
                 _merge_counts(acc, vals[v] * vals[w], c)
-    ordered = sorted(acc.values(), key=lambda item: _OrderKey(item[0]))
+    ordered = sorted(acc.values(),
+                     key=functools.cmp_to_key(lambda x, y: cmp_values(x[0], y[0])))
     delta = [DeltaValue(value=item[0], count=item[1]) for item in ordered]
     max_ip: Scalar = delta[-1].value if delta else Fraction(0)
     beta = ExactBeta(max_ip, bs.d)
@@ -243,10 +180,6 @@ def cross_stats(bs: BasisSet, mode: str = "exhaustive", pairs: int = 0,
     source_order = y.provenance.source_order
     n = source_order // 4 if source_order % 4 == 0 else None
     maxy = y.max_abs_entry()
-    chain_ok = _ip_le_eps_square(max_ip, y.epsilon, k)
-    pairs_checked = len(chosen) * bs.d * bs.d
-    exhaustive = mode == "exhaustive" or len(chosen) == len(all_pairs)
-    label, evidence = classify_delta(delta, beta, bs.d, exhaustive)
     return UnbiasednessReport(
         d=bs.d,
         s=bs.s,
@@ -258,56 +191,35 @@ def cross_stats(bs: BasisSet, mode: str = "exhaustive", pairs: int = 0,
         epsilon_upper=y.epsilon_upper,
         delta=delta,
         beta=beta,
-        pairs_checked=pairs_checked,
-        coverage=coverage,
-        classification=label,
-        evidence=evidence,
+        pairs_checked=basis_pairs * bs.d * bs.d,
+        coverage={"mode": "exhaustive", "basis_pairs": basis_pairs},
+        classification=classify_delta(delta, beta, bs.d),
+        evidence="exhaustive",
         window_ok=y.window_ok,
-        beta_le_eps_chain=chain_ok,
+        beta_le_eps_chain=_ip_le_eps_square(max_ip, y.epsilon, k),
         max_abs_y_sq=maxy * maxy,
         radicand=y.radicand,
     )
 
 
-class _OrderKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return cmp_values(self.v, other.v) < 0
-
-
-def classify_delta(delta: list[DeltaValue], beta: ExactBeta, d: int,
-                   exhaustive: bool) -> tuple[str, str]:
+def classify_delta(delta: list[DeltaValue], beta: ExactBeta, d: int) -> str:
     """Classification rules over the exact distinct-value set.
 
     MUB iff the value set is exactly {1/sqrt(d)}; APMUB iff it is
-    {0, beta/sqrt(d)} with beta <= 2; otherwise beta-ARMUB.  Sampled
-    evidence yields a lower-bound classification, flagged as such.
+    {0, beta/sqrt(d)} with beta <= 2; otherwise beta-ARMUB.
     """
-    evidence = "exhaustive" if exhaustive else "sampled"
     values = [dv.value for dv in delta]
     if len(values) == 1 and sign_of(values[0]) > 0:
         v = values[0]
         if cmp_values(d * v * v, Fraction(1)) == 0:
-            return CLASS_MUB, evidence
+            return CLASS_MUB
     if (
         len(values) == 2
         and sign_of(values[0]) == 0
         and beta.le(Fraction(2))
     ):
-        return CLASS_APMUB, evidence
-    return CLASS_ARMUB, evidence
-
-
-def classify(report: UnbiasednessReport) -> str:
-    """Classification of a completed report (see :func:`classify_delta`)."""
-    label, _ = classify_delta(
-        report.delta, report.beta, report.d, report.evidence == "exhaustive"
-    )
-    return label
+        return CLASS_APMUB
+    return CLASS_ARMUB
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 import sympy
 
-from armub.algebra import QuadNum
+from armub.algebra import QuadNum, cmp_values
 from armub.epsh import BlockSplit, corner_split, reduce_split
 from armub.errors import DomainError, ResourceLimitError
 
@@ -98,7 +98,7 @@ def dense_cross_oracle(bs):
     Returns (value_counts, max_key) where value_counts maps the canonical
     magnitude key (a, b, m) of each |<u, v>| (exact Fractions) to its count
     over ordered vector pairs of unordered basis pairs, and max_key is the
-    largest magnitude.  Vectors are materialized via vector_at, then the
+    largest magnitude.  Vectors are materialized via basis.vector, then the
     Grams are dense integer matmuls after clearing denominators.
     """
     d = bs.d
@@ -157,6 +157,37 @@ def dense_cross_oracle(bs):
         if max_key is None or _key_less(max_key, key):
             max_key = key
     return counts, max_key
+
+
+def dense_columns(basis):
+    """Column vectors of a basis as dense exact lists (small d only)."""
+    cols = []
+    for i in range(basis.d):
+        col = [Fraction(0)] * basis.d
+        for coord, val in basis.vector(i):
+            col[coord] = val
+        cols.append(col)
+    return cols
+
+
+def sparse_orthonormality_check(basis) -> bool:
+    """Literal exact B^T B = I using only coordinate-sharing vector pairs.
+
+    Vectors of different blocks never share coordinates, so only the
+    s within-block k x k Grams contribute.  Quadratic in k per block.
+    """
+    k = basis.k
+    for b in range(basis.rbd.s):  # s blocks in this class
+        for i in range(k):
+            vi = dict(basis.vector(b * k + i))
+            for j in range(i, k):
+                acc = Fraction(0)
+                for coord, val in basis.vector(b * k + j):
+                    if coord in vi:
+                        acc = acc + vi[coord] * val
+                if cmp_values(acc, Fraction(int(i == j))) != 0:
+                    return False
+    return True
 
 
 def _key_less(k1, k2) -> bool:

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armub.algebra import (
-    GfElem,
     QuadNum,
     exact_sqrt,
     gf_make,
     prime_power_split,
-    quad_arith,
     quad_sign,
     quad_to_float,
     sign_of,
@@ -58,8 +56,6 @@ def test_division_with_verification():
 def test_division_by_zero():
     with pytest.raises(ExactArithmeticError):
         QuadNum(1, 0, 2) / QuadNum(0, 0, 2)
-    with pytest.raises(ExactArithmeticError):
-        quad_arith(QuadNum(1, 0, 2), QuadNum(0, 0, 2), "div")
 
 
 def test_mixed_radicands_rejected():
@@ -202,17 +198,6 @@ def test_gf81_modulus_is_smallest_irreducible():
         factors = sympy.factor_list(poly.as_expr(), modulus=3)[1]
         irreducible = len(factors) == 1 and factors[0][1] == 1
         assert irreducible == (low == code)
-
-
-def test_gf_element_wrapper():
-    f = gf_make(5, 1)
-    a, b = f.element(3), f.element(4)
-    assert (a + b).code == 2
-    assert (a * b).code == 2
-    assert (a / a).code == 1
-    assert (-a).code == 2
-    assert (a**4).code == 1
-    assert f.element(2).coeffs == (2,)
 
 
 def test_gf_bulk_matches_scalar():

@@ -145,3 +145,39 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "cmd_hadamard", boom)
     assert cli.main(["hadamard", "4"]) == code
     assert "injected" in capsys.readouterr().err
+
+
+def _set(obj, **fields):
+    obj.update(fields)
+    return obj
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("epsh.json", lambda obj: _set(obj, k=0, entries=[])),
+    ("epsh.json", lambda obj: _set(obj, provenance=None)),
+    ("rbd.json", lambda obj: _set(obj, mu="x")),
+])
+def test_malformed_artifact_exit_4(tmp_path, pipeline_dir, capsys, name, mutate):
+    bad = _dump(mutate(_load(pipeline_dir / name)), tmp_path / name)
+    assert cli.main(["verify", bad]) == 4
+    assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
+
+
+def test_bases_with_vectors_field_exit_4(tmp_path, pipeline_dir, capsys):
+    obj = _load(pipeline_dir / "bases.json")
+    assert "vectors" not in obj
+    obj["vectors"] = []
+    assert cli.main(["verify", _dump(obj, tmp_path / "bases.json")]) == 4
+    out = capsys.readouterr().out
+    assert "parse error" in out and "'vectors'" in out
+
+
+@pytest.mark.parametrize("option", [
+    ["--threads", "2"], ["--mode", "exhaustive"], ["--seed", "1"],
+])
+def test_removed_armub_options_exit_2(tmp_path, capsys, option):
+    argv = ["armub", "--k", "3", "--s", "5", "--t", "1", "--out", str(tmp_path), *option]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -50,7 +50,7 @@ def test_non_prime_power_rejected():
 
 def test_paper_d4_fixture_verifies():
     r = Rbd(4, 2, 2, PAPER_D4_CLASSES)
-    cert = verify_rbd(r, full=True)
+    cert = verify_rbd(r)
     assert cert.valid and cert.mu == 1
     assert cert.class_pairs_checked == 3
 
@@ -84,7 +84,7 @@ def test_broken_partition_reported():
 
 def test_affine_full_verification_3_5():
     r = build_affine_rbd(3, 5)
-    cert = verify_rbd(r, full=True)
+    cert = verify_rbd(r)
     assert cert.valid and cert.mu == 1
     assert cert.class_pairs_checked == 10
     assert set_intersection_mu(r) == 1
@@ -105,13 +105,6 @@ def test_sharing_pair_count_is_k_times_s():
                         if sa & set(int(p) for p in b):
                             sharing += 1
                 assert sharing == k * s, (k, s, l, m)
-
-
-def test_sampled_verification():
-    r = build_affine_rbd(3, 7)
-    cert = verify_rbd(r, full=False, sample_pairs=200, seed=1)
-    assert cert.valid and cert.mu <= 1
-    assert cert.mode == "sampled(seed=1)"
 
 
 def test_determinism_byte_identical():

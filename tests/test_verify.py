@@ -7,13 +7,13 @@ from armub import jsonio
 from armub.algebra import QuadNum, cmp_values
 from armub.bases import assemble
 from armub.epsh import EpsHadamard, best_reduction
-from armub.errors import CertificationError, DomainError
+from armub.errors import CertificationError
 from armub.hadamard import find_hadamard, sylvester
 from armub.rbd import Rbd, build_affine_rbd, verify_rbd
 from armub.verify import (
     ExactBeta,
     check_theorem_bounds,
-    classify,
+    classify_delta,
     cross_stats,
     ledger_ok,
 )
@@ -28,7 +28,7 @@ from oracles import (
 def paper_d4_basis_set():
     classes = [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]
     r = Rbd(4, 2, 2, classes, provenance="paper-d4")
-    r.mu = verify_rbd(r, full=True).mu
+    r.mu = verify_rbd(r).mu
     return assemble(r, EpsHadamard.from_sign_hadamard(sylvester(1)))
 
 
@@ -41,7 +41,7 @@ def small_pipeline(k, s, t):
 
 
 def test_d4_fixture_is_mub():
-    rep = cross_stats(paper_d4_basis_set(), "exhaustive")
+    rep = cross_stats(paper_d4_basis_set())
     assert rep.classification == "MUB"
     assert len(rep.delta) == 1
     assert cmp_values(rep.delta[0].value, Fraction(1, 2)) == 0
@@ -51,7 +51,7 @@ def test_d4_fixture_is_mub():
 
 
 def test_d6_is_apmub():
-    rep = cross_stats(small_pipeline(2, 3, 2), "exhaustive")
+    rep = cross_stats(small_pipeline(2, 3, 2))
     assert rep.classification == "APMUB"
     keys = [report_value_key(dv.value) for dv in rep.delta]
     assert keys == [(0, 0, 1), (Fraction(1, 2), 0, 1)]
@@ -60,57 +60,24 @@ def test_d6_is_apmub():
 
 
 def test_generic_t1_is_armub():
-    rep = cross_stats(small_pipeline(3, 5, 1), "exhaustive")
+    rep = cross_stats(small_pipeline(3, 5, 1))
     assert rep.classification == "beta-ARMUB"
     assert len(rep.delta) > 2
 
 
-@pytest.mark.parametrize("k,s,t", [(2, 3, 2), (3, 5, 1), (3, 7, 1), (6, 7, 2), (2, 5, 2)])
+@pytest.mark.parametrize("k,s,t", [(2, 3, 2), (3, 5, 1), (3, 7, 1), (6, 7, 2), (2, 5, 2),
+                                   (9, 11, 3)])
 def test_sparse_matches_dense_oracle(k, s, t):
     bs = small_pipeline(k, s, t)
-    rep = cross_stats(bs, "exhaustive")
+    rep = cross_stats(bs)
     counts, max_key = dense_cross_oracle(bs)
     assert report_delta_dict(rep) == counts
     assert report_value_key(rep.beta.max_ip) == max_key
     assert oracle_classification(counts, bs.d) == rep.classification
 
 
-def test_sampled_subset_of_exhaustive():
-    bs = small_pipeline(3, 7, 1)
-    full = cross_stats(bs, "exhaustive")
-    part = cross_stats(bs, "sampled", pairs=3, seed=7)
-    # sampled beta can only be <= the exhaustive one
-    assert cmp_values(part.beta.max_ip, full.beta.max_ip) <= 0
-    assert part.pairs_checked < full.pairs_checked
-    assert part.coverage["mode"] == "sampled"
-    # every sampled value occurs in the exhaustive set
-    full_keys = set(report_delta_dict(full))
-    assert set(report_delta_dict(part)) <= full_keys
-
-
-def test_sampled_covering_everything_counts_as_exhaustive_evidence():
-    bs = small_pipeline(3, 5, 1)
-    rep = cross_stats(bs, "sampled", pairs=100, seed=0)
-    assert rep.evidence == "exhaustive"
-    assert report_delta_dict(rep) == report_delta_dict(cross_stats(bs, "exhaustive"))
-
-
-def test_sampled_zero_pairs_rejected():
-    bs = small_pipeline(3, 5, 1)
-    with pytest.raises(DomainError):
-        cross_stats(bs, "sampled", pairs=0)
-
-
-def test_threads_deterministic():
-    bs = small_pipeline(3, 9, 1)
-    a = cross_stats(bs, "exhaustive", threads=1)
-    b = cross_stats(bs, "exhaustive", threads=4)
-    assert report_delta_dict(a) == report_delta_dict(b)
-    assert cmp_values(a.beta.max_ip, b.beta.max_ip) == 0
-
-
 def test_beta_equals_sqrt_d_times_max_delta():
-    rep = cross_stats(small_pipeline(3, 5, 1), "exhaustive")
+    rep = cross_stats(small_pipeline(3, 5, 1))
     assert cmp_values(rep.beta.max_ip, rep.delta[-1].value) == 0
     # beta^2 = d * max_ip^2 exactly
     sq = rep.d * rep.beta.max_ip * rep.beta.max_ip
@@ -119,7 +86,7 @@ def test_beta_equals_sqrt_d_times_max_delta():
 
 def test_beta_chain_bound_holds():
     for args in [(3, 5, 1), (6, 7, 2), (9, 11, 3)]:
-        rep = cross_stats(small_pipeline(*args), "exhaustive")
+        rep = cross_stats(small_pipeline(*args))
         assert rep.beta_le_eps_chain
 
 
@@ -136,7 +103,7 @@ def test_ledger_gating_t3_n4():
     # k = 13, t = 3, n = 4: rho_3 line applies (n >= 4) and passes with
     # bound 4/sqrt(4) = 2; the eps < 1 guarantee needs t < sqrt(n), so it
     # is marked n/a rather than failed
-    rep = cross_stats(small_pipeline(13, 17, 3), "exhaustive")
+    rep = cross_stats(small_pipeline(13, 17, 3))
     lines = {l.check: l for l in check_theorem_bounds(rep)}
     rho = lines["eps-le-rho/sqrt(n)"]
     assert rho.applicable and rho.verdict == "pass" and rho.rhs == 2.0
@@ -147,29 +114,29 @@ def test_ledger_gating_t3_n4():
 
 def test_ledger_t3_small_n_not_applicable():
     # k = 9, t = 3, n = 3 < 4: the rho_3 claim is out of scope
-    rep = cross_stats(small_pipeline(9, 11, 3), "exhaustive")
+    rep = cross_stats(small_pipeline(9, 11, 3))
     lines = {l.check: l for l in check_theorem_bounds(rep)}
     assert not lines["eps-le-rho/sqrt(n)"].applicable
 
 
 def test_ledger_beta2_gate():
     # s > 2k: outside the same-order regime, the beta < 2 line is n/a
-    rep = cross_stats(small_pipeline(3, 25, 1), "exhaustive")
+    rep = cross_stats(small_pipeline(3, 25, 1))
     lines = {l.check: l for l in check_theorem_bounds(rep)}
     assert not lines["beta-lt-2"].applicable
-    rep2 = cross_stats(small_pipeline(3, 5, 1), "exhaustive")
+    rep2 = cross_stats(small_pipeline(3, 5, 1))
     lines2 = {l.check: l for l in check_theorem_bounds(rep2)}
     assert lines2["beta-lt-2"].applicable and lines2["beta-lt-2"].verdict == "pass"
 
 
 def test_classify_function_matches_report():
     for args in [(2, 3, 2), (3, 5, 1)]:
-        rep = cross_stats(small_pipeline(*args), "exhaustive")
-        assert classify(rep) == rep.classification
+        rep = cross_stats(small_pipeline(*args))
+        assert classify_delta(rep.delta, rep.beta, rep.d) == rep.classification
 
 
 def test_report_json_roundtrip_and_tamper():
-    rep = cross_stats(small_pipeline(3, 5, 1), "exhaustive")
+    rep = cross_stats(small_pipeline(3, 5, 1))
     text = jsonio.dumps_canonical(jsonio.report_obj(rep))
     parsed = jsonio.parse_report(json.loads(text))
     assert jsonio.dumps_canonical(jsonio.report_obj(parsed)) == text
