@@ -20,7 +20,6 @@ from .epsh import (
     epsilon_of,
     lemma_inverse,
     schur_reduce,
-    series_inverse_check,
 )
 from .errors import (
     ArmubError,

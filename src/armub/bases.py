@@ -90,12 +90,13 @@ class BasisSet:
 
 
 def assemble(rbd: Rbd, y: EpsHadamard) -> BasisSet:
-    """Build the s bases and re-verify exact orthonormality of each.
+    """Build the s bases and verify exact orthonormality of each.
 
     Within a class, vectors from different blocks have disjoint supports
     (partition property) and vectors within a block inherit orthonormality
     from Y's rows, so the verification is the pair of exact facts:
-    Y Y^T = I (re-checked here) plus the per-class partition re-check.
+    Y Y^T = I (certified when the EpsHadamard was built) plus the per-class
+    partition check made here.
     """
     if y.order != rbd.k:
         raise DomainError(
@@ -103,7 +104,6 @@ def assemble(rbd: Rbd, y: EpsHadamard) -> BasisSet:
         )
     if rbd.mu is None or rbd.mu != 1:
         raise DomainError("design must carry certified mu = 1")
-    y.verify_orthogonal()
     want = np.arange(rbd.d)
     for l in range(rbd.r):
         if not np.array_equal(np.sort(rbd.classes[l].reshape(-1)), want):

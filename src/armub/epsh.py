@@ -9,12 +9,18 @@ where hatted blocks carry the 1/sqrt(M) normalization.  This labeling
 (Y1 from I+U, Y2 from I-U) is used consistently for both the general
 elimination path and the closed forms.
 
-Representation: a result Y is stored as a sum of terms (c_r, A_r) with
-exact scalar coefficients c_r and integer matrices A_r (D, W V, W U V,
-W U^2 V, or rank-one W-column x V-row products).  Exact orthogonality
-then reduces to integer Gram matrices combined with a handful of exact
-scalar identities, which keeps certification fast at every order in the
-supported range.
+Representation: a result Y is given as a sum of terms (c_r, A_r) with
+exact scalar coefficients c_r in Q(sqrt(c)) and integer matrices A_r (D,
+W V, W U V, W U^2 V, rank-one W-column x V-row products, or the indicator
+matrices of the equal entries of a parsed artifact).  EpsHadamard turns the
+terms into one exact integer form, L*Y = P + Q*sqrt(c) with integer P and Q
+and L the lcm of the coefficient denominators.  The distinct entries are
+the distinct (P_ij, Q_ij) pairs, and Y Y^T = I is the pair of integer
+identities P P^T + c*Q Q^T = L^2 * I and P Q^T + Q P^T = 0: at most three
+k x k products for any number of terms.  The products run in float64 BLAS
+only under an asserted bound that keeps every partial sum an integer below
+2^53, where float64 is exact; inputs outside it take the same formulas on
+Python ints.
 
 Epsilon is computed from the definition: the maximum over entries of
 |sqrt(k)*|Y_ij| - 1|, held exactly as the pair (q, side) with
@@ -60,6 +66,7 @@ from .errors import (
     DomainError,
     ExactArithmeticError,
     ResourceLimitError,
+    StructuralError,
 )
 from .hadamard import SignMatrix
 
@@ -413,12 +420,21 @@ class Provenance:
 class EpsHadamard:
     """An exactly-orthogonal matrix of order k with certified epsilon.
 
-    Stored as a sum of (scalar coefficient, integer matrix) terms over
-    Q(sqrt(radicand)) -- plain rationals when the radicand is a perfect
-    square.  Orthogonality (Y Y^T = I, which implies Y^T Y = I), the
-    entry-magnitude window, and epsilon are certified exactly at
-    construction; epsilon < 1 is recorded rather than enforced, since it is
-    only guaranteed for t < sqrt(n).
+    Given as a sum of terms (c_r, A_r): exact scalar coefficients c_r in
+    Q(sqrt(c)), c the square-free core of the radicand (c = 1 and plain
+    rationals when the radicand is a perfect square), and integer matrices
+    A_r.  Construction turns the terms into one exact integer form: with
+    c_r = a_r + b_r*sqrt(c) and L the lcm of every denominator of the a_r
+    and b_r,
+
+        L*Y = P + Q*sqrt(c),   P = sum_r (L*a_r)*A_r,   Q = sum_r (L*b_r)*A_r,
+
+    with P and Q integer matrices (Q is None when every c_r is rational).
+    The entry scan, the window check and the orthogonality check all read
+    P and Q, so their cost does not grow with the number of terms.  All
+    three run at construction, so every EpsHadamard is certified; epsilon
+    < 1 is recorded rather than enforced, since it is only guaranteed for
+    t < sqrt(n).
     """
 
     __slots__ = (
@@ -430,43 +446,42 @@ class EpsHadamard:
         "epsilon_upper",
         "window_ok",
         "is_eps_hadamard",
+        "_scale",
+        "_core",
+        "_p",
+        "_q",
         "_distinct",
         "_entry_combo_ids",
         "_combo_values",
     )
 
-    def __init__(self, order, radicand, terms, provenance, verify=True):
+    def __init__(self, order, radicand, terms, provenance):
         self.order = int(order)
         self.radicand = int(radicand)
         self.terms = tuple((c, _frozen(m)) for c, m in terms)
         self.provenance = provenance
+        self._scale, self._core, self._p, self._q = _integer_form(self.terms)
         self._scan_entries()
-        if verify:
-            self.verify_orthogonal()
         self._certify_window()
+        self.verify_orthogonal()
 
     # -- construction helpers ----------------------------------------------
 
     def _scan_entries(self):
-        k = self.order
-        mats = np.stack([m for _, m in self.terms])  # (R, k, k)
-        flat = mats.reshape(len(self.terms), k * k).T  # (k^2, R)
-        combos, inverse = np.unique(flat, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        coeffs = [c for c, _ in self.terms]
-        values = []
-        for row in combos:
-            v: Scalar = Fraction(0)
-            for c, m in zip(coeffs, row):
-                if m:
-                    v = v + c * int(m)
-            values.append(v)
-        self._entry_combo_ids = inverse.reshape(k, k)
+        """Distinct entries, their magnitudes and epsilon, from the distinct
+        (P_ij, Q_ij) pairs: the entry is (P_ij + Q_ij*sqrt(c)) / L."""
+        k, scale, core = self.order, self._scale, self._core
+        pairs, self._entry_combo_ids = _distinct_pairs(self._p, self._q)
+        values = [
+            QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q
+            else Fraction(p, scale)
+            for p, q in pairs
+        ]
         self._combo_values = values
         # distinct absolute values, ascending
         abs_map: dict = {}
         for ci, v in enumerate(values):
-            av = abs(v) if isinstance(v, QuadNum) else abs(Fraction(v))
+            av = abs(v)
             abs_map.setdefault(_scalar_key(av), [av, []])[1].append(ci)
         ordered = sorted(abs_map.values(),
                          key=functools.cmp_to_key(lambda x, y: cmp_values(x[0], y[0])))
@@ -480,14 +495,12 @@ class EpsHadamard:
                 top = cand
         eps = ExactEps.zero()
         if not top.is_zero():
-            # located at the first combination (in id order) attaining it
-            eps_ci, gi = min(
-                (min(ids), gi)
-                for gi, ((_, ids), cand) in enumerate(zip(ordered, group_eps))
-                if cand.cmp(top) == 0
-            )
-            first = tuple(int(x) for x in np.argwhere(self._entry_combo_ids == eps_ci)[0])
-            eps = ExactEps(group_eps[gi].q, location=first)
+            # located at the first entry, in row-major order, attaining it;
+            # two magnitudes can tie (one on each side), so q is that entry's
+            abs_ids, _ = self.abs_value_ids()
+            hits = [gi for gi, cand in enumerate(group_eps) if cand.cmp(top) == 0]
+            first = divmod(int(np.argmax(np.isin(abs_ids, hits))), k)
+            eps = ExactEps(group_eps[abs_ids[first]].q, location=first)
         self.epsilon = eps
         # largest upward deviation alone (0 if no entry exceeds 1/sqrt(k))
         up = ExactEps.zero()
@@ -498,35 +511,30 @@ class EpsHadamard:
         self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
 
     def verify_orthogonal(self):
-        """Exact check of Y Y^T = I via integer Gram matrices.  Y is square,
-        so Y Y^T = I makes Y^T the inverse of Y, and Y^T Y = I follows."""
-        k = self.order
-        coeffs = [c for c, _ in self.terms]
-        mats = [m.astype(np.int64) for _, m in self.terms]
-        grams = []
-        scalars = []
-        for cr, ar in zip(coeffs, mats):
-            for cs, as_ in zip(coeffs, mats):
-                grams.append((ar @ as_.T).reshape(k * k))
-                scalars.append(cr * cs)
-        stacked = np.stack(grams).T  # (k^2, P)
-        diag = np.eye(k, dtype=np.int64).reshape(k * k, 1)
-        combos, inverse = np.unique(
-            np.hstack([stacked, diag]), axis=0, return_inverse=True
-        )
-        inverse = inverse.reshape(k, k)
-        for ci, row in enumerate(combos):
-            total: Scalar = Fraction(0)
-            for c, m in zip(scalars, row[:-1]):
-                if m:
-                    total = total + c * int(m)
-            want = Fraction(int(row[-1]))
-            if cmp_values(total, want) != 0:
-                idx = np.argwhere(inverse == ci)[0]
-                raise CertificationError(
-                    f"orthogonality violated at {tuple(int(x) for x in idx)}: "
-                    f"got {total}, expected {want}"
-                )
+        """Exact check of Y Y^T = I on the integer form L*Y = P + Q*sqrt(c).
+
+        Y Y^T = I holds exactly when P P^T + c*Q Q^T = L^2 * I and
+        P Q^T + Q P^T = 0: one k x k product when Q is None, three
+        otherwise, whatever the number of terms.  Y is square, so
+        Y Y^T = I makes Y^T the inverse of Y, and Y^T Y = I follows.
+
+        The products run in float64 BLAS only when
+        k*(max|P|^2 + c*max|Q|^2) < 2^53 and L^2 < 2^53.  Every entry of
+        P, Q and L^2 * I is then an integer below 2^53, and so is every
+        partial sum of every product and of the combinations above: a
+        partial sum of P P^T is at most k*max|P|^2, one of c*Q Q^T at most
+        c*k*max|Q|^2, and one of P Q^T + Q P^T at most
+        2k*max|P|*max|Q| <= k*(max|P|^2 + max|Q|^2).  Integers below 2^53
+        are exact in float64, so the result is exact in any summation
+        order.  Otherwise the same formulas run on Python ints.
+        """
+        found = _gram_violation(self._scale, self._core, self._p, self._q)
+        if found is not None:
+            (i, j), got = found
+            raise CertificationError(
+                f"orthogonality violated at {(i, j)}: "
+                f"got {got}, expected {int(i == j)}"
+            )
 
     def _certify_window(self):
         """Entry magnitudes must lie in the closed interval of the reduction
@@ -558,6 +566,10 @@ class EpsHadamard:
 
     def max_abs_entry(self) -> Scalar:
         return self._distinct[-1][0]
+
+    def value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
+        """(ids, values): ids[i, j] indexes Y_ij in the distinct values."""
+        return self._entry_combo_ids, self._combo_values
 
     def abs_value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
         """(ids, values): ids[i, j] indexes the magnitude of Y_ij in values."""
@@ -600,32 +612,119 @@ class EpsHadamard:
         return cls(k, k, [(coeff, h.rows.astype(np.int64))], prov)
 
     @classmethod
-    def from_scalar_rows(cls, rows: Sequence[Sequence[Scalar]], radicand: int,
-                         provenance: Provenance) -> "EpsHadamard":
-        """Rebuild from explicit entries (e.g. parsed JSON) and re-certify.
+    def from_value_ids(cls, ids: np.ndarray, values: Sequence[Scalar], radicand: int,
+                       provenance: Provenance) -> "EpsHadamard":
+        """Y with Y_ij = values[ids[i, j]] (values distinct), e.g. parsed
+        JSON, as one indicator term per nonzero value; certified as any
+        other EpsHadamard."""
+        terms = [
+            (v, ids == vi) for vi, v in enumerate(values)
+            if sign_of(v) != 0 or len(values) == 1
+        ]
+        return cls(ids.shape[0], radicand, terms, provenance)
 
-        Entries are decomposed over indicator matrices of equal-value
-        positions, restoring the fast exact-verification path.
-        """
-        k = len(rows)
-        keys: dict = {}
-        ids = np.zeros((k, k), dtype=np.int64)
-        vals: list[Scalar] = []
-        for i, row in enumerate(rows):
-            if len(row) != k:
-                raise DomainError("entry rows must form a square matrix")
-            for j, v in enumerate(row):
-                kk = _scalar_key(v)
-                if kk not in keys:
-                    keys[kk] = len(vals)
-                    vals.append(v)
-                ids[i, j] = keys[kk]
-        terms = []
-        for vi, v in enumerate(vals):
-            if sign_of(v) == 0 and len(vals) > 1:
-                continue  # zero values contribute nothing
-            terms.append((v, (ids == vi).astype(np.int64)))
-        return cls(k, radicand, terms, provenance)
+
+def _integer_form(terms) -> tuple[int, int, np.ndarray, Optional[np.ndarray]]:
+    """(L, c, P, Q) with L*Y = P + Q*sqrt(c) for Y = sum_r c_r * A_r.
+
+    L is the lcm of the denominators of the rational and radical parts of
+    the c_r, and Q is None when every c_r is rational (c = 1).
+    """
+    core = 1
+    parts = []
+    for coeff, _ in terms:
+        if isinstance(coeff, QuadNum):
+            a, b = coeff.a, coeff.b
+        else:
+            a, b = Fraction(coeff), Fraction(0)
+        if b:
+            if core not in (1, coeff.m):
+                raise StructuralError(f"mixed radicands {core} and {coeff.m}")
+            core = coeff.m
+        parts.append((a, b))
+    scale = math.lcm(*(x.denominator for pair in parts for x in pair))
+    mats = [m for _, m in terms]
+    p = _int_combination([int(a * scale) for a, _ in parts], mats)
+    q = _int_combination([int(b * scale) for _, b in parts], mats) if core > 1 else None
+    return scale, core, p, q
+
+
+def _int_combination(weights: Sequence[int], mats: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_r weights[r] * mats[r] exactly: in int64 when the bound
+    sum_r |weights[r]| * max|mats[r]| keeps every partial sum below 2^63,
+    in Python ints (an object array) otherwise."""
+    used = [(w, m) for w, m in zip(weights, mats) if w and m.any()]
+    bound = sum(abs(w) * int(np.abs(m).max()) for w, m in used)
+    dtype = np.int64 if bound < 2**63 else object
+    out = np.zeros(mats[0].shape, dtype=dtype)
+    for w, m in used:
+        out += w * m.astype(dtype, copy=False)
+    return out
+
+
+def _abs_max(a: Optional[np.ndarray]) -> int:
+    return 0 if a is None else int(np.abs(a).max())
+
+
+def _float_exact(k: int, scale: int, core: int, p: np.ndarray,
+                 q: Optional[np.ndarray]) -> bool:
+    """Whether float64 products of the integer form are provably exact:
+    k*(max|P|^2 + c*max|Q|^2) < 2^53 and L^2 < 2^53 (see
+    EpsHadamard.verify_orthogonal)."""
+    pmax, qmax = _abs_max(p), _abs_max(q)
+    return k * (pmax * pmax + core * qmax * qmax) < 2**53 and scale * scale < 2**53
+
+
+def _gram_violation(scale: int, core: int, p: np.ndarray, q: Optional[np.ndarray]):
+    """((i, j), Y Y^T at (i, j)) for the first (i, j) in row-major order
+    where Y Y^T differs from I, given L*Y = P + Q*sqrt(c); None if none does.
+
+    float64 BLAS under the bound of ``_float_exact``, Python ints otherwise.
+    """
+    k = p.shape[0]
+    dtype = np.float64 if _float_exact(k, scale, core, p, q) else object
+    p = p.astype(dtype)
+    rational = p @ p.T
+    radical = None
+    if q is not None:
+        q = q.astype(dtype)
+        rational = rational + core * (q @ q.T)
+        cross = p @ q.T
+        radical = cross + cross.T
+    want = np.zeros((k, k), dtype=dtype)
+    np.fill_diagonal(want, scale * scale)
+    bad = rational != want
+    if radical is not None:
+        bad |= radical != 0
+    if not bad.any():
+        return None
+    i, j = divmod(int(np.argmax(bad)), k)
+    got = Fraction(int(rational[i, j]), scale * scale)
+    if radical is not None and radical[i, j]:
+        got = QuadNum(got, Fraction(int(radical[i, j]), scale * scale), core)
+    return (i, j), got
+
+
+def _distinct_pairs(p: np.ndarray, q: Optional[np.ndarray]) -> tuple[list, np.ndarray]:
+    """(pairs, ids): the distinct (P_ij, Q_ij) as pairs of Python ints, and
+    the k x k array of the index of each entry's pair (Q_ij = 0 when Q is
+    None)."""
+    if q is None:
+        q = np.zeros_like(p)
+    if p.dtype != object and q.dtype != object:
+        plo, qlo = int(p.min()), int(q.min())
+        span = int(q.max()) - qlo + 1
+        if (int(p.max()) - plo + 1) * span < 2**63:
+            # one 1-D int64 code per entry
+            codes, ids = np.unique((p - plo) * span + (q - qlo), return_inverse=True)
+            pairs = [divmod(int(x), span) for x in codes]
+            return [(a + plo, b + qlo) for a, b in pairs], ids.reshape(p.shape)
+    index: dict = {}
+    ids = np.array(
+        [index.setdefault((int(a), int(b)), len(index)) for a, b in zip(p.flat, q.flat)],
+        dtype=np.int64,
+    )
+    return list(index), ids.reshape(p.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -662,20 +761,6 @@ def _scalar_key(v: Scalar):
 
 def _kmat_identity(t: int) -> list[list[Scalar]]:
     return [[Fraction(int(i == j)) for j in range(t)] for i in range(t)]
-
-
-def _kmat_mul(a, b) -> list[list[Scalar]]:
-    t, mid, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(t):
-        row = []
-        for j in range(cols):
-            acc: Scalar = Fraction(0)
-            for x in range(mid):
-                acc = acc + a[i][x] * b[x][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _kmat_inverse(a) -> list[list[Scalar]]:
@@ -727,7 +812,7 @@ def _schur_coeffs(u: np.ndarray, variant: str, m: int) -> list[list[Scalar]]:
     return [[(-sign) * x[i][j] / m for j in range(t)] for i in range(t)]
 
 
-def schur_reduce(split: BlockSplit, variant: str, verify: bool = True) -> EpsHadamard:
+def schur_reduce(split: BlockSplit, variant: str) -> EpsHadamard:
     """General reduction via exact elimination of (I +/- U/sqrt(M)).
 
     Works for every U; invertibility is guaranteed by diagonal dominance
@@ -757,7 +842,7 @@ def schur_reduce(split: BlockSplit, variant: str, verify: bool = True) -> EpsHad
         method="schur",
         uclass=classify_u(u),
     )
-    return EpsHadamard(m - t, m, terms, prov, verify=verify)
+    return EpsHadamard(m - t, m, terms, prov)
 
 
 def _poly_inverse_coeffs(kappa: int, gamma: int, vartheta: Optional[int],
@@ -831,8 +916,7 @@ def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
     return [(outer_sign * c / alpha, p) for c, p in zip((x, y, z), powers)]
 
 
-def closed_form(split: BlockSplit, uclass: UClass, variant: str,
-                verify: bool = True) -> EpsHadamard:
+def closed_form(split: BlockSplit, uclass: UClass, variant: str) -> EpsHadamard:
     """Reduction via the explicit polynomial-in-U inverse of the relation.
 
     Produces terms on the integer matrices W V, W U V, W U^2 V with the
@@ -868,15 +952,15 @@ def closed_form(split: BlockSplit, uclass: UClass, variant: str,
         method="closed-form",
         uclass=uclass,
     )
-    return EpsHadamard(m - split.t, m, terms, prov, verify=verify)
+    return EpsHadamard(m - split.t, m, terms, prov)
 
 
-def reduce_split(split: BlockSplit, variant: str, verify: bool = True) -> EpsHadamard:
+def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
     """Closed form when available for this U, general elimination otherwise."""
     uclass = classify_u(split.u_matrix())
     if uclass.closed_form_available:
-        return closed_form(split, uclass, variant, verify=verify)
-    return schur_reduce(split, variant, verify=verify)
+        return closed_form(split, uclass, variant)
+    return schur_reduce(split, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -1178,7 +1262,7 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
 
     rank, rows, cols, i = best
     split, variant = search.candidate(rows, cols, i)
-    y = reduce_split(split, variant, verify=True)
+    y = reduce_split(split, variant)
     if y.epsilon.cmp(search.table.eps[rank]) != 0:
         raise CertificationError(
             f"screened epsilon {search.table.eps[rank]!r} != rebuilt {y.epsilon!r}"
@@ -1191,7 +1275,7 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
 
 
 # ---------------------------------------------------------------------------
-# Epsilon of an arbitrary matrix, Neumann-series diagnostic
+# Epsilon of an arbitrary matrix
 # ---------------------------------------------------------------------------
 
 def epsilon_of(y) -> ExactEps:
@@ -1206,67 +1290,3 @@ def epsilon_of(y) -> ExactEps:
             if best.cmp(cand) < 0:
                 best = cand
     return best
-
-
-@dataclass
-class SeriesCheck:
-    residual: Scalar  # max |exact inverse - truncated series| over entries
-    tail_bound: Scalar  # geometric bound on the dropped tail
-    within_bound: bool
-    terms: int
-
-
-def series_inverse_check(u_hat, terms: int, sign: int = 1) -> SeriesCheck:
-    """Compare the truncated Neumann series of (I + sign*U^)^-1 with the
-    exact inverse; diagnostic only, never used in certification paths.
-
-    ``u_hat`` is the normalized t x t block (entries of magnitude
-    1/sqrt(4n)); convergence requires t * max|entry| < 1.
-    """
-    t = len(u_hat)
-    rows = [[v if not isinstance(v, int) else Fraction(v) for v in row] for row in u_hat]
-    cmax: Scalar = Fraction(0)
-    for row in rows:
-        for v in row:
-            av = abs(v) if isinstance(v, QuadNum) else abs(Fraction(v))
-            if cmp_values(av, cmax) > 0:
-                cmax = av
-    if cmp_values(t * cmax, Fraction(1)) >= 0:
-        raise DomainError("series diverges: t * max|entry| >= 1")
-    ident = _kmat_identity(t)
-    a = [
-        [ident[i][j] + sign * rows[i][j] for j in range(t)]
-        for i in range(t)
-    ]
-    exact = _kmat_inverse(a)
-    # truncated sum of (-sign * U^)^j
-    neg = [[-sign * v for v in row] for row in rows]
-    acc = _kmat_identity(t)
-    total = _kmat_identity(t)
-    for _ in range(terms):
-        acc = _kmat_mul(acc, neg)
-        total = [
-            [total[i][j] + acc[i][j] for j in range(t)] for i in range(t)
-        ]
-    residual: Scalar = Fraction(0)
-    for i in range(t):
-        for j in range(t):
-            dv = exact[i][j] - total[i][j]
-            av = abs(dv) if isinstance(dv, QuadNum) else abs(Fraction(dv))
-            if cmp_values(av, residual) > 0:
-                residual = av
-    # sum_{j > terms} t^(j-1) * cmax^j = t^terms * cmax^(terms+1) / (1 - t*cmax)
-    tail = (t**terms) * _pow_scalar(cmax, terms + 1) / (1 - t * cmax)
-    return SeriesCheck(
-        residual=residual,
-        tail_bound=tail,
-        within_bound=cmp_values(residual, tail) <= 0,
-        terms=terms,
-    )
-
-
-def _pow_scalar(x: Scalar, e: int) -> Scalar:
-    out: Scalar = Fraction(1)
-    for _ in range(e):
-        out = out * x
-    return out

@@ -3,9 +3,12 @@
 Rationals travel as pairs of decimal strings (no integer-width or float
 ambiguity); quadratic values carry "a" and "b" with b relative to
 sqrt(radicand) as declared by the artifact, so a value parses back to the
-identical canonical scalar.  Serialization is canonical (sorted keys,
-fixed separators, trailing newline): serialize -> parse -> serialize is
-byte-identical.  Floats appear only in report-rendering fields.
+identical canonical scalar.  Every field declared an integer must be a JSON
+integer: a float or a bool there is a parse error, never truncated; a
+declared boolean must be a JSON boolean.
+Serialization is canonical (sorted keys, fixed separators, trailing
+newline): serialize -> parse -> serialize is byte-identical.  Floats appear
+only in report-rendering fields.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import Scalar, QuadNum, cmp_values, square_free_split
 from .bases import BasisSet, assemble
-from .epsh import EpsHadamard, ExactEps, Provenance
+from .epsh import EpsHadamard, ExactEps, Provenance, _scalar_key
 from .errors import CertificationError, ParseError
 from .hadamard import SignMatrix, is_hadamard
 from .rbd import Rbd, verify_rbd
@@ -52,8 +57,43 @@ def load_json(path: str):
 
 
 # ---------------------------------------------------------------------------
-# Scalars
+# Integers and scalars
 # ---------------------------------------------------------------------------
+
+def int_parse(value, name: str) -> int:
+    """A JSON integer; a bool, a float or a string is a parse error."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def bool_parse(value, name: str) -> bool:
+    """A JSON true or false; any other value is a parse error."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{name} must be a JSON boolean, got {value!r}")
+    return value
+
+
+def int_array_parse(nested, name: str) -> np.ndarray:
+    """A nested list of JSON integers as an int64 array.
+
+    numpy turns a float or a string among ints into a float or string
+    array, which the dtype check rejects, but reads a bool among ints as 0
+    or 1; so only the entries of value 0 or 1 are looked up in the list.
+    """
+    try:
+        arr = np.array(nested)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{name} is not a regular array of integers: {exc}") from exc
+    if arr.dtype.kind != "i":
+        raise ParseError(f"{name} must hold JSON integers, got dtype {arr.dtype}")
+    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        item = nested
+        for i in index:
+            item = item[i]
+        int_parse(item, f"{name} entry {tuple(index)}")
+    return arr.astype(np.int64, copy=False)
+
 
 def frac_wire(x) -> list[str]:
     f = Fraction(x)
@@ -61,10 +101,13 @@ def frac_wire(x) -> list[str]:
 
 
 def frac_parse(obj) -> Fraction:
+    """A rational from its wire form, a list of two decimal strings."""
+    if not (isinstance(obj, list) and len(obj) == 2
+            and all(type(x) is str for x in obj)):
+        raise ParseError(f"bad rational {obj!r}: not a pair of decimal strings")
     try:
-        num, den = obj
-        return Fraction(int(num), int(den))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(obj[0]), int(obj[1]))
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {obj!r}") from exc
 
 
@@ -124,8 +167,8 @@ def sign_matrix_obj(m: SignMatrix) -> dict:
 
 def parse_sign_matrix(obj, require_verified: bool = True) -> SignMatrix:
     try:
-        rows = obj["rows"]
-        order = int(obj["order"])
+        rows = int_array_parse(obj["rows"], "rows")
+        order = int_parse(obj["order"], "order")
         m = SignMatrix(rows, label=str(obj.get("label", "")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad hadamard artifact: {exc}") from exc
@@ -171,44 +214,53 @@ def parse_provenance(obj) -> Provenance:
 
     if not isinstance(obj, dict):
         raise ParseError(f"bad provenance {obj!r}")
+    t = int_parse(obj["t"], "t")
     uclass = None
     if obj.get("u_relation"):
         u = obj["u_relation"]
+        listed = bool_parse(u["paper_listed"], "paper_listed")
         uclass = UClass(
-            t=int(obj["t"]),
-            kappa=int(u["kappa"]),
-            gamma=int(u["gamma"]),
-            vartheta=None if u["vartheta"] is None else int(u["vartheta"]),
-            paper_listed=bool(u["paper_listed"]),
+            t=t,
+            kappa=int_parse(u["kappa"], "kappa"),
+            gamma=int_parse(u["gamma"], "gamma"),
+            vartheta=None if u["vartheta"] is None else int_parse(u["vartheta"], "vartheta"),
+            paper_listed=listed,
             preferred_variant=u["preferred_variant"],
-            closed_form_available=int(obj["t"]) <= 2 or bool(u["paper_listed"]),
+            closed_form_available=t <= 2 or listed,
         )
     return Provenance(
         source_label=str(obj["source_label"]),
-        source_order=int(obj["source_order"]),
-        t=int(obj["t"]),
-        row_select=tuple(int(i) for i in obj["row_select"]),
-        col_select=tuple(int(i) for i in obj["col_select"]),
-        row_negate=tuple(bool(b) for b in obj["row_negate"]),
-        col_negate=tuple(bool(b) for b in obj["col_negate"]),
+        source_order=int_parse(obj["source_order"], "source_order"),
+        t=t,
+        row_select=tuple(int_parse(i, "row_select") for i in obj["row_select"]),
+        col_select=tuple(int_parse(i, "col_select") for i in obj["col_select"]),
+        row_negate=tuple(_flag_parse(b, "row_negate") for b in obj["row_negate"]),
+        col_negate=tuple(_flag_parse(b, "col_negate") for b in obj["col_negate"]),
         variant=obj["variant"],
         method=str(obj["method"]),
         uclass=uclass,
     )
 
 
+def _flag_parse(value, name: str) -> bool:
+    """A negation flag, written as the JSON integer 0 or 1."""
+    if int_parse(value, name) not in (0, 1):
+        raise ParseError(f"{name} entries must be 0 or 1, got {value!r}")
+    return bool(value)
+
+
 def eps_hadamard_obj(y: EpsHadamard, partial: bool = False) -> dict:
     """The artifact of y; ``partial`` marks the best split of a search that
-    stopped at its cap (the field is omitted otherwise)."""
+    stopped at its cap (the field is omitted otherwise).  Equal entries
+    share one cell object, built once per distinct value."""
     m = y.radicand
+    ids, values = y.value_ids()
+    cells = [scalar_wire(v, m) for v in values]
     out = {
         "kind": "eps-hadamard",
         "k": y.order,
         "m": m,
-        "entries": [
-            [scalar_wire(y.entry(i, j), m) for j in range(y.order)]
-            for i in range(y.order)
-        ],
+        "entries": [[cells[c] for c in row] for row in ids.tolist()],
         "epsilon": eps_wire(y.epsilon, m),
         "epsilon_upper": eps_wire(y.epsilon_upper, m),
         "provenance": provenance_obj(y.provenance),
@@ -218,24 +270,56 @@ def eps_hadamard_obj(y: EpsHadamard, partial: bool = False) -> dict:
     return out
 
 
+def _entry_value_ids(rows, k: int, radicand: int) -> tuple[np.ndarray, list[Scalar]]:
+    """(ids, values) of a k x k matrix of wire cells: values[ids[i, j]] is
+    entry (i, j), and the values are distinct.
+
+    Cells are interned by their wire content, so each distinct cell is
+    parsed once.  The key keeps the container types and every part, and a
+    valid cell's parts are all strings, so no malformed cell shares the key
+    of a valid one; a malformed cell is parsed, and rejected, when first
+    seen.
+    """
+    if k < 1 or not isinstance(rows, list) or len(rows) != k:
+        raise ParseError(f"declared k={k}, entries are not {k} rows")
+    by_wire: dict = {}  # wire key -> value id
+    by_value: dict = {}  # canonical value key -> value id
+    values: list[Scalar] = []
+
+    def value_id(cell) -> int:
+        a, b = cell["a"], cell["b"]
+        key = (type(a), *a, type(b), *b)
+        vid = by_wire.get(key)
+        if vid is None:
+            v = scalar_parse(cell, radicand)
+            vid = by_value.setdefault(_scalar_key(v), len(values))
+            if vid == len(values):
+                values.append(v)
+            by_wire[key] = vid
+        return vid
+
+    ids = np.empty((k, k), dtype=np.int64)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != k:
+            raise ParseError(f"entry row {i} does not have {k} cells")
+        ids[i] = [value_id(cell) for cell in row]
+    return ids, values
+
+
 def parse_eps_hadamard(obj) -> EpsHadamard:
     if isinstance(obj, dict) and not isinstance(obj.get("partial", False), bool):
         raise ParseError(f"bad eps-hadamard artifact: partial={obj['partial']!r}")
     try:
-        k = int(obj["k"])
-        m = int(obj["m"])
-        rows = [
-            [scalar_parse(cell, m) for cell in row] for row in obj["entries"]
-        ]
+        k = int_parse(obj["k"], "k")
+        m = int_parse(obj["m"], "m")
+        ids, values = _entry_value_ids(obj["entries"], k, m)
         prov = parse_provenance(obj["provenance"])
         stored_eps = eps_parse(obj["epsilon"], m)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad eps-hadamard artifact: {exc}") from exc
-    if k < 1 or len(rows) != k:
-        raise ParseError(f"declared k={k}, {len(rows)} entry rows")
-    y = EpsHadamard.from_scalar_rows(rows, m, prov)  # re-certifies exactly
+    y = EpsHadamard.from_value_ids(ids, values, m, prov)  # re-certifies exactly
     if y.epsilon.cmp(stored_eps) != 0:
         raise CertificationError(
             f"stored epsilon {float(stored_eps)} != recomputed {float(y.epsilon)}"
@@ -263,10 +347,11 @@ def rbd_obj(r: Rbd) -> dict:
 def parse_rbd(obj) -> Rbd:
     try:
         r = Rbd(
-            int(obj["d"]), int(obj["k"]), int(obj["s"]), obj["classes"],
+            int_parse(obj["d"], "d"), int_parse(obj["k"], "k"), int_parse(obj["s"], "s"),
+            int_array_parse(obj["classes"], "classes"),
             provenance=str(obj.get("provenance", "")),
         )
-        declared_mu = None if obj["mu"] is None else int(obj["mu"])
+        declared_mu = None if obj["mu"] is None else int_parse(obj["mu"], "mu")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
@@ -351,29 +436,30 @@ def parse_report(obj):
     from .verify import DeltaValue, ExactBeta, UnbiasednessReport, classify_delta
 
     try:
-        m = int(obj["radicand"])
+        m = int_parse(obj["radicand"], "radicand")
+        d = int_parse(obj["d"], "d")
         delta = [
-            DeltaValue(scalar_parse(dv["value"], m), int(dv["count"]))
+            DeltaValue(scalar_parse(dv["value"], m), int_parse(dv["count"], "count"))
             for dv in obj["delta"]
         ]
-        beta = ExactBeta(scalar_parse(obj["beta"]["max_ip"], m), int(obj["d"]))
+        beta = ExactBeta(scalar_parse(obj["beta"]["max_ip"], m), d)
         report = UnbiasednessReport(
-            d=int(obj["d"]),
-            s=int(obj["s"]),
-            k=int(obj["k"]),
-            num_bases=int(obj["num_bases"]),
-            t=int(obj["t"]),
-            n=None if obj["n"] is None else int(obj["n"]),
+            d=d,
+            s=int_parse(obj["s"], "s"),
+            k=int_parse(obj["k"], "k"),
+            num_bases=int_parse(obj["num_bases"], "num_bases"),
+            t=int_parse(obj["t"], "t"),
+            n=None if obj["n"] is None else int_parse(obj["n"], "n"),
             epsilon=eps_parse(obj["epsilon"], m),
             epsilon_upper=eps_parse(obj["epsilon_upper"], m),
             delta=delta,
             beta=beta,
-            pairs_checked=int(obj["pairs_checked"]),
+            pairs_checked=int_parse(obj["pairs_checked"], "pairs_checked"),
             coverage=dict(obj["coverage"]),
             classification=str(obj["classification"]),
             evidence=str(obj["evidence"]),
-            window_ok=bool(obj["window_ok"]),
-            beta_le_eps_chain=bool(obj["beta_le_eps_chain"]),
+            window_ok=bool_parse(obj["window_ok"], "window_ok"),
+            beta_le_eps_chain=bool_parse(obj["beta_le_eps_chain"], "beta_le_eps_chain"),
             max_abs_y_sq=scalar_parse(obj["max_abs_y_sq"], m),
             radicand=m,
         )

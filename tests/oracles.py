@@ -2,22 +2,32 @@
 
 Everything here recomputes expected values through routes that do not share
 code with the paths under test: sympy radical arithmetic for small exact
-matrices, integer dense Gram matrices via BLAS (exact while every partial
-sum stays below 2**53), and direct set arithmetic for designs.
+matrices, dense integer Gram matrices in int64, per-term-pair Gram matrices
+with exact scalar coefficients, and direct set arithmetic for designs.  No
+oracle uses the float64 route of ``EpsHadamard.verify_orthogonal``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import sympy
 
-from armub.algebra import QuadNum, cmp_values
-from armub.epsh import BlockSplit, corner_split, reduce_split
+from armub.algebra import QuadNum, Scalar, cmp_values
+from armub.epsh import (
+    BlockSplit,
+    EpsHadamard,
+    _kmat_identity,
+    _kmat_inverse,
+    _scalar_key,
+    corner_split,
+    reduce_split,
+)
 from armub.errors import DomainError, ResourceLimitError
 
 
@@ -83,13 +93,14 @@ def int_pair_sign(pa: int, ra: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matrix product through float64 BLAS, exactness asserted."""
-    bound = a.shape[1] * float(np.abs(a).max(initial=0)) * float(np.abs(b).max(initial=0))
-    assert bound < 2**53, "dense oracle would overflow exact float64 range"
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    out = np.rint(prod).astype(np.int64)
-    assert np.array_equal(out.astype(np.float64), prod)
-    return out
+    """Integer matrix product in int64 (numpy's integer matmul, not BLAS).
+
+    Exact: every partial sum is at most n*max|a|*max|b|, asserted below 2^63.
+    Object arrays of Python ints give the same result about 50x slower.
+    """
+    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    assert bound < 2**63, "dense oracle would overflow int64"
+    return a.astype(np.int64) @ b.astype(np.int64)
 
 
 def dense_cross_oracle(bs):
@@ -235,6 +246,133 @@ def oracle_classification(counts: dict, d: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Orthogonality by per-term-pair Gram matrices
+# ---------------------------------------------------------------------------
+
+def term_gram_orthogonal(k: int, terms) -> bool:
+    """Exact Y Y^T == I for Y = sum_r c_r * A_r, by one int64 Gram A_r A_s^T
+    per ordered term pair, summed with the exact scalars c_r * c_s over each
+    distinct combination of Gram entries (the check EpsHadamard made before
+    its integer form).  Memory and time grow with R^2: small k only."""
+    coeffs = [c for c, _ in terms]
+    mats = [np.asarray(m, dtype=np.int64) for _, m in terms]
+    grams, scalars = [], []
+    for cr, ar in zip(coeffs, mats):
+        for cs, as_ in zip(coeffs, mats):
+            grams.append((ar @ as_.T).reshape(k * k))
+            scalars.append(cr * cs)
+    diag = np.eye(k, dtype=np.int64).reshape(k * k, 1)
+    combos = np.unique(np.hstack([np.stack(grams).T, diag]), axis=0)
+    for row in combos:
+        total: Scalar = Fraction(0)
+        for c, m in zip(scalars, row[:-1]):
+            if m:
+                total = total + c * int(m)
+        if cmp_values(total, Fraction(int(row[-1]))) != 0:
+            return False
+    return True
+
+
+def from_scalar_rows(rows, radicand: int, provenance) -> EpsHadamard:
+    """EpsHadamard of explicit entries: one indicator term per distinct value."""
+    k = len(rows)
+    index: dict = {}
+    values = []
+    ids = np.zeros((k, k), dtype=np.int64)
+    for i, row in enumerate(rows):
+        assert len(row) == k, "entry rows must form a square matrix"
+        for j, v in enumerate(row):
+            key = _scalar_key(v)
+            if key not in index:
+                index[key] = len(values)
+                values.append(v)
+            ids[i, j] = index[key]
+    return EpsHadamard.from_value_ids(ids, values, radicand, provenance)
+
+
+# ---------------------------------------------------------------------------
+# Neumann series of (I + sign*U^)^-1
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SeriesCheck:
+    residual: Scalar  # max |exact inverse - truncated series| over entries
+    tail_bound: Scalar  # geometric bound on the dropped tail
+    within_bound: bool
+    terms: int
+
+
+def _kmat_mul(a, b):
+    t, mid, cols = len(a), len(b), len(b[0])
+    out = []
+    for i in range(t):
+        row = []
+        for j in range(cols):
+            acc: Scalar = Fraction(0)
+            for x in range(mid):
+                acc = acc + a[i][x] * b[x][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _pow_scalar(x: Scalar, e: int) -> Scalar:
+    out: Scalar = Fraction(1)
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+def series_inverse_check(u_hat, terms: int, sign: int = 1) -> SeriesCheck:
+    """Compare the truncated Neumann series of (I + sign*U^)^-1 with the
+    exact inverse.
+
+    ``u_hat`` is the normalized t x t block (entries of magnitude
+    1/sqrt(4n)); convergence requires t * max|entry| < 1.
+    """
+    t = len(u_hat)
+    rows = [[v if not isinstance(v, int) else Fraction(v) for v in row] for row in u_hat]
+    cmax: Scalar = Fraction(0)
+    for row in rows:
+        for v in row:
+            av = abs(v) if isinstance(v, QuadNum) else abs(Fraction(v))
+            if cmp_values(av, cmax) > 0:
+                cmax = av
+    if cmp_values(t * cmax, Fraction(1)) >= 0:
+        raise DomainError("series diverges: t * max|entry| >= 1")
+    ident = _kmat_identity(t)
+    a = [
+        [ident[i][j] + sign * rows[i][j] for j in range(t)]
+        for i in range(t)
+    ]
+    exact = _kmat_inverse(a)
+    # truncated sum of (-sign * U^)^j
+    neg = [[-sign * v for v in row] for row in rows]
+    acc = _kmat_identity(t)
+    total = _kmat_identity(t)
+    for _ in range(terms):
+        acc = _kmat_mul(acc, neg)
+        total = [
+            [total[i][j] + acc[i][j] for j in range(t)] for i in range(t)
+        ]
+    residual: Scalar = Fraction(0)
+    for i in range(t):
+        for j in range(t):
+            dv = exact[i][j] - total[i][j]
+            av = abs(dv) if isinstance(dv, QuadNum) else abs(Fraction(dv))
+            if cmp_values(av, residual) > 0:
+                residual = av
+    # sum_{j > terms} t^(j-1) * cmax^j = t^terms * cmax^(terms+1) / (1 - t*cmax)
+    tail = (t**terms) * _pow_scalar(cmax, terms + 1) / (1 - t * cmax)
+    return SeriesCheck(
+        residual=residual,
+        tail_bound=tail,
+        within_bound=cmp_values(residual, tail) <= 0,
+        terms=terms,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Placement of a target U on a Hadamard matrix
 # ---------------------------------------------------------------------------
 
@@ -318,7 +456,7 @@ def best_reduction_loop(h, t, search_scope="corner-only", cap=100_000):
     best = None
     for split in itertools.islice(splits, max(cap, 0)):
         for variant in ("Y2", "Y1"):
-            cand = reduce_split(split, variant, verify=False)
+            cand = reduce_split(split, variant)
             if best is None or cand.epsilon.cmp(best.epsilon) < 0:
                 best = cand
     if best is None:
@@ -327,7 +465,6 @@ def best_reduction_loop(h, t, search_scope="corner-only", cap=100_000):
     final = reduce_split(
         BlockSplit(h, p.row_select, p.col_select, p.row_negate, p.col_negate),
         p.variant,
-        verify=True,
     )
     if size > cap:
         raise ResourceLimitError(

@@ -2,11 +2,15 @@
 sizes: exit codes, artifact files and batch verification."""
 
 import json
+import math
 import os
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from armub import cli
+from armub import cli, epsh, jsonio
+from armub.epsh import EpsHadamard, Provenance
 
 
 @pytest.fixture
@@ -181,3 +185,86 @@ def test_removed_armub_options_exit_2(tmp_path, capsys, option):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _put(obj, value, *path):
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+# A JSON float or bool where the wire format declares an integer, including
+# values equal to the stored integer (1.0, true) that truncation or bool
+# coercion used to accept; rational parts are decimal strings only, and a
+# declared boolean is a JSON boolean.
+@pytest.mark.parametrize("name, value, path", [
+    ("rbd.json", 1.9, ("mu",)),
+    ("rbd.json", True, ("mu",)),
+    ("rbd.json", 3.7, ("k",)),
+    ("rbd.json", 15.0, ("d",)),
+    ("rbd.json", 5.0, ("s",)),
+    ("rbd.json", 5.0, ("classes", 0, 0, 1)),
+    ("rbd.json", False, ("classes", 1, 0, 0)),
+    ("epsh.json", 3.2, ("k",)),
+    ("epsh.json", 4.0, ("m",)),
+    ("epsh.json", 1.0, ("provenance", "t")),
+    ("epsh.json", 4.0, ("provenance", "source_order")),
+    ("epsh.json", False, ("provenance", "row_select", 0)),
+    ("epsh.json", False, ("provenance", "col_negate", 0)),
+    ("epsh.json", 1.0, ("provenance", "u_relation", "gamma")),
+    ("epsh.json", [1.5, "2"], ("entries", 0, 0, "a")),
+    ("epsh.json", True, ("entries", 0, 0, "b", 1)),
+    ("epsh.json", 3, ("entries", 0, 0, "a", 1)),
+    ("epsh.json", "23", ("entries", 0, 0, "a")),
+    ("hadamard.json", 4.0, ("order",)),
+    ("hadamard.json", True, ("rows", 0, 0)),
+    ("report.json", 15.0, ("d",)),
+    ("report.json", 5.0, ("s",)),
+    ("report.json", True, ("delta", 0, "count")),
+    ("epsh.json", 1, ("provenance", "u_relation", "paper_listed")),
+    ("report.json", "false", ("window_ok",)),
+])
+def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, capsys, name, value, path):
+    bad = _dump(_put(_load(pipeline_dir / name), value, *path), tmp_path / name)
+    assert cli.main(["verify", bad]) == 4
+    assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
+
+
+def _rotation_artifact(path, p, q):
+    """eps-hadamard artifact of the rational rotation [[a, -b], [b, a]] / c of
+    the primitive Pythagorean triple (a, b, c) = (p^2 - q^2, 2pq, p^2 + q^2)."""
+    a, b, c = p * p - q * q, 2 * p * q, p * p + q * q
+    assert math.gcd(p, q) == 1 and (p - q) % 2 == 1
+    prov = Provenance(source_label=f"pythagorean({p},{q})", source_order=2, t=0,
+                      row_select=(), col_select=(), row_negate=(), col_negate=(),
+                      variant=None, method="rotation")
+    values = [Fraction(a, c), Fraction(-b, c), Fraction(b, c)]
+    y = EpsHadamard.from_value_ids(np.array([[0, 1], [2, 0]]), values, 2, prov)
+    return _dump(jsonio.eps_hadamard_obj(y), path)
+
+
+# c > 2^27 puts k*max|P|^2 = 2*a^2 and L^2 = c^2 above 2^53, so the Gram
+# check leaves float64; c > 2^63 also puts L*Y itself outside int64.
+@pytest.mark.parametrize("p, q", [(29_000, 12_011), (4_000_000_001, 1_656_854_250)])
+def test_large_denominator_artifact_takes_python_int_route(tmp_path, capsys, monkeypatch,
+                                                           p, q):
+    path = _rotation_artifact(tmp_path / "rotation.json", p, q)
+    routes = []
+    float_exact = epsh._float_exact
+
+    def spy(*args):
+        routes.append(float_exact(*args))
+        return routes[-1]
+
+    monkeypatch.setattr(epsh, "_float_exact", spy)
+    assert cli.main(["verify", path]) == 0
+    assert capsys.readouterr().out == f"{path}: eps-hadamard: ok\n"
+    assert routes == [False]  # certified on Python ints
+    obj = _load(path)
+    num = obj["entries"][1][1]["a"]
+    num[0] = str(int(num[0]) + 1)
+    assert cli.main(["verify", _dump(obj, path)]) == 5
+    assert "orthogonality violated at (0, 1)" in capsys.readouterr().out
+    assert routes[1:] == [False]

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from armub.epsh import (
     paper_listed_configs,
     reduce_split,
     schur_reduce,
-    series_inverse_check,
 )
 from armub.errors import CertificationError, DomainError, ResourceLimitError
 from armub.hadamard import find_hadamard, sylvester
@@ -27,7 +27,10 @@ from oracles import (
     assert_matches_sympy,
     best_reduction_loop,
     find_placements,
+    from_scalar_rows,
+    series_inverse_check,
     sympy_reduction,
+    term_gram_orthogonal,
 )
 
 H4_T1_SMALL_VARIANT = [
@@ -333,8 +336,8 @@ def test_window_violation_detected():
     y = reduce_split(corner_split(h12, 1), "Y1")
     bad_terms = [(coeff * 3 if i == 0 else coeff, mat)
                  for i, (coeff, mat) in enumerate(y.terms)]
-    with pytest.raises(CertificationError):
-        EpsHadamard(y.order, y.radicand, bad_terms, y.provenance, verify=False)
+    with pytest.raises(CertificationError, match="outside window"):
+        EpsHadamard(y.order, y.radicand, bad_terms, y.provenance)
 
 
 def test_orthogonality_violation_detected():
@@ -343,7 +346,74 @@ def test_orthogonality_violation_detected():
     rows = y.scalar_rows()
     rows[0][0] = -rows[0][0] + Fraction(1, 7)
     with pytest.raises(CertificationError):
-        EpsHadamard.from_scalar_rows(rows, y.radicand, y.provenance)
+        from_scalar_rows(rows, y.radicand, y.provenance)
+
+
+# -- the integer-form Gram kernel ---------------------------------------------
+
+def _one_entry_perturbed(y):
+    """y's terms plus one more that adds 1/(7k) to the entry (k//2, k//3)."""
+    k = y.order
+    unit = np.zeros((k, k), dtype=np.int64)
+    unit[k // 2, k // 3] = 1
+    return [*y.terms, (Fraction(1, 7 * k), unit)]
+
+
+@pytest.mark.parametrize("form", ["built", "parsed"])
+def test_gram_kernel_matches_term_oracle(sweep_reductions, form):
+    """The integer-form kernel and the per-term-pair Gram oracle accept every
+    swept Y, as built (closed-form or elimination terms) and as parsed back
+    from its artifact (indicator terms), and both reject it with one entry
+    perturbed; the kernel names the first violation in row-major order."""
+    for (m, t), y in sweep_reductions.items():
+        if form == "parsed":
+            text = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
+            y = jsonio.parse_eps_hadamard(json.loads(text))
+        k = y.order
+        assert term_gram_orthogonal(k, y.terms), (m, t)
+        assert epsh._gram_violation(*epsh._integer_form(y.terms)) is None, (m, t)
+        bad = _one_entry_perturbed(y)
+        assert not term_gram_orthogonal(k, bad), (m, t)
+        found = epsh._gram_violation(*epsh._integer_form(bad))
+        assert found is not None, (m, t)
+        if sign_of(y.entry(0, k // 3)) != 0:  # row 0 meets the changed row first
+            assert found[0] == (0, k // 2), (m, t)
+
+
+def test_float_route_bound_is_strict():
+    """float64 only while k*(max|P|^2 + c*max|Q|^2) and L^2 stay below 2^53."""
+    below, above = math.isqrt(2**53 - 1), math.isqrt(2**53 - 1) + 1
+    assert below * below < 2**53 <= above * above
+    one = np.ones((1, 1), dtype=np.int64)
+    assert epsh._float_exact(1, 1, 1, below * one, None)
+    assert not epsh._float_exact(1, 1, 1, above * one, None)
+    assert not epsh._float_exact(1, above, 1, one, None)
+    assert not epsh._float_exact(1, 1, 2, one, below * one)
+    # a product outside the bound still certifies, on Python ints
+    assert epsh._gram_violation(above, 1, above * one, None) is None
+    assert epsh._gram_violation(above, 1, (above + 1) * one, None)[0] == (0, 0)
+
+
+def test_sign_mixed_entries_verify():
+    """Negating rows and columns of the order-256, t = 3 Y makes every
+    magnitude occur with both signs: 24 indicator terms instead of 14, one
+    Gram product either way, and the same epsilon."""
+    y = best_reduction(find_hadamard(256), 3)
+    text = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
+    plain = jsonio.parse_eps_hadamard(json.loads(text))
+    obj = json.loads(text)
+    rng = np.random.default_rng(0)
+    row_neg, col_neg = rng.random(y.order) < 0.5, rng.random(y.order) < 0.5
+    for i, row in enumerate(obj["entries"]):
+        for j, cell in enumerate(row):
+            if row_neg[i] != col_neg[j]:
+                row[j] = {part: [str(-int(num)), den] for part, (num, den) in cell.items()}
+    flipped = jsonio.parse_eps_hadamard(obj)  # checks the stored epsilon too
+    assert (len(plain.terms), len(flipped.terms)) == (14, 24)
+    assert flipped._q is None  # rational: one product P P^T
+    assert flipped.epsilon.cmp(y.epsilon) == 0
+    assert flipped.epsilon_upper.cmp(y.epsilon_upper) == 0
+    assert flipped.distinct_abs_values() == y.distinct_abs_values()
 
 
 # -- Neumann series diagnostic ----------------------------------------------
@@ -448,7 +518,7 @@ def test_screen_ranks_every_candidate(order, t, cap):
         assert len(ranks) == 2 * used
         for i, rank in enumerate(ranks):
             split, variant = search.candidate(rows, cols, i)
-            y = reduce_split(split, variant, verify=False)
+            y = reduce_split(split, variant)
             assert search.table.eps[rank].cmp(y.epsilon) == 0, (split, variant)
         seen += used
     assert seen == cap
@@ -459,12 +529,12 @@ def test_screen_builds_only_the_winner(monkeypatch):
     original = EpsHadamard.__init__
 
     def counting(self, *args, **kwargs):
-        inits.append(kwargs.get("verify", True))
+        inits.append(args[0])
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(EpsHadamard, "__init__", counting)
     y = best_reduction(find_hadamard(16), 2, search_scope="row-col-permutations")
-    assert inits == [True]  # one verified build for 14,400 splits
+    assert inits == [14]  # one (verified) build of order 14 for 14,400 splits
     p = y.provenance
     assert (p.row_select, p.col_select, p.variant) == ((0, 1), (1, 2), "Y1")
 
