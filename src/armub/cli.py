@@ -16,7 +16,9 @@ Exit codes (stable contract; CI treats any nonzero as red):
      split found within the cap, marked "partial": true
 
 `verify` checks every file it is given and exits with the worst code among
-them.
+them.  For an rbd or basis-set file it says how the design's mu was
+certified: by the line theorem for the affine design, or pairwise over
+every class pair.
 
 Artifacts are written atomically (temp file + rename) in canonical JSON.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -41,7 +44,7 @@ from .errors import (
     StructuralError,
 )
 from .hadamard import find_hadamard
-from .rbd import build_affine_rbd
+from .rbd import ROUTE_AFFINE, build_affine_rbd
 from .verify import check_theorem_bounds, cross_stats, ledger_ok
 
 EXIT_OK = 0
@@ -188,6 +191,12 @@ def _certificate_parts(obj):
     return jsonio.parse_report(report), verdicts
 
 
+def _mu_route_note(r) -> str:
+    if r.mu_route == ROUTE_AFFINE:
+        return " (affine design: mu = 1 by the line theorem)"
+    return f" (pairwise: {math.comb(r.r, 2)} class pairs)"
+
+
 def cmd_verify(args) -> int:
     worst = EXIT_OK
     for path in args.files:
@@ -202,9 +211,9 @@ def cmd_verify(args) -> int:
                 if obj.get("partial"):
                     note = " (partial: best split within the search cap)"
             elif kind == "rbd":
-                jsonio.parse_rbd(obj)
+                note = _mu_route_note(jsonio.parse_rbd(obj))
             elif kind == "basis-set":
-                jsonio.parse_basis_set(obj)
+                note = _mu_route_note(jsonio.parse_basis_set(obj).rbd)
             elif kind == "report":
                 jsonio.parse_report(obj)
             elif kind == "certificate":

@@ -146,10 +146,16 @@ def eps_wire(e: ExactEps, radicand: int) -> dict:
 
 
 def eps_parse(obj, radicand: int) -> ExactEps:
+    """An epsilon from its wire form; the stored ``side`` must be the JSON
+    integer that ksq implies (the rendered ``float`` is not read)."""
     try:
-        return ExactEps(scalar_parse(obj["ksq"], radicand))
+        eps = ExactEps(scalar_parse(obj["ksq"], radicand))
+        side = int_parse(obj["side"], "side")
     except KeyError as exc:
         raise ParseError(f"bad epsilon {obj!r}") from exc
+    if side != eps.side:
+        raise CertificationError(f"stored side {side} != {eps.side} implied by ksq")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +320,17 @@ def parse_eps_hadamard(obj) -> EpsHadamard:
         m = int_parse(obj["m"], "m")
         ids, values = _entry_value_ids(obj["entries"], k, m)
         prov = parse_provenance(obj["provenance"])
-        stored_eps = eps_parse(obj["epsilon"], m)
+        stored = {name: eps_parse(obj[name], m) for name in ("epsilon", "epsilon_upper")}
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad eps-hadamard artifact: {exc}") from exc
     y = EpsHadamard.from_value_ids(ids, values, m, prov)  # re-certifies exactly
-    if y.epsilon.cmp(stored_eps) != 0:
-        raise CertificationError(
-            f"stored epsilon {float(stored_eps)} != recomputed {float(y.epsilon)}"
-        )
+    for name, recomputed in (("epsilon", y.epsilon), ("epsilon_upper", y.epsilon_upper)):
+        if cmp_values(stored[name].q, recomputed.q) != 0:
+            raise CertificationError(
+                f"stored {name} ksq {stored[name].q} != recomputed {recomputed.q}"
+            )
     return y
 
 
@@ -363,7 +370,7 @@ def parse_rbd(obj) -> Rbd:
         raise CertificationError(
             f"declared mu={declared_mu} but verified mu={cert.mu}"
         )
-    r.mu = cert.mu
+    r.mu, r.mu_route = cert.mu, cert.route
     return r
 
 

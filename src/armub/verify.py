@@ -3,10 +3,14 @@
 Inner products between vectors of different bases are structurally sparse:
 with mu = 1 the supports of two cross-basis vectors share at most one
 coordinate, so every cross inner product is zero or a single product of
-two Y entries.  Per basis pair, the count of sharing block pairs by
-(column, column) position is contracted with per-column magnitude
-histograms of Y, so every one of the d^2 vector pairs of every basis pair
-is accounted for without materializing it.
+two Y entries.  For a basis pair (l, m) the shared points, counted by
+their (position in the l-block, position in the m-block), form a k x k
+matrix that depends only on the two classes' position maps.  Classes are
+grouped by identical position map, and per pair of groups that matrix is
+contracted once with the per-column magnitude histograms of Y and weighted
+by the number of basis pairs between the groups, so every one of the d^2
+vector pairs of every basis pair is accounted for without materializing
+it.  The affine design has a single group and so a single contraction.
 
 Values are collected by exact equality (no floating tolerance exists in
 classification); beta = sqrt(d) * max|<u,v>| is held exactly via its
@@ -117,48 +121,57 @@ def _merge_counts(acc: dict, key_scalar: Scalar, count: int):
         acc[key] = [key_scalar, count]
 
 
-def _pair_stats(bs: BasisSet, l: int, m: int, col_counts):
-    """Exact per-basis-pair histogram over |Y_a,p * Y_b,q| value ids.
-
-    Every entry of the contraction is a count bounded by d * k^2 < 2^63,
-    so the int64 matrix products are exact.
-    """
-    r = bs.rbd
-    s, k = r.s, r.k
-    bl, bm = r.block_map(l), r.block_map(m)
-    joint = np.bincount(bl * s + bm, minlength=s * s)
-    if int(joint.max()) > 1:
-        raise CertificationError(
-            f"support law violated between classes {l} and {m} (mu > 1)"
-        )
-    cp = np.bincount(r.pos_map(l) * k + r.pos_map(m), minlength=k * k)
-    cp = cp.reshape(k, k)
-    vv = col_counts.T @ cp @ col_counts
-    zeros = (s * s - int(cp.sum())) * k * k
-    return vv, zeros
+def _position_groups(bs: BasisSet) -> list[tuple[np.ndarray, int]]:
+    """(position map, number of bases) per distinct position map of the
+    bases' classes, in order of first appearance."""
+    groups: dict[bytes, list] = {}
+    for basis in bs.bases:
+        pm = bs.rbd.pos_map(basis.class_index)
+        groups.setdefault(pm.tobytes(), [pm, 0])[1] += 1
+    return [(pm, n) for pm, n in groups.values()]
 
 
 def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     """Exact inner-product statistics over every vector pair of every pair
-    of distinct bases."""
+    of distinct bases.
+
+    Needs the design's certified mu = 1.  Per pair of position-map groups,
+    cp[p, q] counts the points at position p in a block of one class and q
+    in a block of the other; with mu = 1 each such point is shared by
+    exactly one block pair, so col_counts^T @ cp @ col_counts histograms
+    the nonzero products of the basis pair, and the s^2 - d block pairs
+    that share no point give k^2 zeros each.  Every entry counts vector
+    pairs sharing a point, at most d * k^2 per basis pair, so all sums stay
+    below basis_pairs * d * k^2, asserted below 2^63: the int64 products
+    are exact.
+    """
     nb = bs.num_bases
     if nb < 2:
         raise DomainError("need at least two bases for cross statistics")
+    r = bs.rbd
+    if r.mu != 1:
+        raise CertificationError(
+            f"cross statistics need a design with certified mu = 1, got mu={r.mu}"
+        )
     ids, vals = bs.y.abs_value_ids()
     nvals = len(vals)
-    k = bs.k
+    d, s, k = r.d, r.s, r.k
+    basis_pairs = nb * (nb - 1) // 2
+    assert basis_pairs * d * k * k < 2**63, "cross-statistics counts would overflow int64"
     col_counts = np.stack(
         [np.bincount(ids[:, c], minlength=nvals) for c in range(k)]
     ).astype(np.int64)  # (k, nvals)
 
     vv_total = np.zeros((nvals, nvals), dtype=np.int64)
-    zeros_total = 0
-    for l in range(nb):
-        for m in range(l + 1, nb):
-            vv, zeros = _pair_stats(bs, l, m, col_counts)
-            vv_total += vv
-            zeros_total += zeros
-    basis_pairs = nb * (nb - 1) // 2
+    groups = _position_groups(bs)
+    for g, (pg, ng) in enumerate(groups):
+        for h in range(g, len(groups)):
+            ph, nh = groups[h]
+            weight = math.comb(ng, 2) if h == g else ng * nh
+            if weight:
+                cp = np.bincount(pg * k + ph, minlength=k * k).reshape(k, k)
+                vv_total += weight * (col_counts.T @ cp @ col_counts)
+    zeros_total = basis_pairs * (s * s - d) * k * k
 
     # collapse the id histogram into exact value counts
     acc: dict = {}

@@ -3,7 +3,8 @@
 Everything here recomputes expected values through routes that do not share
 code with the paths under test: sympy radical arithmetic for small exact
 matrices, dense integer Gram matrices in int64, per-term-pair Gram matrices
-with exact scalar coefficients, and direct set arithmetic for designs.  No
+with exact scalar coefficients, one cross-statistics contraction per basis
+pair, and direct set arithmetic for designs.  No
 oracle uses the float64 route of ``EpsHadamard.verify_orthogonal``.
 """
 
@@ -28,7 +29,7 @@ from armub.epsh import (
     corner_split,
     reduce_split,
 )
-from armub.errors import DomainError, ResourceLimitError
+from armub.errors import CertificationError, DomainError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,49 @@ def oracle_classification(counts: dict, d: int) -> str:
                          lhs_rad.numerator * lhs_rat.denominator, m) <= 0:
             return "APMUB"
     return "beta-ARMUB"
+
+
+# ---------------------------------------------------------------------------
+# Cross statistics, one contraction per basis pair
+# ---------------------------------------------------------------------------
+
+def cross_stats_pairwise(bs):
+    """The per-basis-pair contraction ``cross_stats`` made before it grouped
+    classes by position map, with its per-pair mu check.
+
+    Returns (value_counts, zeros, pairs_checked): value_counts maps the
+    magnitude key of each |<u, v>| to its count over all vector pairs of all
+    basis pairs (as ``report_delta_dict`` keys a report), zeros counts the
+    pairs whose supports share no coordinate, and pairs_checked is the
+    number of vector pairs accounted for.
+    """
+    r = bs.rbd
+    d, s, k = r.d, r.s, r.k
+    ids, vals = bs.y.abs_value_ids()
+    col_counts = np.stack(
+        [np.bincount(ids[:, c], minlength=len(vals)) for c in range(k)]
+    ).astype(np.int64)
+    vv_total = np.zeros((len(vals), len(vals)), dtype=np.int64)
+    zeros = 0
+    pairs = 0
+    for bl, bm in itertools.combinations(bs.bases, 2):
+        l, m = bl.class_index, bm.class_index
+        joint = np.bincount(r.block_map(l) * s + r.block_map(m), minlength=s * s)
+        if int(joint.max()) > 1:
+            raise CertificationError(
+                f"support law violated between classes {l} and {m} (mu > 1)"
+            )
+        cp = np.bincount(r.pos_map(l) * k + r.pos_map(m), minlength=k * k)
+        vv_total += col_counts.T @ cp.reshape(k, k) @ col_counts
+        zeros += (s * s - int(cp.sum())) * k * k
+        pairs += d * d
+    counts: dict = {}
+    if zeros:
+        counts[report_value_key(Fraction(0))] = zeros
+    for v, w in zip(*np.nonzero(vv_total)):
+        key = report_value_key(vals[v] * vals[w])
+        counts[key] = counts.get(key, 0) + int(vv_total[v, w])
+    return counts, zeros, pairs
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,34 @@ def test_gf_bulk_matches_scalar():
         assert mul[i] == f.mul(int(a[i]), int(b[i]))
 
 
+ODD_PRIME_POWERS_TO_125 = [
+    q for q in range(3, 126, 2)
+    if prime_power_split(q) is not None
+]
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_TO_125)
+def test_gf_tables_satisfy_the_line_theorem_axioms(q):
+    """The premise of mu = 1 for the affine design: two lines c + l*a and
+    c' + l'*a with l != l' meeting at rows a1 and a2 give
+    (l - l')*(a1 - a2) = 0, so a1 = a2.  That needs distributivity,
+    additive inverses and no zero divisors of the bulk tables the design
+    generator uses, checked here over every element triple."""
+    import numpy as np
+
+    f = gf_make(*prime_power_split(q))
+    x = np.arange(q, dtype=np.int64)
+    add = f.add_arr(x[:, None], x[None, :])  # add[b, c] = b + c
+    mul = f.mul_arr(x[:, None], x[None, :])  # mul[a, b] = a * b
+    assert np.array_equal(add[0], x) and np.array_equal(mul[1], x)
+    # a*(b + c) == a*b + a*c, indexed [a, b, c]
+    assert np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]])
+    # additive inverses: each a has exactly one b with a + b = 0
+    assert np.all((add == 0).sum(axis=1) == 1)
+    # no zero divisors: a*b = 0 only when a = 0 or b = 0
+    assert np.array_equal(mul == 0, (x[:, None] == 0) | (x[None, :] == 0))
+
+
 def test_prime_power_split():
     assert prime_power_split(81) == (3, 4)
     assert prime_power_split(79) == (79, 1)

@@ -167,6 +167,35 @@ def test_malformed_artifact_exit_4(tmp_path, pipeline_dir, capsys, name, mutate)
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
 
 
+# the stored epsilon and epsilon_upper must equal the recomputed ones: ksq
+# exactly, and side as the JSON integer sign(ksq - 1)
+@pytest.mark.parametrize("field, ksq_a, side, code", [
+    ("epsilon_upper", ["9", "1"], -7, 5),
+    ("epsilon_upper", ["9", "1"], 1, 5),
+    ("epsilon_upper", ["4", "3"], -1, 5),
+    ("epsilon", ["1", "3"], 0, 5),
+    ("epsilon_upper", ["4", "3"], 1.0, 4),
+])
+def test_stored_epsilon_must_reproduce(tmp_path, pipeline_dir, capsys,
+                                       field, ksq_a, side, code):
+    obj = _load(pipeline_dir / "epsh.json")
+    assert obj["epsilon"]["ksq"]["a"] == ["1", "3"]
+    assert obj["epsilon_upper"]["ksq"]["a"] == ["4", "3"]
+    obj[field]["ksq"]["a"], obj[field]["side"] = ksq_a, side
+    assert cli.main(["verify", _dump(obj, tmp_path / "epsh.json")]) == code
+    out = capsys.readouterr().out
+    assert ("CHECK FAILED" if code == 5 else "parse error") in out
+
+
+def test_verify_names_the_mu_route(pipeline_dir, capsys):
+    files = [str(pipeline_dir / name) for name in ("rbd.json", "bases.json")]
+    assert cli.main(["verify", *files]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{files[0]}: rbd: ok (affine design: mu = 1 by the line theorem)",
+        f"{files[1]}: basis-set: ok (affine design: mu = 1 by the line theorem)",
+    ]
+
+
 def test_bases_with_vectors_field_exit_4(tmp_path, pipeline_dir, capsys):
     obj = _load(pipeline_dir / "bases.json")
     assert "vectors" not in obj

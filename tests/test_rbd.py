@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from armub import jsonio
+from armub import cli, jsonio
 from armub.errors import CertificationError, DomainError
 from armub.rbd import Rbd, build_affine_rbd, verify_rbd
 
@@ -146,3 +146,56 @@ def test_large_affine_79_81():
             for b in r.classes[m]:
                 worst = max(worst, len(sa & set(int(p) for p in b)))
         assert worst == 1
+
+
+def test_affine_design_takes_the_line_theorem_route():
+    r = build_affine_rbd(3, 5)
+    assert r.mu_route == "affine"
+    parsed = jsonio.parse_rbd(json.loads(jsonio.dumps_canonical(jsonio.rbd_obj(r))))
+    assert (parsed.mu, parsed.mu_route) == (1, "affine")
+    # recognised by content: the provenance label plays no part
+    relabelled = Rbd(r.d, r.k, r.s, r.classes, provenance="hand-built")
+    assert verify_rbd(relabelled).route == "affine"
+    assert verify_rbd(Rbd(4, 2, 2, PAPER_D4_CLASSES)).route == "pairwise"
+
+
+def _swap_same_row_points(r: Rbd) -> list:
+    """Class 1 with the row-1 points of its blocks 0 and 1 exchanged: still
+    a partition of sorted blocks, no longer the affine line family."""
+    classes = r.classes.tolist()
+    blocks = classes[1]
+    blocks[0][1], blocks[1][1] = blocks[1][1], blocks[0][1]
+    return classes
+
+
+@pytest.mark.parametrize("k,s", [(3, 5), (4, 7)])
+def test_swapped_points_take_the_pairwise_route(k, s, tmp_path, capsys):
+    r = build_affine_rbd(k, s)
+    tampered = Rbd(r.d, k, s, _swap_same_row_points(r))
+    cert = verify_rbd(tampered)
+    assert cert.valid and cert.route == "pairwise"
+    assert cert.class_pairs_checked == s * (s - 1) // 2
+    assert cert.mu == set_intersection_mu(tampered) == 2
+    obj = jsonio.rbd_obj(r)  # declares "mu": 1
+    obj["classes"] = tampered.classes.tolist()
+    path = tmp_path / "rbd.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["verify", str(path)]) == 5
+    assert "declared mu=1 but verified mu=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k,s", [(3, 5), (4, 7)])
+def test_permuted_classes_take_the_pairwise_route(k, s, tmp_path, capsys):
+    r = build_affine_rbd(k, s)
+    permuted = Rbd(r.d, k, s, r.classes[::-1])
+    cert = verify_rbd(permuted)
+    assert cert.valid and cert.route == "pairwise"
+    assert cert.mu == set_intersection_mu(permuted) == 1
+    obj = jsonio.rbd_obj(r)
+    obj["classes"] = permuted.classes.tolist()
+    path = tmp_path / "rbd.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"{path}: rbd: ok (pairwise: {s * (s - 1) // 2} class pairs)\n"
+    )

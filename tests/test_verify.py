@@ -12,12 +12,14 @@ from armub.hadamard import find_hadamard, sylvester
 from armub.rbd import Rbd, build_affine_rbd, verify_rbd
 from armub.verify import (
     ExactBeta,
+    _position_groups,
     check_theorem_bounds,
     classify_delta,
     cross_stats,
     ledger_ok,
 )
 from oracles import (
+    cross_stats_pairwise,
     dense_cross_oracle,
     oracle_classification,
     report_delta_dict,
@@ -38,6 +40,69 @@ def small_pipeline(k, s, t):
     else:
         y = best_reduction(find_hadamard(k + t), t)
     return assemble(build_affine_rbd(k, s), y)
+
+
+def affine_plane_3_basis_set(relabel=None):
+    """All four parallel classes of AG(2, 3), the vertical one included
+    (k = s = 3, d = 9), with Y from H_4; ``relabel`` renames the points.
+    Mu = 1, but r = 4 != s, so the pairwise route certifies it."""
+    classes = build_affine_rbd(3, 3).classes.tolist()
+    classes.append([[a * 3 + b for b in range(3)] for a in range(3)])  # x = a
+    if relabel is not None:
+        classes = [[sorted(relabel[p] for p in blk) for blk in cls] for cls in classes]
+    r = Rbd(9, 3, 3, classes, provenance="ag(2,3)")
+    cert = verify_rbd(r)
+    assert cert.valid and cert.route == "pairwise"
+    r.mu = cert.mu
+    return assemble(r, best_reduction(find_hadamard(4), 1))
+
+
+# a point relabelling of AG(2, 3) under which the four classes have four
+# distinct position maps
+RELABEL_4_GROUPS = [4, 0, 7, 2, 8, 1, 5, 3, 6]
+
+PAIRWISE_CASES = {
+    "d4": (paper_d4_basis_set, 2),
+    "ag23": (affine_plane_3_basis_set, 2),
+    "ag23-relabelled": (lambda: affine_plane_3_basis_set(RELABEL_4_GROUPS), 4),
+    **{f"affine-{k}-{s}-{t}": ((lambda k=k, s=s, t=t: small_pipeline(k, s, t)), 1)
+       for k, s, t in [(2, 3, 2), (3, 5, 1), (3, 7, 1), (6, 7, 2), (2, 5, 2),
+                       (9, 11, 3), (13, 17, 3), (3, 25, 1)]},
+}
+
+
+@pytest.mark.parametrize("case", list(PAIRWISE_CASES))
+def test_grouped_contraction_matches_pairwise_oracle(case):
+    make, groups = PAIRWISE_CASES[case]
+    bs = make()
+    assert len(_position_groups(bs)) == groups
+    rep = cross_stats(bs)
+    counts, zeros, pairs = cross_stats_pairwise(bs)
+    delta = report_delta_dict(rep)
+    assert delta == counts  # every value and its count
+    # the count of 0 holds the pairs with disjoint supports, and also the
+    # products that meet a zero entry of Y
+    assert delta.get(report_value_key(Fraction(0)), 0) >= zeros
+    assert rep.pairs_checked == pairs
+    assert rep.coverage["basis_pairs"] * bs.d * bs.d == pairs
+    assert oracle_classification(counts, bs.d) == rep.classification
+
+
+@pytest.mark.parametrize("relabel", [None, RELABEL_4_GROUPS])
+def test_pairwise_designs_match_dense_oracle(relabel):
+    bs = affine_plane_3_basis_set(relabel)
+    rep = cross_stats(bs)
+    counts, max_key = dense_cross_oracle(bs)
+    assert report_delta_dict(rep) == counts
+    assert report_value_key(rep.beta.max_ip) == max_key
+
+
+def test_cross_stats_requires_certified_mu_1():
+    bs = paper_d4_basis_set()
+    for mu in (None, 2):
+        bs.rbd.mu = mu
+        with pytest.raises(CertificationError, match="certified mu = 1"):
+            cross_stats(bs)
 
 
 def test_d4_fixture_is_mub():
