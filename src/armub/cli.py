@@ -9,16 +9,23 @@ Exit codes (stable contract; CI treats any nonzero as red):
   4  artifact parse error: unreadable or non-object JSON, a missing or
      malformed field, values outside the artifact's domain, or
      structurally incompatible values (StructuralError, e.g. mixed
-     radicands)
+     radicands); for a basis-set, also a reference whose "file" is not a
+     plain file name in the basis-set's directory, or names a missing or
+     unreadable file
   5  a certification or bound check failed, including a vanishing
-     denominator met during exact arithmetic (ExactArithmeticError)
+     denominator met during exact arithmetic (ExactArithmeticError) and a
+     referenced file whose bytes do not match its recorded sha256
   6  resource/enumeration cap exceeded; `epsh --cap` still writes the best
      split found within the cap, marked "partial": true
 
 `verify` checks every file it is given and exits with the worst code among
-them.  For an rbd or basis-set file it says how the design's mu was
-certified: by the line theorem for the affine design, or pairwise over
-every class pair.
+them.  Each file is read once per invocation, and each artifact content
+(keyed by the SHA-256 of its bytes) is parsed and certified once, so a
+basis-set and the rbd and epsh files it refers to cost one certification
+each.  For an rbd or basis-set file it says how the design's mu was
+certified: by the line theorem for the affine recipe, or pairwise over
+every class pair for an explicit class array (a hand-built design, or an
+affine rbd.json written before the recipe form).
 
 Artifacts are written atomically (temp file + rename) in canonical JSON.
 """
@@ -137,28 +144,20 @@ def cmd_armub(args) -> int:
 
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    paths = {}
+    paths, texts = {}, {}
+
+    def write(name, obj):
+        paths[name] = os.path.join(outdir, f"{name}.json")
+        texts[name] = jsonio.dumps_canonical(obj)
+        jsonio.write_atomic(paths[name], texts[name])
+
     if source is not None:
-        paths["hadamard"] = os.path.join(outdir, "hadamard.json")
-        jsonio.write_atomic(
-            paths["hadamard"], jsonio.dumps_canonical(jsonio.sign_matrix_obj(source))
-        )
-    paths["epsh"] = os.path.join(outdir, "epsh.json")
-    jsonio.write_atomic(
-        paths["epsh"], jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
-    )
-    paths["rbd"] = os.path.join(outdir, "rbd.json")
-    jsonio.write_atomic(
-        paths["rbd"], jsonio.dumps_canonical(jsonio.rbd_obj(design))
-    )
-    paths["bases"] = os.path.join(outdir, "bases.json")
-    jsonio.write_atomic(
-        paths["bases"], jsonio.dumps_canonical(jsonio.basis_set_obj(bs))
-    )
-    paths["report"] = os.path.join(outdir, "report.json")
-    jsonio.write_atomic(
-        paths["report"], jsonio.dumps_canonical(jsonio.report_obj(report))
-    )
+        write("hadamard", jsonio.sign_matrix_obj(source))
+    write("epsh", jsonio.eps_hadamard_obj(y))
+    write("rbd", jsonio.rbd_obj(design))
+    write("bases", jsonio.basis_set_obj(
+        bs, *(jsonio.file_ref(paths[n], texts[n]) for n in ("rbd", "epsh"))))
+    write("report", jsonio.report_obj(report))
     certificate = {
         "kind": "certificate",
         "config": {"k": k, "s": s, "t": t, "d": k * s, "scope": args.scope},
@@ -198,22 +197,24 @@ def _mu_route_note(r) -> str:
 
 
 def cmd_verify(args) -> int:
+    artifacts = jsonio.ArtifactCache()
     worst = EXIT_OK
     for path in args.files:
         try:
-            obj = jsonio.load_json(path)
+            _, obj = artifacts.load(path)
             kind = jsonio.detect_kind(obj)
             note = ""
             if kind == "hadamard":
-                jsonio.parse_sign_matrix(obj)
+                artifacts.parse(path, jsonio.parse_sign_matrix)
             elif kind == "eps-hadamard":
-                jsonio.parse_eps_hadamard(obj)
+                artifacts.parse(path, jsonio.parse_eps_hadamard)
                 if obj.get("partial"):
                     note = " (partial: best split within the search cap)"
             elif kind == "rbd":
-                note = _mu_route_note(jsonio.parse_rbd(obj))
+                note = _mu_route_note(artifacts.parse(path, jsonio.parse_rbd))
             elif kind == "basis-set":
-                note = _mu_route_note(jsonio.parse_basis_set(obj).rbd)
+                bs = jsonio.parse_basis_set(obj, os.path.dirname(path), artifacts)
+                note = _mu_route_note(bs.rbd)
             elif kind == "report":
                 jsonio.parse_report(obj)
             elif kind == "certificate":

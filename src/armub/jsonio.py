@@ -9,12 +9,26 @@ declared boolean must be a JSON boolean.
 Serialization is canonical (sorted keys, fixed separators, trailing
 newline): serialize -> parse -> serialize is byte-identical.  Floats appear
 only in report-rendering fields.
+
+Designs and bases travel as recipes and references, not arrays:
+
+* ``rbd`` holds exactly one of ``"field": {"p", "e", "modulus"}``, the
+  recipe of the affine design over GF(p^e) (modulus little-endian, monic),
+  and ``"classes"``, the explicit r x s x k class array of a hand-built
+  design.  Either way the design is certified again on parse.
+* ``basis-set`` holds d, k, s and two references, ``"rbd"`` and
+  ``"epsh"``, each ``{"file", "sha256"}``: the plain file name of a
+  sibling artifact in the same directory and the SHA-256 of its bytes.
+  A parse reads the referenced files, requires their digests to match,
+  and certifies them (through an ``ArtifactCache``, once per batch).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -48,12 +62,43 @@ def write_atomic(path: str, text: str):
         raise
 
 
-def load_json(path: str):
+def load_json(path: str, digest: bool = False):
+    """The JSON value in the file at path; with ``digest``, the pair (SHA-256
+    hex digest of the file's bytes, value), from one read."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        obj = json.loads(data)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    return (hashlib.sha256(data).hexdigest(), obj) if digest else obj
+
+
+class ArtifactCache:
+    """The artifacts of one verify batch.  Each file is read once, and each
+    parser runs once per distinct file content, keyed by the SHA-256 of the
+    file's bytes, so an artifact that several files refer to is parsed and
+    certified once.  Failures are not kept: a bad file fails each time."""
+
+    def __init__(self):
+        self._files: dict[str, tuple[str, object]] = {}
+        self._parsed: dict[tuple, object] = {}
+
+    def load(self, path: str) -> tuple[str, object]:
+        """(SHA-256 hex digest of the file's bytes, JSON value)."""
+        key = os.path.abspath(path)
+        if key not in self._files:
+            self._files[key] = load_json(path, digest=True)
+        return self._files[key]
+
+    def parse(self, path: str, parser):
+        """parser applied to the JSON value of the file at path, once per
+        file content."""
+        digest, obj = self.load(path)
+        key = (digest, parser)
+        if key not in self._parsed:
+            self._parsed[key] = parser(obj)
+        return self._parsed[key]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +384,7 @@ def parse_eps_hadamard(obj) -> EpsHadamard:
 # ---------------------------------------------------------------------------
 
 def rbd_obj(r: Rbd) -> dict:
-    return {
+    out = {
         "kind": "rbd",
         "d": r.d,
         "k": r.k,
@@ -347,17 +392,39 @@ def rbd_obj(r: Rbd) -> dict:
         "r": r.r,
         "mu": r.mu,
         "provenance": r.provenance,
-        "classes": r.classes.astype(int).tolist(),
     }
+    if r.field is None:
+        out["classes"] = r.classes.astype(int).tolist()
+    else:
+        p, e, modulus = r.field
+        out["field"] = {"p": p, "e": e, "modulus": list(modulus)}
+    return out
+
+
+def _field_parse(obj) -> tuple[int, int, tuple[int, ...]]:
+    """(p, e, modulus) of an affine recipe's "field"."""
+    modulus = obj["modulus"]
+    if not isinstance(modulus, list):
+        raise ParseError(f"field.modulus must be a list of JSON integers, got {modulus!r}")
+    return (int_parse(obj["p"], "field.p"), int_parse(obj["e"], "field.e"),
+            tuple(int_parse(c, "field.modulus entry") for c in modulus))
 
 
 def parse_rbd(obj) -> Rbd:
-    try:
-        r = Rbd(
-            int_parse(obj["d"], "d"), int_parse(obj["k"], "k"), int_parse(obj["s"], "s"),
-            int_array_parse(obj["classes"], "classes"),
-            provenance=str(obj.get("provenance", "")),
+    if isinstance(obj, dict) and ("classes" in obj) == ("field" in obj):
+        raise ParseError(
+            "bad rbd artifact: needs exactly one of 'field' (the affine recipe) "
+            "and 'classes' (an explicit class array)"
         )
+    try:
+        d, k, s = (int_parse(obj[name], name) for name in ("d", "k", "s"))
+        provenance = str(obj.get("provenance", ""))
+        if "field" in obj:
+            r = Rbd.affine(k, s, _field_parse(obj["field"]), d=d,
+                           r=int_parse(obj["r"], "r"), provenance=provenance)
+        else:
+            r = Rbd(d, k, s, int_array_parse(obj["classes"], "classes"),
+                    provenance=provenance)
         declared_mu = None if obj["mu"] is None else int_parse(obj["mu"], "mu")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
@@ -378,29 +445,84 @@ def parse_rbd(obj) -> Rbd:
 # BasisSet
 # ---------------------------------------------------------------------------
 
-def basis_set_obj(bs: BasisSet) -> dict:
+def file_ref(path: str, text: str) -> dict:
+    """The reference to an artifact written as text at path: its file name
+    and the SHA-256 of its bytes."""
+    return {"file": os.path.basename(path),
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def basis_set_obj(bs: BasisSet, rbd_ref: dict, epsh_ref: dict) -> dict:
+    """The basis-set artifact of bs, given the ``file_ref`` of the files
+    that hold its design and its Y."""
     return {
         "kind": "basis-set",
         "d": bs.d,
         "k": bs.k,
         "s": bs.s,
-        "design": rbd_obj(bs.rbd),
-        "y": eps_hadamard_obj(bs.y),
+        "rbd": rbd_ref,
+        "epsh": epsh_ref,
     }
 
 
-def parse_basis_set(obj) -> BasisSet:
-    if isinstance(obj, dict) and "vectors" in obj:
+def _referenced(obj, name: str, directory: str, artifacts: ArtifactCache, parser):
+    """parser's result for the artifact that obj[name] refers to: a file
+    named by a plain file name in directory whose bytes have the recorded
+    SHA-256.  A malformed or unreadable reference is a parse error, a
+    digest mismatch a certification failure."""
+    ref = obj.get(name)
+    if not (isinstance(ref, dict) and "file" in ref and "sha256" in ref):
         raise ParseError(
-            "bad basis-set artifact: unknown field 'vectors' "
-            "(the bases are assembled from 'design' and 'y')"
+            f"bad basis-set artifact: {name!r} must be an object with 'file' "
+            f"and 'sha256', got {ref!r}"
         )
+    file, recorded = ref["file"], ref["sha256"]
+    if not (isinstance(file, str) and file not in ("", ".", "..")
+            and os.path.basename(file) == file):
+        raise ParseError(
+            f"bad basis-set artifact: {name}.file must be a plain file name in "
+            f"the directory of the basis-set, got {file!r}"
+        )
+    if not (isinstance(recorded, str) and re.fullmatch("[0-9a-f]{64}", recorded)):
+        raise ParseError(
+            f"bad basis-set artifact: {name}.sha256 must be 64 lowercase hex "
+            f"digits, got {recorded!r}"
+        )
+    path = os.path.join(directory, file)
     try:
-        r = parse_rbd(obj["design"])
-        y = parse_eps_hadamard(obj["y"])
-    except KeyError as exc:
-        raise ParseError(f"bad basis-set artifact: {exc}") from exc
-    return assemble(r, y)
+        digest, _ = artifacts.load(path)
+    except ParseError as exc:
+        raise ParseError(f"bad basis-set artifact: {name}.file: {exc}") from exc
+    if digest != recorded:
+        raise CertificationError(f"referenced {file} does not match its recorded sha256")
+    return artifacts.parse(path, parser)
+
+
+def parse_basis_set(obj, directory: str, artifacts: ArtifactCache) -> BasisSet:
+    """The bases of a basis-set artifact read from directory: its referenced
+    rbd and eps-hadamard artifacts are read from the same directory,
+    matched against their digests and certified (once per ``artifacts``
+    cache), and d, k, s must be those of the assembled set."""
+    for old in ("vectors", "design", "y"):  # fields of earlier forms
+        if isinstance(obj, dict) and old in obj:
+            raise ParseError(
+                f"bad basis-set artifact: unknown field {old!r} (a basis-set holds "
+                "d, k, s and the references 'rbd' and 'epsh'; write it again "
+                "with armub armub)"
+            )
+    try:
+        declared = tuple(int_parse(obj[name], name) for name in ("d", "k", "s"))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad basis-set artifact: {exc!r}") from exc
+    r = _referenced(obj, "rbd", directory, artifacts, parse_rbd)
+    y = _referenced(obj, "epsh", directory, artifacts, parse_eps_hadamard)
+    bs = assemble(r, y)
+    if declared != (bs.d, bs.k, bs.s):
+        raise CertificationError(
+            f"declared (d, k, s) = {declared} but the referenced artifacts give "
+            f"{(bs.d, bs.k, bs.s)}"
+        )
+    return bs
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ grouped by identical position map, and per pair of groups that matrix is
 contracted once with the per-column magnitude histograms of Y and weighted
 by the number of basis pairs between the groups, so every one of the d^2
 vector pairs of every basis pair is accounted for without materializing
-it.  The affine design has a single group and so a single contraction.
+it.  The affine design has a single group by construction, and so a
+single contraction.
 
 Values are collected by exact equality (no floating tolerance exists in
 classification); beta = sqrt(d) * max|<u,v>| is held exactly via its
@@ -123,7 +124,10 @@ def _merge_counts(acc: dict, key_scalar: Scalar, count: int):
 
 def _position_groups(bs: BasisSet) -> list[tuple[np.ndarray, int]]:
     """(position map, number of bases) per distinct position map of the
-    bases' classes, in order of first appearance."""
+    bases' classes, in order of first appearance.  The affine form has one
+    position map, point // s, for every class."""
+    if bs.rbd.field is not None:
+        return [(bs.rbd.pos_map(0), bs.num_bases)]
     groups: dict[bytes, list] = {}
     for basis in bs.bases:
         pm = bs.rbd.pos_map(basis.class_index)

@@ -4,6 +4,7 @@ sizes: exit codes, artifact files and batch verification."""
 import json
 import math
 import os
+import shutil
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from armub import cli, epsh, jsonio
 from armub.epsh import EpsHadamard, Provenance
+from armub.rbd import Rbd, build_affine_rbd
 
 
 @pytest.fixture
@@ -38,6 +40,19 @@ def pipeline_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline") / "out"
     assert cli.main(["armub", "--k", "3", "--s", "5", "--t", "1", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def explicit_rbd(tmp_path_factory):
+    """The (3, 5) design as an explicit class array declaring mu = 1: the
+    form rbd.json had before the recipe."""
+    r = build_affine_rbd(3, 5)
+    explicit = Rbd(r.d, r.k, r.s, r.classes, mu=1, provenance=r.provenance)
+    return _dump(jsonio.rbd_obj(explicit), tmp_path_factory.mktemp("explicit") / "rbd.json")
+
+
+def _copy(pipeline_dir, tmp_path):
+    return shutil.copytree(pipeline_dir, tmp_path / "out")
 
 
 def test_epsh_writes_and_verifies(tmp_path, capsys):
@@ -128,6 +143,13 @@ def test_verify_zero_denominator_is_parse_error(tmp_path, pipeline_dir, capsys):
     report["epsilon"]["ksq"]["a"] = ["1", "0"]
     assert cli.main(["verify", _dump(report, tmp_path / "report.json")]) == 4
     assert "parse error" in capsys.readouterr().out
+
+
+def test_undecodable_file_exit_4(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "rbd", "provenance": "\xff"}')
+    assert cli.main(["verify", str(path)]) == 4
+    assert capsys.readouterr().out.startswith(f"{path}: parse error: cannot read")
 
 
 def test_ledger_certificate_without_report_exit_4(tmp_path, pipeline_dir):
@@ -254,9 +276,17 @@ def _put(obj, value, *path):
     ("report.json", True, ("delta", 0, "count")),
     ("epsh.json", 1, ("provenance", "u_relation", "paper_listed")),
     ("report.json", "false", ("window_ok",)),
+    ("rbd.json", 5.0, ("r",)),
+    ("rbd.json", 5.0, ("field", "p")),
+    ("rbd.json", True, ("field", "e")),
+    ("rbd.json", 1.0, ("field", "modulus", 1)),
+    ("rbd.json", "x", ("field", "modulus")),
 ])
-def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, capsys, name, value, path):
-    bad = _dump(_put(_load(pipeline_dir / name), value, *path), tmp_path / name)
+def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, explicit_rbd, capsys,
+                                    name, value, path):
+    # a "classes" path edits the explicit form of the design
+    source = explicit_rbd if path[0] == "classes" else pipeline_dir / name
+    bad = _dump(_put(_load(source), value, *path), tmp_path / name)
     assert cli.main(["verify", bad]) == 4
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
 
@@ -297,3 +327,159 @@ def test_large_denominator_artifact_takes_python_int_route(tmp_path, capsys, mon
     assert cli.main(["verify", _dump(obj, path)]) == 5
     assert "orthogonality violated at (0, 1)" in capsys.readouterr().out
     assert routes[1:] == [False]
+
+
+def test_explicit_affine_rbd_is_certified_pairwise(explicit_rbd, capsys):
+    assert cli.main(["verify", explicit_rbd]) == 0
+    assert capsys.readouterr().out == f"{explicit_rbd}: rbd: ok (pairwise: 10 class pairs)\n"
+
+
+def _without(obj, field):
+    del obj[field]
+    return obj
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda obj: _set(obj, classes=build_affine_rbd(3, 5).classes.tolist()),
+    lambda obj: _without(obj, "field"),
+], ids=["both-forms", "neither-form"])
+def test_rbd_needs_exactly_one_form_exit_4(tmp_path, pipeline_dir, capsys, mutate):
+    bad = _dump(mutate(_load(pipeline_dir / "rbd.json")), tmp_path / "rbd.json")
+    assert cli.main(["verify", bad]) == 4
+    assert "exactly one of 'field' (the affine recipe) and 'classes'" in capsys.readouterr().out
+
+
+# (k, s) of the recipe, the fields replaced, and a part of the violation
+RECIPE_TAMPERS = {
+    "k-above-s": ((3, 5), {"k": 6, "d": 30}, "1 <= k <= s"),
+    "r-not-s": ((3, 5), {"r": 4}, "r = s classes"),
+    "d-not-ks": ((3, 5), {"d": 16}, "d must equal k*s"),
+    "even-s": ((3, 5), {"s": 4, "d": 12, "r": 4,
+                        "field": {"p": 2, "e": 2, "modulus": [1, 1, 1]}}, "odd prime power"),
+    "non-prime-power-s": ((3, 5), {"s": 15, "d": 45, "r": 15}, "odd prime power"),
+    "s-above-field-budget": ((3, 5), {"s": 3**10, "d": 3 * 3**10, "r": 3**10,
+                                      "field": {"p": 3, "e": 10, "modulus": [1] * 11}},
+                             "odd prime power of at most"),
+    "field-of-other-order": ((3, 125), {"field": {"p": 125, "e": 1, "modulus": [0, 1]}},
+                             "does not have s=125 elements"),
+    "wrong-modulus": ((3, 125), {"field": {"p": 5, "e": 3, "modulus": [4, 1, 0, 1]}},
+                      "not the certified modulus [1, 1, 0, 1]"),
+    "reducible-modulus": ((3, 125), {"field": {"p": 5, "e": 3, "modulus": [0, 0, 0, 1]}},
+                          "not the certified modulus"),
+    "declared-mu-0": ((3, 5), {"mu": 0}, "declared mu=0 but verified mu=1"),
+}
+
+
+@pytest.mark.parametrize("case", list(RECIPE_TAMPERS))
+def test_tampered_recipe_exit_5(tmp_path, capsys, case):
+    (k, s), fields, violation = RECIPE_TAMPERS[case]
+    obj = _set(jsonio.rbd_obj(build_affine_rbd(k, s)), **fields)
+    path = _dump(obj, tmp_path / "rbd.json")
+    assert cli.main(["verify", path]) == 5
+    out = capsys.readouterr().out
+    assert out.startswith(f"{path}: rbd: CHECK FAILED: ")
+    assert violation in out
+
+
+# a reference in bases.json must name a readable file in its own directory
+@pytest.mark.parametrize("file", [
+    lambda out: str(out / "rbd.json"),  # absolute path
+    lambda out: "sub/rbd.json",
+    lambda out: "../out/rbd.json",
+    lambda out: "..",
+    lambda out: "missing.json",
+    lambda out: 7,
+], ids=["absolute", "separator", "dotdot-path", "dotdot", "missing", "not-a-string"])
+def test_unsafe_or_missing_reference_exit_4(tmp_path, pipeline_dir, capsys, file):
+    out = _copy(pipeline_dir, tmp_path)
+    os.mkdir(out / "sub")
+    shutil.copy(out / "rbd.json", out / "sub" / "rbd.json")
+    bases = _load(out / "bases.json")
+    bases["rbd"]["file"] = file(out)
+    path = _dump(bases, out / "bases.json")
+    assert cli.main(["verify", path]) == 4
+    message = capsys.readouterr().out
+    assert message.startswith(f"{path}: parse error: bad basis-set artifact: rbd.file")
+
+
+@pytest.mark.parametrize("name", ["rbd.json", "epsh.json"])
+def test_reference_digest_mismatch_exit_5(tmp_path, pipeline_dir, capsys, name):
+    out = _copy(pipeline_dir, tmp_path)
+    with open(out / name, "a") as fh:
+        fh.write(" ")  # the same JSON value, other bytes
+    path = str(out / "bases.json")
+    assert cli.main(["verify", path, str(out / name)]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"{path}: basis-set: CHECK FAILED: referenced {name} "
+                        "does not match its recorded sha256")
+    assert lines[1].startswith(f"{out / name}: ") and ": ok" in lines[1]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda bases: bases["epsh"].pop("sha256"), "'epsh' must be an object with 'file' and 'sha256'"),
+    (lambda bases: bases["epsh"].pop("file"), "'epsh' must be an object with 'file' and 'sha256'"),
+    (lambda bases: bases.update(epsh="epsh.json"), "'epsh' must be an object with 'file' and 'sha256'"),
+    (lambda bases: bases["epsh"].update(sha256=bases["epsh"]["sha256"].upper()),
+     "epsh.sha256 must be 64 lowercase hex digits"),
+], ids=["no-sha256", "no-file", "not-an-object", "upper-case-sha256"])
+def test_malformed_reference_exit_4(tmp_path, pipeline_dir, capsys, mutate, message):
+    out = _copy(pipeline_dir, tmp_path)
+    bases = _load(out / "bases.json")
+    mutate(bases)
+    assert cli.main(["verify", _dump(bases, out / "bases.json")]) == 4
+    assert message in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", ["design", "y"])
+def test_bases_with_embedded_design_or_y_exit_4(tmp_path, pipeline_dir, explicit_rbd,
+                                                capsys, field):
+    """The basis-set form written before references: design and Y inline."""
+    old = {"kind": "basis-set", "d": 15, "k": 3, "s": 5,
+           "design": _load(explicit_rbd), "y": _load(pipeline_dir / "epsh.json")}
+    if field == "y":
+        del old["design"]
+    assert cli.main(["verify", _dump(old, tmp_path / "bases.json")]) == 4
+    out = capsys.readouterr().out
+    assert "parse error" in out and f"unknown field {field!r}" in out
+    assert "the references 'rbd' and 'epsh'" in out
+
+
+def test_declared_size_must_match_referenced_design(tmp_path, pipeline_dir, capsys):
+    out = _copy(pipeline_dir, tmp_path)
+    bases = _set(_load(out / "bases.json"), d=16)
+    assert cli.main(["verify", _dump(bases, out / "bases.json")]) == 5
+    assert "declared (d, k, s) = (16, 3, 5)" in capsys.readouterr().out
+
+
+def test_verify_batch_certifies_each_artifact_once(pipeline_dir, monkeypatch, capsys):
+    from armub import hadamard
+
+    calls = {"verify_orthogonal": 0, "is_hadamard": 0}
+    verify_orthogonal, is_hadamard = EpsHadamard.verify_orthogonal, hadamard.is_hadamard
+
+    def spy_orthogonal(self):
+        calls["verify_orthogonal"] += 1
+        return verify_orthogonal(self)
+
+    def spy_hadamard(m):
+        calls["is_hadamard"] += 1
+        return is_hadamard(m)
+
+    monkeypatch.setattr(EpsHadamard, "verify_orthogonal", spy_orthogonal)
+    monkeypatch.setattr(jsonio, "is_hadamard", spy_hadamard)
+    monkeypatch.setattr(hadamard, "is_hadamard", spy_hadamard)
+    files = sorted(str(p) for p in pipeline_dir.iterdir())
+    assert len(files) == 6
+    assert cli.main(["verify", *files]) == 0
+    assert capsys.readouterr().out.count(": ok") == 6
+    assert calls == {"verify_orthogonal": 1, "is_hadamard": 1}
+
+
+def test_design_artifacts_stay_small(tmp_path, capsys):
+    """rbd.json is a recipe and bases.json two references, whatever d."""
+    out = tmp_path / "out"
+    assert cli.main(["armub", "--k", "23", "--s", "25", "--t", "1", "--out", str(out)]) == 0
+    for name in ("rbd.json", "bases.json"):
+        assert os.path.getsize(out / name) < 1024, name
+    files = sorted(str(p) for p in out.iterdir())
+    assert cli.main(["verify", *files]) == 0

@@ -14,7 +14,7 @@ def set_intersection_mu(r: Rbd) -> int:
     """Brute-force oracle: max cross-class block intersection via sets."""
     mu = 0
     blocks = [
-        [set(int(p) for p in blk) for blk in r.classes[l]] for l in range(r.r)
+        [set(int(p) for p in blk) for blk in r.class_blocks(l)] for l in range(r.r)
     ]
     for l in range(r.r):
         for m in range(l + 1, r.r):
@@ -99,9 +99,9 @@ def test_sharing_pair_count_is_k_times_s():
         for l in range(r.r):
             for m in range(l + 1, r.r):
                 sharing = 0
-                for a in r.classes[l]:
+                for a in r.class_blocks(l):
                     sa = set(int(p) for p in a)
-                    for b in r.classes[m]:
+                    for b in r.class_blocks(m):
                         if sa & set(int(p) for p in b):
                             sharing += 1
                 assert sharing == k * s, (k, s, l, m)
@@ -119,12 +119,19 @@ def test_blocks_sorted_and_points_in_range():
     assert r.classes.min() == 0 and r.classes.max() == r.d - 1
 
 
+def explicit_copy(r: Rbd) -> Rbd:
+    """The explicit class-array form of an affine design, declaring mu = 1,
+    as rbd.json stored it before the recipe form."""
+    return Rbd(r.d, r.k, r.s, r.classes, mu=1, provenance=r.provenance)
+
+
 def test_json_roundtrip_and_tamper():
     r = build_affine_rbd(3, 5)
-    text = jsonio.dumps_canonical(jsonio.rbd_obj(r))
-    parsed = jsonio.parse_rbd(json.loads(text))
-    assert jsonio.dumps_canonical(jsonio.rbd_obj(parsed)) == text
-    obj = json.loads(text)
+    for design in (r, explicit_copy(r)):
+        text = jsonio.dumps_canonical(jsonio.rbd_obj(design))
+        parsed = jsonio.parse_rbd(json.loads(text))
+        assert jsonio.dumps_canonical(jsonio.rbd_obj(parsed)) == text
+    obj = jsonio.rbd_obj(explicit_copy(r))
     obj["classes"][0][0][0] = obj["classes"][0][0][1]  # break sortedness
     with pytest.raises(CertificationError):
         jsonio.parse_rbd(obj)
@@ -141,9 +148,9 @@ def test_large_affine_79_81():
     for _ in range(5):
         l, m = rng.sample(range(r.r), 2)
         worst = 0
-        for a in r.classes[l]:
+        for a in r.class_blocks(l):
             sa = set(int(p) for p in a)
-            for b in r.classes[m]:
+            for b in r.class_blocks(m):
                 worst = max(worst, len(sa & set(int(p) for p in b)))
         assert worst == 1
 
@@ -153,10 +160,24 @@ def test_affine_design_takes_the_line_theorem_route():
     assert r.mu_route == "affine"
     parsed = jsonio.parse_rbd(json.loads(jsonio.dumps_canonical(jsonio.rbd_obj(r))))
     assert (parsed.mu, parsed.mu_route) == (1, "affine")
-    # recognised by content: the provenance label plays no part
-    relabelled = Rbd(r.d, r.k, r.s, r.classes, provenance="hand-built")
-    assert verify_rbd(relabelled).route == "affine"
     assert verify_rbd(Rbd(4, 2, 2, PAPER_D4_CLASSES)).route == "pairwise"
+
+
+@pytest.mark.parametrize("k,s", [(3, 5), (4, 7), (3, 9), (5, 25)])
+def test_recipe_matches_its_explicit_classes(k, s):
+    """The materialised classes of the recipe form pass the pairwise route
+    with mu = 1, and its on-demand block and position maps are those of
+    the class array."""
+    r = build_affine_rbd(k, s)
+    assert r.field is not None and r.mu_route == "affine"
+    explicit = Rbd(r.d, k, s, r.classes)
+    cert = verify_rbd(explicit)
+    assert (cert.valid, cert.mu, cert.route) == (True, 1, "pairwise")
+    assert cert.class_pairs_checked == verify_rbd(r).class_pairs_checked == s * (s - 1) // 2
+    for l in range(s):
+        assert np.array_equal(r.class_blocks(l), explicit.class_blocks(l))
+        assert np.array_equal(r.block_map(l), explicit.block_map(l))
+        assert np.array_equal(r.pos_map(l), explicit.pos_map(l))
 
 
 def _swap_same_row_points(r: Rbd) -> list:
@@ -176,7 +197,7 @@ def test_swapped_points_take_the_pairwise_route(k, s, tmp_path, capsys):
     assert cert.valid and cert.route == "pairwise"
     assert cert.class_pairs_checked == s * (s - 1) // 2
     assert cert.mu == set_intersection_mu(tampered) == 2
-    obj = jsonio.rbd_obj(r)  # declares "mu": 1
+    obj = jsonio.rbd_obj(explicit_copy(r))  # declares "mu": 1
     obj["classes"] = tampered.classes.tolist()
     path = tmp_path / "rbd.json"
     path.write_text(json.dumps(obj))
@@ -191,7 +212,7 @@ def test_permuted_classes_take_the_pairwise_route(k, s, tmp_path, capsys):
     cert = verify_rbd(permuted)
     assert cert.valid and cert.route == "pairwise"
     assert cert.mu == set_intersection_mu(permuted) == 1
-    obj = jsonio.rbd_obj(r)
+    obj = jsonio.rbd_obj(explicit_copy(r))
     obj["classes"] = permuted.classes.tolist()
     path = tmp_path / "rbd.json"
     path.write_text(json.dumps(obj))

@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from armub import jsonio
 from armub.algebra import QuadNum, cmp_values
 from armub.bases import assemble
-from armub.epsh import EpsHadamard, best_reduction
+from armub.epsh import EpsHadamard, Provenance, best_reduction
 from armub.errors import CertificationError
 from armub.hadamard import find_hadamard, sylvester
 from armub.rbd import Rbd, build_affine_rbd, verify_rbd
@@ -86,6 +87,41 @@ def test_grouped_contraction_matches_pairwise_oracle(case):
     assert rep.pairs_checked == pairs
     assert rep.coverage["basis_pairs"] * bs.d * bs.d == pairs
     assert oracle_classification(counts, bs.d) == rep.classification
+
+
+def householder_5():
+    """The exact orthogonal matrix I - (2/5) J of order 5 (Y for k = 5,
+    which no t <= 3 reduction reaches)."""
+    ids = np.ones((5, 5), dtype=np.int64) - np.eye(5, dtype=np.int64)
+    prov = Provenance(source_label="householder(5)", source_order=5, t=0,
+                      row_select=(), col_select=(), row_negate=(), col_negate=(),
+                      variant=None, method="householder")
+    return EpsHadamard.from_value_ids(ids, [Fraction(3, 5), Fraction(-2, 5)], 5, prov)
+
+
+@pytest.mark.parametrize("k,s", [(3, 5), (4, 7), (3, 9), (5, 25)])
+def test_recipe_design_matches_its_explicit_copy(k, s):
+    """cross_stats on the recipe form (one position group by construction)
+    and on its explicit class array (grouped by hashing, certified
+    pairwise) give byte-identical reports, equal to the per-pair oracle."""
+    r = build_affine_rbd(k, s)
+    if k == 5:
+        y = householder_5()
+    elif k % 4 == 0:
+        y = EpsHadamard.from_sign_hadamard(find_hadamard(k))
+    else:
+        y = best_reduction(find_hadamard(k + 1), 1)
+    explicit = Rbd(r.d, k, s, r.classes)
+    cert = verify_rbd(explicit)
+    assert cert.route == "pairwise"
+    explicit.mu = cert.mu
+    implicit_bs, explicit_bs = assemble(r, y), assemble(explicit, y)
+    rep = cross_stats(implicit_bs)
+    text = jsonio.dumps_canonical(jsonio.report_obj(rep))
+    assert text == jsonio.dumps_canonical(jsonio.report_obj(cross_stats(explicit_bs)))
+    counts, _, pairs = cross_stats_pairwise(explicit_bs)
+    assert report_delta_dict(rep) == counts
+    assert rep.pairs_checked == pairs
 
 
 @pytest.mark.parametrize("relabel", [None, RELABEL_4_GROUPS])
