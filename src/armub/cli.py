@@ -22,10 +22,15 @@ Exit codes (stable contract; CI treats any nonzero as red):
 them.  Each file is read once per invocation, and each artifact content
 (keyed by the SHA-256 of its bytes) is parsed and certified once, so a
 basis-set and the rbd and epsh files it refers to cost one certification
-each.  For an rbd or basis-set file it says how the design's mu was
-certified: by the line theorem for the affine recipe, or pairwise over
-every class pair for an explicit class array (a hand-built design, or an
-affine rbd.json written before the recipe form).
+each.  An epsh file holds Y as its derivation: verify checks the stored
+Hadamard matrix H, derives Y again from H and the stored split, certifies
+it exactly as construction does, and fails (exit 5) unless k, m, the
+provenance, epsilon and epsilon_upper equal the derived ones.  An epsh
+file of the earlier form, with Y's explicit "entries", exits 4.  For an
+rbd or basis-set file it says how the design's mu was certified: by the
+line theorem for the affine recipe, or pairwise over every class pair for
+an explicit class array (a hand-built design, or an affine rbd.json
+written before the recipe form).
 
 Artifacts are written atomically (temp file + rename) in canonical JSON.
 """
@@ -117,13 +122,12 @@ def cmd_rbd(args) -> int:
     return EXIT_OK
 
 
-def _provide_y(k: int, t: int, scope: str, cap: int):
+def _provide_y(k: int, t: int, scope: str, cap: int) -> EpsHadamard:
     """Orthogonal matrix of order k: exact H_k/sqrt(k) when such an order
     admits a real Hadamard matrix, else reduction of H_{k+t}."""
     if k in (1, 2) or k % 4 == 0:
-        return EpsHadamard.from_sign_hadamard(find_hadamard(k)), None
-    h = find_hadamard(k + t)
-    return best_reduction(h, t, search_scope=scope, cap=cap), h
+        return EpsHadamard.from_sign_hadamard(find_hadamard(k))
+    return best_reduction(find_hadamard(k + t), t, search_scope=scope, cap=cap)
 
 
 def cmd_armub(args) -> int:
@@ -132,7 +136,7 @@ def cmd_armub(args) -> int:
         raise DomainError("t must be 1, 2 or 3")
     if (k + t) % 4 != 0 and not (k in (1, 2) or k % 4 == 0):
         raise DomainError(f"k + t = {k + t} must be divisible by 4")
-    y, source = _provide_y(k, t, args.scope, args.cap)
+    y = _provide_y(k, t, args.scope, args.cap)
     design = build_affine_rbd(k, s)
     bs = assemble(design, y)
     report = cross_stats(bs)
@@ -151,8 +155,6 @@ def cmd_armub(args) -> int:
         texts[name] = jsonio.dumps_canonical(obj)
         jsonio.write_atomic(paths[name], texts[name])
 
-    if source is not None:
-        write("hadamard", jsonio.sign_matrix_obj(source))
     write("epsh", jsonio.eps_hadamard_obj(y))
     write("rbd", jsonio.rbd_obj(design))
     write("bases", jsonio.basis_set_obj(

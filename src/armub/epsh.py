@@ -11,16 +11,15 @@ elimination path and the closed forms.
 
 Representation: a result Y is given as a sum of terms (c_r, A_r) with
 exact scalar coefficients c_r in Q(sqrt(c)) and integer matrices A_r (D,
-W V, W U V, W U^2 V, rank-one W-column x V-row products, or the indicator
-matrices of the equal entries of a parsed artifact).  EpsHadamard turns the
-terms into one exact integer form, L*Y = P + Q*sqrt(c) with integer P and Q
-and L the lcm of the coefficient denominators.  The distinct entries are
-the distinct (P_ij, Q_ij) pairs, and Y Y^T = I is the pair of integer
-identities P P^T + c*Q Q^T = L^2 * I and P Q^T + Q P^T = 0: at most three
-k x k products for any number of terms.  The products run in float64 BLAS
-only under an asserted bound that keeps every partial sum an integer below
-2^53, where float64 is exact; inputs outside it take the same formulas on
-Python ints.
+W V, W U V, W U^2 V, or rank-one W-column x V-row products).  EpsHadamard
+turns the terms into one exact integer form, L*Y = P + Q*sqrt(c) with
+integer P and Q and L the lcm of the coefficient denominators.  The
+distinct entries are the distinct (P_ij, Q_ij) pairs, and Y Y^T = I is the
+pair of integer identities P P^T + c*Q Q^T = L^2 * I and P Q^T + Q P^T = 0:
+at most three k x k products for any number of terms.  The products run in
+float64 BLAS only under an asserted bound that keeps every partial sum an
+integer below 2^53, where float64 is exact; inputs outside it take the same
+formulas on Python ints.
 
 Epsilon is computed from the definition: the maximum over entries of
 |sqrt(k)*|Y_ij| - 1|, held exactly as the pair (q, side) with
@@ -149,17 +148,10 @@ class UClass:
     preferred_variant: Optional[str]
     closed_form_available: bool
 
-    def relation_str(self) -> str:
-        if self.t <= 2:
-            return f"U^2 = {self.kappa}*I + {self.gamma}*U"
-        return f"U^3 = {self.kappa}*I + {self.gamma}*U + {self.vartheta}*U^2"
-
     def relation_holds(self, u: np.ndarray) -> bool:
         u = np.asarray(u, dtype=np.int64)
         eye = np.eye(self.t, dtype=np.int64)
-        if self.t == 1:
-            return bool(np.array_equal(u @ u, self.kappa * eye + self.gamma * u))
-        if self.t == 2:
+        if self.t <= 2:
             return bool(np.array_equal(u @ u, self.kappa * eye + self.gamma * u))
         u2 = u @ u
         return bool(
@@ -366,7 +358,9 @@ class BlockSplit:
         return np.array([-1 if b else 1 for b in mask], dtype=np.int64)
 
     def _complement(self, selected) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.source.order), np.array(selected))
+        keep = np.ones(self.source.order, dtype=bool)
+        keep[list(selected)] = False
+        return np.flatnonzero(keep)
 
     def u_matrix(self) -> np.ndarray:
         h = self.source.rows.astype(np.int64)
@@ -435,6 +429,9 @@ class EpsHadamard:
     three run at construction, so every EpsHadamard is certified; epsilon
     < 1 is recorded rather than enforced, since it is only guaranteed for
     t < sqrt(n).
+
+    ``source`` is the Hadamard matrix Y was derived from, None for a Y
+    given by its terms alone.
     """
 
     __slots__ = (
@@ -442,6 +439,7 @@ class EpsHadamard:
         "radicand",
         "terms",
         "provenance",
+        "source",
         "epsilon",
         "epsilon_upper",
         "window_ok",
@@ -455,11 +453,13 @@ class EpsHadamard:
         "_combo_values",
     )
 
-    def __init__(self, order, radicand, terms, provenance):
+    def __init__(self, order, radicand, terms, provenance,
+                 source: Optional[SignMatrix] = None):
         self.order = int(order)
         self.radicand = int(radicand)
         self.terms = tuple((c, _frozen(m)) for c, m in terms)
         self.provenance = provenance
+        self.source = source
         self._scale, self._core, self._p, self._q = _integer_form(self.terms)
         self._scan_entries()
         self._certify_window()
@@ -567,10 +567,6 @@ class EpsHadamard:
     def max_abs_entry(self) -> Scalar:
         return self._distinct[-1][0]
 
-    def value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
-        """(ids, values): ids[i, j] indexes Y_ij in the distinct values."""
-        return self._entry_combo_ids, self._combo_values
-
     def abs_value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
         """(ids, values): ids[i, j] indexes the magnitude of Y_ij in values."""
         combo_to_abs = np.zeros(len(self._combo_values), dtype=np.int64)
@@ -609,19 +605,7 @@ class EpsHadamard:
             variant=None,
             method="exact-hadamard",
         )
-        return cls(k, k, [(coeff, h.rows.astype(np.int64))], prov)
-
-    @classmethod
-    def from_value_ids(cls, ids: np.ndarray, values: Sequence[Scalar], radicand: int,
-                       provenance: Provenance) -> "EpsHadamard":
-        """Y with Y_ij = values[ids[i, j]] (values distinct), e.g. parsed
-        JSON, as one indicator term per nonzero value; certified as any
-        other EpsHadamard."""
-        terms = [
-            (v, ids == vi) for vi, v in enumerate(values)
-            if sign_of(v) != 0 or len(values) == 1
-        ]
-        return cls(ids.shape[0], radicand, terms, provenance)
+        return cls(k, k, [(coeff, h.rows.astype(np.int64))], prov, source=h)
 
 
 def _integer_form(terms) -> tuple[int, int, np.ndarray, Optional[np.ndarray]]:
@@ -842,7 +826,7 @@ def schur_reduce(split: BlockSplit, variant: str) -> EpsHadamard:
         method="schur",
         uclass=classify_u(u),
     )
-    return EpsHadamard(m - t, m, terms, prov)
+    return EpsHadamard(m - t, m, terms, prov, source=split.source)
 
 
 def _poly_inverse_coeffs(kappa: int, gamma: int, vartheta: Optional[int],
@@ -952,7 +936,7 @@ def closed_form(split: BlockSplit, uclass: UClass, variant: str) -> EpsHadamard:
         method="closed-form",
         uclass=uclass,
     )
-    return EpsHadamard(m - split.t, m, terms, prov)
+    return EpsHadamard(m - split.t, m, terms, prov, source=split.source)
 
 
 def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:

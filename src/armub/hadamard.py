@@ -73,16 +73,20 @@ class HadamardCheck:
         return self.ok
 
 
-def is_hadamard(m: SignMatrix | np.ndarray) -> HadamardCheck:
-    """Exact check of H * H^T = order * I; locates the first violation."""
-    rows = m.rows if isinstance(m, SignMatrix) else np.asarray(m)
-    n = rows.shape[0]
-    gram = rows.astype(np.int64) @ rows.astype(np.int64).T
-    target = n * np.eye(n, dtype=np.int64)
-    bad = np.argwhere(gram != target)
-    if bad.size:
-        i, j = map(int, bad[0])
-        return HadamardCheck(False, n, (i, j, int(gram[i, j])))
+def is_hadamard(m: SignMatrix) -> HadamardCheck:
+    """Exact check of H * H^T = order * I; locates the first violation in
+    row-major order.  The product runs in float64 BLAS: every entry is +-1,
+    so every partial sum is an integer of magnitude at most the order,
+    asserted below 2^53, where float64 is exact."""
+    n = m.order
+    assert n < 2**53, f"order {n} is outside the exact float64 range"
+    rows = m.rows.astype(np.float64)
+    gram = rows @ rows.T
+    gram[np.diag_indices(n)] -= n  # H H^T - n I in place, no second n x n array
+    bad = gram != 0
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        return HadamardCheck(False, n, (i, j, int(gram[i, j]) + n * (i == j)))
     return HadamardCheck(True, n, None)
 
 

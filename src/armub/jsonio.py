@@ -10,8 +10,16 @@ Serialization is canonical (sorted keys, fixed separators, trailing
 newline): serialize -> parse -> serialize is byte-identical.  Floats appear
 only in report-rendering fields.
 
-Designs and bases travel as recipes and references, not arrays:
+Y, designs and bases travel as derivations, recipes and references, not
+arrays:
 
+* ``hadamard`` holds ``order``, ``label`` and ``rows``, one lowercase hex
+  string of 2*ceil(order/8) digits per row: its bits (set where an entry
+  is -1) packed MSB first, the padding bits zero.
+* ``eps-hadamard`` holds Y as its derivation: the source H (``hadamard``)
+  and the split, route and U relation (``provenance``), with k, m and
+  both epsilons.  A parse derives and certifies Y again from H and the
+  split, and every stored field must equal the derived one.
 * ``rbd`` holds exactly one of ``"field": {"p", "e", "modulus"}``, the
   recipe of the affine design over GF(p^e) (modulus little-endian, monic),
   and ``"classes"``, the explicit r x s x k class array of a hand-built
@@ -25,6 +33,7 @@ Designs and bases travel as recipes and references, not arrays:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -35,8 +44,8 @@ import numpy as np
 
 from .algebra import Scalar, QuadNum, cmp_values, square_free_split
 from .bases import BasisSet, assemble
-from .epsh import EpsHadamard, ExactEps, Provenance, _scalar_key
-from .errors import CertificationError, ParseError
+from .epsh import BlockSplit, EpsHadamard, ExactEps, Provenance, reduce_split
+from .errors import CertificationError, DomainError, ParseError
 from .hadamard import SignMatrix, is_hadamard
 from .rbd import Rbd, verify_rbd
 
@@ -208,29 +217,46 @@ def eps_parse(obj, radicand: int) -> ExactEps:
 # ---------------------------------------------------------------------------
 
 def sign_matrix_obj(m: SignMatrix) -> dict:
+    packed = np.packbits(m.rows < 0, axis=1)
     return {
         "kind": "hadamard",
         "order": m.order,
         "label": m.label,
-        "rows": m.rows.astype(int).tolist(),
+        "rows": [row.tobytes().hex() for row in packed],
     }
 
 
-def parse_sign_matrix(obj, require_verified: bool = True) -> SignMatrix:
+def _packed_rows_parse(rows, order: int) -> np.ndarray:
+    """The +-1 rows of a packed sign matrix of the given order."""
+    if order < 1 or not isinstance(rows, list) or len(rows) != order:
+        raise ParseError(f"rows must be a list of {order} packed rows (order >= 1)")
+    width = -(-order // 8)
+    row_form = re.compile(f"[0-9a-f]{{{2 * width}}}")
+    for i, row in enumerate(rows):
+        if type(row) is not str or not row_form.fullmatch(row):
+            raise ParseError(f"rows[{i}] must be {2 * width} lowercase hex digits, got {row!r}")
+    packed = np.frombuffer(bytes.fromhex("".join(rows)), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(order, width), axis=1)
+    padded = bits[:, order:].any(axis=1)
+    if padded.any():
+        raise ParseError(f"rows[{int(np.argmax(padded))}] has nonzero padding bits")
+    return 1 - 2 * bits[:, :order].astype(np.int8)
+
+
+def parse_sign_matrix(obj) -> SignMatrix:
+    """A sign matrix from its packed form, required to be Hadamard."""
     try:
-        rows = int_array_parse(obj["rows"], "rows")
         order = int_parse(obj["order"], "order")
-        m = SignMatrix(rows, label=str(obj.get("label", "")))
+        m = SignMatrix(_packed_rows_parse(obj["rows"], order),
+                       label=str(obj.get("label", "")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad hadamard artifact: {exc}") from exc
-    if m.order != order:
-        raise ParseError(f"declared order {order} != actual {m.order}")
     check = is_hadamard(m)
-    if require_verified and not check.ok:
+    if not check.ok:
         raise CertificationError(
             f"hadamard re-check failed at {check.first_violation}"
         )
-    return SignMatrix(m.rows, label=m.label, verified=check.ok)
+    return SignMatrix(m.rows, label=m.label, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +327,17 @@ def _flag_parse(value, name: str) -> bool:
 
 
 def eps_hadamard_obj(y: EpsHadamard, partial: bool = False) -> dict:
-    """The artifact of y; ``partial`` marks the best split of a search that
-    stopped at its cap (the field is omitted otherwise).  Equal entries
-    share one cell object, built once per distinct value."""
+    """The artifact of y: its source H and split, from which a parse derives
+    y again; ``partial`` marks the best split of a search that stopped at
+    its cap (the field is omitted otherwise)."""
+    if y.source is None:
+        raise DomainError("only a Y derived from a Hadamard matrix has an artifact")
     m = y.radicand
-    ids, values = y.value_ids()
-    cells = [scalar_wire(v, m) for v in values]
     out = {
         "kind": "eps-hadamard",
+        "hadamard": sign_matrix_obj(y.source),
         "k": y.order,
         "m": m,
-        "entries": [[cells[c] for c in row] for row in ids.tolist()],
         "epsilon": eps_wire(y.epsilon, m),
         "epsilon_upper": eps_wire(y.epsilon_upper, m),
         "provenance": provenance_obj(y.provenance),
@@ -321,60 +347,47 @@ def eps_hadamard_obj(y: EpsHadamard, partial: bool = False) -> dict:
     return out
 
 
-def _entry_value_ids(rows, k: int, radicand: int) -> tuple[np.ndarray, list[Scalar]]:
-    """(ids, values) of a k x k matrix of wire cells: values[ids[i, j]] is
-    entry (i, j), and the values are distinct.
-
-    Cells are interned by their wire content, so each distinct cell is
-    parsed once.  The key keeps the container types and every part, and a
-    valid cell's parts are all strings, so no malformed cell shares the key
-    of a valid one; a malformed cell is parsed, and rejected, when first
-    seen.
-    """
-    if k < 1 or not isinstance(rows, list) or len(rows) != k:
-        raise ParseError(f"declared k={k}, entries are not {k} rows")
-    by_wire: dict = {}  # wire key -> value id
-    by_value: dict = {}  # canonical value key -> value id
-    values: list[Scalar] = []
-
-    def value_id(cell) -> int:
-        a, b = cell["a"], cell["b"]
-        key = (type(a), *a, type(b), *b)
-        vid = by_wire.get(key)
-        if vid is None:
-            v = scalar_parse(cell, radicand)
-            vid = by_value.setdefault(_scalar_key(v), len(values))
-            if vid == len(values):
-                values.append(v)
-            by_wire[key] = vid
-        return vid
-
-    ids = np.empty((k, k), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != k:
-            raise ParseError(f"entry row {i} does not have {k} cells")
-        ids[i] = [value_id(cell) for cell in row]
-    return ids, values
-
-
 def parse_eps_hadamard(obj) -> EpsHadamard:
+    """Y derived again from the stored H and split and certified; k, m, the
+    provenance, epsilon and epsilon_upper must equal the derived ones."""
+    if isinstance(obj, dict) and "entries" in obj:  # the form written before
+        raise ParseError(
+            "bad eps-hadamard artifact: unknown field 'entries' (an eps-hadamard "
+            "holds its source 'hadamard' and the split in 'provenance', from "
+            "which Y is derived; write it again with armub epsh or armub armub)"
+        )
     if isinstance(obj, dict) and not isinstance(obj.get("partial", False), bool):
         raise ParseError(f"bad eps-hadamard artifact: partial={obj['partial']!r}")
     try:
+        h = parse_sign_matrix(obj["hadamard"])
         k = int_parse(obj["k"], "k")
         m = int_parse(obj["m"], "m")
-        ids, values = _entry_value_ids(obj["entries"], k, m)
         prov = parse_provenance(obj["provenance"])
         stored = {name: eps_parse(obj[name], m) for name in ("epsilon", "epsilon_upper")}
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad eps-hadamard artifact: {exc}") from exc
-    y = EpsHadamard.from_value_ids(ids, values, m, prov)  # re-certifies exactly
-    for name, recomputed in (("epsilon", y.epsilon), ("epsilon_upper", y.epsilon_upper)):
-        if cmp_values(stored[name].q, recomputed.q) != 0:
+    if prov.method == "exact-hadamard":
+        y = EpsHadamard.from_sign_hadamard(h)
+    else:
+        y = reduce_split(BlockSplit(h, prov.row_select, prov.col_select,
+                                    prov.row_negate, prov.col_negate), prov.variant)
+    if (k, m) != (y.order, y.radicand):
+        raise CertificationError(
+            f"stored (k, m) = {(k, m)} != derived {(y.order, y.radicand)}"
+        )
+    if prov != y.provenance:
+        differ = [{"uclass": "u_relation"}.get(f.name, f.name)
+                  for f in dataclasses.fields(prov)
+                  if getattr(prov, f.name) != getattr(y.provenance, f.name)]
+        raise CertificationError(
+            f"stored provenance differs from the derived one in {', '.join(differ)}"
+        )
+    for name, derived in (("epsilon", y.epsilon), ("epsilon_upper", y.epsilon_upper)):
+        if cmp_values(stored[name].q, derived.q) != 0:
             raise CertificationError(
-                f"stored {name} ksq {stored[name].q} != recomputed {recomputed.q}"
+                f"stored {name} ksq {stored[name].q} != derived {derived.q}"
             )
     return y
 

@@ -99,10 +99,6 @@ class UnbiasednessReport:
     def bound_beta_float(self) -> float:
         return (1.0 + float(self.epsilon)) ** 2 * math.sqrt(self.d) / self.k
 
-    def beta_formula_certificate(self) -> ExactBeta:
-        """The mu * max|Y|^2 bound as an exact beta value (route one)."""
-        return ExactBeta(self.max_abs_y_sq, self.d)
-
 
 def _ip_le_eps_square(max_ip: Scalar, eps: ExactEps, k: int) -> bool:
     """Exact check of k * max_ip <= (1 + eps)^2."""

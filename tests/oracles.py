@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 import sympy
 
-from armub.algebra import QuadNum, Scalar, cmp_values
+from armub.algebra import QuadNum, Scalar, cmp_values, sign_of
 from armub.epsh import (
     BlockSplit,
     EpsHadamard,
@@ -331,7 +331,9 @@ def from_scalar_rows(rows, radicand: int, provenance) -> EpsHadamard:
                 index[key] = len(values)
                 values.append(v)
             ids[i, j] = index[key]
-    return EpsHadamard.from_value_ids(ids, values, radicand, provenance)
+    terms = [(v, ids == vi) for vi, v in enumerate(values)
+             if sign_of(v) != 0 or len(values) == 1]
+    return EpsHadamard(k, radicand, terms, provenance)
 
 
 # ---------------------------------------------------------------------------

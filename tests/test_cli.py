@@ -7,12 +7,13 @@ import os
 import shutil
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from armub import cli, epsh, jsonio
 from armub.epsh import EpsHadamard, Provenance
+from armub.errors import CertificationError
 from armub.rbd import Rbd, build_affine_rbd
+from oracles import from_scalar_rows
 
 
 @pytest.fixture
@@ -66,8 +67,7 @@ def test_epsh_writes_and_verifies(tmp_path, capsys):
 def test_pipeline_artifacts_verify(pipeline_dir, capsys):
     files = sorted(str(p) for p in pipeline_dir.iterdir())
     assert [os.path.basename(f) for f in files] == [
-        "bases.json", "certificate.json", "epsh.json", "hadamard.json",
-        "rbd.json", "report.json",
+        "bases.json", "certificate.json", "epsh.json", "rbd.json", "report.json",
     ]
     assert cli.main(["verify", *files]) == 0
     assert capsys.readouterr().out.count(": ok") == len(files)
@@ -113,13 +113,83 @@ def test_partial_must_be_boolean(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().out
 
 
+def _flip_bit(obj, i, j):
+    """obj, an eps-hadamard artifact, with entry (i, j) of its packed H negated."""
+    rows = obj["hadamard"]["rows"]
+    packed = bytearray.fromhex(rows[i])
+    packed[j // 8] ^= 0x80 >> (j % 8)
+    rows[i] = packed.hex()
+    return obj
+
+
 def test_verify_tampered_entry_exit_5(tmp_path, capsys):
     out = tmp_path / "epsh.json"
     assert cli.main(["epsh", "8", "1", "--out", str(out)]) == 0
-    obj = _load(out)
-    obj["entries"][0][0], obj["entries"][0][1] = obj["entries"][0][1], obj["entries"][0][0]
-    assert cli.main(["verify", _dump(obj, out)]) == 5
-    assert "CHECK FAILED" in capsys.readouterr().out
+    assert cli.main(["verify", _dump(_flip_bit(_load(out), 5, 6), out)]) == 5
+    assert "CHECK FAILED: hadamard re-check failed at (0, 5, 2)" in capsys.readouterr().out
+
+
+# the stored derivation must be the one Y is derived by: each change below
+# derives a Y whose provenance or epsilon differs from the stored one
+U_RELATION_99 = {"gamma": 99, "kappa": 0, "paper_listed": True,
+                 "preferred_variant": "Y1", "vartheta": None}
+PROVENANCE_DIFFERS = "stored provenance differs from the derived one in "
+DERIVATION_TAMPERS = {
+    "split": ({"row_select": [1], "col_select": [1]}, PROVENANCE_DIFFERS + "u_relation"),
+    "negation": ({"col_negate": [1]}, PROVENANCE_DIFFERS + "u_relation"),
+    "variant": ({"variant": "Y2"}, "stored epsilon ksq 1/3 != derived 0"),
+    "method": ({"method": "schur"}, PROVENANCE_DIFFERS + "method"),
+    "label": ({"source_label": "anything"}, PROVENANCE_DIFFERS + "source_label"),
+    "u-relation": ({"u_relation": U_RELATION_99}, PROVENANCE_DIFFERS + "u_relation"),
+    "all-four": ({"row_select": [2], "method": "schur", "source_label": "anything",
+                  "u_relation": U_RELATION_99},
+                 PROVENANCE_DIFFERS + "source_label, method, u_relation"),
+}
+
+
+@pytest.mark.parametrize("case", list(DERIVATION_TAMPERS))
+def test_tampered_derivation_exit_5(tmp_path, pipeline_dir, capsys, case):
+    fields, message = DERIVATION_TAMPERS[case]
+    obj = _load(pipeline_dir / "epsh.json")
+    obj["provenance"].update(fields)
+    path = _dump(obj, tmp_path / "epsh.json")
+    assert cli.main(["verify", path]) == 5
+    assert capsys.readouterr().out == f"{path}: eps-hadamard: CHECK FAILED: {message}\n"
+
+
+@pytest.mark.parametrize("field, value", [("k", 4), ("m", 8)])
+def test_stored_order_must_be_derived(tmp_path, pipeline_dir, capsys, field, value):
+    obj = _set(_load(pipeline_dir / "epsh.json"), **{field: value})
+    assert cli.main(["verify", _dump(obj, tmp_path / "epsh.json")]) == 5
+    assert "stored (k, m)" in capsys.readouterr().out
+
+
+def test_equally_certified_split_verifies_alone(tmp_path, pipeline_dir, capsys):
+    """Row 2 of H_4 gives U = [1] as row 0 does: the Y it derives has the
+    stored provenance class and epsilon, so the changed file is a valid
+    artifact of that Y; the basis set that refers to it fails its digest."""
+    out = _copy(pipeline_dir, tmp_path)
+    obj = _load(out / "epsh.json")
+    obj["provenance"]["row_select"] = [2]
+    epsh_path = _dump(obj, out / "epsh.json")
+    assert cli.main(["verify", epsh_path, str(out / "bases.json")]) == 5
+    assert capsys.readouterr().out.splitlines() == [
+        f"{epsh_path}: eps-hadamard: ok",
+        f"{out / 'bases.json'}: basis-set: CHECK FAILED: referenced epsh.json "
+        "does not match its recorded sha256",
+    ]
+
+
+def test_explicit_entries_epsh_exit_4(tmp_path, pipeline_dir, capsys):
+    """The eps-hadamard form written before: Y's k x k cells, no H."""
+    obj = _load(pipeline_dir / "epsh.json")
+    del obj["hadamard"]
+    cell = {"a": ["1", "3"], "b": ["0", "1"]}
+    obj["entries"] = [[cell] * 3] * 3
+    assert cli.main(["verify", _dump(obj, tmp_path / "epsh.json")]) == 4
+    out = capsys.readouterr().out
+    assert "parse error" in out and "unknown field 'entries'" in out
+    assert "write it again" in out
 
 
 def test_verify_batch_continues_after_bad_files(tmp_path, pipeline_dir, capsys):
@@ -265,12 +335,12 @@ def _put(obj, value, *path):
     ("epsh.json", False, ("provenance", "row_select", 0)),
     ("epsh.json", False, ("provenance", "col_negate", 0)),
     ("epsh.json", 1.0, ("provenance", "u_relation", "gamma")),
-    ("epsh.json", [1.5, "2"], ("entries", 0, 0, "a")),
-    ("epsh.json", True, ("entries", 0, 0, "b", 1)),
-    ("epsh.json", 3, ("entries", 0, 0, "a", 1)),
-    ("epsh.json", "23", ("entries", 0, 0, "a")),
-    ("hadamard.json", 4.0, ("order",)),
-    ("hadamard.json", True, ("rows", 0, 0)),
+    ("epsh.json", [1, 1, 1, 1], ("hadamard", "rows", 0)),  # not a string
+    ("epsh.json", True, ("hadamard", "rows")),  # not a list
+    ("epsh.json", 3, ("hadamard", "order")),  # 4 rows
+    ("epsh.json", "23", ("hadamard", "rows", 0)),  # nonzero padding bits
+    ("epsh.json", 4.0, ("hadamard", "order")),
+    ("epsh.json", True, ("hadamard", "rows", 0)),
     ("report.json", 15.0, ("d",)),
     ("report.json", 5.0, ("s",)),
     ("report.json", True, ("delta", 0, "count")),
@@ -281,6 +351,9 @@ def _put(obj, value, *path):
     ("rbd.json", True, ("field", "e")),
     ("rbd.json", 1.0, ("field", "modulus", 1)),
     ("rbd.json", "x", ("field", "modulus")),
+    ("epsh.json", "0", ("hadamard", "rows", 0)),  # one hex digit short
+    ("epsh.json", "0g", ("hadamard", "rows", 0)),
+    ("epsh.json", "F0", ("hadamard", "rows", 0)),  # upper case
 ])
 def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, explicit_rbd, capsys,
                                     name, value, path):
@@ -291,25 +364,22 @@ def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, explicit_rbd, capsys
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
 
 
-def _rotation_artifact(path, p, q):
-    """eps-hadamard artifact of the rational rotation [[a, -b], [b, a]] / c of
-    the primitive Pythagorean triple (a, b, c) = (p^2 - q^2, 2pq, p^2 + q^2)."""
+def _rotation_rows(p, q):
+    """The rational rotation [[a, -b], [b, a]] / c of the primitive
+    Pythagorean triple (a, b, c) = (p^2 - q^2, 2pq, p^2 + q^2)."""
     a, b, c = p * p - q * q, 2 * p * q, p * p + q * q
     assert math.gcd(p, q) == 1 and (p - q) % 2 == 1
-    prov = Provenance(source_label=f"pythagorean({p},{q})", source_order=2, t=0,
-                      row_select=(), col_select=(), row_negate=(), col_negate=(),
-                      variant=None, method="rotation")
-    values = [Fraction(a, c), Fraction(-b, c), Fraction(b, c)]
-    y = EpsHadamard.from_value_ids(np.array([[0, 1], [2, 0]]), values, 2, prov)
-    return _dump(jsonio.eps_hadamard_obj(y), path)
+    return [[Fraction(a, c), Fraction(-b, c)], [Fraction(b, c), Fraction(a, c)]]
 
 
 # c > 2^27 puts k*max|P|^2 = 2*a^2 and L^2 = c^2 above 2^53, so the Gram
 # check leaves float64; c > 2^63 also puts L*Y itself outside int64.
 @pytest.mark.parametrize("p, q", [(29_000, 12_011), (4_000_000_001, 1_656_854_250)])
-def test_large_denominator_artifact_takes_python_int_route(tmp_path, capsys, monkeypatch,
-                                                           p, q):
-    path = _rotation_artifact(tmp_path / "rotation.json", p, q)
+def test_large_denominator_artifact_takes_python_int_route(monkeypatch, p, q):
+    prov = Provenance(source_label=f"pythagorean({p},{q})", source_order=2, t=0,
+                      row_select=(), col_select=(), row_negate=(), col_negate=(),
+                      variant=None, method="rotation")
+    rows = _rotation_rows(p, q)
     routes = []
     float_exact = epsh._float_exact
 
@@ -318,14 +388,11 @@ def test_large_denominator_artifact_takes_python_int_route(tmp_path, capsys, mon
         return routes[-1]
 
     monkeypatch.setattr(epsh, "_float_exact", spy)
-    assert cli.main(["verify", path]) == 0
-    assert capsys.readouterr().out == f"{path}: eps-hadamard: ok\n"
+    from_scalar_rows(rows, 2, prov)
     assert routes == [False]  # certified on Python ints
-    obj = _load(path)
-    num = obj["entries"][1][1]["a"]
-    num[0] = str(int(num[0]) + 1)
-    assert cli.main(["verify", _dump(obj, path)]) == 5
-    assert "orthogonality violated at (0, 1)" in capsys.readouterr().out
+    rows[1][1] += Fraction(1, rows[1][1].denominator)
+    with pytest.raises(CertificationError, match=r"orthogonality violated at \(0, 1\)"):
+        from_scalar_rows(rows, 2, prov)  # a CertificationError exits 5
     assert routes[1:] == [False]
 
 
@@ -469,17 +536,32 @@ def test_verify_batch_certifies_each_artifact_once(pipeline_dir, monkeypatch, ca
     monkeypatch.setattr(jsonio, "is_hadamard", spy_hadamard)
     monkeypatch.setattr(hadamard, "is_hadamard", spy_hadamard)
     files = sorted(str(p) for p in pipeline_dir.iterdir())
-    assert len(files) == 6
+    assert len(files) == 5
     assert cli.main(["verify", *files]) == 0
-    assert capsys.readouterr().out.count(": ok") == 6
+    assert capsys.readouterr().out.count(": ok") == 5
     assert calls == {"verify_orthogonal": 1, "is_hadamard": 1}
 
 
 def test_design_artifacts_stay_small(tmp_path, capsys):
-    """rbd.json is a recipe and bases.json two references, whatever d."""
+    """rbd.json is a recipe and bases.json two references, whatever d, and
+    epsh.json holds H_24 bit-packed and the split."""
     out = tmp_path / "out"
     assert cli.main(["armub", "--k", "23", "--s", "25", "--t", "1", "--out", str(out)]) == 0
     for name in ("rbd.json", "bases.json"):
         assert os.path.getsize(out / name) < 1024, name
+    assert os.path.getsize(out / "epsh.json") < 2048
     files = sorted(str(p) for p in out.iterdir())
     assert cli.main(["verify", *files]) == 0
+
+
+def test_pipeline_t1_writes_under_100_kb_reproducibly(tmp_path, capsys):
+    """armub armub --k 123 --s 125 --t 1 (d = 15375) writes under 100 KB in
+    all, byte-identical across two runs."""
+    contents = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.main(["armub", "--k", "123", "--s", "125", "--t", "1",
+                         "--out", str(out)]) == 0
+        contents.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sum(map(len, contents[0].values())) < 100 * 1024
+    assert contents[0] == contents[1]

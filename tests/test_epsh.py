@@ -359,16 +359,19 @@ def _one_entry_perturbed(y):
     return [*y.terms, (Fraction(1, 7 * k), unit)]
 
 
-@pytest.mark.parametrize("form", ["built", "parsed"])
+@pytest.mark.parametrize("form", ["built", "parsed", "indicator"])
 def test_gram_kernel_matches_term_oracle(sweep_reductions, form):
     """The integer-form kernel and the per-term-pair Gram oracle accept every
-    swept Y, as built (closed-form or elimination terms) and as parsed back
-    from its artifact (indicator terms), and both reject it with one entry
-    perturbed; the kernel names the first violation in row-major order."""
+    swept Y, as built (closed-form or elimination terms), as derived again
+    from its artifact, and as one indicator term per distinct entry, and
+    both reject it with one entry perturbed; the kernel names the first
+    violation in row-major order."""
     for (m, t), y in sweep_reductions.items():
         if form == "parsed":
             text = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
             y = jsonio.parse_eps_hadamard(json.loads(text))
+        elif form == "indicator":
+            y = from_scalar_rows(y.scalar_rows(), y.radicand, y.provenance)
         k = y.order
         assert term_gram_orthogonal(k, y.terms), (m, t)
         assert epsh._gram_violation(*epsh._integer_form(y.terms)) is None, (m, t)
@@ -399,16 +402,15 @@ def test_sign_mixed_entries_verify():
     magnitude occur with both signs: 24 indicator terms instead of 14, one
     Gram product either way, and the same epsilon."""
     y = best_reduction(find_hadamard(256), 3)
-    text = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
-    plain = jsonio.parse_eps_hadamard(json.loads(text))
-    obj = json.loads(text)
+    rows = y.scalar_rows()
+    plain = from_scalar_rows(rows, y.radicand, y.provenance)
     rng = np.random.default_rng(0)
     row_neg, col_neg = rng.random(y.order) < 0.5, rng.random(y.order) < 0.5
-    for i, row in enumerate(obj["entries"]):
-        for j, cell in enumerate(row):
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
             if row_neg[i] != col_neg[j]:
-                row[j] = {part: [str(-int(num)), den] for part, (num, den) in cell.items()}
-    flipped = jsonio.parse_eps_hadamard(obj)  # checks the stored epsilon too
+                row[j] = -v
+    flipped = from_scalar_rows(rows, y.radicand, y.provenance)
     assert (len(plain.terms), len(flipped.terms)) == (14, 24)
     assert flipped._q is None  # rational: one product P P^T
     assert flipped.epsilon.cmp(y.epsilon) == 0
@@ -604,12 +606,34 @@ def test_eps_json_roundtrip_byte_identical():
 
 
 def test_eps_json_tamper_detected():
+    """One flipped bit of the packed source H fails its Hadamard check."""
     h8 = find_hadamard(8)
     y = best_reduction(h8, 1)
     obj = json.loads(jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y)))
-    obj["entries"][0][0]["a"][0] = str(int(obj["entries"][0][0]["a"][0]) + 1)
-    with pytest.raises(CertificationError):
+    rows = obj["hadamard"]["rows"]
+    rows[2] = f"{int(rows[2], 16) ^ 0x10:02x}"  # entry (2, 3)
+    with pytest.raises(CertificationError, match="hadamard re-check failed"):
         jsonio.parse_eps_hadamard(obj)
+
+
+def test_eps_json_stores_h_and_split():
+    """The artifact holds the source H bit-packed and the split, and a parse
+    derives a Y with the same entries; a Y given by its terms alone has no
+    artifact."""
+    h12 = find_hadamard(12)
+    y = best_reduction(h12, 2, search_scope="row-col-permutations")
+    obj = jsonio.eps_hadamard_obj(y)
+    assert "entries" not in obj and obj["hadamard"] == jsonio.sign_matrix_obj(h12)
+    assert all(len(row) == 4 for row in obj["hadamard"]["rows"])
+    parsed = jsonio.parse_eps_hadamard(json.loads(jsonio.dumps_canonical(obj)))
+    assert parsed.source == h12 and parsed.provenance == y.provenance
+    assert parsed.scalar_rows() == y.scalar_rows()
+    exact = EpsHadamard.from_sign_hadamard(find_hadamard(8))
+    assert jsonio.parse_eps_hadamard(jsonio.eps_hadamard_obj(exact)).source == exact.source
+    bare = from_scalar_rows(y.scalar_rows(), y.radicand, y.provenance)
+    assert bare.source is None
+    with pytest.raises(DomainError, match="derived from a Hadamard matrix"):
+        jsonio.eps_hadamard_obj(bare)
 
 
 def test_eps_json_stored_epsilon_mismatch():

@@ -106,6 +106,21 @@ def test_is_hadamard_detects_flip():
     assert value != (4 if i == j else 0)
 
 
+def test_is_hadamard_names_the_first_violation():
+    """The float64 Gram finds the first violation in row-major order, with
+    the value of the exact integer Gram there."""
+    rng = np.random.default_rng(7)
+    for h in (paley(11), find_hadamard(64), find_hadamard(256)):
+        rows = h.rows.astype(np.int64).copy()
+        for i, j in rng.integers(0, h.order, size=(3, 2)):
+            rows[i, j] *= -1
+        gram = rows @ rows.T
+        bad = np.argwhere(gram != h.order * np.eye(h.order, dtype=np.int64))
+        i, j = map(int, bad[0])
+        check = is_hadamard(SignMatrix(rows))
+        assert not check.ok and check.first_violation == (i, j, int(gram[i, j]))
+
+
 def test_is_hadamard_paper_fixtures():
     assert is_hadamard(SignMatrix(M_DPRIME_2_TIMES_2)).ok
     assert is_hadamard(SignMatrix(M4_1_TIMES_2)).ok

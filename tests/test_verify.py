@@ -92,11 +92,11 @@ def test_grouped_contraction_matches_pairwise_oracle(case):
 def householder_5():
     """The exact orthogonal matrix I - (2/5) J of order 5 (Y for k = 5,
     which no t <= 3 reduction reaches)."""
-    ids = np.ones((5, 5), dtype=np.int64) - np.eye(5, dtype=np.int64)
     prov = Provenance(source_label="householder(5)", source_order=5, t=0,
                       row_select=(), col_select=(), row_negate=(), col_negate=(),
                       variant=None, method="householder")
-    return EpsHadamard.from_value_ids(ids, [Fraction(3, 5), Fraction(-2, 5)], 5, prov)
+    terms = [(Fraction(1), np.eye(5)), (Fraction(-2, 5), np.ones((5, 5)))]
+    return EpsHadamard(5, 5, terms, prov)
 
 
 @pytest.mark.parametrize("k,s", [(3, 5), (4, 7), (3, 9), (5, 25)])
