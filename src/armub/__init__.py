@@ -6,7 +6,7 @@ real quadratic extensions); floating point appears only in rendered
 reports.
 """
 
-from .algebra import GfField, QuadNum, exact_sqrt, gf_make, quad_sign, quad_to_float
+from .algebra import GfField, QuadNum, exact_sqrt, gf_make, quad_to_float
 from .bases import BasisSet, SparseBasis, assemble
 from .epsh import (
     BlockSplit,
@@ -15,11 +15,7 @@ from .epsh import (
     UClass,
     best_reduction,
     classify_u,
-    closed_form,
     corner_split,
-    epsilon_of,
-    lemma_inverse,
-    schur_reduce,
 )
 from .errors import (
     ArmubError,

@@ -242,11 +242,6 @@ def sign_of(x: Scalar) -> int:
     return _frac_sign(x)
 
 
-def quad_sign(x: Scalar) -> int:
-    """Spec alias for :func:`sign_of`."""
-    return sign_of(x)
-
-
 def cmp_values(x: Scalar, y: Scalar) -> int:
     """Exact three-way comparison of scalar values."""
     return sign_of(_sub(x, y))
@@ -451,11 +446,8 @@ class GfField:
 
     def _poly_gcd(self, a, b):
         while b:
-            a, b = b, self._poly_divmod_rem(a, b)
+            a, b = b, self._poly_rem(a, b)
         return a
-
-    def _poly_divmod_rem(self, a, b):
-        return self._poly_rem(a, b)
 
     def _code_to_poly(self, code: int) -> tuple[int, ...]:
         out, p = [], self.p
@@ -530,9 +522,6 @@ class GfField:
             a //= p
             mult *= p
         return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

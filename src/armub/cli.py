@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -253,7 +254,10 @@ def cmd_ledger(args) -> int:
     return EXIT_OK if ledger_ok(lines) else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Subcommands carry no
+    function; ``main`` looks up cmd_<command> when it runs."""
     parser = argparse.ArgumentParser(
         prog="armub",
         description="Exact epsilon-Hadamard matrices and approximate real MUBs",
@@ -263,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hadamard", help="construct a verified Hadamard matrix")
     p.add_argument("order", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_hadamard)
 
     p = sub.add_parser("epsh", help="best reduction to an eps-Hadamard matrix")
     p.add_argument("order", type=int)
@@ -273,13 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "permutations-and-negations"])
     p.add_argument("--cap", type=int, default=100_000)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_epsh)
 
     p = sub.add_parser("rbd", help="build and certify an affine block design")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_rbd)
 
     p = sub.add_parser("armub", help="full pipeline with certificate")
     p.add_argument("--k", type=int, required=True)
@@ -290,23 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "permutations-and-negations"])
     p.add_argument("--cap", type=int, default=100_000)
     p.add_argument("--out", default="armub-out")
-    p.set_defaults(func=cmd_armub)
 
     p = sub.add_parser("verify", help="re-run certifications on artifacts")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ledger", help="print the bound ledger of a report")
     p.add_argument("file")
-    p.set_defaults(func=cmd_ledger)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except NotConstructibleError as exc:
         sys.stderr.write(f"not constructible: {exc}\n")
         return EXIT_NOT_CONSTRUCTIBLE

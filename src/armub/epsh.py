@@ -6,13 +6,18 @@ size t x t (t in {1, 2, 3}), reduces to orthogonal matrices of order M - t:
     Y1 = D^ - W^ (I + U^)^-1 V^        Y2 = D^ + W^ (I - U^)^-1 V^
 
 where hatted blocks carry the 1/sqrt(M) normalization.  This labeling
-(Y1 from I+U, Y2 from I-U) is used consistently for both the general
-elimination path and the closed forms.
+(Y1 from I+U, Y2 from I-U) is used consistently for both sources of the
+inverse, the published closed forms and general elimination.
 
-Representation: a result Y is given as a sum of terms (c_r, A_r) with
-exact scalar coefficients c_r in Q(sqrt(c)) and integer matrices A_r (D,
-W V, W U V, W U^2 V, or rank-one W-column x V-row products).  EpsHadamard
-turns the terms into one exact integer form, L*Y = P + Q*sqrt(c) with
+Representation: both variants read Y = D/sqrt(M) + W C V with one t x t
+coefficient matrix C, taken from the closed form when U is a published
+configuration and from exact elimination otherwise (``Provenance.method``
+names the source).  ``reduce_split`` writes C = (A + B*sqrt(c))/L with
+integer t x t matrices A and B and builds Y from at most three terms
+(c_r, A_r): (1/sqrt(M), D), (1/L, W A V) and, unless B = 0,
+(sqrt(c)/L, W B V).  EpsHadamard takes any sum of terms with exact scalar
+coefficients c_r in Q(sqrt(c)) and integer matrices A_r, and
+turns them into one exact integer form, L*Y = P + Q*sqrt(c) with
 integer P and Q and L the lcm of the coefficient denominators.  The
 distinct entries are the distinct (P_ij, Q_ij) pairs, and Y Y^T = I is the
 pair of integer identities P P^T + c*Q Q^T = L^2 * I and P Q^T + Q P^T = 0:
@@ -28,9 +33,9 @@ deviation alone is kept as a separate diagnostic (`epsilon_upper`)
 because several reported per-case expressions track only that side.
 
 Split search (`best_reduction`) scores candidates without building them.
-For a fixed U (signs applied) and variant, both routes give
-Y_ij = D_ij/sqrt(M) + w_i^T C v_j with one t x t coefficient matrix C, where
-w_i is row i of W and v_j column j of V.  An entry is therefore fixed by its
+For a fixed U (signs applied) and variant, Y_ij = D_ij/sqrt(M) + w_i^T C v_j
+with the C that ``reduce_split`` builds from, where w_i is row i of W and
+v_j column j of V.  An entry is therefore fixed by its
 code (D_ij, w_i, v_j), one of 2^(1+2t) <= 128, and |Y_ij| by the code alone.
 The screen computes each code's exact magnitude, epsilon and window check
 once per (U, variant) that occurs, ranks every epsilon exactly on one scale,
@@ -403,7 +408,7 @@ class Provenance:
     row_negate: tuple[bool, ...]
     col_negate: tuple[bool, ...]
     variant: Optional[str]
-    method: str  # "schur" | "closed-form" | "exact-hadamard"
+    method: str  # source of C, "schur" | "closed-form"; or "exact-hadamard"
     uclass: Optional[UClass] = None
 
 
@@ -725,7 +730,9 @@ def _window(t: int, m: int) -> Optional[tuple[Scalar, Scalar]]:
 
 
 def _frozen(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.int64).copy()
+    """A read-only copy in int64, or of Python ints when given those."""
+    m = np.asarray(m)
+    arr = m.astype(object if m.dtype == object else np.int64)
     arr.setflags(write=False)
     return arr
 
@@ -771,14 +778,6 @@ def _kmat_inverse(a) -> list[list[Scalar]]:
 # Reductions
 # ---------------------------------------------------------------------------
 
-def _check_reduction_pre(split: BlockSplit):
-    m = split.source.order
-    if split.t * split.t >= m:
-        raise DomainError(
-            f"t={split.t} must satisfy t < sqrt(order) for order {m}"
-        )
-
-
 def _schur_coeffs(u: np.ndarray, variant: str, m: int) -> list[list[Scalar]]:
     """The t x t matrix C with Y = D/sqrt(M) + W C V, by exact elimination
     of (I +/- U/sqrt(M))."""
@@ -794,39 +793,6 @@ def _schur_coeffs(u: np.ndarray, variant: str, m: int) -> list[list[Scalar]]:
     ]
     x = _kmat_inverse(a)
     return [[(-sign) * x[i][j] / m for j in range(t)] for i in range(t)]
-
-
-def schur_reduce(split: BlockSplit, variant: str) -> EpsHadamard:
-    """General reduction via exact elimination of (I +/- U/sqrt(M)).
-
-    Works for every U; invertibility is guaranteed by diagonal dominance
-    when t < sqrt(M).
-    """
-    _check_reduction_pre(split)
-    if variant not in ("Y1", "Y2"):
-        raise DomainError(f"variant must be Y1 or Y2, got {variant!r}")
-    m = split.source.order
-    t = split.t
-    u = split.u_matrix()
-    coeffs = _schur_coeffs(u, variant, m)
-    w, v, d = split.w_matrix(), split.v_matrix(), split.d_matrix()
-    terms: list[tuple[Scalar, np.ndarray]] = [(1 / exact_sqrt(m), d)]
-    for i in range(t):
-        for j in range(t):
-            terms.append((coeffs[i][j], np.outer(w[:, i], v[j, :])))
-    prov = Provenance(
-        source_label=split.source.label,
-        source_order=m,
-        t=t,
-        row_select=split.row_select,
-        col_select=split.col_select,
-        row_negate=split.row_negate,
-        col_negate=split.col_negate,
-        variant=variant,
-        method="schur",
-        uclass=classify_u(u),
-    )
-    return EpsHadamard(m - t, m, terms, prov, source=split.source)
 
 
 def _poly_inverse_coeffs(kappa: int, gamma: int, vartheta: Optional[int],
@@ -854,40 +820,10 @@ def _negated_params(uclass: UClass) -> tuple[int, int, Optional[int]]:
     return -uclass.kappa, uclass.gamma, -uclass.vartheta
 
 
-def lemma_inverse(u, radicand: int, sign: int = 1) -> tuple[list[list[Scalar]], Scalar]:
-    """Exact (I + sign * U/sqrt(radicand))^-1 as a polynomial in U.
-
-    Returns (inverse matrix, non-vanishing denominator), both exact.  The
-    inverse of (I + U/alpha) equals alpha * (alpha*I + U)^-1.
-    """
-    u = np.asarray(u, dtype=np.int64)
-    uclass = classify_u(u)
-    alpha = exact_sqrt(radicand)
-    if sign == 1:
-        kappa, gamma, vartheta = uclass.kappa, uclass.gamma, uclass.vartheta
-        uu = u
-    elif sign == -1:
-        kappa, gamma, vartheta = _negated_params(uclass)
-        uu = -u
-    else:
-        raise DomainError("sign must be +1 or -1")
-    x, y, z, den = _poly_inverse_coeffs(kappa, gamma, vartheta, alpha)
-    t = u.shape[0]
-    uu2 = uu @ uu
-    inv = [
-        [
-            alpha * (x * int(i == j) + y * int(uu[i, j]) + z * int(uu2[i, j]))
-            for j in range(t)
-        ]
-        for i in range(t)
-    ]
-    return inv, den
-
-
 def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
                        m: int) -> list[tuple[Scalar, np.ndarray]]:
-    """[(c_p, U_eff^p)] for p = 0, 1, 2 with Y = D/sqrt(M) + sum_p c_p W U_eff^p V,
-    where U_eff = U for Y1 and -U for Y2."""
+    """[(c_p, U_eff^p)] for p = 0, 1, 2 with C = sum_p c_p U_eff^p, the
+    published polynomial-in-U inverse, where U_eff = U for Y1 and -U for Y2."""
     alpha = exact_sqrt(m)
     if variant == "Y1":
         kappa, gamma, vartheta = uclass.kappa, uclass.gamma, uclass.vartheta
@@ -900,51 +836,67 @@ def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
     return [(outer_sign * c / alpha, p) for c, p in zip((x, y, z), powers)]
 
 
-def closed_form(split: BlockSplit, uclass: UClass, variant: str) -> EpsHadamard:
-    """Reduction via the explicit polynomial-in-U inverse of the relation.
+def _coefficient_matrix(u: np.ndarray, uclass: UClass, variant: str,
+                        m: int) -> list[list[Scalar]]:
+    """The t x t matrix C with Y = D/sqrt(M) + W C V: the closed form when it
+    exists for U, exact elimination otherwise."""
+    if not uclass.closed_form_available:
+        return _schur_coeffs(u, variant, m)
+    t = u.shape[0]
+    coeffs = _closed_form_coeffs(u, uclass, variant, m)
+    return [
+        [sum((c * int(p[a, b]) for c, p in coeffs), Fraction(0)) for b in range(t)]
+        for a in range(t)
+    ]
 
-    Produces terms on the integer matrices W V, W U V, W U^2 V with the
-    published scalar coefficients; for t = 3 configurations outside the
-    published lists this path is unavailable and the general elimination
-    must be used.
+
+def _wxv(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """W X V exactly for sign matrices W, V and an integer t x t matrix X:
+    in int64 when t^2 * max|X| < 2^63 bounds every partial sum, on Python
+    ints (an object array) otherwise."""
+    dtype = np.int64 if x.shape[0] ** 2 * _abs_max(x) < 2**63 else object
+    return w.astype(dtype) @ x.astype(dtype) @ v.astype(dtype)
+
+
+def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
+    """Y1 or Y2 of a split, built as Y = D/sqrt(M) + W C V.
+
+    C is the closed form when U is a published configuration (every U with
+    t <= 2, the listed ones with t = 3) and comes from exact elimination of
+    (I +/- U/sqrt(M)) otherwise; ``Provenance.method`` names that source,
+    "closed-form" or "schur".  The inverse exists for every U with
+    t < sqrt(M), by diagonal dominance.  Writing C = (A + B*sqrt(c))/L with
+    integer t x t matrices A and B, Y is the sum of the terms (1/sqrt(M), D),
+    (1/L, W A V) and, when B != 0, (sqrt(c)/L, W B V).
     """
-    _check_reduction_pre(split)
+    m, t = split.source.order, split.t
+    if t * t >= m:
+        raise DomainError(f"t={t} must satisfy t < sqrt(order) for order {m}")
     if variant not in ("Y1", "Y2"):
         raise DomainError(f"variant must be Y1 or Y2, got {variant!r}")
-    if not uclass.closed_form_available:
-        raise DomainError(
-            "no published closed form for this U configuration; use schur_reduce"
-        )
     u = split.u_matrix()
-    if uclass.t != split.t or not uclass.relation_holds(u):
-        raise DomainError("U does not match the supplied relation")
-    m = split.source.order
-    w, v, d = split.w_matrix(), split.v_matrix(), split.d_matrix()
-    terms: list[tuple[Scalar, np.ndarray]] = [(1 / exact_sqrt(m), d)]
-    for coeff, power in _closed_form_coeffs(u, uclass, variant, m):
-        if sign_of(coeff) != 0:
-            terms.append((coeff, w @ power @ v))
+    uclass = classify_u(u)
+    coeffs = _coefficient_matrix(u, uclass, variant, m)
+    # (L, c, A, B) is the integer form of C as a sum of t x t unit matrices
+    units = np.eye(t * t, dtype=np.int64).reshape(t * t, t, t)
+    scale, core, a, b = _integer_form(list(zip(itertools.chain(*coeffs), units)))
+    w, v = split.w_matrix(), split.v_matrix()
+    terms = [(1 / exact_sqrt(m), split.d_matrix()), (Fraction(1, scale), _wxv(w, a, v))]
+    if b is not None:
+        terms.append((QuadNum(0, Fraction(1, scale), core), _wxv(w, b, v)))
     prov = Provenance(
         source_label=split.source.label,
         source_order=m,
-        t=split.t,
+        t=t,
         row_select=split.row_select,
         col_select=split.col_select,
         row_negate=split.row_negate,
         col_negate=split.col_negate,
         variant=variant,
-        method="closed-form",
+        method="closed-form" if uclass.closed_form_available else "schur",
         uclass=uclass,
     )
-    return EpsHadamard(m - split.t, m, terms, prov, source=split.source)
-
-
-def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
-    """Closed form when available for this U, general elimination otherwise."""
-    uclass = classify_u(split.u_matrix())
-    if uclass.closed_form_available:
-        return closed_form(split, uclass, variant)
-    return schur_reduce(split, variant)
+    return EpsHadamard(m - t, m, terms, prov, source=split.source)
 
 
 # ---------------------------------------------------------------------------
@@ -954,20 +906,6 @@ def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
 _SCOPES = ("corner-only", "row-col-permutations", "permutations-and-negations")
 _VARIANTS = ("Y2", "Y1")  # evaluation order of the two variants of a split
 _SCREEN_BUDGET = 1 << 17  # elements per working array of the screen
-
-
-def _coefficient_matrix(u: np.ndarray, variant: str, m: int) -> list[list[Scalar]]:
-    """The t x t matrix C with Y = D/sqrt(M) + W C V, by reduce_split's route:
-    the closed form when it exists for U, exact elimination otherwise."""
-    uclass = classify_u(u)
-    if not uclass.closed_form_available:
-        return _schur_coeffs(u, variant, m)
-    t = u.shape[0]
-    coeffs = _closed_form_coeffs(u, uclass, variant, m)
-    return [
-        [sum((c * int(p[a, b]) for c, p in coeffs), Fraction(0)) for b in range(t)]
-        for a in range(t)
-    ]
 
 
 def _scope_size(order: int, t: int, scope: str) -> int:
@@ -1057,9 +995,10 @@ class _EpsScreen:
             self.lut[uc] = ui
             u = np.array([[-1 if uc >> (a * t + b) & 1 else 1 for b in range(t)]
                           for a in range(t)], dtype=np.int64)
+            uclass = classify_u(u)
             per_u_mags, per_u_keys = [], []
             for variant in _VARIANTS:
-                c = _coefficient_matrix(u, variant, m)
+                c = _coefficient_matrix(u, uclass, variant, m)
                 # (w^T C)_b for every sign vector w, indexed by w's bits
                 wc = [_signed_sums(Fraction(0), [c[a][b] for a in range(t)])
                       for b in range(t)]
@@ -1209,7 +1148,7 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
     Both variants of every candidate split are scored exactly, without
     building them: for a fixed U (signs applied) and variant, an entry of Y
     is D_ij/sqrt(M) + w_i^T C v_j, where C is the t x t coefficient matrix
-    of the route ``reduce_split`` takes (closed form, else elimination).  So
+    ``reduce_split`` builds from (closed form, else elimination).  So
     every entry falls into one of 2^(1+2t) codes (D_ij, w_i, v_j), and a
     candidate's epsilon is the largest epsilon among the codes its entries
     take.  The screen evaluates each code's exact |value|, epsilon and
@@ -1257,20 +1196,3 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
         )
     return y
 
-
-# ---------------------------------------------------------------------------
-# Epsilon of an arbitrary matrix
-# ---------------------------------------------------------------------------
-
-def epsilon_of(y) -> ExactEps:
-    """Exact epsilon of an orthogonal matrix (EpsHadamard or scalar rows)."""
-    if isinstance(y, EpsHadamard):
-        return y.epsilon
-    k = len(y)
-    best = ExactEps.zero()
-    for i, row in enumerate(y):
-        for j, v in enumerate(row):
-            cand = _entry_eps(k, v if not isinstance(v, int) else Fraction(v), (i, j))
-            if best.cmp(cand) < 0:
-                best = cand
-    return best

@@ -146,10 +146,8 @@ def paley(q: int) -> SignMatrix:
         raise DomainError(f"{q} is not an odd prime power")
     field = gf_from_order(q)
     codes = np.arange(q, dtype=np.int64)
-    diff = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            diff[i, j] = field.sub(int(codes[i]), int(codes[j]))
+    # a - b as a + (p-1)*b: the code p - 1 is the field element -1
+    diff = field.add_arr(codes[:, None], field.mul_arr(field.p - 1, codes)[None, :])
     chi = np.zeros((q, q), dtype=np.int64)
     nz = diff != 0
     logs = field._log[diff[nz]]

@@ -4,8 +4,11 @@ Everything here recomputes expected values through routes that do not share
 code with the paths under test: sympy radical arithmetic for small exact
 matrices, dense integer Gram matrices in int64, per-term-pair Gram matrices
 with exact scalar coefficients, one cross-statistics contraction per basis
-pair, and direct set arithmetic for designs.  No
-oracle uses the float64 route of ``EpsHadamard.verify_orthogonal``.
+pair, direct set arithmetic for designs, epsilon entry by entry, and Paley
+matrices from scalar field operations.  No oracle uses the float64 route of
+``EpsHadamard.verify_orthogonal``.  ``lemma_inverse`` is the exception: it
+evaluates the library's polynomial-inverse coefficients as the published
+displays write them, so that tests can compare those displays.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ from math import gcd
 import numpy as np
 import sympy
 
-from armub.algebra import QuadNum, Scalar, cmp_values, sign_of
+from armub.algebra import QuadNum, Scalar, cmp_values, exact_sqrt, gf_from_order, sign_of
 from armub.epsh import (
     BlockSplit,
     EpsHadamard,
+    ExactEps,
     _kmat_identity,
     _kmat_inverse,
+    _negated_params,
+    _poly_inverse_coeffs,
     _scalar_key,
+    classify_u,
     corner_split,
     reduce_split,
 )
@@ -42,33 +49,41 @@ def scalar_to_sympy(v):
     return sympy.Rational(Fraction(v))
 
 
-def sympy_equal(x, y) -> bool:
-    return sympy.simplify(x - y) == 0
+def sympy_reduction(split: BlockSplit, variant: str) -> sympy.Matrix:
+    """Y1/Y2 of a split computed entirely in sympy.
 
-
-def sympy_reduction(h_rows: np.ndarray, t: int, variant: str) -> sympy.Matrix:
-    """Y1/Y2 of the corner split computed entirely in sympy."""
-    m = h_rows.shape[0]
-    a = sympy.sqrt(m)
-    H = sympy.Matrix(h_rows.tolist()) / a
-    U = H[:t, :t]
-    V = H[:t, t:]
-    W = H[t:, :t]
-    D = H[t:, t:]
-    eye = sympy.eye(t)
-    if variant == "Y1":
-        Y = D - W * (eye + U).inv() * V
-    else:
-        Y = D + W * (eye - U).inv() * V
-    return sympy.simplify(Y)
+    The split's negations flip the selected full rows and columns of H, and
+    its index sets cut out U, V, W and D.  (I +/- U^)^-1 is the adjugate
+    over the determinant with its radical cleared, so every entry of the
+    result expands to a + b*sqrt(m).
+    """
+    h = sympy.Matrix(split.source.rows.tolist())
+    m = h.rows
+    for i, neg in zip(split.row_select, split.row_negate):
+        if neg:
+            h[i, :] = -h[i, :]
+    for j, neg in zip(split.col_select, split.col_negate):
+        if neg:
+            h[:, j] = -h[:, j]
+    rows, cols = list(split.row_select), list(split.col_select)
+    rest_rows = [i for i in range(m) if i not in rows]
+    rest_cols = [j for j in range(m) if j not in cols]
+    h = h / sympy.sqrt(m)
+    sign = 1 if variant == "Y1" else -1
+    a = sympy.eye(len(rows)) + sign * h.extract(rows, cols)
+    inv = (a.adjugate() * sympy.radsimp(1 / sympy.expand(a.det()))).expand()
+    y = h.extract(rest_rows, rest_cols) - sign * h.extract(rest_rows, cols) * inv \
+        * h.extract(rows, rest_cols)
+    return y.expand()
 
 
 def assert_matches_sympy(y, sym_matrix):
     k = y.order
+    assert sym_matrix.shape == (k, k)
     for i in range(k):
         for j in range(k):
             got = scalar_to_sympy(y.entry(i, j))
-            assert sympy_equal(got, sym_matrix[i, j]), (i, j, got, sym_matrix[i, j])
+            assert sympy.expand(got - sym_matrix[i, j]) == 0, (i, j, got, sym_matrix[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -517,3 +532,82 @@ def best_reduction_loop(h, t, search_scope="corner-only", cap=100_000):
             f"search scope exceeds cap of {cap} splits", partial_best=final
         )
     return final
+
+
+# ---------------------------------------------------------------------------
+# Epsilon entry by entry
+# ---------------------------------------------------------------------------
+
+def epsilon_of(rows) -> ExactEps:
+    """Exact epsilon of an orthogonal matrix given by its scalar rows, from
+    the definition entry by entry, located at the first extremal entry in
+    row-major order."""
+    k = len(rows)
+    best = ExactEps.zero()
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            cand = ExactEps(k * v * v, location=(i, j))
+            if best.cmp(cand) < 0:
+                best = cand
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Displayed polynomial-in-U inverses
+# ---------------------------------------------------------------------------
+
+def lemma_inverse(u, radicand: int, sign: int = 1) -> tuple[list[list[Scalar]], Scalar]:
+    """Exact (I + sign * U/sqrt(radicand))^-1 as a polynomial in U, with its
+    non-vanishing denominator.  The inverse of (I + U/alpha) equals
+    alpha * (alpha*I + U)^-1, and (alpha*I + U')^-1 = x*I + y*U' + z*U'^2
+    for U' = sign * U by the relation of U'."""
+    u = np.asarray(u, dtype=np.int64)
+    uclass = classify_u(u)
+    params = (uclass.kappa, uclass.gamma, uclass.vartheta) if sign == 1 \
+        else _negated_params(uclass)
+    alpha = exact_sqrt(radicand)
+    x, y, z, den = _poly_inverse_coeffs(*params, alpha)
+    uu = sign * u
+    uu2 = uu @ uu
+    t = u.shape[0]
+    inv = [
+        [
+            alpha * (x * int(i == j) + y * int(uu[i, j]) + z * int(uu2[i, j]))
+            for j in range(t)
+        ]
+        for i in range(t)
+    ]
+    return inv, den
+
+
+# ---------------------------------------------------------------------------
+# Paley matrices from scalar field operations
+# ---------------------------------------------------------------------------
+
+def paley_scalar(q: int) -> np.ndarray:
+    """Rows of the Paley matrix of GF(q), q an odd prime power, with its
+    first row and column made all +1: Q[a, b] is the quadratic character of
+    a - b, computed as add(a, neg(b)) and looked up among the nonzero
+    squares.  q = 3 mod 4 gives I + [[0, 1^T], [-1, Q]] (type I); q = 1 mod 4
+    gives S (x) [[1, 1], [1, -1]] + I (x) [[1, -1], [-1, -1]] with
+    S = [[0, 1^T], [1, Q]] (type II)."""
+    f = gf_from_order(q)
+    squares = {f.mul(x, x) for x in range(1, q)}
+    chi = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            diff = f.add(a, f.neg(b))
+            if diff:
+                chi[a, b] = 1 if diff in squares else -1
+    s = np.zeros((q + 1, q + 1), dtype=np.int64)
+    s[0, 1:] = 1
+    s[1:, 1:] = chi
+    if q % 4 == 3:
+        s[1:, 0] = -1
+        h = s + np.eye(q + 1, dtype=np.int64)
+    else:
+        s[1:, 0] = 1
+        h = (np.kron(s, [[1, 1], [1, -1]])
+             + np.kron(np.eye(q + 1, dtype=np.int64), [[1, -1], [-1, -1]]))
+    h = h * h[:, :1]
+    return h * h[:1, :]

@@ -12,7 +12,6 @@ from armub.algebra import (
     exact_sqrt,
     gf_make,
     prime_power_split,
-    quad_sign,
     quad_to_float,
     sign_of,
     square_free_split,
@@ -66,11 +65,11 @@ def test_mixed_radicands_rejected():
 
 
 def test_quad_sign_examples():
-    assert quad_sign(QuadNum(1, -1, 2)) == -1
-    assert quad_sign(QuadNum(0, 0, 5)) == 0
+    assert sign_of(QuadNum(1, -1, 2)) == -1
+    assert sign_of(QuadNum(0, 0, 5)) == 0
     # 7 - 2*sqrt(12): 49 > 4*12 = 48 by cross multiplication
-    assert quad_sign(QuadNum(7, -2, 12)) == 1
-    assert quad_sign(QuadNum(-7, 2, 12)) == -1
+    assert sign_of(QuadNum(7, -2, 12)) == 1
+    assert sign_of(QuadNum(-7, 2, 12)) == -1
     assert sign_of(Fraction(-3, 7)) == -1 and sign_of(0) == 0
 
 
@@ -142,7 +141,7 @@ def test_sign_consistent_with_float_rendering():
         m = rng.choice([2, 3, 5, 6, 7, 10])
         x = QuadNum(a, b, m)
         f = quad_to_float(x, 64)
-        assert quad_sign(x) == (f > 0) - (f < 0)
+        assert sign_of(x) == (f > 0) - (f < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,26 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     assert "injected" in capsys.readouterr().err
 
 
+def test_cached_parser_keeps_calls_apart(tmp_path, capsys):
+    """In-process calls share one parser, and neither the options nor the
+    defaults of one subcommand reach the next call."""
+    wide, corner = tmp_path / "wide.json", tmp_path / "corner.json"
+    assert cli.main(["epsh", "8", "1", "--scope", "row-col-permutations", "--cap", "5",
+                     "--out", str(wide)]) == cli.EXIT_RESOURCE
+    assert cli.main(["epsh", "8", "2", "--out", str(corner)]) == cli.EXIT_OK
+    obj = _load(corner)
+    assert "partial" not in obj
+    assert obj["provenance"]["col_select"] == [0, 1]
+    assert cli.main(["verify", str(wide), str(corner)]) == cli.EXIT_OK
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    assert vars(parser.parse_args(["hadamard", "4"])) == \
+        {"command": "hadamard", "order": 4, "out": None}
+    assert vars(parser.parse_args(["epsh", "8", "1"])) == {
+        "command": "epsh", "order": 8, "t": 1, "scope": "corner-only",
+        "cap": 100_000, "out": None}
+
+
 def _set(obj, **fields):
     obj.update(fields)
     return obj

@@ -13,21 +13,19 @@ from armub.epsh import (
     ExactEps,
     best_reduction,
     classify_u,
-    closed_form,
     corner_split,
-    epsilon_of,
-    lemma_inverse,
     paper_listed_configs,
     reduce_split,
-    schur_reduce,
 )
 from armub.errors import CertificationError, DomainError, ResourceLimitError
 from armub.hadamard import find_hadamard, sylvester
 from oracles import (
     assert_matches_sympy,
     best_reduction_loop,
+    epsilon_of,
     find_placements,
     from_scalar_rows,
+    lemma_inverse,
     series_inverse_check,
     sympy_reduction,
     term_gram_orthogonal,
@@ -44,7 +42,7 @@ def test_h4_t1_exact_matrix():
     # order-4, U = [1]: the variant with the (sqrt(4n)+1) denominator is
     # D^ - W^(I+U^)^-1 V^, i.e. Y1 under this package's labeling
     h4 = sylvester(2)
-    y1 = schur_reduce(corner_split(h4, 1), "Y1")
+    y1 = reduce_split(corner_split(h4, 1), "Y1")
     assert y1.scalar_rows() == H4_T1_SMALL_VARIANT
     assert sorted(map(abs, {y1.entry(i, j) for i in range(3) for j in range(3)})) == [
         Fraction(1, 3),
@@ -55,21 +53,21 @@ def test_h4_t1_exact_matrix():
 def test_h4_t1_sympy_oracle():
     h4 = sylvester(2)
     for variant in ("Y1", "Y2"):
-        y = schur_reduce(corner_split(h4, 1), variant)
-        assert_matches_sympy(y, sympy_reduction(h4.rows, 1, variant))
+        split = corner_split(h4, 1)
+        assert_matches_sympy(reduce_split(split, variant), sympy_reduction(split, variant))
 
 
 def test_h8_t2_sympy_oracle():
     h8 = sylvester(3)
     for variant in ("Y1", "Y2"):
-        y = reduce_split(corner_split(h8, 2), variant)
-        assert_matches_sympy(y, sympy_reduction(h8.rows, 2, variant))
+        split = corner_split(h8, 2)
+        assert_matches_sympy(reduce_split(split, variant), sympy_reduction(split, variant))
 
 
 def test_h4_t1_epsilon_values():
     h4 = sylvester(2)
-    y1 = schur_reduce(corner_split(h4, 1), "Y1")
-    y2 = schur_reduce(corner_split(h4, 1), "Y2")
+    y1 = reduce_split(corner_split(h4, 1), "Y1")
+    y2 = reduce_split(corner_split(h4, 1), "Y2")
     # definitional epsilon takes the larger, downward deviation:
     # |sqrt(3)*(1/3) - 1| = 1 - 1/sqrt(3) > 2/sqrt(3) - 1
     assert y1.epsilon.cmp(ExactEps(Fraction(1, 3))) == 0
@@ -132,37 +130,26 @@ def test_classify_u_domain_errors():
         classify_u(np.ones((4, 4), dtype=np.int64))
 
 
-def test_closed_form_matches_schur_on_corner():
-    for order, t in [(8, 1), (8, 2), (12, 1), (12, 2), (16, 2)]:
-        h = find_hadamard(order)
-        split = corner_split(h, t)
-        uclass = classify_u(split.u_matrix())
-        for variant in ("Y1", "Y2"):
-            a = closed_form(split, uclass, variant)
-            b = schur_reduce(split, variant)
-            assert a.scalar_rows() == b.scalar_rows(), (order, t, variant)
+def _h16_listed_t3():
+    h16 = find_hadamard(16)
+    return next(iter(find_placements(h16, [paper_listed_configs(3)[0]]).values()))
 
 
-def test_closed_form_unlisted_t3_rejected():
-    h = find_hadamard(20)
-    split = corner_split(h, 3)
-    uclass = classify_u(split.u_matrix())
-    if uclass.closed_form_available:
-        pytest.skip("corner happened to be a listed configuration")
-    with pytest.raises(DomainError):
-        closed_form(split, uclass, "Y1")
-    # the general path still serves it
-    assert schur_reduce(split, "Y1").order == 17
-
-
-def test_closed_form_relation_mismatch():
-    h8 = find_hadamard(8)
-    split = corner_split(h8, 2)
-    wrong = classify_u([[1, -1], [1, 1]])  # relation of a different U
-    if wrong.relation_holds(split.u_matrix()):
-        pytest.skip("corner U unexpectedly satisfies the foreign relation")
-    with pytest.raises(DomainError):
-        closed_form(split, wrong, "Y1")
+@pytest.mark.parametrize("variant", ["Y1", "Y2"])
+@pytest.mark.parametrize("make, method", [
+    (_h16_listed_t3, "closed-form"),
+    (lambda: corner_split(find_hadamard(12), 3), "schur"),
+    (lambda: BlockSplit(find_hadamard(12), (1, 5), (2, 7), (True, False), (False, True)),
+     "closed-form"),
+], ids=["h16-listed-t3", "h12-corner-t3", "h12-negated-t2"])
+def test_reduce_split_matches_sympy(make, method, variant):
+    """Every source of C gives the Y of an independent sympy reduction, entry
+    by entry: a published t = 3 closed form, t = 3 elimination for an
+    unlisted U, and a split with negated rows and columns."""
+    split = make()
+    y = reduce_split(split, variant)
+    assert y.provenance.method == method
+    assert_matches_sympy(y, sympy_reduction(split, variant))
 
 
 # -- paper-displayed inverse formulas --------------------------------------
@@ -282,46 +269,34 @@ def test_lemma_inverse_identity():
 
 
 def test_t3_closed_form_coefficients_at_order_16():
-    """Term coefficients at 4n = 16 match the displayed fractions, with
-    alternating signs for Y1 and all-positive signs for Y2."""
-    h16 = find_hadamard(16)
-    placed = find_placements(h16, [paper_listed_configs(3)[0]])
-    split = next(iter(placed.values()))
-    u = split.u_matrix()
-    w, v = split.w_matrix(), split.v_matrix()
-    mats = {
-        "wv": w @ v,
-        "wuv": w @ u @ v,
-        "wu2v": w @ u @ u @ v,
-    }
-    expect = {
-        "Y1": {"wv": Fraction(-1, 18), "wuv": Fraction(1, 48), "wu2v": Fraction(-1, 144)},
-        "Y2": {"wv": Fraction(1, 15), "wuv": Fraction(1, 48), "wu2v": Fraction(1, 240)},
-    }
+    """The closed-form coefficients of I, U and U^2 at 4n = 16 are the
+    displayed fractions, with alternating signs for Y1 and all-positive
+    signs for Y2."""
+    u = np.array(paper_listed_configs(3)[0], dtype=np.int64)
     uclass = classify_u(u)
+    expect = {
+        "Y1": [Fraction(-1, 18), Fraction(1, 48), Fraction(-1, 144)],
+        "Y2": [Fraction(1, 15), Fraction(1, 48), Fraction(1, 240)],
+    }
     for variant, want in expect.items():
-        y = closed_form(split, uclass, variant)
-        got = {}
-        for coeff, mat in y.terms:
-            for name, ref in mats.items():
-                if np.array_equal(mat, ref):
-                    got[name] = coeff
-                elif np.array_equal(mat, -ref):
-                    got[name] = -coeff
-        assert {n: Fraction(c) for n, c in got.items() if n in want} == want
+        flip = 1 if variant == "Y1" else -1  # Y2's powers are of -U
+        coeffs = epsh._closed_form_coeffs(u, uclass, variant, 16)
+        for p, (c, power) in enumerate(coeffs):
+            assert np.array_equal(power, np.linalg.matrix_power(flip * u, p))
+        assert [flip**p * c for p, (c, _) in enumerate(coeffs)] == want
 
 
 # -- epsilon ----------------------------------------------------------------
 
 def test_epsilon_of_exact_hadamard_is_zero():
     y = EpsHadamard.from_sign_hadamard(sylvester(3))
-    assert epsilon_of(y).is_zero()
+    assert epsilon_of(y.scalar_rows()).is_zero()
     assert float(y.epsilon) == 0.0
 
 
 def test_epsilon_of_scalar_rows():
     h4 = sylvester(2)
-    y = schur_reduce(corner_split(h4, 1), "Y1")
+    y = reduce_split(corner_split(h4, 1), "Y1")
     eps = epsilon_of(y.scalar_rows())
     assert eps.cmp(y.epsilon) == 0
     assert eps.location is not None
@@ -342,11 +317,30 @@ def test_window_violation_detected():
 
 def test_orthogonality_violation_detected():
     h4 = sylvester(2)
-    y = schur_reduce(corner_split(h4, 1), "Y1")
+    y = reduce_split(corner_split(h4, 1), "Y1")
     rows = y.scalar_rows()
     rows[0][0] = -rows[0][0] + Fraction(1, 7)
     with pytest.raises(CertificationError):
         from_scalar_rows(rows, y.radicand, y.provenance)
+
+
+def test_wxv_exact_beyond_int64():
+    """W X V takes int64 while t^2 * max|X| < 2^63 and Python ints beyond."""
+    w = np.array([[1, -1], [1, 1], [-1, 1]], dtype=np.int64)
+    v = w.T.copy()
+    for top, dtype in ((2**60, np.int64), (2**61, object)):
+        x = np.array([[top, -top], [3, top]], dtype=object)
+        got = epsh._wxv(w, x, v)
+        assert got.dtype == dtype
+        want = [[sum(int(w[i, a]) * x[a, b] * int(v[b, j]) for a in range(2) for b in range(2))
+                 for j in range(3)] for i in range(3)]
+        assert got.tolist() == want
+    # a term of Python ints stays exact inside EpsHadamard
+    big = 2**70
+    prov = epsh.Provenance("I", 2, 0, (), (), (), (), None, "exact-hadamard")
+    y = EpsHadamard(2, 2, [(Fraction(1, big), np.array([[big, 0], [0, big]], dtype=object))],
+                    prov)
+    assert y.scalar_rows() == [[1, 0], [0, 1]]
 
 
 # -- the integer-form Gram kernel ---------------------------------------------

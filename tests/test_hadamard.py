@@ -14,6 +14,7 @@ from armub.hadamard import (
     paley,
     sylvester,
 )
+from oracles import paley_scalar
 
 # order-4 complex-MUB companion matrix, scaled by 2 (paper background fixture)
 M4_1_TIMES_2 = [
@@ -54,6 +55,13 @@ def test_paley_orders(q, order):
     h = paley(q)
     assert h.order == order
     assert h.hadamard_verified and gram_oracle(h)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25, 27, 49, 81, 121, 125, 243, 343])
+def test_paley_matches_scalar_oracle(q):
+    """The array difference table gives the rows that scalar field
+    subtraction does, for prime and prime-power q of both types."""
+    assert np.array_equal(paley(q).rows, paley_scalar(q))
 
 
 def test_paley_rejects_bad_q():
