@@ -7,11 +7,11 @@ Exit codes (stable contract; CI treats any nonzero as red):
   2  domain/validation error (inputs outside the mathematical domain)
   3  requested Hadamard order not reachable from the generator set
   4  artifact parse error: unreadable or non-object JSON, a missing or
-     malformed field, values outside the artifact's domain, or
-     structurally incompatible values (StructuralError, e.g. mixed
-     radicands); for a basis-set, also a reference whose "file" is not a
-     plain file name in the basis-set's directory, or names a missing or
-     unreadable file
+     malformed field, a field of an earlier artifact form (see verify
+     below), values outside the artifact's domain, or structurally
+     incompatible values (StructuralError, e.g. mixed radicands); for a
+     basis-set, also a reference whose "file" is not a plain file name in
+     the basis-set's directory, or names a missing or unreadable file
   5  a certification or bound check failed, including a vanishing
      denominator met during exact arithmetic (ExactArithmeticError) and a
      referenced file whose bytes do not match its recorded sha256
@@ -25,12 +25,12 @@ basis-set and the rbd and epsh files it refers to cost one certification
 each.  An epsh file holds Y as its derivation: verify checks the stored
 Hadamard matrix H, derives Y again from H and the stored split, certifies
 it exactly as construction does, and fails (exit 5) unless k, m, the
-provenance, epsilon and epsilon_upper equal the derived ones.  An epsh
-file of the earlier form, with Y's explicit "entries", exits 4.  For an
-rbd or basis-set file it says how the design's mu was certified: by the
-line theorem for the affine recipe, or pairwise over every class pair for
-an explicit class array (a hand-built design, or an affine rbd.json
-written before the recipe form).
+provenance, epsilon and epsilon_upper equal the derived ones.  An rbd file
+holds the recipe of the affine design, and for an rbd or basis-set file
+verify says that the design's mu = 1 was certified by the line theorem.
+The earlier forms exit 4: an epsh file with Y's explicit "entries", an
+rbd file with an explicit "classes" array, and a basis-set file with
+"vectors" or an inline "design" or "y".
 
 Artifacts are written atomically (temp file + rename) in canonical JSON.
 """
@@ -40,13 +40,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
 
 from . import jsonio
 from .bases import assemble
-from .epsh import EpsHadamard, best_reduction
+from .epsh import SEARCH_SCOPES, EpsHadamard, best_reduction
 from .errors import (
     CertificationError,
     DomainError,
@@ -57,7 +56,7 @@ from .errors import (
     StructuralError,
 )
 from .hadamard import find_hadamard
-from .rbd import ROUTE_AFFINE, build_affine_rbd
+from .rbd import build_affine_rbd
 from .verify import check_theorem_bounds, cross_stats, ledger_ok
 
 EXIT_OK = 0
@@ -193,10 +192,7 @@ def _certificate_parts(obj):
     return jsonio.parse_report(report), verdicts
 
 
-def _mu_route_note(r) -> str:
-    if r.mu_route == ROUTE_AFFINE:
-        return " (affine design: mu = 1 by the line theorem)"
-    return f" (pairwise: {math.comb(r.r, 2)} class pairs)"
+_MU_NOTE = " (affine design: mu = 1 by the line theorem)"
 
 
 def cmd_verify(args) -> int:
@@ -214,10 +210,11 @@ def cmd_verify(args) -> int:
                 if obj.get("partial"):
                     note = " (partial: best split within the search cap)"
             elif kind == "rbd":
-                note = _mu_route_note(artifacts.parse(path, jsonio.parse_rbd))
+                artifacts.parse(path, jsonio.parse_rbd)
+                note = _MU_NOTE
             elif kind == "basis-set":
-                bs = jsonio.parse_basis_set(obj, os.path.dirname(path), artifacts)
-                note = _mu_route_note(bs.rbd)
+                jsonio.parse_basis_set(obj, os.path.dirname(path), artifacts)
+                note = _MU_NOTE
             elif kind == "report":
                 jsonio.parse_report(obj)
             elif kind == "certificate":
@@ -272,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=int)
     p.add_argument("t", type=int)
     p.add_argument("--scope", default="corner-only",
-                   choices=["corner-only", "row-col-permutations",
-                            "permutations-and-negations"])
+                   choices=SEARCH_SCOPES)
     p.add_argument("--cap", type=int, default=100_000)
     p.add_argument("--out")
 
@@ -287,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--scope", default="corner-only",
-                   choices=["corner-only", "row-col-permutations",
-                            "permutations-and-negations"])
+                   choices=SEARCH_SCOPES)
     p.add_argument("--cap", type=int, default=100_000)
     p.add_argument("--out", default="armub-out")
 

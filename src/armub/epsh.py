@@ -151,7 +151,10 @@ class UClass:
     vartheta: Optional[int]
     paper_listed: bool
     preferred_variant: Optional[str]
-    closed_form_available: bool
+
+    @property
+    def closed_form_available(self) -> bool:
+        return self.t <= 2 or self.paper_listed
 
     def relation_holds(self, u: np.ndarray) -> bool:
         u = np.asarray(u, dtype=np.int64)
@@ -208,15 +211,13 @@ def classify_u(u) -> UClass:
         kappa = _int_det(u)
     key = tuple(tuple(int(x) for x in row) for row in u)
     preferred = _PAPER_PREFERRED.get(key)
-    listed = preferred is not None
     cls = UClass(
         t=t,
         kappa=kappa,
         gamma=gamma,
         vartheta=vartheta,
-        paper_listed=listed,
+        paper_listed=preferred is not None,
         preferred_variant=preferred,
-        closed_form_available=(t <= 2) or listed,
     )
     assert cls.relation_holds(u), "Cayley-Hamilton relation must hold"
     return cls
@@ -903,7 +904,7 @@ def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
 # Search over splits: the exact epsilon screen
 # ---------------------------------------------------------------------------
 
-_SCOPES = ("corner-only", "row-col-permutations", "permutations-and-negations")
+SEARCH_SCOPES = ("corner-only", "row-col-permutations", "permutations-and-negations")
 _VARIANTS = ("Y2", "Y1")  # evaluation order of the two variants of a split
 _SCREEN_BUDGET = 1 << 17  # elements per working array of the screen
 
@@ -1168,7 +1169,7 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
     """
     if not h.hadamard_verified:
         raise DomainError("best_reduction requires a hadamard-verified matrix")
-    if search_scope not in _SCOPES:
+    if search_scope not in SEARCH_SCOPES:
         raise DomainError(f"unknown search scope {search_scope!r}")
     if t not in (1, 2, 3):
         raise DomainError(f"t must be in {{1,2,3}}, got {t}")

@@ -20,10 +20,10 @@ arrays:
   and the split, route and U relation (``provenance``), with k, m and
   both epsilons.  A parse derives and certifies Y again from H and the
   split, and every stored field must equal the derived one.
-* ``rbd`` holds exactly one of ``"field": {"p", "e", "modulus"}``, the
-  recipe of the affine design over GF(p^e) (modulus little-endian, monic),
-  and ``"classes"``, the explicit r x s x k class array of a hand-built
-  design.  Either way the design is certified again on parse.
+* ``rbd`` holds d, k, s, r, mu and ``"field": {"p", "e", "modulus"}``,
+  the recipe of the affine design over GF(p^e) (modulus little-endian,
+  monic), certified again on parse.  An rbd of the earlier form, with an
+  explicit ``"classes"`` array, is a parse error.
 * ``basis-set`` holds d, k, s and two references, ``"rbd"`` and
   ``"epsh"``, each ``{"file", "sha256"}``: the plain file name of a
   sibling artifact in the same directory and the SHA-256 of its bytes.
@@ -126,27 +126,6 @@ def bool_parse(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ParseError(f"{name} must be a JSON boolean, got {value!r}")
     return value
-
-
-def int_array_parse(nested, name: str) -> np.ndarray:
-    """A nested list of JSON integers as an int64 array.
-
-    numpy turns a float or a string among ints into a float or string
-    array, which the dtype check rejects, but reads a bool among ints as 0
-    or 1; so only the entries of value 0 or 1 are looked up in the list.
-    """
-    try:
-        arr = np.array(nested)
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"{name} is not a regular array of integers: {exc}") from exc
-    if arr.dtype.kind != "i":
-        raise ParseError(f"{name} must hold JSON integers, got dtype {arr.dtype}")
-    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
-        item = nested
-        for i in index:
-            item = item[i]
-        int_parse(item, f"{name} entry {tuple(index)}")
-    return arr.astype(np.int64, copy=False)
 
 
 def frac_wire(x) -> list[str]:
@@ -295,15 +274,13 @@ def parse_provenance(obj) -> Provenance:
     uclass = None
     if obj.get("u_relation"):
         u = obj["u_relation"]
-        listed = bool_parse(u["paper_listed"], "paper_listed")
         uclass = UClass(
             t=t,
             kappa=int_parse(u["kappa"], "kappa"),
             gamma=int_parse(u["gamma"], "gamma"),
             vartheta=None if u["vartheta"] is None else int_parse(u["vartheta"], "vartheta"),
-            paper_listed=listed,
+            paper_listed=bool_parse(u["paper_listed"], "paper_listed"),
             preferred_variant=u["preferred_variant"],
-            closed_form_available=t <= 2 or listed,
         )
     return Provenance(
         source_label=str(obj["source_label"]),
@@ -397,7 +374,8 @@ def parse_eps_hadamard(obj) -> EpsHadamard:
 # ---------------------------------------------------------------------------
 
 def rbd_obj(r: Rbd) -> dict:
-    out = {
+    p, e, modulus = r.field
+    return {
         "kind": "rbd",
         "d": r.d,
         "k": r.k,
@@ -405,13 +383,8 @@ def rbd_obj(r: Rbd) -> dict:
         "r": r.r,
         "mu": r.mu,
         "provenance": r.provenance,
+        "field": {"p": p, "e": e, "modulus": list(modulus)},
     }
-    if r.field is None:
-        out["classes"] = r.classes.astype(int).tolist()
-    else:
-        p, e, modulus = r.field
-        out["field"] = {"p": p, "e": e, "modulus": list(modulus)}
-    return out
 
 
 def _field_parse(obj) -> tuple[int, int, tuple[int, ...]]:
@@ -424,20 +397,15 @@ def _field_parse(obj) -> tuple[int, int, tuple[int, ...]]:
 
 
 def parse_rbd(obj) -> Rbd:
-    if isinstance(obj, dict) and ("classes" in obj) == ("field" in obj):
+    if isinstance(obj, dict) and "classes" in obj:  # the form written before
         raise ParseError(
-            "bad rbd artifact: needs exactly one of 'field' (the affine recipe) "
-            "and 'classes' (an explicit class array)"
+            "bad rbd artifact: unknown field 'classes' (an rbd holds the affine "
+            "recipe 'field'; write it again with armub rbd or armub armub)"
         )
     try:
         d, k, s = (int_parse(obj[name], name) for name in ("d", "k", "s"))
-        provenance = str(obj.get("provenance", ""))
-        if "field" in obj:
-            r = Rbd.affine(k, s, _field_parse(obj["field"]), d=d,
-                           r=int_parse(obj["r"], "r"), provenance=provenance)
-        else:
-            r = Rbd(d, k, s, int_array_parse(obj["classes"], "classes"),
-                    provenance=provenance)
+        r = Rbd(k, s, _field_parse(obj["field"]), d=d, r=int_parse(obj["r"], "r"),
+                provenance=str(obj.get("provenance", "")))
         declared_mu = None if obj["mu"] is None else int_parse(obj["mu"], "mu")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
@@ -450,7 +418,7 @@ def parse_rbd(obj) -> Rbd:
         raise CertificationError(
             f"declared mu={declared_mu} but verified mu={cert.mu}"
         )
-    r.mu, r.mu_route = cert.mu, cert.route
+    r.mu = cert.mu
     return r
 
 

@@ -3,15 +3,13 @@
 Inner products between vectors of different bases are structurally sparse:
 with mu = 1 the supports of two cross-basis vectors share at most one
 coordinate, so every cross inner product is zero or a single product of
-two Y entries.  For a basis pair (l, m) the shared points, counted by
-their (position in the l-block, position in the m-block), form a k x k
-matrix that depends only on the two classes' position maps.  Classes are
-grouped by identical position map, and per pair of groups that matrix is
-contracted once with the per-column magnitude histograms of Y and weighted
-by the number of basis pairs between the groups, so every one of the d^2
-vector pairs of every basis pair is accounted for without materializing
-it.  The affine design has a single group by construction, and so a
-single contraction.
+two Y entries.  For a basis pair the shared points, counted by their
+(position in the one block, position in the other), form a k x k matrix.
+In the affine design every point a*s + b sits at position a of its block
+in every class, so that matrix is s*I for every basis pair, and one
+contraction of the per-column magnitude histograms of Y, weighted by s and
+the number of basis pairs, accounts for every one of the d^2 vector pairs
+of every basis pair without materializing it.
 
 Values are collected by exact equality (no floating tolerance exists in
 classification); beta = sqrt(d) * max|<u,v>| is held exactly via its
@@ -118,32 +116,19 @@ def _merge_counts(acc: dict, key_scalar: Scalar, count: int):
         acc[key] = [key_scalar, count]
 
 
-def _position_groups(bs: BasisSet) -> list[tuple[np.ndarray, int]]:
-    """(position map, number of bases) per distinct position map of the
-    bases' classes, in order of first appearance.  The affine form has one
-    position map, point // s, for every class."""
-    if bs.rbd.field is not None:
-        return [(bs.rbd.pos_map(0), bs.num_bases)]
-    groups: dict[bytes, list] = {}
-    for basis in bs.bases:
-        pm = bs.rbd.pos_map(basis.class_index)
-        groups.setdefault(pm.tobytes(), [pm, 0])[1] += 1
-    return [(pm, n) for pm, n in groups.values()]
-
-
 def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     """Exact inner-product statistics over every vector pair of every pair
     of distinct bases.
 
-    Needs the design's certified mu = 1.  Per pair of position-map groups,
-    cp[p, q] counts the points at position p in a block of one class and q
-    in a block of the other; with mu = 1 each such point is shared by
-    exactly one block pair, so col_counts^T @ cp @ col_counts histograms
-    the nonzero products of the basis pair, and the s^2 - d block pairs
-    that share no point give k^2 zeros each.  Every entry counts vector
-    pairs sharing a point, at most d * k^2 per basis pair, so all sums stay
-    below basis_pairs * d * k^2, asserted below 2^63: the int64 products
-    are exact.
+    Needs the design's certified mu = 1.  Every point lies at position
+    a = point // s of its block in every class, so per basis pair the k x k
+    count of shared points by position pair is s*I; with mu = 1 each shared
+    point is shared by exactly one block pair, so s * col_counts^T @
+    col_counts histograms the nonzero products of the basis pair, and the
+    s^2 - d block pairs that share no point give k^2 zeros each.  An entry
+    of col_counts^T @ col_counts is at most k^3 (each column of Y holds k
+    entries), asserted below 2^63, so the int64 product is exact; the
+    weights are applied in Python ints.
     """
     nb = bs.num_bases
     if nb < 2:
@@ -157,20 +142,12 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     nvals = len(vals)
     d, s, k = r.d, r.s, r.k
     basis_pairs = nb * (nb - 1) // 2
-    assert basis_pairs * d * k * k < 2**63, "cross-statistics counts would overflow int64"
     col_counts = np.stack(
         [np.bincount(ids[:, c], minlength=nvals) for c in range(k)]
     ).astype(np.int64)  # (k, nvals)
-
-    vv_total = np.zeros((nvals, nvals), dtype=np.int64)
-    groups = _position_groups(bs)
-    for g, (pg, ng) in enumerate(groups):
-        for h in range(g, len(groups)):
-            ph, nh = groups[h]
-            weight = math.comb(ng, 2) if h == g else ng * nh
-            if weight:
-                cp = np.bincount(pg * k + ph, minlength=k * k).reshape(k, k)
-                vv_total += weight * (col_counts.T @ cp @ col_counts)
+    assert k**3 < 2**63, "cross-statistics counts would overflow int64"
+    vv = col_counts.T @ col_counts
+    weight = s * basis_pairs
     zeros_total = basis_pairs * (s * s - d) * k * k
 
     # collapse the id histogram into exact value counts
@@ -179,9 +156,9 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
         _merge_counts(acc, Fraction(0), zeros_total)
     for v in range(nvals):
         for w in range(nvals):
-            c = int(vv_total[v, w])
+            c = int(vv[v, w])
             if c:
-                _merge_counts(acc, vals[v] * vals[w], c)
+                _merge_counts(acc, vals[v] * vals[w], weight * c)
     ordered = sorted(acc.values(),
                      key=functools.cmp_to_key(lambda x, y: cmp_values(x[0], y[0])))
     delta = [DeltaValue(value=item[0], count=item[1]) for item in ordered]

@@ -4,8 +4,9 @@ Everything here recomputes expected values through routes that do not share
 code with the paths under test: sympy radical arithmetic for small exact
 matrices, dense integer Gram matrices in int64, per-term-pair Gram matrices
 with exact scalar coefficients, one cross-statistics contraction per basis
-pair, direct set arithmetic for designs, epsilon entry by entry, and Paley
-matrices from scalar field operations.  No oracle uses the float64 route of
+pair, hand-built designs as explicit class arrays with mu from direct set
+arithmetic, epsilon entry by entry, and Paley matrices from scalar field
+operations.  No oracle uses the float64 route of
 ``EpsHadamard.verify_orthogonal``.  ``lemma_inverse`` is the exception: it
 evaluates the library's polynomial-inverse coefficients as the published
 displays write them, so that tests can compare those displays.
@@ -262,12 +263,77 @@ def oracle_classification(counts: dict, d: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Designs as explicit class arrays
+# ---------------------------------------------------------------------------
+
+def set_intersection_mu(design) -> int:
+    """Max cross-class block intersection, by sets of points."""
+    blocks = [[set(int(p) for p in blk) for blk in design.class_blocks(l)]
+              for l in range(design.r)]
+    return max((len(a & b)
+                for l, m in itertools.combinations(range(design.r), 2)
+                for a in blocks[l] for b in blocks[m]), default=0)
+
+
+class ClassArrayDesign:
+    """A hand-built resolvable design as its r x s x k class array, with
+    what ``assemble`` and ``SparseBasis`` read of a design: d, k, s, r, mu
+    and ``class_blocks``.  mu comes from ``set_intersection_mu``."""
+
+    def __init__(self, classes):
+        self.classes = np.array(classes, dtype=np.int64)
+        self.r, self.s, self.k = self.classes.shape
+        self.d = self.k * self.s
+        self.mu = set_intersection_mu(self)
+
+    def class_blocks(self, class_index: int) -> np.ndarray:
+        return self.classes[class_index]
+
+
+def affine_classes(k: int, s: int) -> list:
+    """The s non-vertical classes of AG(2, s) on the rows a < k, by scalar
+    field operations: block c of slope l holds a*s + (c + l*a) for a < k."""
+    f = gf_from_order(s)
+    return [[[a * s + f.add(c, f.mul(l, a)) for a in range(k)] for c in range(s)]
+            for l in range(s)]
+
+
+def paper_d4_design() -> ClassArrayDesign:
+    """The paper's d = 4 fixture: three classes of two blocks of R^4, which
+    with Y = H_2/sqrt(2) give the three real MUBs of R^4."""
+    return ClassArrayDesign([[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]])
+
+
+def affine_plane_3_design(relabel=None) -> ClassArrayDesign:
+    """All four parallel classes of AG(2, 3), the vertical one included
+    (k = s = 3, d = 9, r = 4); ``relabel`` renames the points."""
+    classes = affine_classes(3, 3)
+    classes.append([[a * 3 + b for b in range(3)] for a in range(3)])  # x = a
+    if relabel is not None:
+        classes = [[sorted(relabel[p] for p in blk) for blk in cls] for cls in classes]
+    return ClassArrayDesign(classes)
+
+
+# ---------------------------------------------------------------------------
 # Cross statistics, one contraction per basis pair
 # ---------------------------------------------------------------------------
 
+def _class_maps(design, class_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(point -> index of its block, point -> position in its block) of one
+    class, from the class's blocks."""
+    blocks = design.class_blocks(class_index).reshape(-1)
+    block_of = np.full(design.d, -1, dtype=np.int64)
+    pos_of = np.full(design.d, -1, dtype=np.int64)
+    block_of[blocks] = np.repeat(np.arange(design.s), design.k)
+    pos_of[blocks] = np.tile(np.arange(design.k), design.s)
+    return block_of, pos_of
+
+
 def cross_stats_pairwise(bs):
-    """The per-basis-pair contraction ``cross_stats`` made before it grouped
-    classes by position map, with its per-pair mu check.
+    """One cross-statistics contraction per basis pair, with the block and
+    position maps of each class derived from its blocks, and a per-pair mu
+    check.  Works for any design with ``class_blocks``, the hand-built
+    class arrays included.
 
     Returns (value_counts, zeros, pairs_checked): value_counts maps the
     magnitude key of each |<u, v>| to its count over all vector pairs of all
@@ -286,12 +352,13 @@ def cross_stats_pairwise(bs):
     pairs = 0
     for bl, bm in itertools.combinations(bs.bases, 2):
         l, m = bl.class_index, bm.class_index
-        joint = np.bincount(r.block_map(l) * s + r.block_map(m), minlength=s * s)
+        (block_l, pos_l), (block_m, pos_m) = _class_maps(r, l), _class_maps(r, m)
+        joint = np.bincount(block_l * s + block_m, minlength=s * s)
         if int(joint.max()) > 1:
             raise CertificationError(
                 f"support law violated between classes {l} and {m} (mu > 1)"
             )
-        cp = np.bincount(r.pos_map(l) * k + r.pos_map(m), minlength=k * k)
+        cp = np.bincount(pos_l * k + pos_m, minlength=k * k)
         vv_total += col_counts.T @ cp.reshape(k, k) @ col_counts
         zeros += (s * s - int(cp.sum())) * k * k
         pairs += d * d

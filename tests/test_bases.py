@@ -7,8 +7,8 @@ from armub.bases import assemble
 from armub.epsh import EpsHadamard, best_reduction
 from armub.errors import DomainError
 from armub.hadamard import find_hadamard, sylvester
-from armub.rbd import Rbd, build_affine_rbd, verify_rbd
-from oracles import dense_columns, sparse_orthonormality_check
+from armub.rbd import Rbd, build_affine_rbd
+from oracles import dense_columns, paper_d4_design, sparse_orthonormality_check
 
 INV_SQRT2 = QuadNum(0, Fraction(1, 2), 2)  # 1/sqrt(2) = sqrt(2)/2
 
@@ -25,13 +25,7 @@ M3_COLS = [
 
 
 def paper_d4_basis_set():
-    classes = [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]
-    r = Rbd(4, 2, 2, classes, provenance="paper-d4")
-    cert = verify_rbd(r)
-    assert cert.valid and cert.mu == 1
-    r.mu = 1
-    y = EpsHadamard.from_sign_hadamard(sylvester(1))
-    return assemble(r, y)
+    return assemble(paper_d4_design(), EpsHadamard.from_sign_hadamard(sylvester(1)))
 
 
 def test_paper_d4_reproduces_mub_matrices():
@@ -83,8 +77,7 @@ def test_assemble_order_mismatch():
 
 
 def test_assemble_requires_certified_mu():
-    classes = [[[0, 1], [2, 3]], [[0, 2], [1, 3]]]
-    r = Rbd(4, 2, 2, classes)  # mu not certified
+    r = Rbd(2, 3, build_affine_rbd(2, 3).field)  # mu not certified
     y = EpsHadamard.from_sign_hadamard(sylvester(1))
     with pytest.raises(DomainError):
         assemble(r, y)

@@ -12,7 +12,7 @@ import pytest
 from armub import cli, epsh, jsonio
 from armub.epsh import EpsHadamard, Provenance
 from armub.errors import CertificationError
-from armub.rbd import Rbd, build_affine_rbd
+from armub.rbd import build_affine_rbd
 from oracles import from_scalar_rows
 
 
@@ -41,15 +41,6 @@ def pipeline_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline") / "out"
     assert cli.main(["armub", "--k", "3", "--s", "5", "--t", "1", "--out", str(out)]) == 0
     return out
-
-
-@pytest.fixture(scope="module")
-def explicit_rbd(tmp_path_factory):
-    """The (3, 5) design as an explicit class array declaring mu = 1: the
-    form rbd.json had before the recipe."""
-    r = build_affine_rbd(3, 5)
-    explicit = Rbd(r.d, r.k, r.s, r.classes, mu=1, provenance=r.provenance)
-    return _dump(jsonio.rbd_obj(explicit), tmp_path_factory.mktemp("explicit") / "rbd.json")
 
 
 def _copy(pipeline_dir, tmp_path):
@@ -346,8 +337,8 @@ def _put(obj, value, *path):
     ("rbd.json", 3.7, ("k",)),
     ("rbd.json", 15.0, ("d",)),
     ("rbd.json", 5.0, ("s",)),
-    ("rbd.json", 5.0, ("classes", 0, 0, 1)),
-    ("rbd.json", False, ("classes", 1, 0, 0)),
+    ("rbd.json", 5.0, ("field", "modulus", 0)),
+    ("rbd.json", False, ("field", "modulus", 0)),  # equal to the stored 0
     ("epsh.json", 3.2, ("k",)),
     ("epsh.json", 4.0, ("m",)),
     ("epsh.json", 1.0, ("provenance", "t")),
@@ -375,11 +366,8 @@ def _put(obj, value, *path):
     ("epsh.json", "0g", ("hadamard", "rows", 0)),
     ("epsh.json", "F0", ("hadamard", "rows", 0)),  # upper case
 ])
-def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, explicit_rbd, capsys,
-                                    name, value, path):
-    # a "classes" path edits the explicit form of the design
-    source = explicit_rbd if path[0] == "classes" else pipeline_dir / name
-    bad = _dump(_put(_load(source), value, *path), tmp_path / name)
+def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, capsys, name, value, path):
+    bad = _dump(_put(_load(pipeline_dir / name), value, *path), tmp_path / name)
     assert cli.main(["verify", bad]) == 4
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
 
@@ -416,9 +404,22 @@ def test_large_denominator_artifact_takes_python_int_route(monkeypatch, p, q):
     assert routes[1:] == [False]
 
 
-def test_explicit_affine_rbd_is_certified_pairwise(explicit_rbd, capsys):
-    assert cli.main(["verify", explicit_rbd]) == 0
-    assert capsys.readouterr().out == f"{explicit_rbd}: rbd: ok (pairwise: 10 class pairs)\n"
+# the class array of the affine (3, 5) design, as rbd.json stored it before
+# the recipe form: block c of slope l holds a*5 + (c + l*a) mod 5 for a < 3
+OLD_CLASSES_3_5 = [[[a * 5 + (c + l * a) % 5 for a in range(3)] for c in range(5)]
+                   for l in range(5)]
+
+
+def test_explicit_affine_rbd_exit_4(tmp_path, capsys):
+    old = {"kind": "rbd", "d": 15, "k": 3, "s": 5, "r": 5, "mu": 1,
+           "provenance": "affine(k=3, s=5)", "classes": OLD_CLASSES_3_5}
+    path = _dump(old, tmp_path / "rbd.json")
+    assert cli.main(["verify", path]) == 4
+    assert capsys.readouterr().out == (
+        f"{path}: parse error: bad rbd artifact: unknown field 'classes' (an rbd "
+        "holds the affine recipe 'field'; write it again with armub rbd or "
+        "armub armub)\n"
+    )
 
 
 def _without(obj, field):
@@ -426,14 +427,26 @@ def _without(obj, field):
     return obj
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda obj: _set(obj, classes=build_affine_rbd(3, 5).classes.tolist()),
-    lambda obj: _without(obj, "field"),
-], ids=["both-forms", "neither-form"])
-def test_rbd_needs_exactly_one_form_exit_4(tmp_path, pipeline_dir, capsys, mutate):
+@pytest.mark.parametrize("mutate, message", [
+    (lambda obj: _set(obj, classes=OLD_CLASSES_3_5), "unknown field 'classes'"),
+    (lambda obj: _without(obj, "field"), "bad rbd artifact: 'field'"),
+], ids=["classes-present", "field-missing"])
+def test_rbd_needs_exactly_one_form_exit_4(tmp_path, pipeline_dir, capsys, mutate, message):
     bad = _dump(mutate(_load(pipeline_dir / "rbd.json")), tmp_path / "rbd.json")
     assert cli.main(["verify", bad]) == 4
-    assert "exactly one of 'field' (the affine recipe) and 'classes'" in capsys.readouterr().out
+    assert message in capsys.readouterr().out
+
+
+def test_rbd_beyond_the_old_budget(tmp_path, capsys):
+    """The recipe builds nothing of size d, so d = 256 * 16381 is written
+    and verified."""
+    path = str(tmp_path / "rbd.json")
+    assert cli.main(["rbd", "--k", "256", "--s", "16381", "--out", path]) == 0
+    assert cli.main(["verify", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"d={256 * 16381} k=256 s=16381 mu=1 classes=16381",
+        f"{path}: rbd: ok (affine design: mu = 1 by the line theorem)",
+    ]
 
 
 # (k, s) of the recipe, the fields replaced, and a part of the violation
@@ -518,11 +531,10 @@ def test_malformed_reference_exit_4(tmp_path, pipeline_dir, capsys, mutate, mess
 
 
 @pytest.mark.parametrize("field", ["design", "y"])
-def test_bases_with_embedded_design_or_y_exit_4(tmp_path, pipeline_dir, explicit_rbd,
-                                                capsys, field):
+def test_bases_with_embedded_design_or_y_exit_4(tmp_path, pipeline_dir, capsys, field):
     """The basis-set form written before references: design and Y inline."""
     old = {"kind": "basis-set", "d": 15, "k": 3, "s": 5,
-           "design": _load(explicit_rbd), "y": _load(pipeline_dir / "epsh.json")}
+           "design": _load(pipeline_dir / "rbd.json"), "y": _load(pipeline_dir / "epsh.json")}
     if field == "y":
         del old["design"]
     assert cli.main(["verify", _dump(old, tmp_path / "bases.json")]) == 4

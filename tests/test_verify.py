@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,29 +12,29 @@ from armub.bases import assemble
 from armub.epsh import EpsHadamard, Provenance, best_reduction
 from armub.errors import CertificationError
 from armub.hadamard import find_hadamard, sylvester
-from armub.rbd import Rbd, build_affine_rbd, verify_rbd
+from armub.rbd import Rbd, build_affine_rbd
 from armub.verify import (
+    DeltaValue,
     ExactBeta,
-    _position_groups,
     check_theorem_bounds,
     classify_delta,
     cross_stats,
     ledger_ok,
 )
 from oracles import (
+    ClassArrayDesign,
+    affine_plane_3_design,
     cross_stats_pairwise,
     dense_cross_oracle,
     oracle_classification,
+    paper_d4_design,
     report_delta_dict,
     report_value_key,
 )
 
 
 def paper_d4_basis_set():
-    classes = [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]
-    r = Rbd(4, 2, 2, classes, provenance="paper-d4")
-    r.mu = verify_rbd(r).mu
-    return assemble(r, EpsHadamard.from_sign_hadamard(sylvester(1)))
+    return assemble(paper_d4_design(), EpsHadamard.from_sign_hadamard(sylvester(1)))
 
 
 def small_pipeline(k, s, t):
@@ -44,18 +46,15 @@ def small_pipeline(k, s, t):
 
 
 def affine_plane_3_basis_set(relabel=None):
-    """All four parallel classes of AG(2, 3), the vertical one included
-    (k = s = 3, d = 9), with Y from H_4; ``relabel`` renames the points.
-    Mu = 1, but r = 4 != s, so the pairwise route certifies it."""
-    classes = build_affine_rbd(3, 3).classes.tolist()
-    classes.append([[a * 3 + b for b in range(3)] for a in range(3)])  # x = a
-    if relabel is not None:
-        classes = [[sorted(relabel[p] for p in blk) for blk in cls] for cls in classes]
-    r = Rbd(9, 3, 3, classes, provenance="ag(2,3)")
-    cert = verify_rbd(r)
-    assert cert.valid and cert.route == "pairwise"
-    r.mu = cert.mu
-    return assemble(r, best_reduction(find_hadamard(4), 1))
+    """AG(2, 3) with its vertical class (r = 4 != s), Y from H_4."""
+    return assemble(affine_plane_3_design(relabel), best_reduction(find_hadamard(4), 1))
+
+
+def oracle_delta(counts: dict) -> list[DeltaValue]:
+    """The delta list of the oracle's magnitude counts, ascending."""
+    delta = [DeltaValue(a if b == 0 else QuadNum(a, b, m), count)
+             for (a, b, m), count in counts.items()]
+    return sorted(delta, key=functools.cmp_to_key(lambda x, y: cmp_values(x.value, y.value)))
 
 
 # a point relabelling of AG(2, 3) under which the four classes have four
@@ -63,10 +62,10 @@ def affine_plane_3_basis_set(relabel=None):
 RELABEL_4_GROUPS = [4, 0, 7, 2, 8, 1, 5, 3, 6]
 
 PAIRWISE_CASES = {
-    "d4": (paper_d4_basis_set, 2),
-    "ag23": (affine_plane_3_basis_set, 2),
-    "ag23-relabelled": (lambda: affine_plane_3_basis_set(RELABEL_4_GROUPS), 4),
-    **{f"affine-{k}-{s}-{t}": ((lambda k=k, s=s, t=t: small_pipeline(k, s, t)), 1)
+    "d4": paper_d4_basis_set,
+    "ag23": affine_plane_3_basis_set,
+    "ag23-relabelled": lambda: affine_plane_3_basis_set(RELABEL_4_GROUPS),
+    **{f"affine-{k}-{s}-{t}": (lambda k=k, s=s, t=t: small_pipeline(k, s, t))
        for k, s, t in [(2, 3, 2), (3, 5, 1), (3, 7, 1), (6, 7, 2), (2, 5, 2),
                        (9, 11, 3), (13, 17, 3), (3, 25, 1)]},
 }
@@ -74,19 +73,26 @@ PAIRWISE_CASES = {
 
 @pytest.mark.parametrize("case", list(PAIRWISE_CASES))
 def test_grouped_contraction_matches_pairwise_oracle(case):
-    make, groups = PAIRWISE_CASES[case]
-    bs = make()
-    assert len(_position_groups(bs)) == groups
-    rep = cross_stats(bs)
+    """classify_delta on the per-basis-pair oracle's counts agrees with the
+    oracle's classification, also on the hand-built designs, whose classes
+    have several position maps; on the affine designs cross_stats gives
+    the oracle's counts."""
+    bs = PAIRWISE_CASES[case]()
     counts, zeros, pairs = cross_stats_pairwise(bs)
-    delta = report_delta_dict(rep)
-    assert delta == counts  # every value and its count
+    delta = oracle_delta(counts)
+    label = classify_delta(delta, ExactBeta(delta[-1].value, bs.d), bs.d)
+    assert label == oracle_classification(counts, bs.d)
+    if not isinstance(bs.rbd, Rbd):
+        return
+    rep = cross_stats(bs)
+    reported = report_delta_dict(rep)
+    assert reported == counts  # every value and its count
     # the count of 0 holds the pairs with disjoint supports, and also the
     # products that meet a zero entry of Y
-    assert delta.get(report_value_key(Fraction(0)), 0) >= zeros
+    assert reported.get(report_value_key(Fraction(0)), 0) >= zeros
     assert rep.pairs_checked == pairs
     assert rep.coverage["basis_pairs"] * bs.d * bs.d == pairs
-    assert oracle_classification(counts, bs.d) == rep.classification
+    assert rep.classification == label
 
 
 def householder_5():
@@ -101,9 +107,8 @@ def householder_5():
 
 @pytest.mark.parametrize("k,s", [(3, 5), (4, 7), (3, 9), (5, 25)])
 def test_recipe_design_matches_its_explicit_copy(k, s):
-    """cross_stats on the recipe form (one position group by construction)
-    and on its explicit class array (grouped by hashing, certified
-    pairwise) give byte-identical reports, equal to the per-pair oracle."""
+    """cross_stats on the recipe form equals the per-pair oracle on a
+    class-array copy of the same design."""
     r = build_affine_rbd(k, s)
     if k == 5:
         y = householder_5()
@@ -111,15 +116,9 @@ def test_recipe_design_matches_its_explicit_copy(k, s):
         y = EpsHadamard.from_sign_hadamard(find_hadamard(k))
     else:
         y = best_reduction(find_hadamard(k + 1), 1)
-    explicit = Rbd(r.d, k, s, r.classes)
-    cert = verify_rbd(explicit)
-    assert cert.route == "pairwise"
-    explicit.mu = cert.mu
-    implicit_bs, explicit_bs = assemble(r, y), assemble(explicit, y)
-    rep = cross_stats(implicit_bs)
-    text = jsonio.dumps_canonical(jsonio.report_obj(rep))
-    assert text == jsonio.dumps_canonical(jsonio.report_obj(cross_stats(explicit_bs)))
-    counts, _, pairs = cross_stats_pairwise(explicit_bs)
+    explicit = ClassArrayDesign([r.class_blocks(l) for l in range(r.r)])
+    rep = cross_stats(assemble(r, y))
+    counts, _, pairs = cross_stats_pairwise(assemble(explicit, y))
     assert report_delta_dict(rep) == counts
     assert rep.pairs_checked == pairs
 
@@ -127,14 +126,14 @@ def test_recipe_design_matches_its_explicit_copy(k, s):
 @pytest.mark.parametrize("relabel", [None, RELABEL_4_GROUPS])
 def test_pairwise_designs_match_dense_oracle(relabel):
     bs = affine_plane_3_basis_set(relabel)
-    rep = cross_stats(bs)
-    counts, max_key = dense_cross_oracle(bs)
-    assert report_delta_dict(rep) == counts
-    assert report_value_key(rep.beta.max_ip) == max_key
+    counts, _, _ = cross_stats_pairwise(bs)
+    dense, max_key = dense_cross_oracle(bs)
+    assert counts == dense
+    assert report_value_key(oracle_delta(counts)[-1].value) == max_key
 
 
 def test_cross_stats_requires_certified_mu_1():
-    bs = paper_d4_basis_set()
+    bs = small_pipeline(2, 3, 2)
     for mu in (None, 2):
         bs.rbd.mu = mu
         with pytest.raises(CertificationError, match="certified mu = 1"):
@@ -142,13 +141,16 @@ def test_cross_stats_requires_certified_mu_1():
 
 
 def test_d4_fixture_is_mub():
-    rep = cross_stats(paper_d4_basis_set())
-    assert rep.classification == "MUB"
-    assert len(rep.delta) == 1
-    assert cmp_values(rep.delta[0].value, Fraction(1, 2)) == 0
-    assert rep.delta[0].count == 3 * 16  # three basis pairs, 4x4 each
-    assert float(rep.beta) == 1.0
-    assert rep.beta.le(1)
+    bs = paper_d4_basis_set()
+    counts, _, _ = cross_stats_pairwise(bs)
+    assert counts == dense_cross_oracle(bs)[0]
+    delta = oracle_delta(counts)
+    assert len(delta) == 1
+    assert cmp_values(delta[0].value, Fraction(1, 2)) == 0
+    assert delta[0].count == 3 * 16  # three basis pairs, 4x4 each
+    beta = ExactBeta(delta[0].value, bs.d)
+    assert float(beta) == 1.0 and beta.le(1)
+    assert classify_delta(delta, beta, bs.d) == "MUB"
 
 
 def test_d6_is_apmub():
@@ -158,6 +160,20 @@ def test_d6_is_apmub():
     assert keys == [(0, 0, 1), (Fraction(1, 2), 0, 1)]
     assert rep.beta.le(2)
     assert abs(float(rep.beta) - 6**0.5 / 2) < 1e-12
+
+
+def test_cross_stats_exact_past_int64():
+    """d = 256 * 16381: the counts reach about 3.7e19 > 2^63 and stay exact."""
+    k, s = 256, 16381
+    d = k * s
+    rep = cross_stats(assemble(build_affine_rbd(k, s),
+                               EpsHadamard.from_sign_hadamard(find_hadamard(k))))
+    pairs = math.comb(s, 2)
+    assert [(dv.value, dv.count) for dv in rep.delta] == [
+        (0, pairs * (s * s - d) * k * k),
+        (Fraction(1, 256), pairs * d * k * k),
+    ]
+    assert rep.delta[1].count > 2**63
 
 
 def test_generic_t1_is_armub():
