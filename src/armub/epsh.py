@@ -35,14 +35,17 @@ because several reported per-case expressions track only that side.
 Split search (`best_reduction`) scores candidates without building them.
 For a fixed U (signs applied) and variant, Y_ij = D_ij/sqrt(M) + w_i^T C v_j
 with the C that ``reduce_split`` builds from, where w_i is row i of W and
-v_j column j of V.  An entry is therefore fixed by its
-code (D_ij, w_i, v_j), one of 2^(1+2t) <= 128, and |Y_ij| by the code alone.
-The screen computes each code's exact magnitude, epsilon and window check
-once per (U, variant) that occurs, ranks every epsilon exactly on one scale,
-and reduces each split to the set of codes its entries take.  A candidate's
-epsilon is the largest among its codes, which is exactly the epsilon its
-EpsHadamard would certify, so the screen picks the same split as building
-every candidate would; only the winner is built.
+v_j column j of V.  So |Y_ij| = |1/sqrt(M) + (D_ij w_i)^T C v_j| is fixed by
+the magnitude index (D_ij w_i, v_j), one of 2^(2t) <= 64, and the indices a
+split's entries take fit one 64-bit occurrence mask.  The masks come from
+the rows of H held as column bitsets, one AND-NOT per split and row; a
+negation of the selected rows or columns permutes the mask's bits by XOR.
+The screen computes each index's exact magnitude, epsilon and window check
+once per (U, variant) that occurs, from the integer form of C, and ranks
+every epsilon exactly on one scale.  A candidate's epsilon is the largest
+among the indices in its mask, which is exactly the epsilon its EpsHadamard
+would certify, so the screen picks the same split as building every
+candidate would; only the winner is built.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .algebra import (
     quad_to_float,
     sign_of,
     sqrt_minus_cmp,
+    square_free_split,
 )
 from .errors import (
     CertificationError,
@@ -388,9 +392,11 @@ class BlockSplit:
         return h[np.ix_(self._complement(self.row_select), self._complement(self.col_select))]
 
     def __repr__(self):
+        negate = (f", row_negate={self.row_negate}, col_negate={self.col_negate}"
+                  if any(self.row_negate + self.col_negate) else "")
         return (
             f"BlockSplit({self.source!r}, rows={self.row_select}, "
-            f"cols={self.col_select})"
+            f"cols={self.col_select}{negate})"
         )
 
 
@@ -454,7 +460,8 @@ class EpsHadamard:
         "_core",
         "_p",
         "_q",
-        "_distinct",
+        "_mags",
+        "_combo_abs",
         "_entry_combo_ids",
         "_combo_values",
     )
@@ -478,23 +485,16 @@ class EpsHadamard:
         (P_ij, Q_ij) pairs: the entry is (P_ij + Q_ij*sqrt(c)) / L."""
         k, scale, core = self.order, self._scale, self._core
         pairs, self._entry_combo_ids = _distinct_pairs(self._p, self._q)
-        values = [
+        self._combo_values = [
             QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q
             else Fraction(p, scale)
             for p, q in pairs
         ]
-        self._combo_values = values
-        # distinct absolute values, ascending
-        abs_map: dict = {}
-        for ci, v in enumerate(values):
-            av = abs(v)
-            abs_map.setdefault(_scalar_key(av), [av, []])[1].append(ci)
-        ordered = sorted(abs_map.values(),
-                         key=functools.cmp_to_key(lambda x, y: cmp_values(x[0], y[0])))
-        self._distinct = ordered  # list of [abs value, combo ids]
-
-        # epsilon depends on |Y_ij| alone: one ExactEps per distinct magnitude
-        group_eps = [_entry_eps(k, av, None) for av, _ in ordered]
+        # distinct absolute values, ascending, with epsilon and window verdict
+        self._combo_abs, self._mags = _magnitudes(
+            [(p, q, scale) for p, q in pairs], core, k,
+            _window(self.provenance.t, self.radicand))
+        group_eps = [eps for _, eps, _ in self._mags]
         top = ExactEps.zero()
         for cand in group_eps:
             if top.cmp(cand) < 0:
@@ -546,13 +546,10 @@ class EpsHadamard:
         """Entry magnitudes must lie in the closed interval of the reduction
         theorem whenever 1 <= t and t < sqrt(M)."""
         self.window_ok = True
-        window = _window(self.provenance.t, self.radicand)
-        if window is None:
-            return
-        lo, hi = window
-        for av, _ in self._distinct:
-            if cmp_values(av, lo) < 0 or cmp_values(av, hi) > 0:
+        for av, _, outside in self._mags:
+            if outside:
                 self.window_ok = False
+                lo, hi = _window(self.provenance.t, self.radicand)
                 raise CertificationError(
                     f"entry magnitude {av} outside window [{lo}, {hi}]"
                 )
@@ -568,18 +565,14 @@ class EpsHadamard:
 
     def distinct_abs_values(self) -> list[Scalar]:
         """Distinct entry magnitudes, ascending."""
-        return [av for av, _ in self._distinct]
+        return [av for av, _, _ in self._mags]
 
     def max_abs_entry(self) -> Scalar:
-        return self._distinct[-1][0]
+        return self._mags[-1][0]
 
     def abs_value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
         """(ids, values): ids[i, j] indexes the magnitude of Y_ij in values."""
-        combo_to_abs = np.zeros(len(self._combo_values), dtype=np.int64)
-        for ai, (_, combo_ids) in enumerate(self._distinct):
-            for ci in combo_ids:
-                combo_to_abs[ci] = ai
-        return combo_to_abs[self._entry_combo_ids], [av for av, _ in self._distinct]
+        return self._combo_abs[self._entry_combo_ids], self.distinct_abs_values()
 
     @property
     def variant(self) -> Optional[str]:
@@ -715,6 +708,41 @@ def _distinct_pairs(p: np.ndarray, q: Optional[np.ndarray]) -> tuple[list, np.nd
         dtype=np.int64,
     )
     return list(index), ids.reshape(p.shape)
+
+
+def _quad_sign(p: int, q: int, core: int) -> int:
+    """Exact sign of p + q*sqrt(c) for integers p, q and squarefree c."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    # opposite signs; p^2 == c*q^2 is impossible for q != 0 and c squarefree
+    return sp if p * p > core * q * q else sq
+
+
+def _magnitudes(values, core: int, k: int, window) -> tuple[np.ndarray, list]:
+    """(ids, mags) for exact values (p + q*sqrt(c))/L given as integer
+    triples (p, q, L): mags lists the distinct |value|, ascending, each as
+    (magnitude, epsilon in order k, outside ``window``), and ids[i] indexes
+    the magnitude of values[i].  The one route from an entry value to its
+    epsilon and window verdict, for built matrices and the split screen."""
+    index: dict = {}
+    ids = []
+    for p, q, scale in values:
+        if _quad_sign(p, q, core) < 0:
+            p, q = -p, -q
+        g = math.gcd(p, q, scale)
+        ids.append(index.setdefault((p // g, q // g, scale // g), len(index)))
+    keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _quad_sign(
+        x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], core)))
+    mags = []
+    for p, q, scale in keys:
+        av = QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
+        outside = window is not None and (
+            cmp_values(av, window[0]) < 0 or cmp_values(av, window[1]) > 0)
+        mags.append((av, _entry_eps(k, av, None), outside))
+    order = np.empty(len(keys), dtype=np.int64)
+    order[[index[key] for key in keys]] = np.arange(len(keys))
+    return order[np.array(ids, dtype=np.int64)], mags
 
 
 @functools.lru_cache(maxsize=64)
@@ -906,7 +934,7 @@ def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
 
 SEARCH_SCOPES = ("corner-only", "row-col-permutations", "permutations-and-negations")
 _VARIANTS = ("Y2", "Y1")  # evaluation order of the two variants of a split
-_SCREEN_BUDGET = 1 << 17  # elements per working array of the screen
+_SCREEN_BUDGET = 1 << 16  # elements per working array of the screen
 
 
 def _scope_size(order: int, t: int, scope: str) -> int:
@@ -919,8 +947,9 @@ def _scope_size(order: int, t: int, scope: str) -> int:
 
 
 def _scope_axes(order: int, t: int, scope: str):
-    """(row selections, column selections as an (n, t) array, negation masks),
-    each in search order.  Bit a of a mask negates selected row/column a."""
+    """(index selections as an (n, t) array, negation masks), each in search
+    order; rows and columns share the selections.  Bit a of a mask negates
+    selected row/column a."""
     if scope == "corner-only":
         selections = [tuple(range(t))]
     else:
@@ -932,214 +961,221 @@ def _scope_axes(order: int, t: int, scope: str):
         ]
     else:
         masks = [0]
-    return selections, np.array(selections, dtype=np.intp), masks
+    return np.array(selections, dtype=np.intp), masks
 
 
 def _mask_tuple(mask: int, t: int) -> tuple[bool, ...]:
     return tuple(bool(mask >> a & 1) for a in range(t))
 
 
-def _occurrence(bits: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
-    """occ[c, code]: whether some entry of the split (rows, cols[c]) has the
-    entry code (d << 2t) | (w << t) | v.  Bit a of w (of v) is set when
-    W_ia (V_aj) is -1, and d is set when D_ij is -1; no negations applied."""
-    m = bits.shape[0]
-    t = len(rows)
-    n = len(cols)
-    ncodes = 1 << (1 + 2 * t)
-    weights = (1 << np.arange(t)).astype(np.uint8)
-    rest = np.setdiff1d(np.arange(m), rows)
-    v_code = (bits[list(rows)] * weights[:, None]).sum(axis=0, dtype=np.uint8)
-    base = (bits[rest] << (2 * t)) | v_code  # (k, m): d and v of every column
-    w_code = (bits[rest][:, cols] * weights).sum(axis=-1, dtype=np.uint8)  # (k, n)
-    codes = base[None, :, :] | (w_code.T[:, :, None] << t)  # (n, k, m)
-    codes[np.arange(n)[:, None], :, cols] = ncodes  # selected columns: spare bin
-    occ = np.zeros((n, ncodes + 1), dtype=bool)
-    occ[np.arange(n)[:, None], codes.reshape(n, -1)] = True
-    return occ[:, :ncodes]
+def _bitsets(cells: np.ndarray) -> np.ndarray:
+    """Bitsets over the last axis of a boolean array, as words of the
+    smallest unsigned type that holds M bits, or ceil(M/64) uint64 words;
+    only used through AND, AND-NOT and tests for zero."""
+    packed = np.packbits(cells, axis=-1, bitorder="little")
+    size = packed.shape[-1]
+    word = 8 if size > 4 else 1 << (size - 1).bit_length()
+    out = np.zeros(packed.shape[:-1] + (-(-size // word) * word,), dtype=np.uint8)
+    out[..., :size] = packed
+    return out.view(f"u{word}")
 
 
-def _signed_sums(base: Scalar, terms: Sequence[Scalar]) -> list[Scalar]:
-    """base + sum_b s_b * terms[b] for every sign vector s, indexed by the
-    bit pattern with bit b set when s_b = -1."""
-    out = [base]
-    for x in terms:
-        out = [y + x for y in out] + [y - x for y in out]
-    return out
+def _xor_permuted(masks: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """(n, len(flips)) uint64: bit b of out[:, f] is bit b ^ flips[f] of
+    masks, built by one delta swap per bit of the flips."""
+    out = masks[:, None]
+    for j in range(int(flips.max()).bit_length()):
+        step = 1 << j  # low: the bits b with bit j of b clear
+        low = np.uint64((2**64 - 1) // (2 ** (2 * step) - 1) * (2**step - 1))
+        out = np.concatenate([out, (out & low) << step | (out >> step) & low], axis=1)
+    return out[:, flips]
+
+
+def _occurrence(signs: np.ndarray, t: int, sel: np.ndarray,
+                bases: int) -> tuple[np.ndarray, np.ndarray]:
+    """(occ, u) of the first ``bases`` bases (rows sel[b // n], columns
+    sel[b % n]) of the sign matrix ``signs``, no negations applied: bit
+    (w' << t) | v of occ[b] is set when an entry has that magnitude index,
+    and bit a*t+b of u[b] when U_ab = -1.
+
+    For rows R, a[i, d, v] holds the columns where row i of H has sign d
+    and v_j = v; one AND-NOT with the bitset of columns C leaves the
+    (d, v) that row i takes, at index w' = w_i(C) xor d*(2^t - 1).
+    Bases are batched in search order across row selections.
+    """
+    m, span = len(signs), 1 << t
+    bits = (signs < 0).astype(np.uint8)  # bits[i, j]: H_ij = -1
+    halves = _bitsets(np.stack([bits == 0, bits == 1], axis=1))  # (i, d, word)
+    drop = np.bitwise_or.reduce(_bitsets(np.eye(m, dtype=bool))[sel], axis=1)
+    u_weights = (1 << np.arange(t * t)).reshape(t, t)
+    chunk = max(1, _SCREEN_BUDGET // (m * 2 * span))
+    occ = np.empty(bases, dtype=np.uint64)
+    u = np.empty(bases, dtype=np.int16)
+    for start in range(0, bases, chunk):
+        base = np.arange(start, min(start + chunk, bases))
+        n = len(base)
+        r, c = np.divmod(base, len(sel))
+        rsel, r = np.unique(r, return_inverse=True)
+        rows, cols = sel[rsel], sel[c]
+        v = sum(bits[rows[:, a]] << a for a in range(t))  # (rows, j)
+        groups = _bitsets(v[:, None, :] == np.arange(span)[:, None])  # (rows, v, word)
+        a = halves[None, :, :, None] & groups[:, None, None]  # (rows, i, d, v, word)
+        a[np.arange(len(rows))[:, None], rows] = 0  # rows of U and V hold no entry
+        a = np.moveaxis(a, -1, 0).reshape(a.shape[-1], len(rows), -1)
+        for word, (part, gone) in enumerate(zip(a, drop[c].T)):
+            x = part[r]
+            x &= ~gone[:, None]
+            live = x != 0 if word == 0 else live | (x != 0)
+        # the span-bit field of surviving v of each (base, i, d), in order
+        packed = np.packbits(live, bitorder="little")[:, None]
+        seen = (packed >> np.arange(0, 8, span, dtype=np.uint8)) & (2**span - 1)
+        w = sum(bits[:, cols[:, b]].T << b for b in range(t))  # (base, i)
+        shift = np.stack([w, w ^ (span - 1)], axis=-1) << t
+        occ[base] = np.bitwise_or.reduce(
+            seen.reshape(n, -1).astype(np.uint64) << shift.reshape(n, -1), axis=1)
+        u[base] = np.einsum("nab,ab->n", bits[rows[r][:, :, None], cols[:, None, :]],
+                            u_weights)
+    return occ, u
 
 
 class _EpsScreen:
-    """Exact epsilon and window check of every entry code, for each U that
+    """Exact epsilon and window check of every magnitude index (w' << t) | v,
+    bit a of w' (of v) set when D_ij W_ia (V_aj) is -1, for each U that
     occurs and each variant, ranked on one global scale.
 
-    For fixed U (signs applied) and variant, Y_ij = D_ij/sqrt(M) + w_i^T C v_j,
-    so |Y_ij| = |1/sqrt(M) + (D_ij w_i)^T C v_j| depends on the entry code
-    alone.  ``rank_tab[lut[u], variant, code]`` is the rank of that code's
-    epsilon among all epsilons that occur (equal epsilons share a rank), or
-    ``sentinel`` when its magnitude lies outside the reduction window.
+    [[1/sqrt(M), 0], [0, C]] is written as (A + B*sqrt(c))/L, as
+    ``reduce_split`` writes C; with S the rows (1, s_x) for every sign
+    vector s_x, S A S^T and S B S^T give every index's value exactly.
+    ``eps[r]`` is the epsilon of rank r (equal epsilons share a rank), and
+    ``sentinel`` ranks a magnitude outside the reduction window.
+    ``levels[lut[u], vi]`` lists the ranks of U code u and variant index vi
+    in descending order, ``level_masks`` the indices of each.
     """
 
-    def __init__(self, u_codes: Sequence[int], t: int, m: int):
-        k = m - t
-        full = (1 << t) - 1
-        code = np.arange(1 << (1 + 2 * t))
-        d, w = code >> (2 * t), (code >> t) & full
-        self.mag_of_code = ((w ^ (full * d)) << t) | (code & full)
+    def __init__(self, u_codes: np.ndarray, t: int, m: int):
         self.window = _window(t, m)
-        inv_sqrt_m = 1 / exact_sqrt(m)
         self.lut = np.full(1 << (t * t), -1, dtype=np.intp)
-        self.mags: list[list[list[Scalar]]] = []  # [u][variant][magnitude index]
-        checked: dict = {}  # magnitude key -> (epsilon key, outside window)
-        eps_by_key: dict = {}
-        keys = []  # [u][variant][magnitude index] -> magnitude key
-        for ui, uc in enumerate(u_codes):
-            self.lut[uc] = ui
+        self.lut[u_codes] = np.arange(len(u_codes))
+        signs = np.array([[1] + [-1 if x >> a & 1 else 1 for a in range(t)]
+                          for x in range(1 << t)], dtype=np.int64)
+        units = np.eye((t + 1) ** 2, dtype=np.int64).reshape(-1, t + 1, t + 1)
+        corner = (1 / exact_sqrt(m), units[0])
+        index: dict = {}  # (p, q, L) -> position in ``index``
+        value_ids = []  # per (u, variant), magnitude index order
+        known: dict = {}  # C(-U, Y1) = -C(U, Y2) and C(-U, Y2) = -C(U, Y1)
+        for uc in u_codes.tolist():
             u = np.array([[-1 if uc >> (a * t + b) & 1 else 1 for b in range(t)]
                           for a in range(t)], dtype=np.int64)
             uclass = classify_u(u)
-            per_u_mags, per_u_keys = [], []
-            for variant in _VARIANTS:
-                c = _coefficient_matrix(u, uclass, variant, m)
-                # (w^T C)_b for every sign vector w, indexed by w's bits
-                wc = [_signed_sums(Fraction(0), [c[a][b] for a in range(t)])
-                      for b in range(t)]
-                mags: list = [None] * (1 << (2 * t))
-                for wi in range(1 << (t - 1)):  # (-w, -v) gives the same value
-                    values = _signed_sums(inv_sqrt_m, [wc[b][wi] for b in range(t)])
-                    for vi, value in enumerate(values):
-                        av = abs(value) if isinstance(value, QuadNum) else abs(Fraction(value))
-                        idx = (wi << t) | vi
-                        mags[idx] = mags[idx ^ ((1 << (2 * t)) - 1)] = av
-                mkeys = [_scalar_key(av) for av in mags]
-                for key, av in zip(mkeys, mags):
-                    if key not in checked:
-                        eps = _entry_eps(k, av, None)
-                        eps_key = _scalar_key(eps.q)
-                        eps_by_key.setdefault(eps_key, eps)
-                        checked[key] = (eps_key, self.window is not None and (
-                            cmp_values(av, self.window[0]) < 0
-                            or cmp_values(av, self.window[1]) > 0))
-                per_u_mags.append(mags)
-                per_u_keys.append(mkeys)
-            self.mags.append(per_u_mags)
-            keys.append(per_u_keys)
+            for vi, variant in enumerate(_VARIANTS):
+                mirror = known.get((uc ^ (1 << t * t) - 1, 1 - vi))
+                c = known[uc, vi] = (_coefficient_matrix(u, uclass, variant, m) if mirror is None
+                                     else [[-x for x in row] for row in mirror])
+                scale, _, pa, pb = _integer_form([corner] + [
+                    (c[a][b], units[(a + 1) * (t + 1) + b + 1]) for a in range(t) for b in range(t)])
+                ps = _wxv(signs, pa, signs.T).ravel().tolist()
+                qs = [0] * len(ps) if pb is None else _wxv(signs, pb, signs.T).ravel().tolist()
+                value_ids.append([index.setdefault((p, q, scale), len(index))
+                                  for p, q in zip(ps, qs)])
+        mag_of_value, self.mags = _magnitudes(
+            list(index), square_free_split(m)[1], m - t, self.window)
+        self.mag_ids = mag_of_value[np.array(value_ids)].reshape(len(u_codes), 2, -1)
         # one exact global order; equal epsilons (cmp == 0) share a rank
-        ordered = sorted(eps_by_key.items(),
-                         key=functools.cmp_to_key(lambda x, y: x[1].cmp(y[1])))
-        rank_of: dict = {}
+        order = sorted(range(len(self.mags)), key=functools.cmp_to_key(
+            lambda x, y: self.mags[x][1].cmp(self.mags[y][1])))
+        rank_of = np.empty(len(self.mags), dtype=np.int64)
         self.eps: list[ExactEps] = []
-        for eps_key, eps in ordered:
+        for mi in order:
+            eps = self.mags[mi][1]
             if not self.eps or self.eps[-1].cmp(eps) != 0:
                 self.eps.append(eps)
-            rank_of[eps_key] = len(self.eps) - 1
+            rank_of[mi] = len(self.eps) - 1
         self.sentinel = len(self.eps)
-        code_rank = {
-            key: self.sentinel if outside else rank_of[eps_key]
-            for key, (eps_key, outside) in checked.items()
-        }
-        by_mag = np.array(
-            [[[code_rank[key] for key in kv] for kv in ku] for ku in keys],
-            dtype=np.int32,
-        )  # (u, variant, magnitude index)
-        self.rank_tab = by_mag[:, :, self.mag_of_code]  # (u, variant, code)
+        rank_of[np.array([outside for _, _, outside in self.mags])] = self.sentinel
+        ranks = rank_of[self.mag_ids]  # (u, variant, magnitude index)
+        # per (u, variant): distinct ranks descending, and their bits
+        bit = np.argsort(-ranks, axis=-1, kind="stable")
+        desc = np.take_along_axis(ranks, bit, axis=-1)
+        level = np.cumsum(np.diff(desc, prepend=desc[..., :1] + 1) != 0, axis=-1) - 1
+        at = (*np.indices(level.shape)[:2], level)
+        self.levels = np.zeros(level.shape[:2] + (int(level.max()) + 1,), dtype=np.int64)
+        self.levels[at] = desc
+        self.level_masks = np.zeros(self.levels.shape, dtype=np.uint64)
+        np.bitwise_or.at(self.level_masks, at, np.uint64(1) << bit.astype(np.uint64))
 
-    def ranks(self, occ: np.ndarray, u_codes: np.ndarray) -> np.ndarray:
-        """Candidate ranks (n, negations, variant) from occ (n, negations,
-        code) and the U codes (n, negations), both with negations applied."""
-        tab = self.rank_tab[self.lut[u_codes]]  # (n, negations, variant, code)
-        return np.where(occ[:, :, None, :], tab, -1).max(axis=-1)
+    def ranks(self, occ: np.ndarray, ui: np.ndarray) -> np.ndarray:
+        """Candidate ranks (..., variant) from occurrence masks (...) and
+        table indices of U (...), negations applied to both."""
+        masks = self.level_masks[ui]
+        masks &= occ[..., None, None]
+        return self.levels[ui[..., None], [0, 1], (masks != 0).argmax(-1)]
 
-    def violation(self, occ: np.ndarray, u_code: int, vi: int) -> Scalar:
-        """The smallest out-of-window magnitude among the occurring codes."""
-        ui = self.lut[u_code]
-        codes = np.flatnonzero(occ & (self.rank_tab[ui, vi] == self.sentinel))
-        out = [self.mags[ui][vi][self.mag_of_code[c]] for c in codes]
-        return min(out, key=functools.cmp_to_key(cmp_values))
+    def violation(self, occ: int, ui: int, vi: int) -> Scalar:
+        """The smallest out-of-window magnitude among the occurring indices."""
+        ids = [int(mi) for b, mi in enumerate(self.mag_ids[ui, vi])
+               if occ >> b & 1 and self.mags[mi][2]]
+        return self.mags[min(ids)][0]
 
 
 class _SplitScreen:
-    """The first ``cap`` splits of a scope, batched by row selection in
-    search order, with the exact epsilon rank of each of their candidates.
+    """The first ``cap`` splits of a scope, each with one 64-bit occurrence
+    mask, and the exact epsilon rank of each of their candidates.
 
-    Candidate i of a row selection is split i // 2 of the batch, in the
-    order (column selection, row negations, column negations), with variant
-    _VARIANTS[i % 2].
+    Splits are (rows, cols, negation pair) in search order; base b =
+    (rows, cols) is row selection b // n, column selection b % n.  Candidate
+    i is split i // 2 with variant _VARIANTS[i % 2], and split s is base
+    s // nneg2 with negation pair s % nneg2.
     """
 
     def __init__(self, h: SignMatrix, t: int, scope: str, cap: int):
-        self.h, self.t, self.cap = h, t, cap
-        m = h.order
-        self.bits = (h.rows < 0).astype(np.uint8)
-        self.selections, self.all_cols, masks = _scope_axes(m, t, scope)
+        self.h, self.t = h, t
+        self.sel, masks = _scope_axes(h.order, t, scope)
         self.nneg2 = len(masks) ** 2
         self.rn = np.repeat(masks, len(masks))  # row mask of negation pair index
         self.cn = np.tile(masks, len(masks))  # column mask of negation pair index
-        self.u_flip = np.zeros(self.nneg2, dtype=np.int64)  # U_ab -> rn_a U_ab cn_b
-        for a in range(t):
-            for b in range(t):
-                self.u_flip |= (((self.rn >> a) ^ (self.cn >> b)) & 1) << (a * t + b)
-        code_flip = (self.cn << t) | self.rn  # W -> W * cn, V -> rn * V; D unchanged
-        self.perm = np.arange(1 << (1 + 2 * t))[None, :] ^ code_flip[:, None]
-        self.chunk = max(1, _SCREEN_BUDGET // max(
-            (m - t) * m, self.nneg2 * 2 * self.perm.shape[1]))
-        seen_u: set[int] = set()
-        for rows, cols, used in self.batches():
-            u_codes = self.u_codes(rows, cols)
-            seen_u.update(np.unique(u_codes.reshape(-1)[:used]).tolist())
-        if not seen_u:
+        self.u_flip = sum(  # U_ab -> rn_a U_ab cn_b
+            (((self.rn >> a) ^ (self.cn >> b)) & 1) << (a * t + b)
+            for a, b in itertools.product(range(t), repeat=2))
+        self.flips = (self.cn << t) | self.rn  # W -> W * cn, V -> rn * V; D unchanged
+        self.splits = min(cap, len(self.sel) ** 2 * self.nneg2)
+        if self.splits <= 0:
             raise DomainError("no candidate splits in scope")
-        self.table = _EpsScreen(sorted(seen_u), t, m)
+        self.occ, self.u = _occurrence(h.rows, t, self.sel, -(-self.splits // self.nneg2))
+        u_codes = (self.u[:, None] ^ self.u_flip).reshape(-1)[: self.splits]
+        self.table = _EpsScreen(np.unique(u_codes), t, h.order)
 
-    def batches(self):
-        """(rows, cols, used): the column selections of one row selection
-        within the first cap splits, and the number of its splits that are."""
-        left = self.cap
-        for rows in self.selections:
-            if left <= 0:
-                return
-            used = min(len(self.all_cols) * self.nneg2, left)
-            left -= used
-            yield rows, self.all_cols[: -(-used // self.nneg2)], used
-
-    def u_codes(self, rows, cols: np.ndarray) -> np.ndarray:
-        """Code of U for each column selection and negation pair, negations
-        applied: bit a*t+b is set when U_ab = -1."""
-        t = self.t
-        sub = self.bits[list(rows)][:, cols].astype(np.int64)  # (t, n, t)
-        weights = 1 << np.arange(t * t, dtype=np.int64).reshape(t, t)
-        return np.einsum("acb,ab->c", sub, weights)[:, None] ^ self.u_flip
-
-    def candidate(self, rows, cols: np.ndarray, i: int) -> tuple[BlockSplit, str]:
+    def candidate(self, i: int) -> tuple[BlockSplit, str]:
         s, vi = divmod(i, 2)
-        ci, ni = divmod(s, self.nneg2)
-        split = BlockSplit(self.h, rows, cols[ci],
+        base, ni = divmod(s, self.nneg2)
+        r, c = divmod(base, len(self.sel))
+        split = BlockSplit(self.h, self.sel[r], self.sel[c],
                            _mask_tuple(int(self.rn[ni]), self.t),
                            _mask_tuple(int(self.cn[ni]), self.t))
         return split, _VARIANTS[vi]
 
-    def ranks(self, rows, cols: np.ndarray, used: int) -> np.ndarray:
-        """Rank of each of the first 2*used candidates of a batch; raises
-        CertificationError for the first one with a code outside the window."""
-        table, per_col = self.table, self.nneg2 * 2
-        parts = []
-        for start in range(0, len(cols), self.chunk):
-            part = cols[start:start + self.chunk]
-            occ = _occurrence(self.bits, rows, part)[:, self.perm]  # (n, negations, code)
-            u_codes = self.u_codes(rows, part)
-            ranks = table.ranks(occ, u_codes).reshape(-1)[: 2 * used - start * per_col]
+    def ranks(self):
+        """(start, ranks) in search order: the rank of every candidate, in
+        chunks of bases; raises CertificationError for the first candidate
+        with a magnitude outside the window."""
+        table, per_base = self.table, self.nneg2 * 2
+        chunk = max(1, _SCREEN_BUDGET // (per_base * table.levels.shape[-1]))
+        for start in range(0, len(self.occ), chunk):
+            occ = _xor_permuted(self.occ[start:start + chunk], self.flips)  # (n, negations)
+            ui = table.lut[self.u[start:start + chunk, None] ^ self.u_flip]
+            # candidates past the cap (U codes outside the table) are cut off
+            ranks = table.ranks(occ, ui).reshape(-1)[: 2 * self.splits - start * per_base]
             hits = np.flatnonzero(ranks == table.sentinel)
             if hits.size:
                 i = int(hits[0])
-                split, variant = self.candidate(rows, part, i)
-                ci, ni = divmod(i // 2, self.nneg2)
-                av = table.violation(occ[ci, ni], int(u_codes[ci, ni]), i % 2)
+                split, variant = self.candidate(start * per_base + i)
+                b, ni = divmod(i // 2, self.nneg2)
+                av = table.violation(int(occ[b, ni]), int(ui[b, ni]), i % 2)
                 lo, hi = table.window
                 raise CertificationError(
                     f"entry magnitude {av} outside window [{lo}, {hi}] "
                     f"in {split!r} {variant}"
                 )
-            parts.append(ranks)
-        return np.concatenate(parts)
+            yield start * per_base, ranks
 
 
 def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
@@ -1150,14 +1186,15 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
     building them: for a fixed U (signs applied) and variant, an entry of Y
     is D_ij/sqrt(M) + w_i^T C v_j, where C is the t x t coefficient matrix
     ``reduce_split`` builds from (closed form, else elimination).  So
-    every entry falls into one of 2^(1+2t) codes (D_ij, w_i, v_j), and a
-    candidate's epsilon is the largest epsilon among the codes its entries
-    take.  The screen evaluates each code's exact |value|, epsilon and
-    window check once per (U, variant) that occurs, ranks all epsilons with
-    ``ExactEps.cmp``, and per split computes only which codes occur, batched
-    over the splits that share a row selection.  It is exact: two candidates
+    |Y_ij| depends only on the magnitude index (D_ij w_i, v_j), one of
+    2^(2t) <= 64, and a candidate's epsilon is the largest epsilon among the
+    indices its entries take.  The screen evaluates each index's exact
+    |value|, epsilon and window check once per (U, variant) that occurs,
+    ranks all epsilons with ``ExactEps.cmp``, and per split computes only
+    one 64-bit mask of the indices that occur, by bitset AND-NOT over the
+    rows of H, batched across row selections.  It is exact: two candidates
     compare as their rebuilt ``EpsHadamard`` epsilons would, and an
-    occurring code outside the reduction window raises CertificationError
+    occurring index outside the reduction window raises CertificationError
     as the candidate's construction would.
 
     Splits are searched in the order (rows, cols, row negations, col
@@ -1177,15 +1214,14 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
         raise DomainError(f"t={t} must satisfy t < sqrt({h.order})")
 
     search = _SplitScreen(h, t, search_scope, cap)
-    best = None  # (rank, rows, cols, candidate index)
-    for rows, cols, used in search.batches():
-        ranks = search.ranks(rows, cols, used)
+    best = None  # (rank, candidate index)
+    for start, ranks in search.ranks():
         i = int(np.argmin(ranks))
         if best is None or ranks[i] < best[0]:
-            best = (int(ranks[i]), rows, cols, i)
+            best = (int(ranks[i]), start + i)
 
-    rank, rows, cols, i = best
-    split, variant = search.candidate(rows, cols, i)
+    rank, i = best
+    split, variant = search.candidate(i)
     y = reduce_split(split, variant)
     if y.epsilon.cmp(search.table.eps[rank]) != 0:
         raise CertificationError(

@@ -601,6 +601,28 @@ def best_reduction_loop(h, t, search_scope="corner-only", cap=100_000):
     return final
 
 
+def occurrence_masks(rows, t, sel, bases):
+    """(masks, U codes) of the first ``bases`` (rows sel[b // n], columns
+    sel[b % n]) splits of a sign matrix, entry by entry.  Bit (w' << t) | v
+    of a mask is set when some D_ij has w' = w_i xor (2^t - 1)*[D_ij = -1]
+    and v = v_j, where bit a of w_i (of v_j) is set when W_ia (V_aj) is -1;
+    bit a*t+b of a U code is set when U_ab = -1."""
+    neg = np.asarray(rows) < 0
+    m, full = neg.shape[0], (1 << t) - 1
+    masks, codes = [], []
+    for b in range(bases):
+        r, c = sel[b // len(sel)], sel[b % len(sel)]
+        rest_r = [i for i in range(m) if i not in r]
+        rest_c = [j for j in range(m) if j not in c]
+        w = sum(neg[rest_r, c[a]].astype(int) << a for a in range(t))
+        v = sum(neg[r[a], rest_c].astype(int) << a for a in range(t))
+        index = ((w[:, None] ^ (full * neg[np.ix_(rest_r, rest_c)])) << t) | v[None, :]
+        masks.append(sum(1 << int(x) for x in np.unique(index)))
+        codes.append(sum(int(neg[r[a], c[e]]) << (a * t + e)
+                         for a in range(t) for e in range(t)))
+    return masks, codes
+
+
 # ---------------------------------------------------------------------------
 # Epsilon entry by entry
 # ---------------------------------------------------------------------------

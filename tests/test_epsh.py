@@ -1,10 +1,14 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from armub import epsh, jsonio
 from armub.algebra import QuadNum, cmp_values, exact_sqrt, sign_of
 from armub.epsh import (
@@ -18,7 +22,7 @@ from armub.epsh import (
     reduce_split,
 )
 from armub.errors import CertificationError, DomainError, ResourceLimitError
-from armub.hadamard import find_hadamard, sylvester
+from armub.hadamard import SignMatrix, find_hadamard, is_hadamard, sylvester
 from oracles import (
     assert_matches_sympy,
     best_reduction_loop,
@@ -481,6 +485,8 @@ def _search(fn, h, t, scope, cap):
 # Full scopes, then the first `cap` splits of scopes too large for the
 # per-candidate loop.  The capped t = 3 scopes reach U outside the published
 # lists, so they cover the elimination route as well as the closed forms.
+# Orders above 64 hold a row of H in more than one 64-bit word, and a cap of
+# 200 at order 12 ends inside the second row selection.
 @pytest.mark.parametrize("order, t, scope, cap", [
     (8, 1, "row-col-permutations", 100_000),
     (8, 2, "row-col-permutations", 100_000),
@@ -488,9 +494,12 @@ def _search(fn, h, t, scope, cap):
     (8, 1, "permutations-and-negations", 100_000),
     (12, 1, "permutations-and-negations", 100_000),
     (12, 2, "row-col-permutations", 60),
+    (12, 2, "row-col-permutations", 200),
     (8, 2, "permutations-and-negations", 60),
     (12, 3, "permutations-and-negations", 8),
     (16, 3, "permutations-and-negations", 32),
+    (68, 1, "row-col-permutations", 300),
+    (72, 2, "permutations-and-negations", 48),
 ])
 def test_screen_matches_candidate_loop(order, t, scope, cap):
     h = find_hadamard(order)
@@ -503,21 +512,59 @@ def test_screen_matches_candidate_loop(order, t, scope, cap):
         jsonio.dumps_canonical(jsonio.eps_hadamard_obj(want))
 
 
-@pytest.mark.parametrize("order, t, cap", [(8, 2, 64), (16, 3, 16)])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_occurrence_masks_match_entries(t):
+    """Each split's occurrence mask and U code, against the entry-by-entry
+    oracle, over row selections that straddle batches.  Order 72 needs two
+    words per row; columns 0-63 are +1, so every magnitude index with
+    D_ij = -1 or v_j != 0 comes from the second word."""
+    rng = np.random.default_rng(t)
+    rows = np.ones((72, 72), dtype=np.int64)
+    rows[:, 64:] = rng.choice([1, -1], size=(72, 8))
+    combos = list(itertools.combinations(range(72), t))
+    picks = sorted(rng.choice(len(combos), size=12, replace=False))
+    sel = np.array([combos[i] for i in picks])
+    occ, u = epsh._occurrence(rows, t, sel, 144)
+    masks, codes = oracles.occurrence_masks(rows, t, sel, 144)
+    assert occ.tolist() == masks
+    assert u.tolist() == codes
+
+
+@pytest.mark.parametrize("order, t, cap", [(8, 2, 64), (16, 3, 16), (68, 2, 40)])
 def test_screen_ranks_every_candidate(order, t, cap):
     """Each candidate's screened epsilon equals that of its EpsHadamard, not
     only the winner's."""
     search = epsh._SplitScreen(find_hadamard(order), t, "permutations-and-negations", cap)
     seen = 0
-    for rows, cols, used in search.batches():
-        ranks = search.ranks(rows, cols, used)
-        assert len(ranks) == 2 * used
-        for i, rank in enumerate(ranks):
-            split, variant = search.candidate(rows, cols, i)
+    for start, ranks in search.ranks():
+        assert start == seen
+        for i, rank in enumerate(ranks, start):
+            split, variant = search.candidate(i)
             y = reduce_split(split, variant)
             assert search.table.eps[rank].cmp(y.epsilon) == 0, (split, variant)
-        seen += used
-    assert seen == cap
+        seen += len(ranks)
+    assert seen == 2 * cap
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_screen_matches_loop_on_equivalent_matrices(data):
+    """On a random row and column permutation and sign flip of a Hadamard
+    matrix, with negations and a small cap, the screen picks the candidate
+    loop's split with the same exact epsilon."""
+    m = data.draw(st.sampled_from([8, 12, 16]))
+    t = data.draw(st.integers(1, 3 if m > 9 else 2))
+    rows = find_hadamard(m).rows.astype(np.int64)
+    rows = rows[data.draw(st.permutations(range(m)))][:, data.draw(st.permutations(range(m)))]
+    signs = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=2 * m, max_size=2 * m)))
+    h = SignMatrix(rows * signs[:m, None] * signs[None, m:], label="equivalent", verified=True)
+    assert is_hadamard(h).ok
+    cap = data.draw(st.integers(1, 40))
+    got, got_capped = _search(best_reduction, h, t, "permutations-and-negations", cap)
+    want, want_capped = _search(best_reduction_loop, h, t, "permutations-and-negations", cap)
+    assert got_capped == want_capped
+    assert got.provenance == want.provenance
+    assert got.epsilon.cmp(want.epsilon) == 0
 
 
 def test_screen_builds_only_the_winner(monkeypatch):
@@ -545,6 +592,29 @@ def test_screen_window_violation_raises(monkeypatch):
     monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, top - Fraction(1, 10**6)))
     with pytest.raises(CertificationError, match=r"outside window .* rows=\(0,\), cols=\(0,\)"):
         best_reduction(h, 1)
+
+
+def test_screen_window_violation_with_negations(monkeypatch):
+    """With negations, the search fails at the candidate where the candidate
+    loop first fails, and names its split, negations and variant."""
+    h = find_hadamard(8)
+    _, hi = epsh._window(2, 8)
+    lo = QuadNum(Fraction(1, 3), Fraction(-1, 6), 2)  # above some candidates' least |Y_ij|
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, hi))
+    tried = []
+
+    def recording(split, variant):
+        tried.append((split, variant))
+        return reduce_split(split, variant)
+
+    monkeypatch.setattr(oracles, "reduce_split", recording)
+    with pytest.raises(CertificationError) as want:
+        best_reduction_loop(h, 2, "permutations-and-negations", 32)
+    split, variant = tried[-1]
+    assert len(tried) > 1 and any(split.row_negate + split.col_negate)
+    with pytest.raises(CertificationError) as got:
+        best_reduction(h, 2, "permutations-and-negations", 32)
+    assert str(got.value) == f"{want.value} in {split!r} {variant}"
 
 
 def test_best_reduction_rejects_large_t():
