@@ -4,7 +4,8 @@ Subcommands: hadamard, epsh, rbd, armub, verify, ledger.
 
 Exit codes (stable contract; CI treats any nonzero as red):
   0  success, all checks pass
-  2  domain/validation error (inputs outside the mathematical domain)
+  2  domain/validation error (inputs outside the mathematical domain), or
+     an --out path that cannot be written ("cannot write")
   3  requested Hadamard order not reachable from the generator set
   4  artifact parse error: unreadable or non-object JSON, a missing or
      malformed field, a field of an earlier artifact form (see verify
@@ -25,12 +26,17 @@ basis-set and the rbd and epsh files it refers to cost one certification
 each.  An epsh file holds Y as its derivation: verify checks the stored
 Hadamard matrix H, derives Y again from H and the stored split, certifies
 it exactly as construction does, and fails (exit 5) unless k, m, the
-provenance, epsilon and epsilon_upper equal the derived ones.  An rbd file
-holds the recipe of the affine design, and for an rbd or basis-set file
-verify says that the design's mu = 1 was certified by the line theorem.
-The earlier forms exit 4: an epsh file with Y's explicit "entries", an
-rbd file with an explicit "classes" array, and a basis-set file with
-"vectors" or an inline "design" or "y".
+provenance, epsilon and epsilon_upper equal the derived ones (a reduction
+names method "closed-form"; the elimination method that earlier versions
+named for some t = 3 splits exits 5).  An rbd file holds the recipe of the
+affine design, and for an rbd or basis-set file verify says that the
+design's mu = 1 was certified by the line theorem.  The earlier forms exit
+4: an epsh file with Y's explicit "entries", an rbd file with an explicit
+"classes" array, and a basis-set file with "vectors" or an inline "design"
+or "y".
+
+`armub armub` writes four files: epsh, rbd, bases and the certificate,
+which embeds the report.  `verify` and `ledger` also take a report alone.
 
 Artifacts are written atomically (temp file + rename) in canonical JSON.
 """
@@ -159,7 +165,6 @@ def cmd_armub(args) -> int:
     write("rbd", jsonio.rbd_obj(design))
     write("bases", jsonio.basis_set_obj(
         bs, *(jsonio.file_ref(paths[n], texts[n]) for n in ("rbd", "epsh"))))
-    write("report", jsonio.report_obj(report))
     certificate = {
         "kind": "certificate",
         "config": {"k": k, "s": s, "t": t, "d": k * s, "scope": args.scope},
@@ -320,6 +325,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
+    except OSError as exc:  # reads fail as ParseError; this is a write
+        sys.stderr.write(f"cannot write: {exc}\n")
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

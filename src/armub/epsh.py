@@ -5,26 +5,25 @@ size t x t (t in {1, 2, 3}), reduces to orthogonal matrices of order M - t:
 
     Y1 = D^ - W^ (I + U^)^-1 V^        Y2 = D^ + W^ (I - U^)^-1 V^
 
-where hatted blocks carry the 1/sqrt(M) normalization.  This labeling
-(Y1 from I+U, Y2 from I-U) is used consistently for both sources of the
-inverse, the published closed forms and general elimination.
+where hatted blocks carry the 1/sqrt(M) normalization.  Every sign matrix
+U satisfies its Cayley-Hamilton relation (``classify_u``), which writes
+(alpha*I + U)^-1 as x*I + y*U + z*U^2 whenever det(alpha*I + U) != 0, as
+it is for every U with t < sqrt(M).
 
-Representation: both variants read Y = D/sqrt(M) + W C V with one t x t
-coefficient matrix C, taken from the closed form when U is a published
-configuration and from exact elimination otherwise (``Provenance.method``
-names the source).  ``reduce_split`` writes C = (A + B*sqrt(c))/L with
-integer t x t matrices A and B and builds Y from at most three terms
-(c_r, A_r): (1/sqrt(M), D), (1/L, W A V) and, unless B = 0,
-(sqrt(c)/L, W B V).  EpsHadamard takes any sum of terms with exact scalar
-coefficients c_r in Q(sqrt(c)) and integer matrices A_r, and
-turns them into one exact integer form, L*Y = P + Q*sqrt(c) with
-integer P and Q and L the lcm of the coefficient denominators.  The
-distinct entries are the distinct (P_ij, Q_ij) pairs, and Y Y^T = I is the
-pair of integer identities P P^T + c*Q Q^T = L^2 * I and P Q^T + Q P^T = 0:
-at most three k x k products for any number of terms.  The products run in
-float64 BLAS only under an asserted bound that keeps every partial sum an
-integer below 2^53, where float64 is exact; inputs outside it take the same
-formulas on Python ints.
+Representation: both variants read Y = D/sqrt(M) + W C V with the t x t
+matrix C of that closed form (``Provenance.method`` "closed-form").
+``reduce_split`` writes C = (A + B*sqrt(c))/L with integer t x t matrices
+A and B and builds Y from at most three terms (c_r, A_r): (1/sqrt(M), D),
+(1/L, W A V) and, unless B = 0, (sqrt(c)/L, W B V).  EpsHadamard takes
+any sum of terms with exact scalar coefficients c_r in Q(sqrt(c)) and
+integer matrices A_r, and turns them into one exact integer form,
+L*Y = P + Q*sqrt(c) with integer P and Q and L the lcm of the coefficient
+denominators.  The distinct entries are the distinct (P_ij, Q_ij) pairs,
+and Y Y^T = I is the pair of integer identities P P^T + c*Q Q^T = L^2 * I
+and P Q^T + Q P^T = 0: at most three k x k products for any number of
+terms.  The products run in float64 BLAS only under an asserted bound that
+keeps every partial sum an integer below 2^53, where float64 is exact;
+inputs outside it take the same formulas on Python ints.
 
 Epsilon is computed from the definition: the maximum over entries of
 |sqrt(k)*|Y_ij| - 1|, held exactly as the pair (q, side) with
@@ -144,9 +143,8 @@ class UClass:
     For t <= 2 the relation is U^2 = kappa*I + gamma*U; for t = 3 it is
     U^3 = kappa*I + gamma*U + vartheta*U^2.  ``preferred_variant`` is set
     for the published configurations (the variant reported closest to a
-    Hadamard matrix); ``closed_form_available`` is False exactly for the
-    t = 3 configurations outside the published lists, which are always
-    routed through the general elimination path.
+    Hadamard matrix).  The relation holds for every sign matrix, listed
+    or not, and gives the closed-form inverse of every U.
     """
 
     t: int
@@ -155,10 +153,6 @@ class UClass:
     vartheta: Optional[int]
     paper_listed: bool
     preferred_variant: Optional[str]
-
-    @property
-    def closed_form_available(self) -> bool:
-        return self.t <= 2 or self.paper_listed
 
     def relation_holds(self, u: np.ndarray) -> bool:
         u = np.asarray(u, dtype=np.int64)
@@ -415,7 +409,7 @@ class Provenance:
     row_negate: tuple[bool, ...]
     col_negate: tuple[bool, ...]
     variant: Optional[str]
-    method: str  # source of C, "schur" | "closed-form"; or "exact-hadamard"
+    method: str  # "closed-form" for a reduction; "exact-hadamard" for H/sqrt(k)
     uclass: Optional[UClass] = None
 
 
@@ -776,53 +770,8 @@ def _scalar_key(v: Scalar):
 
 
 # ---------------------------------------------------------------------------
-# Small exact-matrix helpers (t <= 3)
-# ---------------------------------------------------------------------------
-
-def _kmat_identity(t: int) -> list[list[Scalar]]:
-    return [[Fraction(int(i == j)) for j in range(t)] for i in range(t)]
-
-
-def _kmat_inverse(a) -> list[list[Scalar]]:
-    """Gauss-Jordan with exact scalars and first-nonzero pivoting."""
-    t = len(a)
-    work = [list(row) + ident for row, ident in zip(a, _kmat_identity(t))]
-    for col in range(t):
-        pivot = next(
-            (r for r in range(col, t) if sign_of(work[r][col]) != 0), None
-        )
-        if pivot is None:
-            raise ExactArithmeticError("singular matrix in exact elimination")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(t):
-            if r != col and sign_of(work[r][col]) != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[t:] for row in work]
-
-
-# ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
-
-def _schur_coeffs(u: np.ndarray, variant: str, m: int) -> list[list[Scalar]]:
-    """The t x t matrix C with Y = D/sqrt(M) + W C V, by exact elimination
-    of (I +/- U/sqrt(M))."""
-    t = u.shape[0]
-    sqrt_m = exact_sqrt(m)
-    sign = 1 if variant == "Y1" else -1
-    a = [
-        [
-            Fraction(int(i == j)) + sign * int(u[i, j]) / sqrt_m
-            for j in range(t)
-        ]
-        for i in range(t)
-    ]
-    x = _kmat_inverse(a)
-    return [[(-sign) * x[i][j] / m for j in range(t)] for i in range(t)]
-
 
 def _poly_inverse_coeffs(kappa: int, gamma: int, vartheta: Optional[int],
                          alpha: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -852,7 +801,8 @@ def _negated_params(uclass: UClass) -> tuple[int, int, Optional[int]]:
 def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
                        m: int) -> list[tuple[Scalar, np.ndarray]]:
     """[(c_p, U_eff^p)] for p = 0, 1, 2 with C = sum_p c_p U_eff^p, the
-    published polynomial-in-U inverse, where U_eff = U for Y1 and -U for Y2."""
+    polynomial-in-U inverse that the relation of U gives (the published
+    closed form for a listed U), where U_eff = U for Y1 and -U for Y2."""
     alpha = exact_sqrt(m)
     if variant == "Y1":
         kappa, gamma, vartheta = uclass.kappa, uclass.gamma, uclass.vartheta
@@ -867,10 +817,8 @@ def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
 
 def _coefficient_matrix(u: np.ndarray, uclass: UClass, variant: str,
                         m: int) -> list[list[Scalar]]:
-    """The t x t matrix C with Y = D/sqrt(M) + W C V: the closed form when it
-    exists for U, exact elimination otherwise."""
-    if not uclass.closed_form_available:
-        return _schur_coeffs(u, variant, m)
+    """The t x t matrix C with Y = D/sqrt(M) + W C V, entry by entry from
+    the closed form of ``_closed_form_coeffs``."""
     t = u.shape[0]
     coeffs = _closed_form_coeffs(u, uclass, variant, m)
     return [
@@ -890,13 +838,12 @@ def _wxv(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
     """Y1 or Y2 of a split, built as Y = D/sqrt(M) + W C V.
 
-    C is the closed form when U is a published configuration (every U with
-    t <= 2, the listed ones with t = 3) and comes from exact elimination of
-    (I +/- U/sqrt(M)) otherwise; ``Provenance.method`` names that source,
-    "closed-form" or "schur".  The inverse exists for every U with
-    t < sqrt(M), by diagonal dominance.  Writing C = (A + B*sqrt(c))/L with
-    integer t x t matrices A and B, Y is the sum of the terms (1/sqrt(M), D),
-    (1/L, W A V) and, when B != 0, (sqrt(c)/L, W B V).
+    C is the closed form of (I +/- U/sqrt(M))^-1 from the Cayley-Hamilton
+    relation of U, for every U; ``Provenance.method`` reads "closed-form".
+    The inverse exists for every U with t < sqrt(M), by diagonal
+    dominance.  Writing C = (A + B*sqrt(c))/L with integer t x t matrices
+    A and B, Y is the sum of the terms (1/sqrt(M), D), (1/L, W A V) and,
+    when B != 0, (sqrt(c)/L, W B V).
     """
     m, t = split.source.order, split.t
     if t * t >= m:
@@ -922,7 +869,7 @@ def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
         row_negate=split.row_negate,
         col_negate=split.col_negate,
         variant=variant,
-        method="closed-form" if uclass.closed_form_available else "schur",
+        method="closed-form",
         uclass=uclass,
     )
     return EpsHadamard(m - t, m, terms, prov, source=split.source)
@@ -1185,7 +1132,7 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
     Both variants of every candidate split are scored exactly, without
     building them: for a fixed U (signs applied) and variant, an entry of Y
     is D_ij/sqrt(M) + w_i^T C v_j, where C is the t x t coefficient matrix
-    ``reduce_split`` builds from (closed form, else elimination).  So
+    ``reduce_split`` builds from (the closed form of every U).  So
     |Y_ij| depends only on the magnitude index (D_ij w_i, v_j), one of
     2^(2t) <= 64, and a candidate's epsilon is the largest epsilon among the
     indices its entries take.  The screen evaluates each index's exact

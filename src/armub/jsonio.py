@@ -577,6 +577,10 @@ def parse_report(obj):
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"bad report artifact: {exc}") from exc
+    sizes = {name: getattr(report, name) for name in ("d", "k", "s", "num_bases")}
+    if min(sizes.values()) < 1 or report.d != report.k * report.s:
+        raise ParseError(f"bad report artifact: need d, k, s, num_bases >= 1 and d = k*s, "
+                         f"got {sizes}")
     # internal consistency: beta equals the largest delta value; the stored
     # classification must match the rules applied to the parsed values
     if delta:

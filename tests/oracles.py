@@ -6,10 +6,13 @@ matrices, dense integer Gram matrices in int64, per-term-pair Gram matrices
 with exact scalar coefficients, one cross-statistics contraction per basis
 pair, hand-built designs as explicit class arrays with mu from direct set
 arithmetic, epsilon entry by entry, and Paley matrices from scalar field
-operations.  No oracle uses the float64 route of
-``EpsHadamard.verify_orthogonal``.  ``lemma_inverse`` is the exception: it
-evaluates the library's polynomial-inverse coefficients as the published
-displays write them, so that tests can compare those displays.
+operations.  The coefficient matrix C of a reduction comes from exact
+Gauss-Jordan elimination of (I +/- U/sqrt(M)) (``elimination_coeffs``),
+where the library takes the Cayley-Hamilton closed form.  No oracle uses
+the float64 route of ``EpsHadamard.verify_orthogonal``.  ``lemma_inverse``
+is the exception: it evaluates the library's polynomial-inverse
+coefficients as the published displays write them, so that tests can
+compare those displays.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from armub.epsh import (
     BlockSplit,
     EpsHadamard,
     ExactEps,
-    _kmat_identity,
-    _kmat_inverse,
     _negated_params,
     _poly_inverse_coeffs,
     _scalar_key,
@@ -37,7 +38,7 @@ from armub.epsh import (
     corner_split,
     reduce_split,
 )
-from armub.errors import CertificationError, DomainError, ResourceLimitError
+from armub.errors import CertificationError, DomainError, ExactArithmeticError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +429,48 @@ class SeriesCheck:
     tail_bound: Scalar  # geometric bound on the dropped tail
     within_bound: bool
     terms: int
+
+
+def _kmat_identity(t: int) -> list[list[Scalar]]:
+    return [[Fraction(int(i == j)) for j in range(t)] for i in range(t)]
+
+
+def _kmat_inverse(a) -> list[list[Scalar]]:
+    """Gauss-Jordan with exact scalars and first-nonzero pivoting."""
+    t = len(a)
+    work = [list(row) + ident for row, ident in zip(a, _kmat_identity(t))]
+    for col in range(t):
+        pivot = next(
+            (r for r in range(col, t) if sign_of(work[r][col]) != 0), None
+        )
+        if pivot is None:
+            raise ExactArithmeticError("singular matrix in exact elimination")
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for r in range(t):
+            if r != col and sign_of(work[r][col]) != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [row[t:] for row in work]
+
+
+def elimination_coeffs(u, variant: str, m: int) -> list[list[Scalar]]:
+    """The t x t matrix C with Y = D/sqrt(M) + W C V, by exact Gauss-Jordan
+    elimination of (I +/- U/sqrt(M)): C = -/+ (I +/- U/sqrt(M))^-1 / M."""
+    u = np.asarray(u, dtype=np.int64)
+    t = u.shape[0]
+    sqrt_m = exact_sqrt(m)
+    sign = 1 if variant == "Y1" else -1
+    a = [
+        [
+            Fraction(int(i == j)) + sign * int(u[i, j]) / sqrt_m
+            for j in range(t)
+        ]
+        for i in range(t)
+    ]
+    x = _kmat_inverse(a)
+    return [[(-sign) * x[i][j] / m for j in range(t)] for i in range(t)]
 
 
 def _kmat_mul(a, b):

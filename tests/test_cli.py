@@ -47,6 +47,14 @@ def _copy(pipeline_dir, tmp_path):
     return shutil.copytree(pipeline_dir, tmp_path / "out")
 
 
+def _artifact(pipeline_dir, name):
+    """The JSON of a pipeline artifact; "report.json" is the report that
+    certificate.json embeds, which the pipeline does not write apart."""
+    if name == "report.json":
+        return _load(pipeline_dir / "certificate.json")["report"]
+    return _load(pipeline_dir / name)
+
+
 def test_epsh_writes_and_verifies(tmp_path, capsys):
     out = tmp_path / "epsh.json"
     assert cli.main(["epsh", "8", "1", "--out", str(out)]) == 0
@@ -58,8 +66,10 @@ def test_epsh_writes_and_verifies(tmp_path, capsys):
 def test_pipeline_artifacts_verify(pipeline_dir, capsys):
     files = sorted(str(p) for p in pipeline_dir.iterdir())
     assert [os.path.basename(f) for f in files] == [
-        "bases.json", "certificate.json", "epsh.json", "rbd.json", "report.json",
+        "bases.json", "certificate.json", "epsh.json", "rbd.json",
     ]
+    cert = _load(pipeline_dir / "certificate.json")
+    assert cert["artifacts"] == {"bases": "bases.json", "epsh": "epsh.json", "rbd": "rbd.json"}
     assert cli.main(["verify", *files]) == 0
     assert capsys.readouterr().out.count(": ok") == len(files)
 
@@ -200,7 +210,7 @@ def test_verify_batch_continues_after_bad_files(tmp_path, pipeline_dir, capsys):
 
 
 def test_verify_zero_denominator_is_parse_error(tmp_path, pipeline_dir, capsys):
-    report = _load(pipeline_dir / "report.json")
+    report = _artifact(pipeline_dir, "report.json")
     report["epsilon"]["ksq"]["a"] = ["1", "0"]
     assert cli.main(["verify", _dump(report, tmp_path / "report.json")]) == 4
     assert "parse error" in capsys.readouterr().out
@@ -367,7 +377,7 @@ def _put(obj, value, *path):
     ("epsh.json", "F0", ("hadamard", "rows", 0)),  # upper case
 ])
 def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, capsys, name, value, path):
-    bad = _dump(_put(_load(pipeline_dir / name), value, *path), tmp_path / name)
+    bad = _dump(_put(_artifact(pipeline_dir, name), value, *path), tmp_path / name)
     assert cli.main(["verify", bad]) == 4
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
 
@@ -568,9 +578,9 @@ def test_verify_batch_certifies_each_artifact_once(pipeline_dir, monkeypatch, ca
     monkeypatch.setattr(jsonio, "is_hadamard", spy_hadamard)
     monkeypatch.setattr(hadamard, "is_hadamard", spy_hadamard)
     files = sorted(str(p) for p in pipeline_dir.iterdir())
-    assert len(files) == 5
+    assert len(files) == 4
     assert cli.main(["verify", *files]) == 0
-    assert capsys.readouterr().out.count(": ok") == 5
+    assert capsys.readouterr().out.count(": ok") == 4
     assert calls == {"verify_orthogonal": 1, "is_hadamard": 1}
 
 
@@ -597,3 +607,63 @@ def test_pipeline_t1_writes_under_100_kb_reproducibly(tmp_path, capsys):
         contents.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sum(map(len, contents[0].values())) < 100 * 1024
     assert contents[0] == contents[1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", -1), ("k", 0), ("s", 0), ("num_bases", 0), ("d", 16),
+])
+@pytest.mark.parametrize("carrier", ["report", "certificate"])
+def test_out_of_domain_report_exit_4(tmp_path, pipeline_dir, capsys, field, value, carrier):
+    """d, k, s and num_bases must be at least 1 with d = k*s; a report that
+    breaks this is a parse error for verify and ledger, never a traceback."""
+    cert = _load(pipeline_dir / "certificate.json")
+    cert["report"][field] = value
+    bad = _dump(cert if carrier == "certificate" else cert["report"], tmp_path / "x.json")
+    assert cli.main(["verify", bad]) == 4
+    assert "parse error" in capsys.readouterr().out
+    assert cli.main(["ledger", bad]) == 4
+    assert "d, k, s, num_bases >= 1 and d = k*s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["armub-out-is-file", "missing-directory", "out-is-directory"])
+def test_unwritable_out_exit_2(tmp_path, capsys, case):
+    existing_file = tmp_path / "file"
+    existing_file.write_text("")
+    argv = {
+        "armub-out-is-file": ["armub", "--k", "3", "--s", "5", "--t", "1",
+                              "--out", str(existing_file)],
+        "missing-directory": ["rbd", "--k", "3", "--s", "5",
+                              "--out", str(tmp_path / "missing" / "x.json")],
+        "out-is-directory": ["rbd", "--k", "3", "--s", "5", "--out", str(tmp_path)],
+    }[case]
+    assert cli.main(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert existing_file.read_text() == ""
+
+
+def _nodes(obj, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def test_every_mutated_node_exits_cleanly(tmp_path, pipeline_dir, capsys):
+    """Each node of each (3, 5, 1) artifact, and of the report the
+    certificate embeds taken alone, replaced in turn by each value of
+    another type or domain: verify (and ledger, for reports and
+    certificates) exits 0, 4 or 5 and raises nothing."""
+    out = _copy(pipeline_dir, tmp_path)  # a mutated basis-set finds its references
+    mutant = str(out / "mutant.json")
+    for name in ("bases.json", "certificate.json", "epsh.json", "rbd.json", "report.json"):
+        original = _artifact(pipeline_dir, name)
+        commands = ["verify", "ledger"] if name in ("report.json", "certificate.json") \
+            else ["verify"]
+        for path in _nodes(original):
+            for value in (None, True, 0, -1, 1.5, "x", [], {}, 10**30):
+                obj = _put(json.loads(json.dumps(original)), value, *path) if path else value
+                _dump(obj, mutant)
+                for command in commands:
+                    assert cli.main([command, mutant]) in (0, 4, 5), (name, path, value, command)
+                capsys.readouterr()

@@ -107,7 +107,6 @@ def test_classify_u_examples():
     uc = classify_u([[1, 1], [1, 1]])
     assert (uc.kappa, uc.gamma) == (0, 2)
     assert not uc.paper_listed and uc.preferred_variant is None
-    assert uc.closed_form_available  # the quadratic relation always holds
     uc = classify_u([[1]])
     assert (uc.kappa, uc.gamma) == (0, 1)
 
@@ -121,10 +120,10 @@ def test_classify_u_t3():
         uc = classify_u(u)
         assert (uc.kappa, uc.gamma, uc.vartheta) == (-4, 4, 1)
         assert uc.preferred_variant == "Y2"
-    # an unlisted configuration: relation verified but no closed form
+    # an unlisted configuration: the relation holds all the same
     uc = classify_u([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     assert (uc.kappa, uc.gamma, uc.vartheta) == (0, 0, 3)
-    assert not uc.closed_form_available
+    assert not uc.paper_listed and uc.preferred_variant is None
 
 
 def test_classify_u_domain_errors():
@@ -142,18 +141,33 @@ def _h16_listed_t3():
 @pytest.mark.parametrize("variant", ["Y1", "Y2"])
 @pytest.mark.parametrize("make, method", [
     (_h16_listed_t3, "closed-form"),
-    (lambda: corner_split(find_hadamard(12), 3), "schur"),
+    (lambda: corner_split(find_hadamard(12), 3), "closed-form"),
     (lambda: BlockSplit(find_hadamard(12), (1, 5), (2, 7), (True, False), (False, True)),
      "closed-form"),
 ], ids=["h16-listed-t3", "h12-corner-t3", "h12-negated-t2"])
 def test_reduce_split_matches_sympy(make, method, variant):
-    """Every source of C gives the Y of an independent sympy reduction, entry
-    by entry: a published t = 3 closed form, t = 3 elimination for an
-    unlisted U, and a split with negated rows and columns."""
+    """The closed form of C gives the Y of an independent sympy reduction,
+    entry by entry: for a published t = 3 U, for an unlisted t = 3 U, and
+    for a split with negated rows and columns."""
     split = make()
     y = reduce_split(split, variant)
     assert y.provenance.method == method
     assert_matches_sympy(y, sympy_reduction(split, variant))
+
+
+@pytest.mark.parametrize("t, orders", [(1, (8, 12, 16)), (2, (8, 12, 16)), (3, (12, 16))])
+def test_closed_form_matches_elimination_for_every_u(t, orders):
+    """The Cayley-Hamilton closed form of C equals C by exact Gauss-Jordan
+    elimination of (I +/- U/sqrt(M)), for every t x t sign matrix U, both
+    variants and several orders: listed and unlisted U alike."""
+    for code in range(1 << (t * t)):
+        u = np.array([[-1 if code >> (a * t + b) & 1 else 1 for b in range(t)]
+                      for a in range(t)], dtype=np.int64)
+        uclass = classify_u(u)
+        for m in orders:
+            for variant in ("Y1", "Y2"):
+                got = epsh._coefficient_matrix(u, uclass, variant, m)
+                assert _kmat_eq(got, oracles.elimination_coeffs(u, variant, m)), (u, m, variant)
 
 
 # -- paper-displayed inverse formulas --------------------------------------
@@ -360,10 +374,10 @@ def _one_entry_perturbed(y):
 @pytest.mark.parametrize("form", ["built", "parsed", "indicator"])
 def test_gram_kernel_matches_term_oracle(sweep_reductions, form):
     """The integer-form kernel and the per-term-pair Gram oracle accept every
-    swept Y, as built (closed-form or elimination terms), as derived again
-    from its artifact, and as one indicator term per distinct entry, and
-    both reject it with one entry perturbed; the kernel names the first
-    violation in row-major order."""
+    swept Y, as built from the closed-form terms, as derived again from its
+    artifact, and as one indicator term per distinct entry, and both reject
+    it with one entry perturbed; the kernel names the first violation in
+    row-major order."""
     for (m, t), y in sweep_reductions.items():
         if form == "parsed":
             text = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
@@ -484,7 +498,7 @@ def _search(fn, h, t, scope, cap):
 
 # Full scopes, then the first `cap` splits of scopes too large for the
 # per-candidate loop.  The capped t = 3 scopes reach U outside the published
-# lists, so they cover the elimination route as well as the closed forms.
+# lists as well as listed ones.
 # Orders above 64 hold a row of H in more than one 64-bit word, and a cap of
 # 200 at order 12 ends inside the second row selection.
 @pytest.mark.parametrize("order, t, scope, cap", [
