@@ -95,8 +95,10 @@ def assemble(rbd: Rbd, y: EpsHadamard) -> BasisSet:
     Within a class, vectors from different blocks have disjoint supports
     (partition property) and vectors within a block inherit orthonormality
     from Y's rows, so each basis is orthonormal by two exact facts
-    certified before this call: Y Y^T = I (when the EpsHadamard was built)
-    and the design's partition and mu = 1 (by ``verify_rbd``).
+    certified before this call: Y Y^T = I (when the EpsHadamard was built,
+    from H's Hadamard property and the t x t identity of
+    ``EpsHadamard.verify_orthogonal``) and the design's partition and
+    mu = 1 (by ``verify_rbd``).
     """
     if y.order != rbd.k:
         raise DomainError(

@@ -12,18 +12,19 @@ it is for every U with t < sqrt(M).
 
 Representation: both variants read Y = D/sqrt(M) + W C V with the t x t
 matrix C of that closed form (``Provenance.method`` "closed-form").
-``reduce_split`` writes C = (A + B*sqrt(c))/L with integer t x t matrices
-A and B and builds Y from at most three terms (c_r, A_r): (1/sqrt(M), D),
-(1/L, W A V) and, unless B = 0, (sqrt(c)/L, W B V).  EpsHadamard takes
-any sum of terms with exact scalar coefficients c_r in Q(sqrt(c)) and
-integer matrices A_r, and turns them into one exact integer form,
-L*Y = P + Q*sqrt(c) with integer P and Q and L the lcm of the coefficient
-denominators.  The distinct entries are the distinct (P_ij, Q_ij) pairs,
-and Y Y^T = I is the pair of integer identities P P^T + c*Q Q^T = L^2 * I
-and P Q^T + Q P^T = 0: at most three k x k products for any number of
-terms.  The products run in float64 BLAS only under an asserted bound that
-keeps every partial sum an integer below 2^53, where float64 is exact;
-inputs outside it take the same formulas on Python ints.
+EpsHadamard certifies Y from H, the split and C, and never forms Y.  With
+w_i row i of W and v_j column j of V, Y_ij = D_ij * (1/sqrt(M) +
+(D_ij w_i)^T C v_j), so |Y_ij| is fixed by the magnitude code
+(D_ij w_i, v_j), one of at most 2^(2t) <= 64.  The codes come from H's
+sign bits, in at most a k x k uint8 array, and only the codes that occur
+are evaluated: they give the distinct magnitudes, epsilon, the window
+check and the per-column magnitude histogram.  Y Y^T = I is a t x t fact:
+H H^T = M*I gives Y Y^T - I = W X W^T with
+
+    X = -I/M - (U^T C^T + C U)/sqrt(M) + C (M*I - U U^T) C^T,
+
+and X = 0 is a pair of integer t x t identities checked on Python ints
+(``EpsHadamard.verify_orthogonal``).
 
 Epsilon is computed from the definition: the maximum over entries of
 |sqrt(k)*|Y_ij| - 1|, held exactly as the pair (q, side) with
@@ -32,19 +33,16 @@ deviation alone is kept as a separate diagnostic (`epsilon_upper`)
 because several reported per-case expressions track only that side.
 
 Split search (`best_reduction`) scores candidates without building them.
-For a fixed U (signs applied) and variant, Y_ij = D_ij/sqrt(M) + w_i^T C v_j
-with the C that ``reduce_split`` builds from, where w_i is row i of W and
-v_j column j of V.  So |Y_ij| = |1/sqrt(M) + (D_ij w_i)^T C v_j| is fixed by
-the magnitude index (D_ij w_i, v_j), one of 2^(2t) <= 64, and the indices a
-split's entries take fit one 64-bit occurrence mask.  The masks come from
-the rows of H held as column bitsets, one AND-NOT per split and row; a
-negation of the selected rows or columns permutes the mask's bits by XOR.
-The screen computes each index's exact magnitude, epsilon and window check
-once per (U, variant) that occurs, from the integer form of C, and ranks
-every epsilon exactly on one scale.  A candidate's epsilon is the largest
-among the indices in its mask, which is exactly the epsilon its EpsHadamard
-would certify, so the screen picks the same split as building every
-candidate would; only the winner is built.
+For a fixed U (signs applied) and variant, the magnitude codes a split's
+entries take fit one 64-bit occurrence mask.  The masks come from the rows
+of H held as column bitsets, one AND-NOT per split and row; a negation of
+the selected rows or columns permutes the mask's bits by XOR.  The screen
+evaluates each code's exact magnitude, epsilon and window check once per
+(U, variant) that occurs, by the route EpsHadamard takes, and ranks every
+epsilon exactly on one scale.  A candidate's epsilon is the largest among
+the codes in its mask, which is exactly the epsilon its EpsHadamard would
+certify, so the screen picks the same split as building every candidate
+would; only the winner is built.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -312,8 +310,8 @@ class ExactEps:
         return f"ExactEps({float(self):.6g}, side={self.side})"
 
 
-def _entry_eps(k: int, value: Scalar, location) -> ExactEps:
-    return ExactEps(k * value * value, location=location)
+def _entry_eps(k: int, value: Scalar) -> ExactEps:
+    return ExactEps(k * value * value)
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +359,9 @@ class BlockSplit:
     def _signs(self, mask) -> np.ndarray:
         return np.array([-1 if b else 1 for b in mask], dtype=np.int64)
 
-    def _complement(self, selected) -> np.ndarray:
-        keep = np.ones(self.source.order, dtype=bool)
-        keep[list(selected)] = False
-        return np.flatnonzero(keep)
-
     def u_matrix(self) -> np.ndarray:
-        h = self.source.rows.astype(np.int64)
-        u = h[np.ix_(self.row_select, self.col_select)]
+        u = self.source.rows[np.ix_(self.row_select, self.col_select)].astype(np.int64)
         return u * self._signs(self.row_negate)[:, None] * self._signs(self.col_negate)[None, :]
-
-    def v_matrix(self) -> np.ndarray:
-        h = self.source.rows.astype(np.int64)
-        v = h[np.ix_(self.row_select, self._complement(self.col_select))]
-        return v * self._signs(self.row_negate)[:, None]
-
-    def w_matrix(self) -> np.ndarray:
-        h = self.source.rows.astype(np.int64)
-        w = h[np.ix_(self._complement(self.row_select), self.col_select)]
-        return w * self._signs(self.col_negate)[None, :]
-
-    def d_matrix(self) -> np.ndarray:
-        h = self.source.rows.astype(np.int64)
-        return h[np.ix_(self._complement(self.row_select), self._complement(self.col_select))]
 
     def __repr__(self):
         negate = (f", row_negate={self.row_negate}, col_negate={self.col_negate}"
@@ -420,24 +398,26 @@ class Provenance:
 class EpsHadamard:
     """An exactly-orthogonal matrix of order k with certified epsilon.
 
-    Given as a sum of terms (c_r, A_r): exact scalar coefficients c_r in
-    Q(sqrt(c)), c the square-free core of the radicand (c = 1 and plain
-    rationals when the radicand is a perfect square), and integer matrices
-    A_r.  Construction turns the terms into one exact integer form: with
-    c_r = a_r + b_r*sqrt(c) and L the lcm of every denominator of the a_r
-    and b_r,
+    Y = D/sqrt(M) + W C V for the split [[U, V], [W, D]] of a certified
+    Hadamard matrix H of order M that ``provenance`` names (negations
+    applied), and a t x t matrix C passed as its integer form (L, c, A, B),
+    C = (A + B*sqrt(c))/L: k = M - t, and t = 0 gives Y = H/sqrt(M).  Y is
+    never formed.  With w_i row i of W and v_j column j of V,
+    Y_ij = D_ij * (1/sqrt(M) + (D_ij w_i)^T C v_j): entry (i, j) is D_ij
+    times the value of its magnitude code (D_ij w_i, v_j), one of at most
+    2^(2t).  The codes that occur give the distinct magnitudes, epsilon,
+    the window check and the per-column magnitude histogram.  The only
+    k x k arrays hold a byte per entry: the sign bits of D and, to locate
+    epsilon, the codes.
+    Orthogonality is H's certified Hadamard property plus the exact t x t
+    identity X = 0, by which Y Y^T - I = W X W^T vanishes
+    (``verify_orthogonal``).  All checks run at construction, so every
+    EpsHadamard is certified; epsilon < 1 is recorded rather than
+    enforced, since it is only guaranteed for t < sqrt(n).
 
-        L*Y = P + Q*sqrt(c),   P = sum_r (L*a_r)*A_r,   Q = sum_r (L*b_r)*A_r,
-
-    with P and Q integer matrices (Q is None when every c_r is rational).
-    The entry scan, the window check and the orthogonality check all read
-    P and Q, so their cost does not grow with the number of terms.  All
-    three run at construction, so every EpsHadamard is certified; epsilon
-    < 1 is recorded rather than enforced, since it is only guaranteed for
-    t < sqrt(n).
-
-    ``source`` is the Hadamard matrix Y was derived from, None for a Y
-    given by its terms alone.
+    ``terms`` is the derivation at t x t level: (1/sqrt(M), None) for D,
+    then (1/L, A) and, unless B = 0, (sqrt(c)/L, B), with L the common
+    denominator of C and 1/sqrt(M).
     """
 
     __slots__ = (
@@ -450,108 +430,170 @@ class EpsHadamard:
         "epsilon_upper",
         "window_ok",
         "is_eps_hadamard",
-        "_scale",
-        "_core",
-        "_p",
-        "_q",
-        "_mags",
-        "_combo_abs",
-        "_entry_combo_ids",
-        "_combo_values",
+        "_form",
+        "_u",
+        "_rest",
+        "_w",
+        "_v",
+        "_values",
+        "_scalars",
+        "_abs",
+        "_mag_of_code",
+        "_counts",
     )
 
-    def __init__(self, order, radicand, terms, provenance,
-                 source: Optional[SignMatrix] = None):
-        self.order = int(order)
-        self.radicand = int(radicand)
-        self.terms = tuple((c, _frozen(m)) for c, m in terms)
-        self.provenance = provenance
-        self.source = source
-        self._scale, self._core, self._p, self._q = _integer_form(self.terms)
-        self._scan_entries()
-        self._certify_window()
+    def __init__(self, source: SignMatrix, provenance: Provenance, c):
+        if not source.hadamard_verified:
+            raise DomainError("source must be hadamard-verified")
+        m, t = source.order, provenance.t
+        self.order, self.radicand = m - t, m
+        self.source, self.provenance = source, provenance
+        self._form = _corner_form(c, m)
+        scale, core, a, b = self._form
+        terms = [(1 / exact_sqrt(m), None)]
+        if t:
+            terms.append((Fraction(1, scale), a[1:, 1:]))
+        if np.count_nonzero(b[1:, 1:]):
+            terms.append((QuadNum(0, Fraction(1, scale), core), b[1:, 1:]))
+        self.terms = tuple(terms)
+        self._values = _code_values(self._form, t)
+        self._scalars: dict = {}
+
+        # H's sign bits on the split, negations applied
+        rows, cols = list(provenance.row_select), list(provenance.col_select)
+        keep_r, keep_c = _rest_mask(rows, m), _rest_mask(cols, m)
+        self._rest = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
+        rn, cn = np.array(provenance.row_negate, bool), np.array(provenance.col_negate, bool)
+        h = source.rows
+        selected = h[rows] < 0  # (t, M)
+        self._u = np.where(selected[:, cols] ^ rn[:, None] ^ cn, -1, 1).astype(object)
+        self._w = _bit_codes((h[:, cols] < 0)[keep_r] ^ cn)  # bit a of w_i: W_ia = -1
+        self._v = _bit_codes((selected[:, keep_c] ^ rn[:, None]).T)  # bit a of v_j: V_aj = -1
         self.verify_orthogonal()
+        self._scan_entries((h[keep_r] < 0)[:, keep_c])
+        self._certify_window()
 
     # -- construction helpers ----------------------------------------------
 
-    def _scan_entries(self):
-        """Distinct entries, their magnitudes and epsilon, from the distinct
-        (P_ij, Q_ij) pairs: the entry is (P_ij + Q_ij*sqrt(c)) / L."""
-        k, scale, core = self.order, self._scale, self._core
-        pairs, self._entry_combo_ids = _distinct_pairs(self._p, self._q)
-        self._combo_values = [
-            QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q
-            else Fraction(p, scale)
-            for p, q in pairs
-        ]
-        # distinct absolute values, ascending, with epsilon and window verdict
-        self._combo_abs, self._mags = _magnitudes(
-            [(p, q, scale) for p, q in pairs], core, k,
-            _window(self.provenance.t, self.radicand))
-        group_eps = [eps for _, eps, _ in self._mags]
-        top = ExactEps.zero()
-        for cand in group_eps:
-            if top.cmp(cand) < 0:
-                top = cand
+    def _scan_entries(self, d: np.ndarray):
+        """Distinct magnitudes, epsilon and the column histogram from the
+        magnitude codes; d[i, j] is True where D_ij = -1.
+
+        The code of (i, j) is (w'_ij << t) | v_j with w'_ij = w_i xor
+        (2^t - 1)*d[i, j].  So column j takes code (x << t) | v_j once for
+        each row with w_i = x and D_ij = +1 or with w_i = x xor (2^t - 1)
+        and D_ij = -1, and one pass over the rows of d counts them."""
+        t, k = self.provenance.t, self.order
+        span, full = 1 << t, (1 << t) - 1
+        w, v = self._w, self._v
+        ones = np.stack([d[w == x].sum(axis=0, dtype=np.int64)  # w_i = x, D_ij = -1
+                         for x in range(span)])
+        count = np.bincount(w, minlength=span)[:, None] - ones + ones[np.arange(span) ^ full]
+        codes = np.arange(span)[:, None] << t | v  # (w', j) -> code
+        live = count > 0
+        occurring = np.unique(codes[live])
+        scale, core, _, _ = self._form
+        mag_ids, self._abs = _magnitudes(
+            [(*self._values[x], scale) for x in occurring], core)
+        self._mag_of_code = np.full(span * span, -1, dtype=np.intp)
+        self._mag_of_code[occurring] = mag_ids
+        self._counts = np.zeros((k, len(self._abs)), dtype=np.int64)
+        np.add.at(self._counts, (np.nonzero(live)[1], self._mag_of_code[codes[live]]),
+                  count[live])
+        self._counts.setflags(write=False)
+
+        # |sqrt(k)*|Y_ij| - 1| falls as |Y_ij| rises to 1/sqrt(k) and rises
+        # beyond, so the smallest and the largest magnitude hold the extremes
+        low, high = (_entry_eps(k, av) for av in (self._abs[0], self._abs[-1]))
+        top = high if low.cmp(high) < 0 else low
         eps = ExactEps.zero()
         if not top.is_zero():
             # located at the first entry, in row-major order, attaining it;
-            # two magnitudes can tie (one on each side), so q is that entry's
-            abs_ids, _ = self.abs_value_ids()
-            hits = [gi for gi, cand in enumerate(group_eps) if cand.cmp(top) == 0]
-            first = divmod(int(np.argmax(np.isin(abs_ids, hits))), k)
-            eps = ExactEps(group_eps[abs_ids[first]].q, location=first)
+            # the two extremes can tie (one on each side), so q is that entry's
+            ends = {0: low, len(self._abs) - 1: high}
+            hits = [g for g, cand in ends.items() if cand.cmp(top) == 0]
+            entry_codes = np.where(d, (w ^ full)[:, None], w[:, None])
+            entry_codes <<= t
+            entry_codes |= v
+            hit = np.isin(self._mag_of_code, hits)[entry_codes]
+            first = divmod(int(np.argmax(hit)), k)
+            eps = ExactEps(ends[self._mag_of_code[entry_codes[first]]].q, location=first)
         self.epsilon = eps
         # largest upward deviation alone (0 if no entry exceeds 1/sqrt(k))
-        up = ExactEps.zero()
-        for cand in group_eps:
-            if cand.side > 0 and up.cmp(cand) < 0:
-                up = cand
-        self.epsilon_upper = up
+        self.epsilon_upper = high if high.side > 0 else ExactEps.zero()
         self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
 
     def verify_orthogonal(self):
-        """Exact check of Y Y^T = I on the integer form L*Y = P + Q*sqrt(c).
+        """Exact check of Y Y^T = I as the t x t identity X = 0.
 
-        Y Y^T = I holds exactly when P P^T + c*Q Q^T = L^2 * I and
-        P Q^T + Q P^T = 0: one k x k product when Q is None, three
-        otherwise, whatever the number of terms.  Y is square, so
-        Y Y^T = I makes Y^T the inverse of Y, and Y^T Y = I follows.
+        H is certified Hadamard, and negating selected rows and columns
+        keeps it so.  H H^T = M*I gives V V^T = M*I - U U^T,
+        D V^T = -W U^T and W W^T + D D^T = M*I, hence
 
-        The products run in float64 BLAS only when
-        k*(max|P|^2 + c*max|Q|^2) < 2^53 and L^2 < 2^53.  Every entry of
-        P, Q and L^2 * I is then an integer below 2^53, and so is every
-        partial sum of every product and of the combinations above: a
-        partial sum of P P^T is at most k*max|P|^2, one of c*Q Q^T at most
-        c*k*max|Q|^2, and one of P Q^T + Q P^T at most
-        2k*max|P|*max|Q| <= k*(max|P|^2 + max|Q|^2).  Integers below 2^53
-        are exact in float64, so the result is exact in any summation
-        order.  Otherwise the same formulas run on Python ints.
+            Y Y^T - I = W X W^T,
+            X = -I/M - (U^T C^T + C U)/sqrt(M) + C (M*I - U U^T) C^T,
+
+        and X = 0 makes Y Y^T = I.  Y is square, so Y^T Y = I follows.
+        For t = 0, X is empty and Y Y^T = H H^T/M = I.
+
+        In the integer form [[1/sqrt(M), 0], [0, C]] = (A + B*sqrt(c))/L,
+        1/sqrt(M) = (a + b*sqrt(c))/L with a = A_00, b = B_00, and
+        C = (A' + B'*sqrt(c))/L with A', B' the trailing t x t blocks.  Then
+        L^2 X = R + S*sqrt(c) with the integer t x t matrices
+
+            R = -(a^2 + c*b^2) I - a G - c*b G' + A' N A'^T + c B' N B'^T,
+            S = -2ab I - b G - a G' + A' N B'^T + B' N A'^T,
+
+        N = M*I - U U^T, G = U^T A'^T + A' U and G' = U^T B'^T + B' U.  X = 0
+        is the pair of identities R = 0 and S = 0 (S = 0 holds trivially
+        when c = 1, where b = 0 and B' = 0), checked on Python ints.
         """
-        found = _gram_violation(self._scale, self._core, self._p, self._q)
-        if found is not None:
-            (i, j), got = found
+        scale, core, a, b = self._form
+        a0, b0, a, b = a[0, 0], b[0, 0], a[1:, 1:], b[1:, 1:]
+        u = self._u
+        eye = np.identity(len(u), dtype=object)
+        n = self.radicand * eye - u @ u.T
+        g, g2 = u.T @ a.T + a @ u, u.T @ b.T + b @ u
+        r = (-(a0 * a0 + core * b0 * b0) * eye - a0 * g - core * b0 * g2
+             + a @ n @ a.T + core * (b @ n @ b.T))
+        s = -2 * a0 * b0 * eye - b0 * g - a0 * g2 + a @ n @ b.T + b @ n @ a.T
+        bad = (r != 0) | (s != 0)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), len(u))
+            x = Fraction(int(r[i, j]), scale * scale)
+            if s[i, j]:
+                x = QuadNum(x, Fraction(int(s[i, j]), scale * scale), core)
             raise CertificationError(
-                f"orthogonality violated at {(i, j)}: "
-                f"got {got}, expected {int(i == j)}"
+                f"orthogonality violated: Y Y^T - I = W X W^T with X{(i, j)} = {x}, "
+                "expected 0"
             )
 
     def _certify_window(self):
         """Entry magnitudes must lie in the closed interval of the reduction
-        theorem whenever 1 <= t and t < sqrt(M)."""
+        theorem whenever 1 <= t and t < sqrt(M); they ascend, so the
+        smallest and the largest decide."""
+        window = _window(self.provenance.t, self.radicand)
+        if _outside(self._abs[0], window) or _outside(self._abs[-1], window):
+            av = next(av for av in self._abs if _outside(av, window))
+            raise CertificationError(
+                f"entry magnitude {av} outside window [{window[0]}, {window[1]}]"
+            )
         self.window_ok = True
-        for av, _, outside in self._mags:
-            if outside:
-                self.window_ok = False
-                lo, hi = _window(self.provenance.t, self.radicand)
-                raise CertificationError(
-                    f"entry magnitude {av} outside window [{lo}, {hi}]"
-                )
 
     # -- accessors -----------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self._combo_values[int(self._entry_combo_ids[i, j])]
+        """Y_ij, as D_ij times the value 1/sqrt(M) + s(w')^T C s(v) of its
+        magnitude code (w', v)."""
+        t = self.provenance.t
+        d = int(self.source.rows[self._rest[0][i], self._rest[1][j]])
+        code = (int(self._w[i]) ^ (0 if d > 0 else (1 << t) - 1)) << t | int(self._v[j])
+        if (code, d) not in self._scalars:
+            scale, core, _, _ = self._form
+            p, q = (d * x for x in self._values[code])
+            self._scalars[code, d] = (QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q
+                                      else Fraction(p, scale))
+        return self._scalars[code, d]
 
     def scalar_rows(self) -> list[list[Scalar]]:
         k = self.order
@@ -559,14 +601,16 @@ class EpsHadamard:
 
     def distinct_abs_values(self) -> list[Scalar]:
         """Distinct entry magnitudes, ascending."""
-        return [av for av, _, _ in self._mags]
+        return list(self._abs)
 
     def max_abs_entry(self) -> Scalar:
-        return self._mags[-1][0]
+        return self._abs[-1]
 
-    def abs_value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
-        """(ids, values): ids[i, j] indexes the magnitude of Y_ij in values."""
-        return self._combo_abs[self._entry_combo_ids], self.distinct_abs_values()
+    def abs_value_counts(self) -> np.ndarray:
+        """The column histogram of magnitudes, read-only int64 of shape
+        (k, len(distinct_abs_values())): entry [j, g] counts the rows i with
+        |Y_ij| = distinct_abs_values()[g]."""
+        return self._counts
 
     @property
     def variant(self) -> Optional[str]:
@@ -582,14 +626,13 @@ class EpsHadamard:
 
     @classmethod
     def from_sign_hadamard(cls, h: SignMatrix) -> "EpsHadamard":
-        """Exact Y = H / sqrt(k) for a verified Hadamard matrix (epsilon = 0)."""
+        """Exact Y = H / sqrt(k) for a verified Hadamard matrix: the split
+        with t = 0, one magnitude and epsilon = 0."""
         if not h.hadamard_verified:
             raise DomainError("matrix is not hadamard-verified")
-        k = h.order
-        coeff = 1 / exact_sqrt(k) if k > 1 else Fraction(1)
         prov = Provenance(
             source_label=h.label,
-            source_order=k,
+            source_order=h.order,
             t=0,
             row_select=(),
             col_select=(),
@@ -598,110 +641,50 @@ class EpsHadamard:
             variant=None,
             method="exact-hadamard",
         )
-        return cls(k, k, [(coeff, h.rows.astype(np.int64))], prov, source=h)
+        empty = np.zeros((0, 0), dtype=object)
+        return cls(h, prov, (1, 1, empty, empty))
 
 
-def _integer_form(terms) -> tuple[int, int, np.ndarray, Optional[np.ndarray]]:
-    """(L, c, P, Q) with L*Y = P + Q*sqrt(c) for Y = sum_r c_r * A_r.
-
-    L is the lcm of the denominators of the rational and radical parts of
-    the c_r, and Q is None when every c_r is rational (c = 1).
-    """
-    core = 1
-    parts = []
-    for coeff, _ in terms:
-        if isinstance(coeff, QuadNum):
-            a, b = coeff.a, coeff.b
-        else:
-            a, b = Fraction(coeff), Fraction(0)
-        if b:
-            if core not in (1, coeff.m):
-                raise StructuralError(f"mixed radicands {core} and {coeff.m}")
-            core = coeff.m
-        parts.append((a, b))
-    scale = math.lcm(*(x.denominator for pair in parts for x in pair))
-    mats = [m for _, m in terms]
-    p = _int_combination([int(a * scale) for a, _ in parts], mats)
-    q = _int_combination([int(b * scale) for _, b in parts], mats) if core > 1 else None
-    return scale, core, p, q
+def _rest_mask(selected: list[int], order: int) -> np.ndarray:
+    """Boolean mask of the indices below ``order`` not in ``selected``."""
+    keep = np.ones(order, dtype=bool)
+    keep[selected] = False
+    return keep
 
 
-def _int_combination(weights: Sequence[int], mats: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_r weights[r] * mats[r] exactly: in int64 when the bound
-    sum_r |weights[r]| * max|mats[r]| keeps every partial sum below 2^63,
-    in Python ints (an object array) otherwise."""
-    used = [(w, m) for w, m in zip(weights, mats) if w and m.any()]
-    bound = sum(abs(w) * int(np.abs(m).max()) for w, m in used)
-    dtype = np.int64 if bound < 2**63 else object
-    out = np.zeros(mats[0].shape, dtype=dtype)
-    for w, m in used:
-        out += w * m.astype(dtype, copy=False)
-    return out
+def _bit_codes(bits: np.ndarray) -> np.ndarray:
+    """uint8 code per row of a boolean (n, t) array: bit a is bits[:, a]."""
+    return (bits.astype(np.uint8) << np.arange(bits.shape[1], dtype=np.uint8)).sum(
+        axis=1, dtype=np.uint8)
 
 
-def _abs_max(a: Optional[np.ndarray]) -> int:
-    return 0 if a is None else int(np.abs(a).max())
+def _corner_form(c, m: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(L', c, A', B') with [[1/sqrt(M), 0], [0, C]] = (A' + B'*sqrt(c))/L'
+    for C given by its integer form (L, c, A, B); L' is the lcm of L
+    and the denominator of 1/sqrt(M) = sqrt(c)/(f*c), with M = f^2*c."""
+    scale, core, a, b = c
+    f, m_core = square_free_split(m)
+    if core not in (1, m_core) or (m_core == 1 and np.count_nonzero(b)):
+        raise StructuralError(f"C in Q(sqrt({core})) for M = {m}")
+    corner = math.lcm(scale, f * m_core)
+    t = a.shape[0]
+    a2, b2 = (np.zeros((t + 1, t + 1), dtype=object) for _ in range(2))
+    a2[1:, 1:], b2[1:, 1:] = a * (corner // scale), b * (corner // scale)
+    (a2 if m_core == 1 else b2)[0, 0] = corner // (f * m_core)
+    return corner, m_core, a2, b2
 
 
-def _float_exact(k: int, scale: int, core: int, p: np.ndarray,
-                 q: Optional[np.ndarray]) -> bool:
-    """Whether float64 products of the integer form are provably exact:
-    k*(max|P|^2 + c*max|Q|^2) < 2^53 and L^2 < 2^53 (see
-    EpsHadamard.verify_orthogonal)."""
-    pmax, qmax = _abs_max(p), _abs_max(q)
-    return k * (pmax * pmax + core * qmax * qmax) < 2**53 and scale * scale < 2**53
-
-
-def _gram_violation(scale: int, core: int, p: np.ndarray, q: Optional[np.ndarray]):
-    """((i, j), Y Y^T at (i, j)) for the first (i, j) in row-major order
-    where Y Y^T differs from I, given L*Y = P + Q*sqrt(c); None if none does.
-
-    float64 BLAS under the bound of ``_float_exact``, Python ints otherwise.
-    """
-    k = p.shape[0]
-    dtype = np.float64 if _float_exact(k, scale, core, p, q) else object
-    p = p.astype(dtype)
-    rational = p @ p.T
-    radical = None
-    if q is not None:
-        q = q.astype(dtype)
-        rational = rational + core * (q @ q.T)
-        cross = p @ q.T
-        radical = cross + cross.T
-    want = np.zeros((k, k), dtype=dtype)
-    np.fill_diagonal(want, scale * scale)
-    bad = rational != want
-    if radical is not None:
-        bad |= radical != 0
-    if not bad.any():
-        return None
-    i, j = divmod(int(np.argmax(bad)), k)
-    got = Fraction(int(rational[i, j]), scale * scale)
-    if radical is not None and radical[i, j]:
-        got = QuadNum(got, Fraction(int(radical[i, j]), scale * scale), core)
-    return (i, j), got
-
-
-def _distinct_pairs(p: np.ndarray, q: Optional[np.ndarray]) -> tuple[list, np.ndarray]:
-    """(pairs, ids): the distinct (P_ij, Q_ij) as pairs of Python ints, and
-    the k x k array of the index of each entry's pair (Q_ij = 0 when Q is
-    None)."""
-    if q is None:
-        q = np.zeros_like(p)
-    if p.dtype != object and q.dtype != object:
-        plo, qlo = int(p.min()), int(q.min())
-        span = int(q.max()) - qlo + 1
-        if (int(p.max()) - plo + 1) * span < 2**63:
-            # one 1-D int64 code per entry
-            codes, ids = np.unique((p - plo) * span + (q - qlo), return_inverse=True)
-            pairs = [divmod(int(x), span) for x in codes]
-            return [(a + plo, b + qlo) for a, b in pairs], ids.reshape(p.shape)
-    index: dict = {}
-    ids = np.array(
-        [index.setdefault((int(a), int(b)), len(index)) for a, b in zip(p.flat, q.flat)],
-        dtype=np.int64,
-    )
-    return list(index), ids.reshape(p.shape)
+def _code_values(form, t: int) -> list[tuple[int, int]]:
+    """(p, q) per magnitude code (w' << t) | v, whose value
+    1/sqrt(M) + s(w')^T C s(v) is (p + q*sqrt(c))/L for the integer form
+    ``form`` of ``_corner_form``; component a of the sign vector s(x) is -1
+    where bit a of x is set.  With S the rows (1, s(x)), the p are S A S^T
+    and the q are S B S^T."""
+    _, _, a, b = form
+    signs = np.array([[1] + [-1 if x >> e & 1 else 1 for e in range(t)]
+                      for x in range(1 << t)], dtype=np.int64)
+    ps, qs = (_wxv(signs, x, signs.T).ravel().tolist() for x in (a, b))
+    return list(zip(ps, qs))
 
 
 def _quad_sign(p: int, q: int, core: int) -> int:
@@ -713,12 +696,11 @@ def _quad_sign(p: int, q: int, core: int) -> int:
     return sp if p * p > core * q * q else sq
 
 
-def _magnitudes(values, core: int, k: int, window) -> tuple[np.ndarray, list]:
+def _magnitudes(values, core: int) -> tuple[np.ndarray, list[Scalar]]:
     """(ids, mags) for exact values (p + q*sqrt(c))/L given as integer
-    triples (p, q, L): mags lists the distinct |value|, ascending, each as
-    (magnitude, epsilon in order k, outside ``window``), and ids[i] indexes
-    the magnitude of values[i].  The one route from an entry value to its
-    epsilon and window verdict, for built matrices and the split screen."""
+    triples (p, q, L): mags lists the distinct |value| ascending, and ids[i]
+    indexes the magnitude of values[i].  The one route from a code's value
+    to its magnitude, for built matrices and the split screen."""
     index: dict = {}
     ids = []
     for p, q, scale in values:
@@ -728,15 +710,17 @@ def _magnitudes(values, core: int, k: int, window) -> tuple[np.ndarray, list]:
         ids.append(index.setdefault((p // g, q // g, scale // g), len(index)))
     keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _quad_sign(
         x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], core)))
-    mags = []
-    for p, q, scale in keys:
-        av = QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
-        outside = window is not None and (
-            cmp_values(av, window[0]) < 0 or cmp_values(av, window[1]) > 0)
-        mags.append((av, _entry_eps(k, av, None), outside))
+    mags = [QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
+            for p, q, scale in keys]
     order = np.empty(len(keys), dtype=np.int64)
     order[[index[key] for key in keys]] = np.arange(len(keys))
     return order[np.array(ids, dtype=np.int64)], mags
+
+
+def _outside(av: Scalar, window) -> bool:
+    """Whether a magnitude lies outside ``window`` (never when it is None)."""
+    return window is not None and (cmp_values(av, window[0]) < 0
+                                   or cmp_values(av, window[1]) > 0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -750,14 +734,6 @@ def _window(t: int, m: int) -> Optional[tuple[Scalar, Scalar]]:
         (1 - Fraction(t) / (sqrt_m - t)) / sqrt_m,
         (1 + Fraction(t) / (sqrt_m - t)) / sqrt_m,
     )
-
-
-def _frozen(m) -> np.ndarray:
-    """A read-only copy in int64, or of Python ints when given those."""
-    m = np.asarray(m)
-    arr = m.astype(object if m.dtype == object else np.int64)
-    arr.setflags(write=False)
-    return arr
 
 
 def _scalar_key(v: Scalar):
@@ -815,35 +791,38 @@ def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
     return [(outer_sign * c / alpha, p) for c, p in zip((x, y, z), powers)]
 
 
-def _coefficient_matrix(u: np.ndarray, uclass: UClass, variant: str,
-                        m: int) -> list[list[Scalar]]:
-    """The t x t matrix C with Y = D/sqrt(M) + W C V, entry by entry from
-    the closed form of ``_closed_form_coeffs``."""
-    t = u.shape[0]
+def _coefficient_form(u: np.ndarray, uclass: UClass, variant: str,
+                      m: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The t x t matrix C with Y = D/sqrt(M) + W C V as its integer form
+    (L, c, A, B), C = (A + B*sqrt(c))/L with A and B integer matrices of
+    Python ints: c_p = (a_p + b_p*sqrt(c)) for the closed form
+    C = sum_p c_p U_eff^p of ``_closed_form_coeffs``, L the lcm of the
+    denominators of the a_p and b_p, A = sum_p L*a_p U_eff^p and
+    B = sum_p L*b_p U_eff^p (c = 1 and B = 0 when M is a perfect square)."""
     coeffs = _closed_form_coeffs(u, uclass, variant, m)
-    return [
-        [sum((c * int(p[a, b]) for c, p in coeffs), Fraction(0)) for b in range(t)]
-        for a in range(t)
-    ]
+    parts = [(c.a, c.b) if isinstance(c, QuadNum) else (Fraction(c), Fraction(0))
+             for c, _ in coeffs]
+    scale = math.lcm(*(x.denominator for pair in parts for x in pair))
+    a, b = (sum(int(pair[e] * scale) * p.astype(object) for pair, (_, p) in zip(parts, coeffs))
+            for e in (0, 1))
+    return scale, square_free_split(m)[1], a, b
 
 
 def _wxv(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """W X V exactly for sign matrices W, V and an integer t x t matrix X:
     in int64 when t^2 * max|X| < 2^63 bounds every partial sum, on Python
     ints (an object array) otherwise."""
-    dtype = np.int64 if x.shape[0] ** 2 * _abs_max(x) < 2**63 else object
+    dtype = np.int64 if x.shape[0] ** 2 * int(np.abs(x).max()) < 2**63 else object
     return w.astype(dtype) @ x.astype(dtype) @ v.astype(dtype)
 
 
 def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
-    """Y1 or Y2 of a split, built as Y = D/sqrt(M) + W C V.
+    """Y1 or Y2 of a split, certified as Y = D/sqrt(M) + W C V.
 
     C is the closed form of (I +/- U/sqrt(M))^-1 from the Cayley-Hamilton
     relation of U, for every U; ``Provenance.method`` reads "closed-form".
     The inverse exists for every U with t < sqrt(M), by diagonal
-    dominance.  Writing C = (A + B*sqrt(c))/L with integer t x t matrices
-    A and B, Y is the sum of the terms (1/sqrt(M), D), (1/L, W A V) and,
-    when B != 0, (sqrt(c)/L, W B V).
+    dominance.
     """
     m, t = split.source.order, split.t
     if t * t >= m:
@@ -852,14 +831,6 @@ def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
         raise DomainError(f"variant must be Y1 or Y2, got {variant!r}")
     u = split.u_matrix()
     uclass = classify_u(u)
-    coeffs = _coefficient_matrix(u, uclass, variant, m)
-    # (L, c, A, B) is the integer form of C as a sum of t x t unit matrices
-    units = np.eye(t * t, dtype=np.int64).reshape(t * t, t, t)
-    scale, core, a, b = _integer_form(list(zip(itertools.chain(*coeffs), units)))
-    w, v = split.w_matrix(), split.v_matrix()
-    terms = [(1 / exact_sqrt(m), split.d_matrix()), (Fraction(1, scale), _wxv(w, a, v))]
-    if b is not None:
-        terms.append((QuadNum(0, Fraction(1, scale), core), _wxv(w, b, v)))
     prov = Provenance(
         source_label=split.source.label,
         source_order=m,
@@ -872,7 +843,7 @@ def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
         method="closed-form",
         uclass=uclass,
     )
-    return EpsHadamard(m - t, m, terms, prov, source=split.source)
+    return EpsHadamard(split.source, prov, _coefficient_form(u, uclass, variant, m))
 
 
 # ---------------------------------------------------------------------------
@@ -990,9 +961,8 @@ class _EpsScreen:
     bit a of w' (of v) set when D_ij W_ia (V_aj) is -1, for each U that
     occurs and each variant, ranked on one global scale.
 
-    [[1/sqrt(M), 0], [0, C]] is written as (A + B*sqrt(c))/L, as
-    ``reduce_split`` writes C; with S the rows (1, s_x) for every sign
-    vector s_x, S A S^T and S B S^T give every index's value exactly.
+    Every index's value comes from ``_code_values``, as EpsHadamard takes
+    it.
     ``eps[r]`` is the epsilon of rank r (equal epsilons share a rank), and
     ``sentinel`` ranks a magnitude outside the reduction window.
     ``levels[lut[u], vi]`` lists the ranks of U code u and variant index vi
@@ -1003,10 +973,6 @@ class _EpsScreen:
         self.window = _window(t, m)
         self.lut = np.full(1 << (t * t), -1, dtype=np.intp)
         self.lut[u_codes] = np.arange(len(u_codes))
-        signs = np.array([[1] + [-1 if x >> a & 1 else 1 for a in range(t)]
-                          for x in range(1 << t)], dtype=np.int64)
-        units = np.eye((t + 1) ** 2, dtype=np.int64).reshape(-1, t + 1, t + 1)
-        corner = (1 / exact_sqrt(m), units[0])
         index: dict = {}  # (p, q, L) -> position in ``index``
         value_ids = []  # per (u, variant), magnitude index order
         known: dict = {}  # C(-U, Y1) = -C(U, Y2) and C(-U, Y2) = -C(U, Y1)
@@ -1016,16 +982,14 @@ class _EpsScreen:
             uclass = classify_u(u)
             for vi, variant in enumerate(_VARIANTS):
                 mirror = known.get((uc ^ (1 << t * t) - 1, 1 - vi))
-                c = known[uc, vi] = (_coefficient_matrix(u, uclass, variant, m) if mirror is None
-                                     else [[-x for x in row] for row in mirror])
-                scale, _, pa, pb = _integer_form([corner] + [
-                    (c[a][b], units[(a + 1) * (t + 1) + b + 1]) for a in range(t) for b in range(t)])
-                ps = _wxv(signs, pa, signs.T).ravel().tolist()
-                qs = [0] * len(ps) if pb is None else _wxv(signs, pb, signs.T).ravel().tolist()
-                value_ids.append([index.setdefault((p, q, scale), len(index))
-                                  for p, q in zip(ps, qs)])
-        mag_of_value, self.mags = _magnitudes(
-            list(index), square_free_split(m)[1], m - t, self.window)
+                c = known[uc, vi] = (_coefficient_form(u, uclass, variant, m) if mirror is None
+                                     else (*mirror[:2], -mirror[2], -mirror[3]))
+                form = _corner_form(c, m)
+                value_ids.append([index.setdefault((p, q, form[0]), len(index))
+                                  for p, q in _code_values(form, t)])
+        mag_of_value, mags = _magnitudes(list(index), square_free_split(m)[1])
+        self.mags = [(av, _entry_eps(m - t, av), _outside(av, self.window))
+                     for av in mags]
         self.mag_ids = mag_of_value[np.array(value_ids)].reshape(len(u_codes), 2, -1)
         # one exact global order; equal epsilons (cmp == 0) share a rank
         order = sorted(range(len(self.mags)), key=functools.cmp_to_key(

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .algebra import Scalar, cmp_values, exact_sqrt, quad_to_float, sign_of, sqrt_minus_cmp
 from .bases import BasisSet
 from .epsh import ExactEps, _scalar_key
@@ -123,7 +121,9 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     Needs the design's certified mu = 1.  Every point lies at position
     a = point // s of its block in every class, so per basis pair the k x k
     count of shared points by position pair is s*I; with mu = 1 each shared
-    point is shared by exactly one block pair, so s * col_counts^T @
+    point is shared by exactly one block pair.  With col_counts Y's column
+    histogram of magnitudes (``EpsHadamard.abs_value_counts``: row j counts
+    the entries of column j at each distinct |Y_ij|), s * col_counts^T @
     col_counts histograms the nonzero products of the basis pair, and the
     s^2 - d block pairs that share no point give k^2 zeros each.  An entry
     of col_counts^T @ col_counts is at most k^3 (each column of Y holds k
@@ -138,13 +138,10 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
         raise CertificationError(
             f"cross statistics need a design with certified mu = 1, got mu={r.mu}"
         )
-    ids, vals = bs.y.abs_value_ids()
+    col_counts, vals = bs.y.abs_value_counts(), bs.y.distinct_abs_values()
     nvals = len(vals)
     d, s, k = r.d, r.s, r.k
     basis_pairs = nb * (nb - 1) // 2
-    col_counts = np.stack(
-        [np.bincount(ids[:, c], minlength=nvals) for c in range(k)]
-    ).astype(np.int64)  # (k, nvals)
     assert k**3 < 2**63, "cross-statistics counts would overflow int64"
     vv = col_counts.T @ col_counts
     weight = s * basis_pairs

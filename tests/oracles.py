@@ -8,15 +8,24 @@ pair, hand-built designs as explicit class arrays with mu from direct set
 arithmetic, epsilon entry by entry, and Paley matrices from scalar field
 operations.  The coefficient matrix C of a reduction comes from exact
 Gauss-Jordan elimination of (I +/- U/sqrt(M)) (``elimination_coeffs``),
-where the library takes the Cayley-Hamilton closed form.  No oracle uses
-the float64 route of ``EpsHadamard.verify_orthogonal``.  ``lemma_inverse``
-is the exception: it evaluates the library's polynomial-inverse
-coefficients as the published displays write them, so that tests can
-compare those displays.
+where the library takes the Cayley-Hamilton closed form.
+
+``DenseEpsHadamard`` is the dense oracle: the route the library's
+EpsHadamard took before it certified from magnitude codes.  Y is the k x k
+integer form L*Y = P + Q*sqrt(c), its entries are the distinct (P_ij, Q_ij)
+pairs, every distinct magnitude's epsilon and window verdict is computed,
+and Y Y^T = I is checked by k x k integer Gram products, in float64 BLAS
+only under the bound of ``_float_exact`` and on Python ints beyond it.
+``dense_reduction`` builds it for a split from the library's closed-form C,
+which ``elimination_coeffs`` pins.  It shares with the library only the
+route from a value to its magnitude (``_magnitudes``).  ``lemma_inverse``
+evaluates the library's polynomial-inverse coefficients as the published
+displays write them, so that tests can compare those displays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,16 +38,25 @@ import sympy
 from armub.algebra import QuadNum, Scalar, cmp_values, exact_sqrt, gf_from_order, sign_of
 from armub.epsh import (
     BlockSplit,
-    EpsHadamard,
     ExactEps,
+    Provenance,
+    _coefficient_form,
+    _magnitudes,
     _negated_params,
     _poly_inverse_coeffs,
     _scalar_key,
+    _window,
     classify_u,
     corner_split,
     reduce_split,
 )
-from armub.errors import CertificationError, DomainError, ExactArithmeticError, ResourceLimitError
+from armub.errors import (
+    CertificationError,
+    DomainError,
+    ExactArithmeticError,
+    ResourceLimitError,
+    StructuralError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +362,7 @@ def cross_stats_pairwise(bs):
     """
     r = bs.rbd
     d, s, k = r.d, r.s, r.k
-    ids, vals = bs.y.abs_value_ids()
-    col_counts = np.stack(
-        [np.bincount(ids[:, c], minlength=len(vals)) for c in range(k)]
-    ).astype(np.int64)
+    col_counts, vals = bs.y.abs_value_counts(), bs.y.distinct_abs_values()
     vv_total = np.zeros((len(vals), len(vals)), dtype=np.int64)
     zeros = 0
     pairs = 0
@@ -380,7 +395,7 @@ def term_gram_orthogonal(k: int, terms) -> bool:
     """Exact Y Y^T == I for Y = sum_r c_r * A_r, by one int64 Gram A_r A_s^T
     per ordered term pair, summed with the exact scalars c_r * c_s over each
     distinct combination of Gram entries (the check EpsHadamard made before
-    its integer form).  Memory and time grow with R^2: small k only."""
+    the integer form of ``DenseEpsHadamard``).  Memory and time grow with R^2: small k only."""
     coeffs = [c for c, _ in terms]
     mats = [np.asarray(m, dtype=np.int64) for _, m in terms]
     grams, scalars = [], []
@@ -400,8 +415,9 @@ def term_gram_orthogonal(k: int, terms) -> bool:
     return True
 
 
-def from_scalar_rows(rows, radicand: int, provenance) -> EpsHadamard:
-    """EpsHadamard of explicit entries: one indicator term per distinct value."""
+def from_scalar_rows(rows, radicand: int, provenance) -> "DenseEpsHadamard":
+    """DenseEpsHadamard of explicit entries: one indicator term per distinct
+    value."""
     k = len(rows)
     index: dict = {}
     values = []
@@ -416,7 +432,275 @@ def from_scalar_rows(rows, radicand: int, provenance) -> EpsHadamard:
             ids[i, j] = index[key]
     terms = [(v, ids == vi) for vi, v in enumerate(values)
              if sign_of(v) != 0 or len(values) == 1]
-    return EpsHadamard(k, radicand, terms, provenance)
+    return DenseEpsHadamard(k, radicand, terms, provenance)
+
+
+# ---------------------------------------------------------------------------
+# Dense EpsHadamard: Y as one k x k integer form
+# ---------------------------------------------------------------------------
+
+class DenseEpsHadamard:
+    """An orthogonal matrix of order k certified through its k x k integer
+    form, with the attributes and accessors of ``armub.epsh.EpsHadamard``,
+    so that cross statistics, assembly and the tests read either.
+
+    Y is a sum of terms (c_r, A_r): exact scalar coefficients c_r in
+    Q(sqrt(c)) and integer k x k matrices A_r.  With c_r = a_r + b_r*sqrt(c)
+    and L the lcm of every denominator of the a_r and b_r,
+
+        L*Y = P + Q*sqrt(c),   P = sum_r (L*a_r)*A_r,   Q = sum_r (L*b_r)*A_r,
+
+    (Q is None when every c_r is rational).  The distinct entries are the
+    distinct (P_ij, Q_ij) pairs, and Y Y^T = I is the pair of integer
+    identities P P^T + c*Q Q^T = L^2 * I and P Q^T + Q P^T = 0: at most
+    three k x k products for any number of terms.  The products run in
+    float64 BLAS only under the bound of ``_float_exact``, which keeps
+    every partial sum an integer below 2^53; otherwise on Python ints.
+    """
+
+    def __init__(self, order, radicand, terms, provenance, source=None):
+        self.order = int(order)
+        self.radicand = int(radicand)
+        self.terms = tuple((c, _frozen(m)) for c, m in terms)
+        self.provenance = provenance
+        self.source = source
+        self._scale, self._core, self._p, self._q = _integer_form(self.terms)
+        self._scan_entries()
+        self._certify_window()
+        self.verify_orthogonal()
+
+    def _scan_entries(self):
+        """Distinct entries, their magnitudes and epsilon, from the distinct
+        (P_ij, Q_ij) pairs: the entry is (P_ij + Q_ij*sqrt(c)) / L."""
+        k, scale, core = self.order, self._scale, self._core
+        pairs, self._entry_combo_ids = _distinct_pairs(self._p, self._q)
+        self._combo_values = [
+            QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q
+            else Fraction(p, scale)
+            for p, q in pairs
+        ]
+        self._combo_abs, mags = _magnitudes([(p, q, scale) for p, q in pairs], core)
+        self._mags, top, hits, self.epsilon_upper = _eps_selection(
+            tuple(mags), k, self.provenance.t, self.radicand)
+        eps = ExactEps.zero()
+        if not top.is_zero():
+            abs_ids, _ = self.abs_value_ids()
+            first = divmod(int(np.argmax(np.isin(abs_ids, hits))), k)
+            eps = ExactEps(self._mags[abs_ids[first]][1].q, location=first)
+        self.epsilon = eps
+        self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
+
+    def verify_orthogonal(self):
+        found = _gram_violation(self._scale, self._core, self._p, self._q)
+        if found is not None:
+            (i, j), got = found
+            raise CertificationError(
+                f"orthogonality violated at {(i, j)}: "
+                f"got {got}, expected {int(i == j)}"
+            )
+
+    def _certify_window(self):
+        self.window_ok = True
+        for av, _, outside in self._mags:
+            if outside:
+                self.window_ok = False
+                lo, hi = _window(self.provenance.t, self.radicand)
+                raise CertificationError(
+                    f"entry magnitude {av} outside window [{lo}, {hi}]"
+                )
+
+    def entry(self, i: int, j: int) -> Scalar:
+        return self._combo_values[int(self._entry_combo_ids[i, j])]
+
+    def scalar_rows(self) -> list[list[Scalar]]:
+        k = self.order
+        return [[self.entry(i, j) for j in range(k)] for i in range(k)]
+
+    def distinct_abs_values(self) -> list[Scalar]:
+        return [av for av, _, _ in self._mags]
+
+    def max_abs_entry(self) -> Scalar:
+        return self._mags[-1][0]
+
+    def abs_value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
+        """(ids, values): ids[i, j] indexes the magnitude of Y_ij in values."""
+        return self._combo_abs[self._entry_combo_ids], self.distinct_abs_values()
+
+    def abs_value_counts(self) -> np.ndarray:
+        """(k, number of magnitudes): per column, the count of each."""
+        ids, vals = self.abs_value_ids()
+        return np.stack([np.bincount(ids[:, c], minlength=len(vals))
+                         for c in range(self.order)]).astype(np.int64)
+
+    @property
+    def variant(self):
+        return self.provenance.variant
+
+
+@functools.lru_cache(maxsize=None)
+def _eps_selection(mags: tuple, k: int, t: int, m: int):
+    """(rows, top, hits, up) for distinct magnitudes of a Y of order k
+    reduced from order m by t, every magnitude compared: rows lists
+    (magnitude, epsilon, outside the window), top is the largest epsilon,
+    hits the indices of the magnitudes attaining it and up the largest
+    upward epsilon (0 if none).  Cached, since the magnitude sets recur
+    across the splits of one matrix."""
+    window = _window(t, m)
+    rows = [(av, ExactEps(k * av * av), window is not None and (
+        cmp_values(av, window[0]) < 0 or cmp_values(av, window[1]) > 0)) for av in mags]
+    top = ExactEps.zero()
+    for _, cand, _ in rows:
+        if top.cmp(cand) < 0:
+            top = cand
+    hits = [gi for gi, (_, cand, _) in enumerate(rows) if cand.cmp(top) == 0]
+    up = ExactEps.zero()
+    for _, cand, _ in rows:
+        if cand.side > 0 and up.cmp(cand) < 0:
+            up = cand
+    return rows, top, hits, up
+
+
+def _integer_form(terms):
+    """(L, c, P, Q) with L*Y = P + Q*sqrt(c) for Y = sum_r c_r * A_r.
+
+    L is the lcm of the denominators of the rational and radical parts of
+    the c_r, and Q is None when every c_r is rational (c = 1).
+    """
+    core = 1
+    parts = []
+    for coeff, _ in terms:
+        if isinstance(coeff, QuadNum):
+            a, b = coeff.a, coeff.b
+        else:
+            a, b = Fraction(coeff), Fraction(0)
+        if b:
+            if core not in (1, coeff.m):
+                raise StructuralError(f"mixed radicands {core} and {coeff.m}")
+            core = coeff.m
+        parts.append((a, b))
+    scale = math.lcm(*(x.denominator for pair in parts for x in pair))
+    mats = [m for _, m in terms]
+    p = _int_combination([int(a * scale) for a, _ in parts], mats)
+    q = _int_combination([int(b * scale) for _, b in parts], mats) if core > 1 else None
+    return scale, core, p, q
+
+
+def _int_combination(weights, mats) -> np.ndarray:
+    """sum_r weights[r] * mats[r] exactly: in int64 when the bound
+    sum_r |weights[r]| * max|mats[r]| keeps every partial sum below 2^63,
+    in Python ints (an object array) otherwise."""
+    used = [(w, m) for w, m in zip(weights, mats) if w and m.any()]
+    bound = sum(abs(w) * int(np.abs(m).max()) for w, m in used)
+    dtype = np.int64 if bound < 2**63 else object
+    out = np.zeros(mats[0].shape, dtype=dtype)
+    for w, m in used:
+        out += w * m.astype(dtype, copy=False)
+    return out
+
+
+def _abs_max(a) -> int:
+    return 0 if a is None else int(np.abs(a).max())
+
+
+def _float_exact(k: int, scale: int, core: int, p, q) -> bool:
+    """Whether float64 products of the integer form are provably exact:
+    k*(max|P|^2 + c*max|Q|^2) < 2^53 and L^2 < 2^53.  Every entry of P, Q
+    and L^2 * I is then an integer below 2^53, and so is every partial sum
+    of P P^T (at most k*max|P|^2), of c*Q Q^T (at most c*k*max|Q|^2) and of
+    P Q^T + Q P^T (at most 2k*max|P|*max|Q| <= k*(max|P|^2 + max|Q|^2))."""
+    pmax, qmax = _abs_max(p), _abs_max(q)
+    return k * (pmax * pmax + core * qmax * qmax) < 2**53 and scale * scale < 2**53
+
+
+def _gram_violation(scale: int, core: int, p, q):
+    """((i, j), Y Y^T at (i, j)) for the first (i, j) in row-major order
+    where Y Y^T differs from I, given L*Y = P + Q*sqrt(c); None if none does.
+
+    float64 BLAS under the bound of ``_float_exact``, Python ints otherwise.
+    """
+    k = p.shape[0]
+    dtype = np.float64 if _float_exact(k, scale, core, p, q) else object
+    p = p.astype(dtype)
+    rational = p @ p.T
+    radical = None
+    if q is not None:
+        q = q.astype(dtype)
+        rational = rational + core * (q @ q.T)
+        cross = p @ q.T
+        radical = cross + cross.T
+    want = np.zeros((k, k), dtype=dtype)
+    np.fill_diagonal(want, scale * scale)
+    bad = rational != want
+    if radical is not None:
+        bad |= radical != 0
+    if not bad.any():
+        return None
+    i, j = divmod(int(np.argmax(bad)), k)
+    got = Fraction(int(rational[i, j]), scale * scale)
+    if radical is not None and radical[i, j]:
+        got = QuadNum(got, Fraction(int(radical[i, j]), scale * scale), core)
+    return (i, j), got
+
+
+def _distinct_pairs(p, q) -> tuple[list, np.ndarray]:
+    """(pairs, ids): the distinct (P_ij, Q_ij) as pairs of Python ints, and
+    the k x k array of the index of each entry's pair (Q_ij = 0 when Q is
+    None)."""
+    if q is None:
+        q = np.zeros_like(p)
+    if p.dtype != object and q.dtype != object:
+        plo, qlo = int(p.min()), int(q.min())
+        span = int(q.max()) - qlo + 1
+        if (int(p.max()) - plo + 1) * span < 2**63:
+            codes, ids = np.unique((p - plo) * span + (q - qlo), return_inverse=True)
+            pairs = [divmod(int(x), span) for x in codes]
+            return [(a + plo, b + qlo) for a, b in pairs], ids.reshape(p.shape)
+    index: dict = {}
+    ids = np.array(
+        [index.setdefault((int(a), int(b)), len(index)) for a, b in zip(p.flat, q.flat)],
+        dtype=np.int64,
+    )
+    return list(index), ids.reshape(p.shape)
+
+
+def _frozen(m) -> np.ndarray:
+    """A read-only copy in int64, or of Python ints when given those."""
+    m = np.asarray(m)
+    arr = m.astype(object if m.dtype == object else np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def split_blocks(split: BlockSplit):
+    """(U, V, W, D) of a split as int64 arrays, its negations applied: a
+    negated selected row flips the rows of U and V, a negated selected
+    column the columns of U and W."""
+    h = split.source.rows.astype(np.int64).copy()
+    h[list(split.row_select)] *= np.where(split.row_negate, -1, 1)[:, None]
+    h[:, list(split.col_select)] *= np.where(split.col_negate, -1, 1)[None, :]
+    rest_r = [i for i in range(split.source.order) if i not in split.row_select]
+    rest_c = [j for j in range(split.source.order) if j not in split.col_select]
+    rows, cols = list(split.row_select), list(split.col_select)
+    return (h[np.ix_(rows, cols)], h[np.ix_(rows, rest_c)],
+            h[np.ix_(rest_r, cols)], h[np.ix_(rest_r, rest_c)])
+
+
+def dense_reduction(split: BlockSplit, variant: str) -> DenseEpsHadamard:
+    """Y1 or Y2 of a split as the k x k terms (1/sqrt(M), D), (1/L, W A V)
+    and, unless B = 0, (sqrt(c)/L, W B V), for the library's closed form
+    C = (A + B*sqrt(c))/L (which ``elimination_coeffs`` pins); the
+    provenance is the one ``reduce_split`` records."""
+    m, t = split.source.order, split.t
+    u, v, w, d = split_blocks(split)
+    uclass = classify_u(u)
+    scale, core, a, b = _coefficient_form(u, uclass, variant, m)
+    w, v = w.astype(object), v.astype(object)
+    terms = [(1 / exact_sqrt(m), d), (Fraction(1, scale), w @ a @ v)]
+    if b.any():
+        terms.append((QuadNum(0, Fraction(1, scale), core), w @ b @ v))
+    prov = Provenance(split.source.label, m, t, split.row_select, split.col_select,
+                      split.row_negate, split.col_negate, variant, "closed-form", uclass)
+    return DenseEpsHadamard(m - t, m, terms, prov, source=split.source)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +737,14 @@ def _kmat_inverse(a) -> list[list[Scalar]]:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[t:] for row in work]
+
+
+def form_scalars(form) -> list[list[Scalar]]:
+    """The matrix (A + B*sqrt(c))/L of an integer form (L, c, A, B), entry
+    by entry."""
+    scale, core, a, b = form
+    root = exact_sqrt(core)
+    return [[(int(x) + int(y) * root) / scale for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def elimination_coeffs(u, variant: str, m: int) -> list[list[Scalar]]:

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from armub import cli, epsh, jsonio
+from armub import cli, jsonio
 from armub.epsh import EpsHadamard, Provenance
 from armub.errors import CertificationError
 from armub.rbd import build_affine_rbd
+import oracles
 from oracles import from_scalar_rows
 
 
@@ -156,6 +157,25 @@ def test_tampered_derivation_exit_5(tmp_path, pipeline_dir, capsys, case):
     path = _dump(obj, tmp_path / "epsh.json")
     assert cli.main(["verify", path]) == 5
     assert capsys.readouterr().out == f"{path}: eps-hadamard: CHECK FAILED: {message}\n"
+
+
+@pytest.mark.parametrize("flip", [
+    lambda p: p.update(variant={"Y1": "Y2", "Y2": "Y1"}[p["variant"]]),
+    lambda p: p["row_negate"].__setitem__(0, 1 - p["row_negate"][0]),
+    lambda p: p["col_negate"].__setitem__(2, 1 - p["col_negate"][2]),
+], ids=["variant", "row-negate", "col-negate"])
+def test_flipped_t3_derivation_exit_5(tmp_path, capsys, flip):
+    """A t = 3 artifact with its variant or one negation flag flipped
+    derives another Y, whose stored provenance or epsilon no longer
+    matches: verify exits 5."""
+    out = tmp_path / "epsh.json"
+    assert cli.main(["epsh", "16", "3", "--out", str(out)]) == 0
+    obj = _load(out)
+    flip(obj["provenance"])
+    path = _dump(obj, out)
+    capsys.readouterr()
+    assert cli.main(["verify", path]) == 5
+    assert capsys.readouterr().out.startswith(f"{path}: eps-hadamard: CHECK FAILED: stored ")
 
 
 @pytest.mark.parametrize("field, value", [("k", 4), ("m", 8)])
@@ -399,13 +419,13 @@ def test_large_denominator_artifact_takes_python_int_route(monkeypatch, p, q):
                       variant=None, method="rotation")
     rows = _rotation_rows(p, q)
     routes = []
-    float_exact = epsh._float_exact
+    float_exact = oracles._float_exact
 
     def spy(*args):
         routes.append(float_exact(*args))
         return routes[-1]
 
-    monkeypatch.setattr(epsh, "_float_exact", spy)
+    monkeypatch.setattr(oracles, "_float_exact", spy)
     from_scalar_rows(rows, 2, prov)
     assert routes == [False]  # certified on Python ints
     rows[1][1] += Fraction(1, rows[1][1].denominator)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -166,7 +167,7 @@ def test_closed_form_matches_elimination_for_every_u(t, orders):
         uclass = classify_u(u)
         for m in orders:
             for variant in ("Y1", "Y2"):
-                got = epsh._coefficient_matrix(u, uclass, variant, m)
+                got = oracles.form_scalars(epsh._coefficient_form(u, uclass, variant, m))
                 assert _kmat_eq(got, oracles.elimination_coeffs(u, variant, m)), (u, m, variant)
 
 
@@ -326,11 +327,11 @@ def test_window_certified_on_pool(sweep_reductions):
 
 def test_window_violation_detected():
     h12 = find_hadamard(12)
-    y = reduce_split(corner_split(h12, 1), "Y1")
+    y = oracles.dense_reduction(corner_split(h12, 1), "Y1")
     bad_terms = [(coeff * 3 if i == 0 else coeff, mat)
                  for i, (coeff, mat) in enumerate(y.terms)]
     with pytest.raises(CertificationError, match="outside window"):
-        EpsHadamard(y.order, y.radicand, bad_terms, y.provenance)
+        oracles.DenseEpsHadamard(y.order, y.radicand, bad_terms, y.provenance)
 
 
 def test_orthogonality_violation_detected():
@@ -353,15 +354,15 @@ def test_wxv_exact_beyond_int64():
         want = [[sum(int(w[i, a]) * x[a, b] * int(v[b, j]) for a in range(2) for b in range(2))
                  for j in range(3)] for i in range(3)]
         assert got.tolist() == want
-    # a term of Python ints stays exact inside EpsHadamard
+    # a term of Python ints stays exact inside the dense oracle
     big = 2**70
     prov = epsh.Provenance("I", 2, 0, (), (), (), (), None, "exact-hadamard")
-    y = EpsHadamard(2, 2, [(Fraction(1, big), np.array([[big, 0], [0, big]], dtype=object))],
-                    prov)
+    y = oracles.DenseEpsHadamard(
+        2, 2, [(Fraction(1, big), np.array([[big, 0], [0, big]], dtype=object))], prov)
     assert y.scalar_rows() == [[1, 0], [0, 1]]
 
 
-# -- the integer-form Gram kernel ---------------------------------------------
+# -- the dense oracle's integer-form Gram kernel ----------------------------------
 
 def _one_entry_perturbed(y):
     """y's terms plus one more that adds 1/(7k) to the entry (k//2, k//3)."""
@@ -371,25 +372,32 @@ def _one_entry_perturbed(y):
     return [*y.terms, (Fraction(1, 7 * k), unit)]
 
 
+def _split_of(y) -> BlockSplit:
+    p = y.provenance
+    return BlockSplit(y.source, p.row_select, p.col_select, p.row_negate, p.col_negate)
+
+
 @pytest.mark.parametrize("form", ["built", "parsed", "indicator"])
 def test_gram_kernel_matches_term_oracle(sweep_reductions, form):
-    """The integer-form kernel and the per-term-pair Gram oracle accept every
-    swept Y, as built from the closed-form terms, as derived again from its
-    artifact, and as one indicator term per distinct entry, and both reject
-    it with one entry perturbed; the kernel names the first violation in
-    row-major order."""
+    """The dense oracle's integer-form kernel and the per-term-pair Gram
+    oracle accept every swept Y, as the k x k terms of its split, as derived
+    again from its artifact, and as one indicator term per distinct entry,
+    and both reject it with one entry perturbed; the kernel names the first
+    violation in row-major order."""
     for (m, t), y in sweep_reductions.items():
         if form == "parsed":
             text = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
             y = jsonio.parse_eps_hadamard(json.loads(text))
-        elif form == "indicator":
+        if form == "indicator":
             y = from_scalar_rows(y.scalar_rows(), y.radicand, y.provenance)
+        else:
+            y = oracles.dense_reduction(_split_of(y), y.variant)
         k = y.order
         assert term_gram_orthogonal(k, y.terms), (m, t)
-        assert epsh._gram_violation(*epsh._integer_form(y.terms)) is None, (m, t)
+        assert oracles._gram_violation(*oracles._integer_form(y.terms)) is None, (m, t)
         bad = _one_entry_perturbed(y)
         assert not term_gram_orthogonal(k, bad), (m, t)
-        found = epsh._gram_violation(*epsh._integer_form(bad))
+        found = oracles._gram_violation(*oracles._integer_form(bad))
         assert found is not None, (m, t)
         if sign_of(y.entry(0, k // 3)) != 0:  # row 0 meets the changed row first
             assert found[0] == (0, k // 2), (m, t)
@@ -400,13 +408,13 @@ def test_float_route_bound_is_strict():
     below, above = math.isqrt(2**53 - 1), math.isqrt(2**53 - 1) + 1
     assert below * below < 2**53 <= above * above
     one = np.ones((1, 1), dtype=np.int64)
-    assert epsh._float_exact(1, 1, 1, below * one, None)
-    assert not epsh._float_exact(1, 1, 1, above * one, None)
-    assert not epsh._float_exact(1, above, 1, one, None)
-    assert not epsh._float_exact(1, 1, 2, one, below * one)
+    assert oracles._float_exact(1, 1, 1, below * one, None)
+    assert not oracles._float_exact(1, 1, 1, above * one, None)
+    assert not oracles._float_exact(1, above, 1, one, None)
+    assert not oracles._float_exact(1, 1, 2, one, below * one)
     # a product outside the bound still certifies, on Python ints
-    assert epsh._gram_violation(above, 1, above * one, None) is None
-    assert epsh._gram_violation(above, 1, (above + 1) * one, None)[0] == (0, 0)
+    assert oracles._gram_violation(above, 1, above * one, None) is None
+    assert oracles._gram_violation(above, 1, (above + 1) * one, None)[0] == (0, 0)
 
 
 def test_sign_mixed_entries_verify():
@@ -428,6 +436,145 @@ def test_sign_mixed_entries_verify():
     assert flipped.epsilon.cmp(y.epsilon) == 0
     assert flipped.epsilon_upper.cmp(y.epsilon_upper) == 0
     assert flipped.distinct_abs_values() == y.distinct_abs_values()
+
+
+# -- the magnitude-code certificate against the dense oracle --------------------
+
+def _routes_agree(split, variant):
+    """reduce_split and the dense oracle give the same Y, exactly: epsilon,
+    its location, epsilon_upper, the window verdict, the distinct
+    magnitudes, the column histogram and every entry (or both raise the
+    same CertificationError)."""
+    outcomes = []
+    for build in (reduce_split, oracles.dense_reduction):
+        try:
+            outcomes.append(build(split, variant))
+        except CertificationError as err:
+            outcomes.append(str(err))
+    y, dense = outcomes
+    if isinstance(y, str) or isinstance(dense, str):
+        assert y == dense, (split, variant)
+        return
+    assert y.provenance == dense.provenance
+    assert y.epsilon.cmp(dense.epsilon) == 0, (split, variant)
+    assert y.epsilon.location == dense.epsilon.location, (split, variant)
+    assert y.epsilon_upper.cmp(dense.epsilon_upper) == 0, (split, variant)
+    assert y.window_ok and dense.window_ok
+    assert y.distinct_abs_values() == dense.distinct_abs_values(), (split, variant)
+    assert np.array_equal(y.abs_value_counts(), dense.abs_value_counts()), (split, variant)
+    assert y.scalar_rows() == dense.scalar_rows(), (split, variant)
+
+
+def _one_split_per_u_code(h, t):
+    """{U code: a split of h whose U has that code}, walking the row and
+    column selections in order and, for each U not met before, the
+    negation masks of its split; bit a*t+b of a code is set where
+    U_ab = -1."""
+    sel = np.array(list(itertools.combinations(range(h.order), t)))
+    sub = (h.rows < 0)[sel[:, None, :, None], sel[None, :, None, :]]  # (rows, cols, a, b)
+    weights = 1 << np.arange(t * t).reshape(t, t)
+    codes = np.einsum("rcab,ab->rc", sub.astype(np.int16), weights.astype(np.int16))
+    masks = list(itertools.product((False, True), repeat=t))
+    found = {}
+    for code, base in zip(*(x.tolist() for x in np.unique(codes, return_index=True))):
+        rows, cols = sel[base // len(sel)], sel[base % len(sel)]
+        for rn, cn in itertools.product(masks, masks):
+            flipped = code ^ sum((rn[a] ^ cn[b]) << (a * t + b)
+                                 for a in range(t) for b in range(t))
+            if flipped not in found:
+                found[flipped] = BlockSplit(h, rows, cols, rn, cn)
+    return found
+
+
+@pytest.mark.parametrize("order, t", [(8, 1), (8, 2), (12, 1), (12, 2), (12, 3),
+                                      (16, 1), (16, 2), (16, 3)])
+def test_code_route_matches_dense_oracle_for_every_u(order, t):
+    """For one split per U code that the matrix reaches (every code of
+    t <= 2; 512 codes of t = 3 are reached at 12 and 16), both variants
+    certify exactly as the dense oracle does."""
+    found = _one_split_per_u_code(find_hadamard(order), t)
+    assert len(found) == 1 << (t * t)
+    for code, split in found.items():
+        u = split.u_matrix()
+        assert code == sum(int(u[a, b] < 0) << (a * t + b) for a in range(t) for b in range(t))
+        for variant in ("Y1", "Y2"):
+            _routes_agree(split, variant)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_code_route_matches_dense_oracle_on_equivalent_matrices(data):
+    """On a random row and column permutation and sign flip of a Hadamard
+    matrix, any split and variant certify exactly as the dense oracle
+    does."""
+    m = data.draw(st.sampled_from([8, 12, 16, 20]))
+    t = data.draw(st.integers(1, 3 if m > 9 else 2))
+    rows = find_hadamard(m).rows.astype(np.int64)
+    rows = rows[data.draw(st.permutations(range(m)))][:, data.draw(st.permutations(range(m)))]
+    signs = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=2 * m, max_size=2 * m)))
+    h = SignMatrix(rows * signs[:m, None] * signs[None, m:], label="equivalent", verified=True)
+    assert is_hadamard(h).ok
+    pick = st.lists(st.integers(0, m - 1), min_size=t, max_size=t, unique=True).map(sorted)
+    flags = st.lists(st.booleans(), min_size=t, max_size=t)
+    split = BlockSplit(h, data.draw(pick), data.draw(pick), data.draw(flags), data.draw(flags))
+    _routes_agree(split, data.draw(st.sampled_from(["Y1", "Y2"])))
+
+
+def test_terms_are_t_by_t():
+    """A reduction's terms are its t x t derivation: D's coefficient, then
+    1/L with A and, when C has a radical part, sqrt(c)/L with B."""
+    for m, t, count in ((16, 3, 2), (12, 2, 3), (8, 1, 3)):
+        y = reduce_split(corner_split(find_hadamard(m), t), "Y1")
+        assert len(y.terms) == count
+        assert y.terms[0] == (1 / exact_sqrt(m), None)
+        assert all(x.shape == (t, t) for _, x in y.terms[1:])
+    assert len(EpsHadamard.from_sign_hadamard(find_hadamard(8)).terms) == 1
+
+
+@pytest.mark.parametrize("m, t", [(16, 3), (12, 2), (8, 1)])
+def test_perturbed_c_fails_orthogonality(m, t):
+    """C = (A + B*sqrt(c))/L scaled by 1 + 1/L leaves X != 0, and
+    verify_orthogonal names the first nonzero entry of X."""
+    split = corner_split(find_hadamard(m), t)
+    y = reduce_split(split, "Y1")
+    c = scale, core, a, b = epsh._coefficient_form(split.u_matrix(), y.provenance.uclass, "Y1", m)
+    bad = (scale * scale, core, a * (scale + 1), b * (scale + 1))
+    assert cmp_values(oracles.form_scalars(bad)[0][0],
+                      oracles.form_scalars(c)[0][0] * (1 + Fraction(1, scale))) == 0
+    with pytest.raises(CertificationError,
+                       match=r"orthogonality violated: Y Y\^T - I = W X W\^T with X\(0, 0\)"):
+        EpsHadamard(y.source, y.provenance, bad)
+    EpsHadamard(y.source, y.provenance, c)  # the closed form itself certifies
+
+
+def test_orthogonality_checks_the_radical_part_of_x():
+    """C = 1/21 + 11/84*sqrt(2) on the corner of H_8 with t = 1 zeroes the
+    rational part of X = 7 C^2 - 2 C/sqrt(8) - 1/8, as (1/21)^2*7 +
+    2*(11/84)^2*7 - 11/84 - 1/8 = 0, and leaves its radical part
+    (14*(1/21)*(11/84) - 1/42)*sqrt(2) = 4/63*sqrt(2): only the radical
+    identity S = 0 fails."""
+    split = corner_split(find_hadamard(8), 1)
+    assert split.u_matrix().tolist() == [[1]]
+    y = reduce_split(split, "Y1")
+    c = (84, 2, np.array([[4]], dtype=object), np.array([[11]], dtype=object))
+    x = QuadNum(0, Fraction(4, 63), 2)
+    with pytest.raises(CertificationError, match=re.escape(f"X(0, 0) = {x}, expected 0")):
+        EpsHadamard(y.source, y.provenance, c)
+
+
+def test_code_route_window_violation_raises(monkeypatch):
+    """An occurring magnitude outside the window fails the construction and
+    is named, the smallest such first."""
+    split = corner_split(find_hadamard(12), 2)
+    y = reduce_split(split, "Y2")
+    mags = y.distinct_abs_values()
+    lo, hi = epsh._window(2, 12)
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (mags[1], hi))
+    with pytest.raises(CertificationError, match=re.escape(f"magnitude {mags[0]} outside")):
+        reduce_split(split, "Y2")
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, mags[-2]))
+    with pytest.raises(CertificationError, match=re.escape(f"magnitude {mags[-1]} outside")):
+        reduce_split(split, "Y2")
 
 
 # -- Neumann series diagnostic ----------------------------------------------
@@ -586,8 +733,8 @@ def test_screen_builds_only_the_winner(monkeypatch):
     original = EpsHadamard.__init__
 
     def counting(self, *args, **kwargs):
-        inits.append(args[0])
         original(self, *args, **kwargs)
+        inits.append(self.order)
 
     monkeypatch.setattr(EpsHadamard, "__init__", counting)
     y = best_reduction(find_hadamard(16), 2, search_scope="row-col-permutations")

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from armub import jsonio
+from armub import hadamard, jsonio
 from armub.errors import DomainError, NotConstructibleError, ResourceLimitError
 from armub.hadamard import (
     SignMatrix,
@@ -115,7 +115,7 @@ def test_is_hadamard_detects_flip():
 
 
 def test_is_hadamard_names_the_first_violation():
-    """The float64 Gram finds the first violation in row-major order, with
+    """The float Gram finds the first violation in row-major order, with
     the value of the exact integer Gram there."""
     rng = np.random.default_rng(7)
     for h in (paley(11), find_hadamard(64), find_hadamard(256)):
@@ -127,6 +127,24 @@ def test_is_hadamard_names_the_first_violation():
         i, j = map(int, bad[0])
         check = is_hadamard(SignMatrix(rows))
         assert not check.ok and check.first_violation == (i, j, int(gram[i, j]))
+
+
+def test_gram_type_switches_at_2_24(monkeypatch):
+    """H H^T runs in float32 below order 2^24 and in float64 from there up
+    to 2^53: every partial sum is an integer of magnitude at most the order,
+    and 2^24 + 1 and 2^53 + 1 are the first integers each type rounds.  No
+    matrix of such an order is built."""
+    assert hadamard._exact_float(2**24 - 1) is np.float32
+    assert hadamard._exact_float(2**24) is np.float64
+    assert hadamard._exact_float(2**53 - 1) is np.float64
+    with pytest.raises(AssertionError, match="exact float64 range"):
+        hadamard._exact_float(2**53)
+    assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
+    assert int(np.float64(2**53)) == 2**53 and int(np.float64(2**53 + 1)) != 2**53 + 1
+    h, picked = sylvester(3), []
+    exact_float = hadamard._exact_float
+    monkeypatch.setattr(hadamard, "_exact_float", lambda n: picked.append(n) or exact_float(n))
+    assert is_hadamard(h).ok and picked == [8]
 
 
 def test_is_hadamard_paper_fixtures():

@@ -23,6 +23,7 @@ from armub.verify import (
 )
 from oracles import (
     ClassArrayDesign,
+    DenseEpsHadamard,
     affine_plane_3_design,
     cross_stats_pairwise,
     dense_cross_oracle,
@@ -102,7 +103,7 @@ def householder_5():
                       row_select=(), col_select=(), row_negate=(), col_negate=(),
                       variant=None, method="householder")
     terms = [(Fraction(1), np.eye(5)), (Fraction(-2, 5), np.ones((5, 5)))]
-    return EpsHadamard(5, 5, terms, prov)
+    return DenseEpsHadamard(5, 5, terms, prov)
 
 
 @pytest.mark.parametrize("k,s", [(3, 5), (4, 7), (3, 9), (5, 25)])
