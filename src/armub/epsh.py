@@ -465,10 +465,11 @@ class EpsHadamard:
         self._rest = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
         rn, cn = np.array(provenance.row_negate, bool), np.array(provenance.col_negate, bool)
         h = source.rows
-        selected = h[rows] < 0  # (t, M)
-        self._u = np.where(selected[:, cols] ^ rn[:, None] ^ cn, -1, 1).astype(object)
+        self._u = (BlockSplit(source, rows, cols, provenance.row_negate,
+                              provenance.col_negate).u_matrix() if t
+                   else np.zeros((0, 0), dtype=np.int64)).astype(object)
         self._w = _bit_codes((h[:, cols] < 0)[keep_r] ^ cn)  # bit a of w_i: W_ia = -1
-        self._v = _bit_codes((selected[:, keep_c] ^ rn[:, None]).T)  # bit a of v_j: V_aj = -1
+        self._v = _bit_codes(((h[rows] < 0)[:, keep_c] ^ rn[:, None]).T)  # bit a of v_j: V_aj = -1
         self.verify_orthogonal()
         self._scan_entries((h[keep_r] < 0)[:, keep_c])
         self._certify_window()

@@ -73,21 +73,14 @@ class HadamardCheck:
         return self.ok
 
 
-def _exact_float(n: int) -> type:
-    """float32 while n < 2^24, float64 while n < 2^53: a product of two
-    matrices with entries in {-1, 0, 1} and inner dimension n has every
-    partial sum an integer of magnitude at most n, and integers are exact
-    below 2^24 in float32 and below 2^53 in float64."""
-    assert n < 2**53, f"inner dimension {n} is outside the exact float64 range"
-    return np.float32 if n < 2**24 else np.float64
-
-
 def is_hadamard(m: SignMatrix) -> HadamardCheck:
     """Exact check of H * H^T = order * I; locates the first violation in
-    row-major order.  The product runs in float BLAS of the type
-    ``_exact_float`` picks, in which every partial sum is exact."""
+    row-major order.  The product runs in float32 BLAS: every partial sum
+    is an integer of magnitude at most the order, and float32 holds every
+    integer below 2^24 exactly."""
     n = m.order
-    rows = m.rows.astype(_exact_float(n))
+    assert n < 2**24, f"order {n} is outside the exact float32 range"
+    rows = m.rows.astype(np.float32)
     gram = rows @ rows.T
     gram[np.diag_indices(n)] -= n  # H H^T - n I in place, no second n x n array
     bad = gram != 0

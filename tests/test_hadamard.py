@@ -1,9 +1,10 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
 
-from armub import hadamard, jsonio
+from armub import jsonio
 from armub.errors import DomainError, NotConstructibleError, ResourceLimitError
 from armub.hadamard import (
     SignMatrix,
@@ -115,7 +116,7 @@ def test_is_hadamard_detects_flip():
 
 
 def test_is_hadamard_names_the_first_violation():
-    """The float Gram finds the first violation in row-major order, with
+    """The float32 Gram finds the first violation in row-major order, with
     the value of the exact integer Gram there."""
     rng = np.random.default_rng(7)
     for h in (paley(11), find_hadamard(64), find_hadamard(256)):
@@ -129,22 +130,14 @@ def test_is_hadamard_names_the_first_violation():
         assert not check.ok and check.first_violation == (i, j, int(gram[i, j]))
 
 
-def test_gram_type_switches_at_2_24(monkeypatch):
-    """H H^T runs in float32 below order 2^24 and in float64 from there up
-    to 2^53: every partial sum is an integer of magnitude at most the order,
-    and 2^24 + 1 and 2^53 + 1 are the first integers each type rounds.  No
-    matrix of such an order is built."""
-    assert hadamard._exact_float(2**24 - 1) is np.float32
-    assert hadamard._exact_float(2**24) is np.float64
-    assert hadamard._exact_float(2**53 - 1) is np.float64
-    with pytest.raises(AssertionError, match="exact float64 range"):
-        hadamard._exact_float(2**53)
+def test_gram_float32_bound_is_2_24():
+    """H H^T runs in float32, whose partial sums are integers of magnitude
+    at most the order: 2^24 is exact and 2^24 + 1 is the first integer
+    float32 rounds, so orders from 2^24 up are refused.  The refusal comes
+    before the rows are read, so no matrix of that order is built."""
     assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
-    assert int(np.float64(2**53)) == 2**53 and int(np.float64(2**53 + 1)) != 2**53 + 1
-    h, picked = sylvester(3), []
-    exact_float = hadamard._exact_float
-    monkeypatch.setattr(hadamard, "_exact_float", lambda n: picked.append(n) or exact_float(n))
-    assert is_hadamard(h).ok and picked == [8]
+    with pytest.raises(AssertionError, match="exact float32 range"):
+        is_hadamard(types.SimpleNamespace(order=2**24, rows=None))
 
 
 def test_is_hadamard_paper_fixtures():
