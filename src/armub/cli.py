@@ -11,11 +11,13 @@ Exit codes (stable contract; CI treats any nonzero as red):
      malformed field, a field of an earlier artifact form (see verify
      below), values outside the artifact's domain, or structurally
      incompatible values (StructuralError, e.g. mixed radicands); for a
-     basis-set, also a reference whose "file" is not a plain file name in
-     the basis-set's directory, or names a missing or unreadable file
+     basis-set or a certificate, also a reference whose "file" is not a
+     plain file name in its own directory, or names a missing or unreadable
+     file; for a certificate, a missing top-level field or a bad config
   5  a certification or bound check failed, including a vanishing
-     denominator met during exact arithmetic (ExactArithmeticError) and a
-     referenced file whose bytes do not match its recorded sha256
+     denominator met during exact arithmetic (ExactArithmeticError), a
+     referenced file whose bytes do not match its recorded sha256, and a
+     certificate that differs from the one derived again or says "ok": false
   6  resource/enumeration cap exceeded; `epsh --cap` still writes the best
      split found within the cap, marked "partial": true
 
@@ -32,11 +34,18 @@ named for some t = 3 splits exits 5).  An rbd file holds the recipe of the
 affine design, and for an rbd or basis-set file verify says that the
 design's mu = 1 was certified by the line theorem.  The earlier forms exit
 4: an epsh file with Y's explicit "entries", an rbd file with an explicit
-"classes" array, and a basis-set file with "vectors" or an inline "design"
-or "y".
+"classes" array, a basis-set file with "vectors" or an inline "design"
+or "y", and a certificate with an "artifacts" map of file names.
 
-`armub armub` writes four files: epsh, rbd, bases and the certificate,
-which embeds the report.  `verify` and `ledger` also take a report alone.
+`armub armub` writes four files: epsh, rbd, bases and the certificate.
+A certificate's inputs are its "config" (k, s, t, d, scope) and its
+reference "bases" (file name and sha256); verify and ledger certify the
+basis-set it refers to, derive the report, the ledger and "ok" again, and
+require the stored certificate to be the derived one in canonical text,
+naming the first top-level key, or report key, that differs.  config.scope
+is the one input that is validated (a search scope) but cannot be derived
+again.  `ledger` takes a certificate only and prints the derived ledger;
+a report alone is an unknown artifact kind.
 
 Artifacts are written atomically (temp file + rename) in canonical JSON.
 """
@@ -44,7 +53,6 @@ Artifacts are written atomically (temp file + rename) in canonical JSON.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -63,7 +71,6 @@ from .errors import (
 )
 from .hadamard import find_hadamard
 from .rbd import build_affine_rbd
-from .verify import check_theorem_bounds, cross_stats, ledger_ok
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -145,56 +152,31 @@ def cmd_armub(args) -> int:
     y = _provide_y(k, t, args.scope, args.cap)
     design = build_affine_rbd(k, s)
     bs = assemble(design, y)
-    report = cross_stats(bs)
-    # the report reflects the pipeline configuration even when Y came from
-    # an exact Hadamard matrix rather than a reduction
-    n = (k + t) // 4 if (k + t) % 4 == 0 else None
-    report = dataclasses.replace(report, t=t, n=n)
-    ledger = check_theorem_bounds(report)
 
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
-    paths, texts = {}, {}
+    texts = {"epsh": jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y)),
+             "rbd": jsonio.dumps_canonical(jsonio.rbd_obj(design))}
 
-    def write(name, obj):
-        paths[name] = os.path.join(outdir, f"{name}.json")
-        texts[name] = jsonio.dumps_canonical(obj)
-        jsonio.write_atomic(paths[name], texts[name])
+    def ref(name):
+        return jsonio.file_ref(f"{name}.json", texts[name])
 
-    write("epsh", jsonio.eps_hadamard_obj(y))
-    write("rbd", jsonio.rbd_obj(design))
-    write("bases", jsonio.basis_set_obj(
-        bs, *(jsonio.file_ref(paths[n], texts[n]) for n in ("rbd", "epsh"))))
-    certificate = {
-        "kind": "certificate",
-        "config": {"k": k, "s": s, "t": t, "d": k * s, "scope": args.scope},
-        "artifacts": {name: os.path.basename(p) for name, p in paths.items()},
-        "report": jsonio.report_obj(report),
-        "ledger": jsonio.ledger_obj(ledger),
-        "ok": ledger_ok(ledger),
-    }
-    cert_path = os.path.join(outdir, "certificate.json")
-    jsonio.write_atomic(cert_path, jsonio.dumps_canonical(certificate))
+    texts["bases"] = jsonio.dumps_canonical(jsonio.basis_set_obj(bs, ref("rbd"), ref("epsh")))
+    certificate = jsonio.certificate_obj(bs, t, args.scope, ref("bases"))
+    texts["certificate"] = jsonio.dumps_canonical(certificate)
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in texts.items():
+        jsonio.write_atomic(os.path.join(args.out, f"{name}.json"), text)
 
+    report = certificate["report"]
     print(
-        f"d={report.d} s={report.s} k={report.k} t={t} "
-        f"classification={report.classification} evidence={report.evidence} "
-        f"beta={float(report.beta):.6f} eps={float(report.epsilon):.6f} "
-        f"certificate={cert_path}"
+        f"d={report['d']} s={report['s']} k={report['k']} t={report['t']} "
+        f"classification={report['classification']} "
+        f"beta={report['beta']['float']:.6f} eps={report['epsilon']['float']:.6f} "
+        f"certificate={os.path.join(args.out, 'certificate.json')}"
     )
-    for line in ledger:
-        print(f"  [{line.verdict:4s}] {line.check}: lhs={line.lhs:.6g} rhs={line.rhs:.6g}")
-    return EXIT_OK if ledger_ok(ledger) else EXIT_CHECK_FAILED
-
-
-def _certificate_parts(obj):
-    """(report, stored ledger) of a certificate artifact."""
-    try:
-        report, stored = obj["report"], obj["ledger"]
-        verdicts = [line["verdict"] for line in stored]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad certificate artifact: {type(exc).__name__} {exc}") from exc
-    return jsonio.parse_report(report), verdicts
+    for line in certificate["ledger"]:
+        print(f"  [{line['verdict']:4s}] {line['check']}: "
+              f"lhs={line['lhs']:.6g} rhs={line['rhs']:.6g}")
+    return EXIT_OK if certificate["ok"] else EXIT_CHECK_FAILED
 
 
 _MU_NOTE = " (affine design: mu = 1 by the line theorem)"
@@ -220,15 +202,9 @@ def cmd_verify(args) -> int:
             elif kind == "basis-set":
                 jsonio.parse_basis_set(obj, os.path.dirname(path), artifacts)
                 note = _MU_NOTE
-            elif kind == "report":
-                jsonio.parse_report(obj)
             elif kind == "certificate":
-                report, stored = _certificate_parts(obj)
-                lines = check_theorem_bounds(report)
-                recomputed = jsonio.ledger_obj(lines)
-                if stored != [l["verdict"] for l in recomputed]:
-                    raise CertificationError("ledger verdicts do not reproduce")
-                if not ledger_ok(lines):
+                certificate = jsonio.parse_certificate(obj, os.path.dirname(path), artifacts)
+                if not certificate["ok"]:
                     raise CertificationError("certificate contains failing checks")
             else:
                 raise ParseError(f"unknown artifact kind {kind!r}")
@@ -243,17 +219,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    obj = jsonio.load_json(args.file)
+    artifacts = jsonio.ArtifactCache()
+    _, obj = artifacts.load(args.file)
     kind = jsonio.detect_kind(obj)
-    if kind == "certificate":
-        report, _ = _certificate_parts(obj)
-    elif kind == "report":
-        report = jsonio.parse_report(obj)
-    else:
-        raise ParseError(f"ledger needs a report or certificate, got {kind!r}")
-    lines = check_theorem_bounds(report)
-    sys.stdout.write(jsonio.dumps_canonical(jsonio.ledger_obj(lines)))
-    return EXIT_OK if ledger_ok(lines) else EXIT_CHECK_FAILED
+    if kind != "certificate":
+        raise ParseError(f"ledger needs a certificate, got {kind!r}")
+    certificate = jsonio.parse_certificate(obj, os.path.dirname(args.file), artifacts)
+    sys.stdout.write(jsonio.dumps_canonical(certificate["ledger"]))
+    return EXIT_OK if certificate["ok"] else EXIT_CHECK_FAILED
 
 
 @functools.cache
@@ -295,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-run certifications on artifacts")
     p.add_argument("files", nargs="+")
 
-    p = sub.add_parser("ledger", help="print the bound ledger of a report")
+    p = sub.add_parser("ledger", help="print the bound ledger of a certificate, derived again")
     p.add_argument("file")
     return parser
 

@@ -16,9 +16,9 @@ EpsHadamard certifies Y from H, the split and C, and never forms Y.  With
 w_i row i of W and v_j column j of V, Y_ij = D_ij * (1/sqrt(M) +
 (D_ij w_i)^T C v_j), so |Y_ij| is fixed by the magnitude code
 (D_ij w_i, v_j), one of at most 2^(2t) <= 64.  The codes come from H's
-sign bits, in at most a k x k uint8 array, and only the codes that occur
-are evaluated: they give the distinct magnitudes, epsilon, the window
-check and the per-column magnitude histogram.  Y Y^T = I is a t x t fact:
+sign bits, and only the codes that occur are evaluated: they give the
+distinct magnitudes, epsilon, the window check and the per-column
+magnitude histogram.  Y Y^T = I is a t x t fact:
 H H^T = M*I gives Y Y^T - I = W X W^T with
 
     X = -I/M - (U^T C^T + C U)/sqrt(M) + C (M*I - U U^T) C^T,
@@ -123,17 +123,6 @@ for _u in _T3_PREFER_Y2:
     _PAPER_PREFERRED[_u] = "Y2"
 
 
-def paper_listed_configs(t: int) -> tuple[tuple, ...]:
-    """The published U configurations of size t, in paper order."""
-    if t == 1:
-        return (((1,),), ((-1,),))
-    if t == 2:
-        return _T2_PREFER_Y2 + _T2_PREFER_Y1
-    if t == 3:
-        return _T3_PREFER_Y1 + _T3_PREFER_Y2
-    raise DomainError(f"t must be in {{1,2,3}}, got {t}")
-
-
 @dataclass(frozen=True)
 class UClass:
     """Polynomial relation satisfied by a sign matrix U.
@@ -232,21 +221,17 @@ class ExactEps:
     comparisons reduce to a single extra squaring.
     """
 
-    __slots__ = ("q", "side", "location")
+    __slots__ = ("q", "side")
 
-    def __init__(self, q: Scalar, location=None):
+    def __init__(self, q: Scalar):
         if sign_of(q) < 0:
             raise DomainError("k*Y^2 cannot be negative")
         self.q = q if not isinstance(q, int) else Fraction(q)
         self.side = sign_of(self.q - 1)
-        self.location = location
 
     @classmethod
     def zero(cls) -> "ExactEps":
         return cls(Fraction(1))
-
-    def is_zero(self) -> bool:
-        return self.side == 0
 
     def cmp(self, other: "ExactEps") -> int:
         s1, s2 = self.side, other.side
@@ -407,8 +392,7 @@ class EpsHadamard:
     times the value of its magnitude code (D_ij w_i, v_j), one of at most
     2^(2t).  The codes that occur give the distinct magnitudes, epsilon,
     the window check and the per-column magnitude histogram.  The only
-    k x k arrays hold a byte per entry: the sign bits of D and, to locate
-    epsilon, the codes.
+    k x k array holds the sign bits of D, a byte per entry.
     Orthogonality is H's certified Hadamard property plus the exact t x t
     identity X = 0, by which Y Y^T - I = W X W^T vanishes
     (``verify_orthogonal``).  All checks run at construction, so every
@@ -438,7 +422,7 @@ class EpsHadamard:
         "_values",
         "_scalars",
         "_abs",
-        "_mag_of_code",
+        "_keys",
         "_counts",
     )
 
@@ -494,32 +478,19 @@ class EpsHadamard:
         live = count > 0
         occurring = np.unique(codes[live])
         scale, core, _, _ = self._form
-        mag_ids, self._abs = _magnitudes(
+        mag_ids, self._abs, self._keys = _magnitudes(
             [(*self._values[x], scale) for x in occurring], core)
-        self._mag_of_code = np.full(span * span, -1, dtype=np.intp)
-        self._mag_of_code[occurring] = mag_ids
+        mag_of_code = np.full(span * span, -1, dtype=np.intp)
+        mag_of_code[occurring] = mag_ids
         self._counts = np.zeros((k, len(self._abs)), dtype=np.int64)
-        np.add.at(self._counts, (np.nonzero(live)[1], self._mag_of_code[codes[live]]),
-                  count[live])
+        np.add.at(self._counts, (np.nonzero(live)[1], mag_of_code[codes[live]]), count[live])
         self._counts.setflags(write=False)
 
         # |sqrt(k)*|Y_ij| - 1| falls as |Y_ij| rises to 1/sqrt(k) and rises
-        # beyond, so the smallest and the largest magnitude hold the extremes
+        # beyond, so the smallest and the largest magnitude hold the extremes;
+        # when they tie (one on each side), q is the smallest magnitude's
         low, high = (_entry_eps(k, av) for av in (self._abs[0], self._abs[-1]))
-        top = high if low.cmp(high) < 0 else low
-        eps = ExactEps.zero()
-        if not top.is_zero():
-            # located at the first entry, in row-major order, attaining it;
-            # the two extremes can tie (one on each side), so q is that entry's
-            ends = {0: low, len(self._abs) - 1: high}
-            hits = [g for g, cand in ends.items() if cand.cmp(top) == 0]
-            entry_codes = np.where(d, (w ^ full)[:, None], w[:, None])
-            entry_codes <<= t
-            entry_codes |= v
-            hit = np.isin(self._mag_of_code, hits)[entry_codes]
-            first = divmod(int(np.argmax(hit)), k)
-            eps = ExactEps(ends[self._mag_of_code[entry_codes[first]]].q, location=first)
-        self.epsilon = eps
+        self.epsilon = high if low.cmp(high) < 0 else low
         # largest upward deviation alone (0 if no entry exceeds 1/sqrt(k))
         self.epsilon_upper = high if high.side > 0 else ExactEps.zero()
         self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
@@ -606,6 +577,11 @@ class EpsHadamard:
 
     def max_abs_entry(self) -> Scalar:
         return self._abs[-1]
+
+    def abs_value_keys(self) -> list[tuple[int, int, int]]:
+        """distinct_abs_values() as integer triples (p, q, L) in lowest terms,
+        value (p + q*sqrt(c))/L with c the squarefree part of the radicand."""
+        return list(self._keys)
 
     def abs_value_counts(self) -> np.ndarray:
         """The column histogram of magnitudes, read-only int64 of shape
@@ -697,11 +673,12 @@ def _quad_sign(p: int, q: int, core: int) -> int:
     return sp if p * p > core * q * q else sq
 
 
-def _magnitudes(values, core: int) -> tuple[np.ndarray, list[Scalar]]:
-    """(ids, mags) for exact values (p + q*sqrt(c))/L given as integer
-    triples (p, q, L): mags lists the distinct |value| ascending, and ids[i]
-    indexes the magnitude of values[i].  The one route from a code's value
-    to its magnitude, for built matrices and the split screen."""
+def _magnitudes(values, core: int) -> tuple[np.ndarray, list[Scalar], list[tuple]]:
+    """(ids, mags, keys) for exact values (p + q*sqrt(c))/L given as integer
+    triples (p, q, L): mags lists the distinct |value| ascending, keys the
+    same magnitudes as triples in lowest terms, and ids[i] indexes the
+    magnitude of values[i].  The one route from a value to its magnitude,
+    for built matrices, the split screen and the cross-basis products."""
     index: dict = {}
     ids = []
     for p, q, scale in values:
@@ -715,7 +692,7 @@ def _magnitudes(values, core: int) -> tuple[np.ndarray, list[Scalar]]:
             for p, q, scale in keys]
     order = np.empty(len(keys), dtype=np.int64)
     order[[index[key] for key in keys]] = np.arange(len(keys))
-    return order[np.array(ids, dtype=np.int64)], mags
+    return order[np.array(ids, dtype=np.int64)], mags, keys
 
 
 def _outside(av: Scalar, window) -> bool:
@@ -735,15 +712,6 @@ def _window(t: int, m: int) -> Optional[tuple[Scalar, Scalar]]:
         (1 - Fraction(t) / (sqrt_m - t)) / sqrt_m,
         (1 + Fraction(t) / (sqrt_m - t)) / sqrt_m,
     )
-
-
-def _scalar_key(v: Scalar):
-    if isinstance(v, QuadNum):
-        if v.b == 0:
-            return (v.a.numerator, v.a.denominator)
-        return (v.a.numerator, v.a.denominator, v.b.numerator, v.b.denominator, v.m)
-    f = Fraction(v)
-    return (f.numerator, f.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +956,7 @@ class _EpsScreen:
                 form = _corner_form(c, m)
                 value_ids.append([index.setdefault((p, q, form[0]), len(index))
                                   for p, q in _code_values(form, t)])
-        mag_of_value, mags = _magnitudes(list(index), square_free_split(m)[1])
+        mag_of_value, mags, _ = _magnitudes(list(index), square_free_split(m)[1])
         self.mags = [(av, _entry_eps(m - t, av), _outside(av, self.window))
                      for av in mags]
         self.mag_ids = mag_of_value[np.array(value_ids)].reshape(len(u_codes), 2, -1)

@@ -8,7 +8,6 @@ gives the downstream block-selection search a canonical starting point.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -18,13 +17,7 @@ import numpy as np
 from .algebra import gf_from_order, prime_power_split
 from .errors import DomainError, NotConstructibleError, ResourceLimitError
 
-DEFAULT_SIZE_BUDGET = 4096
-
-
-def size_budget() -> int:
-    """Maximum matrix order; override with env var ARMUB_SIZE_BUDGET."""
-    raw = os.environ.get("ARMUB_SIZE_BUDGET")
-    return int(raw) if raw else DEFAULT_SIZE_BUDGET
+SIZE_BUDGET = 4096  # maximum matrix order
 
 
 class SignMatrix:
@@ -110,10 +103,8 @@ def normalize_signs(m: SignMatrix) -> SignMatrix:
 
 
 def _check_budget(order: int):
-    if order > size_budget():
-        raise ResourceLimitError(
-            f"order {order} exceeds size budget {size_budget()}"
-        )
+    if order > SIZE_BUDGET:
+        raise ResourceLimitError(f"order {order} exceeds size budget {SIZE_BUDGET}")
 
 
 def sylvester(doublings: int) -> SignMatrix:

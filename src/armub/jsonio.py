@@ -29,6 +29,13 @@ arrays:
   sibling artifact in the same directory and the SHA-256 of its bytes.
   A parse reads the referenced files, requires their digests to match,
   and certifies them (through an ``ArtifactCache``, once per batch).
+* ``certificate`` holds ``config`` (k, s, t, d, scope), a reference
+  ``"bases": {"file", "sha256"}`` to a basis-set as above, and the claims
+  derived from them: the ``report``, the ``ledger`` and ``ok``.  A parse
+  derives the certificate again, which the stored one must equal in
+  canonical text; ``config.scope`` is validated but not derived.  A
+  certificate with an ``"artifacts"`` map (the earlier form) is a parse
+  error.
 """
 
 from __future__ import annotations
@@ -44,10 +51,11 @@ import numpy as np
 
 from .algebra import Scalar, QuadNum, cmp_values, square_free_split
 from .bases import BasisSet, assemble
-from .epsh import BlockSplit, EpsHadamard, ExactEps, Provenance, reduce_split
+from .epsh import SEARCH_SCOPES, BlockSplit, EpsHadamard, ExactEps, Provenance, reduce_split
 from .errors import CertificationError, DomainError, ParseError
 from .hadamard import SignMatrix, is_hadamard
 from .rbd import Rbd, verify_rbd
+from .verify import check_theorem_bounds, cross_stats, ledger_ok
 
 
 def dumps_canonical(obj) -> str:
@@ -446,37 +454,37 @@ def basis_set_obj(bs: BasisSet, rbd_ref: dict, epsh_ref: dict) -> dict:
     }
 
 
-def _referenced(obj, name: str, directory: str, artifacts: ArtifactCache, parser):
-    """parser's result for the artifact that obj[name] refers to: a file
-    named by a plain file name in directory whose bytes have the recorded
-    SHA-256.  A malformed or unreadable reference is a parse error, a
-    digest mismatch a certification failure."""
-    ref = obj.get(name)
+def _referenced(obj, name: str, directory: str, artifacts: ArtifactCache) -> str:
+    """The path of the artifact that obj[name] refers to: a file named by a
+    plain file name in directory whose bytes have the recorded SHA-256.  A
+    malformed or unreadable reference is a parse error, a digest mismatch a
+    certification failure."""
+    kind, ref = obj.get("kind"), obj.get(name)
     if not (isinstance(ref, dict) and "file" in ref and "sha256" in ref):
         raise ParseError(
-            f"bad basis-set artifact: {name!r} must be an object with 'file' "
+            f"bad {kind} artifact: {name!r} must be an object with 'file' "
             f"and 'sha256', got {ref!r}"
         )
     file, recorded = ref["file"], ref["sha256"]
     if not (isinstance(file, str) and file not in ("", ".", "..")
             and os.path.basename(file) == file):
         raise ParseError(
-            f"bad basis-set artifact: {name}.file must be a plain file name in "
-            f"the directory of the basis-set, got {file!r}"
+            f"bad {kind} artifact: {name}.file must be a plain file name in "
+            f"the directory of the {kind}, got {file!r}"
         )
     if not (isinstance(recorded, str) and re.fullmatch("[0-9a-f]{64}", recorded)):
         raise ParseError(
-            f"bad basis-set artifact: {name}.sha256 must be 64 lowercase hex "
+            f"bad {kind} artifact: {name}.sha256 must be 64 lowercase hex "
             f"digits, got {recorded!r}"
         )
     path = os.path.join(directory, file)
     try:
         digest, _ = artifacts.load(path)
     except ParseError as exc:
-        raise ParseError(f"bad basis-set artifact: {name}.file: {exc}") from exc
+        raise ParseError(f"bad {kind} artifact: {name}.file: {exc}") from exc
     if digest != recorded:
         raise CertificationError(f"referenced {file} does not match its recorded sha256")
-    return artifacts.parse(path, parser)
+    return path
 
 
 def parse_basis_set(obj, directory: str, artifacts: ArtifactCache) -> BasisSet:
@@ -495,8 +503,8 @@ def parse_basis_set(obj, directory: str, artifacts: ArtifactCache) -> BasisSet:
         declared = tuple(int_parse(obj[name], name) for name in ("d", "k", "s"))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad basis-set artifact: {exc!r}") from exc
-    r = _referenced(obj, "rbd", directory, artifacts, parse_rbd)
-    y = _referenced(obj, "epsh", directory, artifacts, parse_eps_hadamard)
+    r = artifacts.parse(_referenced(obj, "rbd", directory, artifacts), parse_rbd)
+    y = artifacts.parse(_referenced(obj, "epsh", directory, artifacts), parse_eps_hadamard)
     bs = assemble(r, y)
     if declared != (bs.d, bs.k, bs.s):
         raise CertificationError(
@@ -536,69 +544,86 @@ def report_obj(report) -> dict:
         "pairs_checked": report.pairs_checked,
         "coverage": report.coverage,
         "classification": report.classification,
-        "evidence": report.evidence,
         "window_ok": report.window_ok,
         "beta_le_eps_chain": report.beta_le_eps_chain,
     }
 
 
-def parse_report(obj):
-    from .verify import DeltaValue, ExactBeta, UnbiasednessReport, classify_delta
-
-    try:
-        m = int_parse(obj["radicand"], "radicand")
-        d = int_parse(obj["d"], "d")
-        delta = [
-            DeltaValue(scalar_parse(dv["value"], m), int_parse(dv["count"], "count"))
-            for dv in obj["delta"]
-        ]
-        beta = ExactBeta(scalar_parse(obj["beta"]["max_ip"], m), d)
-        report = UnbiasednessReport(
-            d=d,
-            s=int_parse(obj["s"], "s"),
-            k=int_parse(obj["k"], "k"),
-            num_bases=int_parse(obj["num_bases"], "num_bases"),
-            t=int_parse(obj["t"], "t"),
-            n=None if obj["n"] is None else int_parse(obj["n"], "n"),
-            epsilon=eps_parse(obj["epsilon"], m),
-            epsilon_upper=eps_parse(obj["epsilon_upper"], m),
-            delta=delta,
-            beta=beta,
-            pairs_checked=int_parse(obj["pairs_checked"], "pairs_checked"),
-            coverage=dict(obj["coverage"]),
-            classification=str(obj["classification"]),
-            evidence=str(obj["evidence"]),
-            window_ok=bool_parse(obj["window_ok"], "window_ok"),
-            beta_le_eps_chain=bool_parse(obj["beta_le_eps_chain"], "beta_le_eps_chain"),
-            max_abs_y_sq=scalar_parse(obj["max_abs_y_sq"], m),
-            radicand=m,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"bad report artifact: {exc}") from exc
-    sizes = {name: getattr(report, name) for name in ("d", "k", "s", "num_bases")}
-    if min(sizes.values()) < 1 or report.d != report.k * report.s:
-        raise ParseError(f"bad report artifact: need d, k, s, num_bases >= 1 and d = k*s, "
-                         f"got {sizes}")
-    # internal consistency: beta equals the largest delta value; the stored
-    # classification must match the rules applied to the parsed values
-    if delta:
-        if cmp_values(delta[-1].value, beta.max_ip) != 0:
-            raise CertificationError("beta does not equal max delta value")
-        for a, b in zip(delta, delta[1:]):
-            if cmp_values(a.value, b.value) >= 0:
-                raise CertificationError("delta values not strictly ascending")
-    label = classify_delta(delta, beta, report.d)
-    if label != report.classification:
-        raise CertificationError(
-            f"stored classification {report.classification} != recomputed {label}"
-        )
-    return report
-
-
 def ledger_obj(lines) -> list[dict]:
     return [line.as_dict() for line in lines]
+
+
+def certificate_obj(bs: BasisSet, t: int, scope: str, bases_ref: dict) -> dict:
+    """The certificate of the basis set bs, which the ``file_ref`` bases_ref
+    names, built by ``armub armub`` with t and the search scope: its cross
+    statistics, the bound ledger and the verdict.  t is Y's own for a
+    reduction; for Y = H/sqrt(k), which no reduction made, the report and
+    the ledger read the configured t."""
+    t = bs.y.provenance.t or t
+    n = (bs.k + t) // 4 if (bs.k + t) % 4 == 0 else None
+    report = dataclasses.replace(cross_stats(bs), t=t, n=n)
+    ledger = check_theorem_bounds(report)
+    return {
+        "kind": "certificate",
+        "config": {"k": bs.k, "s": bs.s, "t": t, "d": bs.d, "scope": scope},
+        "bases": bases_ref,
+        "report": report_obj(report),
+        "ledger": ledger_obj(ledger),
+        "ok": ledger_ok(ledger),
+    }
+
+
+_CONFIG_FIELDS = ("d", "k", "s", "scope", "t")
+
+
+def _config_parse(obj) -> tuple[int, str]:
+    """(t, scope) of a certificate's config, which holds exactly k, s, t, d
+    and scope: k, s, t and d JSON integers in the pipeline's domain and
+    scope a search scope."""
+    if not (isinstance(obj, dict) and sorted(obj) == list(_CONFIG_FIELDS)):
+        raise ParseError(f"bad certificate artifact: config must be an object with the "
+                         f"fields {', '.join(_CONFIG_FIELDS)}, got {obj!r}")
+    k, s, t, d = (int_parse(obj[name], f"config.{name}") for name in ("k", "s", "t", "d"))
+    if min(k, s) < 1 or d != k * s or t not in (1, 2, 3) or obj["scope"] not in SEARCH_SCOPES:
+        raise ParseError(f"bad certificate artifact: config needs k, s >= 1, d = k*s, "
+                         f"t in {{1, 2, 3}} and a scope in {SEARCH_SCOPES}, got {obj!r}")
+    return t, obj["scope"]
+
+
+def _first_difference(derived: dict, stored: dict) -> str:
+    """The first key, in sorted order, that only one of two objects holds or
+    whose values differ in canonical text."""
+    return next(name for name in sorted(set(derived) | set(stored))
+                if name not in derived or name not in stored
+                or dumps_canonical(derived[name]) != dumps_canonical(stored[name]))
+
+
+def parse_certificate(obj, directory: str, artifacts: ArtifactCache) -> dict:
+    """The certificate derived again, by ``certificate_obj``, from the
+    config and the basis-set that obj refers to in directory (read and
+    certified through ``artifacts``).  obj must equal it in canonical
+    text; a difference is a certification failure naming the first
+    top-level key, or report key, that differs."""
+    if "artifacts" in obj:  # the form written before
+        raise ParseError(
+            "bad certificate artifact: unknown field 'artifacts' (a certificate "
+            "refers to its basis-set as 'bases' with 'file' and 'sha256'; write "
+            "it again with armub armub)"
+        )
+    for name in ("config", "bases", "report", "ledger", "ok"):
+        if name not in obj:
+            raise ParseError(f"bad certificate artifact: missing field {name!r}")
+    t, scope = _config_parse(obj["config"])
+    _, bases = artifacts.load(_referenced(obj, "bases", directory, artifacts))
+    bs = parse_basis_set(bases, directory, artifacts)
+    ref = {"file": obj["bases"]["file"], "sha256": obj["bases"]["sha256"]}
+    derived = certificate_obj(bs, t, scope, ref)
+    if dumps_canonical(derived) != dumps_canonical(obj):
+        key = _first_difference(derived, obj)
+        if key == "report" and isinstance(obj["report"], dict):
+            key += "." + _first_difference(derived["report"], obj["report"])
+        raise CertificationError(f"stored {key} differs from the derived one")
+    return derived
 
 
 def detect_kind(obj) -> str:

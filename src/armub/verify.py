@@ -18,15 +18,15 @@ square.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Scalar, cmp_values, exact_sqrt, quad_to_float, sign_of, sqrt_minus_cmp
+from .algebra import (Scalar, cmp_values, exact_sqrt, quad_to_float, sign_of, sqrt_minus_cmp,
+                      square_free_split)
 from .bases import BasisSet
-from .epsh import ExactEps, _scalar_key
+from .epsh import ExactEps, _magnitudes
 from .errors import CertificationError, DomainError
 
 CLASS_MUB = "MUB"
@@ -84,9 +84,8 @@ class UnbiasednessReport:
     delta: list[DeltaValue]  # ascending by value
     beta: ExactBeta
     pairs_checked: int
-    coverage: dict
+    coverage: dict  # {"basis_pairs": distinct basis pairs, every vector pair of each}
     classification: str
-    evidence: str  # "exhaustive": every cross pair of every basis pair
     window_ok: bool
     beta_le_eps_chain: bool  # beta <= (1+eps)^2 sqrt(d)/k, exact
     max_abs_y_sq: Scalar  # (max |Y_ij|)^2, for the formula-route certificate
@@ -106,14 +105,6 @@ def _ip_le_eps_square(max_ip: Scalar, eps: ExactEps, k: int) -> bool:
     return sqrt_minus_cmp(16 * eps.q, rhs_linear) <= 0
 
 
-def _merge_counts(acc: dict, key_scalar: Scalar, count: int):
-    key = _scalar_key(key_scalar)
-    if key in acc:
-        acc[key][1] += count
-    else:
-        acc[key] = [key_scalar, count]
-
-
 def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     """Exact inner-product statistics over every vector pair of every pair
     of distinct bases.
@@ -129,6 +120,13 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     of col_counts^T @ col_counts is at most k^3 (each column of Y holds k
     entries), asserted below 2^63, so the int64 product is exact; the
     weights are applied in Python ints.
+
+    Each product of two magnitudes (p1 + q1*sqrt(c))/L1 and
+    (p2 + q2*sqrt(c))/L2 (``EpsHadamard.abs_value_keys``) is the integer
+    triple (p1*p2 + c*q1*q2, p1*q2 + p2*q1, L1*L2).  The triples pass once
+    through ``epsh._magnitudes``, the route by which Y's codes reach their
+    magnitudes, which reduces, merges and orders them exactly; the counts
+    of equal values are summed as Python ints.
     """
     nb = bs.num_bases
     if nb < 2:
@@ -138,8 +136,8 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
         raise CertificationError(
             f"cross statistics need a design with certified mu = 1, got mu={r.mu}"
         )
-    col_counts, vals = bs.y.abs_value_counts(), bs.y.distinct_abs_values()
-    nvals = len(vals)
+    col_counts, keys = bs.y.abs_value_counts(), bs.y.abs_value_keys()
+    core = square_free_split(bs.y.radicand)[1]
     d, s, k = r.d, r.s, r.k
     basis_pairs = nb * (nb - 1) // 2
     assert k**3 < 2**63, "cross-statistics counts would overflow int64"
@@ -148,17 +146,16 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     zeros_total = basis_pairs * (s * s - d) * k * k
 
     # collapse the id histogram into exact value counts
-    acc: dict = {}
-    if zeros_total:
-        _merge_counts(acc, Fraction(0), zeros_total)
-    for v in range(nvals):
-        for w in range(nvals):
-            c = int(vv[v, w])
-            if c:
-                _merge_counts(acc, vals[v] * vals[w], weight * c)
-    ordered = sorted(acc.values(),
-                     key=functools.cmp_to_key(lambda x, y: cmp_values(x[0], y[0])))
-    delta = [DeltaValue(value=item[0], count=item[1]) for item in ordered]
+    products, weights = ([(0, 0, 1)], [zeros_total]) if zeros_total else ([], [])
+    for v, w in zip(*(ix.tolist() for ix in vv.nonzero())):
+        (p1, q1, l1), (p2, q2, l2) = keys[v], keys[w]
+        products.append((p1 * p2 + core * q1 * q2, p1 * q2 + p2 * q1, l1 * l2))
+        weights.append(weight * int(vv[v, w]))
+    ids, values, _ = _magnitudes(products, core)
+    counts = [0] * len(values)
+    for g, c in zip(ids.tolist(), weights):
+        counts[g] += c
+    delta = [DeltaValue(value=v, count=c) for v, c in zip(values, counts)]
     max_ip: Scalar = delta[-1].value if delta else Fraction(0)
     beta = ExactBeta(max_ip, bs.d)
 
@@ -179,9 +176,8 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
         delta=delta,
         beta=beta,
         pairs_checked=basis_pairs * bs.d * bs.d,
-        coverage={"mode": "exhaustive", "basis_pairs": basis_pairs},
+        coverage={"basis_pairs": basis_pairs},
         classification=classify_delta(delta, beta, bs.d),
-        evidence="exhaustive",
         window_ok=y.window_ok,
         beta_le_eps_chain=_ip_le_eps_square(max_ip, y.epsilon, k),
         max_abs_y_sq=maxy * maxy,

@@ -35,7 +35,15 @@ from math import gcd
 import numpy as np
 import sympy
 
-from armub.algebra import QuadNum, Scalar, cmp_values, exact_sqrt, gf_from_order, sign_of
+from armub.algebra import (
+    QuadNum,
+    Scalar,
+    cmp_values,
+    exact_sqrt,
+    gf_from_order,
+    sign_of,
+    square_free_split,
+)
 from armub.epsh import (
     BlockSplit,
     ExactEps,
@@ -43,8 +51,11 @@ from armub.epsh import (
     _coefficient_form,
     _magnitudes,
     _negated_params,
+    _T2_PREFER_Y1,
+    _T2_PREFER_Y2,
+    _T3_PREFER_Y1,
+    _T3_PREFER_Y2,
     _poly_inverse_coeffs,
-    _scalar_key,
     _window,
     classify_u,
     corner_split,
@@ -415,6 +426,16 @@ def term_gram_orthogonal(k: int, terms) -> bool:
     return True
 
 
+def _scalar_key(v: Scalar):
+    """A hashable key of an exact scalar: equal values, equal keys."""
+    if isinstance(v, QuadNum):
+        if v.b == 0:
+            return (v.a.numerator, v.a.denominator)
+        return (v.a.numerator, v.a.denominator, v.b.numerator, v.b.denominator, v.m)
+    f = Fraction(v)
+    return (f.numerator, f.denominator)
+
+
 def from_scalar_rows(rows, radicand: int, provenance) -> "DenseEpsHadamard":
     """DenseEpsHadamard of explicit entries: one indicator term per distinct
     value."""
@@ -479,14 +500,15 @@ class DenseEpsHadamard:
             else Fraction(p, scale)
             for p, q in pairs
         ]
-        self._combo_abs, mags = _magnitudes([(p, q, scale) for p, q in pairs], core)
+        self._combo_abs, mags, self._keys = _magnitudes(
+            [(p, q, scale) for p, q in pairs], core)
         self._mags, top, hits, self.epsilon_upper = _eps_selection(
             tuple(mags), k, self.provenance.t, self.radicand)
         eps = ExactEps.zero()
-        if not top.is_zero():
+        if top.side != 0:
             abs_ids, _ = self.abs_value_ids()
             first = divmod(int(np.argmax(np.isin(abs_ids, hits))), k)
-            eps = ExactEps(self._mags[abs_ids[first]][1].q, location=first)
+            eps = ExactEps(self._mags[abs_ids[first]][1].q)
         self.epsilon = eps
         self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
 
@@ -521,6 +543,11 @@ class DenseEpsHadamard:
 
     def max_abs_entry(self) -> Scalar:
         return self._mags[-1][0]
+
+    def abs_value_keys(self) -> list[tuple[int, int, int]]:
+        """distinct_abs_values() as (p, q, L), value (p + q*sqrt(c))/L."""
+        assert self._core in (1, square_free_split(self.radicand)[1])
+        return list(self._keys)
 
     def abs_value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
         """(ids, values): ids[i, j] indexes the magnitude of Y_ij in values."""
@@ -959,18 +986,33 @@ def occurrence_masks(rows, t, sel, bases):
 
 
 # ---------------------------------------------------------------------------
+# Published U configurations
+# ---------------------------------------------------------------------------
+
+def paper_listed_configs(t: int) -> tuple[tuple, ...]:
+    """The published U configurations of size t, in paper order."""
+    if t == 1:
+        return (((1,),), ((-1,),))
+    if t == 2:
+        return _T2_PREFER_Y2 + _T2_PREFER_Y1
+    if t == 3:
+        return _T3_PREFER_Y1 + _T3_PREFER_Y2
+    raise DomainError(f"t must be in {{1,2,3}}, got {t}")
+
+
+# ---------------------------------------------------------------------------
 # Epsilon entry by entry
 # ---------------------------------------------------------------------------
 
 def epsilon_of(rows) -> ExactEps:
     """Exact epsilon of an orthogonal matrix given by its scalar rows, from
-    the definition entry by entry, located at the first extremal entry in
+    the definition entry by entry, with the q of the first extremal entry in
     row-major order."""
     k = len(rows)
     best = ExactEps.zero()
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            cand = ExactEps(k * v * v, location=(i, j))
+            cand = ExactEps(k * v * v)
             if best.cmp(cand) < 0:
                 best = cand
     return best

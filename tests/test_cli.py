@@ -48,14 +48,6 @@ def _copy(pipeline_dir, tmp_path):
     return shutil.copytree(pipeline_dir, tmp_path / "out")
 
 
-def _artifact(pipeline_dir, name):
-    """The JSON of a pipeline artifact; "report.json" is the report that
-    certificate.json embeds, which the pipeline does not write apart."""
-    if name == "report.json":
-        return _load(pipeline_dir / "certificate.json")["report"]
-    return _load(pipeline_dir / name)
-
-
 def test_epsh_writes_and_verifies(tmp_path, capsys):
     out = tmp_path / "epsh.json"
     assert cli.main(["epsh", "8", "1", "--out", str(out)]) == 0
@@ -70,7 +62,8 @@ def test_pipeline_artifacts_verify(pipeline_dir, capsys):
         "bases.json", "certificate.json", "epsh.json", "rbd.json",
     ]
     cert = _load(pipeline_dir / "certificate.json")
-    assert cert["artifacts"] == {"bases": "bases.json", "epsh": "epsh.json", "rbd": "rbd.json"}
+    assert "artifacts" not in cert
+    assert cert["bases"] == jsonio.file_ref("bases.json", (pipeline_dir / "bases.json").read_text())
     assert cli.main(["verify", *files]) == 0
     assert capsys.readouterr().out.count(": ok") == len(files)
 
@@ -230,10 +223,13 @@ def test_verify_batch_continues_after_bad_files(tmp_path, pipeline_dir, capsys):
 
 
 def test_verify_zero_denominator_is_parse_error(tmp_path, pipeline_dir, capsys):
-    report = _artifact(pipeline_dir, "report.json")
+    """A report alone, here with a zero denominator, is no artifact kind
+    verify takes: the report is derived again inside a certificate only."""
+    report = _load(pipeline_dir / "certificate.json")["report"]
     report["epsilon"]["ksq"]["a"] = ["1", "0"]
-    assert cli.main(["verify", _dump(report, tmp_path / "report.json")]) == 4
-    assert "parse error" in capsys.readouterr().out
+    path = _dump(report, tmp_path / "report.json")
+    assert cli.main(["verify", path]) == 4
+    assert capsys.readouterr().out == f"{path}: parse error: unknown artifact kind 'report'\n"
 
 
 def test_undecodable_file_exit_4(tmp_path, capsys):
@@ -382,11 +378,11 @@ def _put(obj, value, *path):
     ("epsh.json", "23", ("hadamard", "rows", 0)),  # nonzero padding bits
     ("epsh.json", 4.0, ("hadamard", "order")),
     ("epsh.json", True, ("hadamard", "rows", 0)),
-    ("report.json", 15.0, ("d",)),
-    ("report.json", 5.0, ("s",)),
-    ("report.json", True, ("delta", 0, "count")),
+    ("certificate.json", 15.0, ("config", "d")),
+    ("certificate.json", 5.0, ("config", "s")),
+    ("certificate.json", True, ("config", "k")),
     ("epsh.json", 1, ("provenance", "u_relation", "paper_listed")),
-    ("report.json", "false", ("window_ok",)),
+    ("certificate.json", "1", ("config", "t")),
     ("rbd.json", 5.0, ("r",)),
     ("rbd.json", 5.0, ("field", "p")),
     ("rbd.json", True, ("field", "e")),
@@ -397,7 +393,7 @@ def _put(obj, value, *path):
     ("epsh.json", "F0", ("hadamard", "rows", 0)),  # upper case
 ])
 def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, capsys, name, value, path):
-    bad = _dump(_put(_artifact(pipeline_dir, name), value, *path), tmp_path / name)
+    bad = _dump(_put(_load(pipeline_dir / name), value, *path), tmp_path / name)
     assert cli.main(["verify", bad]) == 4
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
 
@@ -630,19 +626,136 @@ def test_pipeline_t1_writes_under_100_kb_reproducibly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("d", -1), ("k", 0), ("s", 0), ("num_bases", 0), ("d", 16),
+    ("d", -1), ("k", 0), ("s", 0), ("num_bases", 0), ("d", 16), ("t", 5),
+    ("scope", "everywhere"),
 ])
 @pytest.mark.parametrize("carrier", ["report", "certificate"])
 def test_out_of_domain_report_exit_4(tmp_path, pipeline_dir, capsys, field, value, carrier):
-    """d, k, s and num_bases must be at least 1 with d = k*s; a report that
-    breaks this is a parse error for verify and ledger, never a traceback."""
+    """A certificate's config holds exactly k, s, t, d and scope, with
+    k, s >= 1, d = k*s, t in {1, 2, 3} and scope a search scope (num_bases
+    is no config field); a config that breaks this, and a report alone
+    with any field, are parse errors for verify and ledger, never a
+    traceback."""
     cert = _load(pipeline_dir / "certificate.json")
-    cert["report"][field] = value
-    bad = _dump(cert if carrier == "certificate" else cert["report"], tmp_path / "x.json")
+    if carrier == "certificate":
+        cert["config"][field] = value
+        message = "bad certificate artifact: config"
+    else:
+        cert = _set(cert["report"], **{field: value})
+        message = "ledger needs a certificate, got 'report'"
+    bad = _dump(cert, tmp_path / "x.json")
     assert cli.main(["verify", bad]) == 4
     assert "parse error" in capsys.readouterr().out
     assert cli.main(["ledger", bad]) == 4
-    assert "d, k, s, num_bases >= 1 and d = k*s" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def _roadmap_tamper(cert):
+    """7 added to a delta count and to pairs_checked, the evidence of the
+    deleted sampled mode, and another coverage."""
+    report = cert["report"]
+    report["delta"][0]["count"] += 7
+    report["pairs_checked"] += 7
+    report["evidence"] = "sampled"
+    report["coverage"] = {"mode": "sampled", "basis_pairs": 1}
+
+
+def _flip_ledger_line(cert):
+    line = cert["ledger"][4]
+    assert (line["check"], line["verdict"]) == ("beta-lt-2", "pass")
+    line["verdict"], line["lhs"] = "n/a", 1.5
+
+
+# claims of the (3, 5, 1) certificate changed, and the first key found to differ
+CERTIFICATE_TAMPERS = {
+    "roadmap": (_roadmap_tamper, "report.coverage"),
+    "ledger-line": (_flip_ledger_line, "ledger"),
+    "ok": (lambda cert: cert.update(ok=False), "ok"),
+    "t": (lambda cert: cert["config"].update(t=3), "config"),
+    "reference-field": (lambda cert: cert["bases"].update(note="x"), "bases"),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFICATE_TAMPERS))
+def test_tampered_certificate_exit_5(tmp_path, pipeline_dir, capsys, case):
+    """A certificate is derived again from its config and the basis-set it
+    refers to; any other claim it stores must be the derived one."""
+    tamper, key = CERTIFICATE_TAMPERS[case]
+    out = _copy(pipeline_dir, tmp_path)
+    cert = _load(out / "certificate.json")
+    tamper(cert)
+    path = _dump(cert, out / "certificate.json")
+    assert cli.main(["verify", path]) == 5
+    assert capsys.readouterr().out == (
+        f"{path}: certificate: CHECK FAILED: stored {key} differs from the derived one\n")
+    assert cli.main(["ledger", path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"certification failed: stored {key} differs from the derived one\n"
+
+
+def test_exact_hadamard_certificate_config_t_exit_5(tmp_path, capsys):
+    """At (4, 5, 1) Y is H_4/2, which no reduction made, so t comes from the
+    config alone; another t derives another report and ledger."""
+    assert cli.main(["armub", "--k", "4", "--s", "5", "--t", "1", "--out", str(tmp_path)]) == 0
+    assert _load(tmp_path / "epsh.json")["provenance"]["t"] == 0
+    cert = _load(tmp_path / "certificate.json")
+    cert["config"]["t"] = 2
+    path = _dump(cert, tmp_path / "certificate.json")
+    capsys.readouterr()
+    assert cli.main(["verify", path]) == 5
+    assert "differs from the derived one" in capsys.readouterr().out
+
+
+def test_certificate_bases_digest_mismatch_exit_5(tmp_path, pipeline_dir, capsys):
+    out = _copy(pipeline_dir, tmp_path)
+    with open(out / "bases.json", "a") as fh:
+        fh.write(" ")  # the same JSON value, other bytes
+    path = str(out / "certificate.json")
+    assert cli.main(["verify", path]) == 5
+    assert capsys.readouterr().out == (
+        f"{path}: certificate: CHECK FAILED: referenced bases.json does not match "
+        "its recorded sha256\n")
+    assert cli.main(["ledger", path]) == 5
+
+
+def test_certificate_missing_bases_exit_4(tmp_path, pipeline_dir, capsys):
+    out = _copy(pipeline_dir, tmp_path)
+    os.unlink(out / "bases.json")
+    path = str(out / "certificate.json")
+    assert cli.main(["verify", path]) == 4
+    assert capsys.readouterr().out.startswith(
+        f"{path}: parse error: bad certificate artifact: bases.file: cannot read")
+    assert cli.main(["ledger", path]) == 4
+
+
+def test_certificate_with_artifacts_map_exit_4(tmp_path, pipeline_dir, capsys):
+    """The certificate form written before: bare file names, no digest."""
+    cert = _load(pipeline_dir / "certificate.json")
+    del cert["bases"]
+    cert["artifacts"] = {"bases": "bases.json", "epsh": "epsh.json", "rbd": "rbd.json"}
+    path = _dump(cert, tmp_path / "certificate.json")
+    assert cli.main(["verify", path]) == 4
+    out = capsys.readouterr().out
+    assert out.startswith(f"{path}: parse error: bad certificate artifact: unknown field "
+                          "'artifacts'")
+    assert "write it again with armub armub" in out
+    assert cli.main(["ledger", path]) == 4
+
+
+def test_certificate_with_nan_verifies_after_roundtrip(tmp_path, capsys):
+    """(9, 19, 3) has the n/a line of eps-le-rho/sqrt(n) with rhs NaN; a
+    parsed NaN is not equal to a computed one, so the certificate is
+    compared in canonical text, which survives a parse and a rewrite."""
+    assert cli.main(["armub", "--k", "9", "--s", "19", "--t", "3", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "certificate.json"
+    assert '"rhs":NaN' in path.read_text()
+    _dump(_load(path), path)  # other whitespace, the same JSON value
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: certificate: ok\n"
+    assert cli.main(["ledger", str(path)]) == 0
+    assert '"rhs":NaN' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["armub-out-is-file", "missing-directory", "out-is-directory"])
@@ -670,20 +783,23 @@ def _nodes(obj, path=()):
 
 
 def test_every_mutated_node_exits_cleanly(tmp_path, pipeline_dir, capsys):
-    """Each node of each (3, 5, 1) artifact, and of the report the
-    certificate embeds taken alone, replaced in turn by each value of
-    another type or domain: verify (and ledger, for reports and
-    certificates) exits 0, 4 or 5 and raises nothing."""
-    out = _copy(pipeline_dir, tmp_path)  # a mutated basis-set finds its references
+    """Each node of each (3, 5, 1) artifact replaced in turn by each value
+    of another type or domain: verify (and ledger, for the certificate)
+    exits 0, 4 or 5 and raises nothing.  A certificate is derived again,
+    so it exits 0 only when the mutant's canonical text is the original's."""
+    out = _copy(pipeline_dir, tmp_path)  # a mutant finds the files it refers to
     mutant = str(out / "mutant.json")
-    for name in ("bases.json", "certificate.json", "epsh.json", "rbd.json", "report.json"):
-        original = _artifact(pipeline_dir, name)
-        commands = ["verify", "ledger"] if name in ("report.json", "certificate.json") \
-            else ["verify"]
+    for name in ("bases.json", "certificate.json", "epsh.json", "rbd.json"):
+        original = _load(pipeline_dir / name)
+        commands = ["verify", "ledger"] if name == "certificate.json" else ["verify"]
         for path in _nodes(original):
             for value in (None, True, 0, -1, 1.5, "x", [], {}, 10**30):
                 obj = _put(json.loads(json.dumps(original)), value, *path) if path else value
                 _dump(obj, mutant)
+                unchanged = jsonio.dumps_canonical(obj) == jsonio.dumps_canonical(original)
                 for command in commands:
-                    assert cli.main([command, mutant]) in (0, 4, 5), (name, path, value, command)
+                    code = cli.main([command, mutant])
+                    assert code in (0, 4, 5), (name, path, value, command)
+                    if name == "certificate.json":
+                        assert (code == 0) == unchanged, (path, value, command, code)
                 capsys.readouterr()

@@ -181,12 +181,12 @@ def test_find_hadamard_not_constructible():
     assert 4 in err.value.attempted  # 92 = 4 * 23, but 23 is unreachable
 
 
-def test_size_budget(monkeypatch):
-    monkeypatch.setenv("ARMUB_SIZE_BUDGET", "16")
-    with pytest.raises(ResourceLimitError):
-        sylvester(5)
-    with pytest.raises(ResourceLimitError):
-        find_hadamard(32)
+def test_size_budget():
+    """Orders above 4096 are refused before any matrix is built."""
+    with pytest.raises(ResourceLimitError, match="order 8192 exceeds size budget 4096"):
+        sylvester(13)
+    with pytest.raises(ResourceLimitError, match="order 8192 exceeds size budget 4096"):
+        find_hadamard(8192)
 
 
 def test_json_roundtrip_byte_identical():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from armub import jsonio
+from armub import cli, jsonio
 from armub.algebra import QuadNum, cmp_values
 from armub.bases import assemble
 from armub.epsh import EpsHadamard, Provenance, best_reduction
@@ -253,16 +253,20 @@ def test_classify_function_matches_report():
         assert classify_delta(rep.delta, rep.beta, rep.d) == rep.classification
 
 
-def test_report_json_roundtrip_and_tamper():
-    rep = cross_stats(small_pipeline(3, 5, 1))
-    text = jsonio.dumps_canonical(jsonio.report_obj(rep))
-    parsed = jsonio.parse_report(json.loads(text))
-    assert jsonio.dumps_canonical(jsonio.report_obj(parsed)) == text
-    obj = json.loads(text)
-    obj["classification"] = "MUB"
-    with pytest.raises(CertificationError):
-        jsonio.parse_report(obj)
-    obj = json.loads(text)
-    obj["beta"]["max_ip"]["a"] = ["3", "1"]
-    with pytest.raises(CertificationError):
-        jsonio.parse_report(obj)
+def test_report_json_roundtrip_and_tamper(tmp_path, capsys):
+    """The certificate that embeds the report is derived again on parse and
+    round-trips byte for byte; a report tampered inside it exits 5."""
+    assert cli.main(["armub", "--k", "3", "--s", "5", "--t", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "certificate.json"
+    text = path.read_text()
+    derived = jsonio.parse_certificate(json.loads(text), str(tmp_path), jsonio.ArtifactCache())
+    assert jsonio.dumps_canonical(derived) == text
+    for field, value in (("classification", "MUB"),
+                         ("beta", {"float": 3.0, "max_ip": {"a": ["3", "1"], "b": ["0", "1"]}})):
+        obj = json.loads(text)
+        obj["report"][field] = value
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == 5
+        assert capsys.readouterr().out == (f"{path}: certificate: CHECK FAILED: stored "
+                                           f"report.{field} differs from the derived one\n")
