@@ -37,12 +37,14 @@ For a fixed U (signs applied) and variant, the magnitude codes a split's
 entries take fit one 64-bit occurrence mask.  The masks come from the rows
 of H held as column bitsets, one AND-NOT per split and row; a negation of
 the selected rows or columns permutes the mask's bits by XOR.  The screen
-evaluates each code's exact magnitude, epsilon and window check once per
-(U, variant) that occurs, by the route EpsHadamard takes, and ranks every
-epsilon exactly on one scale.  A candidate's epsilon is the largest among
-the codes in its mask, which is exactly the epsilon its EpsHadamard would
-certify, so the screen picks the same split as building every candidate
-would; only the winner is built.
+evaluates each code's exact magnitude once per (U, variant) that occurs, by
+the route EpsHadamard takes, as an integer key (p, q, L) for
+(p + q*sqrt(c))/L, and ranks every epsilon exactly on one scale and checks
+the window on those keys, with integer sign tests only.  A candidate's
+epsilon is the largest among the codes in its mask, which is exactly the
+epsilon its EpsHadamard would certify, so the screen picks the same split
+as building every candidate would; only the winner is built, and only its
+magnitudes and epsilons become Fractions, QuadNums and ExactEps.
 """
 
 from __future__ import annotations
@@ -478,8 +480,8 @@ class EpsHadamard:
         live = count > 0
         occurring = np.unique(codes[live])
         scale, core, _, _ = self._form
-        mag_ids, self._abs, self._keys = _magnitudes(
-            [(*self._values[x], scale) for x in occurring], core)
+        mag_ids, self._keys = _magnitudes([(*self._values[x], scale) for x in occurring], core)
+        self._abs = [_key_value(key, core) for key in self._keys]
         mag_of_code = np.full(span * span, -1, dtype=np.intp)
         mag_of_code[occurring] = mag_ids
         self._counts = np.zeros((k, len(self._abs)), dtype=np.int64)
@@ -488,11 +490,15 @@ class EpsHadamard:
 
         # |sqrt(k)*|Y_ij| - 1| falls as |Y_ij| rises to 1/sqrt(k) and rises
         # beyond, so the smallest and the largest magnitude hold the extremes;
+        # their sides and their tie are integer sign tests on the keys, and
         # when they tie (one on each side), q is the smallest magnitude's
-        low, high = (_entry_eps(k, av) for av in (self._abs[0], self._abs[-1]))
-        self.epsilon = high if low.cmp(high) < 0 else low
+        low, high = self._keys[0], self._keys[-1]
+        side_low, side_high = _eps_side(low, k, core), _eps_side(high, k, core)
+        high_wins = side_high > 0 and (side_low >= 0 or _eps_mixed(high, low, k, core) > 0)
+        self.epsilon = _entry_eps(k, self._abs[-1 if high_wins else 0])
         # largest upward deviation alone (0 if no entry exceeds 1/sqrt(k))
-        self.epsilon_upper = high if high.side > 0 else ExactEps.zero()
+        self.epsilon_upper = (ExactEps.zero() if side_high <= 0
+                              else self.epsilon if high_wins else _entry_eps(k, self._abs[-1]))
         self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
 
     def verify_orthogonal(self):
@@ -544,11 +550,12 @@ class EpsHadamard:
         """Entry magnitudes must lie in the closed interval of the reduction
         theorem whenever 1 <= t and t < sqrt(M); they ascend, so the
         smallest and the largest decide."""
-        window = _window(self.provenance.t, self.radicand)
-        if _outside(self._abs[0], window) or _outside(self._abs[-1], window):
-            av = next(av for av in self._abs if _outside(av, window))
+        window, core = _window(self.provenance.t, self.radicand), self._form[1]
+        bounds = _window_keys(window)
+        if _outside(self._keys[0], bounds, core) or _outside(self._keys[-1], bounds, core):
+            g = next(g for g, key in enumerate(self._keys) if _outside(key, bounds, core))
             raise CertificationError(
-                f"entry magnitude {av} outside window [{window[0]}, {window[1]}]"
+                f"entry magnitude {self._abs[g]} outside window [{window[0]}, {window[1]}]"
             )
         self.window_ok = True
 
@@ -665,20 +672,46 @@ def _code_values(form, t: int) -> list[tuple[int, int]]:
 
 
 def _quad_sign(p: int, q: int, core: int) -> int:
-    """Exact sign of p + q*sqrt(c) for integers p, q and squarefree c."""
+    """Exact sign of p + q*sqrt(c) for integers p, q and squarefree c: the
+    sign of p and q where they agree, else that of p^2 - c*q^2, which is
+    nonzero for q != 0 and c > 1 (for c = 1, q is folded into p)."""
+    if core == 1:
+        p, q = p + q, 0
     sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
     if sp * sq >= 0:
         return sp or sq
-    # opposite signs; p^2 == c*q^2 is impossible for q != 0 and c squarefree
     return sp if p * p > core * q * q else sq
 
 
-def _magnitudes(values, core: int) -> tuple[np.ndarray, list[Scalar], list[tuple]]:
-    """(ids, mags, keys) for exact values (p + q*sqrt(c))/L given as integer
-    triples (p, q, L): mags lists the distinct |value| ascending, keys the
-    same magnitudes as triples in lowest terms, and ids[i] indexes the
-    magnitude of values[i].  The one route from a value to its magnitude,
-    for built matrices, the split screen and the cross-basis products."""
+def _key_cmp(x: tuple, y: tuple, core: int) -> int:
+    """Sign of x - y for keys (p, q, L) of values (p + q*sqrt(c))/L, L > 0:
+    one integer sign test on the cross difference."""
+    return _quad_sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], core)
+
+
+def _key_value(key: tuple, core: int) -> Scalar:
+    """The Fraction or QuadNum of a key (p, q, L)."""
+    p, q, scale = key
+    return QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
+
+
+def _as_key(x: Scalar) -> tuple[int, int, int]:
+    """The key (p, q, L), L > 0, of a rational or a QuadNum."""
+    if isinstance(x, QuadNum):
+        scale = math.lcm(x.a.denominator, x.b.denominator)
+        return int(x.a * scale), int(x.b * scale), scale
+    x = Fraction(x)
+    return x.numerator, 0, x.denominator
+
+
+def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
+    """(ids, keys) for exact values (p + q*sqrt(c))/L given as integer
+    triples (p, q, L): keys lists the distinct |value| ascending, as triples
+    in lowest terms with L > 0, and ids[i] indexes the magnitude of
+    values[i].  The one route from a value to its magnitude, for built
+    matrices, the split screen and the cross-basis products.  The sign of a
+    value and the order of two keys are each one integer sign test
+    (``_quad_sign``); ``_key_value`` gives a key's Scalar where one is read."""
     index: dict = {}
     ids = []
     for p, q, scale in values:
@@ -686,19 +719,69 @@ def _magnitudes(values, core: int) -> tuple[np.ndarray, list[Scalar], list[tuple
             p, q = -p, -q
         g = math.gcd(p, q, scale)
         ids.append(index.setdefault((p // g, q // g, scale // g), len(index)))
-    keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _quad_sign(
-        x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], core)))
-    mags = [QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
-            for p, q, scale in keys]
+    keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _key_cmp(x, y, core)))
     order = np.empty(len(keys), dtype=np.int64)
     order[[index[key] for key in keys]] = np.arange(len(keys))
-    return order[np.array(ids, dtype=np.int64)], mags, keys
+    return order[np.array(ids, dtype=np.int64)], keys
 
 
-def _outside(av: Scalar, window) -> bool:
-    """Whether a magnitude lies outside ``window`` (never when it is None)."""
-    return window is not None and (cmp_values(av, window[0]) < 0
-                                   or cmp_values(av, window[1]) > 0)
+def _eps_side(key: tuple, k: int, core: int) -> int:
+    """Side of the epsilon |sqrt(k)*a - 1| of a magnitude a with key
+    (p, q, L): the sign of k*a^2 - 1, one integer sign test."""
+    p, q, scale = key
+    return _quad_sign(k * (p * p + core * q * q) - scale * scale, 2 * k * p * q, core)
+
+
+def _eps_mixed(above: tuple, below: tuple, k: int, core: int) -> int:
+    """Sign of eps(a1) - eps(a2) for magnitudes a1 above and a2 below
+    1/sqrt(k): (sqrt(k)*a1 - 1) - (1 - sqrt(k)*a2) has the sign of
+    k*(a1 + a2)^2 - 4, one integer sign test."""
+    p = above[0] * below[2] + below[0] * above[2]
+    q = above[1] * below[2] + below[1] * above[2]
+    scale = above[2] * below[2]
+    return _quad_sign(k * (p * p + core * q * q) - 4 * scale * scale, 2 * k * p * q, core)
+
+
+def _eps_ranks(keys: list[tuple], k: int, core: int) -> tuple[list[int], list[tuple]]:
+    """(rank of each key, one key per rank) for the epsilons |sqrt(k)*a - 1|
+    of ascending magnitude keys, equal epsilons sharing a rank.
+
+    Below 1/sqrt(k), epsilon falls as a rises, and above it rises: the
+    below-side keys read descending and the above-side keys read ascending
+    each have ascending epsilon, and a key with side 0 has epsilon 0 and
+    takes rank 0.  The two lists merge by ``_eps_mixed``; equal epsilons can
+    only meet across the two sides.  This is the order of ``ExactEps.cmp``.
+    """
+    sides = [_eps_side(key, k, core) for key in keys]
+    below = [i for i in reversed(range(len(keys))) if sides[i] < 0]
+    above = [i for i in range(len(keys)) if sides[i] > 0]
+    ranks = [0] * len(keys)
+    reps = [keys[i] for i in range(len(keys)) if sides[i] == 0]  # at most one
+    a = b = 0
+    while a < len(above) or b < len(below):
+        if a == len(above) or b == len(below):
+            c = 1 if a == len(above) else -1
+        else:
+            c = _eps_mixed(keys[above[a]], keys[below[b]], k, core)
+        reps.append(keys[below[b]] if c >= 0 else keys[above[a]])
+        if c >= 0:  # the below-side key's epsilon is not larger
+            ranks[below[b]] = len(reps) - 1
+            b += 1
+        if c <= 0:
+            ranks[above[a]] = len(reps) - 1
+            a += 1
+    return ranks, reps
+
+
+def _window_keys(window) -> Optional[tuple[tuple, tuple]]:
+    """The bounds of a window from ``_window`` as keys, or None."""
+    return None if window is None else tuple(_as_key(x) for x in window)
+
+
+def _outside(key: tuple, window, core: int) -> bool:
+    """Whether a magnitude key lies outside window keys (never when None)."""
+    return window is not None and (_key_cmp(key, window[0], core) < 0
+                                   or _key_cmp(key, window[1], core) > 0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -719,21 +802,14 @@ def _window(t: int, m: int) -> Optional[tuple[Scalar, Scalar]]:
 # ---------------------------------------------------------------------------
 
 def _poly_inverse_coeffs(kappa: int, gamma: int, vartheta: Optional[int],
-                         alpha: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """Coefficients (x, y, z) with (alpha*I + U)^-1 = x*I + y*U + z*U^2,
-    given the relation of U; returns (x, y, z, denominator)."""
-    if vartheta is None:
-        den = alpha * alpha + gamma * alpha - kappa
-        if sign_of(den) == 0:
-            raise ExactArithmeticError("vanishing denominator in closed form")
-        return (alpha + gamma) / den, -1 / den, Fraction(0), den
-    den = alpha * alpha * alpha + vartheta * alpha * alpha - gamma * alpha + kappa
-    if sign_of(den) == 0:
-        raise ExactArithmeticError("vanishing denominator in closed form")
-    z = 1 / den
-    y = -(alpha + vartheta) / den
-    x = (alpha * (alpha + vartheta) - gamma) / den
-    return x, y, z, den
+                         m: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """Numerators (x, y, z) and denominator den with (alpha*I + U)^-1 =
+    (x*I + y*U + z*U^2)/den, alpha = sqrt(M), given the relation of U; each
+    as an integer pair (r, s), the value r + s*alpha (alpha^2 = M)."""
+    if vartheta is None:  # den = alpha^2 + gamma*alpha - kappa
+        return [(gamma, 1), (-1, 0), (0, 0)], (m - kappa, gamma)
+    # den = alpha^3 + vartheta*alpha^2 - gamma*alpha + kappa
+    return [(m - gamma, vartheta), (-vartheta, -1), (1, 0)], (vartheta * m + kappa, m - gamma)
 
 
 def _negated_params(uclass: UClass) -> tuple[int, int, Optional[int]]:
@@ -744,36 +820,51 @@ def _negated_params(uclass: UClass) -> tuple[int, int, Optional[int]]:
 
 
 def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
-                       m: int) -> list[tuple[Scalar, np.ndarray]]:
-    """[(c_p, U_eff^p)] for p = 0, 1, 2 with C = sum_p c_p U_eff^p, the
-    polynomial-in-U inverse that the relation of U gives (the published
-    closed form for a listed U), where U_eff = U for Y1 and -U for Y2."""
-    alpha = exact_sqrt(m)
+                       m: int) -> tuple[int, list[tuple[int, int, np.ndarray]]]:
+    """(L, [(a_p, b_p, U_eff^p)]) for p = 0, 1, 2 with C = sum_p c_p U_eff^p,
+    c_p = (a_p + b_p*sqrt(c))/L, the polynomial-in-U inverse that the
+    relation of U gives (the published closed form for a listed U), where
+    U_eff = U for Y1 and -U for Y2 and M = f^2*c.
+
+    c_p = -x_p/(den*alpha) for Y1 and +x_p/(den*alpha) for Y2, with x_p
+    and den from ``_poly_inverse_coeffs``.  Every product is taken on
+    integer pairs in Z[alpha] and written in Z[sqrt(c)] (for c = 1,
+    alpha = f is an integer), and the one division multiplies by the
+    conjugate of den*alpha over its integer norm.  L > 0 and the gcd of L
+    and the a_p and b_p is 1, so the c_p are the same fractions in lowest
+    terms over their common denominator."""
     if variant == "Y1":
-        kappa, gamma, vartheta = uclass.kappa, uclass.gamma, uclass.vartheta
-        outer_sign, u_eff = -1, u
+        params, outer_sign, u_eff = (uclass.kappa, uclass.gamma, uclass.vartheta), -1, u
     else:
-        kappa, gamma, vartheta = _negated_params(uclass)
-        outer_sign, u_eff = 1, -u
-    x, y, z, _den = _poly_inverse_coeffs(kappa, gamma, vartheta, alpha)
+        params, outer_sign, u_eff = _negated_params(uclass), 1, -u
+    nums, (d0, d1) = _poly_inverse_coeffs(*params, m)
+    f, core = square_free_split(m)
+
+    def in_root_c(r: int, s: int) -> tuple[int, int]:  # r + s*f*sqrt(c)
+        return (r + s * f, 0) if core == 1 else (r, s * f)
+
+    e0, e1 = in_root_c(d1 * m, d0)  # den*alpha
+    norm = e0 * e0 - core * e1 * e1  # (den*alpha) * conjugate
+    if norm == 0:
+        raise ExactArithmeticError("vanishing denominator in closed form")
+    parts = []
+    for r, s in nums:
+        n0, n1 = in_root_c(r, s)
+        parts += [outer_sign * (n0 * e0 - core * n1 * e1), outer_sign * (n1 * e0 - n0 * e1)]
+    g = math.gcd(norm, *parts) * (1 if norm > 0 else -1)
     powers = (np.eye(u.shape[0], dtype=np.int64), u_eff, u_eff @ u_eff)
-    return [(outer_sign * c / alpha, p) for c, p in zip((x, y, z), powers)]
+    return norm // g, [(parts[2 * p] // g, parts[2 * p + 1] // g, powers[p]) for p in range(3)]
 
 
 def _coefficient_form(u: np.ndarray, uclass: UClass, variant: str,
                       m: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     """The t x t matrix C with Y = D/sqrt(M) + W C V as its integer form
     (L, c, A, B), C = (A + B*sqrt(c))/L with A and B integer matrices of
-    Python ints: c_p = (a_p + b_p*sqrt(c)) for the closed form
-    C = sum_p c_p U_eff^p of ``_closed_form_coeffs``, L the lcm of the
-    denominators of the a_p and b_p, A = sum_p L*a_p U_eff^p and
-    B = sum_p L*b_p U_eff^p (c = 1 and B = 0 when M is a perfect square)."""
-    coeffs = _closed_form_coeffs(u, uclass, variant, m)
-    parts = [(c.a, c.b) if isinstance(c, QuadNum) else (Fraction(c), Fraction(0))
-             for c, _ in coeffs]
-    scale = math.lcm(*(x.denominator for pair in parts for x in pair))
-    a, b = (sum(int(pair[e] * scale) * p.astype(object) for pair, (_, p) in zip(parts, coeffs))
-            for e in (0, 1))
+    Python ints: A = sum_p a_p U_eff^p and B = sum_p b_p U_eff^p for the
+    closed form of ``_closed_form_coeffs``, all on integers (c = 1 and
+    B = 0 when M is a perfect square)."""
+    scale, coeffs = _closed_form_coeffs(u, uclass, variant, m)
+    a, b = (sum(pair[e] * power.astype(object) for *pair, power in coeffs) for e in (0, 1))
     return scale, square_free_split(m)[1], a, b
 
 
@@ -931,15 +1022,19 @@ class _EpsScreen:
     occurs and each variant, ranked on one global scale.
 
     Every index's value comes from ``_code_values``, as EpsHadamard takes
-    it.
-    ``eps[r]`` is the epsilon of rank r (equal epsilons share a rank), and
-    ``sentinel`` ranks a magnitude outside the reduction window.
+    it, and ``keys`` lists the distinct magnitudes as ascending integer keys
+    (``_magnitudes``).  From the keys to the ranks only integers are used:
+    each epsilon's side, each comparison of two epsilons (``_eps_ranks``)
+    and each window test (``_outside``) is one integer sign test.
+    ``key_ranks[g]`` is the rank of key g (equal epsilons share a rank), or
+    ``sentinel`` for a magnitude outside the reduction window; ``eps[r]`` is
+    the ExactEps of rank r, built from one key of that rank where it is read.
     ``levels[lut[u], vi]`` lists the ranks of U code u and variant index vi
     in descending order, ``level_masks`` the indices of each.
     """
 
     def __init__(self, u_codes: np.ndarray, t: int, m: int):
-        self.window = _window(t, m)
+        self.window, self.core = _window(t, m), square_free_split(m)[1]
         self.lut = np.full(1 << (t * t), -1, dtype=np.intp)
         self.lut[u_codes] = np.arange(len(u_codes))
         index: dict = {}  # (p, q, L) -> position in ``index``
@@ -956,23 +1051,16 @@ class _EpsScreen:
                 form = _corner_form(c, m)
                 value_ids.append([index.setdefault((p, q, form[0]), len(index))
                                   for p, q in _code_values(form, t)])
-        mag_of_value, mags, _ = _magnitudes(list(index), square_free_split(m)[1])
-        self.mags = [(av, _entry_eps(m - t, av), _outside(av, self.window))
-                     for av in mags]
+        mag_of_value, self.keys = _magnitudes(list(index), self.core)
         self.mag_ids = mag_of_value[np.array(value_ids)].reshape(len(u_codes), 2, -1)
-        # one exact global order; equal epsilons (cmp == 0) share a rank
-        order = sorted(range(len(self.mags)), key=functools.cmp_to_key(
-            lambda x, y: self.mags[x][1].cmp(self.mags[y][1])))
-        rank_of = np.empty(len(self.mags), dtype=np.int64)
-        self.eps: list[ExactEps] = []
-        for mi in order:
-            eps = self.mags[mi][1]
-            if not self.eps or self.eps[-1].cmp(eps) != 0:
-                self.eps.append(eps)
-            rank_of[mi] = len(self.eps) - 1
-        self.sentinel = len(self.eps)
-        rank_of[np.array([outside for _, _, outside in self.mags])] = self.sentinel
-        ranks = rank_of[self.mag_ids]  # (u, variant, magnitude index)
+        key_ranks, reps = _eps_ranks(self.keys, m - t, self.core)
+        self.eps = _RankEps(reps, m - t, self.core)
+        self.sentinel = len(reps)
+        bounds = _window_keys(self.window)
+        self.outside = [_outside(key, bounds, self.core) for key in self.keys]
+        self.key_ranks = np.array(key_ranks, dtype=np.int64)
+        self.key_ranks[np.array(self.outside, dtype=bool)] = self.sentinel
+        ranks = self.key_ranks[self.mag_ids]  # (u, variant, magnitude index)
         # per (u, variant): distinct ranks descending, and their bits
         bit = np.argsort(-ranks, axis=-1, kind="stable")
         desc = np.take_along_axis(ranks, bit, axis=-1)
@@ -993,8 +1081,19 @@ class _EpsScreen:
     def violation(self, occ: int, ui: int, vi: int) -> Scalar:
         """The smallest out-of-window magnitude among the occurring indices."""
         ids = [int(mi) for b, mi in enumerate(self.mag_ids[ui, vi])
-               if occ >> b & 1 and self.mags[mi][2]]
-        return self.mags[min(ids)][0]
+               if occ >> b & 1 and self.outside[mi]]
+        return _key_value(self.keys[min(ids)], self.core)
+
+
+class _RankEps:
+    """The ExactEps of each rank of an _EpsScreen, built from the rank's key
+    where it is read: a search reads only the winner's."""
+
+    def __init__(self, reps: list[tuple], k: int, core: int):
+        self._reps, self._k, self._core = reps, k, core
+
+    def __getitem__(self, rank: int) -> ExactEps:
+        return _entry_eps(self._k, _key_value(self._reps[rank], self._core))
 
 
 class _SplitScreen:
@@ -1069,13 +1168,17 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
     |Y_ij| depends only on the magnitude index (D_ij w_i, v_j), one of
     2^(2t) <= 64, and a candidate's epsilon is the largest epsilon among the
     indices its entries take.  The screen evaluates each index's exact
-    |value|, epsilon and window check once per (U, variant) that occurs,
-    ranks all epsilons with ``ExactEps.cmp``, and per split computes only
-    one 64-bit mask of the indices that occur, by bitset AND-NOT over the
-    rows of H, batched across row selections.  It is exact: two candidates
-    compare as their rebuilt ``EpsHadamard`` epsilons would, and an
-    occurring index outside the reduction window raises CertificationError
-    as the candidate's construction would.
+    |value| once per (U, variant) that occurs, as an integer key, ranks all
+    epsilons by merging the keys below and above 1/sqrt(k) and checks the
+    window on the keys (``_EpsScreen``; each side, each comparison of two
+    epsilons and each window bound is one integer sign test), and per split
+    computes only one 64-bit mask of the indices that occur, by bitset
+    AND-NOT over the rows of H, batched across row selections.  It is
+    exact: two candidates compare as their rebuilt ``EpsHadamard`` epsilons
+    would, and an occurring index outside the reduction window raises
+    CertificationError as the candidate's construction would.  The winner's
+    screened epsilon is checked against its rebuilt one by ``ExactEps.cmp``,
+    an independent route.
 
     Splits are searched in the order (rows, cols, row negations, col
     negations), variant Y2 before Y1, and the first minimum wins: ties break

@@ -26,7 +26,7 @@ from typing import Optional
 from .algebra import (Scalar, cmp_values, exact_sqrt, quad_to_float, sign_of, sqrt_minus_cmp,
                       square_free_split)
 from .bases import BasisSet
-from .epsh import ExactEps, _magnitudes
+from .epsh import ExactEps, _key_value, _magnitudes
 from .errors import CertificationError, DomainError
 
 CLASS_MUB = "MUB"
@@ -123,10 +123,13 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
 
     Each product of two magnitudes (p1 + q1*sqrt(c))/L1 and
     (p2 + q2*sqrt(c))/L2 (``EpsHadamard.abs_value_keys``) is the integer
-    triple (p1*p2 + c*q1*q2, p1*q2 + p2*q1, L1*L2).  The triples pass once
-    through ``epsh._magnitudes``, the route by which Y's codes reach their
-    magnitudes, which reduces, merges and orders them exactly; the counts
-    of equal values are summed as Python ints.
+    triple (p1*p2 + c*q1*q2, p1*q2 + p2*q1, L1*L2).  col_counts^T @
+    col_counts is symmetric, so each unordered pair v <= w is formed once,
+    off-diagonal weights doubled.  The triples pass once through
+    ``epsh._magnitudes``, the route by which Y's codes reach their
+    magnitudes, which reduces, merges and orders them on integers; the
+    counts of equal values are summed as Python ints, and only the distinct
+    values become Scalars.
     """
     nb = bs.num_bases
     if nb < 2:
@@ -148,14 +151,16 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     # collapse the id histogram into exact value counts
     products, weights = ([(0, 0, 1)], [zeros_total]) if zeros_total else ([], [])
     for v, w in zip(*(ix.tolist() for ix in vv.nonzero())):
+        if v > w:  # vv is symmetric: (v, w) with v < w stands for both
+            continue
         (p1, q1, l1), (p2, q2, l2) = keys[v], keys[w]
         products.append((p1 * p2 + core * q1 * q2, p1 * q2 + p2 * q1, l1 * l2))
-        weights.append(weight * int(vv[v, w]))
-    ids, values, _ = _magnitudes(products, core)
-    counts = [0] * len(values)
+        weights.append(weight * int(vv[v, w]) * (1 if v == w else 2))
+    ids, distinct = _magnitudes(products, core)
+    counts = [0] * len(distinct)
     for g, c in zip(ids.tolist(), weights):
         counts[g] += c
-    delta = [DeltaValue(value=v, count=c) for v, c in zip(values, counts)]
+    delta = [DeltaValue(value=_key_value(key, core), count=c) for key, c in zip(distinct, counts)]
     max_ip: Scalar = delta[-1].value if delta else Fraction(0)
     beta = ExactBeta(max_ip, bs.d)
 

@@ -500,8 +500,9 @@ class DenseEpsHadamard:
             else Fraction(p, scale)
             for p, q in pairs
         ]
-        self._combo_abs, mags, self._keys = _magnitudes(
-            [(p, q, scale) for p, q in pairs], core)
+        self._combo_abs, self._keys = _magnitudes([(p, q, scale) for p, q in pairs], core)
+        mags = [QuadNum(Fraction(p, s), Fraction(q, s), core) if q else Fraction(p, s)
+                for p, q, s in self._keys]
         self._mags, top, hits, self.epsilon_upper = _eps_selection(
             tuple(mags), k, self.provenance.t, self.radicand)
         eps = ExactEps.zero()
@@ -1032,7 +1033,9 @@ def lemma_inverse(u, radicand: int, sign: int = 1) -> tuple[list[list[Scalar]], 
     params = (uclass.kappa, uclass.gamma, uclass.vartheta) if sign == 1 \
         else _negated_params(uclass)
     alpha = exact_sqrt(radicand)
-    x, y, z, den = _poly_inverse_coeffs(*params, alpha)
+    nums, (d0, d1) = _poly_inverse_coeffs(*params, radicand)
+    den = d0 + d1 * alpha
+    x, y, z = ((r + s * alpha) / den for r, s in nums)
     uu = sign * u
     uu2 = uu @ uu
     t = u.shape[0]

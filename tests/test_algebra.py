@@ -17,6 +17,7 @@ from armub.algebra import (
     square_free_split,
     sqrt_minus_cmp,
 )
+from armub.epsh import _quad_sign
 from armub.errors import DomainError, ExactArithmeticError, StructuralError
 
 
@@ -71,6 +72,19 @@ def test_quad_sign_examples():
     assert sign_of(QuadNum(7, -2, 12)) == 1
     assert sign_of(QuadNum(-7, 2, 12)) == -1
     assert sign_of(Fraction(-3, 7)) == -1 and sign_of(0) == 0
+
+
+def test_integer_quad_sign():
+    """epsh._quad_sign(p, q, c), the sign of p + q*sqrt(c) on integers,
+    agrees with sign_of on QuadNum for squarefree c > 1, and folds q into p
+    for c = 1, where p + q can vanish with p and q of opposite signs."""
+    assert _quad_sign(28, -28, 1) == 0 and _quad_sign(-3, 3, 1) == 0
+    assert _quad_sign(5, -3, 1) == 1 and _quad_sign(3, -5, 1) == -1
+    assert _quad_sign(0, 0, 1) == 0 and _quad_sign(0, -2, 1) == -1
+    for c in (2, 3, 6, 7):
+        for p in range(-9, 10):
+            for q in range(-4, 5):
+                assert _quad_sign(p, q, c) == sign_of(QuadNum(p, q, c)), (p, q, c)
 
 
 def test_comparison_operators():

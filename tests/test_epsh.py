@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -299,10 +300,11 @@ def test_t3_closed_form_coefficients_at_order_16():
     }
     for variant, want in expect.items():
         flip = 1 if variant == "Y1" else -1  # Y2's powers are of -U
-        coeffs = epsh._closed_form_coeffs(u, uclass, variant, 16)
-        for p, (c, power) in enumerate(coeffs):
+        scale, coeffs = epsh._closed_form_coeffs(u, uclass, variant, 16)
+        for p, (_, b, power) in enumerate(coeffs):
             assert np.array_equal(power, np.linalg.matrix_power(flip * u, p))
-        assert [flip**p * c for p, (c, _) in enumerate(coeffs)] == want
+            assert b == 0  # sqrt(16) is rational
+        assert [flip**p * Fraction(a, scale) for p, (a, _, _) in enumerate(coeffs)] == want
 
 
 # -- epsilon ----------------------------------------------------------------
@@ -704,6 +706,89 @@ def test_screen_ranks_every_candidate(order, t, cap):
             assert search.table.eps[rank].cmp(y.epsilon) == 0, (split, variant)
         seen += len(ranks)
     assert seen == 2 * cap
+
+
+def _exact_eps_ranks(keys, k, core, window):
+    """Oracle ranks of magnitude keys: the epsilons of their Scalars sorted
+    with cmp_to_key(ExactEps.cmp), equal epsilons sharing a rank, and one
+    past the last rank for a magnitude outside the window by cmp_values."""
+    mags = [QuadNum(Fraction(p, s), Fraction(q, s), core) if q else Fraction(p, s)
+            for p, q, s in keys]
+    eps = [ExactEps(k * av * av) for av in mags]
+    order = sorted(range(len(eps)), key=functools.cmp_to_key(lambda x, y: eps[x].cmp(eps[y])))
+    ranks = [0] * len(eps)
+    for prev, i in zip(order, order[1:]):
+        ranks[i] = ranks[prev] + (eps[prev].cmp(eps[i]) != 0)
+    sentinel = ranks[order[-1]] + 1
+    outside = [window is not None and (cmp_values(av, window[0]) < 0
+                                       or cmp_values(av, window[1]) > 0) for av in mags]
+    return [sentinel if out else r for r, out in zip(ranks, outside)], sentinel, eps
+
+
+def _assert_screen_ranks(table, t, m):
+    """The screen's integer ranks and window verdicts equal the oracle's, and
+    each rank's ExactEps equals that of every magnitude holding the rank;
+    returns the number of ranks shared by two magnitudes."""
+    ranks, sentinel, eps = _exact_eps_ranks(table.keys, m - t, table.core, epsh._window(t, m))
+    assert table.key_ranks.tolist() == ranks, (t, m)
+    assert table.sentinel == sentinel, (t, m)
+    for g, r in enumerate(ranks):
+        if r != sentinel:
+            assert table.eps[r].cmp(eps[g]) == 0, (t, m, table.keys[g])
+    inside = [r for r in ranks if r != sentinel]
+    return len(inside) - len(set(inside))
+
+
+@pytest.mark.parametrize("m, ts", [(8, (1, 2)), (12, (1, 2, 3)), (16, (1, 2, 3))])
+def test_integer_eps_rank_matches_exact_eps_every_u(m, ts):
+    """Over the magnitudes of every U code and both variants, the integer
+    merge rank and window test give the order and verdicts of ExactEps.cmp
+    and cmp_values (c = 2, 3 and 1), ties included."""
+    ties = sum(_assert_screen_ranks(epsh._EpsScreen(np.arange(1 << (t * t)), t, m), t, m)
+               for t in ts)
+    assert (ties > 0) == (m == 12)  # of these orders, equal epsilons meet at 12
+
+
+@pytest.mark.parametrize("m", [28, 64, 96, 256])
+def test_integer_eps_rank_matches_exact_eps_corner(m):
+    """The same in corner scope at larger orders (c = 7, 1, 6 and 1)."""
+    for t in (1, 2, 3):
+        _assert_screen_ranks(epsh._SplitScreen(find_hadamard(m), t, "corner-only", 1).table, t, m)
+
+
+def test_integer_window_test_matches_exact_on_narrow_window(monkeypatch):
+    """With the window narrowed to the middle third of the magnitudes, the
+    keys outside it take the sentinel exactly where cmp_values puts them
+    outside."""
+    keys = epsh._EpsScreen(np.arange(16), 2, 12).keys
+    lo, hi = (epsh._key_value(keys[g], 3) for g in (len(keys) // 3, 2 * len(keys) // 3))
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, hi))
+    table = epsh._EpsScreen(np.arange(16), 2, 12)
+    _assert_screen_ranks(table, 2, 12)
+    assert 0 < sum(table.outside) < len(keys) - 1
+
+
+def test_screen_builds_exact_objects_only_for_the_winner(monkeypatch):
+    """From the magnitude codes to the winner the screen uses integers only:
+    best_reduction builds the QuadNums and ExactEps of the winner's own
+    construction plus the screened epsilon of its rank, however many
+    magnitudes the screen ranks."""
+    h = find_hadamard(96)
+    y = best_reduction(h, 3)
+    split, variant = BlockSplit(h, y.provenance.row_select, y.provenance.col_select), y.variant
+    magnitudes = len(epsh._SplitScreen(h, 3, "corner-only", 1).table.keys)
+    counts = {"quad": 0, "eps": 0}
+    for name, cls in (("quad", QuadNum), ("eps", ExactEps)):
+        def counting(self, *args, _init=cls.__init__, _name=name):
+            counts[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    reduce_split(split, variant)
+    built = dict(counts)
+    counts.update(quad=0, eps=0)
+    best_reduction(h, 3)
+    assert counts == {"quad": built["quad"] + 1, "eps": built["eps"] + 1}
+    assert counts["quad"] + counts["eps"] < magnitudes
 
 
 @given(data=st.data())
