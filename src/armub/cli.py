@@ -7,17 +7,19 @@ Exit codes (stable contract; CI treats any nonzero as red):
   2  domain/validation error (inputs outside the mathematical domain), or
      an --out path that cannot be written ("cannot write")
   3  requested Hadamard order not reachable from the generator set
-  4  artifact parse error: unreadable or non-object JSON, a missing or
-     malformed field, a field of an earlier artifact form (see verify
-     below), values outside the artifact's domain, or structurally
-     incompatible values (StructuralError, e.g. mixed radicands); for a
-     basis-set or a certificate, also a reference whose "file" is not a
-     plain file name in its own directory, or names a missing or unreadable
-     file; for a certificate, a missing top-level field or a bad config
+  4  artifact parse error: unreadable or non-object JSON, an input of an
+     artifact's derivation that is missing, of the wrong JSON type or
+     outside its domain, a field of an earlier artifact form (see verify
+     below), structurally incompatible values (StructuralError, e.g. mixed
+     radicands), or a derived field that the stored artifact lacks or
+     holds as another JSON type; for a basis-set or a certificate, also a
+     reference whose "file" is not a plain file name in its own directory,
+     or names a missing or unreadable file; for a certificate, a bad config
   5  a certification or bound check failed, including a vanishing
      denominator met during exact arithmetic (ExactArithmeticError), a
-     referenced file whose bytes do not match its recorded sha256, and a
-     certificate that differs from the one derived again or says "ok": false
+     referenced file whose bytes do not match its recorded sha256, a stored
+     artifact that differs from the one derived again, and a certificate
+     that says "ok": false
   6  resource/enumeration cap exceeded; `epsh --cap` still writes the best
      split found within the cap, marked "partial": true
 
@@ -25,27 +27,35 @@ Exit codes (stable contract; CI treats any nonzero as red):
 them.  Each file is read once per invocation, and each artifact content
 (keyed by the SHA-256 of its bytes) is parsed and certified once, so a
 basis-set and the rbd and epsh files it refers to cost one certification
-each.  An epsh file holds Y as its derivation: verify checks the stored
-Hadamard matrix H, derives Y again from H and the stored split, certifies
-it exactly as construction does, and fails (exit 5) unless k, m, the
-provenance, epsilon and epsilon_upper equal the derived ones (a reduction
-names method "closed-form"; the elimination method that earlier versions
-named for some t = 3 splits exits 5).  An rbd file holds the recipe of the
-affine design, and for an rbd or basis-set file verify says that the
-design's mu = 1 was certified by the line theorem.  The earlier forms exit
-4: an epsh file with Y's explicit "entries", an rbd file with an explicit
-"classes" array, a basis-set file with "vectors" or an inline "design"
-or "y", and a certificate with an "artifacts" map of file names.
+each.  Every artifact is verified by one rule: verify reads the inputs of
+its derivation, derives the artifact again with the writer's own code and
+requires the stored JSON to equal the derived JSON.  The first difference
+in sorted key order decides: a missing field or another JSON type exits 4,
+any other difference exits 5 and names its JSON path.  The inputs are:
+
+  hadamard     order, rows and label; the matrix must be Hadamard
+  eps-hadamard the source H and the split of "provenance" (method,
+               row_select, col_select, row_negate, col_negate, variant),
+               from which Y is derived and certified exactly as
+               construction does, and "partial"
+  rbd          the recipe of the affine design (d, k, s, r, field),
+               certified by verify_rbd; verify says that the design's
+               mu = 1 was certified by the line theorem (for a basis-set
+               too)
+  basis-set    the references "rbd" and "epsh" (file name and sha256)
+  certificate  "config" (k, s, t, d, scope) and the reference "bases"
+
+A reduction names method "closed-form"; the elimination method that
+earlier versions named for some t = 3 splits exits 5.  config.scope is the
+one input that is validated (a search scope) but cannot be derived again.
+The earlier forms exit 4: an epsh file with Y's explicit "entries", an rbd
+file with an explicit "classes" array, a basis-set file with "vectors" or
+an inline "design" or "y", and a certificate with an "artifacts" map of
+file names.
 
 `armub armub` writes four files: epsh, rbd, bases and the certificate.
-A certificate's inputs are its "config" (k, s, t, d, scope) and its
-reference "bases" (file name and sha256); verify and ledger certify the
-basis-set it refers to, derive the report, the ledger and "ok" again, and
-require the stored certificate to be the derived one in canonical text,
-naming the first top-level key, or report key, that differs.  config.scope
-is the one input that is validated (a search scope) but cannot be derived
-again.  `ledger` takes a certificate only and prints the derived ledger;
-a report alone is an unknown artifact kind.
+`ledger` takes a certificate only, verifies it as above and prints the
+derived ledger; a report alone is an unknown artifact kind.
 
 Artifacts are written atomically (temp file + rename) in canonical JSON.
 """

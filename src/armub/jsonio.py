@@ -2,40 +2,44 @@
 
 Rationals travel as pairs of decimal strings (no integer-width or float
 ambiguity); quadratic values carry "a" and "b" with b relative to
-sqrt(radicand) as declared by the artifact, so a value parses back to the
-identical canonical scalar.  Every field declared an integer must be a JSON
-integer: a float or a bool there is a parse error, never truncated; a
-declared boolean must be a JSON boolean.
-Serialization is canonical (sorted keys, fixed separators, trailing
-newline): serialize -> parse -> serialize is byte-identical.  Floats appear
-only in report-rendering fields.
+sqrt(radicand) as declared by the artifact.  Serialization is canonical
+(sorted keys, fixed separators, trailing newline): serialize -> parse ->
+serialize is byte-identical.  Floats appear only in report-rendering fields.
+
+Every parser follows one rule.  It reads only the inputs of the artifact's
+derivation, derives the artifact again with the writer's own ``*_obj``
+builder, and requires the stored JSON to equal the derived JSON
+(``require_derived``).  An input of the wrong JSON type is a parse error;
+so is a field the stored JSON lacks, or a value of another JSON type than
+the derived one.  Any other difference is a certification failure.
 
 Y, designs and bases travel as derivations, recipes and references, not
-arrays:
+arrays.  The inputs of each kind:
 
-* ``hadamard`` holds ``order``, ``label`` and ``rows``, one lowercase hex
-  string of 2*ceil(order/8) digits per row: its bits (set where an entry
-  is -1) packed MSB first, the padding bits zero.
-* ``eps-hadamard`` holds Y as its derivation: the source H (``hadamard``)
-  and the split, route and U relation (``provenance``), with k, m and
-  both epsilons.  A parse derives and certifies Y again from H and the
-  split, and every stored field must equal the derived one.
-* ``rbd`` holds d, k, s, r, mu and ``"field": {"p", "e", "modulus"}``,
-  the recipe of the affine design over GF(p^e) (modulus little-endian,
-  monic), certified again on parse.  An rbd of the earlier form, with an
-  explicit ``"classes"`` array, is a parse error.
-* ``basis-set`` holds d, k, s and two references, ``"rbd"`` and
-  ``"epsh"``, each ``{"file", "sha256"}``: the plain file name of a
-  sibling artifact in the same directory and the SHA-256 of its bytes.
-  A parse reads the referenced files, requires their digests to match,
-  and certifies them (through an ``ArtifactCache``, once per batch).
-* ``certificate`` holds ``config`` (k, s, t, d, scope), a reference
-  ``"bases": {"file", "sha256"}`` to a basis-set as above, and the claims
-  derived from them: the ``report``, the ``ledger`` and ``ok``.  A parse
-  derives the certificate again, which the stored one must equal in
-  canonical text; ``config.scope`` is validated but not derived.  A
-  certificate with an ``"artifacts"`` map (the earlier form) is a parse
-  error.
+* ``hadamard``: ``order``, ``label`` (a string) and ``rows``, one
+  lowercase hex string of 2*ceil(order/8) digits per row: its bits (set
+  where an entry is -1) packed MSB first, the padding bits zero.  The
+  matrix must be Hadamard.
+* ``eps-hadamard`` holds Y as its derivation: the source H
+  (``hadamard``); ``method``, ``row_select``, ``col_select``,
+  ``row_negate``, ``col_negate`` and ``variant`` of ``provenance``; and
+  ``partial``.  Y is derived and certified again from them; k, m, both
+  epsilons and the rest of the provenance are derived.
+* ``rbd``: d, k, s, r and ``"field": {"p", "e", "modulus"}``, the recipe
+  of the affine design over GF(p^e) (modulus little-endian, monic),
+  certified by ``verify_rbd``; mu and the provenance are derived.
+* ``basis-set``: two references, ``"rbd"`` and ``"epsh"``, each
+  ``{"file", "sha256"}``: the plain file name of a sibling artifact in the
+  same directory and the SHA-256 of its bytes.  A parse reads the
+  referenced files, requires their digests to match, and certifies them
+  (through an ``ArtifactCache``, once per batch); d, k and s are derived.
+* ``certificate``: ``config`` (k, s, t, d, scope) and a reference
+  ``"bases"`` to a basis-set as above.  The ``report``, the ``ledger`` and
+  ``ok`` are derived; ``config.scope`` is validated but not derived.
+
+The earlier forms are parse errors: an eps-hadamard with ``"entries"``, an
+rbd with ``"classes"``, a basis-set with ``"vectors"``, ``"design"`` or
+``"y"``, and a certificate with an ``"artifacts"`` map.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Scalar, QuadNum, cmp_values, square_free_split
+from .algebra import Scalar, QuadNum, square_free_split
 from .bases import BasisSet, assemble
 from .epsh import SEARCH_SCOPES, BlockSplit, EpsHadamard, ExactEps, Provenance, reduce_split
 from .errors import CertificationError, DomainError, ParseError
@@ -58,8 +62,12 @@ from .rbd import Rbd, verify_rbd
 from .verify import check_theorem_bounds, cross_stats, ledger_ok
 
 
+# artifacts are trees, so the encoder keeps no record of the containers it is in
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _CANONICAL.encode(obj) + "\n"
 
 
 def write_atomic(path: str, text: str):
@@ -119,7 +127,7 @@ class ArtifactCache:
 
 
 # ---------------------------------------------------------------------------
-# Integers and scalars
+# Inputs and the comparison with the derived artifact
 # ---------------------------------------------------------------------------
 
 def int_parse(value, name: str) -> int:
@@ -129,27 +137,73 @@ def int_parse(value, name: str) -> int:
     return value
 
 
-def bool_parse(value, name: str) -> bool:
-    """A JSON true or false; any other value is a parse error."""
-    if not isinstance(value, bool):
-        raise ParseError(f"{name} must be a JSON boolean, got {value!r}")
-    return value
+def _int_list(value, name: str) -> tuple[int, ...]:
+    """A list of JSON integers."""
+    if not isinstance(value, list):
+        raise ParseError(f"{name} must be a list of JSON integers, got {value!r}")
+    return tuple(int_parse(v, f"{name} entry") for v in value)
 
+
+def _current_form(kind: str, obj, earlier: tuple[str, ...], holds: str):
+    """Reject obj unless it is a JSON object without the fields of an
+    earlier form of the artifact; ``holds`` says what the current form
+    holds."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"bad {kind} artifact: a JSON {type(obj).__name__}, not an object")
+    for name in earlier:
+        if name in obj:
+            raise ParseError(f"bad {kind} artifact: unknown field {name!r} ({holds})")
+
+
+_JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
+               (list, "array"), (dict, "object"))
+
+
+def _json_type(value) -> str:
+    return next((name for cls, name in _JSON_TYPES if isinstance(value, cls)), "null")
+
+
+def require_derived(kind: str, derived, stored):
+    """Require the stored JSON of an artifact of kind to be the JSON derived
+    again from its inputs.  Equal canonical text passes at once.  Otherwise
+    both are walked in sorted key order and the first difference decides: a
+    field the stored JSON lacks, or a value of another JSON type (boolean,
+    integer, number, string, array, object and null all differ), is a
+    ParseError; any other difference, an extra field or another array
+    length included, is a CertificationError naming its JSON path.  Values
+    compare in canonical text, so NaN equals NaN."""
+    if dumps_canonical(derived) != dumps_canonical(stored):
+        _require_equal(kind, derived, stored, "")
+
+
+def _require_equal(kind: str, derived, stored, path: str):
+    want = _json_type(derived)
+    if _json_type(stored) != want:
+        raise ParseError(f"bad {kind} artifact: {path} must be a JSON {want}, got {stored!r}")
+    if want == "object":
+        for name in sorted(derived.keys() | stored.keys()):
+            at = f"{path}.{name}" if path else name
+            if name not in stored:
+                raise ParseError(f"bad {kind} artifact: missing field {at!r}")
+            if name not in derived:
+                raise CertificationError(f"stored {at} differs from the derived one")
+            _require_equal(kind, derived[name], stored[name], at)
+        return
+    if want == "array":
+        for i, (a, b) in enumerate(zip(derived, stored)):
+            _require_equal(kind, a, b, f"{path}[{i}]")
+    # equal entries leave only the length of an array to differ
+    if dumps_canonical(derived) != dumps_canonical(stored):
+        raise CertificationError(f"stored {path} differs from the derived one")
+
+
+# ---------------------------------------------------------------------------
+# Scalars
+# ---------------------------------------------------------------------------
 
 def frac_wire(x) -> list[str]:
     f = Fraction(x)
     return [str(f.numerator), str(f.denominator)]
-
-
-def frac_parse(obj) -> Fraction:
-    """A rational from its wire form, a list of two decimal strings."""
-    if not (isinstance(obj, list) and len(obj) == 2
-            and all(type(x) is str for x in obj)):
-        raise ParseError(f"bad rational {obj!r}: not a pair of decimal strings")
-    try:
-        return Fraction(int(obj[0]), int(obj[1]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {obj!r}") from exc
 
 
 def scalar_wire(v: Scalar, radicand: int) -> dict:
@@ -164,20 +218,6 @@ def scalar_wire(v: Scalar, radicand: int) -> dict:
     return {"a": frac_wire(v), "b": frac_wire(0)}
 
 
-def scalar_parse(obj, radicand: int) -> Scalar:
-    try:
-        a = frac_parse(obj["a"])
-        b = frac_parse(obj["b"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad scalar {obj!r}") from exc
-    if b == 0:
-        return a
-    f, core = square_free_split(radicand)
-    if core == 1:
-        return a + b * f
-    return QuadNum(a, b, radicand)
-
-
 def eps_wire(e: ExactEps, radicand: int) -> dict:
     return {
         "ksq": scalar_wire(e.q, radicand),
@@ -186,30 +226,18 @@ def eps_wire(e: ExactEps, radicand: int) -> dict:
     }
 
 
-def eps_parse(obj, radicand: int) -> ExactEps:
-    """An epsilon from its wire form; the stored ``side`` must be the JSON
-    integer that ksq implies (the rendered ``float`` is not read)."""
-    try:
-        eps = ExactEps(scalar_parse(obj["ksq"], radicand))
-        side = int_parse(obj["side"], "side")
-    except KeyError as exc:
-        raise ParseError(f"bad epsilon {obj!r}") from exc
-    if side != eps.side:
-        raise CertificationError(f"stored side {side} != {eps.side} implied by ksq")
-    return eps
-
-
 # ---------------------------------------------------------------------------
 # SignMatrix
 # ---------------------------------------------------------------------------
 
 def sign_matrix_obj(m: SignMatrix) -> dict:
     packed = np.packbits(m.rows < 0, axis=1)
+    digits, width = packed.tobytes().hex(), 2 * packed.shape[1]
     return {
         "kind": "hadamard",
         "order": m.order,
         "label": m.label,
-        "rows": [row.tobytes().hex() for row in packed],
+        "rows": [digits[i:i + width] for i in range(0, len(digits), width)],
     }
 
 
@@ -218,24 +246,32 @@ def _packed_rows_parse(rows, order: int) -> np.ndarray:
     if order < 1 or not isinstance(rows, list) or len(rows) != order:
         raise ParseError(f"rows must be a list of {order} packed rows (order >= 1)")
     width = -(-order // 8)
-    row_form = re.compile(f"[0-9a-f]{{{2 * width}}}")
-    for i, row in enumerate(rows):
-        if type(row) is not str or not row_form.fullmatch(row):
-            raise ParseError(f"rows[{i}] must be {2 * width} lowercase hex digits, got {row!r}")
-    packed = np.frombuffer(bytes.fromhex("".join(rows)), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(order, width), axis=1)
+    try:  # the whole matrix at once; the row at fault is looked for only on failure
+        digits = "".join(rows)
+        packed = bytes.fromhex(digits)
+        well_formed = packed.hex() == digits and set(map(len, rows)) == {2 * width}
+    except (TypeError, ValueError):
+        well_formed = False
+    if not well_formed:
+        row_form = re.compile(f"[0-9a-f]{{{2 * width}}}")
+        i, row = next((i, row) for i, row in enumerate(rows)
+                      if type(row) is not str or not row_form.fullmatch(row))
+        raise ParseError(f"rows[{i}] must be {2 * width} lowercase hex digits, got {row!r}")
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(order, width), axis=1)
     padded = bits[:, order:].any(axis=1)
     if padded.any():
         raise ParseError(f"rows[{int(np.argmax(padded))}] has nonzero padding bits")
     return 1 - 2 * bits[:, :order].astype(np.int8)
 
 
-def parse_sign_matrix(obj) -> SignMatrix:
-    """A sign matrix from its packed form, required to be Hadamard."""
+def _sign_matrix(obj) -> SignMatrix:
+    """The matrix of a hadamard artifact from its inputs order, rows and
+    label, certified Hadamard."""
     try:
-        order = int_parse(obj["order"], "order")
-        m = SignMatrix(_packed_rows_parse(obj["rows"], order),
-                       label=str(obj.get("label", "")))
+        order, label = int_parse(obj["order"], "order"), obj["label"]
+        if type(label) is not str:
+            raise ParseError(f"label must be a JSON string, got {label!r}")
+        m = SignMatrix(_packed_rows_parse(obj["rows"], order), label=label)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad hadamard artifact: {exc}") from exc
     check = is_hadamard(m)
@@ -244,6 +280,14 @@ def parse_sign_matrix(obj) -> SignMatrix:
             f"hadamard re-check failed at {check.first_violation}"
         )
     return SignMatrix(m.rows, label=m.label, verified=True)
+
+
+def parse_sign_matrix(obj) -> SignMatrix:
+    """A sign matrix from its packed form, required to be Hadamard; the
+    artifact must be the one it derives."""
+    h = _sign_matrix(obj)
+    require_derived("hadamard", sign_matrix_obj(h), obj)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -273,44 +317,6 @@ def provenance_obj(p: Provenance) -> dict:
     return out
 
 
-def parse_provenance(obj) -> Provenance:
-    from .epsh import UClass
-
-    if not isinstance(obj, dict):
-        raise ParseError(f"bad provenance {obj!r}")
-    t = int_parse(obj["t"], "t")
-    uclass = None
-    if obj.get("u_relation"):
-        u = obj["u_relation"]
-        uclass = UClass(
-            t=t,
-            kappa=int_parse(u["kappa"], "kappa"),
-            gamma=int_parse(u["gamma"], "gamma"),
-            vartheta=None if u["vartheta"] is None else int_parse(u["vartheta"], "vartheta"),
-            paper_listed=bool_parse(u["paper_listed"], "paper_listed"),
-            preferred_variant=u["preferred_variant"],
-        )
-    return Provenance(
-        source_label=str(obj["source_label"]),
-        source_order=int_parse(obj["source_order"], "source_order"),
-        t=t,
-        row_select=tuple(int_parse(i, "row_select") for i in obj["row_select"]),
-        col_select=tuple(int_parse(i, "col_select") for i in obj["col_select"]),
-        row_negate=tuple(_flag_parse(b, "row_negate") for b in obj["row_negate"]),
-        col_negate=tuple(_flag_parse(b, "col_negate") for b in obj["col_negate"]),
-        variant=obj["variant"],
-        method=str(obj["method"]),
-        uclass=uclass,
-    )
-
-
-def _flag_parse(value, name: str) -> bool:
-    """A negation flag, written as the JSON integer 0 or 1."""
-    if int_parse(value, name) not in (0, 1):
-        raise ParseError(f"{name} entries must be 0 or 1, got {value!r}")
-    return bool(value)
-
-
 def eps_hadamard_obj(y: EpsHadamard, partial: bool = False) -> dict:
     """The artifact of y: its source H and split, from which a parse derives
     y again; ``partial`` marks the best split of a search that stopped at
@@ -333,47 +339,25 @@ def eps_hadamard_obj(y: EpsHadamard, partial: bool = False) -> dict:
 
 
 def parse_eps_hadamard(obj) -> EpsHadamard:
-    """Y derived again from the stored H and split and certified; k, m, the
-    provenance, epsilon and epsilon_upper must equal the derived ones."""
-    if isinstance(obj, dict) and "entries" in obj:  # the form written before
-        raise ParseError(
-            "bad eps-hadamard artifact: unknown field 'entries' (an eps-hadamard "
-            "holds its source 'hadamard' and the split in 'provenance', from "
-            "which Y is derived; write it again with armub epsh or armub armub)"
-        )
-    if isinstance(obj, dict) and not isinstance(obj.get("partial", False), bool):
-        raise ParseError(f"bad eps-hadamard artifact: partial={obj['partial']!r}")
+    """Y derived again from the stored H and split and certified; the
+    artifact must be the one Y derives."""
+    _current_form("eps-hadamard", obj, ("entries",),
+                  "an eps-hadamard holds its source 'hadamard' and the split in "
+                  "'provenance', from which Y is derived; write it again with armub "
+                  "epsh or armub armub")
+    partial = obj.get("partial", False)
+    if not isinstance(partial, bool):
+        raise ParseError(f"bad eps-hadamard artifact: partial={partial!r}")
     try:
-        h = parse_sign_matrix(obj["hadamard"])
-        k = int_parse(obj["k"], "k")
-        m = int_parse(obj["m"], "m")
-        prov = parse_provenance(obj["provenance"])
-        stored = {name: eps_parse(obj[name], m) for name in ("epsilon", "epsilon_upper")}
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
+        h, prov = _sign_matrix(obj["hadamard"]), obj["provenance"]
+        split = None if prov["method"] == "exact-hadamard" else BlockSplit(
+            h, *(_int_list(prov[name], f"provenance.{name}")
+                 for name in ("row_select", "col_select", "row_negate", "col_negate")))
+        variant = prov["variant"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad eps-hadamard artifact: {exc}") from exc
-    if prov.method == "exact-hadamard":
-        y = EpsHadamard.from_sign_hadamard(h)
-    else:
-        y = reduce_split(BlockSplit(h, prov.row_select, prov.col_select,
-                                    prov.row_negate, prov.col_negate), prov.variant)
-    if (k, m) != (y.order, y.radicand):
-        raise CertificationError(
-            f"stored (k, m) = {(k, m)} != derived {(y.order, y.radicand)}"
-        )
-    if prov != y.provenance:
-        differ = [{"uclass": "u_relation"}.get(f.name, f.name)
-                  for f in dataclasses.fields(prov)
-                  if getattr(prov, f.name) != getattr(y.provenance, f.name)]
-        raise CertificationError(
-            f"stored provenance differs from the derived one in {', '.join(differ)}"
-        )
-    for name, derived in (("epsilon", y.epsilon), ("epsilon_upper", y.epsilon_upper)):
-        if cmp_values(stored[name].q, derived.q) != 0:
-            raise CertificationError(
-                f"stored {name} ksq {stored[name].q} != derived {derived.q}"
-            )
+    y = EpsHadamard.from_sign_hadamard(h) if split is None else reduce_split(split, variant)
+    require_derived("eps-hadamard", eps_hadamard_obj(y, partial), obj)
     return y
 
 
@@ -395,39 +379,26 @@ def rbd_obj(r: Rbd) -> dict:
     }
 
 
-def _field_parse(obj) -> tuple[int, int, tuple[int, ...]]:
-    """(p, e, modulus) of an affine recipe's "field"."""
-    modulus = obj["modulus"]
-    if not isinstance(modulus, list):
-        raise ParseError(f"field.modulus must be a list of JSON integers, got {modulus!r}")
-    return (int_parse(obj["p"], "field.p"), int_parse(obj["e"], "field.e"),
-            tuple(int_parse(c, "field.modulus entry") for c in modulus))
-
-
 def parse_rbd(obj) -> Rbd:
-    if isinstance(obj, dict) and "classes" in obj:  # the form written before
-        raise ParseError(
-            "bad rbd artifact: unknown field 'classes' (an rbd holds the affine "
-            "recipe 'field'; write it again with armub rbd or armub armub)"
-        )
+    """The design of an rbd artifact's recipe, certified by ``verify_rbd``;
+    the artifact must be the one the recipe derives."""
+    _current_form("rbd", obj, ("classes",),
+                  "an rbd holds the affine recipe 'field'; write it again with armub "
+                  "rbd or armub armub")
     try:
-        d, k, s = (int_parse(obj[name], name) for name in ("d", "k", "s"))
-        r = Rbd(k, s, _field_parse(obj["field"]), d=d, r=int_parse(obj["r"], "r"),
-                provenance=str(obj.get("provenance", "")))
-        declared_mu = None if obj["mu"] is None else int_parse(obj["mu"], "mu")
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
+        d, k, s, r = (int_parse(obj[name], name) for name in ("d", "k", "s", "r"))
+        field = obj["field"]
+        field = (int_parse(field["p"], "field.p"), int_parse(field["e"], "field.e"),
+                 _int_list(field["modulus"], "field.modulus"))
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad rbd artifact: {exc}") from exc
-    cert = verify_rbd(r)
+    design = Rbd(k, s, field, d=d, r=r)
+    cert = verify_rbd(design)
     if not cert.valid:
         raise CertificationError(f"design re-check failed: {cert.violations}")
-    if declared_mu is not None and cert.mu != declared_mu:
-        raise CertificationError(
-            f"declared mu={declared_mu} but verified mu={cert.mu}"
-        )
-    r.mu = cert.mu
-    return r
+    design.mu = cert.mu
+    require_derived("rbd", rbd_obj(design), obj)
+    return design
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +425,13 @@ def basis_set_obj(bs: BasisSet, rbd_ref: dict, epsh_ref: dict) -> dict:
     }
 
 
-def _referenced(obj, name: str, directory: str, artifacts: ArtifactCache) -> str:
-    """The path of the artifact that obj[name] refers to: a file named by a
-    plain file name in directory whose bytes have the recorded SHA-256.  A
-    malformed or unreadable reference is a parse error, a digest mismatch a
-    certification failure."""
-    kind, ref = obj.get("kind"), obj.get(name)
+def _referenced(kind: str, obj, name: str, directory: str,
+                artifacts: ArtifactCache) -> tuple[str, dict]:
+    """The path of the artifact that obj[name] refers to, a file named by a
+    plain file name in directory whose bytes have the recorded SHA-256, and
+    the reference derived from that file.  A malformed or unreadable
+    reference is a parse error, a digest mismatch a certification failure."""
+    ref = obj.get(name)
     if not (isinstance(ref, dict) and "file" in ref and "sha256" in ref):
         raise ParseError(
             f"bad {kind} artifact: {name!r} must be an object with 'file' "
@@ -484,33 +456,22 @@ def _referenced(obj, name: str, directory: str, artifacts: ArtifactCache) -> str
         raise ParseError(f"bad {kind} artifact: {name}.file: {exc}") from exc
     if digest != recorded:
         raise CertificationError(f"referenced {file} does not match its recorded sha256")
-    return path
+    return path, {"file": file, "sha256": digest}
 
 
 def parse_basis_set(obj, directory: str, artifacts: ArtifactCache) -> BasisSet:
     """The bases of a basis-set artifact read from directory: its referenced
     rbd and eps-hadamard artifacts are read from the same directory,
     matched against their digests and certified (once per ``artifacts``
-    cache), and d, k, s must be those of the assembled set."""
-    for old in ("vectors", "design", "y"):  # fields of earlier forms
-        if isinstance(obj, dict) and old in obj:
-            raise ParseError(
-                f"bad basis-set artifact: unknown field {old!r} (a basis-set holds "
-                "d, k, s and the references 'rbd' and 'epsh'; write it again "
-                "with armub armub)"
-            )
-    try:
-        declared = tuple(int_parse(obj[name], name) for name in ("d", "k", "s"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad basis-set artifact: {exc!r}") from exc
-    r = artifacts.parse(_referenced(obj, "rbd", directory, artifacts), parse_rbd)
-    y = artifacts.parse(_referenced(obj, "epsh", directory, artifacts), parse_eps_hadamard)
-    bs = assemble(r, y)
-    if declared != (bs.d, bs.k, bs.s):
-        raise CertificationError(
-            f"declared (d, k, s) = {declared} but the referenced artifacts give "
-            f"{(bs.d, bs.k, bs.s)}"
-        )
+    cache), and the artifact must be the one they derive."""
+    _current_form("basis-set", obj, ("vectors", "design", "y"),
+                  "a basis-set holds d, k, s and the references 'rbd' and 'epsh'; "
+                  "write it again with armub armub")
+    rbd_path, rbd_ref = _referenced("basis-set", obj, "rbd", directory, artifacts)
+    r = artifacts.parse(rbd_path, parse_rbd)
+    epsh_path, epsh_ref = _referenced("basis-set", obj, "epsh", directory, artifacts)
+    bs = assemble(r, artifacts.parse(epsh_path, parse_eps_hadamard))
+    require_derived("basis-set", basis_set_obj(bs, rbd_ref, epsh_ref), obj)
     return bs
 
 
@@ -590,39 +551,22 @@ def _config_parse(obj) -> tuple[int, str]:
     return t, obj["scope"]
 
 
-def _first_difference(derived: dict, stored: dict) -> str:
-    """The first key, in sorted order, that only one of two objects holds or
-    whose values differ in canonical text."""
-    return next(name for name in sorted(set(derived) | set(stored))
-                if name not in derived or name not in stored
-                or dumps_canonical(derived[name]) != dumps_canonical(stored[name]))
-
-
 def parse_certificate(obj, directory: str, artifacts: ArtifactCache) -> dict:
-    """The certificate derived again, by ``certificate_obj``, from the
-    config and the basis-set that obj refers to in directory (read and
-    certified through ``artifacts``).  obj must equal it in canonical
-    text; a difference is a certification failure naming the first
-    top-level key, or report key, that differs."""
-    if "artifacts" in obj:  # the form written before
-        raise ParseError(
-            "bad certificate artifact: unknown field 'artifacts' (a certificate "
-            "refers to its basis-set as 'bases' with 'file' and 'sha256'; write "
-            "it again with armub armub)"
-        )
+    """The certificate derived again, by ``certificate_obj``, from its
+    inputs: the config and the basis-set that obj refers to in directory
+    (read and certified through ``artifacts``).  obj must be the derived
+    certificate."""
+    _current_form("certificate", obj, ("artifacts",),
+                  "a certificate refers to its basis-set as 'bases' with 'file' and "
+                  "'sha256'; write it again with armub armub")
     for name in ("config", "bases", "report", "ledger", "ok"):
         if name not in obj:
             raise ParseError(f"bad certificate artifact: missing field {name!r}")
     t, scope = _config_parse(obj["config"])
-    _, bases = artifacts.load(_referenced(obj, "bases", directory, artifacts))
-    bs = parse_basis_set(bases, directory, artifacts)
-    ref = {"file": obj["bases"]["file"], "sha256": obj["bases"]["sha256"]}
-    derived = certificate_obj(bs, t, scope, ref)
-    if dumps_canonical(derived) != dumps_canonical(obj):
-        key = _first_difference(derived, obj)
-        if key == "report" and isinstance(obj["report"], dict):
-            key += "." + _first_difference(derived["report"], obj["report"])
-        raise CertificationError(f"stored {key} differs from the derived one")
+    path, ref = _referenced("certificate", obj, "bases", directory, artifacts)
+    _, bases = artifacts.load(path)
+    derived = certificate_obj(parse_basis_set(bases, directory, artifacts), t, scope, ref)
+    require_derived("certificate", derived, obj)
     return derived
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MAX_FIELD_SIZE, gf_from_order, gf_make, prime_power_split
+from .algebra import MAX_FIELD_SIZE, gf_make, prime_power_split
 from .errors import DomainError
 
 
@@ -35,17 +35,20 @@ class Rbd:
     (p, e, modulus tuple).  d and r default to k*s and s; a parsed file may
     declare others, which ``verify_rbd`` rejects.  ``mu`` is the certified
     maximum intersection of blocks from different classes (None until
-    verified).
+    verified).  ``provenance`` names the recipe and is derived from (k, s).
     """
 
-    __slots__ = ("d", "k", "s", "r", "field", "mu", "provenance")
+    __slots__ = ("d", "k", "s", "r", "field", "mu")
 
     def __init__(self, k: int, s: int, field: tuple, *, d: int | None = None,
-                 r: int | None = None, mu: int | None = None, provenance: str = ""):
+                 r: int | None = None):
         self.d = k * s if d is None else d
         self.r = s if r is None else r
-        self.k, self.s, self.field = k, s, field
-        self.mu, self.provenance = mu, provenance
+        self.k, self.s, self.field, self.mu = k, s, field, None
+
+    @property
+    def provenance(self) -> str:
+        return f"affine(k={self.k}, s={self.s})"
 
     def class_blocks(self, class_index: int) -> np.ndarray:
         """The s x k blocks of class l = class_index: block c holds
@@ -74,15 +77,16 @@ class RbdCertificate:
 
 def build_affine_rbd(k: int, s: int) -> Rbd:
     """Affine-line design on d = k*s points; requires 1 <= k <= s and s an
-    odd prime power.  The result carries mu = 1, certified by
-    ``verify_rbd`` from the recipe and the line theorem."""
+    odd prime power within the field budget, bounded before it is
+    factored.  The result carries mu = 1, certified by ``verify_rbd`` from
+    the recipe and the line theorem."""
     if not 1 <= k <= s:
         raise DomainError(f"need 1 <= k <= s, got k={k}, s={s}")
-    split = prime_power_split(s)
+    split = prime_power_split(s) if s <= MAX_FIELD_SIZE else None
     if split is None or split[0] == 2:
-        raise DomainError(f"s={s} must be an odd prime power")
-    f = gf_from_order(s)
-    design = Rbd(k, s, (f.p, f.e, f.modulus), provenance=f"affine(k={k}, s={s})")
+        raise DomainError(f"s={s} must be an odd prime power of at most {MAX_FIELD_SIZE}")
+    f = gf_make(*split)
+    design = Rbd(k, s, (f.p, f.e, f.modulus))
     cert = verify_rbd(design)
     if not cert.valid or cert.mu != 1:
         raise AssertionError(f"affine design failed self-verification: {cert}")
@@ -121,7 +125,5 @@ def verify_rbd(r: Rbd) -> RbdCertificate:
                           f"{list(gf_make(p, e).modulus)} of GF({s})")
     mu = 0 if violations else 1
     pairs = 0 if violations else math.comb(r.r, 2)
-    if r.mu is not None and mu > r.mu:
-        violations.append(f"recorded mu={r.mu} but observed {mu}")
     return RbdCertificate(valid=not violations, mu=mu, violations=violations,
                           class_pairs_checked=pairs)

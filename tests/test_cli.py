@@ -5,13 +5,15 @@ import json
 import math
 import os
 import shutil
+import time
 from fractions import Fraction
 
 import pytest
 
 from armub import cli, jsonio
+from armub.algebra import MAX_FIELD_SIZE
 from armub.epsh import EpsHadamard, Provenance
-from armub.errors import CertificationError
+from armub.errors import CertificationError, ParseError
 from armub.rbd import build_affine_rbd
 import oracles
 from oracles import from_scalar_rows
@@ -128,17 +130,17 @@ def test_verify_tampered_entry_exit_5(tmp_path, capsys):
 # derives a Y whose provenance or epsilon differs from the stored one
 U_RELATION_99 = {"gamma": 99, "kappa": 0, "paper_listed": True,
                  "preferred_variant": "Y1", "vartheta": None}
-PROVENANCE_DIFFERS = "stored provenance differs from the derived one in "
+DIFFERS = " differs from the derived one"
 DERIVATION_TAMPERS = {
-    "split": ({"row_select": [1], "col_select": [1]}, PROVENANCE_DIFFERS + "u_relation"),
-    "negation": ({"col_negate": [1]}, PROVENANCE_DIFFERS + "u_relation"),
-    "variant": ({"variant": "Y2"}, "stored epsilon ksq 1/3 != derived 0"),
-    "method": ({"method": "schur"}, PROVENANCE_DIFFERS + "method"),
-    "label": ({"source_label": "anything"}, PROVENANCE_DIFFERS + "source_label"),
-    "u-relation": ({"u_relation": U_RELATION_99}, PROVENANCE_DIFFERS + "u_relation"),
+    "split": ({"row_select": [1], "col_select": [1]}, "stored epsilon.float" + DIFFERS),
+    "negation": ({"col_negate": [1]}, "stored epsilon.float" + DIFFERS),
+    "variant": ({"variant": "Y2"}, "stored epsilon.float" + DIFFERS),
+    "method": ({"method": "schur"}, "stored provenance.method" + DIFFERS),
+    "label": ({"source_label": "anything"}, "stored provenance.source_label" + DIFFERS),
+    "u-relation": ({"u_relation": U_RELATION_99}, "stored provenance.u_relation.gamma" + DIFFERS),
     "all-four": ({"row_select": [2], "method": "schur", "source_label": "anything",
                   "u_relation": U_RELATION_99},
-                 PROVENANCE_DIFFERS + "source_label, method, u_relation"),
+                 "stored provenance.method" + DIFFERS),
 }
 
 
@@ -175,7 +177,7 @@ def test_flipped_t3_derivation_exit_5(tmp_path, capsys, flip):
 def test_stored_order_must_be_derived(tmp_path, pipeline_dir, capsys, field, value):
     obj = _set(_load(pipeline_dir / "epsh.json"), **{field: value})
     assert cli.main(["verify", _dump(obj, tmp_path / "epsh.json")]) == 5
-    assert "stored (k, m)" in capsys.readouterr().out
+    assert f"stored {field} differs from the derived one" in capsys.readouterr().out
 
 
 def test_equally_certified_split_verifies_alone(tmp_path, pipeline_dir, capsys):
@@ -492,7 +494,7 @@ RECIPE_TAMPERS = {
                       "not the certified modulus [1, 1, 0, 1]"),
     "reducible-modulus": ((3, 125), {"field": {"p": 5, "e": 3, "modulus": [0, 0, 0, 1]}},
                           "not the certified modulus"),
-    "declared-mu-0": ((3, 5), {"mu": 0}, "declared mu=0 but verified mu=1"),
+    "declared-mu-0": ((3, 5), {"mu": 0}, "stored mu differs from the derived one"),
 }
 
 
@@ -573,7 +575,7 @@ def test_declared_size_must_match_referenced_design(tmp_path, pipeline_dir, caps
     out = _copy(pipeline_dir, tmp_path)
     bases = _set(_load(out / "bases.json"), d=16)
     assert cli.main(["verify", _dump(bases, out / "bases.json")]) == 5
-    assert "declared (d, k, s) = (16, 3, 5)" in capsys.readouterr().out
+    assert "stored d differs from the derived one" in capsys.readouterr().out
 
 
 def test_verify_batch_certifies_each_artifact_once(pipeline_dir, monkeypatch, capsys):
@@ -666,13 +668,13 @@ def _flip_ledger_line(cert):
     line["verdict"], line["lhs"] = "n/a", 1.5
 
 
-# claims of the (3, 5, 1) certificate changed, and the first key found to differ
+# claims of the (3, 5, 1) certificate changed, and the first JSON path found to differ
 CERTIFICATE_TAMPERS = {
-    "roadmap": (_roadmap_tamper, "report.coverage"),
-    "ledger-line": (_flip_ledger_line, "ledger"),
+    "roadmap": (_roadmap_tamper, "report.coverage.basis_pairs"),
+    "ledger-line": (_flip_ledger_line, "ledger[4].lhs"),
     "ok": (lambda cert: cert.update(ok=False), "ok"),
-    "t": (lambda cert: cert["config"].update(t=3), "config"),
-    "reference-field": (lambda cert: cert["bases"].update(note="x"), "bases"),
+    "t": (lambda cert: cert["config"].update(t=3), "config.t"),
+    "reference-field": (lambda cert: cert["bases"].update(note="x"), "bases.note"),
 }
 
 
@@ -782,24 +784,104 @@ def _nodes(obj, path=()):
         yield from _nodes(value, path + (key,))
 
 
+# the objects of each (3, 5, 1) artifact that a mutant adds a field to
+EXTRA_FIELD_AT = {
+    "bases.json": [()],
+    "certificate.json": [()],
+    "epsh.json": [(), ("provenance",), ("hadamard",)],
+    "rbd.json": [(), ("field",)],
+}
+
+
+def _mutants(original, extra_at):
+    """Each node of a JSON value replaced in turn by each value of another
+    type or domain, then the value with a field added to each object that
+    extra_at names."""
+    for path in _nodes(original):
+        for value in (None, True, 0, -1, 1.5, "x", [], {}, 10**30):
+            yield _put(json.loads(json.dumps(original)), value, *path) if path else value
+    for path in extra_at:
+        yield _put(json.loads(json.dumps(original)), 0, *path, "extra")
+
+
 def test_every_mutated_node_exits_cleanly(tmp_path, pipeline_dir, capsys):
-    """Each node of each (3, 5, 1) artifact replaced in turn by each value
-    of another type or domain: verify (and ledger, for the certificate)
-    exits 0, 4 or 5 and raises nothing.  A certificate is derived again,
-    so it exits 0 only when the mutant's canonical text is the original's."""
+    """Each mutant of each (3, 5, 1) artifact: verify (and ledger, for the
+    certificate) exits 0, 4 or 5 and raises nothing.  Every artifact is
+    derived again, so it exits 0 only when the mutant's canonical text is
+    the original's."""
     out = _copy(pipeline_dir, tmp_path)  # a mutant finds the files it refers to
     mutant = str(out / "mutant.json")
     for name in ("bases.json", "certificate.json", "epsh.json", "rbd.json"):
         original = _load(pipeline_dir / name)
         commands = ["verify", "ledger"] if name == "certificate.json" else ["verify"]
-        for path in _nodes(original):
-            for value in (None, True, 0, -1, 1.5, "x", [], {}, 10**30):
-                obj = _put(json.loads(json.dumps(original)), value, *path) if path else value
-                _dump(obj, mutant)
-                unchanged = jsonio.dumps_canonical(obj) == jsonio.dumps_canonical(original)
-                for command in commands:
-                    code = cli.main([command, mutant])
-                    assert code in (0, 4, 5), (name, path, value, command)
-                    if name == "certificate.json":
-                        assert (code == 0) == unchanged, (path, value, command, code)
-                capsys.readouterr()
+        for obj in _mutants(original, EXTRA_FIELD_AT[name]):
+            _dump(obj, mutant)
+            unchanged = jsonio.dumps_canonical(obj) == jsonio.dumps_canonical(original)
+            for command in commands:
+                code = cli.main([command, mutant])
+                assert code in (0, 4, 5), (name, obj, command)
+                assert (code == 0) == unchanged, (name, obj, command, code)
+            capsys.readouterr()
+
+
+@pytest.mark.parametrize("label", [7, None, ["H"], "missing"])
+def test_hadamard_label_must_be_a_string(tmp_path, capsys, label):
+    path = tmp_path / "hadamard.json"
+    assert cli.main(["hadamard", "4", "--out", str(path)]) == 0
+    obj = _load(path)
+    if label == "missing":
+        del obj["label"]
+    else:
+        obj["label"] = label
+    assert cli.main(["verify", _dump(obj, path)]) == 4
+    assert "parse error: bad hadamard artifact" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["rbd"], ["armub", "--t", "1"]])
+def test_design_bounds_s_before_factoring(tmp_path, capsys, command):
+    """s = 2^61 - 1 is a prime far above the field budget: refused before a
+    trial division, not after ~10^9 of them."""
+    start = time.perf_counter()
+    argv = [*command, "--k", "3", "--s", str(2**61 - 1), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert f"odd prime power of at most {MAX_FIELD_SIZE}" in capsys.readouterr().err
+
+
+# (derived, stored, error): the first difference in sorted key order decides
+# between a parse error (exit 4) and a certification failure (exit 5)
+COMPARATOR_CASES = {
+    "int-vs-float": ({"x": 1}, {"x": 1.0}, ParseError),
+    "float-vs-int": ({"x": 1.0}, {"x": 1}, ParseError),
+    "int-vs-bool": ({"x": 1}, {"x": True}, ParseError),
+    "bool-vs-int": ({"x": False}, {"x": 0}, ParseError),
+    "null-vs-string": ({"x": None}, {"x": "None"}, ParseError),
+    "other-int": ({"x": 1}, {"x": 2}, CertificationError),
+    "negative-zero": ({"x": 0.0}, {"x": -0.0}, CertificationError),
+    "missing-field": ({"x": 1, "y": 2}, {"x": 1}, ParseError),
+    "extra-field": ({"x": 1}, {"x": 1, "y": 2}, CertificationError),
+    "shorter-list": ({"x": [1, 2]}, {"x": [1]}, CertificationError),
+    "longer-list": ({"x": [1]}, {"x": [1, 2]}, CertificationError),
+    "value-sorts-first": ({"b": 1, "a": 1}, {"b": 1.0, "a": 2}, CertificationError),
+    "type-sorts-first": ({"b": 1, "a": 1}, {"b": 2, "a": 1.0}, ParseError),
+    "missing-sorts-first": ({"b": [1], "a": 1}, {"b": [1, 2]}, ParseError),
+    "nested-value-first": ({"a": {"z": [0, 1]}, "b": 1}, {"a": {"z": [0, 2]}, "b": "1"},
+                           CertificationError),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPARATOR_CASES))
+def test_require_derived_first_difference(case):
+    derived, stored, error = COMPARATOR_CASES[case]
+    with pytest.raises(error):
+        jsonio.require_derived("test", derived, stored)
+
+
+def test_require_derived_names_the_path_and_takes_nan():
+    nan = {"rhs": float("nan"), "rows": ["00", "01"]}
+    jsonio.require_derived("test", nan, json.loads(json.dumps(nan)))
+    stored = {"rhs": float("nan"), "rows": ["00", "11"]}
+    with pytest.raises(CertificationError, match=r"^stored rows\[1\] differs from the derived one$"):
+        jsonio.require_derived("test", nan, stored)
+    with pytest.raises(ParseError, match="^bad test artifact: missing field 'rhs'$"):
+        jsonio.require_derived("test", nan, {"rows": nan["rows"]})

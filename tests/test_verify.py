@@ -261,12 +261,13 @@ def test_report_json_roundtrip_and_tamper(tmp_path, capsys):
     text = path.read_text()
     derived = jsonio.parse_certificate(json.loads(text), str(tmp_path), jsonio.ArtifactCache())
     assert jsonio.dumps_canonical(derived) == text
-    for field, value in (("classification", "MUB"),
-                         ("beta", {"float": 3.0, "max_ip": {"a": ["3", "1"], "b": ["0", "1"]}})):
+    for field, value, at in (
+            ("classification", "MUB", "classification"),
+            ("beta", {"float": 3.0, "max_ip": {"a": ["3", "1"], "b": ["0", "1"]}}, "beta.float")):
         obj = json.loads(text)
         obj["report"][field] = value
         path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert cli.main(["verify", str(path)]) == 5
         assert capsys.readouterr().out == (f"{path}: certificate: CHECK FAILED: stored "
-                                           f"report.{field} differs from the derived one\n")
+                                           f"report.{at} differs from the derived one\n")
