@@ -31,20 +31,39 @@ Scalar = Union[int, Fraction, "QuadNum"]
 MAX_FIELD_SIZE = 1 << 14
 
 
+def _factor(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p**e over the primes p dividing n >= 1, in
+    ascending p: the power of 2 from the lowest set bit, then trial division
+    by odd d."""
+    out = {}
+    e = (n & -n).bit_length() - 1
+    if e:
+        out[2] = e
+        n >>= e
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out[d] = e
+        d += 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def square_free_split(n: int) -> tuple[int, int]:
     """Return (f, core) with n = f*f*core and core squarefree."""
     if n <= 0:
         raise DomainError(f"radicand must be positive, got {n}")
-    f, core, d = 1, 1, 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-            f *= d
-        if n % d == 0:
-            n //= d
-            core *= d
-        d += 1
-    return f, core * n
+    f = core = 1
+    for p, e in _factor(n).items():
+        f *= p ** (e >> 1)
+        if e & 1:
+            core *= p
+    return f, core
 
 
 def exact_sqrt(n: int) -> Scalar:
@@ -287,46 +306,10 @@ def quad_to_float(x: Scalar, precision: int = 53) -> float:
 # Finite fields GF(p^e), p odd
 # ---------------------------------------------------------------------------
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_power_split(q: int) -> tuple[int, int] | None:
     """Return (p, e) with q = p**e, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-    return (q, 1)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    factors = _factor(q) if q >= 2 else {}
+    return next(iter(factors.items())) if len(factors) == 1 else None
 
 
 class GfField:
@@ -341,7 +324,7 @@ class GfField:
     """
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p) or p == 2:
+        if p == 2 or prime_power_split(p) != (p, 1):
             raise DomainError(f"p={p} is not an odd prime")
         if e < 1:
             raise DomainError(f"degree must be >= 1, got {e}")
@@ -385,7 +368,7 @@ class GfField:
         frob = self._poly_powmod(x, p**e, poly)
         if frob != x:
             return False
-        for r in _prime_factors(e):
+        for r in _factor(e):
             g = self._poly_gcd(
                 self._poly_sub(self._poly_powmod(x, p ** (e // r), poly), x), poly
             )
@@ -474,7 +457,7 @@ class GfField:
         import numpy as np
 
         q = self.q
-        order_factors = _prime_factors(q - 1)
+        order_factors = _factor(q - 1)
         gen = None
         for g in range(1, q):
             if all(self._pow_poly(g, (q - 1) // r) != 1 for r in order_factors):

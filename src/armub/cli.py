@@ -38,10 +38,9 @@ any other difference exits 5 and names its JSON path.  The inputs are:
                row_select, col_select, row_negate, col_negate, variant),
                from which Y is derived and certified exactly as
                construction does, and "partial"
-  rbd          the recipe of the affine design (d, k, s, r, field),
-               certified by verify_rbd; verify says that the design's
-               mu = 1 was certified by the line theorem (for a basis-set
-               too)
+  rbd          the recipe of the affine design (k, s), certified by
+               verify_rbd; verify says that the design's mu = 1 was
+               certified by the line theorem (for a basis-set too)
   basis-set    the references "rbd" and "epsh" (file name and sha256)
   certificate  "config" (k, s, t, d, scope) and the reference "bases"
 
@@ -210,10 +209,10 @@ def cmd_verify(args) -> int:
                 artifacts.parse(path, jsonio.parse_rbd)
                 note = _MU_NOTE
             elif kind == "basis-set":
-                jsonio.parse_basis_set(obj, os.path.dirname(path), artifacts)
+                artifacts.parse(path, jsonio.parse_basis_set, resolving=True)
                 note = _MU_NOTE
             elif kind == "certificate":
-                certificate = jsonio.parse_certificate(obj, os.path.dirname(path), artifacts)
+                certificate = artifacts.parse(path, jsonio.parse_certificate, resolving=True)
                 if not certificate["ok"]:
                     raise CertificationError("certificate contains failing checks")
             else:
@@ -234,7 +233,7 @@ def cmd_ledger(args) -> int:
     kind = jsonio.detect_kind(obj)
     if kind != "certificate":
         raise ParseError(f"ledger needs a certificate, got {kind!r}")
-    certificate = jsonio.parse_certificate(obj, os.path.dirname(args.file), artifacts)
+    certificate = artifacts.parse(args.file, jsonio.parse_certificate, resolving=True)
     sys.stdout.write(jsonio.dumps_canonical(certificate["ledger"]))
     return EXIT_OK if certificate["ok"] else EXIT_CHECK_FAILED
 

@@ -108,21 +108,14 @@ def _check_budget(order: int):
 
 
 def sylvester(doublings: int) -> SignMatrix:
-    """H of order 2**doublings via iterated H (x) [[1,1],[1,-1]]."""
+    """H of order 2**doublings by doubling H -> [[H, H], [H, -H]]."""
     if doublings < 0:
         raise DomainError("doublings must be >= 0")
     order = 1 << doublings
     _check_budget(order)
-    idx = np.arange(order)
-    # Sylvester entry (i, j) = (-1)^popcount(i & j)
-    pop = np.bitwise_count(idx[:, None] & idx[None, :]) if hasattr(np, "bitwise_count") else None
-    if pop is None:
-        pop = np.zeros((order, order), dtype=np.int64)
-        vals = idx[:, None] & idx[None, :]
-        while vals.any():
-            pop += vals & 1
-            vals >>= 1
-    rows = np.where(pop % 2 == 0, 1, -1).astype(np.int8)
+    rows = np.ones((1, 1), dtype=np.int8)
+    for _ in range(doublings):
+        rows = np.block([[rows, rows], [rows, -rows]])
     return _verified(rows, f"sylvester({doublings})")
 
 

@@ -25,9 +25,9 @@ arrays.  The inputs of each kind:
   ``row_negate``, ``col_negate`` and ``variant`` of ``provenance``; and
   ``partial``.  Y is derived and certified again from them; k, m, both
   epsilons and the rest of the provenance are derived.
-* ``rbd``: d, k, s, r and ``"field": {"p", "e", "modulus"}``, the recipe
-  of the affine design over GF(p^e) (modulus little-endian, monic),
-  certified by ``verify_rbd``; mu and the provenance are derived.
+* ``rbd``: k and s, the recipe of the affine design over GF(s),
+  certified by ``verify_rbd``; d, r, ``"field": {"p", "e", "modulus"}``
+  (modulus little-endian, monic), mu and the provenance are derived.
 * ``basis-set``: two references, ``"rbd"`` and ``"epsh"``, each
   ``{"file", "sha256"}``: the plain file name of a sibling artifact in the
   same directory and the SHA-256 of its bytes.  A parse reads the
@@ -87,22 +87,23 @@ def write_atomic(path: str, text: str):
         raise
 
 
-def load_json(path: str, digest: bool = False):
-    """The JSON value in the file at path; with ``digest``, the pair (SHA-256
-    hex digest of the file's bytes, value), from one read."""
+def load_json(path: str) -> tuple[str, object]:
+    """(SHA-256 hex digest of the file's bytes, JSON value) of the file at
+    path, from one read."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         obj = json.loads(data)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return (hashlib.sha256(data).hexdigest(), obj) if digest else obj
+    return hashlib.sha256(data).hexdigest(), obj
 
 
 class ArtifactCache:
     """The artifacts of one verify batch.  Each file is read once, and each
     parser runs once per distinct file content, keyed by the SHA-256 of the
-    file's bytes, so an artifact that several files refer to is parsed and
+    file's bytes (and by the file's directory for a parser that resolves
+    references), so an artifact that several files refer to is parsed and
     certified once.  Failures are not kept: a bad file fails each time."""
 
     def __init__(self):
@@ -113,16 +114,19 @@ class ArtifactCache:
         """(SHA-256 hex digest of the file's bytes, JSON value)."""
         key = os.path.abspath(path)
         if key not in self._files:
-            self._files[key] = load_json(path, digest=True)
+            self._files[key] = load_json(path)
         return self._files[key]
 
-    def parse(self, path: str, parser):
+    def parse(self, path: str, parser, resolving: bool = False):
         """parser applied to the JSON value of the file at path, once per
-        file content."""
+        file content.  A ``resolving`` parser reads the files its artifact
+        refers to: it is called as parser(obj, directory, cache) and runs
+        once per file content and directory."""
         digest, obj = self.load(path)
-        key = (digest, parser)
+        directory = os.path.dirname(path)
+        key = (digest, parser, os.path.abspath(directory) if resolving else None)
         if key not in self._parsed:
-            self._parsed[key] = parser(obj)
+            self._parsed[key] = parser(obj, directory, self) if resolving else parser(obj)
         return self._parsed[key]
 
 
@@ -380,19 +384,15 @@ def rbd_obj(r: Rbd) -> dict:
 
 
 def parse_rbd(obj) -> Rbd:
-    """The design of an rbd artifact's recipe, certified by ``verify_rbd``;
-    the artifact must be the one the recipe derives."""
+    """The design of an rbd artifact's recipe (k, s), certified by
+    ``verify_rbd``; the artifact must be the one the recipe derives."""
     _current_form("rbd", obj, ("classes",),
                   "an rbd holds the affine recipe 'field'; write it again with armub "
                   "rbd or armub armub")
     try:
-        d, k, s, r = (int_parse(obj[name], name) for name in ("d", "k", "s", "r"))
-        field = obj["field"]
-        field = (int_parse(field["p"], "field.p"), int_parse(field["e"], "field.e"),
-                 _int_list(field["modulus"], "field.modulus"))
-    except (KeyError, TypeError) as exc:
+        design = Rbd(*(int_parse(obj[name], name) for name in ("k", "s")))
+    except KeyError as exc:
         raise ParseError(f"bad rbd artifact: {exc}") from exc
-    design = Rbd(k, s, field, d=d, r=r)
     cert = verify_rbd(design)
     if not cert.valid:
         raise CertificationError(f"design re-check failed: {cert.violations}")
@@ -564,8 +564,8 @@ def parse_certificate(obj, directory: str, artifacts: ArtifactCache) -> dict:
             raise ParseError(f"bad certificate artifact: missing field {name!r}")
     t, scope = _config_parse(obj["config"])
     path, ref = _referenced("certificate", obj, "bases", directory, artifacts)
-    _, bases = artifacts.load(path)
-    derived = certificate_obj(parse_basis_set(bases, directory, artifacts), t, scope, ref)
+    bs = artifacts.parse(path, parse_basis_set, resolving=True)
+    derived = certificate_obj(bs, t, scope, ref)
     require_derived("certificate", derived, obj)
     return derived
 

@@ -77,7 +77,7 @@ def test_assemble_order_mismatch():
 
 
 def test_assemble_requires_certified_mu():
-    r = Rbd(2, 3, build_affine_rbd(2, 3).field)  # mu not certified
+    r = Rbd(2, 3)  # mu not certified
     y = EpsHadamard.from_sign_hadamard(sylvester(1))
     with pytest.raises(DomainError):
         assemble(r, y)

@@ -457,7 +457,7 @@ def _without(obj, field):
 
 @pytest.mark.parametrize("mutate, message", [
     (lambda obj: _set(obj, classes=OLD_CLASSES_3_5), "unknown field 'classes'"),
-    (lambda obj: _without(obj, "field"), "bad rbd artifact: 'field'"),
+    (lambda obj: _without(obj, "field"), "missing field 'field'"),
 ], ids=["classes-present", "field-missing"])
 def test_rbd_needs_exactly_one_form_exit_4(tmp_path, pipeline_dir, capsys, mutate, message):
     bad = _dump(mutate(_load(pipeline_dir / "rbd.json")), tmp_path / "rbd.json")
@@ -480,8 +480,8 @@ def test_rbd_beyond_the_old_budget(tmp_path, capsys):
 # (k, s) of the recipe, the fields replaced, and a part of the violation
 RECIPE_TAMPERS = {
     "k-above-s": ((3, 5), {"k": 6, "d": 30}, "1 <= k <= s"),
-    "r-not-s": ((3, 5), {"r": 4}, "r = s classes"),
-    "d-not-ks": ((3, 5), {"d": 16}, "d must equal k*s"),
+    "r-not-s": ((3, 5), {"r": 4}, "stored r differs from the derived one"),
+    "d-not-ks": ((3, 5), {"d": 16}, "stored d differs from the derived one"),
     "even-s": ((3, 5), {"s": 4, "d": 12, "r": 4,
                         "field": {"p": 2, "e": 2, "modulus": [1, 1, 1]}}, "odd prime power"),
     "non-prime-power-s": ((3, 5), {"s": 15, "d": 45, "r": 15}, "odd prime power"),
@@ -489,11 +489,11 @@ RECIPE_TAMPERS = {
                                       "field": {"p": 3, "e": 10, "modulus": [1] * 11}},
                              "odd prime power of at most"),
     "field-of-other-order": ((3, 125), {"field": {"p": 125, "e": 1, "modulus": [0, 1]}},
-                             "does not have s=125 elements"),
+                             "stored field.e differs from the derived one"),
     "wrong-modulus": ((3, 125), {"field": {"p": 5, "e": 3, "modulus": [4, 1, 0, 1]}},
-                      "not the certified modulus [1, 1, 0, 1]"),
+                      "stored field.modulus[0] differs from the derived one"),
     "reducible-modulus": ((3, 125), {"field": {"p": 5, "e": 3, "modulus": [0, 0, 0, 1]}},
-                          "not the certified modulus"),
+                          "stored field.modulus[0] differs from the derived one"),
     "declared-mu-0": ((3, 5), {"mu": 0}, "stored mu differs from the derived one"),
 }
 
@@ -600,6 +600,27 @@ def test_verify_batch_certifies_each_artifact_once(pipeline_dir, monkeypatch, ca
     assert cli.main(["verify", *files]) == 0
     assert capsys.readouterr().out.count(": ok") == 4
     assert calls == {"verify_orthogonal": 1, "is_hadamard": 1}
+
+
+@pytest.mark.parametrize("order", [sorted, lambda files: sorted(files, reverse=True)],
+                         ids=["bases-first", "certificate-first"])
+def test_verify_batch_assembles_the_bases_once(pipeline_dir, monkeypatch, capsys, order):
+    """The certificate's basis-set and the basis-set file itself are one
+    artifact content in one directory: one parse, one assembly."""
+    calls = {"parse_basis_set": 0, "assemble": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(jsonio, name, counted)
+
+    spy("parse_basis_set", jsonio.parse_basis_set)
+    spy("assemble", jsonio.assemble)
+    files = order(str(p) for p in pipeline_dir.iterdir())
+    assert cli.main(["verify", *files]) == 0
+    assert capsys.readouterr().out.count(": ok") == 4
+    assert calls == {"parse_basis_set": 1, "assemble": 1}
 
 
 def test_design_artifacts_stay_small(tmp_path, capsys):

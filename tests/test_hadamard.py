@@ -44,6 +44,11 @@ def test_sylvester_small():
     assert sylvester(1).rows.tolist() == [[1, 1], [1, -1]]
     h8 = sylvester(3)
     assert h8.order == 8 and gram_oracle(h8)
+    for doublings in range(7):
+        n = 1 << doublings
+        # Sylvester entry (i, j) = (-1)^popcount(i & j)
+        popcount = [[(-1) ** bin(i & j).count("1") for j in range(n)] for i in range(n)]
+        assert sylvester(doublings).rows.tolist() == popcount
 
 
 def test_sylvester_rejects_negative():

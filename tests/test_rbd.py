@@ -18,19 +18,19 @@ def test_build_small():
 
 
 def test_even_s_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="s=2 is not an odd prime power"):
         build_affine_rbd(2, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="s=4 is not an odd prime power"):
         build_affine_rbd(3, 4)
 
 
 def test_k_above_s_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="1 <= k <= s, got k=4, s=3"):
         build_affine_rbd(4, 3)
 
 
 def test_non_prime_power_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="s=15 is not an odd prime power"):
         build_affine_rbd(3, 15)
 
 
