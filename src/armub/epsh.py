@@ -34,11 +34,12 @@ because several reported per-case expressions track only that side.
 
 Split search (`best_reduction`) scores candidates without building them.
 For a fixed U (signs applied) and variant, the magnitude codes a split's
-entries take fit one 64-bit occurrence mask.  The masks come from the rows
-of H held as column bitsets, one AND-NOT per split and row; a negation of
-the selected rows or columns permutes the mask's bits by XOR.  The screen
-evaluates each code's exact magnitude once per (U, variant) that occurs, by
-the route EpsHadamard takes, as an integer key (p, q, L) for
+entries take fit one 64-bit occurrence mask.  The masks are read off exact
+counts of the codes, formed for blocks of splits at a time as float32
+products of 0/1 arrays whose every partial sum is an integer below 2^24; a
+negation of the selected rows or columns permutes the mask's bits by XOR.
+The screen evaluates each code's exact magnitude once per (U, variant) that
+occurs, by the route EpsHadamard takes, as an integer key (p, q, L) for
 (p + q*sqrt(c))/L, and ranks every epsilon exactly on one scale and checks
 the window on those keys, with integer sign tests only.  A candidate's
 epsilon is the largest among the codes in its mask, which is exactly the
@@ -447,15 +448,17 @@ class EpsHadamard:
 
         # H's sign bits on the split, negations applied
         rows, cols = list(provenance.row_select), list(provenance.col_select)
-        keep_r, keep_c = _rest_mask(rows, m), _rest_mask(cols, m)
+        keep_r, keep_c = np.ones((2, m), dtype=bool)
+        keep_r[rows], keep_c[cols] = False, False
         self._rest = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
         rn, cn = np.array(provenance.row_negate, bool), np.array(provenance.col_negate, bool)
         h = source.rows
         self._u = (BlockSplit(source, rows, cols, provenance.row_negate,
                               provenance.col_negate).u_matrix() if t
                    else np.zeros((0, 0), dtype=np.int64)).astype(object)
-        self._w = _bit_codes((h[:, cols] < 0)[keep_r] ^ cn)  # bit a of w_i: W_ia = -1
-        self._v = _bit_codes(((h[rows] < 0)[:, keep_c] ^ rn[:, None]).T)  # bit a of v_j: V_aj = -1
+        bit = 1 << np.arange(t, dtype=np.uint8)
+        self._w = ((h[:, cols] < 0)[keep_r] ^ cn) @ bit  # bit a of w_i: W_ia = -1
+        self._v = ((h[rows] < 0)[:, keep_c] ^ rn[:, None]).T @ bit  # bit a of v_j: V_aj = -1
         self.verify_orthogonal()
         self._scan_entries((h[keep_r] < 0)[:, keep_c])
         self._certify_window()
@@ -627,19 +630,6 @@ class EpsHadamard:
         )
         empty = np.zeros((0, 0), dtype=object)
         return cls(h, prov, (1, 1, empty, empty))
-
-
-def _rest_mask(selected: list[int], order: int) -> np.ndarray:
-    """Boolean mask of the indices below ``order`` not in ``selected``."""
-    keep = np.ones(order, dtype=bool)
-    keep[selected] = False
-    return keep
-
-
-def _bit_codes(bits: np.ndarray) -> np.ndarray:
-    """uint8 code per row of a boolean (n, t) array: bit a is bits[:, a]."""
-    return (bits.astype(np.uint8) << np.arange(bits.shape[1], dtype=np.uint8)).sum(
-        axis=1, dtype=np.uint8)
 
 
 def _corner_form(c, m: int) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -915,47 +905,14 @@ _VARIANTS = ("Y2", "Y1")  # evaluation order of the two variants of a split
 _SCREEN_BUDGET = 1 << 16  # elements per working array of the screen
 
 
-def _scope_size(order: int, t: int, scope: str) -> int:
-    if scope == "corner-only":
-        return 1
-    pairs = math.comb(order, t) ** 2
-    if scope == "permutations-and-negations":
-        pairs *= 4**t
-    return pairs
-
-
 def _scope_axes(order: int, t: int, scope: str):
-    """(index selections as an (n, t) array, negation masks), each in search
-    order; rows and columns share the selections.  Bit a of a mask negates
-    selected row/column a."""
-    if scope == "corner-only":
-        selections = [tuple(range(t))]
-    else:
-        selections = list(itertools.combinations(range(order), t))
-    if scope == "permutations-and-negations":
-        masks = [
-            sum(int(b) << a for a, b in enumerate(neg))
-            for neg in itertools.product((False, True), repeat=t)
-        ]
-    else:
-        masks = [0]
-    return np.array(selections, dtype=np.intp), masks
-
-
-def _mask_tuple(mask: int, t: int) -> tuple[bool, ...]:
-    return tuple(bool(mask >> a & 1) for a in range(t))
-
-
-def _bitsets(cells: np.ndarray) -> np.ndarray:
-    """Bitsets over the last axis of a boolean array, as words of the
-    smallest unsigned type that holds M bits, or ceil(M/64) uint64 words;
-    only used through AND, AND-NOT and tests for zero."""
-    packed = np.packbits(cells, axis=-1, bitorder="little")
-    size = packed.shape[-1]
-    word = 8 if size > 4 else 1 << (size - 1).bit_length()
-    out = np.zeros(packed.shape[:-1] + (-(-size // word) * word,), dtype=np.uint8)
-    out[..., :size] = packed
-    return out.view(f"u{word}")
+    """(index selections as an (n, t) array, negations as t-tuples of
+    bools), each in search order; rows and columns share both."""
+    selections = ([tuple(range(t))] if scope == "corner-only"
+                  else list(itertools.combinations(range(order), t)))
+    negs = (list(itertools.product((False, True), repeat=t))
+            if scope == "permutations-and-negations" else [(False,) * t])
+    return np.array(selections, dtype=np.intp), negs
 
 
 def _xor_permuted(masks: np.ndarray, flips: np.ndarray) -> np.ndarray:
@@ -969,50 +926,85 @@ def _xor_permuted(masks: np.ndarray, flips: np.ndarray) -> np.ndarray:
     return out[:, flips]
 
 
-def _occurrence(signs: np.ndarray, t: int, sel: np.ndarray,
-                bases: int) -> tuple[np.ndarray, np.ndarray]:
-    """(occ, u) of the first ``bases`` bases (rows sel[b // n], columns
-    sel[b % n]) of the sign matrix ``signs``, no negations applied: bit
-    (w' << t) | v of occ[b] is set when an entry has that magnitude index,
-    and bit a*t+b of u[b] when U_ab = -1.
+def _codes(signs: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """(len(sel), M) uint8: bit a of out[r, j] is set where row sel[r, a] is
+    -1 in column j (of H, V-codes; of H^T, the W-codes of columns)."""
+    return sum((signs[sel[:, a]] < 0).astype(np.uint8) << a for a in range(sel.shape[1]))
 
-    For rows R, a[i, d, v] holds the columns where row i of H has sign d
-    and v_j = v; one AND-NOT with the bitset of columns C leaves the
-    (d, v) that row i takes, at index w' = w_i(C) xor d*(2^t - 1).
-    Bases are batched in search order across row selections.
+
+def _u_codes(signs: np.ndarray, rsel: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(rows, cols) int16 U codes of row by column selections: bit a*t+e is
+    set when U_ae = -1."""
+    t = rsel.shape[1]
+    return sum((signs[rsel[:, a, None], cols[:, e]] < 0).astype(np.int16) << a * t + e
+               for a, e in itertools.product(range(t), repeat=2))
+
+
+def _tiles(sel: np.ndarray, start: int, stop: int, size: int):
+    """(lo, rsel, cols) per tile of the bases start..stop-1: rsel by cols,
+    row by row, are the bases from lo on; whole row selections within
+    ``size`` bases, else a run of at most ``size`` in one."""
+    n = len(sel)
+    while start < stop:
+        r, c = divmod(start, n)
+        if c == 0 and n <= min(size, stop - start):
+            rsel, cols = sel[r:r + min(size, stop - start) // n], sel
+        else:
+            rsel, cols = sel[r:r + 1], sel[c:min(n, c + stop - start, c + size)]
+        yield start, rsel, cols
+        start += len(rsel) * len(cols)
+
+
+def _occurrence(signs: np.ndarray, t: int, sel: np.ndarray, bases: int,
+                start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(occ, u) of the bases start..bases-1 (rows sel[b // n], columns
+    sel[b % n]) of ``signs``, no negations applied: bit (w' << t) | v of
+    occ[b] is set when an entry has that magnitude index, and bit a*t+e of
+    u[b] when U_ae = -1.
+
+    For rows R with V-codes y_j, K[(d, i), v] counts the columns j with
+    sign bit d in row i and y_j = v, rows of R zeroed.  For columns C with
+    W-codes x_i, N[w', v] = sum_(d, i) [x_i xor d*(2^t - 1) = w'] K[(d, i), v]
+    less, per column c_a of C, the rows i outside R with z_a(x_i) = w' at
+    v = y_(c_a), z_a(x) = x xor bit_a(x)*(2^t - 1); the bit is set where
+    N > 0.  K and N are float32 products of 0/1 arrays and counts whose
+    partial sums are integers of at most (M - t)*M < 2^24, exact in any
+    order.  H stays int8, read in row blocks, and no working array holds
+    more than _SCREEN_BUDGET elements.
     """
-    m, span = len(signs), 1 << t
-    bits = (signs < 0).astype(np.uint8)  # bits[i, j]: H_ij = -1
-    halves = _bitsets(np.stack([bits == 0, bits == 1], axis=1))  # (i, d, word)
-    drop = np.bitwise_or.reduce(_bitsets(np.eye(m, dtype=bool))[sel], axis=1)
-    u_weights = (1 << np.arange(t * t)).reshape(t, t)
-    chunk = max(1, _SCREEN_BUDGET // (m * 2 * span))
-    occ = np.empty(bases, dtype=np.uint64)
-    u = np.empty(bases, dtype=np.int16)
-    for start in range(0, bases, chunk):
-        base = np.arange(start, min(start + chunk, bases))
-        n = len(base)
-        r, c = np.divmod(base, len(sel))
-        rsel, r = np.unique(r, return_inverse=True)
-        rows, cols = sel[rsel], sel[c]
-        v = sum(bits[rows[:, a]] << a for a in range(t))  # (rows, j)
-        groups = _bitsets(v[:, None, :] == np.arange(span)[:, None])  # (rows, v, word)
-        a = halves[None, :, :, None] & groups[:, None, None]  # (rows, i, d, v, word)
-        a[np.arange(len(rows))[:, None], rows] = 0  # rows of U and V hold no entry
-        a = np.moveaxis(a, -1, 0).reshape(a.shape[-1], len(rows), -1)
-        for word, (part, gone) in enumerate(zip(a, drop[c].T)):
-            x = part[r]
-            x &= ~gone[:, None]
-            live = x != 0 if word == 0 else live | (x != 0)
-        # the span-bit field of surviving v of each (base, i, d), in order
-        packed = np.packbits(live, bitorder="little")[:, None]
-        seen = (packed >> np.arange(0, 8, span, dtype=np.uint8)) & (2**span - 1)
-        w = sum(bits[:, cols[:, b]].T << b for b in range(t))  # (base, i)
-        shift = np.stack([w, w ^ (span - 1)], axis=-1) << t
-        occ[base] = np.bitwise_or.reduce(
-            seen.reshape(n, -1).astype(np.uint64) << shift.reshape(n, -1), axis=1)
-        u[base] = np.einsum("nab,ab->n", bits[rows[r][:, :, None], cols[:, None, :]],
-                            u_weights)
+    m, n, span = len(signs), len(sel), 1 << t
+    assert (m - t) * m < 2**24, f"order {m} is outside the exact float32 range"
+    occ = np.empty(bases - start, dtype=np.uint64)
+    u = np.empty(bases - start, dtype=np.int16)
+    levels = np.arange(span, dtype=np.uint8)
+    clear = ((levels[:, None] >> np.arange(t) & 1) == 0).astype(np.float32)  # [w', a]
+    shift = np.arange(span, dtype=np.uint64)[:, None] * np.uint64(span)  # of w' in a mask
+    step = max(1, _SCREEN_BUDGET // m)  # rows of H per product
+    rows = max(1, _SCREEN_BUDGET // (2 * m * (span + 1)))  # of K
+    for lo, rsel, cols in _tiles(sel, start, bases, rows * n):
+        nr, hi = len(rsel), lo + len(rsel) * len(cols)
+        hot = (_codes(signs, rsel).T[..., None] == levels).astype(np.float32)  # [j, r, v]
+        k = np.ones((2, m, nr, span + 1), dtype=np.float32)  # [d, i, r, v]; v = span: i not in R
+        for i0 in range(0, m, step):  # the columns with sign bit 1, then those with 0
+            k[1, i0:i0 + step, :, :span] = ((signs[i0:i0 + step] < 0).astype(np.float32)
+                                            @ hot.reshape(m, -1)).reshape(-1, nr, span)
+        k[0, ..., :span] = hot.sum(axis=0) - k[1, ..., :span]
+        k[:, rsel.T, np.arange(nr)] = 0  # rows of U and V hold no entry
+        masks = occ[lo - start:hi - start].reshape(nr, -1)
+        per = max(1, _SCREEN_BUDGET // (span * max(2 * m, (span + 1) * nr)))
+        for c0 in range(0, len(cols), per):
+            csel = cols[c0:c0 + per]
+            nc = len(csel)
+            is_w = _codes(signs.T, csel)[:, None, :] == levels[:, None]  # [c, w', i]: x_i = w'
+            both = np.concatenate([is_w, is_w[:, ::-1]], axis=2).astype(np.float32)  # d = 0, 1
+            counts = (both.reshape(nc * span, -1) @ k.reshape(2 * m, -1)).reshape(
+                nc, span, nr, span + 1)
+            # rows outside R at x_i = w' or w' xor (2^t - 1) have z_a(x_i) = w' for a clear in w'
+            taken = (clear @ hot[csel].reshape(nc, t, -1)).reshape(nc, span, nr, span)
+            taken *= counts[..., span:]
+            seen = (counts[..., :span] > taken).view(np.uint8) @ (1 << levels)  # [c, w', r]
+            masks[:, c0:c0 + nc] = np.bitwise_or.reduce(seen.astype(np.uint64) << shift, axis=1).T
+        u[lo - start:hi - start] = _u_codes(signs, rsel, cols).reshape(-1)
     return occ, u
 
 
@@ -1097,18 +1089,21 @@ class _RankEps:
 
 
 class _SplitScreen:
-    """The first ``cap`` splits of a scope, each with one 64-bit occurrence
-    mask, and the exact epsilon rank of each of their candidates.
+    """The first ``cap`` splits of a scope and the exact epsilon rank of each
+    of their candidates; no array it holds grows with their number.
 
     Splits are (rows, cols, negation pair) in search order; base b =
     (rows, cols) is row selection b // n, column selection b % n.  Candidate
     i is split i // 2 with variant _VARIANTS[i % 2], and split s is base
-    s // nneg2 with negation pair s % nneg2.
+    s // nneg2 with negation pair s % nneg2.  A first pass collects the U
+    codes that occur for ``table``; ``ranks`` forms the occurrence masks of
+    a block of bases at a time and ranks them at once.
     """
 
     def __init__(self, h: SignMatrix, t: int, scope: str, cap: int):
         self.h, self.t = h, t
-        self.sel, masks = _scope_axes(h.order, t, scope)
+        self.sel, self.negs = _scope_axes(h.order, t, scope)
+        masks = [sum(b << a for a, b in enumerate(neg)) for neg in self.negs]  # bit a: negate a
         self.nneg2 = len(masks) ** 2
         self.rn = np.repeat(masks, len(masks))  # row mask of negation pair index
         self.cn = np.tile(masks, len(masks))  # column mask of negation pair index
@@ -1116,20 +1111,27 @@ class _SplitScreen:
             (((self.rn >> a) ^ (self.cn >> b)) & 1) << (a * t + b)
             for a, b in itertools.product(range(t), repeat=2))
         self.flips = (self.cn << t) | self.rn  # W -> W * cn, V -> rn * V; D unchanged
-        self.splits = min(cap, len(self.sel) ** 2 * self.nneg2)
+        self.size = len(self.sel) ** 2 * self.nneg2  # splits in scope
+        self.splits = min(cap, self.size)
         if self.splits <= 0:
             raise DomainError("no candidate splits in scope")
-        self.occ, self.u = _occurrence(h.rows, t, self.sel, -(-self.splits // self.nneg2))
-        u_codes = (self.u[:, None] ^ self.u_flip).reshape(-1)[: self.splits]
-        self.table = _EpsScreen(np.unique(u_codes), t, h.order)
+        self.bases = -(-self.splits // self.nneg2)
+        seen = np.zeros(1 << t * t, dtype=bool)  # U codes of the bases before the last
+        for _, rsel, cols in _tiles(self.sel, 0, self.bases - 1, _SCREEN_BUDGET):
+            seen[_u_codes(h.rows, rsel, cols)] = True
+        r, c = divmod(self.bases - 1, len(self.sel))  # the last base, maybe not every negation
+        last = _u_codes(h.rows, self.sel[r:r + 1], self.sel[c:c + 1])[0, 0]
+        u_codes = np.union1d((np.flatnonzero(seen)[:, None] ^ self.u_flip).reshape(-1),
+                             last ^ self.u_flip[:self.splits - (self.bases - 1) * self.nneg2])
+        self.table = _EpsScreen(u_codes, t, h.order)
 
     def candidate(self, i: int) -> tuple[BlockSplit, str]:
         s, vi = divmod(i, 2)
         base, ni = divmod(s, self.nneg2)
         r, c = divmod(base, len(self.sel))
-        split = BlockSplit(self.h, self.sel[r], self.sel[c],
-                           _mask_tuple(int(self.rn[ni]), self.t),
-                           _mask_tuple(int(self.cn[ni]), self.t))
+        row_negate, col_negate = divmod(ni, len(self.negs))
+        split = BlockSplit(self.h, self.sel[r], self.sel[c], self.negs[row_negate],
+                           self.negs[col_negate])
         return split, _VARIANTS[vi]
 
     def ranks(self):
@@ -1138,23 +1140,26 @@ class _SplitScreen:
         with a magnitude outside the window."""
         table, per_base = self.table, self.nneg2 * 2
         chunk = max(1, _SCREEN_BUDGET // (per_base * table.levels.shape[-1]))
-        for start in range(0, len(self.occ), chunk):
-            occ = _xor_permuted(self.occ[start:start + chunk], self.flips)  # (n, negations)
-            ui = table.lut[self.u[start:start + chunk, None] ^ self.u_flip]
-            # candidates past the cap (U codes outside the table) are cut off
-            ranks = table.ranks(occ, ui).reshape(-1)[: 2 * self.splits - start * per_base]
-            hits = np.flatnonzero(ranks == table.sentinel)
-            if hits.size:
-                i = int(hits[0])
-                split, variant = self.candidate(start * per_base + i)
-                b, ni = divmod(i // 2, self.nneg2)
-                av = table.violation(int(occ[b, ni]), int(ui[b, ni]), i % 2)
-                lo, hi = table.window
-                raise CertificationError(
-                    f"entry magnitude {av} outside window [{lo}, {hi}] "
-                    f"in {split!r} {variant}"
-                )
-            yield start * per_base, ranks
+        for first, rsel, cols in _tiles(self.sel, 0, self.bases, _SCREEN_BUDGET):
+            masks, codes = _occurrence(self.h.rows, self.t, self.sel,
+                                       first + len(rsel) * len(cols), first)
+            for at in range(0, len(masks), chunk):
+                start = first + at
+                occ = _xor_permuted(masks[at:at + chunk], self.flips)  # (n, negations)
+                ui = table.lut[codes[at:at + chunk, None] ^ self.u_flip]
+                # candidates past the cap (U codes outside the table) are cut off
+                ranks = table.ranks(occ, ui).reshape(-1)[: 2 * self.splits - start * per_base]
+                hits = np.flatnonzero(ranks == table.sentinel)
+                if hits.size:
+                    i = int(hits[0])
+                    split, variant = self.candidate(start * per_base + i)
+                    b, ni = divmod(i // 2, self.nneg2)
+                    av = table.violation(int(occ[b, ni]), int(ui[b, ni]), i % 2)
+                    lo, hi = table.window
+                    raise CertificationError(f"entry magnitude {av} outside window "
+                                             f"[{lo}, {hi}] in {split!r} {variant}")
+                yield start * per_base, ranks
+            del masks, codes  # freed before the next block is formed
 
 
 def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
@@ -1162,23 +1167,17 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
     """Minimum-epsilon reduction over the splits in scope.
 
     Both variants of every candidate split are scored exactly, without
-    building them: for a fixed U (signs applied) and variant, an entry of Y
-    is D_ij/sqrt(M) + w_i^T C v_j, where C is the t x t coefficient matrix
-    ``reduce_split`` builds from (the closed form of every U).  So
-    |Y_ij| depends only on the magnitude index (D_ij w_i, v_j), one of
-    2^(2t) <= 64, and a candidate's epsilon is the largest epsilon among the
-    indices its entries take.  The screen evaluates each index's exact
-    |value| once per (U, variant) that occurs, as an integer key, ranks all
-    epsilons by merging the keys below and above 1/sqrt(k) and checks the
-    window on the keys (``_EpsScreen``; each side, each comparison of two
-    epsilons and each window bound is one integer sign test), and per split
-    computes only one 64-bit mask of the indices that occur, by bitset
-    AND-NOT over the rows of H, batched across row selections.  It is
-    exact: two candidates compare as their rebuilt ``EpsHadamard`` epsilons
-    would, and an occurring index outside the reduction window raises
-    CertificationError as the candidate's construction would.  The winner's
-    screened epsilon is checked against its rebuilt one by ``ExactEps.cmp``,
-    an independent route.
+    building them: |Y_ij| depends only on the magnitude index
+    (D_ij w_i, v_j), one of 2^(2t) <= 64, so a candidate's epsilon is the
+    largest epsilon among the indices its entries take.  The screen ranks
+    the exact epsilon of each index once per (U, variant) that occurs, with
+    integer sign tests only (``_EpsScreen``), and per split forms one 64-bit
+    mask of the indices that occur, from exact counts, a block of splits at
+    a time (``_occurrence``).  Two candidates compare as their rebuilt
+    ``EpsHadamard`` epsilons would, and an occurring index outside the
+    reduction window raises CertificationError as the candidate's
+    construction would.  The winner's screened epsilon is checked against
+    its rebuilt one by ``ExactEps.cmp``, an independent route.
 
     Splits are searched in the order (rows, cols, row negations, col
     negations), variant Y2 before Y1, and the first minimum wins: ties break
@@ -1210,7 +1209,7 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
         raise CertificationError(
             f"screened epsilon {search.table.eps[rank]!r} != rebuilt {y.epsilon!r}"
         )
-    if _scope_size(h.order, t, search_scope) > cap:
+    if search.size > cap:
         raise ResourceLimitError(
             f"search scope exceeds cap of {cap} splits", partial_best=y
         )

@@ -387,8 +387,8 @@ def parse_rbd(obj) -> Rbd:
     """The design of an rbd artifact's recipe (k, s), certified by
     ``verify_rbd``; the artifact must be the one the recipe derives."""
     _current_form("rbd", obj, ("classes",),
-                  "an rbd holds the affine recipe 'field'; write it again with armub "
-                  "rbd or armub armub")
+                  "an rbd holds its recipe 'k' and 's', from which the affine design "
+                  "is derived; write it again with armub rbd or armub armub")
     try:
         design = Rbd(*(int_parse(obj[name], name) for name in ("k", "s")))
     except KeyError as exc:

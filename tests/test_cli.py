@@ -445,8 +445,8 @@ def test_explicit_affine_rbd_exit_4(tmp_path, capsys):
     assert cli.main(["verify", path]) == 4
     assert capsys.readouterr().out == (
         f"{path}: parse error: bad rbd artifact: unknown field 'classes' (an rbd "
-        "holds the affine recipe 'field'; write it again with armub rbd or "
-        "armub armub)\n"
+        "holds its recipe 'k' and 's', from which the affine design is derived; "
+        "write it again with armub rbd or armub armub)\n"
     )
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -646,9 +647,8 @@ def _search(fn, h, t, scope, cap):
 
 # Full scopes, then the first `cap` splits of scopes too large for the
 # per-candidate loop.  The capped t = 3 scopes reach U outside the published
-# lists as well as listed ones.
-# Orders above 64 hold a row of H in more than one 64-bit word, and a cap of
-# 200 at order 12 ends inside the second row selection.
+# lists as well as listed ones.  A cap of 200 at order 12 ends inside the
+# second row selection.
 @pytest.mark.parametrize("order, t, scope, cap", [
     (8, 1, "row-col-permutations", 100_000),
     (8, 2, "row-col-permutations", 100_000),
@@ -677,9 +677,10 @@ def test_screen_matches_candidate_loop(order, t, scope, cap):
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_occurrence_masks_match_entries(t):
     """Each split's occurrence mask and U code, against the entry-by-entry
-    oracle, over row selections that straddle batches.  Order 72 needs two
-    words per row; columns 0-63 are +1, so every magnitude index with
-    D_ij = -1 or v_j != 0 comes from the second word."""
+    oracle, on a sign matrix that is not Hadamard.  Columns 0-63 are +1, so
+    every magnitude index with D_ij = -1 or v_j != 0 rests on the counts of
+    the 8 random columns 64-71, and a count that misses or keeps one column
+    of C shows as a wrong bit."""
     rng = np.random.default_rng(t)
     rows = np.ones((72, 72), dtype=np.int64)
     rows[:, 64:] = rng.choice([1, -1], size=(72, 8))
@@ -690,6 +691,67 @@ def test_occurrence_masks_match_entries(t):
     masks, codes = oracles.occurrence_masks(rows, t, sel, 144)
     assert occ.tolist() == masks
     assert u.tolist() == codes
+
+
+@pytest.mark.parametrize("m, t", [(m, t) for m in (8, 12, 16, 20) for t in (1, 2, 3)])
+def test_occurrence_matches_oracle_on_hadamard_scopes(m, t, monkeypatch):
+    """Masks and U codes equal the oracle's over the first bases of a full
+    scope of H_m, at most 2,000, ending partway through a row selection,
+    and read again as two ranges cut partway through a row selection.  With
+    the screen's budget the bases end partway through a tile of row
+    selections, and at t = 3 partway through a column sub-block as well; a
+    budget of 2^10 gives tiles of a few row selections and sub-blocks of a
+    few columns, many to a range."""
+    rows = find_hadamard(m).rows
+    sel = np.array(list(itertools.combinations(range(m), t)), dtype=np.intp)
+    n = len(sel)
+    bases = min(n * n - 1, 2000)
+    cut = n + n // 2
+    assert bases % n and cut < bases
+    masks, codes = oracles.occurrence_masks(rows, t, sel, bases)
+    for budget in (epsh._SCREEN_BUDGET, 1 << 10):
+        monkeypatch.setattr(epsh, "_SCREEN_BUDGET", budget)
+        occ, u = epsh._occurrence(rows, t, sel, bases)
+        assert occ.tolist() == masks and u.tolist() == codes, budget
+        parts = [epsh._occurrence(rows, t, sel, cut), epsh._occurrence(rows, t, sel, bases, cut)]
+        assert np.concatenate([p[0] for p in parts]).tolist() == masks, budget
+        assert np.concatenate([p[1] for p in parts]).tolist() == codes, budget
+
+
+def test_occurrence_one_base_corner_at_order_256():
+    rows = find_hadamard(256).rows
+    sel = np.array([[0, 1, 2]], dtype=np.intp)
+    occ, u = epsh._occurrence(rows, 3, sel, 1)
+    assert (occ.tolist(), u.tolist()) == oracles.occurrence_masks(rows, 3, sel, 1)
+
+
+def test_occurrence_asserts_the_float32_bound():
+    """The count products are exact while (M - t)*M < 2^24; at order 4097
+    the kernel refuses before it forms any product."""
+    with pytest.raises(AssertionError, match="exact float32 range"):
+        epsh._occurrence(np.ones((4097, 4097), dtype=np.int8), 1,
+                         np.array([[0]], dtype=np.intp), 1)
+
+
+def test_screen_memory_does_not_grow_with_the_scope(monkeypatch):
+    """The screen forms its masks block by block and keeps none: its traced
+    peak, first pass and ranking together, over the full H_16, t = 3 scope
+    (313,600 splits) stays under twice that at a cap of 10,000.  Both runs
+    share one code table, built beforehand for the full scope, so only what
+    depends on the splits is measured."""
+    h = find_hadamard(16)
+    table = epsh._SplitScreen(h, 3, "row-col-permutations", 10**9).table
+    monkeypatch.setattr(epsh, "_EpsScreen", lambda u_codes, t, m: table)
+    peaks = []
+    for cap in (10_000, 10**9):
+        tracemalloc.start()
+        try:
+            search = epsh._SplitScreen(h, 3, "row-col-permutations", cap)
+            assert sum(len(ranks) for _, ranks in search.ranks()) == 2 * min(cap, 313_600)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("order, t, cap", [(8, 2, 64), (16, 3, 16), (68, 2, 40)])
