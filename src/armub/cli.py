@@ -21,7 +21,8 @@ Exit codes (stable contract; CI treats any nonzero as red):
      artifact that differs from the one derived again, and a certificate
      that says "ok": false
   6  resource/enumeration cap exceeded; `epsh --cap` still writes the best
-     split found within the cap, marked "partial": true
+     split found within the cap, marked "partial": true; for verify, a
+     hadamard label whose matrix is past the size budget
 
 `verify` checks every file it is given and exits with the worst code among
 them.  Each file is read once per invocation, and each artifact content
@@ -33,11 +34,13 @@ requires the stored JSON to equal the derived JSON.  The first difference
 in sorted key order decides: a missing field or another JSON type exits 4,
 any other difference exits 5 and names its JSON path.  The inputs are:
 
-  hadamard     order, rows and label; the matrix must be Hadamard
-  eps-hadamard the source H and the split of "provenance" (method,
-               row_select, col_select, row_negate, col_negate, variant),
-               from which Y is derived and certified exactly as
-               construction does, and "partial"
+  hadamard     the recipe: label and order, and H is built again from the
+               label; or, for an H that its label does not build, also the
+               packed rows, and H must be Hadamard
+  eps-hadamard the source H (a hadamard object, as above) and the split
+               of "provenance" (method, row_select, col_select,
+               row_negate, col_negate, variant), from which Y is derived
+               and certified exactly as construction does, and "partial"
   rbd          the recipe of the affine design (k, s), certified by
                verify_rbd; verify says that the design's mu = 1 was
                certified by the line theorem (for a basis-set too)
@@ -53,6 +56,9 @@ an inline "design" or "y", and a certificate with an "artifacts" map of
 file names.
 
 `armub armub` writes four files: epsh, rbd, bases and the certificate.
+It exits 5 when a ledger line that "ok" counts fails.  The beta-lt-2 line
+records an exact observation and is not counted (verify.OBSERVED); its
+printed line says so.
 `ledger` takes a certificate only, verifies it as above and prints the
 derived ledger; a report alone is an unknown artifact kind.
 
@@ -80,6 +86,7 @@ from .errors import (
 )
 from .hadamard import find_hadamard
 from .rbd import build_affine_rbd
+from .verify import OBSERVED
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -184,7 +191,8 @@ def cmd_armub(args) -> int:
     )
     for line in certificate["ledger"]:
         print(f"  [{line['verdict']:4s}] {line['check']}: "
-              f"lhs={line['lhs']:.6g} rhs={line['rhs']:.6g}")
+              f"lhs={line['lhs']:.6g} rhs={line['rhs']:.6g}"
+              + (" (observed; not counted in ok)" if line["check"] in OBSERVED else ""))
     return EXIT_OK if certificate["ok"] else EXIT_CHECK_FAILED
 
 
@@ -224,6 +232,9 @@ def cmd_verify(args) -> int:
         except (ParseError, StructuralError, DomainError) as exc:
             print(f"{path}: parse error: {exc}")
             worst = max(worst, EXIT_PARSE)
+        except ResourceLimitError as exc:
+            print(f"{path}: resource limit: {exc}")
+            worst = max(worst, EXIT_RESOURCE)
     return worst
 
 

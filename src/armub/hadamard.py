@@ -1,21 +1,27 @@
 """Real Hadamard matrices: Sylvester, Paley I/II, Kronecker, order search.
 
-Every constructor re-verifies H * H^T = order * I over the integers before
-flagging the result; the flag is enforced, never assumed.  Constructors
-return sign-normalized matrices (first row and first column all +1), which
-gives the downstream block-selection search a canonical starting point.
+A matrix is flagged ``hadamard_verified`` only once H * H^T = order * I is
+certified exactly; the flag is enforced, never assumed.  H_2 and every
+Paley generator are certified by their integer Gram (``is_hadamard``), a
+Kronecker product of verified factors by structure, since
+(A (x) B)(A (x) B)^T = A A^T (x) B B^T, so no Gram runs on a product;
+``sylvester(m)`` is m such products with H_2.  Constructors return
+sign-normalized matrices (first row and first column all +1), which keeps
+the certificate and gives the block-selection search a canonical start.
+The label of a constructed matrix is its recipe (``from_label``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .algebra import gf_from_order, prime_power_split
-from .errors import DomainError, NotConstructibleError, ResourceLimitError
+from .errors import CertificationError, DomainError, NotConstructibleError, ResourceLimitError
 
 SIZE_BUDGET = 4096  # maximum matrix order
 
@@ -23,8 +29,10 @@ SIZE_BUDGET = 4096  # maximum matrix order
 class SignMatrix:
     """A square matrix with entries in {+1, -1}.
 
-    ``hadamard_verified`` is True only after an exact integer check of
-    H * H^T = order * I.  The entry array is frozen after construction.
+    ``hadamard_verified`` is True only once H * H^T = order * I is
+    certified exactly: by the Gram check, by the structure of the
+    construction, or by the caller that passes ``verified=True``.  The
+    entry array is frozen after construction.
     """
 
     __slots__ = ("order", "rows", "hadamard_verified", "label")
@@ -84,17 +92,19 @@ def is_hadamard(m: SignMatrix) -> HadamardCheck:
 
 
 def _verified(rows: np.ndarray, label: str) -> SignMatrix:
+    """The generator of these rows, certified by its Gram and normalized."""
     m = SignMatrix(rows, label=label)
     check = is_hadamard(m)
     if not check.ok:
-        raise AssertionError(f"constructor produced a non-Hadamard matrix: {label}")
-    return SignMatrix(normalize_signs(m).rows, label=label, verified=True)
+        raise CertificationError(f"generator {label} is not Hadamard at {check.first_violation}")
+    return normalize_signs(SignMatrix(m.rows, label=label, verified=True))
 
 
 def normalize_signs(m: SignMatrix) -> SignMatrix:
     """Flip rows/columns so the first row and column are all +1.
 
-    Row/column negation preserves the Hadamard property.
+    Row/column negation preserves the Hadamard property, so the flag is
+    kept.
     """
     rows = m.rows.astype(np.int8).copy()
     rows *= rows[0:1, :]  # flip columns where first row is -1
@@ -108,23 +118,28 @@ def _check_budget(order: int):
 
 
 def sylvester(doublings: int) -> SignMatrix:
-    """H of order 2**doublings by doubling H -> [[H, H], [H, -H]]."""
+    """H of order 2**doublings by doubling H -> [[H, H], [H, -H]] = H_2 (x) H:
+    H_2 is checked by its Gram, each doubling by structure."""
     if doublings < 0:
         raise DomainError("doublings must be >= 0")
-    order = 1 << doublings
-    _check_budget(order)
+    if doublings > SIZE_BUDGET.bit_length():
+        raise ResourceLimitError(f"order 2**{doublings} exceeds size budget {SIZE_BUDGET}")
+    _check_budget(1 << doublings)
+    h2 = _verified(np.array([[1, 1], [1, -1]]), "sylvester(1)").rows
     rows = np.ones((1, 1), dtype=np.int8)
     for _ in range(doublings):
-        rows = np.block([[rows, rows], [rows, -rows]])
-    return _verified(rows, f"sylvester({doublings})")
+        rows = np.kron(h2, rows)
+    return SignMatrix(rows, label=f"sylvester({doublings})", verified=True)
 
 
 def paley(q: int) -> SignMatrix:
     """Paley construction from quadratic residues of GF(q), q an odd prime power.
 
     q = 3 mod 4 gives type I of order q+1; q = 1 mod 4 gives type II of
-    order 2(q+1).
+    order 2(q+1).  The order is bounded before q is factored.
     """
+    order = q + 1 if q % 4 == 3 else 2 * (q + 1)
+    _check_budget(order)
     split = prime_power_split(q)
     if split is None or split[0] == 2:
         raise DomainError(f"{q} is not an odd prime power")
@@ -138,8 +153,6 @@ def paley(q: int) -> SignMatrix:
     chi[nz] = np.where(logs % 2 == 0, 1, -1)
 
     if q % 4 == 3:
-        order = q + 1
-        _check_budget(order)
         s = np.zeros((order, order), dtype=np.int64)
         s[0, 1:] = 1
         s[1:, 0] = -1
@@ -147,8 +160,6 @@ def paley(q: int) -> SignMatrix:
         rows = s + np.eye(order, dtype=np.int64)
         return _verified(rows, f"paley1({q})")
 
-    order = 2 * (q + 1)
-    _check_budget(order)
     s = np.zeros((q + 1, q + 1), dtype=np.int64)
     s[0, 1:] = 1
     s[1:, 0] = 1
@@ -162,29 +173,71 @@ def paley(q: int) -> SignMatrix:
 
 
 def kronecker(h1: SignMatrix, h2: SignMatrix) -> SignMatrix:
-    """Kronecker product of two verified Hadamard matrices."""
+    """Kronecker product of two verified Hadamard matrices, certified by
+    structure: (A (x) B)(A (x) B)^T = A A^T (x) B B^T."""
     if not (h1.hadamard_verified and h2.hadamard_verified):
         raise DomainError("kronecker requires hadamard-verified operands")
-    order = h1.order * h2.order
-    _check_budget(order)
-    rows = np.kron(h1.rows.astype(np.int64), h2.rows.astype(np.int64))
-    return _verified(rows, f"kron({h1.label},{h2.label})")
+    _check_budget(h1.order * h2.order)
+    rows = np.kron(h1.rows, h2.rows)
+    return normalize_signs(SignMatrix(rows, label=f"kron({h1.label},{h2.label})", verified=True))
+
+
+# ---------------------------------------------------------------------------
+# Labels as recipes
+# ---------------------------------------------------------------------------
+
+_GENERATOR_LABEL = re.compile(r"(sylvester|paley1|paley2)\((0|[1-9][0-9]{0,17})\)")
+
+
+def _kron_operands(label: str) -> tuple[str, str]:
+    """(A, B) of the label kron(A,B), split at its top-level comma."""
+    if label.startswith("kron(") and label.endswith(")"):
+        depth = 0
+        for i, c in enumerate(label[5:-1], start=5):
+            depth += (c == "(") - (c == ")")
+            if depth < 0:
+                break
+            if c == "," and depth == 0:
+                return label[5:i], label[i + 1:-1]
+    raise DomainError(f"unknown Hadamard label {label!r}")
+
+
+@lru_cache(maxsize=16)
+def from_label(label: str) -> SignMatrix:
+    """The verified matrix that a label names, built by the constructors:
+    ``sylvester(m)``, ``paley1(q)``, ``paley2(q)``, or ``kron(A,B)`` of such
+    labels, nested.  The built matrix must carry the label, so ``paley1(5)``
+    (of type II) is refused.  A label outside the grammar raises
+    DomainError, one past the size budget ResourceLimitError."""
+    # a product within the budget has at most log2(SIZE_BUDGET) factors of order >= 2
+    if label.count("kron(") >= SIZE_BUDGET.bit_length():
+        raise DomainError(f"Hadamard label with {label.count('kron(')} Kronecker products")
+    leaf = _GENERATOR_LABEL.fullmatch(label)
+    if leaf:
+        name, arg = leaf.groups()
+        h = sylvester(int(arg)) if name == "sylvester" else paley(int(arg))
+    else:
+        a, b = _kron_operands(label)
+        h = kronecker(from_label(a), from_label(b))
+    if h.label != label:
+        raise DomainError(f"label {label!r} builds the matrix {h.label!r}")
+    return h
 
 
 # ---------------------------------------------------------------------------
 # Order search
 # ---------------------------------------------------------------------------
 
-def _generator_orders(limit: int) -> dict[int, str]:
-    """Orders reachable by a single generator, mapped to a builder tag.
+def _generator_labels(limit: int) -> dict[int, str]:
+    """Orders reachable by a single generator, mapped to its label.
 
     Builder preference per order: Sylvester power, then Paley I, then
     Paley II (fixed, for determinism).
     """
-    gens: dict[int, str] = {2: "sylvester"}
+    gens: dict[int, str] = {2: "sylvester(1)"}
     power = 4
     while power <= limit:
-        gens[power] = "sylvester"
+        gens[power] = f"sylvester({power.bit_length() - 1})"
         power *= 2
     for order in range(4, limit + 1, 4):
         if order in gens:
@@ -192,28 +245,21 @@ def _generator_orders(limit: int) -> dict[int, str]:
         q = order - 1
         split = prime_power_split(q)
         if split and split[0] != 2 and q % 4 == 3:
-            gens[order] = "paley1"
+            gens[order] = f"paley1({q})"
             continue
         q = order // 2 - 1
         split = prime_power_split(q)
         if split and split[0] != 2 and q % 4 == 1:
-            gens[order] = "paley2"
+            gens[order] = f"paley2({q})"
     return gens
-
-
-def _build_generator(order: int, tag: str) -> SignMatrix:
-    if tag == "sylvester":
-        return sylvester(order.bit_length() - 1)
-    if tag == "paley1":
-        return paley(order - 1)
-    return paley(order // 2 - 1)
 
 
 def find_hadamard(target_order: int) -> SignMatrix:
     """Search generator factorizations for a verified matrix of the order.
 
     Dynamic programming over divisors, minimizing the Kronecker factor
-    count with deterministic tie-breaking (largest factor first).  Orders
+    count with deterministic tie-breaking (largest factor first).  The
+    matrix is ``from_label`` of the left-nested product's label.  Orders
     where no real Hadamard matrix exists raise DomainError; reachable-in-
     principle orders with no factorization raise NotConstructibleError.
     """
@@ -226,11 +272,9 @@ def find_hadamard(target_order: int) -> SignMatrix:
         )
     _check_budget(target_order)
     if target_order == 1:
-        return SignMatrix([[1]], label="sylvester(0)", verified=True)
-    gens = _generator_orders(target_order)
+        return from_label("sylvester(0)")
+    gens = _generator_labels(target_order)
     usable = sorted((g for g in gens if target_order % g == 0), reverse=True)
-
-    from functools import cache
 
     @cache
     def best(remaining: int) -> tuple[int, ...] | None:
@@ -250,14 +294,7 @@ def find_hadamard(target_order: int) -> SignMatrix:
     factors = best(target_order)
     if factors is None:
         raise NotConstructibleError(target_order, usable)
-    result = None
-    for g in factors:
-        h = _cached_generator(g, gens[g])
-        result = h if result is None else kronecker(result, h)
-    assert result is not None and result.order == target_order
-    return result
-
-
-@lru_cache(maxsize=64)
-def _cached_generator(order: int, tag: str) -> SignMatrix:
-    return _build_generator(order, tag)
+    label = gens[factors[0]]
+    for g in factors[1:]:
+        label = f"kron({label},{gens[g]})"
+    return from_label(label)

@@ -16,10 +16,16 @@ the derived one.  Any other difference is a certification failure.
 Y, designs and bases travel as derivations, recipes and references, not
 arrays.  The inputs of each kind:
 
-* ``hadamard``: ``order``, ``label`` (a string) and ``rows``, one
+* ``hadamard`` has two forms, and the matrix decides which one is
+  written.  A matrix that is exactly the one its label builds
+  (``hadamard.from_label``: ``sylvester(m)``, ``paley1(q)``, ``paley2(q)``
+  and ``kron(A,B)``, nested) is its recipe, ``label`` and ``order``; it is
+  built again from the label and certified by its construction.  Any
+  other matrix, a row-permuted one for example, also holds ``rows``, one
   lowercase hex string of 2*ceil(order/8) digits per row: its bits (set
-  where an entry is -1) packed MSB first, the padding bits zero.  The
-  matrix must be Hadamard.
+  where an entry is -1) packed MSB first, the padding bits zero.  That
+  matrix must pass the Gram check.  Stored rows of a matrix that its label
+  builds differ from the derived recipe, a certification failure.
 * ``eps-hadamard`` holds Y as its derivation: the source H
   (``hadamard``); ``method``, ``row_select``, ``col_select``,
   ``row_negate``, ``col_negate`` and ``variant`` of ``provenance``; and
@@ -56,8 +62,8 @@ import numpy as np
 from .algebra import Scalar, QuadNum, square_free_split
 from .bases import BasisSet, assemble
 from .epsh import SEARCH_SCOPES, BlockSplit, EpsHadamard, ExactEps, Provenance, reduce_split
-from .errors import CertificationError, DomainError, ParseError
-from .hadamard import SignMatrix, is_hadamard
+from .errors import CertificationError, DomainError, ParseError, ResourceLimitError
+from .hadamard import SignMatrix, from_label, is_hadamard
 from .rbd import Rbd, verify_rbd
 from .verify import check_theorem_bounds, cross_stats, ledger_ok
 
@@ -167,7 +173,7 @@ def _json_type(value) -> str:
     return next((name for cls, name in _JSON_TYPES if isinstance(value, cls)), "null")
 
 
-def require_derived(kind: str, derived, stored):
+def require_derived(kind: str, derived, stored, at: str = ""):
     """Require the stored JSON of an artifact of kind to be the JSON derived
     again from its inputs.  Equal canonical text passes at once.  Otherwise
     both are walked in sorted key order and the first difference decides: a
@@ -175,9 +181,10 @@ def require_derived(kind: str, derived, stored):
     integer, number, string, array, object and null all differ), is a
     ParseError; any other difference, an extra field or another array
     length included, is a CertificationError naming its JSON path.  Values
-    compare in canonical text, so NaN equals NaN."""
+    compare in canonical text, so NaN equals NaN.  ``at`` is the JSON path
+    of stored inside its artifact."""
     if dumps_canonical(derived) != dumps_canonical(stored):
-        _require_equal(kind, derived, stored, "")
+        _require_equal(kind, derived, stored, at)
 
 
 def _require_equal(kind: str, derived, stored, path: str):
@@ -234,15 +241,25 @@ def eps_wire(e: ExactEps, radicand: int) -> dict:
 # SignMatrix
 # ---------------------------------------------------------------------------
 
+def _is_recipe(m: SignMatrix) -> bool:
+    """Whether m is exactly the matrix its label builds."""
+    try:
+        built = from_label(m.label)
+    except (DomainError, ResourceLimitError):
+        return False
+    return built is m or built == m
+
+
 def sign_matrix_obj(m: SignMatrix) -> dict:
-    packed = np.packbits(m.rows < 0, axis=1)
-    digits, width = packed.tobytes().hex(), 2 * packed.shape[1]
-    return {
-        "kind": "hadamard",
-        "order": m.order,
-        "label": m.label,
-        "rows": [digits[i:i + width] for i in range(0, len(digits), width)],
-    }
+    """The hadamard artifact of m: its recipe, ``kind``, ``label`` and
+    ``order``, and its packed ``rows`` too unless m is exactly the matrix
+    its label builds."""
+    out = {"kind": "hadamard", "order": m.order, "label": m.label}
+    if not _is_recipe(m):
+        packed = np.packbits(m.rows < 0, axis=1)
+        digits, width = packed.tobytes().hex(), 2 * packed.shape[1]
+        out["rows"] = [digits[i:i + width] for i in range(0, len(digits), width)]
+    return out
 
 
 def _packed_rows_parse(rows, order: int) -> np.ndarray:
@@ -268,29 +285,25 @@ def _packed_rows_parse(rows, order: int) -> np.ndarray:
     return 1 - 2 * bits[:, :order].astype(np.int8)
 
 
-def _sign_matrix(obj) -> SignMatrix:
-    """The matrix of a hadamard artifact from its inputs order, rows and
-    label, certified Hadamard."""
+def parse_sign_matrix(obj, kind: str = "hadamard", at: str = "") -> SignMatrix:
+    """The matrix of a hadamard artifact obj, certified Hadamard: built
+    again from its label, or, when obj holds ``rows``, unpacked from them
+    and checked by its Gram.  obj must be the artifact the matrix derives;
+    it is the object at the JSON path ``at`` of an artifact of kind."""
     try:
         order, label = int_parse(obj["order"], "order"), obj["label"]
         if type(label) is not str:
             raise ParseError(f"label must be a JSON string, got {label!r}")
-        m = SignMatrix(_packed_rows_parse(obj["rows"], order), label=label)
+        h = (SignMatrix(_packed_rows_parse(obj["rows"], order), label=label)
+             if "rows" in obj else from_label(label))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad hadamard artifact: {exc}") from exc
-    check = is_hadamard(m)
-    if not check.ok:
-        raise CertificationError(
-            f"hadamard re-check failed at {check.first_violation}"
-        )
-    return SignMatrix(m.rows, label=m.label, verified=True)
-
-
-def parse_sign_matrix(obj) -> SignMatrix:
-    """A sign matrix from its packed form, required to be Hadamard; the
-    artifact must be the one it derives."""
-    h = _sign_matrix(obj)
-    require_derived("hadamard", sign_matrix_obj(h), obj)
+    if not h.hadamard_verified:
+        check = is_hadamard(h)
+        if not check.ok:
+            raise CertificationError(f"hadamard re-check failed at {check.first_violation}")
+        h = SignMatrix(h.rows, label=label, verified=True)
+    require_derived(kind, sign_matrix_obj(h), obj, at)
     return h
 
 
@@ -353,7 +366,8 @@ def parse_eps_hadamard(obj) -> EpsHadamard:
     if not isinstance(partial, bool):
         raise ParseError(f"bad eps-hadamard artifact: partial={partial!r}")
     try:
-        h, prov = _sign_matrix(obj["hadamard"]), obj["provenance"]
+        h = parse_sign_matrix(obj["hadamard"], "eps-hadamard", "hadamard")
+        prov = obj["provenance"]
         split = None if prov["method"] == "exact-hadamard" else BlockSplit(
             h, *(_int_list(prov[name], f"provenance.{name}")
                  for name in ("row_select", "col_select", "row_negate", "col_negate")))

@@ -290,7 +290,9 @@ def check_theorem_bounds(report: UnbiasednessReport) -> list[LedgerLine]:
         "exact, via k*max_ip <= (1+eps)^2",
     ))
 
-    # beta < 2 on the regime where the construction promises it
+    # beta < 2, observed on k < s <= 2k: the abstract promises it "for proper
+    # choices of parameters" with no exact hypothesis, so the gate is this
+    # program's own and ledger_ok does not count the line (OBSERVED)
     applicable = report.k < report.s <= 2 * report.k
     verdict = "n/a"
     if applicable:
@@ -315,5 +317,11 @@ def check_theorem_bounds(report: UnbiasednessReport) -> list[LedgerLine]:
     return lines
 
 
+# lines that record an exact observation rather than a claim with a stated
+# hypothesis; they keep their verdict, and ledger_ok does not count them
+OBSERVED = ("beta-lt-2",)
+
+
 def ledger_ok(lines: list[LedgerLine]) -> bool:
-    return all(line.verdict != "fail" for line in lines)
+    """True when no line outside OBSERVED fails."""
+    return all(line.verdict != "fail" for line in lines if line.check not in OBSERVED)

@@ -21,6 +21,8 @@ which ``elimination_coeffs`` pins.  It shares with the library only the
 route from a value to its magnitude (``_magnitudes``).  ``lemma_inverse``
 evaluates the library's polynomial-inverse coefficients as the published
 displays write them, so that tests can compare those displays.
+``row_permuted`` builds the row-permuted H of the benchmark's seeded
+reduction workloads.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from armub.errors import (
     ResourceLimitError,
     StructuralError,
 )
+from armub.hadamard import SignMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -1080,3 +1083,13 @@ def paley_scalar(q: int) -> np.ndarray:
              + np.kron(np.eye(q + 1, dtype=np.int64), [[1, -1], [-1, -1]]))
     h = h * h[:, :1]
     return h * h[:1, :]
+
+
+def row_permuted(h, t: int, seed: int):
+    """h with rows t..M-1 permuted by the seeded permutation and labelled
+    ``<label>+permutation(<seed>)``, as the benchmark's reduction workloads
+    vary their input for a nonzero seed.  No constructor builds this matrix,
+    so its artifact holds packed rows."""
+    rng = np.random.default_rng(seed)
+    rows_at = np.concatenate([np.arange(t), t + rng.permutation(h.order - t)])
+    return SignMatrix(h.rows[rows_at], verified=True, label=f"{h.label}+permutation({seed})")

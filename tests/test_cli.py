@@ -1,6 +1,7 @@
 """The command-line interface, driven through ``armub.cli.main`` at small
 sizes: exit codes, artifact files and batch verification."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import pytest
 
 from armub import cli, jsonio
 from armub.algebra import MAX_FIELD_SIZE
-from armub.epsh import EpsHadamard, Provenance
+from armub.epsh import EpsHadamard, Provenance, best_reduction
 from armub.errors import CertificationError, ParseError
+from armub.hadamard import find_hadamard
 from armub.rbd import build_affine_rbd
 import oracles
 from oracles import from_scalar_rows
@@ -44,6 +46,17 @@ def pipeline_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline") / "out"
     assert cli.main(["armub", "--k", "3", "--s", "5", "--t", "1", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def rows_epsh(tmp_path_factory):
+    """epsh.json of the corner reduction of H_4 with rows 1..3 permuted
+    (seed 2): no constructor builds that H, so the file holds packed rows."""
+    path = tmp_path_factory.mktemp("rows") / "epsh.json"
+    y = best_reduction(oracles.row_permuted(find_hadamard(4), 1, 2), 1)
+    path.write_text(jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y)))
+    assert "rows" in _load(path)["hadamard"]
+    return path
 
 
 def _copy(pipeline_dir, tmp_path):
@@ -119,11 +132,10 @@ def _flip_bit(obj, i, j):
     return obj
 
 
-def test_verify_tampered_entry_exit_5(tmp_path, capsys):
+def test_verify_tampered_entry_exit_5(tmp_path, rows_epsh, capsys):
     out = tmp_path / "epsh.json"
-    assert cli.main(["epsh", "8", "1", "--out", str(out)]) == 0
-    assert cli.main(["verify", _dump(_flip_bit(_load(out), 5, 6), out)]) == 5
-    assert "CHECK FAILED: hadamard re-check failed at (0, 5, 2)" in capsys.readouterr().out
+    assert cli.main(["verify", _dump(_flip_bit(_load(rows_epsh), 2, 3), out)]) == 5
+    assert "CHECK FAILED: hadamard re-check failed at (0, 2, 2)" in capsys.readouterr().out
 
 
 # the stored derivation must be the one Y is derived by: each change below
@@ -394,10 +406,26 @@ def _put(obj, value, *path):
     ("epsh.json", "0g", ("hadamard", "rows", 0)),
     ("epsh.json", "F0", ("hadamard", "rows", 0)),  # upper case
 ])
-def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, capsys, name, value, path):
-    bad = _dump(_put(_load(pipeline_dir / name), value, *path), tmp_path / name)
+def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, rows_epsh, capsys,
+                                   name, value, path):
+    # the source H's fields are typed on the form that holds packed rows
+    source = rows_epsh if path[0] == "hadamard" else pipeline_dir / name
+    bad = _dump(_put(_load(source), value, *path), tmp_path / name)
     assert cli.main(["verify", bad]) == 4
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
+
+
+@pytest.mark.parametrize("value, path", [
+    (4.0, ("order",)), ("4", ("order",)), (True, ("order",)), (7, ("label",)),
+    (None, ("label",)), (["sylvester(2)"], ("label",)), ("0", ("rows",)),
+])
+def test_mistyped_recipe_field_exit_4(tmp_path, pipeline_dir, capsys, value, path):
+    """The recipe form of the source H: order a JSON integer, label a
+    string, and rows, if present, a list of packed rows."""
+    bad = _dump(_put(_load(pipeline_dir / "epsh.json"), value, "hadamard", *path),
+                tmp_path / "epsh.json")
+    assert cli.main(["verify", bad]) == 4
+    assert capsys.readouterr().out.startswith(f"{bad}: parse error: bad hadamard artifact: ")
 
 
 def _rotation_rows(p, q):
@@ -578,7 +606,7 @@ def test_declared_size_must_match_referenced_design(tmp_path, pipeline_dir, caps
     assert "stored d differs from the derived one" in capsys.readouterr().out
 
 
-def test_verify_batch_certifies_each_artifact_once(pipeline_dir, monkeypatch, capsys):
+def test_verify_batch_certifies_each_artifact_once(pipeline_dir, rows_epsh, monkeypatch, capsys):
     from armub import hadamard
 
     calls = {"verify_orthogonal": 0, "is_hadamard": 0}
@@ -599,7 +627,10 @@ def test_verify_batch_certifies_each_artifact_once(pipeline_dir, monkeypatch, ca
     assert len(files) == 4
     assert cli.main(["verify", *files]) == 0
     assert capsys.readouterr().out.count(": ok") == 4
-    assert calls == {"verify_orthogonal": 1, "is_hadamard": 1}
+    # H_4 is its recipe: built again from its label, with no Gram
+    assert calls == {"verify_orthogonal": 1, "is_hadamard": 0}
+    assert cli.main(["verify", str(rows_epsh), str(rows_epsh)]) == 0
+    assert calls == {"verify_orthogonal": 2, "is_hadamard": 1}
 
 
 @pytest.mark.parametrize("order", [sorted, lambda files: sorted(files, reverse=True)],
@@ -906,3 +937,133 @@ def test_require_derived_names_the_path_and_takes_nan():
         jsonio.require_derived("test", nan, stored)
     with pytest.raises(ParseError, match="^bad test artifact: missing field 'rhs'$"):
         jsonio.require_derived("test", nan, {"rows": nan["rows"]})
+
+
+def _hadamard_file(tmp_path):
+    path = tmp_path / "hadamard.json"
+    assert cli.main(["hadamard", "4", "--out", str(path)]) == 0
+    assert _load(path) == {"kind": "hadamard", "label": "sylvester(2)", "order": 4}
+    return path
+
+
+# a recipe's label or order changed, and the first JSON path found to differ:
+# another order, or another H of order 4 whose Y names another source label
+RECIPE_LABEL_TAMPERS = {
+    "hadamard-label": ("hadamard.json", ("label",), "sylvester(3)", "order"),
+    "hadamard-order": ("hadamard.json", ("order",), 8, "order"),
+    "epsh-label-other-order": ("epsh.json", ("hadamard", "label"), "sylvester(3)",
+                               "hadamard.order"),
+    "epsh-label-same-rows": ("epsh.json", ("hadamard", "label"),
+                             "kron(sylvester(1),sylvester(1))", "provenance.source_label"),
+    "epsh-label-paley": ("epsh.json", ("hadamard", "label"), "paley1(3)",
+                         "provenance.source_label"),
+    "epsh-order": ("epsh.json", ("hadamard", "order"), 8, "hadamard.order"),
+}
+
+
+@pytest.mark.parametrize("case", list(RECIPE_LABEL_TAMPERS))
+def test_tampered_hadamard_recipe_exit_5(tmp_path, pipeline_dir, capsys, case):
+    name, path, value, key = RECIPE_LABEL_TAMPERS[case]
+    source = _hadamard_file(tmp_path) if name == "hadamard.json" else pipeline_dir / name
+    bad = _dump(_put(_load(source), value, *path), tmp_path / name)
+    capsys.readouterr()
+    assert cli.main(["verify", bad]) == 5
+    assert capsys.readouterr().out.endswith(f"CHECK FAILED: stored {key} differs from the derived one\n")
+
+
+@pytest.mark.parametrize("label", [
+    "x", "", "sylvester(2", "sylvester(02)", "sylvester(-1)", "hadamard(4)",
+    "paley1(5)",  # GF(5) gives a Paley matrix of type II
+    "paley2(15)",  # 15 is not a prime power
+    "kron(sylvester(1))", "kron(sylvester(1),sylvester(1)", "kron(sylvester(1),x)",
+    "sylvester(1)+permutation(7)",
+    "kron(" * 20 + "sylvester(1)" + ",sylvester(1))" * 20,
+])
+@pytest.mark.parametrize("name", ["hadamard.json", "epsh.json"])
+def test_unknown_hadamard_label_exit_4(tmp_path, pipeline_dir, capsys, name, label):
+    source = _hadamard_file(tmp_path) if name == "hadamard.json" else pipeline_dir / name
+    obj = _load(source)
+    _put(obj, label, *(("label",) if name == "hadamard.json" else ("hadamard", "label")))
+    bad = _dump(obj, tmp_path / name)
+    capsys.readouterr()
+    assert cli.main(["verify", bad]) == 4
+    assert capsys.readouterr().out.startswith(f"{bad}: parse error: bad hadamard artifact: ")
+
+
+@pytest.mark.parametrize("label, order", [
+    ("sylvester(13)", 8192),
+    ("kron(sylvester(12),sylvester(1))", 8192),
+    ("sylvester(100000000000000000)", 4),
+    ("paley1(99999999999999999)", 4),  # refused before q is factored
+])
+def test_hadamard_label_past_size_budget_exit_6(tmp_path, pipeline_dir, capsys, label, order):
+    """A recipe whose matrix is past the size budget exits 6 (resource
+    limit) before anything of that size is built, and verify goes on with
+    the next file."""
+    bad = _dump({"kind": "hadamard", "label": label, "order": order}, tmp_path / "h.json")
+    good = str(pipeline_dir / "epsh.json")
+    start = time.perf_counter()
+    assert cli.main(["verify", bad, good]) == 6
+    assert time.perf_counter() - start < 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{bad}: resource limit: order ")
+    assert lines[0].endswith(" exceeds size budget 4096")
+    assert lines[1:] == [f"{good}: eps-hadamard: ok"]
+
+
+def test_matrix_its_label_builds_is_stored_as_recipe(tmp_path, pipeline_dir, capsys):
+    """Packed rows of a matrix that its label builds differ from the derived
+    recipe: one matrix has one artifact."""
+    obj = _load(pipeline_dir / "epsh.json")
+    assert obj["hadamard"]["label"] == "sylvester(2)"
+    obj["hadamard"]["rows"] = ["00", "50", "30", "60"]  # H_4 packed
+    bad = _dump(obj, tmp_path / "epsh.json")
+    assert cli.main(["verify", bad]) == 5
+    assert capsys.readouterr().out.endswith(
+        "CHECK FAILED: stored hadamard.rows differs from the derived one\n")
+
+
+# (order, t, scope) of the benchmark's reduction workloads, and the size and
+# sha256 of the epsh.json each writes for seed 1234567890: the packed-rows
+# form of a row-permuted H is pinned byte for byte
+SEEDED_EPSH = {
+    (16, 2, "row-col-permutations"):
+        (735, "719c99845a2b21ef77ad894f69e2edf6cd2e5ef67a2f21f509b2546003308c33"),
+    (256, 3, "corner-only"):
+        (17803, "277f140dbbaabff96d98acbaf25f462f0bbde6f49bb5f247b019583a12ee3ee0"),
+}
+
+
+@pytest.mark.parametrize("order, t, scope", list(SEEDED_EPSH))
+def test_seeded_benchmark_input_keeps_packed_rows(tmp_path, capsys, order, t, scope):
+    """The benchmark's seeded input, H with rows t..M-1 permuted, is no
+    recipe: its epsh.json holds packed rows, verifies, round-trips byte for
+    byte and has the pinned bytes."""
+    h = oracles.row_permuted(find_hadamard(order), t, 1234567890)
+    y = best_reduction(h, t, search_scope=scope)
+    text = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
+    path = tmp_path / "epsh.json"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: eps-hadamard: ok\n"
+    obj = json.loads(text)
+    assert len(obj["hadamard"]["rows"]) == order
+    parsed = jsonio.parse_eps_hadamard(obj)
+    assert jsonio.dumps_canonical(jsonio.eps_hadamard_obj(parsed)) == text
+    size, digest = SEEDED_EPSH[(order, t, scope)]
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (size, digest)
+
+
+def test_beta_lt_2_line_is_observed_not_counted(tmp_path, capsys):
+    """At (13, 17, 3) the beta < 2 line fails and is printed as an
+    observation that "ok" does not count; every counted line passes, so the
+    pipeline exits 0 and its certificate verifies."""
+    assert cli.main(["armub", "--k", "13", "--s", "17", "--t", "3",
+                     "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "beta-lt-2" in line] == [
+        "  [fail] beta-lt-2: lhs=4.58829 rhs=2 (observed; not counted in ok)"]
+    assert sum("not counted" in line for line in lines) == 1
+    cert = _load(tmp_path / "certificate.json")
+    assert cert["ok"] is True
+    assert cli.main(["verify", *sorted(str(p) for p in tmp_path.iterdir())]) == 0

@@ -33,6 +33,7 @@ from oracles import (
     from_scalar_rows,
     lemma_inverse,
     paper_listed_configs,
+    row_permuted,
     series_inverse_check,
     sympy_reduction,
     term_gram_orthogonal,
@@ -977,8 +978,9 @@ def test_eps_json_roundtrip_byte_identical():
 
 
 def test_eps_json_tamper_detected():
-    """One flipped bit of the packed source H fails its Hadamard check."""
-    h8 = find_hadamard(8)
+    """One flipped bit of the packed source H fails its Hadamard check.  A
+    row-permuted H_8, which no constructor builds, is stored as rows."""
+    h8 = row_permuted(find_hadamard(8), 1, 1234567890)
     y = best_reduction(h8, 1)
     obj = json.loads(jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y)))
     rows = obj["hadamard"]["rows"]
@@ -988,14 +990,14 @@ def test_eps_json_tamper_detected():
 
 
 def test_eps_json_stores_h_and_split():
-    """The artifact holds the source H bit-packed and the split, and a parse
-    derives a Y with the same entries; a Y given by its terms alone has no
-    artifact."""
+    """The artifact holds the source H as its recipe and the split, and a
+    parse derives a Y with the same entries; a Y given by its terms alone
+    has no artifact."""
     h12 = find_hadamard(12)
     y = best_reduction(h12, 2, search_scope="row-col-permutations")
     obj = jsonio.eps_hadamard_obj(y)
-    assert "entries" not in obj and obj["hadamard"] == jsonio.sign_matrix_obj(h12)
-    assert all(len(row) == 4 for row in obj["hadamard"]["rows"])
+    assert "entries" not in obj
+    assert obj["hadamard"] == {"kind": "hadamard", "label": "paley1(11)", "order": 12}
     parsed = jsonio.parse_eps_hadamard(json.loads(jsonio.dumps_canonical(obj)))
     assert parsed.source == h12 and parsed.provenance == y.provenance
     assert parsed.scalar_rows() == y.scalar_rows()

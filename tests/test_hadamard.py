@@ -1,14 +1,17 @@
+import functools
 import itertools
+import re
 import types
 
 import numpy as np
 import pytest
 
-from armub import jsonio
-from armub.errors import DomainError, NotConstructibleError, ResourceLimitError
+from armub import hadamard, jsonio
+from armub.errors import CertificationError, DomainError, NotConstructibleError, ResourceLimitError
 from armub.hadamard import (
     SignMatrix,
     find_hadamard,
+    from_label,
     is_hadamard,
     kronecker,
     normalize_signs,
@@ -203,3 +206,108 @@ def test_json_roundtrip_byte_identical():
     assert parsed.hadamard_verified
     again = jsonio.dumps_canonical(jsonio.sign_matrix_obj(parsed))
     assert again == text
+
+
+# -- labels as recipes, certified by structure -------------------------------
+
+REACHABLE_512 = []
+for _order in range(4, 513, 4):
+    try:
+        REACHABLE_512.append(find_hadamard(_order).label)
+    except NotConstructibleError:
+        pass
+
+
+def _generators(label):
+    """The generator labels of a product label, left to right."""
+    return re.findall(r"(sylvester|paley1|paley2)\((\d+)\)", label)
+
+
+def _dense(label, flip=None):
+    """The rows a label names, as the Kronecker product of its generators
+    from the popcount and scalar-field oracles, with one sign flipped in H_2
+    (flip "sylvester") or in the Paley generator of GF(q) (flip q)."""
+    h2 = np.array([[1, 1], [1, 1 if flip == "sylvester" else -1]])
+    leaves = []
+    for name, arg in _generators(label):
+        if name == "sylvester":
+            leaves.append(functools.reduce(np.kron, [h2] * int(arg), np.ones((1, 1), int)))
+        else:
+            rows = paley_scalar(int(arg)).copy()
+            if flip == int(arg):
+                rows[1, 1] *= -1
+            leaves.append(rows)
+    return functools.reduce(np.kron, leaves)
+
+
+def test_reachable_orders_to_512():
+    """105 of the 128 orders 4, 8, ..., 512, from generators of all three
+    kinds and from products of two of them."""
+    assert len(REACHABLE_512) == 105
+    kinds = {name for label in REACHABLE_512 for name, _ in _generators(label)}
+    assert kinds == {"sylvester", "paley1", "paley2"}
+    assert max(label.count("kron(") for label in REACHABLE_512) == 1
+
+
+def test_structural_certificate_agrees_with_gram(monkeypatch):
+    """For every order up to 512 that find_hadamard reaches: the matrix it
+    certifies by structure passes the Gram check, equals the product of the
+    oracle generators, and its label alone builds the same rows again.
+    Only generator Grams run: one per Paley generator and one for H_2."""
+    grams = []
+    gram = hadamard.is_hadamard
+    monkeypatch.setattr(hadamard, "is_hadamard", lambda m: grams.append(m.order) or gram(m))
+    for label in REACHABLE_512:
+        from_label.cache_clear()
+        del grams[:]
+        h = from_label(label)
+        assert h.hadamard_verified and h.label == label
+        assert sorted(grams) == sorted(
+            2 if name == "sylvester" else int(arg) + 1 if name == "paley1" else 2 * int(arg) + 2
+            for name, arg in _generators(label))
+        assert gram(h).ok and np.array_equal(h.rows, _dense(label))
+        from_label.cache_clear()
+        assert find_hadamard(h.order) == h and find_hadamard(h.order) is not h
+    from_label.cache_clear()
+
+
+def test_flipped_generator_sign_fails_both_checks(monkeypatch):
+    """One sign flipped in H_2, or in a Paley generator, fails the
+    generator's Gram check, so the structural certificate of every product
+    it enters fails; the dense Gram of that product fails as well."""
+    verified = hadamard._verified
+
+    def flipped(target):
+        def check(rows, label):
+            if label == target:
+                rows = np.array(rows)
+                rows[1, 1] *= -1
+            return verified(rows, label)
+        return check
+
+    checked = 0
+    for label in REACHABLE_512:
+        for name, arg in set(_generators(label)):
+            target, flip = ("sylvester(1)", "sylvester") if name == "sylvester" else (
+                f"{name}({arg})", int(arg))
+            from_label.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(hadamard, "_verified", flipped(target))
+                with pytest.raises(CertificationError, match=f"generator {re.escape(target)} "
+                                                             "is not Hadamard"):
+                    from_label(label)
+            assert not is_hadamard(SignMatrix(_dense(label, flip))).ok
+            checked += 1
+    from_label.cache_clear()
+    assert checked > len(REACHABLE_512)
+
+
+def test_from_label_grammar():
+    assert from_label("kron(paley2(5),kron(sylvester(1),paley1(3)))").order == 96
+    assert from_label("sylvester(5)") is from_label("sylvester(5)")
+    assert find_hadamard(96) is from_label(find_hadamard(96).label)
+    for label in ("paley1(5)", "sylvester(03)", "kron(sylvester(1),x)", "sylvester(1) "):
+        with pytest.raises(DomainError):
+            from_label(label)
+    with pytest.raises(ResourceLimitError, match="order 8192 exceeds size budget 4096"):
+        from_label("kron(sylvester(1),sylvester(12))")

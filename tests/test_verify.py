@@ -230,6 +230,25 @@ def test_ledger_gating_t3_n4():
     assert ledger_ok(check_theorem_bounds(rep))
 
 
+# the corner split at (k, s, t) with k < s <= 2k, and its beta < 2 verdict
+BETA_LT_2_SWEEP = {
+    (3, 5, 1): "pass", (93, 97, 3): "pass", (123, 125, 1): "pass",
+    (13, 17, 3): "fail", (6, 7, 2): "fail", (10, 11, 2): "fail",
+    (18, 19, 2): "fail", (9, 11, 3): "fail", (61, 67, 3): "fail",
+}
+
+
+@pytest.mark.parametrize("k, s, t", list(BETA_LT_2_SWEEP))
+def test_beta_lt_2_is_an_observation(k, s, t):
+    """The beta < 2 line applies on k < s <= 2k and keeps its exact verdict,
+    but ledger_ok does not count it: the abstract gives beta < 2 "for
+    proper choices of parameters", with no exact hypothesis."""
+    lines = check_theorem_bounds(cross_stats(small_pipeline(k, s, t)))
+    beta2 = next(line for line in lines if line.check == "beta-lt-2")
+    assert beta2.applicable and beta2.verdict == BETA_LT_2_SWEEP[(k, s, t)]
+    assert ledger_ok(lines)
+
+
 def test_ledger_t3_small_n_not_applicable():
     # k = 9, t = 3, n = 3 < 4: the rho_3 claim is out of scope
     rep = cross_stats(small_pipeline(9, 11, 3))
