@@ -37,15 +37,20 @@ For a fixed U (signs applied) and variant, the magnitude codes a split's
 entries take fit one 64-bit occurrence mask.  The masks are read off exact
 counts of the codes, formed for blocks of splits at a time as float32
 products of 0/1 arrays whose every partial sum is an integer below 2^24; a
-negation of the selected rows or columns permutes the mask's bits by XOR.
-The screen evaluates each code's exact magnitude once per (U, variant) that
-occurs, by the route EpsHadamard takes, as an integer key (p, q, L) for
-(p + q*sqrt(c))/L, and ranks every epsilon exactly on one scale and checks
-the window on those keys, with integer sign tests only.  A candidate's
-epsilon is the largest among the codes in its mask, which is exactly the
-epsilon its EpsHadamard would certify, so the screen picks the same split
-as building every candidate would; only the winner is built, and only its
-magnitudes and epsilons become Fractions, QuadNums and ExactEps.
+negation of the selected rows or columns permutes the mask's bits by XOR
+and flips signs of U.  So a base, a row and a column selection with no
+negations, is ranked at all its negations by its (mask, U code) pair, and
+across a scope few pairs are distinct (20 over the 14,400 bases of H_16
+with t = 2): each distinct pair is kept with the first base where it
+occurs and ranked once.  The screen evaluates each code's exact magnitude
+once per relation class of U and variant, by the closed form EpsHadamard
+takes, as an integer key (p, q, L) for (p + q*sqrt(c))/L, and ranks every
+epsilon exactly on one scale and checks the window on those keys, with
+integer sign tests only.  A candidate's epsilon is the largest among the
+codes in its mask, which is exactly the epsilon its EpsHadamard would
+certify, so the screen picks the same split as building every candidate
+would; only the winner is built, and only its magnitudes and epsilons
+become Fractions, QuadNums and ExactEps.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -145,36 +151,43 @@ class UClass:
     preferred_variant: Optional[str]
 
     def relation_holds(self, u: np.ndarray) -> bool:
-        u = np.asarray(u, dtype=np.int64)
-        eye = np.eye(self.t, dtype=np.int64)
-        if self.t <= 2:
-            return bool(np.array_equal(u @ u, self.kappa * eye + self.gamma * u))
-        u2 = u @ u
-        return bool(
-            np.array_equal(u2 @ u, self.kappa * eye + self.gamma * u + self.vartheta * u2)
-        )
+        return _relation_holds(np.asarray(u, dtype=np.int64),
+                               self.kappa, self.gamma, self.vartheta or 0)
 
 
-def _int_det(u: np.ndarray) -> int:
-    t = u.shape[0]
+def _relations(u: np.ndarray) -> tuple:
+    """(kappa, gamma, vartheta) of each t x t sign matrix of u, shape
+    (..., t, t), each an int64 array of shape (...), vartheta 0 for t <= 2:
+    t = 1 uses the linear identity U^2 = U[0,0] * U; t = 2 uses trace and
+    determinant; t = 3 uses trace, the sum of the off-diagonal 2x2 minor
+    complements, and the determinant."""
+    t = u.shape[-1]
+    e = [[u[..., i, j] for j in range(t)] for i in range(t)]
+    trace = sum(e[i][i] for i in range(t))
     if t == 1:
-        return int(u[0, 0])
+        return 0 * trace, trace, 0 * trace
     if t == 2:
-        return int(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
-    return int(
-        u[0, 0] * (u[1, 1] * u[2, 2] - u[1, 2] * u[2, 1])
-        - u[0, 1] * (u[1, 0] * u[2, 2] - u[1, 2] * u[2, 0])
-        + u[0, 2] * (u[1, 0] * u[2, 1] - u[1, 1] * u[2, 0])
-    )
+        return e[0][1] * e[1][0] - e[0][0] * e[1][1], trace, 0 * trace
+    gamma = sum(e[i][j] * e[j][i] - e[i][i] * e[j][j] for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
+           - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
+           + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
+    return det, gamma, trace
+
+
+def _relation_holds(u: np.ndarray, kappa, gamma, vartheta) -> bool:
+    """Whether every sign matrix of u (..., t, t) satisfies its relation
+    (kappa, gamma, vartheta), each an int or an array of shape (..., 1, 1)."""
+    eye = np.eye(u.shape[-1], dtype=np.int64)
+    u2 = u @ u
+    if u.shape[-1] <= 2:
+        return bool(np.array_equal(u2, kappa * eye + gamma * u))
+    return bool(np.array_equal(u2 @ u, kappa * eye + gamma * u + vartheta * u2))
 
 
 def classify_u(u) -> UClass:
-    """Compute and verify the polynomial relation of a t x t sign matrix.
-
-    t = 1 uses the linear identity U^2 = U[0,0] * U; t = 2 uses trace and
-    determinant; t = 3 uses trace, the sum of the off-diagonal 2x2 minor
-    complements, and the determinant.
-    """
+    """Compute and verify the polynomial relation of a t x t sign matrix
+    (``_relations``)."""
     u = np.asarray(u, dtype=np.int64)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError(f"U must be square, got shape {u.shape}")
@@ -183,20 +196,9 @@ def classify_u(u) -> UClass:
         raise DomainError(f"t must be in {{1,2,3}}, got {t}")
     if not np.all(np.abs(u) == 1):
         raise DomainError("U entries must be +1 or -1")
-    if t == 1:
-        kappa, gamma, vartheta = 0, int(u[0, 0]), None
-    elif t == 2:
-        kappa, gamma, vartheta = -_int_det(u), int(np.trace(u)), None
-    else:
-        vartheta = int(np.trace(u))
-        gamma = int(
-            sum(
-                u[i, j] * u[j, i] - u[i, i] * u[j, j]
-                for i in range(3)
-                for j in range(i + 1, 3)
-            )
-        )
-        kappa = _int_det(u)
+    kappa, gamma, vartheta = (int(x) for x in _relations(u))
+    if t <= 2:
+        vartheta = None
     key = tuple(tuple(int(x) for x in row) for row in u)
     preferred = _PAPER_PREFERRED.get(key)
     cls = UClass(
@@ -632,19 +634,27 @@ class EpsHadamard:
         return cls(h, prov, (1, 1, empty, empty))
 
 
+def _corner(scale: int, m: int) -> tuple[int, int, int]:
+    """(L', p, q) with L' the lcm of L = ``scale`` and the denominator of
+    1/sqrt(M) = sqrt(c)/(f*c), M = f^2*c, and 1/sqrt(M) = (p + q*sqrt(c))/L'."""
+    f, m_core = square_free_split(m)
+    corner = math.lcm(scale, f * m_core)
+    root = corner // (f * m_core)
+    return (corner, root, 0) if m_core == 1 else (corner, 0, root)
+
+
 def _corner_form(c, m: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     """(L', c, A', B') with [[1/sqrt(M), 0], [0, C]] = (A' + B'*sqrt(c))/L'
-    for C given by its integer form (L, c, A, B); L' is the lcm of L
-    and the denominator of 1/sqrt(M) = sqrt(c)/(f*c), with M = f^2*c."""
+    for C given by its integer form (L, c, A, B) (``_corner``)."""
     scale, core, a, b = c
-    f, m_core = square_free_split(m)
+    m_core = square_free_split(m)[1]
     if core not in (1, m_core) or (m_core == 1 and np.count_nonzero(b)):
         raise StructuralError(f"C in Q(sqrt({core})) for M = {m}")
-    corner = math.lcm(scale, f * m_core)
+    corner, p, q = _corner(scale, m)
     t = a.shape[0]
     a2, b2 = (np.zeros((t + 1, t + 1), dtype=object) for _ in range(2))
     a2[1:, 1:], b2[1:, 1:] = a * (corner // scale), b * (corner // scale)
-    (a2 if m_core == 1 else b2)[0, 0] = corner // (f * m_core)
+    a2[0, 0], b2[0, 0] = p, q
     return corner, m_core, a2, b2
 
 
@@ -802,19 +812,20 @@ def _poly_inverse_coeffs(kappa: int, gamma: int, vartheta: Optional[int],
     return [(m - gamma, vartheta), (-vartheta, -1), (1, 0)], (vartheta * m + kappa, m - gamma)
 
 
-def _negated_params(uclass: UClass) -> tuple[int, int, Optional[int]]:
-    """Relation parameters of -U given those of U."""
-    if uclass.vartheta is None:
-        return uclass.kappa, -uclass.gamma, None
-    return -uclass.kappa, uclass.gamma, -uclass.vartheta
+def _negated_params(params: tuple) -> tuple[int, int, Optional[int]]:
+    """Relation parameters (kappa, gamma, vartheta) of -U given those of U."""
+    kappa, gamma, vartheta = params
+    if vartheta is None:
+        return kappa, -gamma, None
+    return -kappa, gamma, -vartheta
 
 
-def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
-                       m: int) -> tuple[int, list[tuple[int, int, np.ndarray]]]:
-    """(L, [(a_p, b_p, U_eff^p)]) for p = 0, 1, 2 with C = sum_p c_p U_eff^p,
+def _relation_coeffs(params: tuple, variant: str, m: int) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(a_p, b_p)]) for p = 0, 1, 2 with C = sum_p c_p U_eff^p,
     c_p = (a_p + b_p*sqrt(c))/L, the polynomial-in-U inverse that the
-    relation of U gives (the published closed form for a listed U), where
-    U_eff = U for Y1 and -U for Y2 and M = f^2*c.
+    relation params = (kappa, gamma, vartheta) of U gives (the published
+    closed form for a listed U), where U_eff = U for Y1 and -U for Y2 and
+    M = f^2*c.  The c_p depend on U only through its relation.
 
     c_p = -x_p/(den*alpha) for Y1 and +x_p/(den*alpha) for Y2, with x_p
     and den from ``_poly_inverse_coeffs``.  Every product is taken on
@@ -824,9 +835,9 @@ def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
     and the a_p and b_p is 1, so the c_p are the same fractions in lowest
     terms over their common denominator."""
     if variant == "Y1":
-        params, outer_sign, u_eff = (uclass.kappa, uclass.gamma, uclass.vartheta), -1, u
+        outer_sign = -1
     else:
-        params, outer_sign, u_eff = _negated_params(uclass), 1, -u
+        params, outer_sign = _negated_params(params), 1
     nums, (d0, d1) = _poly_inverse_coeffs(*params, m)
     f, core = square_free_split(m)
 
@@ -842,8 +853,7 @@ def _closed_form_coeffs(u: np.ndarray, uclass: UClass, variant: str,
         n0, n1 = in_root_c(r, s)
         parts += [outer_sign * (n0 * e0 - core * n1 * e1), outer_sign * (n1 * e0 - n0 * e1)]
     g = math.gcd(norm, *parts) * (1 if norm > 0 else -1)
-    powers = (np.eye(u.shape[0], dtype=np.int64), u_eff, u_eff @ u_eff)
-    return norm // g, [(parts[2 * p] // g, parts[2 * p + 1] // g, powers[p]) for p in range(3)]
+    return norm // g, [(parts[2 * p] // g, parts[2 * p + 1] // g) for p in range(3)]
 
 
 def _coefficient_form(u: np.ndarray, uclass: UClass, variant: str,
@@ -851,11 +861,28 @@ def _coefficient_form(u: np.ndarray, uclass: UClass, variant: str,
     """The t x t matrix C with Y = D/sqrt(M) + W C V as its integer form
     (L, c, A, B), C = (A + B*sqrt(c))/L with A and B integer matrices of
     Python ints: A = sum_p a_p U_eff^p and B = sum_p b_p U_eff^p for the
-    closed form of ``_closed_form_coeffs``, all on integers (c = 1 and
-    B = 0 when M is a perfect square)."""
-    scale, coeffs = _closed_form_coeffs(u, uclass, variant, m)
-    a, b = (sum(pair[e] * power.astype(object) for *pair, power in coeffs) for e in (0, 1))
+    closed form of ``_relation_coeffs``, U_eff = U for Y1 and -U for Y2,
+    all on integers (c = 1 and B = 0 when M is a perfect square)."""
+    scale, coeffs = _relation_coeffs((uclass.kappa, uclass.gamma, uclass.vartheta), variant, m)
+    u_eff = u if variant == "Y1" else -u
+    powers = (np.eye(len(u), dtype=np.int64), u_eff, u_eff @ u_eff)
+    a, b = (sum(pair[e] * power.astype(object) for pair, power in zip(coeffs, powers))
+            for e in (0, 1))
     return scale, square_free_split(m)[1], a, b
+
+
+def _class_form(params: tuple, variant: str, m: int) -> tuple[int, tuple, tuple]:
+    """(L', a, b): for every U with relation params, the value of magnitude
+    index (w', v) is (a.x + (b.x)*sqrt(c))/L' with x = (1, X_0, X_1, X_2) at
+    (w', v), X_p = S U^p S^T.  That is the corner form of
+    C = sum_p c_p U_eff^p (``_relation_coeffs``), since
+    U_eff^p = (+/-1)^p U^p."""
+    scale, coeffs = _relation_coeffs(params, variant, m)
+    corner, p, q = _corner(scale, m)
+    sign = 1 if variant == "Y1" else -1
+    a, b = ([c * sign**e * (corner // scale) for e, c in enumerate(part)]
+            for part in zip(*coeffs))
+    return corner, (p, *a), (q, *b)
 
 
 def _wxv(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -932,14 +959,6 @@ def _codes(signs: np.ndarray, sel: np.ndarray) -> np.ndarray:
     return sum((signs[sel[:, a]] < 0).astype(np.uint8) << a for a in range(sel.shape[1]))
 
 
-def _u_codes(signs: np.ndarray, rsel: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(rows, cols) int16 U codes of row by column selections: bit a*t+e is
-    set when U_ae = -1."""
-    t = rsel.shape[1]
-    return sum((signs[rsel[:, a, None], cols[:, e]] < 0).astype(np.int16) << a * t + e
-               for a, e in itertools.product(range(t), repeat=2))
-
-
 def _tiles(sel: np.ndarray, start: int, stop: int, size: int):
     """(lo, rsel, cols) per tile of the bases start..stop-1: rsel by cols,
     row by row, are the bases from lo on; whole row selections within
@@ -955,12 +974,13 @@ def _tiles(sel: np.ndarray, start: int, stop: int, size: int):
         start += len(rsel) * len(cols)
 
 
-def _occurrence(signs: np.ndarray, t: int, sel: np.ndarray, bases: int,
-                start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(occ, u) of the bases start..bases-1 (rows sel[b // n], columns
-    sel[b % n]) of ``signs``, no negations applied: bit (w' << t) | v of
-    occ[b] is set when an entry has that magnitude index, and bit a*t+e of
-    u[b] when U_ae = -1.
+def _occurrence_blocks(signs: np.ndarray, t: int, sel: np.ndarray, bases: int,
+                       start: int = 0):
+    """The occurrence masks and U codes of the bases start..bases-1 (rows
+    sel[b // n], columns sel[b % n]) of ``signs``, no negations applied, as
+    blocks (origin, stride, occ, u): occ[i, j] and u[i, j] belong to base
+    origin + i*stride + j.  Bit (w' << t) | v of a mask is set when an entry
+    has that magnitude index, and bit a*t+e of a U code when U_ae = -1.
 
     For rows R with V-codes y_j, K[(d, i), v] counts the columns j with
     sign bit d in row i and y_j = v, rows of R zeroed.  For columns C with
@@ -969,55 +989,119 @@ def _occurrence(signs: np.ndarray, t: int, sel: np.ndarray, bases: int,
     v = y_(c_a), z_a(x) = x xor bit_a(x)*(2^t - 1); the bit is set where
     N > 0.  K and N are float32 products of 0/1 arrays and counts whose
     partial sums are integers of at most (M - t)*M < 2^24, exact in any
-    order.  H stays int8, read in row blocks, and no working array holds
-    more than _SCREEN_BUDGET elements.
+    order.  The rows outside R are a second 0/1 array beside K, whose
+    product counts the rows at x_i = w' or w' xor (2^t - 1).  K is formed
+    once per tile of row selections, as many as the budget allows, and the
+    column side once per tile and sub-block of column selections, whose
+    masks and U codes are one block; U_ae is bit e of the W-code of row
+    r_a.  H stays int8, read in row blocks, and no working array holds more
+    than _SCREEN_BUDGET elements.
     """
     m, n, span = len(signs), len(sel), 1 << t
     assert (m - t) * m < 2**24, f"order {m} is outside the exact float32 range"
-    occ = np.empty(bases - start, dtype=np.uint64)
-    u = np.empty(bases - start, dtype=np.int16)
     levels = np.arange(span, dtype=np.uint8)
     clear = ((levels[:, None] >> np.arange(t) & 1) == 0).astype(np.float32)  # [w', a]
-    shift = np.arange(span, dtype=np.uint64)[:, None] * np.uint64(span)  # of w' in a mask
+    weight = (1 << levels).astype(np.float32)  # of v in a span of the mask
+    shift = np.arange(span, dtype=np.uint64)[:, None, None] * np.uint64(span)  # of w'
     step = max(1, _SCREEN_BUDGET // m)  # rows of H per product
-    rows = max(1, _SCREEN_BUDGET // (2 * m * (span + 1)))  # of K
+    rows = max(1, _SCREEN_BUDGET // (2 * m * (span + 1)))  # of K and the rows outside R
     for lo, rsel, cols in _tiles(sel, start, bases, rows * n):
-        nr, hi = len(rsel), lo + len(rsel) * len(cols)
+        nr = len(rsel)
         hot = (_codes(signs, rsel).T[..., None] == levels).astype(np.float32)  # [j, r, v]
-        k = np.ones((2, m, nr, span + 1), dtype=np.float32)  # [d, i, r, v]; v = span: i not in R
+        k = np.empty((2, m, nr, span), dtype=np.float32)  # [d, i, r, v]
         for i0 in range(0, m, step):  # the columns with sign bit 1, then those with 0
-            k[1, i0:i0 + step, :, :span] = ((signs[i0:i0 + step] < 0).astype(np.float32)
-                                            @ hot.reshape(m, -1)).reshape(-1, nr, span)
-        k[0, ..., :span] = hot.sum(axis=0) - k[1, ..., :span]
-        k[:, rsel.T, np.arange(nr)] = 0  # rows of U and V hold no entry
-        masks = occ[lo - start:hi - start].reshape(nr, -1)
+            k[1, i0:i0 + step] = ((signs[i0:i0 + step] < 0).astype(np.float32)
+                                  @ hot.reshape(m, -1)).reshape(-1, nr, span)
+        k[0] = hot.sum(axis=0) - k[1]
+        outside = np.ones((2, m, nr), dtype=np.float32)  # [d, i, r]: i not in R
+        k[:, rsel.T, np.arange(nr)] = outside[:, rsel.T, np.arange(nr)] = 0  # U and V rows
         per = max(1, _SCREEN_BUDGET // (span * max(2 * m, (span + 1) * nr)))
         for c0 in range(0, len(cols), per):
             csel = cols[c0:c0 + per]
             nc = len(csel)
-            is_w = _codes(signs.T, csel)[:, None, :] == levels[:, None]  # [c, w', i]: x_i = w'
-            both = np.concatenate([is_w, is_w[:, ::-1]], axis=2).astype(np.float32)  # d = 0, 1
-            counts = (both.reshape(nc * span, -1) @ k.reshape(2 * m, -1)).reshape(
-                nc, span, nr, span + 1)
+            x = _codes(signs.T, csel)  # [c, i]: W-code x_i; bit e of x_(r_a) is U_ae = -1
+            is_w = levels[:, None, None] == x  # [w', c, i]: x_i = w'
+            both = np.concatenate([is_w, is_w[::-1]], axis=2).astype(np.float32).reshape(
+                span * nc, 2 * m)  # d = 0, 1
+            counts = (both @ k.reshape(2 * m, -1)).reshape(span, nc, nr, span)
+            rest = (both @ outside.reshape(2 * m, -1)).reshape(span, nc, nr, 1)
             # rows outside R at x_i = w' or w' xor (2^t - 1) have z_a(x_i) = w' for a clear in w'
-            taken = (clear @ hot[csel].reshape(nc, t, -1)).reshape(nc, span, nr, span)
-            taken *= counts[..., span:]
-            seen = (counts[..., :span] > taken).view(np.uint8) @ (1 << levels)  # [c, w', r]
-            masks[:, c0:c0 + nc] = np.bitwise_or.reduce(seen.astype(np.uint64) << shift, axis=1).T
-        u[lo - start:hi - start] = _u_codes(signs, rsel, cols).reshape(-1)
-    return occ, u
+            taken = (clear @ hot[csel.T].reshape(t, -1)).reshape(span, nc, nr, span)
+            seen = (counts > taken * rest).astype(np.float32) @ weight  # [w', c, r]
+            occ = np.bitwise_or.reduce(seen.astype(np.uint64) << shift, axis=0)  # [c, r]
+            u = sum(x[:, rsel[:, a]].astype(np.int16) << a * t for a in range(t))
+            yield lo + c0, len(cols), occ.T, u.T
+
+
+def _distinct_pairs(parts: list, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(occ, u, first): each distinct (mask, U code) pair among the parts
+    (occ, u, base), once, with the least base where it occurs.
+
+    A mask has 2^(2t) bits and a code t^2; at t = 3 the mask is replaced by
+    its index among the distinct masks.  Each pair packs into one uint64
+    with the rank of its base in the low bits, so one plain sort puts the
+    least base of every pair at the head of its run."""
+    if not parts:
+        return np.empty(0, np.uint64), np.empty(0, np.int16), np.empty(0, np.int64)
+    occ, u, base = (np.concatenate(x) for x in zip(*parts))
+    masks = np.unique(occ) if t == 3 else None
+    pair = (np.searchsorted(masks, occ).astype(np.uint64) if t == 3 else occ) << np.uint64(t * t)
+    pair |= u.astype(np.uint64)
+    bases, rank = None, base - base.min()
+    if int(pair.max()).bit_length() + int(rank.max()).bit_length() > 64:  # rank far-apart bases
+        bases = np.sort(base)
+        rank = np.searchsorted(bases, base)
+    low = np.uint64(int(rank.max()).bit_length())
+    key = pair << low | rank.astype(np.uint64)
+    key.sort()
+    pair = key >> low
+    head = np.flatnonzero(np.diff(pair, prepend=~pair[:1]))
+    pair, rank = pair[head], (key[head] & (np.uint64(1) << low) - np.uint64(1)).astype(np.int64)
+    occ = pair >> np.uint64(t * t)
+    return (masks[occ.astype(np.intp)] if t == 3 else occ,
+            (pair & np.uint64((1 << t * t) - 1)).astype(np.int16),
+            rank + base.min() if bases is None else bases[rank])
+
+
+def _pairs(signs: np.ndarray, t: int, sel: np.ndarray,
+           bases: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(occ, u, first): each distinct (occurrence mask, U code) pair of the
+    bases 0..bases-1 and the first base where it occurs, in no set order.
+    The blocks of ``_occurrence_blocks`` are reduced to their distinct
+    pairs whenever they hold more than a sixteenth of the budget or twice
+    the pairs the last reduction kept."""
+    parts, held, kept = [], 0, 0
+    for origin, stride, occ, u in _occurrence_blocks(signs, t, sel, bases):
+        base = origin + stride * np.arange(len(occ))[:, None] + np.arange(occ.shape[1])
+        parts.append((occ.ravel(), u.ravel(), base.ravel()))
+        held += occ.size
+        if held > max(_SCREEN_BUDGET // 16, 2 * kept):
+            parts = [_distinct_pairs(parts, t)]
+            held = kept = len(parts[0][0])
+    return parts[0] if held == 1 else _distinct_pairs(parts, t)  # one base is distinct
 
 
 class _EpsScreen:
     """Exact epsilon and window check of every magnitude index (w' << t) | v,
-    bit a of w' (of v) set when D_ij W_ia (V_aj) is -1, for each U that
-    occurs and each variant, ranked on one global scale.
+    bit a of w' (of v) set when D_ij W_ia (V_aj) is -1, for the given U codes
+    and each variant, ranked on one global scale.
 
-    Every index's value comes from ``_code_values``, as EpsHadamard takes
-    it, and ``keys`` lists the distinct magnitudes as ascending integer keys
-    (``_magnitudes``).  From the keys to the ranks only integers are used:
-    each epsilon's side, each comparison of two epsilons (``_eps_ranks``)
-    and each window test (``_outside``) is one integer sign test.
+    The value of an index is 1/sqrt(M) + s(w')^T C s(v), and C's closed
+    form is sum_p c_p U_eff^p, U_eff = U (Y1) or -U (Y2), with c_p that
+    depend only on U's relation (kappa, gamma, vartheta) and the variant.
+    So the table is built per relation class: one batched product
+    X_p = S U^p S^T (p = 0, 1, 2, S the rows s(x)) gives every U's X_p at
+    every index, small int64 with |X_p| <= t^(p+1); the distinct
+    (relation, variant, X_0, X_1, X_2) are found on arrays; and only those
+    are evaluated, on Python ints, by the class's corner form
+    (``_class_form``) as integer triples (p, q, L) for (p + q*sqrt(c))/L.
+    The result is the value EpsHadamard's ``_code_values`` gives the index.
+
+    ``keys`` lists the distinct magnitudes as ascending integer keys
+    (``_magnitudes``) and ``mag_ids[lut[u], vi]`` the magnitude of each
+    index.  From the keys to the ranks only integers are used: each
+    epsilon's side, each comparison of two epsilons (``_eps_ranks``) and
+    each window test (``_outside``) is one integer sign test.
     ``key_ranks[g]`` is the rank of key g (equal epsilons share a rank), or
     ``sentinel`` for a magnitude outside the reduction window; ``eps[r]`` is
     the ExactEps of rank r, built from one key of that rank where it is read.
@@ -1029,22 +1113,36 @@ class _EpsScreen:
         self.window, self.core = _window(t, m), square_free_split(m)[1]
         self.lut = np.full(1 << (t * t), -1, dtype=np.intp)
         self.lut[u_codes] = np.arange(len(u_codes))
-        index: dict = {}  # (p, q, L) -> position in ``index``
-        value_ids = []  # per (u, variant), magnitude index order
-        known: dict = {}  # C(-U, Y1) = -C(U, Y2) and C(-U, Y2) = -C(U, Y1)
-        for uc in u_codes.tolist():
-            u = np.array([[-1 if uc >> (a * t + b) & 1 else 1 for b in range(t)]
-                          for a in range(t)], dtype=np.int64)
-            uclass = classify_u(u)
-            for vi, variant in enumerate(_VARIANTS):
-                mirror = known.get((uc ^ (1 << t * t) - 1, 1 - vi))
-                c = known[uc, vi] = (_coefficient_form(u, uclass, variant, m) if mirror is None
-                                     else (*mirror[:2], -mirror[2], -mirror[3]))
-                form = _corner_form(c, m)
-                value_ids.append([index.setdefault((p, q, form[0]), len(index))
-                                  for p, q in _code_values(form, t)])
-        mag_of_value, self.keys = _magnitudes(list(index), self.core)
-        self.mag_ids = mag_of_value[np.array(value_ids)].reshape(len(u_codes), 2, -1)
+        u = 1 - 2 * (u_codes[:, None] >> np.arange(t * t) & 1).reshape(-1, t, t)
+        rel = _relations(u)
+        assert _relation_holds(u, *(x[:, None, None] for x in rel)), \
+            "Cayley-Hamilton relation must hold"
+        s = 1 - 2 * (np.arange(1 << t)[:, None] >> np.arange(t) & 1)  # rows s(x)
+        x = [s @ s.T, s @ u @ s.T, s @ (u @ u) @ s.T]  # X_0 is the same for every U
+        top = t**3
+        assert all(int(np.abs(xp).max()) <= top for xp in x), "|X_p| exceeds t^(p+1)"
+        # one int64 per (U, variant, index): the relation, in base-64 digits
+        # (each parameter is at most 6 in size), the variant and the X_p
+        radix = 2 * top + 1
+        code = ((x[0] + top) * radix + x[1] + top) * radix + x[2] + top
+        relation = (rel[0] + 32 << 12) + (rel[1] + 32 << 6) + rel[2] + 32
+        key = ((relation.reshape(-1, 1, 1) * 2 + np.arange(2)[:, None]) * radix**3
+               + code.reshape(len(u), 1, -1))
+        distinct = np.unique(key)
+        forms: dict = {}
+        values = []
+        for k in distinct.tolist():
+            c, k = divmod(k, radix**3)
+            if c not in forms:
+                rc, vi = divmod(c, 2)
+                kappa, gamma, vartheta = ((rc >> shift & 63) - 32 for shift in (12, 6, 0))
+                forms[c] = _class_form((kappa, gamma, vartheta if t == 3 else None),
+                                       _VARIANTS[vi], m)
+            corner, a, b = forms[c]
+            xs = (1, k // radix**2 - top, k // radix % radix - top, k % radix - top)
+            values.append((sum(map(operator.mul, a, xs)), sum(map(operator.mul, b, xs)), corner))
+        mag_of_value, self.keys = _magnitudes(values, self.core)
+        self.mag_ids = mag_of_value[np.searchsorted(distinct, key)]
         key_ranks, reps = _eps_ranks(self.keys, m - t, self.core)
         self.eps = _RankEps(reps, m - t, self.core)
         self.sentinel = len(reps)
@@ -1089,15 +1187,21 @@ class _RankEps:
 
 
 class _SplitScreen:
-    """The first ``cap`` splits of a scope and the exact epsilon rank of each
-    of their candidates; no array it holds grows with their number.
+    """The first ``cap`` splits of a scope, ranked through their distinct
+    (occurrence mask, U code) pairs; no array it holds grows with the
+    number of splits, only with the number of distinct pairs.
 
     Splits are (rows, cols, negation pair) in search order; base b =
     (rows, cols) is row selection b // n, column selection b % n.  Candidate
     i is split i // 2 with variant _VARIANTS[i % 2], and split s is base
-    s // nneg2 with negation pair s % nneg2.  A first pass collects the U
-    codes that occur for ``table``; ``ranks`` forms the occurrence masks of
-    a block of bases at a time and ranks them at once.
+    s // nneg2 with negation pair s % nneg2.  Two bases with the same mask
+    and U code, no negations applied, have the same rank at every negation
+    pair and variant.  So ``occ``, ``u`` and ``first`` hold each distinct
+    pair of the bases whose every negation pair is under the cap and the
+    first base where it occurs (``_pairs``), and, when the cap ends partway
+    through a base's negation pairs, that base as a pair of its own.
+    ``table`` covers their U codes under the negation pairs (the last base's
+    only under those within the cap), and ``best`` ranks every pair once.
     """
 
     def __init__(self, h: SignMatrix, t: int, scope: str, cap: int):
@@ -1115,15 +1219,15 @@ class _SplitScreen:
         self.splits = min(cap, self.size)
         if self.splits <= 0:
             raise DomainError("no candidate splits in scope")
-        self.bases = -(-self.splits // self.nneg2)
-        seen = np.zeros(1 << t * t, dtype=bool)  # U codes of the bases before the last
-        for _, rsel, cols in _tiles(self.sel, 0, self.bases - 1, _SCREEN_BUDGET):
-            seen[_u_codes(h.rows, rsel, cols)] = True
-        r, c = divmod(self.bases - 1, len(self.sel))  # the last base, maybe not every negation
-        last = _u_codes(h.rows, self.sel[r:r + 1], self.sel[c:c + 1])[0, 0]
-        u_codes = np.union1d((np.flatnonzero(seen)[:, None] ^ self.u_flip).reshape(-1),
-                             last ^ self.u_flip[:self.splits - (self.bases - 1) * self.nneg2])
-        self.table = _EpsScreen(u_codes, t, h.order)
+        full, rem = divmod(self.splits, self.nneg2)  # bases with every negation pair; the rest
+        self.occ, self.u, self.first = _pairs(h.rows, t, self.sel, full)
+        u_codes = (self.u[:, None] ^ self.u_flip).ravel()
+        if rem:
+            (_, _, occ, u), = _occurrence_blocks(h.rows, t, self.sel, full + 1, full)
+            self.occ, self.u = np.append(self.occ, occ[0]), np.append(self.u, u[0])
+            self.first = np.append(self.first, full)
+            u_codes = np.append(u_codes, u[0, 0] ^ self.u_flip[:rem])
+        self.table = _EpsScreen(np.unique(u_codes), t, h.order)
 
     def candidate(self, i: int) -> tuple[BlockSplit, str]:
         s, vi = divmod(i, 2)
@@ -1134,32 +1238,41 @@ class _SplitScreen:
                            self.negs[col_negate])
         return split, _VARIANTS[vi]
 
-    def ranks(self):
-        """(start, ranks) in search order: the rank of every candidate, in
-        chunks of bases; raises CertificationError for the first candidate
-        with a magnitude outside the window."""
-        table, per_base = self.table, self.nneg2 * 2
+    def ranks(self, occ: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(len(occ), 2 * nneg2) ranks, in search order, of the candidates of
+        a base with each occurrence mask and U code (no negations applied),
+        for U codes whose every negation is in the table."""
+        ui = self.table.lut[u[:, None] ^ self.u_flip]
+        return self.table.ranks(_xor_permuted(occ, self.flips), ui).reshape(len(occ), -1)
+
+    def best(self) -> tuple[int, int]:
+        """(rank, candidate index) of the first minimum in search order: the
+        least rank, at the least first base of a pair that takes it, at
+        that pair's first negation pair and variant that takes it.  Raises
+        CertificationError for the first candidate, found the same way, with
+        a magnitude outside the window."""
+        table, per_base, stop = self.table, 2 * self.nneg2, 2 * self.splits
         chunk = max(1, _SCREEN_BUDGET // (per_base * table.levels.shape[-1]))
-        for first, rsel, cols in _tiles(self.sel, 0, self.bases, _SCREEN_BUDGET):
-            masks, codes = _occurrence(self.h.rows, self.t, self.sel,
-                                       first + len(rsel) * len(cols), first)
-            for at in range(0, len(masks), chunk):
-                start = first + at
-                occ = _xor_permuted(masks[at:at + chunk], self.flips)  # (n, negations)
-                ui = table.lut[codes[at:at + chunk, None] ^ self.u_flip]
-                # candidates past the cap (U codes outside the table) are cut off
-                ranks = table.ranks(occ, ui).reshape(-1)[: 2 * self.splits - start * per_base]
-                hits = np.flatnonzero(ranks == table.sentinel)
-                if hits.size:
-                    i = int(hits[0])
-                    split, variant = self.candidate(start * per_base + i)
-                    b, ni = divmod(i // 2, self.nneg2)
-                    av = table.violation(int(occ[b, ni]), int(ui[b, ni]), i % 2)
-                    lo, hi = table.window
-                    raise CertificationError(f"entry magnitude {av} outside window "
-                                             f"[{lo}, {hi}] in {split!r} {variant}")
-                yield start * per_base, ranks
-            del masks, codes  # freed before the next block is formed
+        best, bad = (table.sentinel + 1, stop), stop
+        for at in range(0, len(self.occ), chunk):
+            index = self.first[at:at + chunk, None] * per_base + np.arange(per_base)
+            ranks = self.ranks(self.occ[at:at + chunk], self.u[at:at + chunk])
+            ranks[index >= stop] = table.sentinel + 1  # past the cap
+            low = int(ranks.min())
+            best = min(best, (low, int(index[ranks == low].min())))
+            hits = index[ranks == table.sentinel]
+            if hits.size:
+                bad = min(bad, int(hits.min()))
+        if bad < stop:
+            split, variant = self.candidate(bad)
+            base, ni = divmod(bad // 2, self.nneg2)
+            p = int(np.flatnonzero(self.first == base)[0])
+            occ = int(_xor_permuted(self.occ[p:p + 1], self.flips)[0, ni])
+            av = table.violation(occ, int(table.lut[self.u[p] ^ self.u_flip[ni]]), bad % 2)
+            lo, hi = table.window
+            raise CertificationError(f"entry magnitude {av} outside window "
+                                     f"[{lo}, {hi}] in {split!r} {variant}")
+        return best
 
 
 def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
@@ -1169,15 +1282,23 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
     Both variants of every candidate split are scored exactly, without
     building them: |Y_ij| depends only on the magnitude index
     (D_ij w_i, v_j), one of 2^(2t) <= 64, so a candidate's epsilon is the
-    largest epsilon among the indices its entries take.  The screen ranks
-    the exact epsilon of each index once per (U, variant) that occurs, with
-    integer sign tests only (``_EpsScreen``), and per split forms one 64-bit
-    mask of the indices that occur, from exact counts, a block of splits at
-    a time (``_occurrence``).  Two candidates compare as their rebuilt
+    largest epsilon among the indices its entries take.  Per base (a row
+    and a column selection, no negations), one 64-bit mask of the indices
+    that occur is formed from exact counts, a block of bases at a time
+    (``_occurrence_blocks``), and only the distinct (mask, U code) pairs are
+    kept, each with the first base where it occurs (``_pairs``): negations
+    permute the mask's bits and flip U's, so two bases with the same pair
+    rank alike at every negation pair and variant.  The exact epsilon of
+    each index is ranked once per U code and variant, from the c_p of each
+    relation class, with integer sign tests only (``_EpsScreen``); each pair
+    is ranked once over its negation pairs and variants, and the first
+    minimum in search order is taken from the pairs' first bases
+    (``_SplitScreen.best``).  Two candidates compare as their rebuilt
     ``EpsHadamard`` epsilons would, and an occurring index outside the
-    reduction window raises CertificationError as the candidate's
-    construction would.  The winner's screened epsilon is checked against
-    its rebuilt one by ``ExactEps.cmp``, an independent route.
+    reduction window raises CertificationError, naming the first candidate
+    that has one, as that candidate's construction would.  The winner's
+    screened epsilon is checked against its rebuilt one by
+    ``ExactEps.cmp``, an independent route.
 
     Splits are searched in the order (rows, cols, row negations, col
     negations), variant Y2 before Y1, and the first minimum wins: ties break
@@ -1196,13 +1317,7 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
         raise DomainError(f"t={t} must satisfy t < sqrt({h.order})")
 
     search = _SplitScreen(h, t, search_scope, cap)
-    best = None  # (rank, candidate index)
-    for start, ranks in search.ranks():
-        i = int(np.argmin(ranks))
-        if best is None or ranks[i] < best[0]:
-            best = (int(ranks[i]), start + i)
-
-    rank, i = best
+    rank, i = search.best()
     split, variant = search.candidate(i)
     y = reduce_split(split, variant)
     if y.epsilon.cmp(search.table.eps[rank]) != 0:

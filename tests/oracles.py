@@ -22,7 +22,9 @@ route from a value to its magnitude (``_magnitudes``).  ``lemma_inverse``
 evaluates the library's polynomial-inverse coefficients as the published
 displays write them, so that tests can compare those displays.
 ``row_permuted`` builds the row-permuted H of the benchmark's seeded
-reduction workloads.
+reduction workloads.  ``eps_table_per_code`` builds the split screen's
+magnitude table one U code at a time, from each code's own C, as the screen
+did before it worked per relation class.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from armub.epsh import (
     BlockSplit,
     ExactEps,
     Provenance,
+    _code_values,
     _coefficient_form,
+    _corner_form,
     _magnitudes,
     _negated_params,
     _T2_PREFER_Y1,
@@ -967,6 +971,25 @@ def best_reduction_loop(h, t, search_scope="corner-only", cap=100_000):
     return final
 
 
+def eps_table_per_code(u_codes, t: int, m: int) -> tuple[list[tuple], np.ndarray]:
+    """(keys, mag_ids) of the split screen's table by the per-code route:
+    for each U code and variant (Y2, Y1), C from ``_coefficient_form``, its
+    corner form and its code values (``_code_values``), then
+    ``_magnitudes`` over every value; mag_ids[u, vi, b] is the magnitude
+    of index b."""
+    index, value_ids = {}, []
+    for uc in u_codes:
+        u = np.array([[-1 if uc >> (a * t + b) & 1 else 1 for b in range(t)]
+                      for a in range(t)], dtype=np.int64)
+        uclass = classify_u(u)
+        for variant in ("Y2", "Y1"):
+            form = _corner_form(_coefficient_form(u, uclass, variant, m), m)
+            value_ids.append([index.setdefault((p, q, form[0]), len(index))
+                              for p, q in _code_values(form, t)])
+    ids, keys = _magnitudes(list(index), square_free_split(m)[1])
+    return keys, ids[np.array(value_ids)].reshape(len(u_codes), 2, -1)
+
+
 def occurrence_masks(rows, t, sel, bases):
     """(masks, U codes) of the first ``bases`` (rows sel[b // n], columns
     sel[b % n]) splits of a sign matrix, entry by entry.  Bit (w' << t) | v
@@ -1033,8 +1056,8 @@ def lemma_inverse(u, radicand: int, sign: int = 1) -> tuple[list[list[Scalar]], 
     for U' = sign * U by the relation of U'."""
     u = np.asarray(u, dtype=np.int64)
     uclass = classify_u(u)
-    params = (uclass.kappa, uclass.gamma, uclass.vartheta) if sign == 1 \
-        else _negated_params(uclass)
+    params = (uclass.kappa, uclass.gamma, uclass.vartheta)
+    params = params if sign == 1 else _negated_params(params)
     alpha = exact_sqrt(radicand)
     nums, (d0, d1) = _poly_inverse_coeffs(*params, radicand)
     den = d0 + d1 * alpha

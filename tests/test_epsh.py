@@ -293,7 +293,8 @@ def test_lemma_inverse_identity():
 def test_t3_closed_form_coefficients_at_order_16():
     """The closed-form coefficients of I, U and U^2 at 4n = 16 are the
     displayed fractions, with alternating signs for Y1 and all-positive
-    signs for Y2."""
+    signs for Y2, and C is their sum over the powers of U (Y1) or -U
+    (Y2)."""
     u = np.array(paper_listed_configs(3)[0], dtype=np.int64)
     uclass = classify_u(u)
     expect = {
@@ -302,11 +303,14 @@ def test_t3_closed_form_coefficients_at_order_16():
     }
     for variant, want in expect.items():
         flip = 1 if variant == "Y1" else -1  # Y2's powers are of -U
-        scale, coeffs = epsh._closed_form_coeffs(u, uclass, variant, 16)
-        for p, (_, b, power) in enumerate(coeffs):
-            assert np.array_equal(power, np.linalg.matrix_power(flip * u, p))
-            assert b == 0  # sqrt(16) is rational
-        assert [flip**p * Fraction(a, scale) for p, (a, _, _) in enumerate(coeffs)] == want
+        params = (uclass.kappa, uclass.gamma, uclass.vartheta)
+        scale, coeffs = epsh._relation_coeffs(params, variant, 16)
+        assert all(b == 0 for _, b in coeffs)  # sqrt(16) is rational
+        assert [flip**p * Fraction(a, scale) for p, (a, _) in enumerate(coeffs)] == want
+        _, _, a, _ = epsh._coefficient_form(u, uclass, variant, 16)
+        c = sum(Fraction(ap, scale) * np.linalg.matrix_power(flip * u, p).astype(object)
+                for p, (ap, _) in enumerate(coeffs))
+        assert (a == c * scale).all()
 
 
 # -- epsilon ----------------------------------------------------------------
@@ -675,6 +679,19 @@ def test_screen_matches_candidate_loop(order, t, scope, cap):
         jsonio.dumps_canonical(jsonio.eps_hadamard_obj(want))
 
 
+def _occurrence(rows, t, sel, bases, start=0):
+    """(masks, U codes) of the bases start..bases-1 in base order, put
+    together from the screen's blocks, each base taken exactly once."""
+    occ = np.zeros(bases - start, dtype=np.uint64)
+    u = np.full(bases - start, -1, dtype=np.int64)
+    for origin, stride, masks, codes in epsh._occurrence_blocks(rows, t, sel, bases, start):
+        at = origin - start + stride * np.arange(masks.shape[0])[:, None] + np.arange(masks.shape[1])
+        assert (u[at] == -1).all()
+        occ[at], u[at] = masks, codes
+    assert (u >= 0).all()
+    return occ, u
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_occurrence_masks_match_entries(t):
     """Each split's occurrence mask and U code, against the entry-by-entry
@@ -688,7 +705,7 @@ def test_occurrence_masks_match_entries(t):
     combos = list(itertools.combinations(range(72), t))
     picks = sorted(rng.choice(len(combos), size=12, replace=False))
     sel = np.array([combos[i] for i in picks])
-    occ, u = epsh._occurrence(rows, t, sel, 144)
+    occ, u = _occurrence(rows, t, sel, 144)
     masks, codes = oracles.occurrence_masks(rows, t, sel, 144)
     assert occ.tolist() == masks
     assert u.tolist() == codes
@@ -712,9 +729,9 @@ def test_occurrence_matches_oracle_on_hadamard_scopes(m, t, monkeypatch):
     masks, codes = oracles.occurrence_masks(rows, t, sel, bases)
     for budget in (epsh._SCREEN_BUDGET, 1 << 10):
         monkeypatch.setattr(epsh, "_SCREEN_BUDGET", budget)
-        occ, u = epsh._occurrence(rows, t, sel, bases)
+        occ, u = _occurrence(rows, t, sel, bases)
         assert occ.tolist() == masks and u.tolist() == codes, budget
-        parts = [epsh._occurrence(rows, t, sel, cut), epsh._occurrence(rows, t, sel, bases, cut)]
+        parts = [_occurrence(rows, t, sel, cut), _occurrence(rows, t, sel, bases, cut)]
         assert np.concatenate([p[0] for p in parts]).tolist() == masks, budget
         assert np.concatenate([p[1] for p in parts]).tolist() == codes, budget
 
@@ -722,7 +739,7 @@ def test_occurrence_matches_oracle_on_hadamard_scopes(m, t, monkeypatch):
 def test_occurrence_one_base_corner_at_order_256():
     rows = find_hadamard(256).rows
     sel = np.array([[0, 1, 2]], dtype=np.intp)
-    occ, u = epsh._occurrence(rows, 3, sel, 1)
+    occ, u = _occurrence(rows, 3, sel, 1)
     assert (occ.tolist(), u.tolist()) == oracles.occurrence_masks(rows, 3, sel, 1)
 
 
@@ -730,16 +747,16 @@ def test_occurrence_asserts_the_float32_bound():
     """The count products are exact while (M - t)*M < 2^24; at order 4097
     the kernel refuses before it forms any product."""
     with pytest.raises(AssertionError, match="exact float32 range"):
-        epsh._occurrence(np.ones((4097, 4097), dtype=np.int8), 1,
+        _occurrence(np.ones((4097, 4097), dtype=np.int8), 1,
                          np.array([[0]], dtype=np.intp), 1)
 
 
 def test_screen_memory_does_not_grow_with_the_scope(monkeypatch):
-    """The screen forms its masks block by block and keeps none: its traced
-    peak, first pass and ranking together, over the full H_16, t = 3 scope
-    (313,600 splits) stays under twice that at a cap of 10,000.  Both runs
-    share one code table, built beforehand for the full scope, so only what
-    depends on the splits is measured."""
+    """The screen forms its masks block by block and keeps only the distinct
+    (mask, U code) pairs: its traced peak, pairs and ranking together, over
+    the full H_16, t = 3 scope (313,600 splits) stays under twice that at a
+    cap of 10,000.  Both runs share one code table, built beforehand for
+    the full scope, so only what depends on the splits is measured."""
     h = find_hadamard(16)
     table = epsh._SplitScreen(h, 3, "row-col-permutations", 10**9).table
     monkeypatch.setattr(epsh, "_EpsScreen", lambda u_codes, t, m: table)
@@ -748,7 +765,8 @@ def test_screen_memory_does_not_grow_with_the_scope(monkeypatch):
         tracemalloc.start()
         try:
             search = epsh._SplitScreen(h, 3, "row-col-permutations", cap)
-            assert sum(len(ranks) for _, ranks in search.ranks()) == 2 * min(cap, 313_600)
+            _, i = search.best()
+            assert search.splits == min(cap, 313_600) and i < 2 * search.splits
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -757,18 +775,44 @@ def test_screen_memory_does_not_grow_with_the_scope(monkeypatch):
 
 @pytest.mark.parametrize("order, t, cap", [(8, 2, 64), (16, 3, 16), (68, 2, 40)])
 def test_screen_ranks_every_candidate(order, t, cap):
-    """Each candidate's screened epsilon equals that of its EpsHadamard, not
-    only the winner's."""
-    search = epsh._SplitScreen(find_hadamard(order), t, "permutations-and-negations", cap)
-    seen = 0
-    for start, ranks in search.ranks():
-        assert start == seen
-        for i, rank in enumerate(ranks, start):
-            split, variant = search.candidate(i)
-            y = reduce_split(split, variant)
-            assert search.table.eps[rank].cmp(y.epsilon) == 0, (split, variant)
-        seen += len(ranks)
-    assert seen == 2 * cap
+    """Each candidate's screened epsilon, ranked from its own base's mask and
+    U code, equals that of its EpsHadamard, not only the winner's; the
+    screen holds exactly the first base of each distinct pair of the bases
+    with every negation pair under the cap, then a last base the cap cuts
+    (none, one alone and one after two full bases here), and its best is
+    the first minimum of the per-candidate ranks."""
+    h = find_hadamard(order)
+    search = epsh._SplitScreen(h, t, "permutations-and-negations", cap)
+    full, rem = divmod(cap, search.nneg2)
+    occ, u = _occurrence(h.rows, t, search.sel, full + (rem > 0))
+    ranks = search.ranks(occ, u).reshape(-1)[:2 * cap]
+    for i, rank in enumerate(ranks):
+        split, variant = search.candidate(i)
+        y = reduce_split(split, variant)
+        assert search.table.eps[rank].cmp(y.epsilon) == 0, (split, variant)
+    want = {}
+    for b, pair in enumerate(zip(occ[:full].tolist(), u[:full].tolist())):
+        want.setdefault(pair, b)
+    got = list(zip(zip(search.occ.tolist(), search.u.tolist()), search.first.tolist()))
+    if rem:
+        assert got.pop() == ((int(occ[full]), int(u[full])), full)
+    assert dict(got) == want and len(got) == len(want)
+    assert search.best() == (ranks.min(), ranks.argmin())
+
+
+def test_screen_best_at_every_cap():
+    """At every cap over the first six bases of H_8, t = 2 with negations,
+    most ending inside a base's 16 negation pairs, the screen's best is the
+    first minimum of the per-candidate ranks under that cap."""
+    h = find_hadamard(8)
+    full = epsh._SplitScreen(h, 2, "permutations-and-negations", 10**9)
+    occ, u = _occurrence(h.rows, 2, full.sel, 6)
+    ranks = full.ranks(occ, u).reshape(-1)
+    for cap in range(1, 6 * 16 + 1):
+        search = epsh._SplitScreen(h, 2, "permutations-and-negations", cap)
+        rank, i = search.best()
+        assert i == int(np.argmin(ranks[:2 * cap])), cap
+        assert search.table.eps[rank].cmp(full.table.eps[ranks[i]]) == 0, cap
 
 
 def _exact_eps_ranks(keys, k, core, window):
@@ -810,6 +854,82 @@ def test_integer_eps_rank_matches_exact_eps_every_u(m, ts):
     ties = sum(_assert_screen_ranks(epsh._EpsScreen(np.arange(1 << (t * t)), t, m), t, m)
                for t in ts)
     assert (ties > 0) == (m == 12)  # of these orders, equal epsilons meet at 12
+
+
+def _assert_table_matches_per_code_route(table, u_codes, t, m):
+    """keys, mag_ids, levels and level_masks of the class-batched table
+    equal the per-code route's; the levels and their index masks come from
+    the per-code magnitudes and the ExactEps.cmp ranks of ``_exact_eps_ranks``."""
+    keys, mag_ids = oracles.eps_table_per_code(u_codes, t, m)
+    assert table.keys == keys, (t, m)
+    assert table.mag_ids.tolist() == mag_ids.tolist(), (t, m)
+    ranks, _, _ = _exact_eps_ranks(keys, m - t, table.core, epsh._window(t, m))
+    levels = [[sorted({ranks[g] for g in row}, reverse=True) for row in per_u]
+              for per_u in mag_ids.tolist()]
+    width = max(len(row) for per_u in levels for row in per_u)
+    assert table.levels.shape[-1] == width, (t, m)
+    for ui, per_u in enumerate(levels):
+        for vi, row in enumerate(per_u):
+            masks = [sum(1 << b for b, g in enumerate(mag_ids[ui, vi]) if ranks[g] == r)
+                     for r in row]
+            assert table.levels[ui, vi].tolist() == row + [0] * (width - len(row)), (t, m, ui)
+            assert table.level_masks[ui, vi].tolist() == masks + [0] * (width - len(row)), \
+                (t, m, ui)
+
+
+@pytest.mark.parametrize("m", [8, 12, 16, 20, 28, 64])
+def test_class_table_matches_per_code_route(m):
+    """The table formed once per relation class, from one batched S U^p S^T,
+    equals the per-code route for every U code, t = 1, 2, 3 with t^2 < M
+    (c = 2, 3, 1, 5, 7, 1)."""
+    for t in (t for t in (1, 2, 3) if t * t < m):
+        u_codes = np.arange(1 << (t * t))
+        _assert_table_matches_per_code_route(epsh._EpsScreen(u_codes, t, m), u_codes, t, m)
+
+
+def test_class_table_matches_per_code_route_at_order_4096():
+    """At M = 4096, t = 3, the largest order the screen takes, for the corner
+    U of H_4096, the class route gives the per-code route's table."""
+    u = find_hadamard(4096).rows[:3, :3]
+    code = np.array([sum(int(u[a, e] < 0) << (3 * a + e) for a in range(3) for e in range(3))])
+    _assert_table_matches_per_code_route(epsh._EpsScreen(code, 3, 4096), code, 3, 4096)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_distinct_pairs_keeps_the_least_base(t):
+    """Each distinct (mask, U code) pair once, at its least base, whether the
+    bases are close (ranked in place) or far apart (ranked by sorting), and
+    across parts whose bases interleave."""
+    rng = np.random.default_rng(t)
+    top = 2 ** (1 << (2 * t))
+    for spread in (10**6, 2**62):
+        occ = rng.integers(0, min(top, 2**63), size=3000, dtype=np.uint64) % np.uint64(7)
+        occ = occ * np.uint64(top // 7 - 1)  # few masks, high bits set at t = 3
+        u = rng.integers(0, 1 << (t * t), size=3000).astype(np.int16) % 5
+        base = rng.choice(spread, size=3000, replace=False).astype(np.int64)
+        want = {}
+        for key, b in sorted(zip(zip(occ.tolist(), u.tolist()), base.tolist()),
+                             key=lambda kb: kb[1]):
+            want.setdefault(key, b)
+        parts = [(occ[i::3], u[i::3], base[i::3]) for i in range(3)]
+        got = epsh._distinct_pairs(parts, t)
+        assert dict(zip(zip(got[0].tolist(), got[1].tolist()), got[2].tolist())) == want
+        assert len(got[0]) == len(want)
+
+
+def test_full_h16_t3_scopes_agree():
+    """Both full H_16, t = 3 scopes, 313,600 and 20,070,400 splits, reach
+    the same exact epsilon, 0.6394, with max|Y|^2 = 4/25."""
+    h = find_hadamard(16)
+    plain = best_reduction(h, 3, "row-col-permutations", cap=10**9)
+    signed = best_reduction(h, 3, "permutations-and-negations", cap=10**9)
+    assert plain.epsilon.cmp(signed.epsilon) == 0
+    assert round(float(plain.epsilon), 4) == 0.6394
+    assert plain.max_abs_entry() ** 2 == signed.max_abs_entry() ** 2 == Fraction(4, 25)
+    p, s = plain.provenance, signed.provenance
+    assert (p.row_select, p.col_select, p.variant) == ((0, 1, 2), (3, 4, 5), "Y1")
+    assert (s.row_select, s.col_select, s.row_negate, s.col_negate, s.variant) == \
+        ((0, 1, 2), (0, 1, 3), (False,) * 3, (False, True, True), "Y1")
 
 
 @pytest.mark.parametrize("m", [28, 64, 96, 256])
