@@ -33,7 +33,11 @@ deviation alone is kept as a separate diagnostic (`epsilon_upper`)
 because several reported per-case expressions track only that side.
 
 Split search (`best_reduction`) scores candidates without building them.
-For a fixed U (signs applied) and variant, the magnitude codes a split's
+A scope of one split (corner-only) needs no screen: one code scan
+(``_CodeScan``) serves both variants, their occurring codes give their
+epsilons, compared by integer sign tests, and the winner is built from
+that scan.  In a larger scope, for a fixed U (signs applied) and variant,
+the magnitude codes a split's
 entries take fit one 64-bit occurrence mask.  The masks are read off exact
 counts of the codes, formed for blocks of splits at a time as float32
 products of 0/1 arrays whose every partial sum is an integer below 2^24; a
@@ -59,7 +63,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -381,6 +385,40 @@ class Provenance:
     uclass: Optional[UClass] = None
 
 
+class _CodeScan:
+    """What a reduction reads of H, the same for both variants of a split:
+    U, the W- and V-codes (bit a of w_i, v_j set where W_ia, V_aj is -1,
+    negations applied) and, per column j, the count of each magnitude code
+    (w' << t) | v_j, with the codes that occur.  With w' = w_i xor
+    (2^t - 1)*[D_ij = -1], column j takes code (x << t) | v_j once per row
+    with w_i = x and D_ij = +1 or w_i = x xor (2^t - 1) and D_ij = -1; the
+    -1s are counted from sums of whole rows of H, read contiguously."""
+
+    __slots__ = ("rest", "u", "w", "v", "count", "codes", "occurring")
+
+    def __init__(self, source: SignMatrix, provenance: Provenance):
+        m, t = source.order, provenance.t
+        rows, cols = list(provenance.row_select), list(provenance.col_select)
+        keep_r, keep_c = np.ones((2, m), dtype=bool)
+        keep_r[rows], keep_c[cols] = False, False
+        self.rest = rest_r, rest_c = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
+        rn, cn = np.array(provenance.row_negate, bool), np.array(provenance.col_negate, bool)
+        h = source.rows
+        self.u = (BlockSplit(source, rows, cols, provenance.row_negate,
+                             provenance.col_negate).u_matrix() if t
+                  else np.zeros((0, 0), dtype=np.int64)).astype(object)
+        bit = 1 << np.arange(t, dtype=np.uint8)
+        self.w = w = ((h[:, cols] < 0)[keep_r] ^ cn) @ bit
+        self.v = ((h[rows] < 0)[:, keep_c] ^ rn[:, None]).T @ bit
+        span, full = 1 << t, (1 << t) - 1
+        ones = np.stack([(len(r) - np.take(h, r, axis=0).sum(axis=0, dtype=np.int64)[rest_c]) // 2
+                         for r in (rest_r[w == x] for x in range(span))])  # w_i = x, D_ij = -1
+        self.count = np.bincount(w, minlength=span)[:, None] - ones + ones[np.arange(span) ^ full]
+        self.codes = np.arange(span)[:, None] << t | self.v  # (w', j) -> code
+        self.occurring = np.flatnonzero(np.bincount(self.codes[self.count > 0],
+                                                    minlength=span * span))
+
+
 # ---------------------------------------------------------------------------
 # EpsHadamard
 # ---------------------------------------------------------------------------
@@ -396,8 +434,9 @@ class EpsHadamard:
     Y_ij = D_ij * (1/sqrt(M) + (D_ij w_i)^T C v_j): entry (i, j) is D_ij
     times the value of its magnitude code (D_ij w_i, v_j), one of at most
     2^(2t).  The codes that occur give the distinct magnitudes, epsilon,
-    the window check and the per-column magnitude histogram.  The only
-    k x k array holds the sign bits of D, a byte per entry.
+    the window check and the per-column magnitude histogram, counted from
+    sums of rows of H (``_CodeScan``; ``scan`` passes one in when both
+    variants of a split share it), whose int8 copies are the largest arrays.
     Orthogonality is H's certified Hadamard property plus the exact t x t
     identity X = 0, by which Y Y^T - I = W X W^T vanishes
     (``verify_orthogonal``).  All checks run at construction, so every
@@ -420,10 +459,7 @@ class EpsHadamard:
         "window_ok",
         "is_eps_hadamard",
         "_form",
-        "_u",
-        "_rest",
-        "_w",
-        "_v",
+        "_scan",
         "_values",
         "_scalars",
         "_abs",
@@ -431,7 +467,7 @@ class EpsHadamard:
         "_counts",
     )
 
-    def __init__(self, source: SignMatrix, provenance: Provenance, c):
+    def __init__(self, source: SignMatrix, provenance: Provenance, c, scan=None):
         if not source.hadamard_verified:
             raise DomainError("source must be hadamard-verified")
         m, t = source.order, provenance.t
@@ -447,63 +483,38 @@ class EpsHadamard:
         self.terms = tuple(terms)
         self._values = _code_values(self._form, t)
         self._scalars: dict = {}
-
-        # H's sign bits on the split, negations applied
-        rows, cols = list(provenance.row_select), list(provenance.col_select)
-        keep_r, keep_c = np.ones((2, m), dtype=bool)
-        keep_r[rows], keep_c[cols] = False, False
-        self._rest = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
-        rn, cn = np.array(provenance.row_negate, bool), np.array(provenance.col_negate, bool)
-        h = source.rows
-        self._u = (BlockSplit(source, rows, cols, provenance.row_negate,
-                              provenance.col_negate).u_matrix() if t
-                   else np.zeros((0, 0), dtype=np.int64)).astype(object)
-        bit = 1 << np.arange(t, dtype=np.uint8)
-        self._w = ((h[:, cols] < 0)[keep_r] ^ cn) @ bit  # bit a of w_i: W_ia = -1
-        self._v = ((h[rows] < 0)[:, keep_c] ^ rn[:, None]).T @ bit  # bit a of v_j: V_aj = -1
+        self._scan = scan or _CodeScan(source, provenance)
         self.verify_orthogonal()
-        self._scan_entries((h[keep_r] < 0)[:, keep_c])
-        self._certify_window()
+        self._scan_entries()
+        # entry magnitudes lie in the closed interval of the reduction theorem
+        error = _window_error(self._keys, t, m, core)
+        if error:
+            raise CertificationError(error)
+        self.window_ok = True
 
     # -- construction helpers ----------------------------------------------
 
-    def _scan_entries(self, d: np.ndarray):
+    def _scan_entries(self):
         """Distinct magnitudes, epsilon and the column histogram from the
-        magnitude codes; d[i, j] is True where D_ij = -1.
-
-        The code of (i, j) is (w'_ij << t) | v_j with w'_ij = w_i xor
-        (2^t - 1)*d[i, j].  So column j takes code (x << t) | v_j once for
-        each row with w_i = x and D_ij = +1 or with w_i = x xor (2^t - 1)
-        and D_ij = -1, and one pass over the rows of d counts them."""
-        t, k = self.provenance.t, self.order
-        span, full = 1 << t, (1 << t) - 1
-        w, v = self._w, self._v
-        ones = np.stack([d[w == x].sum(axis=0, dtype=np.int64)  # w_i = x, D_ij = -1
-                         for x in range(span)])
-        count = np.bincount(w, minlength=span)[:, None] - ones + ones[np.arange(span) ^ full]
-        codes = np.arange(span)[:, None] << t | v  # (w', j) -> code
-        live = count > 0
-        occurring = np.unique(codes[live])
+        codes that occur (``_CodeScan``)."""
+        scan, k = self._scan, self.order
         scale, core, _, _ = self._form
-        mag_ids, self._keys = _magnitudes([(*self._values[x], scale) for x in occurring], core)
+        mag_ids, self._keys = _magnitudes([(*self._values[x], scale) for x in scan.occurring],
+                                          core)
         self._abs = [_key_value(key, core) for key in self._keys]
-        mag_of_code = np.full(span * span, -1, dtype=np.intp)
-        mag_of_code[occurring] = mag_ids
+        mag_of_code = np.full(len(self._values), -1, dtype=np.intp)
+        mag_of_code[scan.occurring] = mag_ids
+        live = scan.count > 0
         self._counts = np.zeros((k, len(self._abs)), dtype=np.int64)
-        np.add.at(self._counts, (np.nonzero(live)[1], mag_of_code[codes[live]]), count[live])
+        np.add.at(self._counts, (np.nonzero(live)[1], mag_of_code[scan.codes[live]]),
+                  scan.count[live])
         self._counts.setflags(write=False)
-
-        # |sqrt(k)*|Y_ij| - 1| falls as |Y_ij| rises to 1/sqrt(k) and rises
-        # beyond, so the smallest and the largest magnitude hold the extremes;
-        # their sides and their tie are integer sign tests on the keys, and
-        # when they tie (one on each side), q is the smallest magnitude's
-        low, high = self._keys[0], self._keys[-1]
-        side_low, side_high = _eps_side(low, k, core), _eps_side(high, k, core)
-        high_wins = side_high > 0 and (side_low >= 0 or _eps_mixed(high, low, k, core) > 0)
-        self.epsilon = _entry_eps(k, self._abs[-1 if high_wins else 0])
+        g, _ = _eps_extreme(self._keys, k, core)
+        self.epsilon = _entry_eps(k, self._abs[g])
         # largest upward deviation alone (0 if no entry exceeds 1/sqrt(k))
-        self.epsilon_upper = (ExactEps.zero() if side_high <= 0
-                              else self.epsilon if high_wins else _entry_eps(k, self._abs[-1]))
+        self.epsilon_upper = (self.epsilon if g else ExactEps.zero()
+                              if _eps_side(self._keys[-1], k, core) <= 0
+                              else _entry_eps(k, self._abs[-1]))
         self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
 
     def verify_orthogonal(self):
@@ -533,7 +544,7 @@ class EpsHadamard:
         """
         scale, core, a, b = self._form
         a0, b0, a, b = a[0, 0], b[0, 0], a[1:, 1:], b[1:, 1:]
-        u = self._u
+        u = self._scan.u
         eye = np.identity(len(u), dtype=object)
         n = self.radicand * eye - u @ u.T
         g, g2 = u.T @ a.T + a @ u, u.T @ b.T + b @ u
@@ -551,27 +562,15 @@ class EpsHadamard:
                 "expected 0"
             )
 
-    def _certify_window(self):
-        """Entry magnitudes must lie in the closed interval of the reduction
-        theorem whenever 1 <= t and t < sqrt(M); they ascend, so the
-        smallest and the largest decide."""
-        window, core = _window(self.provenance.t, self.radicand), self._form[1]
-        bounds = _window_keys(window)
-        if _outside(self._keys[0], bounds, core) or _outside(self._keys[-1], bounds, core):
-            g = next(g for g, key in enumerate(self._keys) if _outside(key, bounds, core))
-            raise CertificationError(
-                f"entry magnitude {self._abs[g]} outside window [{window[0]}, {window[1]}]"
-            )
-        self.window_ok = True
-
     # -- accessors -----------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
         """Y_ij, as D_ij times the value 1/sqrt(M) + s(w')^T C s(v) of its
         magnitude code (w', v)."""
         t = self.provenance.t
-        d = int(self.source.rows[self._rest[0][i], self._rest[1][j]])
-        code = (int(self._w[i]) ^ (0 if d > 0 else (1 << t) - 1)) << t | int(self._v[j])
+        scan = self._scan
+        d = int(self.source.rows[scan.rest[0][i], scan.rest[1][j]])
+        code = (int(scan.w[i]) ^ (0 if d > 0 else (1 << t) - 1)) << t | int(scan.v[j])
         if (code, d) not in self._scalars:
             scale, core, _, _ = self._form
             p, q = (d * x for x in self._values[code])
@@ -742,6 +741,25 @@ def _eps_mixed(above: tuple, below: tuple, k: int, core: int) -> int:
     return _quad_sign(k * (p * p + core * q * q) - 4 * scale * scale, 2 * k * p * q, core)
 
 
+def _eps_extreme(keys: list[tuple], k: int, core: int) -> tuple[int, int]:
+    """(g, side) of the largest epsilon |sqrt(k)*a - 1| among ascending
+    magnitude keys: it falls as a rises to 1/sqrt(k) and rises beyond, so it
+    is the smallest key's (g = 0, also on a tie) or the largest's (g = -1)."""
+    low, high = ((key, _eps_side(key, k, core)) for key in (keys[0], keys[-1]))
+    return (-1, high[1]) if _eps_cmp(high, low, k, core) > 0 else (0, low[1])
+
+
+def _eps_cmp(x: tuple, y: tuple, k: int, core: int) -> int:
+    """Sign of eps(a) - eps(b) for magnitudes given as (key, side of its
+    epsilon): ``ExactEps.cmp`` as integer sign tests."""
+    (a, sa), (b, sb) = x, y
+    if sa == 0 or sb == 0:
+        return (sa != 0) - (sb != 0)
+    if sa == sb:
+        return _key_cmp(a, b, core) * sa
+    return _eps_mixed(a, b, k, core) if sa > 0 else -_eps_mixed(b, a, k, core)
+
+
 def _eps_ranks(keys: list[tuple], k: int, core: int) -> tuple[list[int], list[tuple]]:
     """(rank of each key, one key per rank) for the epsilons |sqrt(k)*a - 1|
     of ascending magnitude keys, equal epsilons sharing a rank.
@@ -782,6 +800,18 @@ def _outside(key: tuple, window, core: int) -> bool:
     """Whether a magnitude key lies outside window keys (never when None)."""
     return window is not None and (_key_cmp(key, window[0], core) < 0
                                    or _key_cmp(key, window[1], core) > 0)
+
+
+def _window_error(keys: list[tuple], t: int, m: int, core: int) -> Optional[str]:
+    """The failure, naming the smallest magnitude outside the window of a
+    reduction of order m by t (``_window``), of ascending magnitude keys,
+    or None; the smallest and the largest key decide."""
+    window = _window(t, m)
+    bounds = _window_keys(window)
+    if not (_outside(keys[0], bounds, core) or _outside(keys[-1], bounds, core)):
+        return None
+    key = next(key for key in keys if _outside(key, bounds, core))
+    return f"entry magnitude {_key_value(key, core)} outside window [{window[0]}, {window[1]}]"
 
 
 @functools.lru_cache(maxsize=64)
@@ -907,20 +937,37 @@ def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
     if variant not in ("Y1", "Y2"):
         raise DomainError(f"variant must be Y1 or Y2, got {variant!r}")
     u = split.u_matrix()
-    uclass = classify_u(u)
-    prov = Provenance(
-        source_label=split.source.label,
-        source_order=m,
-        t=t,
-        row_select=split.row_select,
-        col_select=split.col_select,
-        row_negate=split.row_negate,
-        col_negate=split.col_negate,
-        variant=variant,
-        method="closed-form",
-        uclass=uclass,
-    )
-    return EpsHadamard(split.source, prov, _coefficient_form(u, uclass, variant, m))
+    prov = _provenance(split, variant, classify_u(u))
+    return EpsHadamard(split.source, prov, _coefficient_form(u, prov.uclass, variant, m))
+
+
+def _provenance(split: BlockSplit, variant: Optional[str], uclass: UClass) -> Provenance:
+    return Provenance(split.source.label, split.source.order, split.t, split.row_select,
+                      split.col_select, split.row_negate, split.col_negate, variant,
+                      "closed-form", uclass)
+
+
+def _reduce_one_split(split: BlockSplit) -> EpsHadamard:
+    """The variant of a split with the smaller epsilon, Y2 on a tie, built
+    from one code scan; the first variant with a magnitude outside the
+    window raises the split screen's CertificationError."""
+    h, m, t = split.source, split.source.order, split.t
+    u = split.u_matrix()
+    prov = _provenance(split, None, classify_u(u))
+    scan, best = _CodeScan(h, prov), None
+    for variant in _VARIANTS:
+        c = _coefficient_form(u, prov.uclass, variant, m)
+        form = _corner_form(c, m)
+        values, core = _code_values(form, t), form[1]
+        _, keys = _magnitudes([(*values[x], form[0]) for x in scan.occurring], core)
+        error = _window_error(keys, t, m, core)
+        if error:
+            raise CertificationError(f"{error} in {split!r} {variant}")
+        g, side = _eps_extreme(keys, m - t, core)
+        if best is None or _eps_cmp((keys[g], side), best[0], m - t, core) < 0:
+            best = (keys[g], side), variant, c
+    _, variant, c = best
+    return EpsHadamard(h, replace(prov, variant=variant), c, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,7 +1157,7 @@ class _EpsScreen:
     """
 
     def __init__(self, u_codes: np.ndarray, t: int, m: int):
-        self.window, self.core = _window(t, m), square_free_split(m)[1]
+        self.core = square_free_split(m)[1]
         self.lut = np.full(1 << (t * t), -1, dtype=np.intp)
         self.lut[u_codes] = np.arange(len(u_codes))
         u = 1 - 2 * (u_codes[:, None] >> np.arange(t * t) & 1).reshape(-1, t, t)
@@ -1146,7 +1193,7 @@ class _EpsScreen:
         key_ranks, reps = _eps_ranks(self.keys, m - t, self.core)
         self.eps = _RankEps(reps, m - t, self.core)
         self.sentinel = len(reps)
-        bounds = _window_keys(self.window)
+        bounds = _window_keys(_window(t, m))
         self.outside = [_outside(key, bounds, self.core) for key in self.keys]
         self.key_ranks = np.array(key_ranks, dtype=np.int64)
         self.key_ranks[np.array(self.outside, dtype=bool)] = self.sentinel
@@ -1168,11 +1215,10 @@ class _EpsScreen:
         masks &= occ[..., None, None]
         return self.levels[ui[..., None], [0, 1], (masks != 0).argmax(-1)]
 
-    def violation(self, occ: int, ui: int, vi: int) -> Scalar:
-        """The smallest out-of-window magnitude among the occurring indices."""
-        ids = [int(mi) for b, mi in enumerate(self.mag_ids[ui, vi])
-               if occ >> b & 1 and self.outside[mi]]
-        return _key_value(self.keys[min(ids)], self.core)
+    def violation(self, occ: int, ui: int, vi: int, t: int, m: int) -> str:
+        """The window failure (``_window_error``) of the occurring indices."""
+        ids = sorted({int(g) for b, g in enumerate(self.mag_ids[ui, vi]) if occ >> b & 1})
+        return _window_error([self.keys[g] for g in ids], t, m, self.core)
 
 
 class _RankEps:
@@ -1187,7 +1233,7 @@ class _RankEps:
 
 
 class _SplitScreen:
-    """The first ``cap`` splits of a scope, ranked through their distinct
+    """The first ``cap`` >= 1 splits of a scope, ranked through their distinct
     (occurrence mask, U code) pairs; no array it holds grows with the
     number of splits, only with the number of distinct pairs.
 
@@ -1217,8 +1263,6 @@ class _SplitScreen:
         self.flips = (self.cn << t) | self.rn  # W -> W * cn, V -> rn * V; D unchanged
         self.size = len(self.sel) ** 2 * self.nneg2  # splits in scope
         self.splits = min(cap, self.size)
-        if self.splits <= 0:
-            raise DomainError("no candidate splits in scope")
         full, rem = divmod(self.splits, self.nneg2)  # bases with every negation pair; the rest
         self.occ, self.u, self.first = _pairs(h.rows, t, self.sel, full)
         u_codes = (self.u[:, None] ^ self.u_flip).ravel()
@@ -1268,10 +1312,9 @@ class _SplitScreen:
             base, ni = divmod(bad // 2, self.nneg2)
             p = int(np.flatnonzero(self.first == base)[0])
             occ = int(_xor_permuted(self.occ[p:p + 1], self.flips)[0, ni])
-            av = table.violation(occ, int(table.lut[self.u[p] ^ self.u_flip[ni]]), bad % 2)
-            lo, hi = table.window
-            raise CertificationError(f"entry magnitude {av} outside window "
-                                     f"[{lo}, {hi}] in {split!r} {variant}")
+            error = table.violation(occ, int(table.lut[self.u[p] ^ self.u_flip[ni]]), bad % 2,
+                                    self.t, self.h.order)
+            raise CertificationError(f"{error} in {split!r} {variant}")
         return best
 
 
@@ -1281,24 +1324,17 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
 
     Both variants of every candidate split are scored exactly, without
     building them: |Y_ij| depends only on the magnitude index
-    (D_ij w_i, v_j), one of 2^(2t) <= 64, so a candidate's epsilon is the
-    largest epsilon among the indices its entries take.  Per base (a row
-    and a column selection, no negations), one 64-bit mask of the indices
-    that occur is formed from exact counts, a block of bases at a time
-    (``_occurrence_blocks``), and only the distinct (mask, U code) pairs are
-    kept, each with the first base where it occurs (``_pairs``): negations
-    permute the mask's bits and flip U's, so two bases with the same pair
-    rank alike at every negation pair and variant.  The exact epsilon of
-    each index is ranked once per U code and variant, from the c_p of each
-    relation class, with integer sign tests only (``_EpsScreen``); each pair
-    is ranked once over its negation pairs and variants, and the first
-    minimum in search order is taken from the pairs' first bases
-    (``_SplitScreen.best``).  Two candidates compare as their rebuilt
-    ``EpsHadamard`` epsilons would, and an occurring index outside the
-    reduction window raises CertificationError, naming the first candidate
-    that has one, as that candidate's construction would.  The winner's
-    screened epsilon is checked against its rebuilt one by
-    ``ExactEps.cmp``, an independent route.
+    (D_ij w_i, v_j), so a candidate's epsilon is the largest epsilon among
+    the indices its entries take, compared by integer sign tests.  A scope
+    of one split (corner-only) reads its indices off one code scan that
+    both variants share (``_reduce_one_split``).  A larger scope is ranked
+    by the split screen (``_SplitScreen``; see the module docstring), and
+    the winner's screened epsilon is checked against its rebuilt one by
+    ``ExactEps.cmp``, an independent route; the tests compare the one-split
+    route with that screen and with building every candidate.  An occurring
+    index outside the reduction window raises CertificationError, naming
+    the first candidate that has one, as that candidate's construction
+    would.
 
     Splits are searched in the order (rows, cols, row negations, col
     negations), variant Y2 before Y1, and the first minimum wins: ties break
@@ -1315,7 +1351,11 @@ def best_reduction(h: SignMatrix, t: int, search_scope: str = "corner-only",
         raise DomainError(f"t must be in {{1,2,3}}, got {t}")
     if t * t >= h.order:
         raise DomainError(f"t={t} must satisfy t < sqrt({h.order})")
+    if cap <= 0:
+        raise DomainError("no candidate splits in scope")
 
+    if search_scope == "corner-only":  # one split
+        return _reduce_one_split(corner_split(h, t))
     search = _SplitScreen(h, t, search_scope, cap)
     rank, i = search.best()
     split, variant = search.candidate(i)

@@ -23,7 +23,8 @@ from armub.epsh import (
     corner_split,
     reduce_split,
 )
-from armub.errors import CertificationError, DomainError, ResourceLimitError
+from armub.errors import (CertificationError, DomainError, NotConstructibleError,
+                          ResourceLimitError)
 from armub.hadamard import SignMatrix, find_hadamard, is_hadamard, sylvester
 from oracles import (
     assert_matches_sympy,
@@ -655,6 +656,9 @@ def _search(fn, h, t, scope, cap):
 # lists as well as listed ones.  A cap of 200 at order 12 ends inside the
 # second row selection.
 @pytest.mark.parametrize("order, t, scope, cap", [
+    (8, 1, "corner-only", 100_000),
+    (12, 2, "corner-only", 1),
+    (16, 3, "corner-only", 100_000),
     (8, 1, "row-col-permutations", 100_000),
     (8, 2, "row-col-permutations", 100_000),
     (12, 1, "row-col-permutations", 100_000),
@@ -677,6 +681,61 @@ def test_screen_matches_candidate_loop(order, t, scope, cap):
     assert got.epsilon.cmp(want.epsilon) == 0
     assert jsonio.dumps_canonical(jsonio.eps_hadamard_obj(got)) == \
         jsonio.dumps_canonical(jsonio.eps_hadamard_obj(want))
+
+
+CORNER_ORDERS = []
+for _order in range(4, 257, 4):
+    try:
+        CORNER_ORDERS.append(find_hadamard(_order).order)
+    except NotConstructibleError:
+        pass
+
+
+@pytest.mark.parametrize("order", CORNER_ORDERS)
+def test_corner_route_matches_screen_and_candidate_loop(order):
+    """For every t with t^2 < M, the corner search picks the candidate
+    loop's split and variant and the split screen's candidate, with the same
+    exact epsilon and the same epsh.json, on H and on the benchmark's
+    row-permuted H."""
+    for t in (t for t in (1, 2, 3) if t * t < order):
+        for h in (find_hadamard(order), row_permuted(find_hadamard(order), t, order)):
+            got, want = best_reduction(h, t), best_reduction_loop(h, t)
+            screen = epsh._SplitScreen(h, t, "corner-only", 1)
+            rank, i = screen.best()
+            split, variant = screen.candidate(i)
+            p = got.provenance
+            assert p == want.provenance, (order, t, h.label)
+            assert (p.row_select, p.col_select, p.row_negate, p.col_negate, p.variant) == \
+                (split.row_select, split.col_select, split.row_negate, split.col_negate, variant)
+            assert got.epsilon.cmp(want.epsilon) == 0
+            assert got.epsilon.cmp(screen.table.eps[rank]) == 0
+            assert jsonio.dumps_canonical(jsonio.eps_hadamard_obj(got)) == \
+                jsonio.dumps_canonical(jsonio.eps_hadamard_obj(want))
+
+
+def test_corner_search_builds_no_screen(monkeypatch):
+    """A corner search builds one EpsHadamard and no split screen; with no
+    split under the cap it fails as a searched scope does."""
+    inits = []
+    original = EpsHadamard.__init__
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        inits.append(self.order)
+
+    def no_screen(*args, **kwargs):
+        raise AssertionError("split screen built for one split")
+
+    monkeypatch.setattr(EpsHadamard, "__init__", counting)
+    monkeypatch.setattr(epsh, "_SplitScreen", no_screen)
+    h = find_hadamard(64)
+    for t in (1, 2, 3):
+        best_reduction(h, t)
+    assert inits == [63, 62, 61]
+    for scope in epsh.SEARCH_SCOPES:
+        with pytest.raises(DomainError, match="no candidate splits in scope"):
+            best_reduction(h, 1, scope, cap=0)
+    assert inits == [63, 62, 61]
 
 
 def _occurrence(rows, t, sel, bases, start=0):
@@ -833,15 +892,22 @@ def _exact_eps_ranks(keys, k, core, window):
 
 
 def _assert_screen_ranks(table, t, m):
-    """The screen's integer ranks and window verdicts equal the oracle's, and
-    each rank's ExactEps equals that of every magnitude holding the rank;
-    returns the number of ranks shared by two magnitudes."""
+    """The screen's integer ranks and window verdicts equal the oracle's,
+    each rank's ExactEps equals that of every magnitude holding the rank,
+    and the integer comparison of the corner search (``_eps_cmp``) orders
+    every two magnitudes as ExactEps.cmp; returns the number of ranks
+    shared by two magnitudes."""
     ranks, sentinel, eps = _exact_eps_ranks(table.keys, m - t, table.core, epsh._window(t, m))
     assert table.key_ranks.tolist() == ranks, (t, m)
     assert table.sentinel == sentinel, (t, m)
     for g, r in enumerate(ranks):
         if r != sentinel:
             assert table.eps[r].cmp(eps[g]) == 0, (t, m, table.keys[g])
+    every = _exact_eps_ranks(table.keys, m - t, table.core, None)[0]  # no window
+    sided = [(key, epsh._eps_side(key, m - t, table.core)) for key in table.keys]
+    for x, rx in zip(sided, every):
+        for y, ry in zip(sided, every):
+            assert epsh._eps_cmp(x, y, m - t, table.core) == (rx > ry) - (rx < ry), (t, m, x, y)
     inside = [r for r in ranks if r != sentinel]
     return len(inside) - len(set(inside))
 
@@ -952,26 +1018,32 @@ def test_integer_window_test_matches_exact_on_narrow_window(monkeypatch):
 
 
 def test_screen_builds_exact_objects_only_for_the_winner(monkeypatch):
-    """From the magnitude codes to the winner the screen uses integers only:
-    best_reduction builds the QuadNums and ExactEps of the winner's own
-    construction plus the screened epsilon of its rank, however many
-    magnitudes the screen ranks."""
-    h = find_hadamard(96)
-    y = best_reduction(h, 3)
-    split, variant = BlockSplit(h, y.provenance.row_select, y.provenance.col_select), y.variant
-    magnitudes = len(epsh._SplitScreen(h, 3, "corner-only", 1).table.keys)
+    """From the magnitude codes to the winner the search uses integers
+    only: a corner search builds exactly the QuadNums and ExactEps of the
+    winner's own construction, and the screen of a searched scope those
+    plus the screened epsilon of its rank, however many magnitudes the
+    screen ranks."""
+    cases = []
+    for h, t, scope, extra in ((find_hadamard(96), 3, "corner-only", 0),
+                               (find_hadamard(12), 2, "row-col-permutations", 1)):
+        y = best_reduction(h, t, scope)
+        split = BlockSplit(h, y.provenance.row_select, y.provenance.col_select)
+        magnitudes = len(epsh._SplitScreen(h, t, scope, 100_000).table.keys)
+        cases.append((h, t, scope, extra, split, y.variant, magnitudes))
     counts = {"quad": 0, "eps": 0}
     for name, cls in (("quad", QuadNum), ("eps", ExactEps)):
         def counting(self, *args, _init=cls.__init__, _name=name):
             counts[_name] += 1
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counting)
-    reduce_split(split, variant)
-    built = dict(counts)
-    counts.update(quad=0, eps=0)
-    best_reduction(h, 3)
-    assert counts == {"quad": built["quad"] + 1, "eps": built["eps"] + 1}
-    assert counts["quad"] + counts["eps"] < magnitudes
+    for h, t, scope, extra, split, variant, magnitudes in cases:
+        counts.update(quad=0, eps=0)
+        reduce_split(split, variant)
+        built = dict(counts)
+        counts.update(quad=0, eps=0)
+        best_reduction(h, t, scope)
+        assert counts == {"quad": built["quad"] + extra, "eps": built["eps"] + extra}, scope
+        assert counts["quad"] + counts["eps"] < magnitudes, scope
 
 
 @given(data=st.data())
@@ -1020,6 +1092,24 @@ def test_screen_window_violation_raises(monkeypatch):
     monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, top - Fraction(1, 10**6)))
     with pytest.raises(CertificationError, match=r"outside window .* rows=\(0,\), cols=\(0,\)"):
         best_reduction(h, 1)
+
+
+@pytest.mark.parametrize("outside", ["Y2", "Y1"])
+def test_corner_window_violation_matches_screen(monkeypatch, outside):
+    """With the window narrowed to the other variant's magnitudes, only one
+    variant of the corner split of H_16, t = 3, falls outside it, and the
+    corner search fails with the split screen's message for that variant."""
+    h = find_hadamard(16)
+    inside = reduce_split(corner_split(h, 3), "Y1" if outside == "Y2" else "Y2")
+    window = inside.distinct_abs_values()[0], inside.max_abs_entry()
+    monkeypatch.setattr(epsh, "_window", lambda t, m: window)
+    reduce_split(corner_split(h, 3), inside.variant)  # within the window
+    with pytest.raises(CertificationError) as want:
+        epsh._SplitScreen(h, 3, "corner-only", 1).best()
+    assert str(want.value).endswith(f"rows=(0, 1, 2), cols=(0, 1, 2)) {outside}")
+    with pytest.raises(CertificationError) as got:
+        best_reduction(h, 3)
+    assert str(got.value) == str(want.value)
 
 
 def test_screen_window_violation_with_negations(monkeypatch):
