@@ -54,6 +54,7 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=64)
 def square_free_split(n: int) -> tuple[int, int]:
     """Return (f, core) with n = f*f*core and core squarefree."""
     if n <= 0:

@@ -230,13 +230,14 @@ class ExactEps:
     comparisons reduce to a single extra squaring.
     """
 
-    __slots__ = ("q", "side")
+    __slots__ = ("q", "side", "_float")
 
-    def __init__(self, q: Scalar):
+    def __init__(self, q: Scalar, side: Optional[int] = None):
         if sign_of(q) < 0:
             raise DomainError("k*Y^2 cannot be negative")
         self.q = q if not isinstance(q, int) else Fraction(q)
-        self.side = sign_of(self.q - 1)
+        self.side = sign_of(self.q - 1) if side is None else side
+        self._float = abs(math.sqrt(quad_to_float(self.q, 70)) - 1.0)
 
     @classmethod
     def zero(cls) -> "ExactEps":
@@ -295,7 +296,7 @@ class ExactEps:
         return isinstance(other, ExactEps) and self.cmp(other) == 0
 
     def __float__(self):
-        return abs(math.sqrt(quad_to_float(self.q, 70)) - 1.0)
+        return self._float
 
     def expr(self) -> str:
         return f"|sqrt({self.q}) - 1|"
@@ -304,8 +305,13 @@ class ExactEps:
         return f"ExactEps({float(self):.6g}, side={self.side})"
 
 
-def _entry_eps(k: int, value: Scalar) -> ExactEps:
-    return ExactEps(k * value * value)
+def _key_eps(key: tuple, k: int, core: int) -> ExactEps:
+    """ExactEps of a magnitude key (p, q, L): k*a^2 is (k*(p^2 + c*q^2), 2kpq, L^2),
+    a QuadNum when a is one (as k*a*a is), so ``expr`` reads the same."""
+    p, q, scale = key
+    num, root, den = k * (p * p + core * q * q), 2 * k * p * q, scale * scale
+    ksq = QuadNum(Fraction(num, den), Fraction(root, den), core) if q else Fraction(num, den)
+    return ExactEps(ksq, _quad_sign(num - den, root, core))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +441,8 @@ class EpsHadamard:
     times the value of its magnitude code (D_ij w_i, v_j), one of at most
     2^(2t).  The codes that occur give the distinct magnitudes, epsilon,
     the window check and the per-column magnitude histogram, counted from
-    sums of rows of H (``_CodeScan``; ``scan`` passes one in when both
-    variants of a split share it), whose int8 copies are the largest arrays.
+    sums of rows of H (``_CodeScan``; a formed ``scan`` and C's ``_evaluate`` on it,
+    ``evaluated``, may be passed in), whose int8 copies are the largest arrays.
     Orthogonality is H's certified Hadamard property plus the exact t x t
     identity X = 0, by which Y Y^T - I = W X W^T vanishes
     (``verify_orthogonal``).  All checks run at construction, so every
@@ -467,13 +473,14 @@ class EpsHadamard:
         "_counts",
     )
 
-    def __init__(self, source: SignMatrix, provenance: Provenance, c, scan=None):
+    def __init__(self, source: SignMatrix, provenance: Provenance, c, scan=None, evaluated=None):
         if not source.hadamard_verified:
             raise DomainError("source must be hadamard-verified")
         m, t = source.order, provenance.t
         self.order, self.radicand = m - t, m
         self.source, self.provenance = source, provenance
-        self._form = _corner_form(c, m)
+        self._scan = scan or _CodeScan(source, provenance)
+        self._form, self._values, mag_ids, self._keys = evaluated or _evaluate(c, m, t, self._scan)
         scale, core, a, b = self._form
         terms = [(1 / exact_sqrt(m), None)]
         if t:
@@ -481,11 +488,10 @@ class EpsHadamard:
         if np.count_nonzero(b[1:, 1:]):
             terms.append((QuadNum(0, Fraction(1, scale), core), b[1:, 1:]))
         self.terms = tuple(terms)
-        self._values = _code_values(self._form, t)
         self._scalars: dict = {}
-        self._scan = scan or _CodeScan(source, provenance)
+        self._abs = None
         self.verify_orthogonal()
-        self._scan_entries()
+        self._scan_entries(mag_ids)
         # entry magnitudes lie in the closed interval of the reduction theorem
         error = _window_error(self._keys, t, m, core)
         if error:
@@ -494,27 +500,22 @@ class EpsHadamard:
 
     # -- construction helpers ----------------------------------------------
 
-    def _scan_entries(self):
-        """Distinct magnitudes, epsilon and the column histogram from the
-        codes that occur (``_CodeScan``)."""
-        scan, k = self._scan, self.order
-        scale, core, _, _ = self._form
-        mag_ids, self._keys = _magnitudes([(*self._values[x], scale) for x in scan.occurring],
-                                          core)
-        self._abs = [_key_value(key, core) for key in self._keys]
+    def _scan_entries(self, mag_ids: np.ndarray):
+        """Epsilon and the column histogram from the occurring codes' magnitude ids."""
+        scan, k, keys, core = self._scan, self.order, self._keys, self._form[1]
         mag_of_code = np.full(len(self._values), -1, dtype=np.intp)
         mag_of_code[scan.occurring] = mag_ids
         live = scan.count > 0
-        self._counts = np.zeros((k, len(self._abs)), dtype=np.int64)
+        self._counts = np.zeros((k, len(keys)), dtype=np.int64)
         np.add.at(self._counts, (np.nonzero(live)[1], mag_of_code[scan.codes[live]]),
                   scan.count[live])
         self._counts.setflags(write=False)
-        g, _ = _eps_extreme(self._keys, k, core)
-        self.epsilon = _entry_eps(k, self._abs[g])
+        g, _ = _eps_extreme(keys, k, core)
+        self.epsilon = _key_eps(keys[g], k, core)
         # largest upward deviation alone (0 if no entry exceeds 1/sqrt(k))
         self.epsilon_upper = (self.epsilon if g else ExactEps.zero()
-                              if _eps_side(self._keys[-1], k, core) <= 0
-                              else _entry_eps(k, self._abs[-1]))
+                              if _eps_side(keys[-1], k, core) <= 0
+                              else _key_eps(keys[-1], k, core))
         self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
 
     def verify_orthogonal(self):
@@ -574,8 +575,7 @@ class EpsHadamard:
         if (code, d) not in self._scalars:
             scale, core, _, _ = self._form
             p, q = (d * x for x in self._values[code])
-            self._scalars[code, d] = (QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q
-                                      else Fraction(p, scale))
+            self._scalars[code, d] = _key_value((p, q, scale), core)
         return self._scalars[code, d]
 
     def scalar_rows(self) -> list[list[Scalar]]:
@@ -583,11 +583,13 @@ class EpsHadamard:
         return [[self.entry(i, j) for j in range(k)] for i in range(k)]
 
     def distinct_abs_values(self) -> list[Scalar]:
-        """Distinct entry magnitudes, ascending."""
+        """Distinct entry magnitudes, ascending, built on first read."""
+        if self._abs is None:
+            self._abs = [_key_value(key, self._form[1]) for key in self._keys]
         return list(self._abs)
 
     def max_abs_entry(self) -> Scalar:
-        return self._abs[-1]
+        return _key_value(self._keys[-1], self._form[1])
 
     def abs_value_keys(self) -> list[tuple[int, int, int]]:
         """distinct_abs_values() as integer triples (p, q, L) in lowest terms,
@@ -657,6 +659,15 @@ def _corner_form(c, m: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     return corner, m_core, a2, b2
 
 
+def _evaluate(c, m: int, t: int, scan: _CodeScan) -> tuple:
+    """(form, values, ids, keys) of C on a code scan: ``_corner_form``,
+    ``_code_values`` and the ``_magnitudes`` of the codes that occur."""
+    form = _corner_form(c, m)
+    values = _code_values(form, t)
+    ids, keys = _magnitudes([(*values[x], form[0]) for x in scan.occurring], form[1])
+    return form, values, ids, keys
+
+
 def _code_values(form, t: int) -> list[tuple[int, int]]:
     """(p, q) per magnitude code (w' << t) | v, whose value
     1/sqrt(M) + s(w')^T C s(v) is (p + q*sqrt(c))/L for the integer form
@@ -708,9 +719,10 @@ def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
     triples (p, q, L): keys lists the distinct |value| ascending, as triples
     in lowest terms with L > 0, and ids[i] indexes the magnitude of
     values[i].  The one route from a value to its magnitude, for built
-    matrices, the split screen and the cross-basis products.  The sign of a
-    value and the order of two keys are each one integer sign test
-    (``_quad_sign``); ``_key_value`` gives a key's Scalar where one is read."""
+    matrices, the split screen and the cross-basis products.  A value's sign is
+    one integer sign test (``_quad_sign``).  Floats only propose the order and
+    integers certify it: it stands if ``_key_cmp`` finds each adjacent pair
+    ascending (distinct keys are distinct values), else ``_key_cmp`` sorts."""
     index: dict = {}
     ids = []
     for p, q, scale in values:
@@ -718,7 +730,12 @@ def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
             p, q = -p, -q
         g = math.gcd(p, q, scale)
         ids.append(index.setdefault((p // g, q // g, scale // g), len(index)))
-    keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _key_cmp(x, y, core)))
+    try:
+        keys = sorted(index, key=lambda x, r=math.sqrt(core): (x[0] + x[1] * r) / x[2])
+    except OverflowError:  # a key too large for a float
+        keys = None
+    if keys is None or any(_key_cmp(x, y, core) >= 0 for x, y in zip(keys, keys[1:])):
+        keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _key_cmp(x, y, core)))
     order = np.empty(len(keys), dtype=np.int64)
     order[[index[key] for key in keys]] = np.arange(len(keys))
     return order[np.array(ids, dtype=np.int64)], keys
@@ -957,17 +974,14 @@ def _reduce_one_split(split: BlockSplit) -> EpsHadamard:
     scan, best = _CodeScan(h, prov), None
     for variant in _VARIANTS:
         c = _coefficient_form(u, prov.uclass, variant, m)
-        form = _corner_form(c, m)
-        values, core = _code_values(form, t), form[1]
-        _, keys = _magnitudes([(*values[x], form[0]) for x in scan.occurring], core)
+        (_, core, _, _), _, _, keys = evaluated = _evaluate(c, m, t, scan)
         error = _window_error(keys, t, m, core)
         if error:
             raise CertificationError(f"{error} in {split!r} {variant}")
         g, side = _eps_extreme(keys, m - t, core)
         if best is None or _eps_cmp((keys[g], side), best[0], m - t, core) < 0:
-            best = (keys[g], side), variant, c
-    _, variant, c = best
-    return EpsHadamard(h, replace(prov, variant=variant), c, scan)
+            best = (keys[g], side), variant, c, evaluated
+    return EpsHadamard(h, replace(prov, variant=best[1]), best[2], scan, best[3])
 
 
 # ---------------------------------------------------------------------------
@@ -1229,7 +1243,7 @@ class _RankEps:
         self._reps, self._k, self._core = reps, k, core
 
     def __getitem__(self, rank: int) -> ExactEps:
-        return _entry_eps(self._k, _key_value(self._reps[rank], self._core))
+        return _key_eps(self._reps[rank], self._k, self._core)
 
 
 class _SplitScreen:

@@ -271,8 +271,14 @@ def find_hadamard(target_order: int) -> SignMatrix:
             "(order > 2 and not divisible by 4)"
         )
     _check_budget(target_order)
+    return from_label(_order_label(target_order))
+
+
+@cache
+def _order_label(target_order: int) -> str:
+    """The label ``find_hadamard`` picks for an order, searched once (a raise is not cached)."""
     if target_order == 1:
-        return from_label("sylvester(0)")
+        return "sylvester(0)"
     gens = _generator_labels(target_order)
     usable = sorted((g for g in gens if target_order % g == 0), reverse=True)
 
@@ -297,4 +303,4 @@ def find_hadamard(target_order: int) -> SignMatrix:
     label = gens[factors[0]]
     for g in factors[1:]:
         label = f"kron({label},{gens[g]})"
-    return from_label(label)
+    return label

@@ -53,6 +53,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 from fractions import Fraction
@@ -227,6 +228,14 @@ def scalar_wire(v: Scalar, radicand: int) -> dict:
             )
         return {"a": frac_wire(v.a), "b": frac_wire(v.b / f)}
     return {"a": frac_wire(v), "b": frac_wire(0)}
+
+
+def key_wire(key: tuple, radicand: int) -> dict:
+    """``scalar_wire`` of the value (p + q*sqrt(c))/L, L > 0, of a key, from
+    its integers: a = p/L and b = q/(L*f) in lowest terms, radicand f^2*c."""
+    (p, q, scale), f = key, square_free_split(radicand)[0]
+    g, h = math.gcd(p, scale), math.gcd(q, scale * f)
+    return {"a": [str(p // g), str(scale // g)], "b": [str(q // h), str(scale * f // h)]}
 
 
 def eps_wire(e: ExactEps, radicand: int) -> dict:
@@ -507,15 +516,15 @@ def report_obj(report) -> dict:
         "epsilon": eps_wire(report.epsilon, m),
         "epsilon_upper": eps_wire(report.epsilon_upper, m),
         "delta": [
-            {"value": scalar_wire(dv.value, m), "count": dv.count}
+            {"value": key_wire(dv.key, m), "count": dv.count}
             for dv in report.delta
         ],
         "beta": {
-            "max_ip": scalar_wire(report.beta.max_ip, m),
+            "max_ip": key_wire(report.delta[-1].key, m),
             "float": float(report.beta),
         },
         "bound_beta_float": report.bound_beta_float(),
-        "max_abs_y_sq": scalar_wire(report.max_abs_y_sq, m),
+        "max_abs_y_sq": key_wire(report.max_abs_y_sq, m),
         "pairs_checked": report.pairs_checked,
         "coverage": report.coverage,
         "classification": report.classification,

@@ -67,8 +67,19 @@ class ExactBeta:
 
 @dataclass
 class DeltaValue:
-    value: Scalar  # |<u, v>| magnitude, exact
-    count: int  # occurrences over all ordered cross pairs checked
+    """An exact |<u, v>| and its count over all ordered cross pairs checked: its Scalar
+    or (cross_stats) its key (p, q, L) over sqrt(core), which ``value`` builds on read."""
+
+    _value: Optional[Scalar]
+    count: int
+    key: Optional[tuple] = None
+    core: int = 1
+
+    @property
+    def value(self) -> Scalar:
+        if self._value is None:
+            self._value = _key_value(self.key, self.core)
+        return self._value
 
 
 @dataclass
@@ -88,7 +99,7 @@ class UnbiasednessReport:
     classification: str
     window_ok: bool
     beta_le_eps_chain: bool  # beta <= (1+eps)^2 sqrt(d)/k, exact
-    max_abs_y_sq: Scalar  # (max |Y_ij|)^2, for the formula-route certificate
+    max_abs_y_sq: tuple  # key (p, q, L) of (max |Y_ij|)^2, for the formula-route certificate
     radicand: int
 
     def bound_beta_float(self) -> float:
@@ -128,8 +139,8 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     off-diagonal weights doubled.  The triples pass once through
     ``epsh._magnitudes``, the route by which Y's codes reach their
     magnitudes, which reduces, merges and orders them on integers; the
-    counts of equal values are summed as Python ints, and only the distinct
-    values become Scalars.
+    counts of equal values are summed as Python ints.  Values, and (max |Y_ij|)^2,
+    stay keys (``DeltaValue``); only max_ip becomes a Scalar, for beta.
     """
     nb = bs.num_bases
     if nb < 2:
@@ -160,15 +171,15 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     counts = [0] * len(distinct)
     for g, c in zip(ids.tolist(), weights):
         counts[g] += c
-    delta = [DeltaValue(value=_key_value(key, core), count=c) for key, c in zip(distinct, counts)]
-    max_ip: Scalar = delta[-1].value if delta else Fraction(0)
+    delta = [DeltaValue(None, c, key, core) for key, c in zip(distinct, counts)]
+    max_ip = delta[-1].value
     beta = ExactBeta(max_ip, bs.d)
 
     y = bs.y
     t = y.provenance.t
     source_order = y.provenance.source_order
     n = source_order // 4 if source_order % 4 == 0 else None
-    maxy = y.max_abs_entry()
+    p, q, scale = keys[-1]
     return UnbiasednessReport(
         d=bs.d,
         s=bs.s,
@@ -185,7 +196,7 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
         classification=classify_delta(delta, beta, bs.d),
         window_ok=y.window_ok,
         beta_le_eps_chain=_ip_le_eps_square(max_ip, y.epsilon, k),
-        max_abs_y_sq=maxy * maxy,
+        max_abs_y_sq=(p * p + core * q * q, 2 * p * q, scale * scale),
         radicand=y.radicand,
     )
 
@@ -196,14 +207,13 @@ def classify_delta(delta: list[DeltaValue], beta: ExactBeta, d: int) -> str:
     MUB iff the value set is exactly {1/sqrt(d)}; APMUB iff it is
     {0, beta/sqrt(d)} with beta <= 2; otherwise beta-ARMUB.
     """
-    values = [dv.value for dv in delta]
-    if len(values) == 1 and sign_of(values[0]) > 0:
-        v = values[0]
+    if len(delta) == 1 and sign_of(delta[0].value) > 0:
+        v = delta[0].value
         if cmp_values(d * v * v, Fraction(1)) == 0:
             return CLASS_MUB
     if (
-        len(values) == 2
-        and sign_of(values[0]) == 0
+        len(delta) == 2
+        and sign_of(delta[0].value) == 0
         and beta.le(Fraction(2))
     ):
         return CLASS_APMUB

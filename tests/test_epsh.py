@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from armub import epsh, jsonio
-from armub.algebra import QuadNum, cmp_values, exact_sqrt, sign_of
+from armub.algebra import QuadNum, cmp_values, exact_sqrt, sign_of, square_free_split
 from armub.epsh import (
     BlockSplit,
     EpsHadamard,
@@ -1226,3 +1226,92 @@ def test_eps_json_stored_epsilon_mismatch():
     obj["epsilon"]["ksq"]["a"] = ["9", "1"]
     with pytest.raises(CertificationError):
         jsonio.parse_eps_hadamard(obj)
+
+
+@pytest.mark.parametrize("order", CORNER_ORDERS)
+def test_key_eps_matches_scalar_eps(order):
+    """The ExactEps built from a magnitude key has the q (compared exactly)
+    and the side of k*a^2 formed in Scalars, for every magnitude a that
+    occurs in either variant of every corner reduction with t^2 < M."""
+    h, core = find_hadamard(order), square_free_split(order)[1]
+    for t in (t for t in (1, 2, 3) if t * t < order):
+        for variant in epsh._VARIANTS:
+            y = reduce_split(corner_split(h, t), variant)
+            k = y.order
+            for key, value in zip(y.abs_value_keys(), y.distinct_abs_values()):
+                got, want = epsh._key_eps(key, k, core), ExactEps(k * value * value)
+                assert cmp_values(got.q, want.q) == 0, (order, t, variant, key)
+                assert got.side == want.side, (order, t, variant, key)
+
+
+def _magnitudes_by_comparison(values, core):
+    """Oracle for ``_magnitudes``: each |value| in lowest terms, the
+    distinct keys sorted by the exact comparison alone."""
+    norm = []
+    for p, q, scale in values:
+        if epsh._quad_sign(p, q, core) < 0:
+            p, q = -p, -q
+        g = math.gcd(p, q, scale)
+        norm.append((p // g, q // g, scale // g))
+    keys = sorted(set(norm), key=functools.cmp_to_key(lambda x, y: epsh._key_cmp(x, y, core)))
+    return [keys.index(key) for key in norm], keys
+
+
+def _pell(n):
+    """The first n solutions (p, q) of p^2 - 2 q^2 = +-1: p/q -> sqrt(2)
+    closer than any float resolves."""
+    out, (p, q) = [], (1, 1)
+    for _ in range(n):
+        out.append((p, q))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+ADVERSARIAL_MAGNITUDES = {
+    # floats 1 ulp apart: the float order is right and is certified
+    "ulp": (1, [(2**53, 0, 2**53), (2**53 + 2, 0, 2**53), (2**53 - 1, 0, 2**53),
+                (2**52 + 3, 0, 2**52), (2**51 + 1, 0, 2**51)]),
+    # float ties and inversions between different keys: p/q and sqrt(2),
+    # and p - q*sqrt(2), whose float cancels to noise
+    "pell": (2, [(0, 1, 1), (0, -3, 2)] + [(p, 0, q) for p, q in _pell(40)]
+             + [(p, -q, 1) for p, q in _pell(40)] + [(-p, q, 7) for p, q in _pell(40)]),
+    # ints too large for a float
+    "huge": (3, [(10**400, 1, 3), (10**400 + 1, 0, 3), (1, 0, 10**400), (2, 1, 10**401),
+                 (5, -2, 7), (-(10**309), 10**309, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL_MAGNITUDES))
+def test_magnitudes_certify_the_float_order(case):
+    """``_magnitudes`` gives the ids and keys of the exact sort wherever the
+    float order ties, inverts or overflows; the cases do all three."""
+    core, values = ADVERSARIAL_MAGNITUDES[case]
+    ids, keys = epsh._magnitudes(values + values[::-1], core)
+    want_ids, want_keys = _magnitudes_by_comparison(values + values[::-1], core)
+    assert keys == want_keys
+    assert ids.tolist() == want_ids
+    try:
+        floats = [(p + q * math.sqrt(core)) / scale for p, q, scale in keys]
+        exact = all(x < y for x, y in zip(floats, floats[1:]))
+    except OverflowError:
+        exact = False
+    assert exact == (case == "ulp")  # the other cases need the integer sort
+
+
+def test_corner_route_evaluates_each_variant_once(monkeypatch):
+    """The one-split route hands the winner's evaluated codes to EpsHadamard:
+    one ``_magnitudes`` per variant, none in the construction."""
+    calls = []
+    original = epsh._magnitudes
+
+    def counting(values, core):
+        calls.append(len(values))
+        return original(values, core)
+
+    monkeypatch.setattr(epsh, "_magnitudes", counting)
+    h = find_hadamard(64)
+    for t in (1, 2, 3):
+        calls.clear()
+        y = best_reduction(h, t)
+        assert len(calls) == 2, t
+        assert y.abs_value_keys() == reduce_split(corner_split(h, t), y.variant).abs_value_keys()

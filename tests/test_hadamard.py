@@ -311,3 +311,23 @@ def test_from_label_grammar():
             from_label(label)
     with pytest.raises(ResourceLimitError, match="order 8192 exceeds size budget 4096"):
         from_label("kron(sylvester(1),sylvester(12))")
+
+
+def test_find_hadamard_searches_each_order_once(monkeypatch):
+    """The factorization search runs once per order; an order with no
+    factorization raises NotConstructibleError on every call."""
+    calls = []
+    original = hadamard._generator_labels
+
+    def counting(limit):
+        calls.append(limit)
+        return original(limit)
+
+    monkeypatch.setattr(hadamard, "_generator_labels", counting)
+    hadamard._order_label.cache_clear()
+    assert find_hadamard(1024) is find_hadamard(1024)
+    assert calls == [1024]
+    for _ in range(2):
+        with pytest.raises(NotConstructibleError):
+            find_hadamard(92)
+    assert calls == [1024, 92, 92]

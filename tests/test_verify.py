@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from armub import cli, jsonio
-from armub.algebra import QuadNum, cmp_values
+from armub import cli, epsh, jsonio, verify
+from armub.algebra import QuadNum, cmp_values, square_free_split
 from armub.bases import assemble
-from armub.epsh import EpsHadamard, Provenance, best_reduction
+from armub.epsh import EpsHadamard, Provenance, _key_value, best_reduction
 from armub.errors import CertificationError
 from armub.hadamard import find_hadamard, sylvester
 from armub.rbd import Rbd, build_affine_rbd
@@ -290,3 +290,47 @@ def test_report_json_roundtrip_and_tamper(tmp_path, capsys):
         assert cli.main(["verify", str(path)]) == 5
         assert capsys.readouterr().out == (f"{path}: certificate: CHECK FAILED: stored "
                                            f"report.{at} differs from the derived one\n")
+
+
+# radicands M = k + t with a square part: 12 = 2^2*3, 48 = 4^2*3, 96 = 4^2*6
+# and 128 = 8^2*2
+KEY_WIRE_PIPELINES = [(11, 13, 1), (10, 11, 2), (9, 11, 3), (47, 49, 1), (46, 47, 2),
+                      (45, 47, 3), (95, 97, 1), (94, 97, 2), (93, 97, 3), (127, 127, 1),
+                      (126, 127, 2), (125, 125, 3)]
+
+
+def test_key_wire_matches_scalar_wire():
+    """Every value the report writes from its key (each delta, max_ip and
+    max_abs_y_sq) has the wire of its Scalar, over radicands with a square
+    part, with q = 0, q > 0 and q < 0 all met; keys not in lowest terms
+    are written in lowest terms."""
+    signs = set()
+    for k, s, t in KEY_WIRE_PIPELINES:
+        bs = small_pipeline(k, s, t)
+        rep = cross_stats(bs)
+        m, core = rep.radicand, square_free_split(rep.radicand)[1]
+        assert cmp_values(_key_value(rep.max_abs_y_sq, core), bs.y.max_abs_entry() ** 2) == 0
+        keys = [dv.key for dv in rep.delta] + [rep.max_abs_y_sq]
+        for key in keys + [(2 * p, 2 * q, 2 * scale) for p, q, scale in keys]:
+            assert jsonio.key_wire(key, m) == jsonio.scalar_wire(_key_value(key, core), m), key
+            signs.add((key[1] > 0) - (key[1] < 0))
+        wire = jsonio.report_obj(rep)
+        assert wire["beta"]["max_ip"] == jsonio.scalar_wire(rep.beta.max_ip, m)
+    assert signs == {-1, 0, 1}
+
+
+def test_certificate_builds_few_scalars(monkeypatch):
+    """certificate_obj at (93, 97, 3) turns one key into a Scalar, max_ip
+    for beta, although the report holds 51 distinct values."""
+    bs = small_pipeline(93, 97, 3)
+    calls = []
+
+    def counting(key, core):
+        calls.append(key)
+        return _key_value(key, core)
+
+    for module in (verify, epsh):
+        monkeypatch.setattr(module, "_key_value", counting)
+    cert = jsonio.certificate_obj(bs, 3, "corner-only", {"file": "bases.json", "sha256": "0"})
+    assert len(cert["report"]["delta"]) == 51
+    assert len(calls) == 1
