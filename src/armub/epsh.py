@@ -232,11 +232,11 @@ class ExactEps:
 
     __slots__ = ("q", "side", "_float")
 
-    def __init__(self, q: Scalar, side: Optional[int] = None):
+    def __init__(self, q: Scalar):
         if sign_of(q) < 0:
             raise DomainError("k*Y^2 cannot be negative")
         self.q = q if not isinstance(q, int) else Fraction(q)
-        self.side = sign_of(self.q - 1) if side is None else side
+        self.side = sign_of(self.q - 1)
         self._float = abs(math.sqrt(quad_to_float(self.q, 70)) - 1.0)
 
     @classmethod
@@ -310,8 +310,8 @@ def _key_eps(key: tuple, k: int, core: int) -> ExactEps:
     a QuadNum when a is one (as k*a*a is), so ``expr`` reads the same."""
     p, q, scale = key
     num, root, den = k * (p * p + core * q * q), 2 * k * p * q, scale * scale
-    ksq = QuadNum(Fraction(num, den), Fraction(root, den), core) if q else Fraction(num, den)
-    return ExactEps(ksq, _quad_sign(num - den, root, core))
+    return ExactEps(QuadNum(Fraction(num, den), Fraction(root, den), core) if q
+                    else Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +441,8 @@ class EpsHadamard:
     times the value of its magnitude code (D_ij w_i, v_j), one of at most
     2^(2t).  The codes that occur give the distinct magnitudes, epsilon,
     the window check and the per-column magnitude histogram, counted from
-    sums of rows of H (``_CodeScan``; a formed ``scan`` and C's ``_evaluate`` on it,
-    ``evaluated``, may be passed in), whose int8 copies are the largest arrays.
+    sums of rows of H (``_CodeScan``), whose int8 copies are the largest arrays.
+    C's ``_evaluate`` on a scan of the same split (``evaluated``) may replace C.
     Orthogonality is H's certified Hadamard property plus the exact t x t
     identity X = 0, by which Y Y^T - I = W X W^T vanishes
     (``verify_orthogonal``).  All checks run at construction, so every
@@ -473,14 +473,16 @@ class EpsHadamard:
         "_counts",
     )
 
-    def __init__(self, source: SignMatrix, provenance: Provenance, c, scan=None, evaluated=None):
+    def __init__(self, source: SignMatrix, provenance: Provenance, c=None, evaluated=None):
         if not source.hadamard_verified:
             raise DomainError("source must be hadamard-verified")
+        if (c is None) == (evaluated is None):
+            raise TypeError("EpsHadamard takes C or its evaluation, not both")
         m, t = source.order, provenance.t
         self.order, self.radicand = m - t, m
         self.source, self.provenance = source, provenance
-        self._scan = scan or _CodeScan(source, provenance)
-        self._form, self._values, mag_ids, self._keys = evaluated or _evaluate(c, m, t, self._scan)
+        self._scan, self._form, self._values, mag_ids, self._keys = (
+            evaluated or _evaluate(c, m, t, _CodeScan(source, provenance)))
         scale, core, a, b = self._form
         terms = [(1 / exact_sqrt(m), None)]
         if t:
@@ -660,12 +662,12 @@ def _corner_form(c, m: int) -> tuple[int, int, np.ndarray, np.ndarray]:
 
 
 def _evaluate(c, m: int, t: int, scan: _CodeScan) -> tuple:
-    """(form, values, ids, keys) of C on a code scan: ``_corner_form``,
+    """(scan, form, values, ids, keys) of C on a scan: ``_corner_form``,
     ``_code_values`` and the ``_magnitudes`` of the codes that occur."""
     form = _corner_form(c, m)
     values = _code_values(form, t)
     ids, keys = _magnitudes([(*values[x], form[0]) for x in scan.occurring], form[1])
-    return form, values, ids, keys
+    return scan, form, values, ids, keys
 
 
 def _code_values(form, t: int) -> list[tuple[int, int]]:
@@ -974,14 +976,14 @@ def _reduce_one_split(split: BlockSplit) -> EpsHadamard:
     scan, best = _CodeScan(h, prov), None
     for variant in _VARIANTS:
         c = _coefficient_form(u, prov.uclass, variant, m)
-        (_, core, _, _), _, _, keys = evaluated = _evaluate(c, m, t, scan)
+        _, (_, core, _, _), _, _, keys = evaluated = _evaluate(c, m, t, scan)
         error = _window_error(keys, t, m, core)
         if error:
             raise CertificationError(f"{error} in {split!r} {variant}")
         g, side = _eps_extreme(keys, m - t, core)
         if best is None or _eps_cmp((keys[g], side), best[0], m - t, core) < 0:
-            best = (keys[g], side), variant, c, evaluated
-    return EpsHadamard(h, replace(prov, variant=best[1]), best[2], scan, best[3])
+            best = (keys[g], side), variant, evaluated
+    return EpsHadamard(h, replace(prov, variant=best[1]), evaluated=best[2])
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,13 @@ import json
 import math
 import os
 import re
-from fractions import Fraction
 
 import numpy as np
 
 from .algebra import Scalar, QuadNum, square_free_split
 from .bases import BasisSet, assemble
-from .epsh import SEARCH_SCOPES, BlockSplit, EpsHadamard, ExactEps, Provenance, reduce_split
+from .epsh import (SEARCH_SCOPES, BlockSplit, EpsHadamard, ExactEps, Provenance, _as_key,
+                   reduce_split)
 from .errors import CertificationError, DomainError, ParseError, ResourceLimitError
 from .hadamard import SignMatrix, from_label, is_hadamard
 from .rbd import Rbd, verify_rbd
@@ -213,26 +213,16 @@ def _require_equal(kind: str, derived, stored, path: str):
 # Scalars
 # ---------------------------------------------------------------------------
 
-def frac_wire(x) -> list[str]:
-    f = Fraction(x)
-    return [str(f.numerator), str(f.denominator)]
-
-
 def scalar_wire(v: Scalar, radicand: int) -> dict:
     """{"a": rational, "b": rational} with value = a + b*sqrt(radicand)."""
-    if isinstance(v, QuadNum):
-        f, core = square_free_split(radicand)
-        if core != v.m:
-            raise ParseError(
-                f"value over sqrt({v.m}) not representable over sqrt({radicand})"
-            )
-        return {"a": frac_wire(v.a), "b": frac_wire(v.b / f)}
-    return {"a": frac_wire(v), "b": frac_wire(0)}
+    if isinstance(v, QuadNum) and v.m != square_free_split(radicand)[1]:
+        raise ParseError(f"value over sqrt({v.m}) not representable over sqrt({radicand})")
+    return key_wire(_as_key(v), radicand)
 
 
 def key_wire(key: tuple, radicand: int) -> dict:
-    """``scalar_wire`` of the value (p + q*sqrt(c))/L, L > 0, of a key, from
-    its integers: a = p/L and b = q/(L*f) in lowest terms, radicand f^2*c."""
+    """The wire of the value (p + q*sqrt(c))/L, L > 0, of a key over the core c
+    of radicand = f^2*c: a = p/L and b = q/(L*f) in lowest terms."""
     (p, q, scale), f = key, square_free_split(radicand)[0]
     g, h = math.gcd(p, scale), math.gcd(q, scale * f)
     return {"a": [str(p // g), str(scale // g)], "b": [str(q // h), str(scale * f // h)]}
@@ -524,7 +514,7 @@ def report_obj(report) -> dict:
             "float": float(report.beta),
         },
         "bound_beta_float": report.bound_beta_float(),
-        "max_abs_y_sq": key_wire(report.max_abs_y_sq, m),
+        "max_abs_y_sq": key_wire(report.max_abs_y_sq_key, m),
         "pairs_checked": report.pairs_checked,
         "coverage": report.coverage,
         "classification": report.classification,

@@ -99,8 +99,13 @@ class UnbiasednessReport:
     classification: str
     window_ok: bool
     beta_le_eps_chain: bool  # beta <= (1+eps)^2 sqrt(d)/k, exact
-    max_abs_y_sq: tuple  # key (p, q, L) of (max |Y_ij|)^2, for the formula-route certificate
+    max_abs_y_sq_key: tuple  # (max |Y_ij|)^2 as a key (p, q, L) in lowest terms
     radicand: int
+
+    @property
+    def max_abs_y_sq(self) -> Scalar:
+        """(max |Y_ij|)^2, for the formula-route certificate."""
+        return _key_value(self.max_abs_y_sq_key, square_free_split(self.radicand)[1])
 
     def bound_beta_float(self) -> float:
         return (1.0 + float(self.epsilon)) ** 2 * math.sqrt(self.d) / self.k
@@ -180,6 +185,7 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     source_order = y.provenance.source_order
     n = source_order // 4 if source_order % 4 == 0 else None
     p, q, scale = keys[-1]
+    (ysq,) = _magnitudes([(p * p + core * q * q, 2 * p * q, scale * scale)], core)[1]
     return UnbiasednessReport(
         d=bs.d,
         s=bs.s,
@@ -196,7 +202,7 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
         classification=classify_delta(delta, beta, bs.d),
         window_ok=y.window_ok,
         beta_le_eps_chain=_ip_le_eps_square(max_ip, y.epsilon, k),
-        max_abs_y_sq=(p * p + core * q * q, 2 * p * q, scale * scale),
+        max_abs_y_sq_key=ysq,
         radicand=y.radicand,
     )
 

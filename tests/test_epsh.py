@@ -1315,3 +1315,16 @@ def test_corner_route_evaluates_each_variant_once(monkeypatch):
         y = best_reduction(h, t)
         assert len(calls) == 2, t
         assert y.abs_value_keys() == reduce_split(corner_split(h, t), y.variant).abs_value_keys()
+
+
+def test_eps_hadamard_takes_c_or_its_evaluation():
+    """EpsHadamard takes C or its ``_evaluate``, exactly one of the two."""
+    split = corner_split(find_hadamard(16), 2)
+    y = reduce_split(split, "Y1")
+    c = epsh._coefficient_form(split.u_matrix(), y.provenance.uclass, "Y1", 16)
+    evaluated = epsh._evaluate(c, 16, 2, epsh._CodeScan(y.source, y.provenance))
+    for args in ((), (c, evaluated)):
+        with pytest.raises(TypeError):
+            EpsHadamard(y.source, y.provenance, *args)
+    assert EpsHadamard(y.source, y.provenance, evaluated=evaluated).abs_value_keys() == (
+        y.abs_value_keys())

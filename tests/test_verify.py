@@ -10,7 +10,7 @@ from armub import cli, epsh, jsonio, verify
 from armub.algebra import QuadNum, cmp_values, square_free_split
 from armub.bases import assemble
 from armub.epsh import EpsHadamard, Provenance, _key_value, best_reduction
-from armub.errors import CertificationError
+from armub.errors import CertificationError, ParseError
 from armub.hadamard import find_hadamard, sylvester
 from armub.rbd import Rbd, build_affine_rbd
 from armub.verify import (
@@ -299,6 +299,15 @@ KEY_WIRE_PIPELINES = [(11, 13, 1), (10, 11, 2), (9, 11, 3), (47, 49, 1), (46, 47
                       (126, 127, 2), (125, 125, 3)]
 
 
+def _fraction_wire(key, m):
+    """Oracle for the wire of a key's value over sqrt(m): a = p/L and
+    b = q/(L*f), m = f^2*c, reduced by Fraction."""
+    (p, q, scale), f = key, square_free_split(m)[0]
+    a, b = Fraction(p, scale), Fraction(q, scale * f)
+    return {"a": [str(a.numerator), str(a.denominator)],
+            "b": [str(b.numerator), str(b.denominator)]}
+
+
 def test_key_wire_matches_scalar_wire():
     """Every value the report writes from its key (each delta, max_ip and
     max_abs_y_sq) has the wire of its Scalar, over radicands with a square
@@ -309,10 +318,12 @@ def test_key_wire_matches_scalar_wire():
         bs = small_pipeline(k, s, t)
         rep = cross_stats(bs)
         m, core = rep.radicand, square_free_split(rep.radicand)[1]
-        assert cmp_values(_key_value(rep.max_abs_y_sq, core), bs.y.max_abs_entry() ** 2) == 0
-        keys = [dv.key for dv in rep.delta] + [rep.max_abs_y_sq]
+        assert cmp_values(rep.max_abs_y_sq, bs.y.max_abs_entry() ** 2) == 0
+        assert math.gcd(*rep.max_abs_y_sq_key) == 1
+        keys = [dv.key for dv in rep.delta] + [rep.max_abs_y_sq_key]
         for key in keys + [(2 * p, 2 * q, 2 * scale) for p, q, scale in keys]:
-            assert jsonio.key_wire(key, m) == jsonio.scalar_wire(_key_value(key, core), m), key
+            wire = jsonio.key_wire(key, m)
+            assert wire == jsonio.scalar_wire(_key_value(key, core), m) == _fraction_wire(key, m)
             signs.add((key[1] > 0) - (key[1] < 0))
         wire = jsonio.report_obj(rep)
         assert wire["beta"]["max_ip"] == jsonio.scalar_wire(rep.beta.max_ip, m)
@@ -334,3 +345,11 @@ def test_certificate_builds_few_scalars(monkeypatch):
     cert = jsonio.certificate_obj(bs, 3, "corner-only", {"file": "bases.json", "sha256": "0"})
     assert len(cert["report"]["delta"]) == 51
     assert len(calls) == 1
+
+
+def test_scalar_wire_rejects_another_core():
+    """A value over sqrt(c) is written only over a radicand whose core is c."""
+    assert jsonio.scalar_wire(QuadNum(Fraction(1, 2), Fraction(-3, 4), 3), 48) == {
+        "a": ["1", "2"], "b": ["-3", "16"]}
+    with pytest.raises(ParseError, match="not representable"):
+        jsonio.scalar_wire(QuadNum(0, 1, 2), 48)
