@@ -1054,6 +1054,69 @@ def test_seeded_benchmark_input_keeps_packed_rows(tmp_path, capsys, order, t, sc
     assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (size, digest)
 
 
+# (k, s, t) of `armub armub` runs and the size and sha256 of every file each
+# writes: the two pipeline workloads of the benchmark, a t = 2 case, (13, 17, 3)
+# where epsilon > 1 and the beta < 2 observation fails, and two runs where
+# Y = H/sqrt(k), (8, 9, 1) with n n/a and (2, 3, 2) with n = 1.  The ledger's
+# and the report's float fields are pinned with the rest of each file.
+PIPELINE_ARTIFACTS = {
+    (123, 125, 1): {
+        "bases.json": (253, "b027702b094447c0c3ec467b635346527f8c03cf47cc9cd4fc3acea84b95bf33"),
+        "certificate.json":
+            (1976, "db063e3e9b2a2628f50548bdac4642f3995d3fa6daa52104d361f37f0373b911"),
+        "epsh.json": (568, "ece33b773fb4213ef112b211a42c15d25f95a7d24a6d038b8ad5499a9b48a4f1"),
+        "rbd.json": (134, "f3c9c82ee557d366aa1e6f8a44ece28441a675de49573001a4770b329463eabc"),
+    },
+    (93, 97, 3): {
+        "bases.json": (250, "975eba5c8a951f18c90ece6bfc6d141f303b8d4dd96b32873da6fd815bd6b77b"),
+        "certificate.json":
+            (5670, "35a59436d624fc101002025ed1ad4db75e695bf73ebe062130afa61cfbb5a40b"),
+        "epsh.json": (650, "0eca13068f944171ed113f5c22a3b7cf998f6687104d8a93bd33d62aab4d829b"),
+        "rbd.json": (125, "12c5f336c6d5c8462622752568aa28110307f2c9469eb79352668be1211551bd"),
+    },
+    (14, 17, 2): {
+        "bases.json": (249, "853ad6c6c5aa9aa3d1edfa11aa87add04202bd50dcbbb63004f78828896ed1ab"),
+        "certificate.json":
+            (2517, "726a002606d51fff1fee1b0bab881f5e51fd93f59701132084e06bd6a86c1f21"),
+        "epsh.json": (560, "542a3a334a8ee7a95b8462df564503ea8d5de5b77d159ab5de78b5e3b47b3680"),
+        "rbd.json": (124, "dd180e66d983ce4d1b27d3123edbc43f2ce347ceb9b5b67b941e61942f1cacaa"),
+    },
+    (13, 17, 3): {
+        "bases.json": (249, "8dcb08888cca9fdd334bd3e9a04062a528c6d1db2027a6f799058a351f9cfc72"),
+        "certificate.json":
+            (3574, "78a6762d0fe1772f6edd255b26cef99776bfe7e59c5aaee496a0adce93b8330b"),
+        "epsh.json": (568, "2dd9b9326009063bc161d3d4ef2017b16d1baa9b8e21ab9b0fccc936610e6fad"),
+        "rbd.json": (124, "8000b1f59ff4a56f2f7067488c0b518c8c8e865f5478a4afaf797b1bde87c77a"),
+    },
+    (8, 9, 1): {
+        "bases.json": (246, "cb021cda5584f61b4a3fb17bfe9cada137c4efb2ff52bf2e07e75ffadf55da03"),
+        "certificate.json":
+            (1653, "c2f5bff4e53cc9000771639fa3fc51bc164c7aa5229db4fb1963d5908f06bb32"),
+        "epsh.json": (417, "15a2fbb4ab9128616bfe312b3428a1088583db9ff1bc8db6633d91647fda49db"),
+        "rbd.json": (119, "40835181164fe184b1dd85ff5b1b0b0a5a9807a4a608e01e6bb5807771aa7f1f"),
+    },
+    (2, 3, 2): {
+        "bases.json": (245, "cb123ebc6f21960634546ea4fbb7f73f4ec796095160deb3e3b508ceec2e6794"),
+        "certificate.json":
+            (1621, "fcb088556211f03ae42dc264f80ccf77c8950d6c4de81d27cd0cd11a9873eac0"),
+        "epsh.json": (417, "3470aae8f6d8b615460bf273234ac5df28871bd54e7e7640b3cb999250c20671"),
+        "rbd.json": (116, "4f78b5047e77f6b8068b96f9ab903b763dd3928f4ba5f4d74a61f66c81260f63"),
+    },
+}
+
+
+@pytest.mark.parametrize("k, s, t", list(PIPELINE_ARTIFACTS))
+def test_pipeline_artifacts_are_pinned(tmp_path, capsys, k, s, t):
+    """Every file `armub armub` writes at (k, s, t) has the pinned size and
+    sha256, so each float that the report and the ledger render keeps its
+    bytes."""
+    assert cli.main(["armub", "--k", str(k), "--s", str(s), "--t", str(t),
+                     "--out", str(tmp_path)]) == 0
+    written = {path.name: (len(data := path.read_bytes()), hashlib.sha256(data).hexdigest())
+               for path in sorted(tmp_path.iterdir())}
+    assert written == PIPELINE_ARTIFACTS[(k, s, t)]
+
+
 def test_beta_lt_2_line_is_observed_not_counted(tmp_path, capsys):
     """At (13, 17, 3) the beta < 2 line fails and is printed as an
     observation that "ok" does not count; every counted line passes, so the
