@@ -7,7 +7,7 @@ reports.
 """
 
 from .algebra import GfField, QuadNum, exact_sqrt, gf_make, quad_to_float
-from .bases import BasisSet, SparseBasis, assemble
+from .bases import BasisSet, assemble
 from .epsh import (
     BlockSplit,
     EpsHadamard,

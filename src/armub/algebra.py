@@ -1,6 +1,9 @@
 """Exact arithmetic foundations.
 
-Three scalar domains are used throughout the package:
+The package certifies in Q(sqrt(c)) on integer keys: ``epsh`` holds each
+exact value as (p, q, L), the value (p + q*sqrt(c))/L, and decides every
+order and bound by integer sign tests.  This module gives the scalars that
+show such values and the finite fields of the designs:
 
 * arbitrary-precision rationals -- ``fractions.Fraction`` (always reduced,
   positive denominator, so the required invariants hold by construction);
@@ -253,54 +256,31 @@ def _frac_sign(x: Fraction) -> int:
     return (n > 0) - (n < 0)
 
 
-def sign_of(x: Scalar) -> int:
-    """Exact sign of any supported scalar (int, Fraction, QuadNum)."""
-    if isinstance(x, QuadNum):
-        return x.sign()
-    if isinstance(x, int):
-        return (x > 0) - (x < 0)
-    return _frac_sign(x)
-
-
-def cmp_values(x: Scalar, y: Scalar) -> int:
-    """Exact three-way comparison of scalar values."""
-    return sign_of(_sub(x, y))
-
-
-def _sub(x: Scalar, y: Scalar) -> Scalar:
-    if isinstance(x, int):
-        x = Fraction(x)
-    return x - y
-
-
-def sqrt_minus_cmp(radicand: Scalar, rhs: Scalar) -> int:
-    """Exact sign of sqrt(radicand) - rhs, for radicand >= 0.
-
-    Both arguments live in the same quadratic field (or Q); since only one
-    square root is nested the comparison reduces to one extra squaring.
-    """
-    if sign_of(radicand) < 0:
-        raise DomainError("negative value under square root")
-    sr = sign_of(rhs)
-    if sr < 0:
-        return 1
-    return sign_of(_sub(radicand, rhs * rhs))
-
-
 def quad_to_float(x: Scalar, precision: int = 53) -> float:
-    """Render a scalar as a float with error <= 2**-precision + 1 ulp.
-
-    sqrt(m) is approximated by isqrt on a scaled integer so the rational
-    intermediate is within 2**-(precision+2) of the true value; the final
-    rounding to binary64 adds at most one ulp.  Report-rendering only --
-    certification paths never call this.
-    """
+    """Render a scalar as a float with error <= 2**-precision + 1 ulp
+    (``key_to_float`` of its key).  Report-rendering only -- certification
+    paths never call this."""
     if isinstance(x, (int, Fraction)):
         return float(Fraction(x))
+    scale = math.lcm(x.a.denominator, x.b.denominator)
+    return key_to_float((int(x.a * scale), int(x.b * scale), scale), x.m, precision)
+
+
+def key_to_float(key: tuple, core: int, precision: int = 53) -> float:
+    """Render the value (p + q*sqrt(c))/L, L > 0, of an integer key as a
+    float with error <= 2**-precision + 1 ulp.
+
+    sqrt(c) is approximated by isqrt on a scaled integer so the rational
+    intermediate is within 2**-(precision+2) of the true value; one
+    correctly rounded division of integers adds at most one ulp, so equal
+    values render equal floats however their keys are scaled.
+    """
+    p, q, scale = key
+    if not q:
+        return p / scale
     shift = precision + 8
-    root = math.isqrt(x.m << (2 * shift))  # floor(sqrt(m) * 2**shift)
-    approx = x.a + x.b * Fraction(root, 1 << shift)
-    return float(approx)
+    root = math.isqrt(core << (2 * shift))  # floor(sqrt(c) * 2**shift)
+    return ((p << shift) + q * root) / (scale << shift)
 
 
 # ---------------------------------------------------------------------------

@@ -10,61 +10,20 @@ Y keeps runs reproducible.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .algebra import Scalar
 from .epsh import EpsHadamard
 from .errors import DomainError
 from .rbd import Rbd
 
 
-class SparseBasis:
-    """One orthonormal basis in sparse block form (k nonzeros per vector)."""
-
-    __slots__ = ("rbd", "y", "class_index")
-
-    def __init__(self, rbd: Rbd, y: EpsHadamard, class_index: int):
-        self.rbd = rbd
-        self.y = y
-        self.class_index = class_index
-
-    @property
-    def d(self) -> int:
-        return self.rbd.d
-
-    @property
-    def k(self) -> int:
-        return self.rbd.k
-
-    @property
-    def blocks(self) -> np.ndarray:
-        return self.rbd.class_blocks(self.class_index)
-
-    def block_of_vector(self, index: int) -> int:
-        return index // self.k
-
-    def vector(self, index: int) -> list[tuple[int, Scalar]]:
-        """(coordinate, value) pairs of the addressed vector."""
-        if not 0 <= index < self.d:
-            raise DomainError(f"vector index {index} outside [0, {self.d})")
-        block, row = divmod(index, self.k)
-        pts = self.blocks[block]
-        return [(int(pts[j]), self.y.entry(row, j)) for j in range(self.k)]
-
-    def support(self, index: int) -> tuple[int, ...]:
-        block = self.block_of_vector(index)
-        return tuple(int(p) for p in self.blocks[block])
-
-
 class BasisSet:
-    """One orthonormal basis per parallel class, sharing one design and one Y."""
+    """One orthonormal basis per parallel class of the design, all sharing
+    one Y: the basis set is its design and Y."""
 
-    __slots__ = ("rbd", "y", "bases")
+    __slots__ = ("rbd", "y")
 
-    def __init__(self, rbd: Rbd, y: EpsHadamard, bases: list[SparseBasis]):
+    def __init__(self, rbd: Rbd, y: EpsHadamard):
         self.rbd = rbd
         self.y = y
-        self.bases = bases
 
     @property
     def d(self) -> int:
@@ -80,13 +39,13 @@ class BasisSet:
 
     @property
     def num_bases(self) -> int:
-        return len(self.bases)
+        return self.rbd.r
 
     def __len__(self):
-        return len(self.bases)
+        return self.num_bases
 
     def __repr__(self):
-        return f"BasisSet(d={self.d}, bases={len(self.bases)}, k={self.k})"
+        return f"BasisSet(d={self.d}, bases={self.num_bases}, k={self.k})"
 
 
 def assemble(rbd: Rbd, y: EpsHadamard) -> BasisSet:
@@ -106,4 +65,4 @@ def assemble(rbd: Rbd, y: EpsHadamard) -> BasisSet:
         )
     if rbd.mu is None or rbd.mu != 1:
         raise DomainError("design must carry certified mu = 1")
-    return BasisSet(rbd, y, [SparseBasis(rbd, y, l) for l in range(rbd.r)])
+    return BasisSet(rbd, y)

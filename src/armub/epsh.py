@@ -26,11 +26,15 @@ H H^T = M*I gives Y Y^T - I = W X W^T with
 and X = 0 is a pair of integer t x t identities checked on Python ints
 (``EpsHadamard.verify_orthogonal``).
 
-Epsilon is computed from the definition: the maximum over entries of
-|sqrt(k)*|Y_ij| - 1|, held exactly as the pair (q, side) with
-q = k*Y_ij^2; deviations below 1/sqrt(k) count.  The maximum upward
-deviation alone is kept as a separate diagnostic (`epsilon_upper`)
-because several reported per-case expressions track only that side.
+Exact values are integer keys: (p, q, L) stands for (p + q*sqrt(c))/L,
+L > 0, with c the squarefree part of M, and every order, bound and window
+test on them is one integer sign test (``_quad_sign``); Fractions and
+QuadNums only show values (``_key_value``).  Epsilon is computed from the
+definition: the maximum over entries of |sqrt(k)*|Y_ij| - 1|, held exactly
+as the key of the extremal |Y_ij| (``ExactEps``); deviations below
+1/sqrt(k) count.  The maximum upward deviation alone is kept as a separate
+diagnostic (`epsilon_upper`) because several reported per-case expressions
+track only that side.
 
 Split search (`best_reduction`) scores candidates without building them.
 A scope of one split (corner-only) needs no screen: one code scan
@@ -53,8 +57,7 @@ epsilon exactly on one scale and checks the window on those keys, with
 integer sign tests only.  A candidate's epsilon is the largest among the
 codes in its mask, which is exactly the epsilon its EpsHadamard would
 certify, so the screen picks the same split as building every candidate
-would; only the winner is built, and only its magnitudes and epsilons
-become Fractions, QuadNums and ExactEps.
+would; only the winner is built, and only its epsilons become ExactEps.
 """
 
 from __future__ import annotations
@@ -69,16 +72,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (
-    QuadNum,
-    Scalar,
-    cmp_values,
-    exact_sqrt,
-    quad_to_float,
-    sign_of,
-    sqrt_minus_cmp,
-    square_free_split,
-)
+from .algebra import QuadNum, Scalar, key_to_float, square_free_split
 from .errors import (
     CertificationError,
     DomainError,
@@ -222,69 +216,40 @@ def classify_u(u) -> UClass:
 # ---------------------------------------------------------------------------
 
 class ExactEps:
-    """epsilon = |sqrt(q) - 1| held exactly, q = k * Y_ij^2 at the extremum.
+    """epsilon = |sqrt(k)*a - 1| held exactly by the integer key (p, q, L) of
+    the magnitude a = (p + q*sqrt(c))/L at the extremum, with k and the
+    squarefree c; the key None is the zero epsilon.
 
-    ``side`` is the sign of sqrt(q) - 1 (equivalently of q - 1): +1 for an
-    upward deviation, -1 downward, 0 for an exact Hadamard entry.  All
-    comparisons are exact; at most one square root is nested, so mixed-side
-    comparisons reduce to a single extra squaring.
+    ``side`` is the sign of sqrt(k)*a - 1 (equivalently of q - 1, with
+    q = k*a^2): +1 for an upward deviation, -1 downward, 0 for an exact
+    Hadamard entry.  ``ksq`` is the key of q, which the wire writes.  Every
+    comparison is an integer sign test (``_eps_cmp``); epsilons compare only
+    at the same k and c.
     """
 
-    __slots__ = ("q", "side", "_float")
+    __slots__ = ("key", "k", "core", "side", "ksq", "_float")
 
-    def __init__(self, q: Scalar):
-        if sign_of(q) < 0:
-            raise DomainError("k*Y^2 cannot be negative")
-        self.q = q if not isinstance(q, int) else Fraction(q)
-        self.side = sign_of(self.q - 1)
-        self._float = abs(math.sqrt(quad_to_float(self.q, 70)) - 1.0)
-
-    @classmethod
-    def zero(cls) -> "ExactEps":
-        return cls(Fraction(1))
+    def __init__(self, key: Optional[tuple], k: int, core: int):
+        self.key, self.k, self.core = key, k, core
+        self.side, self.ksq = 0, (1, 0, 1)  # the zero epsilon: q = 1
+        if key is not None:
+            p, q, scale = key
+            self.side = _eps_side(key, k, core)
+            self.ksq = (k * (p * p + core * q * q), 2 * k * p * q, scale * scale)
+        self._float = abs(math.sqrt(key_to_float(self.ksq, core, 70)) - 1.0)
 
     def cmp(self, other: "ExactEps") -> int:
-        s1, s2 = self.side, other.side
-        if s1 == 0:
-            return 0 if s2 == 0 else -1
-        if s2 == 0:
-            return 1
-        if s1 > 0 and s2 > 0:
-            return cmp_values(self.q, other.q)
-        if s1 < 0 and s2 < 0:
-            return cmp_values(other.q, self.q)
-        # mixed sides: sign of sqrt(q1) + sqrt(q2) - 2
-        mixed = sqrt_minus_cmp(4 * self.q * other.q, 4 - self.q - other.q)
-        return mixed if s1 > 0 else -mixed
+        if self.side and other.side and (self.k, self.core) != (other.k, other.core):
+            raise StructuralError(f"epsilons of k={self.k}, c={self.core} and "
+                                  f"k={other.k}, c={other.core} do not compare")
+        return _eps_cmp((self.key, self.side), (other.key, other.side), self.k, self.core)
 
-    def le_bound(self, bound: Scalar) -> bool:
-        """Exact epsilon <= bound, for a scalar bound."""
-        if sign_of(bound) < 0:
-            return False
-        if self.side == 0:
-            return True
-        if self.side > 0:
-            return cmp_values(self.q, (1 + bound) * (1 + bound)) <= 0
-        low = 1 - bound
-        if sign_of(low) <= 0:
-            return True
-        return cmp_values(self.q, low * low) >= 0
-
-    def lt_bound(self, bound: Scalar) -> bool:
-        if sign_of(bound) <= 0:
-            return False
-        if self.side == 0:
-            return True
-        if self.side > 0:
-            return cmp_values(self.q, (1 + bound) * (1 + bound)) < 0
-        # 1 - sqrt(q) < bound <=> sqrt(q) > 1 - bound
-        low = 1 - bound
-        slow = sign_of(low)
-        if slow < 0:
-            return True
-        if slow == 0:
-            return sign_of(self.q) > 0
-        return cmp_values(self.q, low * low) > 0
+    def lt_one(self) -> bool:
+        """epsilon < 1: below 1/sqrt(k) unless a = 0, above it when q < 4."""
+        if self.side <= 0:
+            return self.side == 0 or _quad_sign(self.key[0], self.key[1], self.core) > 0
+        p, q, scale = self.ksq
+        return _quad_sign(p - 4 * scale, q, self.core) < 0
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -299,19 +264,10 @@ class ExactEps:
         return self._float
 
     def expr(self) -> str:
-        return f"|sqrt({self.q}) - 1|"
+        return f"|sqrt({_key_value(self.ksq, self.core)}) - 1|"
 
     def __repr__(self):
         return f"ExactEps({float(self):.6g}, side={self.side})"
-
-
-def _key_eps(key: tuple, k: int, core: int) -> ExactEps:
-    """ExactEps of a magnitude key (p, q, L): k*a^2 is (k*(p^2 + c*q^2), 2kpq, L^2),
-    a QuadNum when a is one (as k*a*a is), so ``expr`` reads the same."""
-    p, q, scale = key
-    num, root, den = k * (p * p + core * q * q), 2 * k * p * q, scale * scale
-    return ExactEps(QuadNum(Fraction(num, den), Fraction(root, den), core) if q
-                    else Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +440,7 @@ class EpsHadamard:
         self._scan, self._form, self._values, mag_ids, self._keys = (
             evaluated or _evaluate(c, m, t, _CodeScan(source, provenance)))
         scale, core, a, b = self._form
-        terms = [(1 / exact_sqrt(m), None)]
+        terms = [(_key_value((a[0, 0], b[0, 0], scale), core), None)]
         if t:
             terms.append((Fraction(1, scale), a[1:, 1:]))
         if np.count_nonzero(b[1:, 1:]):
@@ -513,12 +469,11 @@ class EpsHadamard:
                   scan.count[live])
         self._counts.setflags(write=False)
         g, _ = _eps_extreme(keys, k, core)
-        self.epsilon = _key_eps(keys[g], k, core)
+        self.epsilon = ExactEps(keys[g], k, core)
         # largest upward deviation alone (0 if no entry exceeds 1/sqrt(k))
-        self.epsilon_upper = (self.epsilon if g else ExactEps.zero()
-                              if _eps_side(keys[-1], k, core) <= 0
-                              else _key_eps(keys[-1], k, core))
-        self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
+        self.epsilon_upper = self.epsilon if g else ExactEps(
+            keys[-1] if _eps_side(keys[-1], k, core) > 0 else None, k, core)
+        self.is_eps_hadamard = self.epsilon.lt_one()
 
     def verify_orthogonal(self):
         """Exact check of Y Y^T = I as the t x t identity X = 0.
@@ -702,18 +657,9 @@ def _key_cmp(x: tuple, y: tuple, core: int) -> int:
 
 
 def _key_value(key: tuple, core: int) -> Scalar:
-    """The Fraction or QuadNum of a key (p, q, L)."""
+    """The Fraction or QuadNum of a key (p, q, L), for showing the value."""
     p, q, scale = key
     return QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
-
-
-def _as_key(x: Scalar) -> tuple[int, int, int]:
-    """The key (p, q, L), L > 0, of a rational or a QuadNum."""
-    if isinstance(x, QuadNum):
-        scale = math.lcm(x.a.denominator, x.b.denominator)
-        return int(x.a * scale), int(x.b * scale), scale
-    x = Fraction(x)
-    return x.numerator, 0, x.denominator
 
 
 def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
@@ -743,21 +689,19 @@ def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
     return order[np.array(ids, dtype=np.int64)], keys
 
 
-def _eps_side(key: tuple, k: int, core: int) -> int:
-    """Side of the epsilon |sqrt(k)*a - 1| of a magnitude a with key
-    (p, q, L): the sign of k*a^2 - 1, one integer sign test."""
+def _eps_side(key: tuple, k: int, core: int, r: int = 1) -> int:
+    """Sign of k*a^2 - r for the value a of a key (p, q, L), one integer sign
+    test; with r = 1, the side of the epsilon |sqrt(k)*a - 1| of a magnitude a."""
     p, q, scale = key
-    return _quad_sign(k * (p * p + core * q * q) - scale * scale, 2 * k * p * q, core)
+    return _quad_sign(k * (p * p + core * q * q) - r * scale * scale, 2 * k * p * q, core)
 
 
 def _eps_mixed(above: tuple, below: tuple, k: int, core: int) -> int:
     """Sign of eps(a1) - eps(a2) for magnitudes a1 above and a2 below
     1/sqrt(k): (sqrt(k)*a1 - 1) - (1 - sqrt(k)*a2) has the sign of
-    k*(a1 + a2)^2 - 4, one integer sign test."""
-    p = above[0] * below[2] + below[0] * above[2]
-    q = above[1] * below[2] + below[1] * above[2]
-    scale = above[2] * below[2]
-    return _quad_sign(k * (p * p + core * q * q) - 4 * scale * scale, 2 * k * p * q, core)
+    k*(a1 + a2)^2 - 4."""
+    return _eps_side((above[0] * below[2] + below[0] * above[2],
+                      above[1] * below[2] + below[1] * above[2], above[2] * below[2]), k, core, 4)
 
 
 def _eps_extreme(keys: list[tuple], k: int, core: int) -> tuple[int, int]:
@@ -770,7 +714,8 @@ def _eps_extreme(keys: list[tuple], k: int, core: int) -> tuple[int, int]:
 
 def _eps_cmp(x: tuple, y: tuple, k: int, core: int) -> int:
     """Sign of eps(a) - eps(b) for magnitudes given as (key, side of its
-    epsilon): ``ExactEps.cmp`` as integer sign tests."""
+    epsilon), the order of ``ExactEps``: on one side the keys' order, across
+    the sides ``_eps_mixed``, and a side 0 (whose key may be None) is least."""
     (a, sa), (b, sb) = x, y
     if sa == 0 or sb == 0:
         return (sa != 0) - (sb != 0)
@@ -787,7 +732,7 @@ def _eps_ranks(keys: list[tuple], k: int, core: int) -> tuple[list[int], list[tu
     below-side keys read descending and the above-side keys read ascending
     each have ascending epsilon, and a key with side 0 has epsilon 0 and
     takes rank 0.  The two lists merge by ``_eps_mixed``; equal epsilons can
-    only meet across the two sides.  This is the order of ``ExactEps.cmp``.
+    only meet across the two sides.  This is the order of ``_eps_cmp``.
     """
     sides = [_eps_side(key, k, core) for key in keys]
     below = [i for i in reversed(range(len(keys))) if sides[i] < 0]
@@ -810,11 +755,6 @@ def _eps_ranks(keys: list[tuple], k: int, core: int) -> tuple[list[int], list[tu
     return ranks, reps
 
 
-def _window_keys(window) -> Optional[tuple[tuple, tuple]]:
-    """The bounds of a window from ``_window`` as keys, or None."""
-    return None if window is None else tuple(_as_key(x) for x in window)
-
-
 def _outside(key: tuple, window, core: int) -> bool:
     """Whether a magnitude key lies outside window keys (never when None)."""
     return window is not None and (_key_cmp(key, window[0], core) < 0
@@ -826,24 +766,26 @@ def _window_error(keys: list[tuple], t: int, m: int, core: int) -> Optional[str]
     reduction of order m by t (``_window``), of ascending magnitude keys,
     or None; the smallest and the largest key decide."""
     window = _window(t, m)
-    bounds = _window_keys(window)
-    if not (_outside(keys[0], bounds, core) or _outside(keys[-1], bounds, core)):
+    if not (_outside(keys[0], window, core) or _outside(keys[-1], window, core)):
         return None
-    key = next(key for key in keys if _outside(key, bounds, core))
-    return f"entry magnitude {_key_value(key, core)} outside window [{window[0]}, {window[1]}]"
+    key = next(key for key in keys if _outside(key, window, core))
+    low, high = (_key_value(x, core) for x in window)
+    return f"entry magnitude {_key_value(key, core)} outside window [{low}, {high}]"
 
 
-@functools.lru_cache(maxsize=64)
-def _window(t: int, m: int) -> Optional[tuple[Scalar, Scalar]]:
+def _window(t: int, m: int) -> Optional[tuple[tuple, tuple]]:
     """Closed interval of the reduction theorem for the entry magnitudes of
-    a reduction of order m by t, or None where it does not apply."""
+    a reduction of order m by t, as keys over the core c of m = f^2*c, or
+    None where it does not apply: (1 -/+ t/(sqrt(M) - t))/sqrt(M) is
+    ((M - 2t^2)*sqrt(M) - t*M)/(M*(M - t^2)) below and
+    (t + sqrt(M))/(M - t^2) above."""
     if t < 1 or t * t >= m:
         return None
-    sqrt_m = exact_sqrt(m)
-    return (
-        (1 - Fraction(t) / (sqrt_m - t)) / sqrt_m,
-        (1 + Fraction(t) / (sqrt_m - t)) / sqrt_m,
-    )
+    f, core = square_free_split(m)
+    low, high = ((-t * m, (m - 2 * t * t) * f), (t, f))
+    if core == 1:
+        low, high = (sum(low), 0), (sum(high), 0)
+    return (*low, m * (m - t * t)), (*high, m - t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -1209,8 +1151,8 @@ class _EpsScreen:
         key_ranks, reps = _eps_ranks(self.keys, m - t, self.core)
         self.eps = _RankEps(reps, m - t, self.core)
         self.sentinel = len(reps)
-        bounds = _window_keys(_window(t, m))
-        self.outside = [_outside(key, bounds, self.core) for key in self.keys]
+        window = _window(t, m)
+        self.outside = [_outside(key, window, self.core) for key in self.keys]
         self.key_ranks = np.array(key_ranks, dtype=np.int64)
         self.key_ranks[np.array(self.outside, dtype=bool)] = self.sentinel
         ranks = self.key_ranks[self.mag_ids]  # (u, variant, magnitude index)
@@ -1245,7 +1187,7 @@ class _RankEps:
         self._reps, self._k, self._core = reps, k, core
 
     def __getitem__(self, rank: int) -> ExactEps:
-        return _key_eps(self._reps[rank], self._k, self._core)
+        return ExactEps(self._reps[rank], self._k, self._core)
 
 
 class _SplitScreen:

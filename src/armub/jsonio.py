@@ -2,9 +2,10 @@
 
 Rationals travel as pairs of decimal strings (no integer-width or float
 ambiguity); quadratic values carry "a" and "b" with b relative to
-sqrt(radicand) as declared by the artifact.  Serialization is canonical
-(sorted keys, fixed separators, trailing newline): serialize -> parse ->
-serialize is byte-identical.  Floats appear only in report-rendering fields.
+sqrt(radicand) as declared by the artifact, written from their integer keys
+(``key_wire``).  Serialization is canonical (sorted keys, fixed separators,
+trailing newline): serialize -> parse -> serialize is byte-identical.
+Floats appear only in report-rendering fields.
 
 Every parser follows one rule.  It reads only the inputs of the artifact's
 derivation, derives the artifact again with the writer's own ``*_obj``
@@ -59,10 +60,9 @@ import re
 
 import numpy as np
 
-from .algebra import Scalar, QuadNum, square_free_split
+from .algebra import square_free_split
 from .bases import BasisSet, assemble
-from .epsh import (SEARCH_SCOPES, BlockSplit, EpsHadamard, ExactEps, Provenance, _as_key,
-                   reduce_split)
+from .epsh import SEARCH_SCOPES, BlockSplit, EpsHadamard, ExactEps, Provenance, reduce_split
 from .errors import CertificationError, DomainError, ParseError, ResourceLimitError
 from .hadamard import SignMatrix, from_label, is_hadamard
 from .rbd import Rbd, verify_rbd
@@ -213,16 +213,11 @@ def _require_equal(kind: str, derived, stored, path: str):
 # Scalars
 # ---------------------------------------------------------------------------
 
-def scalar_wire(v: Scalar, radicand: int) -> dict:
-    """{"a": rational, "b": rational} with value = a + b*sqrt(radicand)."""
-    if isinstance(v, QuadNum) and v.m != square_free_split(radicand)[1]:
-        raise ParseError(f"value over sqrt({v.m}) not representable over sqrt({radicand})")
-    return key_wire(_as_key(v), radicand)
-
-
 def key_wire(key: tuple, radicand: int) -> dict:
-    """The wire of the value (p + q*sqrt(c))/L, L > 0, of a key over the core c
-    of radicand = f^2*c: a = p/L and b = q/(L*f) in lowest terms."""
+    """{"a": rational, "b": rational} with value = a + b*sqrt(radicand), the
+    one writer of exact values: for the value (p + q*sqrt(c))/L, L > 0, of a
+    key over the core c of radicand = f^2*c, a = p/L and b = q/(L*f) in
+    lowest terms."""
     (p, q, scale), f = key, square_free_split(radicand)[0]
     g, h = math.gcd(p, scale), math.gcd(q, scale * f)
     return {"a": [str(p // g), str(scale // g)], "b": [str(q // h), str(scale * f // h)]}
@@ -230,7 +225,7 @@ def key_wire(key: tuple, radicand: int) -> dict:
 
 def eps_wire(e: ExactEps, radicand: int) -> dict:
     return {
-        "ksq": scalar_wire(e.q, radicand),
+        "ksq": key_wire(e.ksq, radicand),
         "side": e.side,
         "float": float(e),
     }

@@ -12,8 +12,12 @@ the number of basis pairs, accounts for every one of the d^2 vector pairs
 of every basis pair without materializing it.
 
 Values are collected by exact equality (no floating tolerance exists in
-classification); beta = sqrt(d) * max|<u,v>| is held exactly via its
-square.
+classification) and stay integer keys (p, q, L), the value
+(p + q*sqrt(c))/L over the core c of Y's radicand, as ``epsh`` writes them.
+Every decision, the classification and each ledger line, is an integer sign
+test on keys (``epsh._quad_sign``): beta = sqrt(d) * max|<u,v>| through
+d * max_ip^2, epsilon through its key.  Floats are rendered once, for the
+report.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (Scalar, cmp_values, exact_sqrt, quad_to_float, sign_of, sqrt_minus_cmp,
-                      square_free_split)
+from .algebra import key_to_float, square_free_split
 from .bases import BasisSet
-from .epsh import ExactEps, _key_value, _magnitudes
+from .epsh import ExactEps, _eps_side, _magnitudes, _quad_sign
 from .errors import CertificationError, DomainError
 
 CLASS_MUB = "MUB"
@@ -35,31 +38,22 @@ CLASS_ARMUB = "beta-ARMUB"
 
 
 class ExactBeta:
-    """beta = sqrt(d) * max_ip, compared exactly through its square."""
+    """beta = sqrt(d) * max_ip for max_ip given by its key (p, q, L) over
+    sqrt(c), compared exactly through beta^2 = d * max_ip^2 and rendered
+    once."""
 
-    __slots__ = ("max_ip", "d")
+    __slots__ = ("key", "d", "core", "_float")
 
-    def __init__(self, max_ip: Scalar, d: int):
-        if sign_of(max_ip) < 0:
-            raise DomainError("max inner product magnitude cannot be negative")
-        self.max_ip = max_ip
-        self.d = d
+    def __init__(self, key: tuple, d: int, core: int):
+        self.key, self.d, self.core = key, d, core
+        self._float = math.sqrt(d) * key_to_float(key, core, 70)
 
-    def le(self, bound) -> bool:
-        """beta <= bound for a nonnegative rational/scalar bound."""
-        b = Fraction(bound) if isinstance(bound, (int, str)) else bound
-        if sign_of(b) < 0:
-            return False
-        return cmp_values(self.d * self.max_ip * self.max_ip, b * b) <= 0
-
-    def lt(self, bound) -> bool:
-        b = Fraction(bound) if isinstance(bound, (int, str)) else bound
-        if sign_of(b) <= 0:
-            return False
-        return cmp_values(self.d * self.max_ip * self.max_ip, b * b) < 0
+    def cmp_two(self) -> int:
+        """Sign of beta - 2: that of d * max_ip^2 - 4."""
+        return _eps_side(self.key, self.d, self.core, 4)
 
     def __float__(self):
-        return math.sqrt(self.d) * quad_to_float(self.max_ip, 70)
+        return self._float
 
     def __repr__(self):
         return f"ExactBeta({float(self):.6g})"
@@ -67,19 +61,11 @@ class ExactBeta:
 
 @dataclass
 class DeltaValue:
-    """An exact |<u, v>| and its count over all ordered cross pairs checked: its Scalar
-    or (cross_stats) its key (p, q, L) over sqrt(core), which ``value`` builds on read."""
+    """An exact |<u, v>| as its key (p, q, L) over sqrt(c), and its count over
+    all ordered cross pairs checked."""
 
-    _value: Optional[Scalar]
+    key: tuple
     count: int
-    key: Optional[tuple] = None
-    core: int = 1
-
-    @property
-    def value(self) -> Scalar:
-        if self._value is None:
-            self._value = _key_value(self.key, self.core)
-        return self._value
 
 
 @dataclass
@@ -102,23 +88,37 @@ class UnbiasednessReport:
     max_abs_y_sq_key: tuple  # (max |Y_ij|)^2 as a key (p, q, L) in lowest terms
     radicand: int
 
-    @property
-    def max_abs_y_sq(self) -> Scalar:
-        """(max |Y_ij|)^2, for the formula-route certificate."""
-        return _key_value(self.max_abs_y_sq_key, square_free_split(self.radicand)[1])
-
     def bound_beta_float(self) -> float:
         return (1.0 + float(self.epsilon)) ** 2 * math.sqrt(self.d) / self.k
 
 
-def _ip_le_eps_square(max_ip: Scalar, eps: ExactEps, k: int) -> bool:
-    """Exact check of k * max_ip <= (1 + eps)^2."""
-    lhs = k * max_ip
+def _ip_le_eps_square(max_ip: tuple, eps: ExactEps) -> bool:
+    """Exact k * max_ip <= (1 + eps)^2 for the key of max_ip, with q = k*a^2
+    of eps: (1 + eps)^2 is q on side >= 0, and (2 - sqrt(q))^2 on side -1,
+    where the check is R = 4 + q - k*max_ip >= 0 and 16q <= R^2."""
+    (vp, vq, vl), (p, q, scale), k, core = max_ip, eps.ksq, eps.k, eps.core
+    r0, r1 = p * vl - k * vp * scale, q * vl - k * vq * scale  # (q - k*max_ip) * L * vl
     if eps.side >= 0:
-        return cmp_values(lhs, eps.q) <= 0
-    # (1+eps)^2 = (2 - sqrt(q))^2 = 4 + q - 4 sqrt(q)
-    rhs_linear = 4 + eps.q - lhs
-    return sqrt_minus_cmp(16 * eps.q, rhs_linear) <= 0
+        return _quad_sign(r0, r1, core) >= 0
+    r0 += 4 * scale * vl
+    w = 16 * scale * vl * vl  # 16q (L * vl)^2 = (p + q*sqrt(c)) * w
+    return (_quad_sign(r0, r1, core) >= 0
+            and _quad_sign(p * w - r0 * r0 - core * r1 * r1, q * w - 2 * r0 * r1, core) <= 0)
+
+
+def _eps_le_rho(eps: ExactEps, rho: Fraction, n: int) -> bool:
+    """Exact eps <= b = rho/sqrt(n).  With q = k*a^2 and X = q - 1 - b^2,
+    sqrt(q) <= 1 + b is X <= 0 or X^2 <= 4b^2 (side +1), and
+    sqrt(q) >= 1 - b is b >= 1, X >= 0 or X^2 <= 4b^2 (side -1)."""
+    if eps.side == 0:
+        return True
+    (p, q, scale), core = eps.ksq, eps.core
+    num, den = rho.numerator ** 2, rho.denominator ** 2 * n  # b^2 = num/den
+    x0, x1 = den * (p - scale) - num * scale, den * q  # X * L * den
+    if _quad_sign(x0, x1, core) * eps.side <= 0 or (eps.side < 0 and num >= den):
+        return True
+    return _quad_sign(x0 * x0 + core * x1 * x1 - 4 * num * den * scale * scale,
+                      2 * x0 * x1, core) <= 0
 
 
 def cross_stats(bs: BasisSet) -> UnbiasednessReport:
@@ -144,8 +144,8 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     off-diagonal weights doubled.  The triples pass once through
     ``epsh._magnitudes``, the route by which Y's codes reach their
     magnitudes, which reduces, merges and orders them on integers; the
-    counts of equal values are summed as Python ints.  Values, and (max |Y_ij|)^2,
-    stay keys (``DeltaValue``); only max_ip becomes a Scalar, for beta.
+    counts of equal values are summed as Python ints.  Values, max_ip and
+    (max |Y_ij|)^2 stay keys (``DeltaValue``, ``ExactBeta``).
     """
     nb = bs.num_bases
     if nb < 2:
@@ -176,9 +176,8 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     counts = [0] * len(distinct)
     for g, c in zip(ids.tolist(), weights):
         counts[g] += c
-    delta = [DeltaValue(None, c, key, core) for key, c in zip(distinct, counts)]
-    max_ip = delta[-1].value
-    beta = ExactBeta(max_ip, bs.d)
+    delta = [DeltaValue(key, c) for key, c in zip(distinct, counts)]
+    beta = ExactBeta(distinct[-1], bs.d, core)
 
     y = bs.y
     t = y.provenance.t
@@ -201,7 +200,7 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
         coverage={"basis_pairs": basis_pairs},
         classification=classify_delta(delta, beta, bs.d),
         window_ok=y.window_ok,
-        beta_le_eps_chain=_ip_le_eps_square(max_ip, y.epsilon, k),
+        beta_le_eps_chain=_ip_le_eps_square(distinct[-1], y.epsilon),
         max_abs_y_sq_key=ysq,
         radicand=y.radicand,
     )
@@ -210,18 +209,12 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
 def classify_delta(delta: list[DeltaValue], beta: ExactBeta, d: int) -> str:
     """Classification rules over the exact distinct-value set.
 
-    MUB iff the value set is exactly {1/sqrt(d)}; APMUB iff it is
-    {0, beta/sqrt(d)} with beta <= 2; otherwise beta-ARMUB.
+    MUB iff the value set is exactly {1/sqrt(d)}, that is d * v^2 = 1; APMUB
+    iff it is {0, beta/sqrt(d)} with beta <= 2; otherwise beta-ARMUB.
     """
-    if len(delta) == 1 and sign_of(delta[0].value) > 0:
-        v = delta[0].value
-        if cmp_values(d * v * v, Fraction(1)) == 0:
-            return CLASS_MUB
-    if (
-        len(delta) == 2
-        and sign_of(delta[0].value) == 0
-        and beta.le(Fraction(2))
-    ):
+    if len(delta) == 1 and _eps_side(delta[0].key, d, beta.core) == 0:
+        return CLASS_MUB
+    if len(delta) == 2 and delta[0].key[:2] == (0, 0) and beta.cmp_two() <= 0:
         return CLASS_APMUB
     return CLASS_ARMUB
 
@@ -266,12 +259,13 @@ def check_theorem_bounds(report: UnbiasednessReport) -> list[LedgerLine]:
     # epsilon <= rho_t / sqrt(n)
     applicable = t in _RHO and n is not None and n >= 1 and (t != 3 or n >= 4)
     if applicable:
-        bound = _RHO[t] / exact_sqrt(n)
-        ok = eps.le_bound(bound)
+        rho, (f, core) = _RHO[t], square_free_split(n)
+        num, den = rho.numerator, rho.denominator * f  # rho/sqrt(n) = rho*sqrt(c)/(f*c)
+        bound = (0, num, den * core) if core > 1 else (num, 0, den)
         lines.append(LedgerLine(
-            "eps-le-rho/sqrt(n)", float(eps), quad_to_float(bound),
-            True, "pass" if ok else "fail",
-            f"rho_{t}={_RHO[t]}, n={n}",
+            "eps-le-rho/sqrt(n)", float(eps), key_to_float(bound, core),
+            True, "pass" if _eps_le_rho(eps, rho, n) else "fail",
+            f"rho_{t}={rho}, n={n}",
         ))
     else:
         lines.append(LedgerLine(
@@ -283,7 +277,7 @@ def check_theorem_bounds(report: UnbiasednessReport) -> list[LedgerLine]:
     applicable = n is not None and t >= 1 and t * t < n
     verdict = "n/a"
     if applicable:
-        verdict = "pass" if eps.lt_bound(Fraction(1)) else "fail"
+        verdict = "pass" if eps.lt_one() else "fail"
     lines.append(LedgerLine(
         "eps-lt-1", float(eps), 1.0, applicable, verdict,
         "guaranteed only for t < sqrt(n)",
@@ -312,7 +306,7 @@ def check_theorem_bounds(report: UnbiasednessReport) -> list[LedgerLine]:
     applicable = report.k < report.s <= 2 * report.k
     verdict = "n/a"
     if applicable:
-        verdict = "pass" if report.beta.lt(2) else "fail"
+        verdict = "pass" if report.beta.cmp_two() < 0 else "fail"
     lines.append(LedgerLine(
         "beta-lt-2", float(report.beta), 2.0, applicable, verdict,
         "stated for s > k with s, k of the same order",

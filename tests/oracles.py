@@ -21,6 +21,14 @@ which ``elimination_coeffs`` pins.  It shares with the library only the
 route from a value to its magnitude (``_magnitudes``).  ``lemma_inverse``
 evaluates the library's polynomial-inverse coefficients as the published
 displays write them, so that tests can compare those displays.
+``ScalarEps``, ``window``, ``ip_le_eps_square``, ``scalar_float``,
+``sign_of``, ``cmp_values`` and ``sqrt_minus_cmp`` are the Scalar reference
+for the library's decisions on integer keys: epsilon, the window, the sign
+tests and the floats as the library made them on Fraction and QuadNum
+before it held keys.  ``DenseEpsHadamard`` selects its epsilons with them
+and hands them over as the library's ExactEps of the selected magnitudes.
+``SparseBasis`` walks the vectors of one basis of a basis set, for the
+dense cross-product oracle.
 ``row_permuted`` builds the row-permuted H of the benchmark's seeded
 reduction workloads.  ``eps_table_per_code`` builds the split screen's
 magnitude table one U code at a time, from each code's own C, as the screen
@@ -39,15 +47,7 @@ from math import gcd
 import numpy as np
 import sympy
 
-from armub.algebra import (
-    QuadNum,
-    Scalar,
-    cmp_values,
-    exact_sqrt,
-    gf_from_order,
-    sign_of,
-    square_free_split,
-)
+from armub.algebra import QuadNum, Scalar, exact_sqrt, gf_from_order, square_free_split
 from armub.epsh import (
     BlockSplit,
     ExactEps,
@@ -62,7 +62,6 @@ from armub.epsh import (
     _T3_PREFER_Y1,
     _T3_PREFER_Y2,
     _poly_inverse_coeffs,
-    _window,
     classify_u,
     corner_split,
     reduce_split,
@@ -75,6 +74,212 @@ from armub.errors import (
     StructuralError,
 )
 from armub.hadamard import SignMatrix
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference: comparisons, epsilon and the window on Fraction/QuadNum
+# ---------------------------------------------------------------------------
+
+def sign_of(x: Scalar) -> int:
+    """Exact sign of any supported scalar (int, Fraction, QuadNum)."""
+    return x.sign() if isinstance(x, QuadNum) else (x > 0) - (x < 0)
+
+
+def cmp_values(x: Scalar, y: Scalar) -> int:
+    """Exact three-way comparison of scalar values."""
+    return sign_of(_sub(x, y))
+
+
+def _sub(x: Scalar, y: Scalar) -> Scalar:
+    if isinstance(x, int):
+        x = Fraction(x)
+    return x - y
+
+
+def sqrt_minus_cmp(radicand: Scalar, rhs: Scalar) -> int:
+    """Exact sign of sqrt(radicand) - rhs, for radicand >= 0.
+
+    Both arguments live in the same quadratic field (or Q); since only one
+    square root is nested the comparison reduces to one extra squaring.
+    """
+    if sign_of(radicand) < 0:
+        raise DomainError("negative value under square root")
+    sr = sign_of(rhs)
+    if sr < 0:
+        return 1
+    return sign_of(_sub(radicand, rhs * rhs))
+
+
+def as_key(x: Scalar) -> tuple[int, int, int]:
+    """The key (p, q, L), L > 0, of a rational or a QuadNum."""
+    if isinstance(x, QuadNum):
+        scale = math.lcm(x.a.denominator, x.b.denominator)
+        return int(x.a * scale), int(x.b * scale), scale
+    x = Fraction(x)
+    return x.numerator, 0, x.denominator
+
+
+def key_scalar(key: tuple, core: int) -> Scalar:
+    """The Fraction or QuadNum of a key (p, q, L) over sqrt(core)."""
+    p, q, scale = key
+    return QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
+
+
+class ScalarEps:
+    """epsilon = |sqrt(q) - 1| held as the Scalar q = k * Y_ij^2 at the
+    extremum: the library's ExactEps before it held keys.
+
+    ``side`` is the sign of sqrt(q) - 1 (equivalently of q - 1).  All
+    comparisons are exact; at most one square root is nested, so
+    mixed-side comparisons reduce to a single extra squaring.  ``cmp`` also
+    takes a library ``ExactEps``, through the Scalar of its q.
+    """
+
+    __slots__ = ("q", "side")
+
+    def __init__(self, q: Scalar):
+        if sign_of(q) < 0:
+            raise DomainError("k*Y^2 cannot be negative")
+        self.q = q if not isinstance(q, int) else Fraction(q)
+        self.side = sign_of(self.q - 1)
+
+    @classmethod
+    def zero(cls) -> "ScalarEps":
+        return cls(Fraction(1))
+
+    @classmethod
+    def of(cls, eps: ExactEps) -> "ScalarEps":
+        """The ScalarEps of a library ExactEps."""
+        return cls(key_scalar(eps.ksq, eps.core))
+
+    def cmp(self, other) -> int:
+        if isinstance(other, ExactEps):
+            other = ScalarEps.of(other)
+        s1, s2 = self.side, other.side
+        if s1 == 0:
+            return 0 if s2 == 0 else -1
+        if s2 == 0:
+            return 1
+        if s1 > 0 and s2 > 0:
+            return cmp_values(self.q, other.q)
+        if s1 < 0 and s2 < 0:
+            return cmp_values(other.q, self.q)
+        # mixed sides: sign of sqrt(q1) + sqrt(q2) - 2
+        mixed = sqrt_minus_cmp(4 * self.q * other.q, 4 - self.q - other.q)
+        return mixed if s1 > 0 else -mixed
+
+    def le_bound(self, bound: Scalar) -> bool:
+        """Exact epsilon <= bound, for a scalar bound."""
+        if sign_of(bound) < 0:
+            return False
+        if self.side == 0:
+            return True
+        if self.side > 0:
+            return cmp_values(self.q, (1 + bound) * (1 + bound)) <= 0
+        low = 1 - bound
+        if sign_of(low) <= 0:
+            return True
+        return cmp_values(self.q, low * low) >= 0
+
+    def lt_bound(self, bound: Scalar) -> bool:
+        if sign_of(bound) <= 0:
+            return False
+        if self.side == 0:
+            return True
+        if self.side > 0:
+            return cmp_values(self.q, (1 + bound) * (1 + bound)) < 0
+        # 1 - sqrt(q) < bound <=> sqrt(q) > 1 - bound
+        low = 1 - bound
+        slow = sign_of(low)
+        if slow < 0:
+            return True
+        if slow == 0:
+            return sign_of(self.q) > 0
+        return cmp_values(self.q, low * low) > 0
+
+    def __lt__(self, other):
+        return self.cmp(other) < 0
+
+
+def scalar_float(x: Scalar, precision: int = 53) -> float:
+    """The float the library rendered a Scalar as before it rendered keys:
+    a + b * floor(sqrt(m) * 2^s) / 2^s, s = precision + 8, in Fractions."""
+    if isinstance(x, (int, Fraction)):
+        return float(Fraction(x))
+    shift = precision + 8
+    return float(x.a + x.b * Fraction(math.isqrt(x.m << (2 * shift)), 1 << shift))
+
+
+def window(t: int, m: int):
+    """Closed interval of the reduction theorem for the entry magnitudes of
+    a reduction of order m by t, as Scalars, or None where it does not
+    apply: the theorem's (1 -/+ t/(sqrt(M) - t))/sqrt(M)."""
+    if t < 1 or t * t >= m:
+        return None
+    sqrt_m = exact_sqrt(m)
+    return (
+        (1 - Fraction(t) / (sqrt_m - t)) / sqrt_m,
+        (1 + Fraction(t) / (sqrt_m - t)) / sqrt_m,
+    )
+
+
+def ip_le_eps_square(max_ip: Scalar, eps: ScalarEps, k: int) -> bool:
+    """Exact k * max_ip <= (1 + eps)^2 on Scalars."""
+    lhs = k * max_ip
+    if eps.side >= 0:
+        return cmp_values(lhs, eps.q) <= 0
+    # (1+eps)^2 = (2 - sqrt(q))^2 = 4 + q - 4 sqrt(q)
+    return sqrt_minus_cmp(16 * eps.q, 4 + eps.q - lhs) <= 0
+
+
+# ---------------------------------------------------------------------------
+# Bases, one per parallel class
+# ---------------------------------------------------------------------------
+
+class SparseBasis:
+    """One orthonormal basis of a basis set in sparse block form (k nonzeros
+    per vector): block b of class ``class_index`` (points ascending) gives k
+    vectors, vector i carrying Y_ij at coordinate b_j, indexed
+    block * k + row."""
+
+    __slots__ = ("rbd", "y", "class_index")
+
+    def __init__(self, rbd, y, class_index: int):
+        self.rbd = rbd
+        self.y = y
+        self.class_index = class_index
+
+    @property
+    def d(self) -> int:
+        return self.rbd.d
+
+    @property
+    def k(self) -> int:
+        return self.rbd.k
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self.rbd.class_blocks(self.class_index)
+
+    def block_of_vector(self, index: int) -> int:
+        return index // self.k
+
+    def vector(self, index: int) -> list[tuple[int, Scalar]]:
+        """(coordinate, value) pairs of the addressed vector."""
+        if not 0 <= index < self.d:
+            raise DomainError(f"vector index {index} outside [0, {self.d})")
+        block, row = divmod(index, self.k)
+        pts = self.blocks[block]
+        return [(int(pts[j]), self.y.entry(row, j)) for j in range(self.k)]
+
+    def support(self, index: int) -> tuple[int, ...]:
+        block = self.block_of_vector(index)
+        return tuple(int(p) for p in self.blocks[block])
+
+
+def bases_of(bs) -> list[SparseBasis]:
+    """The bases of a basis set, one per parallel class of its design."""
+    return [SparseBasis(bs.rbd, bs.y, l) for l in range(bs.num_bases)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +374,7 @@ def dense_cross_oracle(bs):
     d = bs.d
     core = 1
     dens = set()
-    for b in bs.bases:
+    for b in bases_of(bs):
         for i in range(d):
             for _, v in b.vector(i):
                 if isinstance(v, QuadNum):
@@ -194,7 +399,7 @@ def dense_cross_oracle(bs):
                     p[i, coord] = int(Fraction(v) * q)
         return p, r
 
-    mats = [dense_pair(b) for b in bs.bases]
+    mats = [dense_pair(b) for b in bases_of(bs)]
     q2 = q * q
     counts: dict = {}
 
@@ -274,7 +479,8 @@ def report_value_key(value, core_hint=1):
 
 
 def report_delta_dict(report):
-    return {report_value_key(dv.value): dv.count for dv in report.delta}
+    core = square_free_split(report.radicand)[1]
+    return {report_value_key(key_scalar(dv.key, core)): dv.count for dv in report.delta}
 
 
 def oracle_classification(counts: dict, d: int) -> str:
@@ -314,7 +520,7 @@ def set_intersection_mu(design) -> int:
 
 class ClassArrayDesign:
     """A hand-built resolvable design as its r x s x k class array, with
-    what ``assemble`` and ``SparseBasis`` read of a design: d, k, s, r, mu
+    what ``assemble``, ``BasisSet`` and ``SparseBasis`` read of a design: d, k, s, r, mu
     and ``class_blocks``.  mu comes from ``set_intersection_mu``."""
 
     def __init__(self, classes):
@@ -384,7 +590,7 @@ def cross_stats_pairwise(bs):
     vv_total = np.zeros((len(vals), len(vals)), dtype=np.int64)
     zeros = 0
     pairs = 0
-    for bl, bm in itertools.combinations(bs.bases, 2):
+    for bl, bm in itertools.combinations(bases_of(bs), 2):
         l, m = bl.class_index, bm.class_index
         (block_l, pos_l), (block_m, pos_m) = _class_maps(r, l), _class_maps(r, m)
         joint = np.bincount(block_l * s + block_m, minlength=s * s)
@@ -510,15 +716,17 @@ class DenseEpsHadamard:
         self._combo_abs, self._keys = _magnitudes([(p, q, scale) for p, q in pairs], core)
         mags = [QuadNum(Fraction(p, s), Fraction(q, s), core) if q else Fraction(p, s)
                 for p, q, s in self._keys]
-        self._mags, top, hits, self.epsilon_upper = _eps_selection(
+        self._mags, top, hits, up = _eps_selection(
             tuple(mags), k, self.provenance.t, self.radicand)
-        eps = ExactEps.zero()
+        # the library's ExactEps of the magnitudes the Scalar reference selects
+        core = square_free_split(self.radicand)[1]
+        g = None
         if top.side != 0:
             abs_ids, _ = self.abs_value_ids()
-            first = divmod(int(np.argmax(np.isin(abs_ids, hits))), k)
-            eps = ExactEps(self._mags[abs_ids[first]][1].q)
-        self.epsilon = eps
-        self.is_eps_hadamard = self.epsilon.lt_bound(Fraction(1))
+            g = abs_ids[divmod(int(np.argmax(np.isin(abs_ids, hits))), k)]
+        self.epsilon = ExactEps(None if g is None else self._keys[g], k, core)
+        self.epsilon_upper = ExactEps(None if up is None else self._keys[up], k, core)
+        self.is_eps_hadamard = top.lt_bound(Fraction(1))
 
     def verify_orthogonal(self):
         found = _gram_violation(self._scale, self._core, self._p, self._q)
@@ -534,7 +742,7 @@ class DenseEpsHadamard:
         for av, _, outside in self._mags:
             if outside:
                 self.window_ok = False
-                lo, hi = _window(self.provenance.t, self.radicand)
+                lo, hi = window(self.provenance.t, self.radicand)
                 raise CertificationError(
                     f"entry magnitude {av} outside window [{lo}, {hi}]"
                 )
@@ -575,23 +783,23 @@ class DenseEpsHadamard:
 @functools.lru_cache(maxsize=None)
 def _eps_selection(mags: tuple, k: int, t: int, m: int):
     """(rows, top, hits, up) for distinct magnitudes of a Y of order k
-    reduced from order m by t, every magnitude compared: rows lists
-    (magnitude, epsilon, outside the window), top is the largest epsilon,
-    hits the indices of the magnitudes attaining it and up the largest
-    upward epsilon (0 if none).  Cached, since the magnitude sets recur
-    across the splits of one matrix."""
-    window = _window(t, m)
-    rows = [(av, ExactEps(k * av * av), window is not None and (
-        cmp_values(av, window[0]) < 0 or cmp_values(av, window[1]) > 0)) for av in mags]
-    top = ExactEps.zero()
+    reduced from order m by t, every magnitude compared as a ScalarEps:
+    rows lists (magnitude, epsilon, outside the window), top is the largest
+    epsilon, hits the indices of the magnitudes attaining it and up the
+    index of the largest upward epsilon (None if none).  Cached, since the
+    magnitude sets recur across the splits of one matrix."""
+    bounds = window(t, m)
+    rows = [(av, ScalarEps(k * av * av), bounds is not None and (
+        cmp_values(av, bounds[0]) < 0 or cmp_values(av, bounds[1]) > 0)) for av in mags]
+    top = ScalarEps.zero()
     for _, cand, _ in rows:
         if top.cmp(cand) < 0:
             top = cand
     hits = [gi for gi, (_, cand, _) in enumerate(rows) if cand.cmp(top) == 0]
-    up = ExactEps.zero()
-    for _, cand, _ in rows:
-        if cand.side > 0 and up.cmp(cand) < 0:
-            up = cand
+    up, best = None, ScalarEps.zero()
+    for gi, (_, cand, _) in enumerate(rows):
+        if cand.side > 0 and best.cmp(cand) < 0:
+            up, best = gi, cand
     return rows, top, hits, up
 
 
@@ -1031,15 +1239,15 @@ def paper_listed_configs(t: int) -> tuple[tuple, ...]:
 # Epsilon entry by entry
 # ---------------------------------------------------------------------------
 
-def epsilon_of(rows) -> ExactEps:
+def epsilon_of(rows) -> ScalarEps:
     """Exact epsilon of an orthogonal matrix given by its scalar rows, from
     the definition entry by entry, with the q of the first extremal entry in
     row-major order."""
     k = len(rows)
-    best = ExactEps.zero()
+    best = ScalarEps.zero()
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            cand = ExactEps(k * v * v)
+            cand = ScalarEps(k * v * v)
             if best.cmp(cand) < 0:
                 best = cand
     return best

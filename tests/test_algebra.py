@@ -13,12 +13,11 @@ from armub.algebra import (
     gf_make,
     prime_power_split,
     quad_to_float,
-    sign_of,
     square_free_split,
-    sqrt_minus_cmp,
 )
 from armub.epsh import _quad_sign
 from armub.errors import DomainError, ExactArithmeticError, StructuralError
+from oracles import sign_of, sqrt_minus_cmp
 
 
 def test_square_free_split():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from armub import epsh, jsonio
-from armub.algebra import QuadNum, cmp_values, exact_sqrt, sign_of, square_free_split
+from armub.algebra import QuadNum, exact_sqrt, square_free_split
+from armub.bases import assemble
 from armub.epsh import (
     BlockSplit,
     EpsHadamard,
@@ -26,9 +27,12 @@ from armub.epsh import (
 from armub.errors import (CertificationError, DomainError, NotConstructibleError,
                           ResourceLimitError)
 from armub.hadamard import SignMatrix, find_hadamard, is_hadamard, sylvester
+from armub.rbd import build_affine_rbd
 from oracles import (
+    ScalarEps,
     assert_matches_sympy,
     best_reduction_loop,
+    cmp_values,
     epsilon_of,
     find_placements,
     from_scalar_rows,
@@ -36,6 +40,7 @@ from oracles import (
     paper_listed_configs,
     row_permuted,
     series_inverse_check,
+    sign_of,
     sympy_reduction,
     term_gram_orthogonal,
 )
@@ -79,22 +84,22 @@ def test_h4_t1_epsilon_values():
     y2 = reduce_split(corner_split(h4, 1), "Y2")
     # definitional epsilon takes the larger, downward deviation:
     # |sqrt(3)*(1/3) - 1| = 1 - 1/sqrt(3) > 2/sqrt(3) - 1
-    assert y1.epsilon.cmp(ExactEps(Fraction(1, 3))) == 0
-    assert y1.epsilon_upper.cmp(ExactEps(Fraction(4, 3))) == 0
+    assert ScalarEps(Fraction(1, 3)).cmp(y1.epsilon) == 0
+    assert ScalarEps(Fraction(4, 3)).cmp(y1.epsilon_upper) == 0
     assert abs(float(y1.epsilon) - 0.42264973) < 1e-7
     assert abs(float(y1.epsilon_upper) - 0.15470054) < 1e-7
     # the other variant has zero entries, hence epsilon = 1 exactly
-    assert y2.epsilon.cmp(ExactEps(Fraction(0))) == 0
+    assert ScalarEps(Fraction(0)).cmp(y2.epsilon) == 0
     assert float(y2.epsilon) == 1.0
     assert y1.epsilon < y2.epsilon
     assert y1.is_eps_hadamard and not y2.is_eps_hadamard
 
 
 def test_epsilon_comparisons():
-    small = ExactEps(Fraction(11, 10))
-    big = ExactEps(Fraction(2))
-    low = ExactEps(Fraction(1, 2))  # |sqrt(1/2)-1| ~ 0.293
-    zero = ExactEps.zero()
+    small = ScalarEps(Fraction(11, 10))
+    big = ScalarEps(Fraction(2))
+    low = ScalarEps(Fraction(1, 2))  # |sqrt(1/2)-1| ~ 0.293
+    zero = ScalarEps.zero()
     assert zero < small < big
     assert small < low  # 0.0488... < 0.2928...
     assert low.le_bound(Fraction(3, 10))
@@ -577,10 +582,10 @@ def test_code_route_window_violation_raises(monkeypatch):
     y = reduce_split(split, "Y2")
     mags = y.distinct_abs_values()
     lo, hi = epsh._window(2, 12)
-    monkeypatch.setattr(epsh, "_window", lambda t, m: (mags[1], hi))
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (oracles.as_key(mags[1]), hi))
     with pytest.raises(CertificationError, match=re.escape(f"magnitude {mags[0]} outside")):
         reduce_split(split, "Y2")
-    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, mags[-2]))
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, oracles.as_key(mags[-2])))
     with pytest.raises(CertificationError, match=re.escape(f"magnitude {mags[-1]} outside")):
         reduce_split(split, "Y2")
 
@@ -876,11 +881,12 @@ def test_screen_best_at_every_cap():
 
 def _exact_eps_ranks(keys, k, core, window):
     """Oracle ranks of magnitude keys: the epsilons of their Scalars sorted
-    with cmp_to_key(ExactEps.cmp), equal epsilons sharing a rank, and one
-    past the last rank for a magnitude outside the window by cmp_values."""
+    with cmp_to_key(ScalarEps.cmp), equal epsilons sharing a rank, and one
+    past the last rank for a magnitude outside the Scalar window by
+    cmp_values."""
     mags = [QuadNum(Fraction(p, s), Fraction(q, s), core) if q else Fraction(p, s)
             for p, q, s in keys]
-    eps = [ExactEps(k * av * av) for av in mags]
+    eps = [ScalarEps(k * av * av) for av in mags]
     order = sorted(range(len(eps)), key=functools.cmp_to_key(lambda x, y: eps[x].cmp(eps[y])))
     ranks = [0] * len(eps)
     for prev, i in zip(order, order[1:]):
@@ -891,18 +897,20 @@ def _exact_eps_ranks(keys, k, core, window):
     return [sentinel if out else r for r, out in zip(ranks, outside)], sentinel, eps
 
 
-def _assert_screen_ranks(table, t, m):
-    """The screen's integer ranks and window verdicts equal the oracle's,
-    each rank's ExactEps equals that of every magnitude holding the rank,
-    and the integer comparison of the corner search (``_eps_cmp``) orders
-    every two magnitudes as ExactEps.cmp; returns the number of ranks
-    shared by two magnitudes."""
-    ranks, sentinel, eps = _exact_eps_ranks(table.keys, m - t, table.core, epsh._window(t, m))
+def _assert_screen_ranks(table, t, m, window=None):
+    """The screen's integer ranks and window verdicts equal the oracle's (on
+    the theorem's window, or the given Scalar one), each rank's ExactEps
+    equals that of every magnitude holding the rank, and the integer
+    comparison of the corner search (``_eps_cmp``) orders every two
+    magnitudes as ScalarEps.cmp; returns the number of ranks shared by two
+    magnitudes."""
+    ranks, sentinel, eps = _exact_eps_ranks(table.keys, m - t, table.core,
+                                            window or oracles.window(t, m))
     assert table.key_ranks.tolist() == ranks, (t, m)
     assert table.sentinel == sentinel, (t, m)
     for g, r in enumerate(ranks):
         if r != sentinel:
-            assert table.eps[r].cmp(eps[g]) == 0, (t, m, table.keys[g])
+            assert eps[g].cmp(table.eps[r]) == 0, (t, m, table.keys[g])
     every = _exact_eps_ranks(table.keys, m - t, table.core, None)[0]  # no window
     sided = [(key, epsh._eps_side(key, m - t, table.core)) for key in table.keys]
     for x, rx in zip(sided, every):
@@ -925,11 +933,11 @@ def test_integer_eps_rank_matches_exact_eps_every_u(m, ts):
 def _assert_table_matches_per_code_route(table, u_codes, t, m):
     """keys, mag_ids, levels and level_masks of the class-batched table
     equal the per-code route's; the levels and their index masks come from
-    the per-code magnitudes and the ExactEps.cmp ranks of ``_exact_eps_ranks``."""
+    the per-code magnitudes and the ScalarEps.cmp ranks of ``_exact_eps_ranks``."""
     keys, mag_ids = oracles.eps_table_per_code(u_codes, t, m)
     assert table.keys == keys, (t, m)
     assert table.mag_ids.tolist() == mag_ids.tolist(), (t, m)
-    ranks, _, _ = _exact_eps_ranks(keys, m - t, table.core, epsh._window(t, m))
+    ranks, _, _ = _exact_eps_ranks(keys, m - t, table.core, oracles.window(t, m))
     levels = [[sorted({ranks[g] for g in row}, reverse=True) for row in per_u]
               for per_u in mag_ids.tolist()]
     width = max(len(row) for per_u in levels for row in per_u)
@@ -1011,9 +1019,9 @@ def test_integer_window_test_matches_exact_on_narrow_window(monkeypatch):
     outside."""
     keys = epsh._EpsScreen(np.arange(16), 2, 12).keys
     lo, hi = (epsh._key_value(keys[g], 3) for g in (len(keys) // 3, 2 * len(keys) // 3))
-    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, hi))
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (oracles.as_key(lo), oracles.as_key(hi)))
     table = epsh._EpsScreen(np.arange(16), 2, 12)
-    _assert_screen_ranks(table, 2, 12)
+    _assert_screen_ranks(table, 2, 12, (lo, hi))
     assert 0 < sum(table.outside) < len(keys) - 1
 
 
@@ -1021,8 +1029,9 @@ def test_screen_builds_exact_objects_only_for_the_winner(monkeypatch):
     """From the magnitude codes to the winner the search uses integers
     only: a corner search builds exactly the QuadNums and ExactEps of the
     winner's own construction, and the screen of a searched scope those
-    plus the screened epsilon of its rank, however many magnitudes the
-    screen ranks."""
+    plus the ExactEps of its rank, however many magnitudes the screen
+    ranks.  The certificate of (93, 97, 3) builds neither: its report and
+    ledger decide and write on keys."""
     cases = []
     for h, t, scope, extra in ((find_hadamard(96), 3, "corner-only", 0),
                                (find_hadamard(12), 2, "row-col-permutations", 1)):
@@ -1042,8 +1051,12 @@ def test_screen_builds_exact_objects_only_for_the_winner(monkeypatch):
         built = dict(counts)
         counts.update(quad=0, eps=0)
         best_reduction(h, t, scope)
-        assert counts == {"quad": built["quad"] + extra, "eps": built["eps"] + extra}, scope
+        assert counts == {"quad": built["quad"], "eps": built["eps"] + extra}, scope
         assert counts["quad"] + counts["eps"] < magnitudes, scope
+    bs = assemble(build_affine_rbd(93, 97), best_reduction(cases[0][0], 3))
+    counts.update(quad=0, eps=0)
+    jsonio.certificate_obj(bs, 3, "corner-only", {"file": "bases.json", "sha256": "0"})
+    assert counts == {"quad": 0, "eps": 0}
 
 
 @given(data=st.data())
@@ -1089,7 +1102,8 @@ def test_screen_window_violation_raises(monkeypatch):
     y = best_reduction(h, 1)
     lo, _ = epsh._window(1, 8)
     top = y.max_abs_entry()
-    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, top - Fraction(1, 10**6)))
+    monkeypatch.setattr(epsh, "_window",
+                        lambda t, m: (lo, oracles.as_key(top - Fraction(1, 10**6))))
     with pytest.raises(CertificationError, match=r"outside window .* rows=\(0,\), cols=\(0,\)"):
         best_reduction(h, 1)
 
@@ -1101,7 +1115,7 @@ def test_corner_window_violation_matches_screen(monkeypatch, outside):
     corner search fails with the split screen's message for that variant."""
     h = find_hadamard(16)
     inside = reduce_split(corner_split(h, 3), "Y1" if outside == "Y2" else "Y2")
-    window = inside.distinct_abs_values()[0], inside.max_abs_entry()
+    window = inside.abs_value_keys()[0], inside.abs_value_keys()[-1]
     monkeypatch.setattr(epsh, "_window", lambda t, m: window)
     reduce_split(corner_split(h, 3), inside.variant)  # within the window
     with pytest.raises(CertificationError) as want:
@@ -1118,7 +1132,7 @@ def test_screen_window_violation_with_negations(monkeypatch):
     h = find_hadamard(8)
     _, hi = epsh._window(2, 8)
     lo = QuadNum(Fraction(1, 3), Fraction(-1, 6), 2)  # above some candidates' least |Y_ij|
-    monkeypatch.setattr(epsh, "_window", lambda t, m: (lo, hi))
+    monkeypatch.setattr(epsh, "_window", lambda t, m: (oracles.as_key(lo), hi))
     tried = []
 
     def recording(split, variant):
@@ -1230,7 +1244,7 @@ def test_eps_json_stored_epsilon_mismatch():
 
 @pytest.mark.parametrize("order", CORNER_ORDERS)
 def test_key_eps_matches_scalar_eps(order):
-    """The ExactEps built from a magnitude key has the q (compared exactly)
+    """The ExactEps of a magnitude key has the q = k*a^2 (compared exactly)
     and the side of k*a^2 formed in Scalars, for every magnitude a that
     occurs in either variant of every corner reduction with t^2 < M."""
     h, core = find_hadamard(order), square_free_split(order)[1]
@@ -1239,8 +1253,9 @@ def test_key_eps_matches_scalar_eps(order):
             y = reduce_split(corner_split(h, t), variant)
             k = y.order
             for key, value in zip(y.abs_value_keys(), y.distinct_abs_values()):
-                got, want = epsh._key_eps(key, k, core), ExactEps(k * value * value)
-                assert cmp_values(got.q, want.q) == 0, (order, t, variant, key)
+                got, want = ExactEps(key, k, core), ScalarEps(k * value * value)
+                assert cmp_values(oracles.key_scalar(got.ksq, core), want.q) == 0, \
+                    (order, t, variant, key)
                 assert got.side == want.side, (order, t, variant, key)
 
 

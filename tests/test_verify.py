@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from armub import cli, epsh, jsonio, verify
-from armub.algebra import QuadNum, cmp_values, square_free_split
+from armub import cli, epsh, jsonio
+from armub.algebra import QuadNum, square_free_split
 from armub.bases import assemble
 from armub.epsh import EpsHadamard, Provenance, _key_value, best_reduction
-from armub.errors import CertificationError, ParseError
+from armub.errors import CertificationError
 from armub.hadamard import find_hadamard, sylvester
 from armub.rbd import Rbd, build_affine_rbd
 from armub.verify import (
@@ -25,8 +25,11 @@ from oracles import (
     ClassArrayDesign,
     DenseEpsHadamard,
     affine_plane_3_design,
+    as_key,
+    cmp_values,
     cross_stats_pairwise,
     dense_cross_oracle,
+    key_scalar,
     oracle_classification,
     paper_d4_design,
     report_delta_dict,
@@ -51,11 +54,14 @@ def affine_plane_3_basis_set(relabel=None):
     return assemble(affine_plane_3_design(relabel), best_reduction(find_hadamard(4), 1))
 
 
-def oracle_delta(counts: dict) -> list[DeltaValue]:
-    """The delta list of the oracle's magnitude counts, ascending."""
-    delta = [DeltaValue(a if b == 0 else QuadNum(a, b, m), count)
-             for (a, b, m), count in counts.items()]
-    return sorted(delta, key=functools.cmp_to_key(lambda x, y: cmp_values(x.value, y.value)))
+def oracle_delta(counts: dict) -> tuple[list[DeltaValue], int]:
+    """The delta list of the oracle's magnitude counts, ascending by
+    cmp_values, as keys over sqrt(c), and c."""
+    values = sorted(((a if b == 0 else QuadNum(a, b, m), count)
+                     for (a, b, m), count in counts.items()),
+                    key=functools.cmp_to_key(lambda x, y: cmp_values(x[0], y[0])))
+    core = max((m for _, _, m in counts), default=1)
+    return [DeltaValue(as_key(v), count) for v, count in values], core
 
 
 # a point relabelling of AG(2, 3) under which the four classes have four
@@ -80,8 +86,8 @@ def test_grouped_contraction_matches_pairwise_oracle(case):
     the oracle's counts."""
     bs = PAIRWISE_CASES[case]()
     counts, zeros, pairs = cross_stats_pairwise(bs)
-    delta = oracle_delta(counts)
-    label = classify_delta(delta, ExactBeta(delta[-1].value, bs.d), bs.d)
+    delta, core = oracle_delta(counts)
+    label = classify_delta(delta, ExactBeta(delta[-1].key, bs.d, core), bs.d)
     assert label == oracle_classification(counts, bs.d)
     if not isinstance(bs.rbd, Rbd):
         return
@@ -130,7 +136,8 @@ def test_pairwise_designs_match_dense_oracle(relabel):
     counts, _, _ = cross_stats_pairwise(bs)
     dense, max_key = dense_cross_oracle(bs)
     assert counts == dense
-    assert report_value_key(oracle_delta(counts)[-1].value) == max_key
+    delta, core = oracle_delta(counts)
+    assert report_value_key(key_scalar(delta[-1].key, core)) == max_key
 
 
 def test_cross_stats_requires_certified_mu_1():
@@ -145,21 +152,20 @@ def test_d4_fixture_is_mub():
     bs = paper_d4_basis_set()
     counts, _, _ = cross_stats_pairwise(bs)
     assert counts == dense_cross_oracle(bs)[0]
-    delta = oracle_delta(counts)
+    delta, core = oracle_delta(counts)
     assert len(delta) == 1
-    assert cmp_values(delta[0].value, Fraction(1, 2)) == 0
+    assert delta[0].key == (1, 0, 2)
     assert delta[0].count == 3 * 16  # three basis pairs, 4x4 each
-    beta = ExactBeta(delta[0].value, bs.d)
-    assert float(beta) == 1.0 and beta.le(1)
+    beta = ExactBeta(delta[0].key, bs.d, core)
+    assert float(beta) == 1.0 and beta.cmp_two() < 0
     assert classify_delta(delta, beta, bs.d) == "MUB"
 
 
 def test_d6_is_apmub():
     rep = cross_stats(small_pipeline(2, 3, 2))
     assert rep.classification == "APMUB"
-    keys = [report_value_key(dv.value) for dv in rep.delta]
-    assert keys == [(0, 0, 1), (Fraction(1, 2), 0, 1)]
-    assert rep.beta.le(2)
+    assert [dv.key for dv in rep.delta] == [(0, 0, 1), (1, 0, 2)]
+    assert rep.beta.cmp_two() < 0
     assert abs(float(rep.beta) - 6**0.5 / 2) < 1e-12
 
 
@@ -170,9 +176,9 @@ def test_cross_stats_exact_past_int64():
     rep = cross_stats(assemble(build_affine_rbd(k, s),
                                EpsHadamard.from_sign_hadamard(find_hadamard(k))))
     pairs = math.comb(s, 2)
-    assert [(dv.value, dv.count) for dv in rep.delta] == [
-        (0, pairs * (s * s - d) * k * k),
-        (Fraction(1, 256), pairs * d * k * k),
+    assert [(dv.key, dv.count) for dv in rep.delta] == [
+        ((0, 0, 1), pairs * (s * s - d) * k * k),
+        ((1, 0, 256), pairs * d * k * k),
     ]
     assert rep.delta[1].count > 2**63
 
@@ -190,16 +196,16 @@ def test_sparse_matches_dense_oracle(k, s, t):
     rep = cross_stats(bs)
     counts, max_key = dense_cross_oracle(bs)
     assert report_delta_dict(rep) == counts
-    assert report_value_key(rep.beta.max_ip) == max_key
+    assert report_value_key(key_scalar(rep.beta.key, rep.beta.core)) == max_key
     assert oracle_classification(counts, bs.d) == rep.classification
 
 
 def test_beta_equals_sqrt_d_times_max_delta():
     rep = cross_stats(small_pipeline(3, 5, 1))
-    assert cmp_values(rep.beta.max_ip, rep.delta[-1].value) == 0
+    assert rep.beta.key == rep.delta[-1].key
     # beta^2 = d * max_ip^2 exactly
-    sq = rep.d * rep.beta.max_ip * rep.beta.max_ip
-    assert rep.beta.le(2) == (cmp_values(sq, Fraction(4)) <= 0)
+    max_ip = key_scalar(rep.beta.key, rep.beta.core)
+    assert rep.beta.cmp_two() == cmp_values(rep.d * max_ip * max_ip, Fraction(4))
 
 
 def test_beta_chain_bound_holds():
@@ -209,12 +215,14 @@ def test_beta_chain_bound_holds():
 
 
 def test_exact_beta_comparisons():
-    b = ExactBeta(Fraction(1, 2), 4)  # beta = 1
-    assert b.le(1) and not b.lt(1)
-    assert b.lt(Fraction("1.0000001"))
-    assert not b.le(Fraction(99, 100))
-    q = ExactBeta(QuadNum(0, Fraction(1, 4), 5), 16)  # 4 * sqrt(5)/4 = sqrt(5)
-    assert q.lt(Fraction(9, 4)) and not q.lt(Fraction(2))
+    """beta against 2 from the key of max_ip, ties and radicals included;
+    the float is rendered at construction."""
+    assert ExactBeta((1, 0, 2), 4, 1).cmp_two() == -1  # beta = 1
+    assert float(ExactBeta((1, 0, 2), 4, 1)) == 1.0
+    assert ExactBeta((1, 0, 2), 16, 1).cmp_two() == 0  # beta = 2
+    assert ExactBeta((0, 1, 4), 16, 5).cmp_two() == 1  # 4 * sqrt(5)/4 = sqrt(5)
+    assert ExactBeta((0, 1, 2), 8, 3).cmp_two() == 1  # sqrt(8) * sqrt(3)/2 = sqrt(6)
+    assert ExactBeta((1, -1, 1), 10, 2).cmp_two() == -1  # sqrt(10) * (sqrt(2) - 1) ~ 1.31
 
 
 def test_ledger_gating_t3_n4():
@@ -310,29 +318,31 @@ def _fraction_wire(key, m):
 
 def test_key_wire_matches_scalar_wire():
     """Every value the report writes from its key (each delta, max_ip and
-    max_abs_y_sq) has the wire of its Scalar, over radicands with a square
-    part, with q = 0, q > 0 and q < 0 all met; keys not in lowest terms
-    are written in lowest terms."""
+    max_abs_y_sq) has the wire of its Scalar, reduced by Fraction, over
+    radicands with a square part, with q = 0, q > 0 and q < 0 all met; keys
+    not in lowest terms are written in lowest terms."""
     signs = set()
     for k, s, t in KEY_WIRE_PIPELINES:
         bs = small_pipeline(k, s, t)
         rep = cross_stats(bs)
         m, core = rep.radicand, square_free_split(rep.radicand)[1]
-        assert cmp_values(rep.max_abs_y_sq, bs.y.max_abs_entry() ** 2) == 0
+        assert cmp_values(key_scalar(rep.max_abs_y_sq_key, core),
+                          bs.y.max_abs_entry() ** 2) == 0
         assert math.gcd(*rep.max_abs_y_sq_key) == 1
         keys = [dv.key for dv in rep.delta] + [rep.max_abs_y_sq_key]
         for key in keys + [(2 * p, 2 * q, 2 * scale) for p, q, scale in keys]:
             wire = jsonio.key_wire(key, m)
-            assert wire == jsonio.scalar_wire(_key_value(key, core), m) == _fraction_wire(key, m)
+            assert wire == _fraction_wire(key, m)
             signs.add((key[1] > 0) - (key[1] < 0))
         wire = jsonio.report_obj(rep)
-        assert wire["beta"]["max_ip"] == jsonio.scalar_wire(rep.beta.max_ip, m)
+        assert wire["beta"]["max_ip"] == _fraction_wire(rep.beta.key, m)
     assert signs == {-1, 0, 1}
 
 
 def test_certificate_builds_few_scalars(monkeypatch):
-    """certificate_obj at (93, 97, 3) turns one key into a Scalar, max_ip
-    for beta, although the report holds 51 distinct values."""
+    """certificate_obj at (93, 97, 3) turns no key into a Scalar, although
+    the report holds 51 distinct values: beta and every ledger line decide
+    on keys."""
     bs = small_pipeline(93, 97, 3)
     calls = []
 
@@ -340,16 +350,7 @@ def test_certificate_builds_few_scalars(monkeypatch):
         calls.append(key)
         return _key_value(key, core)
 
-    for module in (verify, epsh):
-        monkeypatch.setattr(module, "_key_value", counting)
+    monkeypatch.setattr(epsh, "_key_value", counting)
     cert = jsonio.certificate_obj(bs, 3, "corner-only", {"file": "bases.json", "sha256": "0"})
     assert len(cert["report"]["delta"]) == 51
-    assert len(calls) == 1
-
-
-def test_scalar_wire_rejects_another_core():
-    """A value over sqrt(c) is written only over a radicand whose core is c."""
-    assert jsonio.scalar_wire(QuadNum(Fraction(1, 2), Fraction(-3, 4), 3), 48) == {
-        "a": ["1", "2"], "b": ["-3", "16"]}
-    with pytest.raises(ParseError, match="not representable"):
-        jsonio.scalar_wire(QuadNum(0, 1, 2), 48)
+    assert calls == []
