@@ -51,3 +51,10 @@ def test_counter_readers_accept_real_results(layers):
     assert tracer.count["verify.basis_pairs"] == math.comb(5, 2)
     assert tracer.count["verify.vector_pairs"] == math.comb(5, 2) * 15 * 15
     assert tracer.count["verify.delta_values"] == len(report.delta)
+    # a reduction over sqrt(3) with three terms (D, A and B) and 18 magnitudes
+    y = best_reduction(find_hadamard(12), 3)
+    layers._eps_init(tracer, (y,), {}, None, type(y).__init__)
+    layers._grams(tracer, (y,), {}, None, type(y).verify_orthogonal)
+    assert tracer.count["epsh.terms"] == 3
+    assert tracer.count["epsh.distinct_abs"] == 18
+    assert tracer.count["epsh.gram_products"] == 2 * 3 * 3
