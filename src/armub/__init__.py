@@ -1,12 +1,13 @@
 """Exact construction and certification of epsilon-Hadamard matrices and
 approximate real mutually unbiased bases for dimensions d = (4n - t) * s.
 
-All certification arithmetic is exact (arbitrary-precision rationals and
-real quadratic extensions); floating point appears only in rendered
-reports.
+All certification arithmetic is exact: every value is an integer key
+(p, q, L) for (p + q*sqrt(c))/L in a real quadratic field, and every
+decision is an integer sign test on keys; floating point appears only in
+rendered reports.
 """
 
-from .algebra import GfField, QuadNum, exact_sqrt, gf_make, quad_to_float
+from .algebra import GfField, gf_make
 from .bases import BasisSet, assemble
 from .epsh import (
     BlockSplit,

@@ -1,35 +1,33 @@
-"""Exact arithmetic foundations.
+"""Exact arithmetic foundations: integer keys over Q(sqrt(c)) and the
+finite fields of the designs.
 
-The package certifies in Q(sqrt(c)) on integer keys: ``epsh`` holds each
-exact value as (p, q, L), the value (p + q*sqrt(c))/L, and decides every
-order and bound by integer sign tests.  This module gives the scalars that
-show such values and the finite fields of the designs:
+The package certifies in Q(sqrt(c)), c squarefree, with one exact medium:
+the integer key (p, q, L), L > 0, stands for the value (p + q*sqrt(c))/L.
+This module owns that representation:
 
-* arbitrary-precision rationals -- ``fractions.Fraction`` (always reduced,
-  positive denominator, so the required invariants hold by construction);
-* the real quadratic field Q(sqrt(m)) -- :class:`QuadNum`, values a + b*sqrt(m)
-  with rational a, b and a squarefree radicand m >= 2;
-* finite fields GF(p^e) for odd p -- :class:`GfField`.
+* every order and bound is an integer sign test (``_quad_sign`` of
+  p + q*sqrt(c), ``_key_cmp`` of two keys, ``_eps_side`` of k*a^2 - r);
+* ``_magnitudes`` is the one route from values to their distinct
+  magnitudes, as ascending keys in lowest terms;
+* ``key_to_float`` renders a key for reports, and ``key_str`` shows it as
+  ``a`` or ``a + b*sqrt(c)`` with rationals a, b in lowest terms.
 
-No floating point is used anywhere in a certification path; floats appear
-only in rendered reports via :func:`quad_to_float`.
+Floats appear only in rendered reports, and in ``_magnitudes`` as a
+proposed order that integers certify.  A radicand M = f^2*c is carried by
+its squarefree core c (``square_free_split``), so values arising from
+sqrt(4n) and sqrt(n) share one c; c = 1 means every value is rational.
 
-Radicand convention: a requested radicand is reduced to its squarefree core
-(sqrt(80) = 4*sqrt(5) is stored over m = 5), so values arising from sqrt(4n)
-and sqrt(n) are directly comparable.  Perfect-square radicands are rejected:
-such values are plain rationals and must be ``Fraction``s.
+Finite fields GF(p^e) for odd p are :class:`GfField`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from fractions import Fraction
-from functools import lru_cache
-from typing import Union
 
-from .errors import DomainError, ExactArithmeticError, StructuralError
+import numpy as np
 
-Scalar = Union[int, Fraction, "QuadNum"]
+from .errors import DomainError, ExactArithmeticError
 
 MAX_FIELD_SIZE = 1 << 14
 
@@ -57,7 +55,7 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64)
 def square_free_split(n: int) -> tuple[int, int]:
     """Return (f, core) with n = f*f*core and core squarefree."""
     if n <= 0:
@@ -68,202 +66,6 @@ def square_free_split(n: int) -> tuple[int, int]:
         if e & 1:
             core *= p
     return f, core
-
-
-def exact_sqrt(n: int) -> Scalar:
-    """sqrt(n) as a Fraction (perfect square) or canonical QuadNum."""
-    f, core = square_free_split(n)
-    if core == 1:
-        return Fraction(f)
-    return QuadNum(0, f, core)
-
-
-class QuadNum:
-    """An element a + b*sqrt(m) of Q(sqrt(m)), m squarefree and >= 2.
-
-    Immutable; mixes freely with int and Fraction.  Two QuadNums are
-    operable only if their radicands agree after canonicalization.
-    Equality is componentwise on (a, b, m); a QuadNum with b == 0 also
-    compares equal to the rational a.
-    """
-
-    __slots__ = ("a", "b", "m")
-
-    def __init__(self, a, b, m: int):
-        f, core = square_free_split(m)
-        if core == 1:
-            raise StructuralError(f"radicand {m} is a perfect square; use Fraction")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b) * f)
-        object.__setattr__(self, "m", core)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadNum is immutable")
-
-    def _coerce(self, other) -> "QuadNum | None":
-        if isinstance(other, QuadNum):
-            if other.m != self.m:
-                raise StructuralError(f"mixed radicands {self.m} and {other.m}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _rational_in(self.m, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(self.a + o.a, self.b + o.b, self.m)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(self.a - o.a, self.b - o.b, self.m)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(o.a - self.a, o.b - self.b, self.m)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _make(self.a * other, self.b * other, self.m)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(
-            self.a * o.a + self.b * o.b * self.m,
-            self.a * o.b + self.b * o.a,
-            self.m,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # conjugate: 1/(c + d*sqrt(m)) = (c - d*sqrt(m)) / (c^2 - m*d^2)
-        norm = o.a * o.a - self.m * o.b * o.b
-        if norm == 0:
-            raise ExactArithmeticError("division by zero in Q(sqrt(m))")
-        return _make(
-            (self.a * o.a - self.m * self.b * o.b) / norm,
-            (self.b * o.a - self.a * o.b) / norm,
-            self.m,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __neg__(self):
-        return _make(-self.a, -self.b, self.m)
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            return NotImplemented
-        out: Scalar = Fraction(1)
-        for _ in range(exp):
-            out = self * out
-        return out
-
-    def sign(self) -> int:
-        """Exact sign of the real value a + b*sqrt(m)."""
-        sa = _frac_sign(self.a)
-        sb = _frac_sign(self.b)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # opposite rational signs: compare a^2 against m*b^2
-        cmp = _frac_sign(self.a * self.a - self.m * self.b * self.b)
-        # a^2 == m*b^2 is impossible for nonzero a, b over squarefree m >= 2
-        return sa * cmp
-
-    def __eq__(self, other):
-        if isinstance(other, QuadNum):
-            return self.m == other.m and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
-
-    def _cmp(self, other) -> int | None:
-        o = self._coerce(other)
-        if o is None:
-            return None
-        return (self - o).sign()
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __repr__(self):
-        return f"QuadNum({self.a!r}, {self.b!r}, {self.m})"
-
-    def __str__(self):
-        return f"{self.a} + {self.b}*sqrt({self.m})"
-
-    def __float__(self):
-        return quad_to_float(self)
-
-
-def _make(a: Fraction, b: Fraction, m: int) -> QuadNum:
-    out = object.__new__(QuadNum)
-    object.__setattr__(out, "a", a)
-    object.__setattr__(out, "b", b)
-    object.__setattr__(out, "m", m)
-    return out
-
-
-def _rational_in(m: int, value) -> QuadNum:
-    return _make(Fraction(value), Fraction(0), m)
-
-
-def _frac_sign(x: Fraction) -> int:
-    n = x.numerator
-    return (n > 0) - (n < 0)
-
-
-def quad_to_float(x: Scalar, precision: int = 53) -> float:
-    """Render a scalar as a float with error <= 2**-precision + 1 ulp
-    (``key_to_float`` of its key).  Report-rendering only -- certification
-    paths never call this."""
-    if isinstance(x, (int, Fraction)):
-        return float(Fraction(x))
-    scale = math.lcm(x.a.denominator, x.b.denominator)
-    return key_to_float((int(x.a * scale), int(x.b * scale), scale), x.m, precision)
 
 
 def key_to_float(key: tuple, core: int, precision: int = 53) -> float:
@@ -281,6 +83,71 @@ def key_to_float(key: tuple, core: int, precision: int = 53) -> float:
     shift = precision + 8
     root = math.isqrt(core << (2 * shift))  # floor(sqrt(c) * 2**shift)
     return ((p << shift) + q * root) / (scale << shift)
+
+
+def key_str(key: tuple, core: int) -> str:
+    """The value (p + q*sqrt(c))/L, L > 0, of a key as text: p/L, then
+    ``+ q/L*sqrt(c)`` unless q = 0, each rational in lowest terms with its
+    sign on the numerator and no denominator 1 (``13/11 + -4/11*sqrt(3)``)."""
+
+    def ratio(n: int) -> str:
+        g = math.gcd(n, scale)
+        return f"{n // g}" if g == scale else f"{n // g}/{scale // g}"
+
+    p, q, scale = key
+    return f"{ratio(p)} + {ratio(q)}*sqrt({core})" if q else ratio(p)
+
+
+def _quad_sign(p: int, q: int, core: int) -> int:
+    """Exact sign of p + q*sqrt(c) for integers p, q and squarefree c: the
+    sign of p and q where they agree, else that of p^2 - c*q^2, which is
+    nonzero for q != 0 and c > 1 (for c = 1, q is folded into p)."""
+    if core == 1:
+        p, q = p + q, 0
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > core * q * q else sq
+
+
+def _key_cmp(x: tuple, y: tuple, core: int) -> int:
+    """Sign of x - y for keys (p, q, L) of values (p + q*sqrt(c))/L, L > 0:
+    one integer sign test on the cross difference."""
+    return _quad_sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], core)
+
+
+def _eps_side(key: tuple, k: int, core: int, r: int = 1) -> int:
+    """Sign of k*a^2 - r for the value a of a key (p, q, L), one integer sign
+    test; with r = 1, the side of the epsilon |sqrt(k)*a - 1| of a magnitude a."""
+    p, q, scale = key
+    return _quad_sign(k * (p * p + core * q * q) - r * scale * scale, 2 * k * p * q, core)
+
+
+def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
+    """(ids, keys) for exact values (p + q*sqrt(c))/L given as integer
+    triples (p, q, L): keys lists the distinct |value| ascending, as triples
+    in lowest terms with L > 0, and ids[i] indexes the magnitude of
+    values[i].  The one route from a value to its magnitude, for built
+    matrices, the split screen and the cross-basis products.  A value's sign is
+    one integer sign test (``_quad_sign``).  Floats only propose the order and
+    integers certify it: it stands if ``_key_cmp`` finds each adjacent pair
+    ascending (distinct keys are distinct values), else ``_key_cmp`` sorts."""
+    index: dict = {}
+    ids = []
+    for p, q, scale in values:
+        if _quad_sign(p, q, core) < 0:
+            p, q = -p, -q
+        g = math.gcd(p, q, scale)
+        ids.append(index.setdefault((p // g, q // g, scale // g), len(index)))
+    try:
+        keys = sorted(index, key=lambda x, r=math.sqrt(core): (x[0] + x[1] * r) / x[2])
+    except OverflowError:  # a key too large for a float
+        keys = None
+    if keys is None or any(_key_cmp(x, y, core) >= 0 for x, y in zip(keys, keys[1:])):
+        keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _key_cmp(x, y, core)))
+    order = np.empty(len(keys), dtype=np.int64)
+    order[[index[key] for key in keys]] = np.arange(len(keys))
+    return order[np.array(ids, dtype=np.int64)], keys
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +302,6 @@ class GfField:
         )
 
     def _build_log_tables(self):
-        import numpy as np
-
         q = self.q
         order_factors = _factor(q - 1)
         gen = None
@@ -492,11 +357,6 @@ class GfField:
             return 0
         return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ExactArithmeticError("inverse of zero in GF")
-        return int(self._exp[(self.q - 1 - int(self._log[a])) % (self.q - 1)])
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k == 0:
@@ -510,8 +370,6 @@ class GfField:
     # -- bulk operations (numpy code arrays) --------------------------------
 
     def mul_arr(self, a, b):
-        import numpy as np
-
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         nz = (a != 0) & (b != 0)
@@ -522,8 +380,6 @@ class GfField:
         return out
 
     def add_arr(self, a, b):
-        import numpy as np
-
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
@@ -540,7 +396,7 @@ class GfField:
         return f"GfField(p={self.p}, e={self.e})"
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def gf_make(p: int, e: int) -> GfField:
     """Field descriptor for GF(p^e), p an odd prime (cached)."""
     return GfField(p, e)

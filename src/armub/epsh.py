@@ -26,10 +26,10 @@ H H^T = M*I gives Y Y^T - I = W X W^T with
 and X = 0 is a pair of integer t x t identities checked on Python ints
 (``EpsHadamard.verify_orthogonal``).
 
-Exact values are integer keys: (p, q, L) stands for (p + q*sqrt(c))/L,
-L > 0, with c the squarefree part of M, and every order, bound and window
-test on them is one integer sign test (``_quad_sign``); Fractions and
-QuadNums only show values (``_key_value``).  Epsilon is computed from the
+Exact values are integer keys (``algebra``): (p, q, L) stands for
+(p + q*sqrt(c))/L, L > 0, with c the squarefree part of M.  Every order,
+bound and window test on them is one integer sign test (``_quad_sign``),
+and ``key_str`` shows them in messages.  Epsilon is computed from the
 definition: the maximum over entries of |sqrt(k)*|Y_ij| - 1|, held exactly
 as the key of the extremal |Y_ij| (``ExactEps``); deviations below
 1/sqrt(k) count.  The maximum upward deviation alone is kept as a separate
@@ -62,17 +62,23 @@ would; only the winner is built, and only its epsilons become ExactEps.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .algebra import QuadNum, Scalar, key_to_float, square_free_split
+from .algebra import (
+    _eps_side,
+    _key_cmp,
+    _magnitudes,
+    _quad_sign,
+    key_str,
+    key_to_float,
+    square_free_split,
+)
 from .errors import (
     CertificationError,
     DomainError,
@@ -264,7 +270,7 @@ class ExactEps:
         return self._float
 
     def expr(self) -> str:
-        return f"|sqrt({_key_value(self.ksq, self.core)}) - 1|"
+        return f"|sqrt({key_str(self.ksq, self.core)}) - 1|"
 
     def __repr__(self):
         return f"ExactEps({float(self):.6g}, side={self.side})"
@@ -405,9 +411,9 @@ class EpsHadamard:
     EpsHadamard is certified; epsilon < 1 is recorded rather than
     enforced, since it is only guaranteed for t < sqrt(n).
 
-    ``terms`` is the derivation at t x t level: (1/sqrt(M), None) for D,
-    then (1/L, A) and, unless B = 0, (sqrt(c)/L, B), with L the common
-    denominator of C and 1/sqrt(M).
+    ``terms`` is the derivation at t x t level, each coefficient a key:
+    (1/sqrt(M), None) for D, then (1/L, A) and, unless B = 0,
+    (sqrt(c)/L, B), with L the common denominator of C and 1/sqrt(M).
     """
 
     __slots__ = (
@@ -423,8 +429,6 @@ class EpsHadamard:
         "_form",
         "_scan",
         "_values",
-        "_scalars",
-        "_abs",
         "_keys",
         "_counts",
     )
@@ -440,14 +444,12 @@ class EpsHadamard:
         self._scan, self._form, self._values, mag_ids, self._keys = (
             evaluated or _evaluate(c, m, t, _CodeScan(source, provenance)))
         scale, core, a, b = self._form
-        terms = [(_key_value((a[0, 0], b[0, 0], scale), core), None)]
+        terms = [((a[0, 0], b[0, 0], scale), None)]
         if t:
-            terms.append((Fraction(1, scale), a[1:, 1:]))
+            terms.append(((1, 0, scale), a[1:, 1:]))
         if np.count_nonzero(b[1:, 1:]):
-            terms.append((QuadNum(0, Fraction(1, scale), core), b[1:, 1:]))
+            terms.append(((0, 1, scale), b[1:, 1:]))
         self.terms = tuple(terms)
-        self._scalars: dict = {}
-        self._abs = None
         self.verify_orthogonal()
         self._scan_entries(mag_ids)
         # entry magnitudes lie in the closed interval of the reduction theorem
@@ -512,9 +514,7 @@ class EpsHadamard:
         bad = (r != 0) | (s != 0)
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), len(u))
-            x = Fraction(int(r[i, j]), scale * scale)
-            if s[i, j]:
-                x = QuadNum(x, Fraction(int(s[i, j]), scale * scale), core)
+            x = key_str((int(r[i, j]), int(s[i, j]), scale * scale), core)
             raise CertificationError(
                 f"orthogonality violated: Y Y^T - I = W X W^T with X{(i, j)} = {x}, "
                 "expected 0"
@@ -522,41 +522,27 @@ class EpsHadamard:
 
     # -- accessors -----------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Scalar:
-        """Y_ij, as D_ij times the value 1/sqrt(M) + s(w')^T C s(v) of its
-        magnitude code (w', v)."""
+    def entry(self, i: int, j: int) -> tuple[int, int, int]:
+        """Y_ij as its key (p, q, L) in lowest terms: D_ij times the value
+        1/sqrt(M) + s(w')^T C s(v) of its magnitude code (w', v)."""
         t = self.provenance.t
         scan = self._scan
         d = int(self.source.rows[scan.rest[0][i], scan.rest[1][j]])
         code = (int(scan.w[i]) ^ (0 if d > 0 else (1 << t) - 1)) << t | int(scan.v[j])
-        if (code, d) not in self._scalars:
-            scale, core, _, _ = self._form
-            p, q = (d * x for x in self._values[code])
-            self._scalars[code, d] = _key_value((p, q, scale), core)
-        return self._scalars[code, d]
+        p, q = self._values[code]
+        scale = self._form[0]
+        g = math.gcd(p, q, scale)
+        return d * p // g, d * q // g, scale // g
 
-    def scalar_rows(self) -> list[list[Scalar]]:
-        k = self.order
-        return [[self.entry(i, j) for j in range(k)] for i in range(k)]
-
-    def distinct_abs_values(self) -> list[Scalar]:
-        """Distinct entry magnitudes, ascending, built on first read."""
-        if self._abs is None:
-            self._abs = [_key_value(key, self._form[1]) for key in self._keys]
-        return list(self._abs)
-
-    def max_abs_entry(self) -> Scalar:
-        return _key_value(self._keys[-1], self._form[1])
-
-    def abs_value_keys(self) -> list[tuple[int, int, int]]:
-        """distinct_abs_values() as integer triples (p, q, L) in lowest terms,
-        value (p + q*sqrt(c))/L with c the squarefree part of the radicand."""
+    def distinct_abs_values(self) -> list[tuple[int, int, int]]:
+        """The distinct entry magnitudes, ascending, as keys (p, q, L) in
+        lowest terms over the squarefree part c of the radicand."""
         return list(self._keys)
 
     def abs_value_counts(self) -> np.ndarray:
         """The column histogram of magnitudes, read-only int64 of shape
         (k, len(distinct_abs_values())): entry [j, g] counts the rows i with
-        |Y_ij| = distinct_abs_values()[g]."""
+        |Y_ij| the value of distinct_abs_values()[g]."""
         return self._counts
 
     @property
@@ -638,64 +624,6 @@ def _code_values(form, t: int) -> list[tuple[int, int]]:
     return list(zip(ps, qs))
 
 
-def _quad_sign(p: int, q: int, core: int) -> int:
-    """Exact sign of p + q*sqrt(c) for integers p, q and squarefree c: the
-    sign of p and q where they agree, else that of p^2 - c*q^2, which is
-    nonzero for q != 0 and c > 1 (for c = 1, q is folded into p)."""
-    if core == 1:
-        p, q = p + q, 0
-    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
-    if sp * sq >= 0:
-        return sp or sq
-    return sp if p * p > core * q * q else sq
-
-
-def _key_cmp(x: tuple, y: tuple, core: int) -> int:
-    """Sign of x - y for keys (p, q, L) of values (p + q*sqrt(c))/L, L > 0:
-    one integer sign test on the cross difference."""
-    return _quad_sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], core)
-
-
-def _key_value(key: tuple, core: int) -> Scalar:
-    """The Fraction or QuadNum of a key (p, q, L), for showing the value."""
-    p, q, scale = key
-    return QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
-
-
-def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
-    """(ids, keys) for exact values (p + q*sqrt(c))/L given as integer
-    triples (p, q, L): keys lists the distinct |value| ascending, as triples
-    in lowest terms with L > 0, and ids[i] indexes the magnitude of
-    values[i].  The one route from a value to its magnitude, for built
-    matrices, the split screen and the cross-basis products.  A value's sign is
-    one integer sign test (``_quad_sign``).  Floats only propose the order and
-    integers certify it: it stands if ``_key_cmp`` finds each adjacent pair
-    ascending (distinct keys are distinct values), else ``_key_cmp`` sorts."""
-    index: dict = {}
-    ids = []
-    for p, q, scale in values:
-        if _quad_sign(p, q, core) < 0:
-            p, q = -p, -q
-        g = math.gcd(p, q, scale)
-        ids.append(index.setdefault((p // g, q // g, scale // g), len(index)))
-    try:
-        keys = sorted(index, key=lambda x, r=math.sqrt(core): (x[0] + x[1] * r) / x[2])
-    except OverflowError:  # a key too large for a float
-        keys = None
-    if keys is None or any(_key_cmp(x, y, core) >= 0 for x, y in zip(keys, keys[1:])):
-        keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _key_cmp(x, y, core)))
-    order = np.empty(len(keys), dtype=np.int64)
-    order[[index[key] for key in keys]] = np.arange(len(keys))
-    return order[np.array(ids, dtype=np.int64)], keys
-
-
-def _eps_side(key: tuple, k: int, core: int, r: int = 1) -> int:
-    """Sign of k*a^2 - r for the value a of a key (p, q, L), one integer sign
-    test; with r = 1, the side of the epsilon |sqrt(k)*a - 1| of a magnitude a."""
-    p, q, scale = key
-    return _quad_sign(k * (p * p + core * q * q) - r * scale * scale, 2 * k * p * q, core)
-
-
 def _eps_mixed(above: tuple, below: tuple, k: int, core: int) -> int:
     """Sign of eps(a1) - eps(a2) for magnitudes a1 above and a2 below
     1/sqrt(k): (sqrt(k)*a1 - 1) - (1 - sqrt(k)*a2) has the sign of
@@ -769,8 +697,8 @@ def _window_error(keys: list[tuple], t: int, m: int, core: int) -> Optional[str]
     if not (_outside(keys[0], window, core) or _outside(keys[-1], window, core)):
         return None
     key = next(key for key in keys if _outside(key, window, core))
-    low, high = (_key_value(x, core) for x in window)
-    return f"entry magnitude {_key_value(key, core)} outside window [{low}, {high}]"
+    low, high = (key_str(x, core) for x in window)
+    return f"entry magnitude {key_str(key, core)} outside window [{low}, {high}]"
 
 
 def _window(t: int, m: int) -> Optional[tuple[tuple, tuple]]:
@@ -823,7 +751,7 @@ def _relation_coeffs(params: tuple, variant: str, m: int) -> tuple[int, list[tup
     integer pairs in Z[alpha] and written in Z[sqrt(c)] (for c = 1,
     alpha = f is an integer), and the one division multiplies by the
     conjugate of den*alpha over its integer norm.  L > 0 and the gcd of L
-    and the a_p and b_p is 1, so the c_p are the same fractions in lowest
+    and the a_p and b_p is 1, so the c_p are the same rationals in lowest
     terms over their common denominator."""
     if variant == "Y1":
         outer_sign = -1

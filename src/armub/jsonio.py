@@ -210,7 +210,7 @@ def _require_equal(kind: str, derived, stored, path: str):
 
 
 # ---------------------------------------------------------------------------
-# Scalars
+# Exact values
 # ---------------------------------------------------------------------------
 
 def key_wire(key: tuple, radicand: int) -> dict:
@@ -332,8 +332,6 @@ def eps_hadamard_obj(y: EpsHadamard, partial: bool = False) -> dict:
     """The artifact of y: its source H and split, from which a parse derives
     y again; ``partial`` marks the best split of a search that stopped at
     its cap (the field is omitted otherwise)."""
-    if y.source is None:
-        raise DomainError("only a Y derived from a Hadamard matrix has an artifact")
     m = y.radicand
     out = {
         "kind": "eps-hadamard",

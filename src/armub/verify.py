@@ -13,23 +13,22 @@ of every basis pair without materializing it.
 
 Values are collected by exact equality (no floating tolerance exists in
 classification) and stay integer keys (p, q, L), the value
-(p + q*sqrt(c))/L over the core c of Y's radicand, as ``epsh`` writes them.
-Every decision, the classification and each ledger line, is an integer sign
-test on keys (``epsh._quad_sign``): beta = sqrt(d) * max|<u,v>| through
-d * max_ip^2, epsilon through its key.  Floats are rendered once, for the
-report.
+(p + q*sqrt(c))/L over the core c of Y's radicand (``algebra``).  Every
+decision, the classification and each ledger line, is an integer sign test
+on keys (``algebra._quad_sign``): beta = sqrt(d) * max|<u,v>| through
+d * max_ip^2, epsilon through its key, and rho_t as an integer pair.
+Floats are rendered once, for the report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .algebra import key_to_float, square_free_split
+from .algebra import _eps_side, _magnitudes, _quad_sign, key_str, key_to_float, square_free_split
 from .bases import BasisSet
-from .epsh import ExactEps, _eps_side, _magnitudes, _quad_sign
+from .epsh import ExactEps
 from .errors import CertificationError, DomainError
 
 CLASS_MUB = "MUB"
@@ -106,14 +105,15 @@ def _ip_le_eps_square(max_ip: tuple, eps: ExactEps) -> bool:
             and _quad_sign(p * w - r0 * r0 - core * r1 * r1, q * w - 2 * r0 * r1, core) <= 0)
 
 
-def _eps_le_rho(eps: ExactEps, rho: Fraction, n: int) -> bool:
-    """Exact eps <= b = rho/sqrt(n).  With q = k*a^2 and X = q - 1 - b^2,
+def _eps_le_rho(eps: ExactEps, rho: tuple[int, int], n: int) -> bool:
+    """Exact eps <= b = rho/sqrt(n) for rho = num/den given as the integer
+    pair (num, den), den > 0.  With q = k*a^2 and X = q - 1 - b^2,
     sqrt(q) <= 1 + b is X <= 0 or X^2 <= 4b^2 (side +1), and
     sqrt(q) >= 1 - b is b >= 1, X >= 0 or X^2 <= 4b^2 (side -1)."""
     if eps.side == 0:
         return True
     (p, q, scale), core = eps.ksq, eps.core
-    num, den = rho.numerator ** 2, rho.denominator ** 2 * n  # b^2 = num/den
+    num, den = rho[0] ** 2, rho[1] ** 2 * n  # b^2 = num/den
     x0, x1 = den * (p - scale) - num * scale, den * q  # X * L * den
     if _quad_sign(x0, x1, core) * eps.side <= 0 or (eps.side < 0 and num >= den):
         return True
@@ -138,11 +138,11 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
     weights are applied in Python ints.
 
     Each product of two magnitudes (p1 + q1*sqrt(c))/L1 and
-    (p2 + q2*sqrt(c))/L2 (``EpsHadamard.abs_value_keys``) is the integer
+    (p2 + q2*sqrt(c))/L2 (``EpsHadamard.distinct_abs_values``) is the integer
     triple (p1*p2 + c*q1*q2, p1*q2 + p2*q1, L1*L2).  col_counts^T @
     col_counts is symmetric, so each unordered pair v <= w is formed once,
     off-diagonal weights doubled.  The triples pass once through
-    ``epsh._magnitudes``, the route by which Y's codes reach their
+    ``algebra._magnitudes``, the route by which Y's codes reach their
     magnitudes, which reduces, merges and orders them on integers; the
     counts of equal values are summed as Python ints.  Values, max_ip and
     (max |Y_ij|)^2 stay keys (``DeltaValue``, ``ExactBeta``).
@@ -155,7 +155,7 @@ def cross_stats(bs: BasisSet) -> UnbiasednessReport:
         raise CertificationError(
             f"cross statistics need a design with certified mu = 1, got mu={r.mu}"
         )
-    col_counts, keys = bs.y.abs_value_counts(), bs.y.abs_value_keys()
+    col_counts, keys = bs.y.abs_value_counts(), bs.y.distinct_abs_values()
     core = square_free_split(bs.y.radicand)[1]
     d, s, k = r.d, r.s, r.k
     basis_pairs = nb * (nb - 1) // 2
@@ -243,7 +243,7 @@ class LedgerLine:
         }
 
 
-_RHO = {1: Fraction(1, 2), 2: Fraction(2), 3: Fraction(4)}
+_RHO = {1: (1, 2), 2: (2, 1), 3: (4, 1)}  # rho_t as (numerator, denominator)
 
 
 def check_theorem_bounds(report: UnbiasednessReport) -> list[LedgerLine]:
@@ -259,13 +259,13 @@ def check_theorem_bounds(report: UnbiasednessReport) -> list[LedgerLine]:
     # epsilon <= rho_t / sqrt(n)
     applicable = t in _RHO and n is not None and n >= 1 and (t != 3 or n >= 4)
     if applicable:
-        rho, (f, core) = _RHO[t], square_free_split(n)
-        num, den = rho.numerator, rho.denominator * f  # rho/sqrt(n) = rho*sqrt(c)/(f*c)
-        bound = (0, num, den * core) if core > 1 else (num, 0, den)
+        (num, den), (f, core) = _RHO[t], square_free_split(n)
+        # rho/sqrt(n) = rho*sqrt(c)/(f*c)
+        bound = (0, num, den * f * core) if core > 1 else (num, 0, den * f)
         lines.append(LedgerLine(
             "eps-le-rho/sqrt(n)", float(eps), key_to_float(bound, core),
-            True, "pass" if _eps_le_rho(eps, rho, n) else "fail",
-            f"rho_{t}={rho}, n={n}",
+            True, "pass" if _eps_le_rho(eps, (num, den), n) else "fail",
+            f"rho_{t}={key_str((num, 0, den), 1)}, n={n}",
         ))
     else:
         lines.append(LedgerLine(

@@ -21,12 +21,17 @@ which ``elimination_coeffs`` pins.  It shares with the library only the
 route from a value to its magnitude (``_magnitudes``).  ``lemma_inverse``
 evaluates the library's polynomial-inverse coefficients as the published
 displays write them, so that tests can compare those displays.
-``ScalarEps``, ``window``, ``ip_le_eps_square``, ``scalar_float``,
+The Scalars are the tests' exact medium: ``Fraction`` for Q and
+``QuadNum`` for Q(sqrt(m)), with ``exact_sqrt`` and ``quad_to_float``; the
+library holds every value as an integer key (p, q, L), and ``key_scalar``,
+``scalar_rows``, ``abs_scalars`` and ``scalar_terms`` turn its keys into
+Scalars.  ``ScalarEps``, ``window``, ``ip_le_eps_square``, ``scalar_float``,
 ``sign_of``, ``cmp_values`` and ``sqrt_minus_cmp`` are the Scalar reference
 for the library's decisions on integer keys: epsilon, the window, the sign
 tests and the floats as the library made them on Fraction and QuadNum
 before it held keys.  ``DenseEpsHadamard`` selects its epsilons with them
-and hands them over as the library's ExactEps of the selected magnitudes.
+and hands them over as the library's ExactEps of the selected magnitudes;
+like the library's EpsHadamard, it gives its entries and magnitudes as keys.
 ``SparseBasis`` walks the vectors of one basis of a basis set, for the
 dense cross-product oracle.
 ``row_permuted`` builds the row-permuted H of the benchmark's seeded
@@ -43,11 +48,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Union
 
 import numpy as np
 import sympy
 
-from armub.algebra import QuadNum, Scalar, exact_sqrt, gf_from_order, square_free_split
+from armub.algebra import _magnitudes, gf_from_order, key_to_float, square_free_split
 from armub.epsh import (
     BlockSplit,
     ExactEps,
@@ -55,7 +61,6 @@ from armub.epsh import (
     _code_values,
     _coefficient_form,
     _corner_form,
-    _magnitudes,
     _negated_params,
     _T2_PREFER_Y1,
     _T2_PREFER_Y2,
@@ -74,6 +79,207 @@ from armub.errors import (
     StructuralError,
 )
 from armub.hadamard import SignMatrix
+
+Scalar = Union[int, Fraction, "QuadNum"]
+
+
+# ---------------------------------------------------------------------------
+# Scalars: Fraction for Q and QuadNum for Q(sqrt(m))
+# ---------------------------------------------------------------------------
+
+def exact_sqrt(n: int) -> Scalar:
+    """sqrt(n) as a Fraction (perfect square) or canonical QuadNum."""
+    f, core = square_free_split(n)
+    if core == 1:
+        return Fraction(f)
+    return QuadNum(0, f, core)
+
+
+class QuadNum:
+    """An element a + b*sqrt(m) of Q(sqrt(m)), m squarefree and >= 2.
+
+    Immutable; mixes freely with int and Fraction.  Two QuadNums are
+    operable only if their radicands agree after canonicalization.
+    Equality is componentwise on (a, b, m); a QuadNum with b == 0 also
+    compares equal to the rational a.
+    """
+
+    __slots__ = ("a", "b", "m")
+
+    def __init__(self, a, b, m: int):
+        f, core = square_free_split(m)
+        if core == 1:
+            raise StructuralError(f"radicand {m} is a perfect square; use Fraction")
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b) * f)
+        object.__setattr__(self, "m", core)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadNum is immutable")
+
+    def _coerce(self, other) -> "QuadNum | None":
+        if isinstance(other, QuadNum):
+            if other.m != self.m:
+                raise StructuralError(f"mixed radicands {self.m} and {other.m}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return _rational_in(self.m, other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _make(self.a + o.a, self.b + o.b, self.m)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _make(self.a - o.a, self.b - o.b, self.m)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _make(o.a - self.a, o.b - self.b, self.m)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _make(self.a * other, self.b * other, self.m)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _make(
+            self.a * o.a + self.b * o.b * self.m,
+            self.a * o.b + self.b * o.a,
+            self.m,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        # conjugate: 1/(c + d*sqrt(m)) = (c - d*sqrt(m)) / (c^2 - m*d^2)
+        norm = o.a * o.a - self.m * o.b * o.b
+        if norm == 0:
+            raise ExactArithmeticError("division by zero in Q(sqrt(m))")
+        return _make(
+            (self.a * o.a - self.m * self.b * o.b) / norm,
+            (self.b * o.a - self.a * o.b) / norm,
+            self.m,
+        )
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __neg__(self):
+        return _make(-self.a, -self.b, self.m)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __pow__(self, exp: int):
+        if not isinstance(exp, int) or exp < 0:
+            return NotImplemented
+        out: Scalar = Fraction(1)
+        for _ in range(exp):
+            out = self * out
+        return out
+
+    def sign(self) -> int:
+        """Exact sign of the real value a + b*sqrt(m)."""
+        sa = _frac_sign(self.a)
+        sb = _frac_sign(self.b)
+        if sb == 0:
+            return sa
+        if sa == 0:
+            return sb
+        if sa == sb:
+            return sa
+        # opposite rational signs: compare a^2 against m*b^2
+        cmp = _frac_sign(self.a * self.a - self.m * self.b * self.b)
+        # a^2 == m*b^2 is impossible for nonzero a, b over squarefree m >= 2
+        return sa * cmp
+
+    def __eq__(self, other):
+        if isinstance(other, QuadNum):
+            return self.m == other.m and self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.m))
+
+    def _cmp(self, other) -> int | None:
+        o = self._coerce(other)
+        if o is None:
+            return None
+        return (self - o).sign()
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __repr__(self):
+        return f"QuadNum({self.a!r}, {self.b!r}, {self.m})"
+
+    def __str__(self):
+        return f"{self.a} + {self.b}*sqrt({self.m})"
+
+    def __float__(self):
+        return quad_to_float(self)
+
+
+def _make(a: Fraction, b: Fraction, m: int) -> QuadNum:
+    out = object.__new__(QuadNum)
+    object.__setattr__(out, "a", a)
+    object.__setattr__(out, "b", b)
+    object.__setattr__(out, "m", m)
+    return out
+
+
+def _rational_in(m: int, value) -> QuadNum:
+    return _make(Fraction(value), Fraction(0), m)
+
+
+def _frac_sign(x: Fraction) -> int:
+    n = x.numerator
+    return (n > 0) - (n < 0)
+
+
+def quad_to_float(x: Scalar, precision: int = 53) -> float:
+    """Render a scalar as a float with error <= 2**-precision + 1 ulp: the
+    library's ``key_to_float`` of its key."""
+    if isinstance(x, (int, Fraction)):
+        return float(Fraction(x))
+    scale = math.lcm(x.a.denominator, x.b.denominator)
+    return key_to_float((int(x.a * scale), int(x.b * scale), scale), x.m, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +329,24 @@ def key_scalar(key: tuple, core: int) -> Scalar:
     """The Fraction or QuadNum of a key (p, q, L) over sqrt(core)."""
     p, q, scale = key
     return QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
+
+
+def scalar_rows(y) -> list[list[Scalar]]:
+    """The entries of Y (an EpsHadamard or a DenseEpsHadamard) as Scalars."""
+    core, k = square_free_split(y.radicand)[1], y.order
+    return [[key_scalar(y.entry(i, j), core) for j in range(k)] for i in range(k)]
+
+
+def abs_scalars(y) -> list[Scalar]:
+    """The distinct entry magnitudes of Y, ascending, as Scalars."""
+    core = square_free_split(y.radicand)[1]
+    return [key_scalar(key, core) for key in y.distinct_abs_values()]
+
+
+def scalar_terms(y) -> list[tuple[Scalar, object]]:
+    """The terms of an EpsHadamard with each coefficient key as a Scalar."""
+    core = square_free_split(y.radicand)[1]
+    return [(key_scalar(c, core), x) for c, x in y.terms]
 
 
 class ScalarEps:
@@ -269,8 +493,8 @@ class SparseBasis:
         if not 0 <= index < self.d:
             raise DomainError(f"vector index {index} outside [0, {self.d})")
         block, row = divmod(index, self.k)
-        pts = self.blocks[block]
-        return [(int(pts[j]), self.y.entry(row, j)) for j in range(self.k)]
+        pts, core = self.blocks[block], square_free_split(self.y.radicand)[1]
+        return [(int(pts[j]), key_scalar(self.y.entry(row, j), core)) for j in range(self.k)]
 
     def support(self, index: int) -> tuple[int, ...]:
         block = self.block_of_vector(index)
@@ -321,11 +545,11 @@ def sympy_reduction(split: BlockSplit, variant: str) -> sympy.Matrix:
 
 
 def assert_matches_sympy(y, sym_matrix):
-    k = y.order
+    k, rows = y.order, scalar_rows(y)
     assert sym_matrix.shape == (k, k)
     for i in range(k):
         for j in range(k):
-            got = scalar_to_sympy(y.entry(i, j))
+            got = scalar_to_sympy(rows[i][j])
             assert sympy.expand(got - sym_matrix[i, j]) == 0, (i, j, got, sym_matrix[i, j])
 
 
@@ -586,7 +810,7 @@ def cross_stats_pairwise(bs):
     """
     r = bs.rbd
     d, s, k = r.d, r.s, r.k
-    col_counts, vals = bs.y.abs_value_counts(), bs.y.distinct_abs_values()
+    col_counts, vals = bs.y.abs_value_counts(), abs_scalars(bs.y)
     vv_total = np.zeros((len(vals), len(vals)), dtype=np.int64)
     zeros = 0
     pairs = 0
@@ -708,11 +932,8 @@ class DenseEpsHadamard:
         (P_ij, Q_ij) pairs: the entry is (P_ij + Q_ij*sqrt(c)) / L."""
         k, scale, core = self.order, self._scale, self._core
         pairs, self._entry_combo_ids = _distinct_pairs(self._p, self._q)
-        self._combo_values = [
-            QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q
-            else Fraction(p, scale)
-            for p, q in pairs
-        ]
+        self._combo_keys = [(p // g, q // g, scale // g)
+                            for p, q, g in ((p, q, math.gcd(p, q, scale)) for p, q in pairs)]
         self._combo_abs, self._keys = _magnitudes([(p, q, scale) for p, q in pairs], core)
         mags = [QuadNum(Fraction(p, s), Fraction(q, s), core) if q else Fraction(p, s)
                 for p, q, s in self._keys]
@@ -747,26 +968,18 @@ class DenseEpsHadamard:
                     f"entry magnitude {av} outside window [{lo}, {hi}]"
                 )
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self._combo_values[int(self._entry_combo_ids[i, j])]
+    def entry(self, i: int, j: int) -> tuple[int, int, int]:
+        """Y_ij as its key (p, q, L) in lowest terms."""
+        return self._combo_keys[int(self._entry_combo_ids[i, j])]
 
-    def scalar_rows(self) -> list[list[Scalar]]:
-        k = self.order
-        return [[self.entry(i, j) for j in range(k)] for i in range(k)]
-
-    def distinct_abs_values(self) -> list[Scalar]:
-        return [av for av, _, _ in self._mags]
-
-    def max_abs_entry(self) -> Scalar:
-        return self._mags[-1][0]
-
-    def abs_value_keys(self) -> list[tuple[int, int, int]]:
-        """distinct_abs_values() as (p, q, L), value (p + q*sqrt(c))/L."""
+    def distinct_abs_values(self) -> list[tuple[int, int, int]]:
+        """The distinct magnitudes, ascending, as keys (p, q, L) in lowest
+        terms, value (p + q*sqrt(c))/L."""
         assert self._core in (1, square_free_split(self.radicand)[1])
         return list(self._keys)
 
-    def abs_value_ids(self) -> tuple[np.ndarray, list[Scalar]]:
-        """(ids, values): ids[i, j] indexes the magnitude of Y_ij in values."""
+    def abs_value_ids(self) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+        """(ids, keys): ids[i, j] indexes the magnitude of Y_ij in keys."""
         return self._combo_abs[self._entry_combo_ids], self.distinct_abs_values()
 
     def abs_value_counts(self) -> np.ndarray:

@@ -7,17 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armub.algebra import (
-    QuadNum,
-    exact_sqrt,
-    gf_make,
-    prime_power_split,
-    quad_to_float,
-    square_free_split,
-)
-from armub.epsh import _quad_sign
+from armub.algebra import _quad_sign, gf_make, prime_power_split, square_free_split
 from armub.errors import DomainError, ExactArithmeticError, StructuralError
-from oracles import sign_of, sqrt_minus_cmp
+from oracles import QuadNum, exact_sqrt, quad_to_float, sign_of, sqrt_minus_cmp
 
 
 def test_square_free_split():
@@ -74,7 +66,7 @@ def test_quad_sign_examples():
 
 
 def test_integer_quad_sign():
-    """epsh._quad_sign(p, q, c), the sign of p + q*sqrt(c) on integers,
+    """algebra._quad_sign(p, q, c), the sign of p + q*sqrt(c) on integers,
     agrees with sign_of on QuadNum for squarefree c > 1, and folds q into p
     for c = 1, where p + q can vanish with p and q of opposite signs."""
     assert _quad_sign(28, -28, 1) == 0 and _quad_sign(-3, 3, 1) == 0
@@ -165,7 +157,9 @@ def test_gf_prime_field():
     f = gf_make(3, 1)
     assert f.q == 3
     assert f.add(2, 2) == 1 and f.mul(2, 2) == 1
-    assert f.inv(2) == 2
+    assert f.pow(2, -1) == 2
+    with pytest.raises(ExactArithmeticError):
+        f.pow(0, -1)
 
 
 def test_gf_rejects_non_odd_prime():
@@ -186,7 +180,7 @@ def test_gf9_axioms_exhaustive():
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
                 assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
     for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(a, f.pow(a, -1)) == 1
 
 
 def test_gf_fermat_exhaustive_to_81():

@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from armub.algebra import QuadNum
 from armub.bases import assemble
 from armub.epsh import EpsHadamard, best_reduction
 from armub.errors import DomainError
 from armub.hadamard import find_hadamard, sylvester
 from armub.rbd import Rbd, build_affine_rbd
-from oracles import (bases_of, cmp_values, dense_columns, paper_d4_design, sign_of,
-                     sparse_orthonormality_check)
+from oracles import (QuadNum, bases_of, cmp_values, dense_columns, paper_d4_design,
+                     scalar_rows, sign_of, sparse_orthonormality_check)
 
 INV_SQRT2 = QuadNum(0, Fraction(1, 2), 2)  # 1/sqrt(2) = sqrt(2)/2
 
@@ -97,7 +96,7 @@ def test_cross_products_single_entry_products():
     r = build_affine_rbd(3, 5)
     y = best_reduction(find_hadamard(4), 1)
     bs = assemble(r, y)
-    y_values = {abs(y.entry(i, j)) for i in range(3) for j in range(3)}
+    y_values = {abs(v) for row in scalar_rows(y) for v in row}
     products = {a * b for a in y_values for b in y_values} | {Fraction(0)}
     for l in range(3):
         for m in range(l + 1, 5):

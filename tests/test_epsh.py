@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from armub import epsh, jsonio
-from armub.algebra import QuadNum, exact_sqrt, square_free_split
+from armub import algebra, epsh, jsonio
+from armub.algebra import square_free_split
 from armub.bases import assemble
 from armub.epsh import (
     BlockSplit,
@@ -29,16 +29,21 @@ from armub.errors import (CertificationError, DomainError, NotConstructibleError
 from armub.hadamard import SignMatrix, find_hadamard, is_hadamard, sylvester
 from armub.rbd import build_affine_rbd
 from oracles import (
+    QuadNum,
     ScalarEps,
+    abs_scalars,
     assert_matches_sympy,
     best_reduction_loop,
     cmp_values,
     epsilon_of,
+    exact_sqrt,
     find_placements,
     from_scalar_rows,
     lemma_inverse,
     paper_listed_configs,
     row_permuted,
+    scalar_rows,
+    scalar_terms,
     series_inverse_check,
     sign_of,
     sympy_reduction,
@@ -57,8 +62,8 @@ def test_h4_t1_exact_matrix():
     # D^ - W^(I+U^)^-1 V^, i.e. Y1 under this package's labeling
     h4 = sylvester(2)
     y1 = reduce_split(corner_split(h4, 1), "Y1")
-    assert y1.scalar_rows() == H4_T1_SMALL_VARIANT
-    assert sorted(map(abs, {y1.entry(i, j) for i in range(3) for j in range(3)})) == [
+    assert scalar_rows(y1) == H4_T1_SMALL_VARIANT
+    assert sorted(map(abs, {v for row in scalar_rows(y1) for v in row})) == [
         Fraction(1, 3),
         Fraction(2, 3),
     ]
@@ -323,14 +328,14 @@ def test_t3_closed_form_coefficients_at_order_16():
 
 def test_epsilon_of_exact_hadamard_is_zero():
     y = EpsHadamard.from_sign_hadamard(sylvester(3))
-    assert epsilon_of(y.scalar_rows()).side == 0
+    assert epsilon_of(scalar_rows(y)).side == 0
     assert float(y.epsilon) == 0.0
 
 
 def test_epsilon_of_scalar_rows():
     h4 = sylvester(2)
     y = reduce_split(corner_split(h4, 1), "Y1")
-    eps = epsilon_of(y.scalar_rows())
+    eps = epsilon_of(scalar_rows(y))
     assert eps.cmp(y.epsilon) == 0
 
 
@@ -350,7 +355,7 @@ def test_window_violation_detected():
 def test_orthogonality_violation_detected():
     h4 = sylvester(2)
     y = reduce_split(corner_split(h4, 1), "Y1")
-    rows = y.scalar_rows()
+    rows = scalar_rows(y)
     rows[0][0] = -rows[0][0] + Fraction(1, 7)
     with pytest.raises(CertificationError):
         from_scalar_rows(rows, y.radicand, y.provenance)
@@ -372,7 +377,7 @@ def test_wxv_exact_beyond_int64():
     prov = epsh.Provenance("I", 2, 0, (), (), (), (), None, "exact-hadamard")
     y = oracles.DenseEpsHadamard(
         2, 2, [(Fraction(1, big), np.array([[big, 0], [0, big]], dtype=object))], prov)
-    assert y.scalar_rows() == [[1, 0], [0, 1]]
+    assert scalar_rows(y) == [[1, 0], [0, 1]]
 
 
 # -- the dense oracle's integer-form Gram kernel ----------------------------------
@@ -402,7 +407,7 @@ def test_gram_kernel_matches_term_oracle(sweep_reductions, form):
             text = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
             y = jsonio.parse_eps_hadamard(json.loads(text))
         if form == "indicator":
-            y = from_scalar_rows(y.scalar_rows(), y.radicand, y.provenance)
+            y = from_scalar_rows(scalar_rows(y), y.radicand, y.provenance)
         else:
             y = oracles.dense_reduction(_split_of(y), y.variant)
         k = y.order
@@ -412,7 +417,7 @@ def test_gram_kernel_matches_term_oracle(sweep_reductions, form):
         assert not term_gram_orthogonal(k, bad), (m, t)
         found = oracles._gram_violation(*oracles._integer_form(bad))
         assert found is not None, (m, t)
-        if sign_of(y.entry(0, k // 3)) != 0:  # row 0 meets the changed row first
+        if y.entry(0, k // 3)[:2] != (0, 0):  # row 0 meets the changed row first
             assert found[0] == (0, k // 2), (m, t)
 
 
@@ -435,7 +440,7 @@ def test_sign_mixed_entries_verify():
     magnitude occur with both signs: 24 indicator terms instead of 14, one
     Gram product either way, and the same epsilon."""
     y = best_reduction(find_hadamard(256), 3)
-    rows = y.scalar_rows()
+    rows = scalar_rows(y)
     plain = from_scalar_rows(rows, y.radicand, y.provenance)
     rng = np.random.default_rng(0)
     row_neg, col_neg = rng.random(y.order) < 0.5, rng.random(y.order) < 0.5
@@ -473,9 +478,8 @@ def _routes_agree(split, variant):
     assert y.epsilon_upper.cmp(dense.epsilon_upper) == 0, (split, variant)
     assert y.window_ok and dense.window_ok
     assert y.distinct_abs_values() == dense.distinct_abs_values(), (split, variant)
-    assert y.abs_value_keys() == dense.abs_value_keys(), (split, variant)
     assert np.array_equal(y.abs_value_counts(), dense.abs_value_counts()), (split, variant)
-    assert y.scalar_rows() == dense.scalar_rows(), (split, variant)
+    assert scalar_rows(y) == scalar_rows(dense), (split, variant)
 
 
 def _one_split_per_u_code(h, t):
@@ -539,7 +543,7 @@ def test_terms_are_t_by_t():
     for m, t, count in ((16, 3, 2), (12, 2, 3), (8, 1, 3)):
         y = reduce_split(corner_split(find_hadamard(m), t), "Y1")
         assert len(y.terms) == count
-        assert y.terms[0] == (1 / exact_sqrt(m), None)
+        assert scalar_terms(y)[0] == (1 / exact_sqrt(m), None)
         assert all(x.shape == (t, t) for _, x in y.terms[1:])
     assert len(EpsHadamard.from_sign_hadamard(find_hadamard(8)).terms) == 1
 
@@ -580,7 +584,7 @@ def test_code_route_window_violation_raises(monkeypatch):
     is named, the smallest such first."""
     split = corner_split(find_hadamard(12), 2)
     y = reduce_split(split, "Y2")
-    mags = y.distinct_abs_values()
+    mags = abs_scalars(y)
     lo, hi = epsh._window(2, 12)
     monkeypatch.setattr(epsh, "_window", lambda t, m: (oracles.as_key(mags[1]), hi))
     with pytest.raises(CertificationError, match=re.escape(f"magnitude {mags[0]} outside")):
@@ -628,9 +632,9 @@ def test_best_reduction_corner_deterministic():
     h4 = sylvester(2)
     a = best_reduction(h4, 1)
     b = best_reduction(h4, 1)
-    assert a.scalar_rows() == b.scalar_rows()
+    assert scalar_rows(a) == scalar_rows(b)
     assert a.variant == "Y1"
-    assert a.scalar_rows() == H4_T1_SMALL_VARIANT
+    assert scalar_rows(a) == H4_T1_SMALL_VARIANT
 
 
 def test_best_reduction_wide_scope_not_worse():
@@ -912,7 +916,7 @@ def _assert_screen_ranks(table, t, m, window=None):
         if r != sentinel:
             assert eps[g].cmp(table.eps[r]) == 0, (t, m, table.keys[g])
     every = _exact_eps_ranks(table.keys, m - t, table.core, None)[0]  # no window
-    sided = [(key, epsh._eps_side(key, m - t, table.core)) for key in table.keys]
+    sided = [(key, algebra._eps_side(key, m - t, table.core)) for key in table.keys]
     for x, rx in zip(sided, every):
         for y, ry in zip(sided, every):
             assert epsh._eps_cmp(x, y, m - t, table.core) == (rx > ry) - (rx < ry), (t, m, x, y)
@@ -999,7 +1003,7 @@ def test_full_h16_t3_scopes_agree():
     signed = best_reduction(h, 3, "permutations-and-negations", cap=10**9)
     assert plain.epsilon.cmp(signed.epsilon) == 0
     assert round(float(plain.epsilon), 4) == 0.6394
-    assert plain.max_abs_entry() ** 2 == signed.max_abs_entry() ** 2 == Fraction(4, 25)
+    assert abs_scalars(plain)[-1] ** 2 == abs_scalars(signed)[-1] ** 2 == Fraction(4, 25)
     p, s = plain.provenance, signed.provenance
     assert (p.row_select, p.col_select, p.variant) == ((0, 1, 2), (3, 4, 5), "Y1")
     assert (s.row_select, s.col_select, s.row_negate, s.col_negate, s.variant) == \
@@ -1018,7 +1022,7 @@ def test_integer_window_test_matches_exact_on_narrow_window(monkeypatch):
     keys outside it take the sentinel exactly where cmp_values puts them
     outside."""
     keys = epsh._EpsScreen(np.arange(16), 2, 12).keys
-    lo, hi = (epsh._key_value(keys[g], 3) for g in (len(keys) // 3, 2 * len(keys) // 3))
+    lo, hi = (oracles.key_scalar(keys[g], 3) for g in (len(keys) // 3, 2 * len(keys) // 3))
     monkeypatch.setattr(epsh, "_window", lambda t, m: (oracles.as_key(lo), oracles.as_key(hi)))
     table = epsh._EpsScreen(np.arange(16), 2, 12)
     _assert_screen_ranks(table, 2, 12, (lo, hi))
@@ -1027,11 +1031,11 @@ def test_integer_window_test_matches_exact_on_narrow_window(monkeypatch):
 
 def test_screen_builds_exact_objects_only_for_the_winner(monkeypatch):
     """From the magnitude codes to the winner the search uses integers
-    only: a corner search builds exactly the QuadNums and ExactEps of the
-    winner's own construction, and the screen of a searched scope those
-    plus the ExactEps of its rank, however many magnitudes the screen
-    ranks.  The certificate of (93, 97, 3) builds neither: its report and
-    ledger decide and write on keys."""
+    only: a corner search builds exactly the ExactEps of the winner's own
+    construction, and the screen of a searched scope those plus the
+    ExactEps of its rank, however many magnitudes the screen ranks.  The
+    certificate of (93, 97, 3) builds none: its report and ledger decide
+    and write on keys."""
     cases = []
     for h, t, scope, extra in ((find_hadamard(96), 3, "corner-only", 0),
                                (find_hadamard(12), 2, "row-col-permutations", 1)):
@@ -1039,24 +1043,25 @@ def test_screen_builds_exact_objects_only_for_the_winner(monkeypatch):
         split = BlockSplit(h, y.provenance.row_select, y.provenance.col_select)
         magnitudes = len(epsh._SplitScreen(h, t, scope, 100_000).table.keys)
         cases.append((h, t, scope, extra, split, y.variant, magnitudes))
-    counts = {"quad": 0, "eps": 0}
-    for name, cls in (("quad", QuadNum), ("eps", ExactEps)):
-        def counting(self, *args, _init=cls.__init__, _name=name):
-            counts[_name] += 1
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counting)
+    built = []
+
+    def counting(self, *args, _init=ExactEps.__init__):
+        built.append(args)
+        _init(self, *args)
+
+    monkeypatch.setattr(ExactEps, "__init__", counting)
     for h, t, scope, extra, split, variant, magnitudes in cases:
-        counts.update(quad=0, eps=0)
+        built.clear()
         reduce_split(split, variant)
-        built = dict(counts)
-        counts.update(quad=0, eps=0)
+        own = len(built)
+        built.clear()
         best_reduction(h, t, scope)
-        assert counts == {"quad": built["quad"], "eps": built["eps"] + extra}, scope
-        assert counts["quad"] + counts["eps"] < magnitudes, scope
+        assert len(built) == own + extra, scope
+        assert len(built) < magnitudes, scope
     bs = assemble(build_affine_rbd(93, 97), best_reduction(cases[0][0], 3))
-    counts.update(quad=0, eps=0)
+    built.clear()
     jsonio.certificate_obj(bs, 3, "corner-only", {"file": "bases.json", "sha256": "0"})
-    assert counts == {"quad": 0, "eps": 0}
+    assert built == []
 
 
 @given(data=st.data())
@@ -1101,7 +1106,7 @@ def test_screen_window_violation_raises(monkeypatch):
     h = find_hadamard(8)
     y = best_reduction(h, 1)
     lo, _ = epsh._window(1, 8)
-    top = y.max_abs_entry()
+    top = abs_scalars(y)[-1]
     monkeypatch.setattr(epsh, "_window",
                         lambda t, m: (lo, oracles.as_key(top - Fraction(1, 10**6))))
     with pytest.raises(CertificationError, match=r"outside window .* rows=\(0,\), cols=\(0,\)"):
@@ -1115,7 +1120,7 @@ def test_corner_window_violation_matches_screen(monkeypatch, outside):
     corner search fails with the split screen's message for that variant."""
     h = find_hadamard(16)
     inside = reduce_split(corner_split(h, 3), "Y1" if outside == "Y2" else "Y2")
-    window = inside.abs_value_keys()[0], inside.abs_value_keys()[-1]
+    window = inside.distinct_abs_values()[0], inside.distinct_abs_values()[-1]
     monkeypatch.setattr(epsh, "_window", lambda t, m: window)
     reduce_split(corner_split(h, 3), inside.variant)  # within the window
     with pytest.raises(CertificationError) as want:
@@ -1170,7 +1175,7 @@ def test_paired_class_symmetry_t2():
     assert classify_u(flipped.u_matrix()).preferred_variant == "Y1"
     y2 = reduce_split(split, "Y2")
     y1 = reduce_split(flipped, "Y1")
-    assert y2.scalar_rows() == y1.scalar_rows()
+    assert scalar_rows(y2) == scalar_rows(y1)
     assert y2.epsilon.cmp(y1.epsilon) == 0
 
 
@@ -1188,7 +1193,7 @@ def test_paired_class_symmetry_t3():
     )
     uc = classify_u(flipped.u_matrix())
     assert (uc.kappa, uc.gamma, uc.vartheta) == (-4, 4, 1)
-    assert reduce_split(split, "Y1").scalar_rows() == reduce_split(flipped, "Y2").scalar_rows()
+    assert scalar_rows(reduce_split(split, "Y1")) == scalar_rows(reduce_split(flipped, "Y2"))
 
 
 # -- serialization ------------------------------------------------------------
@@ -1215,8 +1220,7 @@ def test_eps_json_tamper_detected():
 
 def test_eps_json_stores_h_and_split():
     """The artifact holds the source H as its recipe and the split, and a
-    parse derives a Y with the same entries; a Y given by its terms alone
-    has no artifact."""
+    parse derives a Y with the same entries."""
     h12 = find_hadamard(12)
     y = best_reduction(h12, 2, search_scope="row-col-permutations")
     obj = jsonio.eps_hadamard_obj(y)
@@ -1224,13 +1228,9 @@ def test_eps_json_stores_h_and_split():
     assert obj["hadamard"] == {"kind": "hadamard", "label": "paley1(11)", "order": 12}
     parsed = jsonio.parse_eps_hadamard(json.loads(jsonio.dumps_canonical(obj)))
     assert parsed.source == h12 and parsed.provenance == y.provenance
-    assert parsed.scalar_rows() == y.scalar_rows()
+    assert scalar_rows(parsed) == scalar_rows(y)
     exact = EpsHadamard.from_sign_hadamard(find_hadamard(8))
     assert jsonio.parse_eps_hadamard(jsonio.eps_hadamard_obj(exact)).source == exact.source
-    bare = from_scalar_rows(y.scalar_rows(), y.radicand, y.provenance)
-    assert bare.source is None
-    with pytest.raises(DomainError, match="derived from a Hadamard matrix"):
-        jsonio.eps_hadamard_obj(bare)
 
 
 def test_eps_json_stored_epsilon_mismatch():
@@ -1252,7 +1252,7 @@ def test_key_eps_matches_scalar_eps(order):
         for variant in epsh._VARIANTS:
             y = reduce_split(corner_split(h, t), variant)
             k = y.order
-            for key, value in zip(y.abs_value_keys(), y.distinct_abs_values()):
+            for key, value in zip(y.distinct_abs_values(), abs_scalars(y)):
                 got, want = ExactEps(key, k, core), ScalarEps(k * value * value)
                 assert cmp_values(oracles.key_scalar(got.ksq, core), want.q) == 0, \
                     (order, t, variant, key)
@@ -1264,11 +1264,11 @@ def _magnitudes_by_comparison(values, core):
     distinct keys sorted by the exact comparison alone."""
     norm = []
     for p, q, scale in values:
-        if epsh._quad_sign(p, q, core) < 0:
+        if algebra._quad_sign(p, q, core) < 0:
             p, q = -p, -q
         g = math.gcd(p, q, scale)
         norm.append((p // g, q // g, scale // g))
-    keys = sorted(set(norm), key=functools.cmp_to_key(lambda x, y: epsh._key_cmp(x, y, core)))
+    keys = sorted(set(norm), key=functools.cmp_to_key(lambda x, y: algebra._key_cmp(x, y, core)))
     return [keys.index(key) for key in norm], keys
 
 
@@ -1301,7 +1301,7 @@ def test_magnitudes_certify_the_float_order(case):
     """``_magnitudes`` gives the ids and keys of the exact sort wherever the
     float order ties, inverts or overflows; the cases do all three."""
     core, values = ADVERSARIAL_MAGNITUDES[case]
-    ids, keys = epsh._magnitudes(values + values[::-1], core)
+    ids, keys = algebra._magnitudes(values + values[::-1], core)
     want_ids, want_keys = _magnitudes_by_comparison(values + values[::-1], core)
     assert keys == want_keys
     assert ids.tolist() == want_ids
@@ -1329,7 +1329,8 @@ def test_corner_route_evaluates_each_variant_once(monkeypatch):
         calls.clear()
         y = best_reduction(h, t)
         assert len(calls) == 2, t
-        assert y.abs_value_keys() == reduce_split(corner_split(h, t), y.variant).abs_value_keys()
+        assert y.distinct_abs_values() == reduce_split(
+            corner_split(h, t), y.variant).distinct_abs_values()
 
 
 def test_eps_hadamard_takes_c_or_its_evaluation():
@@ -1341,5 +1342,5 @@ def test_eps_hadamard_takes_c_or_its_evaluation():
     for args in ((), (c, evaluated)):
         with pytest.raises(TypeError):
             EpsHadamard(y.source, y.provenance, *args)
-    assert EpsHadamard(y.source, y.provenance, evaluated=evaluated).abs_value_keys() == (
-        y.abs_value_keys())
+    assert EpsHadamard(y.source, y.provenance, evaluated=evaluated).distinct_abs_values() == (
+        y.distinct_abs_values())

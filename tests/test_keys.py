@@ -16,13 +16,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from armub import epsh, verify
-from armub.algebra import exact_sqrt, key_to_float, quad_to_float, square_free_split
+from armub import algebra, epsh, verify
+from armub.algebra import key_to_float, square_free_split
 from armub.epsh import EpsHadamard, ExactEps, best_reduction, corner_split, reduce_split
 from armub.errors import NotConstructibleError, StructuralError
 from armub.hadamard import find_hadamard, sylvester
 from armub.verify import ExactBeta, DeltaValue, classify_delta
-from oracles import ScalarEps, cmp_values, key_scalar, scalar_float
+from oracles import ScalarEps, cmp_values, exact_sqrt, key_scalar, quad_to_float, scalar_float
 
 ORDERS = []
 for _order in [2] + list(range(4, 129, 4)):
@@ -36,7 +36,7 @@ def _products(keys, core):
     """The distinct products of two magnitudes, as cross_stats forms them."""
     products = [(p1 * p2 + core * q1 * q2, p1 * q2 + p2 * q1, l1 * l2)
                 for (p1, q1, l1), (p2, q2, l2) in itertools.combinations_with_replacement(keys, 2)]
-    return epsh._magnitudes(products, core)[1]
+    return algebra._magnitudes(products, core)[1]
 
 
 def _near(value, r):
@@ -49,7 +49,7 @@ def _near(value, r):
 def assert_decisions_match(y):
     """Every key decision on the magnitudes of y agrees with the Scalar
     reference."""
-    keys, k, t, m = y.abs_value_keys(), y.order, y.provenance.t, y.radicand
+    keys, k, t, m = y.distinct_abs_values(), y.order, y.provenance.t, y.radicand
     core = square_free_split(m)[1]
     values = [key_scalar(key, core) for key in keys]
     eps = [ExactEps(key, k, core) for key in keys] + [ExactEps(None, k, core)]
@@ -63,8 +63,8 @@ def assert_decisions_match(y):
         assert e.lt_one() == r.lt_bound(Fraction(1)), (m, t, e.key)
         assert float(e) == abs(math.sqrt(scalar_float(r.q, 70)) - 1.0), (m, t, e.key)
         assert cmp_values(key_scalar(e.ksq, core), r.q) == 0, (m, t, e.key)
-        for rho, n in itertools.product((Fraction(1, 2), Fraction(2), Fraction(4)), ns):
-            want = r.le_bound(rho / exact_sqrt(n))
+        for rho, n in itertools.product(((1, 2), (2, 1), (4, 1)), ns):
+            want = r.le_bound(Fraction(*rho) / exact_sqrt(n))
             assert verify._eps_le_rho(e, rho, n) == want, (m, t, e.key, rho, n)
     # window membership, and the window's keys are the theorem's values
     window, bounds = epsh._window(t, m), oracles.window(t, m)
@@ -117,15 +117,15 @@ def test_key_decisions_at_exact_ties():
     # epsilon = 0: Y = H/sqrt(8), and the zero epsilon
     y = EpsHadamard.from_sign_hadamard(sylvester(3))
     assert y.epsilon.side == 0 and y.epsilon.cmp(ExactEps(None, 8, 2)) == 0
-    assert y.epsilon.lt_one() and verify._eps_le_rho(y.epsilon, Fraction(1, 2), 1)
+    assert y.epsilon.lt_one() and verify._eps_le_rho(y.epsilon, (1, 2), 1)
     assert y.epsilon.ksq[0] == y.epsilon.ksq[2] and y.epsilon.ksq[1] == 0  # q = 1
     assert_decisions_match(y)
     # epsilon = 1 from a zero entry: Y2 of H_4, t = 1; bound 2/sqrt(4) = 1 holds, 1/2 not
     y2 = reduce_split(corner_split(sylvester(2), 1), "Y2")
     assert y2.epsilon.key == (0, 0, 1) and float(y2.epsilon) == 1.0
     assert not y2.epsilon.lt_one()
-    assert verify._eps_le_rho(y2.epsilon, Fraction(2), 4)
-    assert not verify._eps_le_rho(y2.epsilon, Fraction(1, 2), 1)
+    assert verify._eps_le_rho(y2.epsilon, (2, 1), 4)
+    assert not verify._eps_le_rho(y2.epsilon, (1, 2), 1)
     # equal epsilons across the sides: 3/4 and 1/4 at k = 4; (+-1 + 2*sqrt(2))/4 at k = 2
     for (above, below, k, core) in (((3, 0, 4), (1, 0, 4), 4, 1),
                                     ((1, 2, 4), (-1, 2, 4), 2, 2)):

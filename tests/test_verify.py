@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from armub import cli, epsh, jsonio
-from armub.algebra import QuadNum, square_free_split
+from armub import cli, jsonio
+from armub.algebra import square_free_split
 from armub.bases import assemble
-from armub.epsh import EpsHadamard, Provenance, _key_value, best_reduction
+from armub.epsh import EpsHadamard, Provenance, best_reduction
 from armub.errors import CertificationError
 from armub.hadamard import find_hadamard, sylvester
 from armub.rbd import Rbd, build_affine_rbd
@@ -24,6 +24,8 @@ from armub.verify import (
 from oracles import (
     ClassArrayDesign,
     DenseEpsHadamard,
+    QuadNum,
+    abs_scalars,
     affine_plane_3_design,
     as_key,
     cmp_values,
@@ -327,7 +329,7 @@ def test_key_wire_matches_scalar_wire():
         rep = cross_stats(bs)
         m, core = rep.radicand, square_free_split(rep.radicand)[1]
         assert cmp_values(key_scalar(rep.max_abs_y_sq_key, core),
-                          bs.y.max_abs_entry() ** 2) == 0
+                          abs_scalars(bs.y)[-1] ** 2) == 0
         assert math.gcd(*rep.max_abs_y_sq_key) == 1
         keys = [dv.key for dv in rep.delta] + [rep.max_abs_y_sq_key]
         for key in keys + [(2 * p, 2 * q, 2 * scale) for p, q, scale in keys]:
@@ -340,17 +342,20 @@ def test_key_wire_matches_scalar_wire():
 
 
 def test_certificate_builds_few_scalars(monkeypatch):
-    """certificate_obj at (93, 97, 3) turns no key into a Scalar, although
-    the report holds 51 distinct values: beta and every ledger line decide
-    on keys."""
+    """certificate_obj at (93, 97, 3) builds no Fraction, although the
+    report holds 51 distinct values: beta and every ledger line decide on
+    keys, and keys are the library's only exact medium."""
     bs = small_pipeline(93, 97, 3)
     calls = []
+    original = Fraction.__new__
 
-    def counting(key, core):
-        calls.append(key)
-        return _key_value(key, core)
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(epsh, "_key_value", counting)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert Fraction(1, 2) == Fraction(2, 4) and len(calls) == 2  # the count works
+    calls.clear()
     cert = jsonio.certificate_obj(bs, 3, "corner-only", {"file": "bases.json", "sha256": "0"})
     assert len(cert["report"]["delta"]) == 51
     assert calls == []
