@@ -22,10 +22,12 @@ Finite fields GF(p^e) for odd p are :class:`GfField`.
 
 from __future__ import annotations
 
-import functools
 import math
+from functools import cmp_to_key, lru_cache
 
-import numpy as np
+# numpy is imported inside the functions that use it: imported here, it
+# would load before the package's larger modules compile, and a process
+# that compiles its sources (no cached bytecode) peaks about 2 MB higher.
 
 from .errors import DomainError, ExactArithmeticError
 
@@ -55,7 +57,7 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-@functools.lru_cache(maxsize=64)
+@lru_cache(maxsize=64)
 def square_free_split(n: int) -> tuple[int, int]:
     """Return (f, core) with n = f*f*core and core squarefree."""
     if n <= 0:
@@ -123,15 +125,18 @@ def _eps_side(key: tuple, k: int, core: int, r: int = 1) -> int:
     return _quad_sign(k * (p * p + core * q * q) - r * scale * scale, 2 * k * p * q, core)
 
 
-def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
+def _magnitudes(values, core: int) -> tuple:
     """(ids, keys) for exact values (p + q*sqrt(c))/L given as integer
     triples (p, q, L): keys lists the distinct |value| ascending, as triples
-    in lowest terms with L > 0, and ids[i] indexes the magnitude of
-    values[i].  The one route from a value to its magnitude, for built
-    matrices, the split screen and the cross-basis products.  A value's sign is
-    one integer sign test (``_quad_sign``).  Floats only propose the order and
-    integers certify it: it stands if ``_key_cmp`` finds each adjacent pair
-    ascending (distinct keys are distinct values), else ``_key_cmp`` sorts."""
+    in lowest terms with L > 0, and ids, an int64 array, holds at i the
+    index in keys of the magnitude of values[i].  The one route from a value
+    to its magnitude, for built matrices, the split screen and the
+    cross-basis products.  A value's sign is one integer sign test
+    (``_quad_sign``).  Floats only propose the order and integers certify
+    it: it stands if ``_key_cmp`` finds each adjacent pair ascending
+    (distinct keys are distinct values), else ``_key_cmp`` sorts."""
+    import numpy as np
+
     index: dict = {}
     ids = []
     for p, q, scale in values:
@@ -144,7 +149,7 @@ def _magnitudes(values, core: int) -> tuple[np.ndarray, list[tuple]]:
     except OverflowError:  # a key too large for a float
         keys = None
     if keys is None or any(_key_cmp(x, y, core) >= 0 for x, y in zip(keys, keys[1:])):
-        keys = sorted(index, key=functools.cmp_to_key(lambda x, y: _key_cmp(x, y, core)))
+        keys = sorted(index, key=cmp_to_key(lambda x, y: _key_cmp(x, y, core)))
     order = np.empty(len(keys), dtype=np.int64)
     order[[index[key] for key in keys]] = np.arange(len(keys))
     return order[np.array(ids, dtype=np.int64)], keys
@@ -302,6 +307,8 @@ class GfField:
         )
 
     def _build_log_tables(self):
+        import numpy as np
+
         q = self.q
         order_factors = _factor(q - 1)
         gen = None
@@ -370,6 +377,8 @@ class GfField:
     # -- bulk operations (numpy code arrays) --------------------------------
 
     def mul_arr(self, a, b):
+        import numpy as np
+
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         nz = (a != 0) & (b != 0)
@@ -380,6 +389,8 @@ class GfField:
         return out
 
     def add_arr(self, a, b):
+        import numpy as np
+
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
@@ -396,7 +407,7 @@ class GfField:
         return f"GfField(p={self.p}, e={self.e})"
 
 
-@functools.lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def gf_make(p: int, e: int) -> GfField:
     """Field descriptor for GF(p^e), p an odd prime (cached)."""
     return GfField(p, e)

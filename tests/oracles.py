@@ -932,8 +932,7 @@ class DenseEpsHadamard:
         (P_ij, Q_ij) pairs: the entry is (P_ij + Q_ij*sqrt(c)) / L."""
         k, scale, core = self.order, self._scale, self._core
         pairs, self._entry_combo_ids = _distinct_pairs(self._p, self._q)
-        self._combo_keys = [(p // g, q // g, scale // g)
-                            for p, q, g in ((p, q, math.gcd(p, q, scale)) for p, q in pairs)]
+        self._combo_keys = [_lowest_terms(p, q, scale) for p, q in pairs]
         self._combo_abs, self._keys = _magnitudes([(p, q, scale) for p, q in pairs], core)
         mags = [QuadNum(Fraction(p, s), Fraction(q, s), core) if q else Fraction(p, s)
                 for p, q, s in self._keys]
@@ -1096,6 +1095,12 @@ def _gram_violation(scale: int, core: int, p, q):
     if radical is not None and radical[i, j]:
         got = QuadNum(got, Fraction(int(radical[i, j]), scale * scale), core)
     return (i, j), got
+
+
+def _lowest_terms(p: int, q: int, scale: int) -> tuple[int, int, int]:
+    """The key (p, q, L) of (p + q*sqrt(c))/L, L > 0, in lowest terms."""
+    g = math.gcd(p, q, scale)
+    return p // g, q // g, scale // g
 
 
 def _distinct_pairs(p, q) -> tuple[list, np.ndarray]:
