@@ -355,34 +355,33 @@ class Provenance:
 
 class _CodeScan:
     """What a reduction reads of H, the same for both variants of a split:
-    U, the W- and V-codes (bit a of w_i, v_j set where W_ia, V_aj is -1,
-    negations applied) and, per column j, the count of each magnitude code
-    (w' << t) | v_j, with the codes that occur.  With w' = w_i xor
-    (2^t - 1)*[D_ij = -1], column j takes code (x << t) | v_j once per row
-    with w_i = x and D_ij = +1 or w_i = x xor (2^t - 1) and D_ij = -1; the
-    -1s are counted from sums of whole rows of H, read contiguously."""
+    U, as the caller formed it; the W- and V-codes (bit a of w_i, v_j set
+    where W_ia, V_aj is -1, negations applied); and, per column j, the
+    count of each magnitude code (w' << t) | v_j, with the codes that
+    occur.  With w' = w_i xor (2^t - 1)*[D_ij = -1], column j takes code
+    (x << t) | v_j once per row with w_i = x and D_ij = +1 or
+    w_i = x xor (2^t - 1) and D_ij = -1; the -1s are counted from sums of
+    whole rows of H, read contiguously."""
 
-    __slots__ = ("rest", "u", "w", "v", "count", "codes", "occurring")
+    __slots__ = ("u", "count", "codes", "occurring")
 
-    def __init__(self, source: SignMatrix, provenance: Provenance):
+    def __init__(self, source: SignMatrix, provenance: Provenance, u: np.ndarray):
         m, t = source.order, provenance.t
         rows, cols = list(provenance.row_select), list(provenance.col_select)
         keep_r, keep_c = np.ones((2, m), dtype=bool)
         keep_r[rows], keep_c[cols] = False, False
-        self.rest = rest_r, rest_c = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
+        rest_r, rest_c = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
         rn, cn = np.array(provenance.row_negate, bool), np.array(provenance.col_negate, bool)
         h = source.rows
-        self.u = (BlockSplit(source, rows, cols, provenance.row_negate,
-                             provenance.col_negate).u_matrix() if t
-                  else np.zeros((0, 0), dtype=np.int64)).astype(object)
+        self.u = u.astype(object)
         bit = 1 << np.arange(t, dtype=np.uint8)
-        self.w = w = ((h[:, cols] < 0)[keep_r] ^ cn) @ bit
-        self.v = ((h[rows] < 0)[:, keep_c] ^ rn[:, None]).T @ bit
+        w = ((h[:, cols] < 0)[keep_r] ^ cn) @ bit
+        v = ((h[rows] < 0)[:, keep_c] ^ rn[:, None]).T @ bit
         span, full = 1 << t, (1 << t) - 1
         ones = np.stack([(len(r) - np.take(h, r, axis=0).sum(axis=0, dtype=np.int64)[rest_c]) // 2
                          for r in (rest_r[w == x] for x in range(span))])  # w_i = x, D_ij = -1
         self.count = np.bincount(w, minlength=span)[:, None] - ones + ones[np.arange(span) ^ full]
-        self.codes = np.arange(span)[:, None] << t | self.v  # (w', j) -> code
+        self.codes = np.arange(span)[:, None] << t | v  # (w', j) -> code
         self.occurring = np.flatnonzero(np.bincount(self.codes[self.count > 0],
                                                     minlength=span * span))
 
@@ -428,7 +427,6 @@ class EpsHadamard:
         "is_eps_hadamard",
         "_form",
         "_scan",
-        "_values",
         "_keys",
         "_counts",
     )
@@ -441,8 +439,12 @@ class EpsHadamard:
         m, t = source.order, provenance.t
         self.order, self.radicand = m - t, m
         self.source, self.provenance = source, provenance
-        self._scan, self._form, self._values, mag_ids, self._keys = (
-            evaluated or _evaluate(c, m, t, _CodeScan(source, provenance)))
+        if evaluated is None:
+            p = provenance
+            u = BlockSplit(source, p.row_select, p.col_select, p.row_negate,
+                           p.col_negate).u_matrix() if t else np.zeros((0, 0), dtype=np.int64)
+            evaluated = _evaluate(c, m, t, _CodeScan(source, p, u))
+        self._scan, self._form, mag_ids, self._keys = evaluated
         scale, core, a, b = self._form
         terms = [((a[0, 0], b[0, 0], scale), None)]
         if t:
@@ -463,7 +465,7 @@ class EpsHadamard:
     def _scan_entries(self, mag_ids: np.ndarray):
         """Epsilon and the column histogram from the occurring codes' magnitude ids."""
         scan, k, keys, core = self._scan, self.order, self._keys, self._form[1]
-        mag_of_code = np.full(len(self._values), -1, dtype=np.intp)
+        mag_of_code = np.full(1 << 2 * self.provenance.t, -1, dtype=np.intp)
         mag_of_code[scan.occurring] = mag_ids
         live = scan.count > 0
         self._counts = np.zeros((k, len(keys)), dtype=np.int64)
@@ -521,18 +523,6 @@ class EpsHadamard:
             )
 
     # -- accessors -----------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> tuple[int, int, int]:
-        """Y_ij as its key (p, q, L) in lowest terms: D_ij times the value
-        1/sqrt(M) + s(w')^T C s(v) of its magnitude code (w', v)."""
-        t = self.provenance.t
-        scan = self._scan
-        d = int(self.source.rows[scan.rest[0][i], scan.rest[1][j]])
-        code = (int(scan.w[i]) ^ (0 if d > 0 else (1 << t) - 1)) << t | int(scan.v[j])
-        p, q = self._values[code]
-        scale = self._form[0]
-        g = math.gcd(p, q, scale)
-        return d * p // g, d * q // g, scale // g
 
     def distinct_abs_values(self) -> list[tuple[int, int, int]]:
         """The distinct entry magnitudes, ascending, as keys (p, q, L) in
@@ -603,12 +593,12 @@ def _corner_form(c, m: int) -> tuple[int, int, np.ndarray, np.ndarray]:
 
 
 def _evaluate(c, m: int, t: int, scan: _CodeScan) -> tuple:
-    """(scan, form, values, ids, keys) of C on a scan: ``_corner_form``,
-    ``_code_values`` and the ``_magnitudes`` of the codes that occur."""
+    """(scan, form, ids, keys) of C on a scan: ``_corner_form`` and the
+    ``_magnitudes`` of the ``_code_values`` of the codes that occur."""
     form = _corner_form(c, m)
     values = _code_values(form, t)
     ids, keys = _magnitudes([(*values[x], form[0]) for x in scan.occurring], form[1])
-    return scan, form, values, ids, keys
+    return scan, form, ids, keys
 
 
 def _code_values(form, t: int) -> list[tuple[int, int]]:
@@ -827,7 +817,9 @@ def reduce_split(split: BlockSplit, variant: str) -> EpsHadamard:
         raise DomainError(f"variant must be Y1 or Y2, got {variant!r}")
     u = split.u_matrix()
     prov = _provenance(split, variant, classify_u(u))
-    return EpsHadamard(split.source, prov, _coefficient_form(u, prov.uclass, variant, m))
+    c = _coefficient_form(u, prov.uclass, variant, m)
+    scan = _CodeScan(split.source, prov, u)
+    return EpsHadamard(split.source, prov, evaluated=_evaluate(c, m, t, scan))
 
 
 def _provenance(split: BlockSplit, variant: Optional[str], uclass: UClass) -> Provenance:
@@ -843,10 +835,10 @@ def _reduce_one_split(split: BlockSplit) -> EpsHadamard:
     h, m, t = split.source, split.source.order, split.t
     u = split.u_matrix()
     prov = _provenance(split, None, classify_u(u))
-    scan, best = _CodeScan(h, prov), None
+    scan, best = _CodeScan(h, prov, u), None
     for variant in _VARIANTS:
         c = _coefficient_form(u, prov.uclass, variant, m)
-        _, (_, core, _, _), _, _, keys = evaluated = _evaluate(c, m, t, scan)
+        _, (_, core, _, _), _, keys = evaluated = _evaluate(c, m, t, scan)
         error = _window_error(keys, t, m, core)
         if error:
             raise CertificationError(f"{error} in {split!r} {variant}")

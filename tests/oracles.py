@@ -331,10 +331,37 @@ def key_scalar(key: tuple, core: int) -> Scalar:
     return QuadNum(Fraction(p, scale), Fraction(q, scale), core) if q else Fraction(p, scale)
 
 
+def entry(y, i: int, j: int) -> tuple[int, int, int]:
+    """Y_ij of an EpsHadamard or a DenseEpsHadamard as its key (p, q, L) in
+    lowest terms.  An EpsHadamard's entry is derived from its source H, its
+    split and its terms: Y_ij = D_ij/sqrt(M) + w_i^T C v_j, with w_i row i
+    of W and v_j column j of V, negations applied, and C = (A' + B'*sqrt(c))/L
+    over the common denominator L of the terms."""
+    if isinstance(y, DenseEpsHadamard):
+        return y.entry(i, j)
+    prov, h = y.provenance, y.source.rows
+
+    def rest(index, selected):  # the index-th row or column of H not selected
+        for x in selected:  # ascending
+            index += x <= index
+        return index
+
+    r, c = rest(i, prov.row_select), rest(j, prov.col_select)
+    w = [int(h[r, x]) * (-1 if neg else 1) for x, neg in zip(prov.col_select, prov.col_negate)]
+    v = [int(h[x, c]) * (-1 if neg else 1) for x, neg in zip(prov.row_select, prov.row_negate)]
+    (p, q, scale), _ = y.terms[0]
+    p, q = int(h[r, c]) * p, int(h[r, c]) * q
+    for (unit_p, unit_q, _), x in y.terms[1:]:
+        value = sum(w[a] * int(x[a, b]) * v[b] for a in range(len(w)) for b in range(len(v)))
+        p, q = p + unit_p * value, q + unit_q * value
+    g = math.gcd(p, q, scale)
+    return p // g, q // g, scale // g
+
+
 def scalar_rows(y) -> list[list[Scalar]]:
     """The entries of Y (an EpsHadamard or a DenseEpsHadamard) as Scalars."""
     core, k = square_free_split(y.radicand)[1], y.order
-    return [[key_scalar(y.entry(i, j), core) for j in range(k)] for i in range(k)]
+    return [[key_scalar(entry(y, i, j), core) for j in range(k)] for i in range(k)]
 
 
 def abs_scalars(y) -> list[Scalar]:
@@ -494,7 +521,7 @@ class SparseBasis:
             raise DomainError(f"vector index {index} outside [0, {self.d})")
         block, row = divmod(index, self.k)
         pts, core = self.blocks[block], square_free_split(self.y.radicand)[1]
-        return [(int(pts[j]), key_scalar(self.y.entry(row, j), core)) for j in range(self.k)]
+        return [(int(pts[j]), key_scalar(entry(self.y, row, j), core)) for j in range(self.k)]
 
     def support(self, index: int) -> tuple[int, ...]:
         block = self.block_of_vector(index)

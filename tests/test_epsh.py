@@ -417,7 +417,7 @@ def test_gram_kernel_matches_term_oracle(sweep_reductions, form):
         assert not term_gram_orthogonal(k, bad), (m, t)
         found = oracles._gram_violation(*oracles._integer_form(bad))
         assert found is not None, (m, t)
-        if y.entry(0, k // 3)[:2] != (0, 0):  # row 0 meets the changed row first
+        if oracles.entry(y, 0, k // 3)[:2] != (0, 0):  # row 0 meets the changed row first
             assert found[0] == (0, k // 2), (m, t)
 
 
@@ -1060,7 +1060,7 @@ def test_screen_builds_exact_objects_only_for_the_winner(monkeypatch):
         assert len(built) < magnitudes, scope
     bs = assemble(build_affine_rbd(93, 97), best_reduction(cases[0][0], 3))
     built.clear()
-    jsonio.certificate_obj(bs, 3, "corner-only", {"file": "bases.json", "sha256": "0"})
+    jsonio.certificate_obj(bs, 3, "corner-only", {"file": "epsh.json", "sha256": "0"})
     assert built == []
 
 
@@ -1338,7 +1338,8 @@ def test_eps_hadamard_takes_c_or_its_evaluation():
     split = corner_split(find_hadamard(16), 2)
     y = reduce_split(split, "Y1")
     c = epsh._coefficient_form(split.u_matrix(), y.provenance.uclass, "Y1", 16)
-    evaluated = epsh._evaluate(c, 16, 2, epsh._CodeScan(y.source, y.provenance))
+    scan = epsh._CodeScan(y.source, y.provenance, split.u_matrix())
+    evaluated = epsh._evaluate(c, 16, 2, scan)
     for args in ((), (c, evaluated)):
         with pytest.raises(TypeError):
             EpsHadamard(y.source, y.provenance, *args)
