@@ -12,9 +12,9 @@ Exit codes (stable contract; CI treats any nonzero as red):
      outside its domain, a field of an earlier artifact form (see verify
      below), structurally incompatible values (StructuralError, e.g. mixed
      radicands), or a derived field that the stored artifact lacks or
-     holds as another JSON type; for a basis-set or a certificate, also a
-     reference whose "file" is not a plain file name in its own directory,
-     or names a missing or unreadable file; for a certificate, a bad config
+     holds as another JSON type; for a certificate, also a bad config, and
+     a "bases.epsh" reference whose "file" is not a plain file name in the
+     certificate's directory, or names a missing or unreadable file
   5  a certification or bound check failed, including a vanishing
      denominator met during exact arithmetic (ExactArithmeticError), a
      referenced file whose bytes do not match its recorded sha256, a stored
@@ -27,9 +27,9 @@ Exit codes (stable contract; CI treats any nonzero as red):
 `verify` checks every file it is given and exits with the worst code among
 them.  Each file is read once per invocation, and each artifact content
 (keyed by the SHA-256 of its bytes) is parsed and certified once, so a
-basis-set and the rbd and epsh files it refers to cost one certification
-each.  Every artifact is verified by one rule: verify reads the inputs of
-its derivation, derives the artifact again with the writer's own code and
+certificate and the epsh file it refers to cost one certification each.
+Every artifact is verified by one rule: verify reads the inputs of its
+derivation, derives the artifact again with the writer's own code and
 requires the stored JSON to equal the derived JSON.  The first difference
 in sorted key order decides: a missing field or another JSON type exits 4,
 any other difference exits 5 and names its JSON path.  The inputs are:
@@ -43,19 +43,22 @@ any other difference exits 5 and names its JSON path.  The inputs are:
                and certified exactly as construction does, and "partial"
   rbd          the recipe of the affine design (k, s), certified by
                verify_rbd; verify says that the design's mu = 1 was
-               certified by the line theorem (for a basis-set too)
-  basis-set    the references "rbd" and "epsh" (file name and sha256)
-  certificate  "config" (k, s, t, d, scope) and the reference "bases"
+               certified by the line theorem
+  certificate  "config" (t, scope) and "bases": the recipe of the affine
+               design (k, s), certified as for rbd, and the reference
+               "epsh" (file name and sha256) to the eps-hadamard file
 
 A reduction names method "closed-form"; the elimination method that
 earlier versions named for some t = 3 splits exits 5.  config.scope is the
 one input that is validated (a search scope) but cannot be derived again.
 The earlier forms exit 4: an epsh file with Y's explicit "entries", an rbd
-file with an explicit "classes" array, a basis-set file with "vectors" or
-an inline "design" or "y", and a certificate with an "artifacts" map of
-file names.
+file with an explicit "classes" array, any basis-set file, and a
+certificate with an "artifacts" map of file names, a "bases" that is a
+file reference or a "config" that holds k, s or d; their message says
+"write it again with armub armub".
 
-`armub armub` writes four files: epsh, rbd, bases and the certificate.
+`armub armub` writes two files, epsh.json and certificate.json; `armub rbd`
+and `armub hadamard` write the design and the Hadamard matrix alone.
 It exits 5 when a ledger line that "ok" counts fails.  The beta-lt-2 line
 records an exact observation and is not counted (verify.OBSERVED); its
 printed line says so.
@@ -166,21 +169,13 @@ def cmd_armub(args) -> int:
     if (k + t) % 4 != 0 and not (k in (1, 2) or k % 4 == 0):
         raise DomainError(f"k + t = {k + t} must be divisible by 4")
     y = _provide_y(k, t, args.scope, args.cap)
-    design = build_affine_rbd(k, s)
-    bs = assemble(design, y)
-
-    texts = {"epsh": jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y)),
-             "rbd": jsonio.dumps_canonical(jsonio.rbd_obj(design))}
-
-    def ref(name):
-        return jsonio.file_ref(f"{name}.json", texts[name])
-
-    texts["bases"] = jsonio.dumps_canonical(jsonio.basis_set_obj(bs, ref("rbd"), ref("epsh")))
-    certificate = jsonio.certificate_obj(bs, t, args.scope, ref("bases"))
-    texts["certificate"] = jsonio.dumps_canonical(certificate)
+    bs = assemble(build_affine_rbd(k, s), y)
+    epsh = jsonio.dumps_canonical(jsonio.eps_hadamard_obj(y))
+    certificate = jsonio.certificate_obj(bs, t, args.scope, jsonio.file_ref("epsh.json", epsh))
     os.makedirs(args.out, exist_ok=True)
-    for name, text in texts.items():
-        jsonio.write_atomic(os.path.join(args.out, f"{name}.json"), text)
+    jsonio.write_atomic(os.path.join(args.out, "epsh.json"), epsh)
+    jsonio.write_atomic(os.path.join(args.out, "certificate.json"),
+                        jsonio.dumps_canonical(certificate))
 
     report = certificate["report"]
     print(
@@ -194,9 +189,6 @@ def cmd_armub(args) -> int:
               f"lhs={line['lhs']:.6g} rhs={line['rhs']:.6g}"
               + (" (observed; not counted in ok)" if line["check"] in OBSERVED else ""))
     return EXIT_OK if certificate["ok"] else EXIT_CHECK_FAILED
-
-
-_MU_NOTE = " (affine design: mu = 1 by the line theorem)"
 
 
 def cmd_verify(args) -> int:
@@ -215,10 +207,10 @@ def cmd_verify(args) -> int:
                     note = " (partial: best split within the search cap)"
             elif kind == "rbd":
                 artifacts.parse(path, jsonio.parse_rbd)
-                note = _MU_NOTE
+                note = " (affine design: mu = 1 by the line theorem)"
             elif kind == "basis-set":
-                artifacts.parse(path, jsonio.parse_basis_set, resolving=True)
-                note = _MU_NOTE
+                raise ParseError("a basis-set file is an earlier form: the certificate holds "
+                                 "its bases; write it again with armub armub")
             elif kind == "certificate":
                 certificate = artifacts.parse(path, jsonio.parse_certificate, resolving=True)
                 if not certificate["ok"]:

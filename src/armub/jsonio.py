@@ -35,18 +35,22 @@ arrays.  The inputs of each kind:
 * ``rbd``: k and s, the recipe of the affine design over GF(s),
   certified by ``verify_rbd``; d, r, ``"field": {"p", "e", "modulus"}``
   (modulus little-endian, monic), mu and the provenance are derived.
-* ``basis-set``: two references, ``"rbd"`` and ``"epsh"``, each
-  ``{"file", "sha256"}``: the plain file name of a sibling artifact in the
-  same directory and the SHA-256 of its bytes.  A parse reads the
-  referenced files, requires their digests to match, and certifies them
-  (through an ``ArtifactCache``, once per batch); d, k and s are derived.
-* ``certificate``: ``config`` (k, s, t, d, scope) and a reference
-  ``"bases"`` to a basis-set as above.  The ``report``, the ``ledger`` and
-  ``ok`` are derived; ``config.scope`` is validated but not derived.
+* ``certificate``: ``config``, which holds ``t`` and the search
+  ``scope``, and ``bases``, which holds the design recipe ``k`` and ``s``
+  and the reference ``"epsh": {"file", "sha256"}``: the plain file name of
+  the eps-hadamard artifact in the certificate's directory and the SHA-256
+  of its bytes.  A parse certifies the design of the recipe
+  (``verify_rbd``), reads the referenced file, requires its digest to
+  match and certifies it (through an ``ArtifactCache``, once per batch);
+  d, r, the field and mu of the design are derived.  The ``report``, the
+  ``ledger`` and ``ok`` are derived; ``config.scope`` is validated but not
+  derived.
 
 The earlier forms are parse errors: an eps-hadamard with ``"entries"``, an
-rbd with ``"classes"``, a basis-set with ``"vectors"``, ``"design"`` or
-``"y"``, and a certificate with an ``"artifacts"`` map.
+rbd with ``"classes"``, and a certificate with an ``"artifacts"`` map, a
+``bases`` that is a file reference, or a ``config`` that holds k, s or d.
+A basis-set file, which the certificate's ``bases`` replaces, is an
+earlier form too (``armub verify`` refuses it).
 """
 
 from __future__ import annotations
@@ -279,11 +283,10 @@ def _packed_rows_parse(rows, order: int) -> np.ndarray:
     return 1 - 2 * bits[:, :order].astype(np.int8)
 
 
-def parse_sign_matrix(obj, kind: str = "hadamard", at: str = "") -> SignMatrix:
-    """The matrix of a hadamard artifact obj, certified Hadamard: built
-    again from its label, or, when obj holds ``rows``, unpacked from them
-    and checked by its Gram.  obj must be the artifact the matrix derives;
-    it is the object at the JSON path ``at`` of an artifact of kind."""
+def _sign_matrix(obj) -> SignMatrix:
+    """The matrix of a hadamard object, certified Hadamard: built again
+    from its label, or, when obj holds ``rows``, unpacked from them and
+    checked by its Gram."""
     try:
         order, label = int_parse(obj["order"], "order"), obj["label"]
         if type(label) is not str:
@@ -296,8 +299,15 @@ def parse_sign_matrix(obj, kind: str = "hadamard", at: str = "") -> SignMatrix:
         check = is_hadamard(h)
         if not check.ok:
             raise CertificationError(f"hadamard re-check failed at {check.first_violation}")
-        h = SignMatrix(h.rows, label=label, verified=True)
-    require_derived(kind, sign_matrix_obj(h), obj, at)
+        h.hadamard_verified = True
+    return h
+
+
+def parse_sign_matrix(obj) -> SignMatrix:
+    """The certified matrix of a hadamard artifact obj (``_sign_matrix``);
+    obj must be the artifact the matrix derives."""
+    h = _sign_matrix(obj)
+    require_derived("hadamard", sign_matrix_obj(h), obj)
     return h
 
 
@@ -357,8 +367,8 @@ def parse_eps_hadamard(obj) -> EpsHadamard:
     partial = obj.get("partial", False)
     if not isinstance(partial, bool):
         raise ParseError(f"bad eps-hadamard artifact: partial={partial!r}")
-    try:
-        h = parse_sign_matrix(obj["hadamard"], "eps-hadamard", "hadamard")
+    try:  # the comparison below covers the source H's object too
+        h = _sign_matrix(obj["hadamard"])
         prov = obj["provenance"]
         split = None if prov["method"] == "exact-hadamard" else BlockSplit(
             h, *(_int_list(prov[name], f"provenance.{name}")
@@ -395,15 +405,23 @@ def parse_rbd(obj) -> Rbd:
     _current_form("rbd", obj, ("classes",),
                   "an rbd holds its recipe 'k' and 's', from which the affine design "
                   "is derived; write it again with armub rbd or armub armub")
+    design = _certified_design(obj, "rbd", "")
+    require_derived("rbd", rbd_obj(design), obj)
+    return design
+
+
+def _certified_design(obj, kind: str, at: str) -> Rbd:
+    """The affine design of the recipe k, s that obj, the object at the
+    JSON path ``at`` of an artifact of kind, holds, certified by
+    ``verify_rbd``."""
     try:
-        design = Rbd(*(int_parse(obj[name], name) for name in ("k", "s")))
+        design = Rbd(*(int_parse(obj[name], at + name) for name in ("k", "s")))
     except KeyError as exc:
-        raise ParseError(f"bad rbd artifact: {exc}") from exc
+        raise ParseError(f"bad {kind} artifact: missing field {at + exc.args[0]!r}") from exc
     cert = verify_rbd(design)
     if not cert.valid:
         raise CertificationError(f"design re-check failed: {cert.violations}")
     design.mu = cert.mu
-    require_derived("rbd", rbd_obj(design), obj)
     return design
 
 
@@ -418,67 +436,64 @@ def file_ref(path: str, text: str) -> dict:
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def basis_set_obj(bs: BasisSet, rbd_ref: dict, epsh_ref: dict) -> dict:
-    """The basis-set artifact of bs, given the ``file_ref`` of the files
-    that hold its design and its Y."""
-    return {
-        "kind": "basis-set",
-        "d": bs.d,
-        "k": bs.k,
-        "s": bs.s,
-        "rbd": rbd_ref,
-        "epsh": epsh_ref,
-    }
+def basis_set_obj(bs: BasisSet, epsh_ref: dict) -> dict:
+    """The ``bases`` object of a certificate of bs: the recipe k, s of its
+    design and the ``file_ref`` of the file that holds its Y."""
+    return {"k": bs.k, "s": bs.s, "epsh": epsh_ref}
 
 
-def _referenced(kind: str, obj, name: str, directory: str,
-                artifacts: ArtifactCache) -> tuple[str, dict]:
-    """The path of the artifact that obj[name] refers to, a file named by a
-    plain file name in directory whose bytes have the recorded SHA-256, and
-    the reference derived from that file.  A malformed or unreadable
-    reference is a parse error, a digest mismatch a certification failure."""
-    ref = obj.get(name)
+def _referenced(ref, at: str, directory: str, artifacts: ArtifactCache) -> tuple[str, dict]:
+    """The path of the artifact that the reference ref, at the JSON path
+    ``at`` of a certificate, names: a plain file name in directory whose
+    bytes have the recorded SHA-256; and the reference derived from that
+    file.  A malformed or unreadable reference is a parse error, a digest
+    mismatch a certification failure."""
     if not (isinstance(ref, dict) and "file" in ref and "sha256" in ref):
         raise ParseError(
-            f"bad {kind} artifact: {name!r} must be an object with 'file' "
+            f"bad certificate artifact: {at!r} must be an object with 'file' "
             f"and 'sha256', got {ref!r}"
         )
     file, recorded = ref["file"], ref["sha256"]
     if not (isinstance(file, str) and file not in ("", ".", "..")
             and os.path.basename(file) == file):
         raise ParseError(
-            f"bad {kind} artifact: {name}.file must be a plain file name in "
-            f"the directory of the {kind}, got {file!r}"
+            f"bad certificate artifact: {at}.file must be a plain file name in "
+            f"the directory of the certificate, got {file!r}"
         )
     if not (isinstance(recorded, str) and re.fullmatch("[0-9a-f]{64}", recorded)):
         raise ParseError(
-            f"bad {kind} artifact: {name}.sha256 must be 64 lowercase hex "
+            f"bad certificate artifact: {at}.sha256 must be 64 lowercase hex "
             f"digits, got {recorded!r}"
         )
     path = os.path.join(directory, file)
     try:
         digest, _ = artifacts.load(path)
     except ParseError as exc:
-        raise ParseError(f"bad {kind} artifact: {name}.file: {exc}") from exc
+        raise ParseError(f"bad certificate artifact: {at}.file: {exc}") from exc
     if digest != recorded:
         raise CertificationError(f"referenced {file} does not match its recorded sha256")
     return path, {"file": file, "sha256": digest}
 
 
-def parse_basis_set(obj, directory: str, artifacts: ArtifactCache) -> BasisSet:
-    """The bases of a basis-set artifact read from directory: its referenced
-    rbd and eps-hadamard artifacts are read from the same directory,
-    matched against their digests and certified (once per ``artifacts``
-    cache), and the artifact must be the one they derive."""
-    _current_form("basis-set", obj, ("vectors", "design", "y"),
-                  "a basis-set holds d, k, s and the references 'rbd' and 'epsh'; "
-                  "write it again with armub armub")
-    rbd_path, rbd_ref = _referenced("basis-set", obj, "rbd", directory, artifacts)
-    r = artifacts.parse(rbd_path, parse_rbd)
-    epsh_path, epsh_ref = _referenced("basis-set", obj, "epsh", directory, artifacts)
-    bs = assemble(r, artifacts.parse(epsh_path, parse_eps_hadamard))
-    require_derived("basis-set", basis_set_obj(bs, rbd_ref, epsh_ref), obj)
-    return bs
+_WRITE_AGAIN = "write it again with armub armub"
+
+
+def parse_basis_set(obj, directory: str, artifacts: ArtifactCache) -> tuple[BasisSet, dict]:
+    """The bases of a certificate's ``bases`` object obj, and the reference
+    to Y's file derived from that file: the affine design of its recipe,
+    certified, and the eps-hadamard artifact it refers to in directory,
+    matched against its digest and certified (once per ``artifacts``
+    cache).  The certificate's comparison requires obj to be the object
+    they derive."""
+    if isinstance(obj, dict) and "file" in obj:
+        raise ParseError("bad certificate artifact: 'bases' is a reference to a basis-set "
+                         "file, an earlier form (the certificate holds the recipe 'k', 's' "
+                         f"and the reference 'epsh'); {_WRITE_AGAIN}")
+    if not isinstance(obj, dict):
+        raise ParseError(f"bad certificate artifact: bases must be a JSON object, got {obj!r}")
+    design = _certified_design(obj, "certificate", "bases.")
+    path, ref = _referenced(obj.get("epsh"), "bases.epsh", directory, artifacts)
+    return assemble(design, artifacts.parse(path, parse_eps_hadamard)), ref
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +535,10 @@ def ledger_obj(lines) -> list[dict]:
     return [line.as_dict() for line in lines]
 
 
-def certificate_obj(bs: BasisSet, t: int, scope: str, bases_ref: dict) -> dict:
-    """The certificate of the basis set bs, which the ``file_ref`` bases_ref
-    names, built by ``armub armub`` with t and the search scope: its cross
-    statistics, the bound ledger and the verdict.  t is Y's own for a
+def certificate_obj(bs: BasisSet, t: int, scope: str, epsh_ref: dict) -> dict:
+    """The certificate of the basis set bs, whose Y the ``file_ref``
+    epsh_ref names, built by ``armub armub`` with t and the search scope:
+    its bases, cross statistics, the bound ledger and the verdict.  t is Y's own for a
     reduction; for Y = H/sqrt(k), which no reduction made, the report and
     the ledger read the configured t."""
     t = bs.y.provenance.t or t
@@ -532,46 +547,42 @@ def certificate_obj(bs: BasisSet, t: int, scope: str, bases_ref: dict) -> dict:
     ledger = check_theorem_bounds(report)
     return {
         "kind": "certificate",
-        "config": {"k": bs.k, "s": bs.s, "t": t, "d": bs.d, "scope": scope},
-        "bases": bases_ref,
+        "config": {"t": t, "scope": scope},
+        "bases": basis_set_obj(bs, epsh_ref),
         "report": report_obj(report),
         "ledger": ledger_obj(ledger),
         "ok": ledger_ok(ledger),
     }
 
 
-_CONFIG_FIELDS = ("d", "k", "s", "scope", "t")
-
-
 def _config_parse(obj) -> tuple[int, str]:
-    """(t, scope) of a certificate's config, which holds exactly k, s, t, d
-    and scope: k, s, t and d JSON integers in the pipeline's domain and
-    scope a search scope."""
-    if not (isinstance(obj, dict) and sorted(obj) == list(_CONFIG_FIELDS)):
+    """(t, scope) of a certificate's config, which holds exactly t in
+    {1, 2, 3} and a search scope."""
+    if isinstance(obj, dict) and obj.keys() & {"k", "s", "d"}:
+        raise ParseError("bad certificate artifact: config holds k, s or d, an earlier form "
+                         f"(the recipe k, s is in 'bases' and d is derived); {_WRITE_AGAIN}")
+    if not (isinstance(obj, dict) and sorted(obj) == ["scope", "t"]):
         raise ParseError(f"bad certificate artifact: config must be an object with the "
-                         f"fields {', '.join(_CONFIG_FIELDS)}, got {obj!r}")
-    k, s, t, d = (int_parse(obj[name], f"config.{name}") for name in ("k", "s", "t", "d"))
-    if min(k, s) < 1 or d != k * s or t not in (1, 2, 3) or obj["scope"] not in SEARCH_SCOPES:
-        raise ParseError(f"bad certificate artifact: config needs k, s >= 1, d = k*s, "
-                         f"t in {{1, 2, 3}} and a scope in {SEARCH_SCOPES}, got {obj!r}")
-    return t, obj["scope"]
+                         f"fields scope and t, got {obj!r}")
+    if int_parse(obj["t"], "config.t") not in (1, 2, 3) or obj["scope"] not in SEARCH_SCOPES:
+        raise ParseError(f"bad certificate artifact: config needs t in {{1, 2, 3}} and a "
+                         f"scope in {SEARCH_SCOPES}, got {obj!r}")
+    return obj["t"], obj["scope"]
 
 
 def parse_certificate(obj, directory: str, artifacts: ArtifactCache) -> dict:
     """The certificate derived again, by ``certificate_obj``, from its
-    inputs: the config and the basis-set that obj refers to in directory
-    (read and certified through ``artifacts``).  obj must be the derived
-    certificate."""
+    inputs: the config and the bases, whose Y is read from directory and
+    certified through ``artifacts``.  obj must be the derived certificate."""
     _current_form("certificate", obj, ("artifacts",),
-                  "a certificate refers to its basis-set as 'bases' with 'file' and "
-                  "'sha256'; write it again with armub armub")
+                  "a certificate holds its bases as the recipe 'k', 's' and the "
+                  f"reference 'epsh'; {_WRITE_AGAIN}")
     for name in ("config", "bases", "report", "ledger", "ok"):
         if name not in obj:
             raise ParseError(f"bad certificate artifact: missing field {name!r}")
     t, scope = _config_parse(obj["config"])
-    path, ref = _referenced("certificate", obj, "bases", directory, artifacts)
-    bs = artifacts.parse(path, parse_basis_set, resolving=True)
-    derived = certificate_obj(bs, t, scope, ref)
+    bs, epsh_ref = parse_basis_set(obj["bases"], directory, artifacts)
+    derived = certificate_obj(bs, t, scope, epsh_ref)
     require_derived("certificate", derived, obj)
     return derived
 

@@ -49,6 +49,14 @@ def pipeline_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def rbd_file(tmp_path_factory):
+    """rbd.json of `armub rbd --k 3 --s 5`, the design of the pipeline above."""
+    path = tmp_path_factory.mktemp("rbd") / "rbd.json"
+    assert cli.main(["rbd", "--k", "3", "--s", "5", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
 def rows_epsh(tmp_path_factory):
     """epsh.json of the corner reduction of H_4 with rows 1..3 permuted
     (seed 2): no constructor builds that H, so the file holds packed rows."""
@@ -72,13 +80,15 @@ def test_epsh_writes_and_verifies(tmp_path, capsys):
 
 
 def test_pipeline_artifacts_verify(pipeline_dir, capsys):
+    """`armub armub` writes Y's derivation and the certificate, which holds
+    t and the scope, the design's recipe and a reference to Y's file."""
     files = sorted(str(p) for p in pipeline_dir.iterdir())
-    assert [os.path.basename(f) for f in files] == [
-        "bases.json", "certificate.json", "epsh.json", "rbd.json",
-    ]
+    assert [os.path.basename(f) for f in files] == ["certificate.json", "epsh.json"]
     cert = _load(pipeline_dir / "certificate.json")
-    assert "artifacts" not in cert
-    assert cert["bases"] == jsonio.file_ref("bases.json", (pipeline_dir / "bases.json").read_text())
+    assert cert["config"] == {"t": 1, "scope": "corner-only"}
+    assert cert["bases"] == {
+        "k": 3, "s": 5,
+        "epsh": jsonio.file_ref("epsh.json", (pipeline_dir / "epsh.json").read_text())}
     assert cli.main(["verify", *files]) == 0
     assert capsys.readouterr().out.count(": ok") == len(files)
 
@@ -195,15 +205,15 @@ def test_stored_order_must_be_derived(tmp_path, pipeline_dir, capsys, field, val
 def test_equally_certified_split_verifies_alone(tmp_path, pipeline_dir, capsys):
     """Row 2 of H_4 gives U = [1] as row 0 does: the Y it derives has the
     stored provenance class and epsilon, so the changed file is a valid
-    artifact of that Y; the basis set that refers to it fails its digest."""
+    artifact of that Y; the certificate that refers to it fails its digest."""
     out = _copy(pipeline_dir, tmp_path)
     obj = _load(out / "epsh.json")
     obj["provenance"]["row_select"] = [2]
     epsh_path = _dump(obj, out / "epsh.json")
-    assert cli.main(["verify", epsh_path, str(out / "bases.json")]) == 5
+    assert cli.main(["verify", epsh_path, str(out / "certificate.json")]) == 5
     assert capsys.readouterr().out.splitlines() == [
         f"{epsh_path}: eps-hadamard: ok",
-        f"{out / 'bases.json'}: basis-set: CHECK FAILED: referenced epsh.json "
+        f"{out / 'certificate.json'}: certificate: CHECK FAILED: referenced epsh.json "
         "does not match its recorded sha256",
     ]
 
@@ -304,8 +314,9 @@ def _set(obj, **fields):
     ("epsh.json", lambda obj: _set(obj, provenance=None)),
     ("rbd.json", lambda obj: _set(obj, mu="x")),
 ])
-def test_malformed_artifact_exit_4(tmp_path, pipeline_dir, capsys, name, mutate):
-    bad = _dump(mutate(_load(pipeline_dir / name)), tmp_path / name)
+def test_malformed_artifact_exit_4(tmp_path, pipeline_dir, rbd_file, capsys, name, mutate):
+    source = rbd_file if name == "rbd.json" else pipeline_dir / name
+    bad = _dump(mutate(_load(source)), tmp_path / name)
     assert cli.main(["verify", bad]) == 4
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
 
@@ -330,22 +341,27 @@ def test_stored_epsilon_must_reproduce(tmp_path, pipeline_dir, capsys,
     assert ("CHECK FAILED" if code == 5 else "parse error") in out
 
 
-def test_verify_names_the_mu_route(pipeline_dir, capsys):
-    files = [str(pipeline_dir / name) for name in ("rbd.json", "bases.json")]
+def test_verify_names_the_mu_route(pipeline_dir, rbd_file, capsys):
+    files = [str(rbd_file), str(pipeline_dir / "certificate.json")]
     assert cli.main(["verify", *files]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"{files[0]}: rbd: ok (affine design: mu = 1 by the line theorem)",
-        f"{files[1]}: basis-set: ok (affine design: mu = 1 by the line theorem)",
+        f"{files[1]}: certificate: ok",
     ]
 
 
-def test_bases_with_vectors_field_exit_4(tmp_path, pipeline_dir, capsys):
-    obj = _load(pipeline_dir / "bases.json")
-    assert "vectors" not in obj
-    obj["vectors"] = []
-    assert cli.main(["verify", _dump(obj, tmp_path / "bases.json")]) == 4
-    out = capsys.readouterr().out
-    assert "parse error" in out and "'vectors'" in out
+# a basis-set file as `armub armub` wrote it before the certificate held its bases
+OLD_BASES = {"kind": "basis-set", "d": 15, "k": 3, "s": 5,
+             "rbd": {"file": "rbd.json", "sha256": "0" * 64},
+             "epsh": {"file": "epsh.json", "sha256": "0" * 64}}
+BASIS_SET_FILE = ("parse error: a basis-set file is an earlier form: the certificate holds "
+                  "its bases; write it again with armub armub")
+
+
+def test_bases_with_vectors_field_exit_4(tmp_path, capsys):
+    path = _dump({**OLD_BASES, "vectors": []}, tmp_path / "bases.json")
+    assert cli.main(["verify", path]) == 4
+    assert capsys.readouterr().out == f"{path}: {BASIS_SET_FILE}\n"
 
 
 @pytest.mark.parametrize("option", [
@@ -371,7 +387,7 @@ def _put(obj, value, *path):
 # values equal to the stored integer (1.0, true) that truncation or bool
 # coercion used to accept; rational parts are decimal strings only, and a
 # declared boolean is a JSON boolean.
-@pytest.mark.parametrize("name, value, path", [
+MISTYPED_FIELDS = [
     ("rbd.json", 1.9, ("mu",)),
     ("rbd.json", True, ("mu",)),
     ("rbd.json", 3.7, ("k",)),
@@ -392,9 +408,9 @@ def _put(obj, value, *path):
     ("epsh.json", "23", ("hadamard", "rows", 0)),  # nonzero padding bits
     ("epsh.json", 4.0, ("hadamard", "order")),
     ("epsh.json", True, ("hadamard", "rows", 0)),
-    ("certificate.json", 15.0, ("config", "d")),
-    ("certificate.json", 5.0, ("config", "s")),
-    ("certificate.json", True, ("config", "k")),
+    ("certificate.json", 15.0, ("report", "d")),
+    ("certificate.json", 5.0, ("bases", "s")),
+    ("certificate.json", True, ("bases", "k")),
     ("epsh.json", 1, ("provenance", "u_relation", "paper_listed")),
     ("certificate.json", "1", ("config", "t")),
     ("rbd.json", 5.0, ("r",)),
@@ -405,14 +421,37 @@ def _put(obj, value, *path):
     ("epsh.json", "0", ("hadamard", "rows", 0)),  # one hex digit short
     ("epsh.json", "0g", ("hadamard", "rows", 0)),
     ("epsh.json", "F0", ("hadamard", "rows", 0)),  # upper case
-])
-def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, rows_epsh, capsys,
+]
+
+
+@pytest.mark.parametrize("name, value, path", MISTYPED_FIELDS)
+def test_mistyped_json_field_exit_4(tmp_path, pipeline_dir, rows_epsh, rbd_file, capsys,
                                    name, value, path):
     # the source H's fields are typed on the form that holds packed rows
-    source = rows_epsh if path[0] == "hadamard" else pipeline_dir / name
+    source = (rows_epsh if path[0] == "hadamard" else rbd_file if name == "rbd.json"
+              else pipeline_dir / name)
     bad = _dump(_put(_load(source), value, *path), tmp_path / name)
     assert cli.main(["verify", bad]) == 4
     assert capsys.readouterr().out.startswith(f"{bad}: parse error:")
+
+
+@pytest.mark.parametrize("value, path", [(v, p) for n, v, p in MISTYPED_FIELDS if n == "rbd.json"])
+def test_mistyped_design_field_in_certificate(tmp_path, pipeline_dir, rbd_file, capsys,
+                                              value, path):
+    """Each rbd.json case above, on the certificate of the same design: its
+    bases hold the recipe k and s and its report d and r (as num_bases),
+    exit 4 as in rbd.json.  mu and the field are derived and held nowhere
+    in a certificate; in its bases they are extra fields, exit 5."""
+    key = path[0]
+    out = _copy(pipeline_dir, tmp_path)
+    cert = _load(out / "certificate.json")
+    at = ("report", {"d": "d", "r": "num_bases"}[key]) if key in ("d", "r") else ("bases", key)
+    bad = _dump(_put(cert, _put(_load(rbd_file), value, *path)[key], *at),
+                out / "certificate.json")
+    code = 5 if key in ("mu", "field") else 4
+    assert cli.main(["verify", bad]) == code
+    assert capsys.readouterr().out.startswith(
+        f"{bad}: " + ("certificate: CHECK FAILED: stored bases." if code == 5 else "parse error: "))
 
 
 @pytest.mark.parametrize("value, path", [
@@ -487,8 +526,8 @@ def _without(obj, field):
     (lambda obj: _set(obj, classes=OLD_CLASSES_3_5), "unknown field 'classes'"),
     (lambda obj: _without(obj, "field"), "missing field 'field'"),
 ], ids=["classes-present", "field-missing"])
-def test_rbd_needs_exactly_one_form_exit_4(tmp_path, pipeline_dir, capsys, mutate, message):
-    bad = _dump(mutate(_load(pipeline_dir / "rbd.json")), tmp_path / "rbd.json")
+def test_rbd_needs_exactly_one_form_exit_4(tmp_path, rbd_file, capsys, mutate, message):
+    bad = _dump(mutate(_load(rbd_file)), tmp_path / "rbd.json")
     assert cli.main(["verify", bad]) == 4
     assert message in capsys.readouterr().out
 
@@ -537,11 +576,31 @@ def test_tampered_recipe_exit_5(tmp_path, capsys, case):
     assert violation in out
 
 
-# a reference in bases.json must name a readable file in its own directory
+@pytest.mark.parametrize("case", list(RECIPE_TAMPERS))
+def test_tampered_bases_recipe_exit_5(tmp_path, capsys, case):
+    """Each case above on the bases of a certificate of the same recipe:
+    the recipe fails verify_rbd, or the bases hold a derived field, which
+    is an extra field there."""
+    (k, s), fields, violation = RECIPE_TAMPERS[case]
+    assert cli.main(["armub", "--k", str(k), "--s", str(s), "--t", "1",
+                     "--out", str(tmp_path)]) == 0
+    cert = _load(tmp_path / "certificate.json")
+    cert["bases"].update(fields)
+    path = _dump(cert, tmp_path / "certificate.json")
+    capsys.readouterr()
+    assert cli.main(["verify", path]) == 5
+    if violation.startswith("stored "):
+        violation = f"stored bases.{min(fields.keys() - {'k', 's'})} differs from the derived one"
+    out = capsys.readouterr().out
+    assert out.startswith(f"{path}: certificate: CHECK FAILED: ")
+    assert violation in out
+
+
+# the reference to Y's file must name a readable file in the certificate's directory
 @pytest.mark.parametrize("file", [
-    lambda out: str(out / "rbd.json"),  # absolute path
-    lambda out: "sub/rbd.json",
-    lambda out: "../out/rbd.json",
+    lambda out: str(out / "epsh.json"),  # absolute path
+    lambda out: "sub/epsh.json",
+    lambda out: "../out/epsh.json",
     lambda out: "..",
     lambda out: "missing.json",
     lambda out: 7,
@@ -549,61 +608,84 @@ def test_tampered_recipe_exit_5(tmp_path, capsys, case):
 def test_unsafe_or_missing_reference_exit_4(tmp_path, pipeline_dir, capsys, file):
     out = _copy(pipeline_dir, tmp_path)
     os.mkdir(out / "sub")
-    shutil.copy(out / "rbd.json", out / "sub" / "rbd.json")
-    bases = _load(out / "bases.json")
-    bases["rbd"]["file"] = file(out)
-    path = _dump(bases, out / "bases.json")
+    shutil.copy(out / "epsh.json", out / "sub" / "epsh.json")
+    cert = _load(out / "certificate.json")
+    cert["bases"]["epsh"]["file"] = file(out)
+    path = _dump(cert, out / "certificate.json")
     assert cli.main(["verify", path]) == 4
     message = capsys.readouterr().out
-    assert message.startswith(f"{path}: parse error: bad basis-set artifact: rbd.file")
+    assert message.startswith(f"{path}: parse error: bad certificate artifact: bases.epsh.file")
 
 
-@pytest.mark.parametrize("name", ["rbd.json", "epsh.json"])
+@pytest.mark.parametrize("name", ["epsh.json"])
 def test_reference_digest_mismatch_exit_5(tmp_path, pipeline_dir, capsys, name):
     out = _copy(pipeline_dir, tmp_path)
     with open(out / name, "a") as fh:
         fh.write(" ")  # the same JSON value, other bytes
-    path = str(out / "bases.json")
+    path = str(out / "certificate.json")
     assert cli.main(["verify", path, str(out / name)]) == 5
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == (f"{path}: basis-set: CHECK FAILED: referenced {name} "
+    assert lines[0] == (f"{path}: certificate: CHECK FAILED: referenced {name} "
                         "does not match its recorded sha256")
     assert lines[1].startswith(f"{out / name}: ") and ": ok" in lines[1]
 
 
+MUST_BE_A_REFERENCE = "'bases.epsh' must be an object with 'file' and 'sha256'"
+
+
 @pytest.mark.parametrize("mutate, message", [
-    (lambda bases: bases["epsh"].pop("sha256"), "'epsh' must be an object with 'file' and 'sha256'"),
-    (lambda bases: bases["epsh"].pop("file"), "'epsh' must be an object with 'file' and 'sha256'"),
-    (lambda bases: bases.update(epsh="epsh.json"), "'epsh' must be an object with 'file' and 'sha256'"),
+    (lambda bases: bases["epsh"].pop("sha256"), MUST_BE_A_REFERENCE),
+    (lambda bases: bases["epsh"].pop("file"), MUST_BE_A_REFERENCE),
+    (lambda bases: bases.update(epsh="epsh.json"), MUST_BE_A_REFERENCE),
     (lambda bases: bases["epsh"].update(sha256=bases["epsh"]["sha256"].upper()),
-     "epsh.sha256 must be 64 lowercase hex digits"),
+     "bases.epsh.sha256 must be 64 lowercase hex digits"),
 ], ids=["no-sha256", "no-file", "not-an-object", "upper-case-sha256"])
 def test_malformed_reference_exit_4(tmp_path, pipeline_dir, capsys, mutate, message):
     out = _copy(pipeline_dir, tmp_path)
-    bases = _load(out / "bases.json")
-    mutate(bases)
-    assert cli.main(["verify", _dump(bases, out / "bases.json")]) == 4
+    cert = _load(out / "certificate.json")
+    mutate(cert["bases"])
+    assert cli.main(["verify", _dump(cert, out / "certificate.json")]) == 4
     assert message in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("field", ["design", "y"])
-def test_bases_with_embedded_design_or_y_exit_4(tmp_path, pipeline_dir, capsys, field):
+def test_bases_with_embedded_design_or_y_exit_4(tmp_path, pipeline_dir, rbd_file, capsys, field):
     """The basis-set form written before references: design and Y inline."""
     old = {"kind": "basis-set", "d": 15, "k": 3, "s": 5,
-           "design": _load(pipeline_dir / "rbd.json"), "y": _load(pipeline_dir / "epsh.json")}
+           "design": _load(rbd_file), "y": _load(pipeline_dir / "epsh.json")}
     if field == "y":
         del old["design"]
-    assert cli.main(["verify", _dump(old, tmp_path / "bases.json")]) == 4
-    out = capsys.readouterr().out
-    assert "parse error" in out and f"unknown field {field!r}" in out
-    assert "the references 'rbd' and 'epsh'" in out
+    path = _dump(old, tmp_path / "bases.json")
+    assert cli.main(["verify", path]) == 4
+    assert capsys.readouterr().out == f"{path}: {BASIS_SET_FILE}\n"
+
+
+# the certificate form written before: a config with k, s and d, and a
+# reference to a basis-set file
+OLD_CONFIG = {"d": 15, "k": 3, "s": 5, "scope": "corner-only", "t": 1}
+OLD_BASES_REF = {"file": "bases.json", "sha256": "0" * 64}
+
+
+@pytest.mark.parametrize("fields", [
+    {"config": OLD_CONFIG}, {"bases": OLD_BASES_REF},
+    {"config": OLD_CONFIG, "bases": OLD_BASES_REF},
+], ids=["config", "bases-reference", "both"])
+def test_earlier_certificate_form_exit_4(tmp_path, pipeline_dir, capsys, fields):
+    path = _dump(_set(_load(pipeline_dir / "certificate.json"), **fields),
+                 tmp_path / "certificate.json")
+    for command in ("verify", "ledger"):
+        assert cli.main([command, path]) == 4
+        captured = capsys.readouterr()
+        assert "parse error: bad certificate artifact: " in captured.out + captured.err
+        assert "write it again with armub armub" in captured.out + captured.err
 
 
 def test_declared_size_must_match_referenced_design(tmp_path, pipeline_dir, capsys):
     out = _copy(pipeline_dir, tmp_path)
-    bases = _set(_load(out / "bases.json"), d=16)
-    assert cli.main(["verify", _dump(bases, out / "bases.json")]) == 5
-    assert "stored d differs from the derived one" in capsys.readouterr().out
+    cert = _load(out / "certificate.json")
+    cert["bases"]["d"] = 16
+    assert cli.main(["verify", _dump(cert, out / "certificate.json")]) == 5
+    assert "stored bases.d differs from the derived one" in capsys.readouterr().out
 
 
 def test_verify_batch_certifies_each_artifact_once(pipeline_dir, rows_epsh, monkeypatch, capsys):
@@ -624,9 +706,9 @@ def test_verify_batch_certifies_each_artifact_once(pipeline_dir, rows_epsh, monk
     monkeypatch.setattr(jsonio, "is_hadamard", spy_hadamard)
     monkeypatch.setattr(hadamard, "is_hadamard", spy_hadamard)
     files = sorted(str(p) for p in pipeline_dir.iterdir())
-    assert len(files) == 4
+    assert len(files) == 2
     assert cli.main(["verify", *files]) == 0
-    assert capsys.readouterr().out.count(": ok") == 4
+    assert capsys.readouterr().out.count(": ok") == 2
     # H_4 is its recipe: built again from its label, with no Gram
     assert calls == {"verify_orthogonal": 1, "is_hadamard": 0}
     assert cli.main(["verify", str(rows_epsh), str(rows_epsh)]) == 0
@@ -634,10 +716,11 @@ def test_verify_batch_certifies_each_artifact_once(pipeline_dir, rows_epsh, monk
 
 
 @pytest.mark.parametrize("order", [sorted, lambda files: sorted(files, reverse=True)],
-                         ids=["bases-first", "certificate-first"])
+                         ids=["certificate-first", "epsh-first"])
 def test_verify_batch_assembles_the_bases_once(pipeline_dir, monkeypatch, capsys, order):
-    """The certificate's basis-set and the basis-set file itself are one
-    artifact content in one directory: one parse, one assembly."""
+    """The epsh file that the certificate refers to and the epsh file
+    itself are one artifact content: one parse, and one assembly of the
+    certificate's bases."""
     calls = {"parse_basis_set": 0, "assemble": 0}
 
     def spy(name, fn):
@@ -650,17 +733,45 @@ def test_verify_batch_assembles_the_bases_once(pipeline_dir, monkeypatch, capsys
     spy("assemble", jsonio.assemble)
     files = order(str(p) for p in pipeline_dir.iterdir())
     assert cli.main(["verify", *files]) == 0
-    assert capsys.readouterr().out.count(": ok") == 4
+    assert capsys.readouterr().out.count(": ok") == 2
     assert calls == {"parse_basis_set": 1, "assemble": 1}
 
 
+def test_pipeline_writes_and_verify_loads_two_files(tmp_path, monkeypatch, capsys):
+    """One `armub armub` and one verify of its directory: two files written
+    and two loaded, and the bases are written by basis_set_obj, read by
+    parse_basis_set and assembled, once on each side."""
+    files, calls = [], dict.fromkeys(("basis_set_obj", "parse_basis_set", "assemble"), 0)
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            if name in calls:
+                calls[name] += 1
+            else:
+                files.append(os.path.basename(args[0]))
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("write_atomic", "load_json", "basis_set_obj", "parse_basis_set", "assemble"):
+        spy(jsonio, name)
+    spy(cli, "assemble")
+    out = tmp_path / "out"
+    assert cli.main(["armub", "--k", "3", "--s", "5", "--t", "1", "--out", str(out)]) == 0
+    assert cli.main(["verify", *sorted(str(p) for p in out.iterdir())]) == 0
+    assert files == ["epsh.json", "certificate.json", "certificate.json", "epsh.json"]
+    assert calls == {"basis_set_obj": 2, "parse_basis_set": 1, "assemble": 2}
+
+
 def test_design_artifacts_stay_small(tmp_path, capsys):
-    """rbd.json is a recipe and bases.json two references, whatever d, and
-    epsh.json holds H_24 bit-packed and the split."""
+    """The certificate holds the design as its recipe and Y as a
+    reference, whatever d, and epsh.json holds H_24 bit-packed and the
+    split."""
     out = tmp_path / "out"
     assert cli.main(["armub", "--k", "23", "--s", "25", "--t", "1", "--out", str(out)]) == 0
-    for name in ("rbd.json", "bases.json"):
-        assert os.path.getsize(out / name) < 1024, name
+    bases = _load(out / "certificate.json")["bases"]
+    assert len(jsonio.dumps_canonical(bases)) < 1024
     assert os.path.getsize(out / "epsh.json") < 2048
     files = sorted(str(p) for p in out.iterdir())
     assert cli.main(["verify", *files]) == 0
@@ -685,11 +796,10 @@ def test_pipeline_t1_writes_under_100_kb_reproducibly(tmp_path, capsys):
 ])
 @pytest.mark.parametrize("carrier", ["report", "certificate"])
 def test_out_of_domain_report_exit_4(tmp_path, pipeline_dir, capsys, field, value, carrier):
-    """A certificate's config holds exactly k, s, t, d and scope, with
-    k, s >= 1, d = k*s, t in {1, 2, 3} and scope a search scope (num_bases
-    is no config field); a config that breaks this, and a report alone
-    with any field, are parse errors for verify and ledger, never a
-    traceback."""
+    """A certificate's config holds exactly t in {1, 2, 3} and a search
+    scope: num_bases is no config field, and k, s and d are fields of its
+    earlier form.  A config that breaks this, and a report alone with any
+    field, are parse errors for verify and ledger, never a traceback."""
     cert = _load(pipeline_dir / "certificate.json")
     if carrier == "certificate":
         cert["config"][field] = value
@@ -763,23 +873,24 @@ def test_exact_hadamard_certificate_config_t_exit_5(tmp_path, capsys):
 
 def test_certificate_bases_digest_mismatch_exit_5(tmp_path, pipeline_dir, capsys):
     out = _copy(pipeline_dir, tmp_path)
-    with open(out / "bases.json", "a") as fh:
+    with open(out / "epsh.json", "a") as fh:
         fh.write(" ")  # the same JSON value, other bytes
     path = str(out / "certificate.json")
     assert cli.main(["verify", path]) == 5
     assert capsys.readouterr().out == (
-        f"{path}: certificate: CHECK FAILED: referenced bases.json does not match "
+        f"{path}: certificate: CHECK FAILED: referenced epsh.json does not match "
         "its recorded sha256\n")
     assert cli.main(["ledger", path]) == 5
 
 
 def test_certificate_missing_bases_exit_4(tmp_path, pipeline_dir, capsys):
+    """The certificate's bases refer to a file that is gone."""
     out = _copy(pipeline_dir, tmp_path)
-    os.unlink(out / "bases.json")
+    os.unlink(out / "epsh.json")
     path = str(out / "certificate.json")
     assert cli.main(["verify", path]) == 4
     assert capsys.readouterr().out.startswith(
-        f"{path}: parse error: bad certificate artifact: bases.file: cannot read")
+        f"{path}: parse error: bad certificate artifact: bases.epsh.file: cannot read")
     assert cli.main(["ledger", path]) == 4
 
 
@@ -836,10 +947,9 @@ def _nodes(obj, path=()):
         yield from _nodes(value, path + (key,))
 
 
-# the objects of each (3, 5, 1) artifact that a mutant adds a field to
+# the objects of each (3, 5) artifact that a mutant adds a field to
 EXTRA_FIELD_AT = {
-    "bases.json": [()],
-    "certificate.json": [()],
+    "certificate.json": [(), ("config",), ("bases",), ("bases", "epsh")],
     "epsh.json": [(), ("provenance",), ("hadamard",)],
     "rbd.json": [(), ("field",)],
 }
@@ -856,15 +966,15 @@ def _mutants(original, extra_at):
         yield _put(json.loads(json.dumps(original)), 0, *path, "extra")
 
 
-def test_every_mutated_node_exits_cleanly(tmp_path, pipeline_dir, capsys):
-    """Each mutant of each (3, 5, 1) artifact: verify (and ledger, for the
-    certificate) exits 0, 4 or 5 and raises nothing.  Every artifact is
-    derived again, so it exits 0 only when the mutant's canonical text is
-    the original's."""
-    out = _copy(pipeline_dir, tmp_path)  # a mutant finds the files it refers to
+def test_every_mutated_node_exits_cleanly(tmp_path, pipeline_dir, rbd_file, capsys):
+    """Each mutant of both files of the (3, 5, 1) pipeline and of the (3, 5)
+    rbd file: verify (and ledger, for the certificate) exits 0, 4 or 5 and
+    raises nothing.  Every artifact is derived again, so it exits 0 only
+    when the mutant's canonical text is the original's."""
+    out = _copy(pipeline_dir, tmp_path)  # a mutant finds the file it refers to
     mutant = str(out / "mutant.json")
-    for name in ("bases.json", "certificate.json", "epsh.json", "rbd.json"):
-        original = _load(pipeline_dir / name)
+    for name in ("certificate.json", "epsh.json", "rbd.json"):
+        original = _load(rbd_file if name == "rbd.json" else pipeline_dir / name)
         commands = ["verify", "ledger"] if name == "certificate.json" else ["verify"]
         for obj in _mutants(original, EXTRA_FIELD_AT[name]):
             _dump(obj, mutant)
@@ -951,8 +1061,9 @@ def _hadamard_file(tmp_path):
 RECIPE_LABEL_TAMPERS = {
     "hadamard-label": ("hadamard.json", ("label",), "sylvester(3)", "order"),
     "hadamard-order": ("hadamard.json", ("order",), 8, "order"),
+    # Y of order 7 sorts first: its epsilon differs before hadamard.order
     "epsh-label-other-order": ("epsh.json", ("hadamard", "label"), "sylvester(3)",
-                               "hadamard.order"),
+                               "epsilon.float"),
     "epsh-label-same-rows": ("epsh.json", ("hadamard", "label"),
                              "kron(sylvester(1),sylvester(1))", "provenance.source_label"),
     "epsh-label-paley": ("epsh.json", ("hadamard", "label"), "paley1(3)",
@@ -1061,46 +1172,34 @@ def test_seeded_benchmark_input_keeps_packed_rows(tmp_path, capsys, order, t, sc
 # and the report's float fields are pinned with the rest of each file.
 PIPELINE_ARTIFACTS = {
     (123, 125, 1): {
-        "bases.json": (253, "b027702b094447c0c3ec467b635346527f8c03cf47cc9cd4fc3acea84b95bf33"),
         "certificate.json":
-            (1976, "db063e3e9b2a2628f50548bdac4642f3995d3fa6daa52104d361f37f0373b911"),
+            (1974, "9585e1cf4e187147da4565a9a99666edb5b8147bb13e98873f74125258a7877a"),
         "epsh.json": (568, "ece33b773fb4213ef112b211a42c15d25f95a7d24a6d038b8ad5499a9b48a4f1"),
-        "rbd.json": (134, "f3c9c82ee557d366aa1e6f8a44ece28441a675de49573001a4770b329463eabc"),
     },
     (93, 97, 3): {
-        "bases.json": (250, "975eba5c8a951f18c90ece6bfc6d141f303b8d4dd96b32873da6fd815bd6b77b"),
         "certificate.json":
-            (5670, "35a59436d624fc101002025ed1ad4db75e695bf73ebe062130afa61cfbb5a40b"),
+            (5669, "e7a744166f88d94929ede2e81c946979ea50f80f6b84e687413ed72d07bfc819"),
         "epsh.json": (650, "0eca13068f944171ed113f5c22a3b7cf998f6687104d8a93bd33d62aab4d829b"),
-        "rbd.json": (125, "12c5f336c6d5c8462622752568aa28110307f2c9469eb79352668be1211551bd"),
     },
     (14, 17, 2): {
-        "bases.json": (249, "853ad6c6c5aa9aa3d1edfa11aa87add04202bd50dcbbb63004f78828896ed1ab"),
         "certificate.json":
-            (2517, "726a002606d51fff1fee1b0bab881f5e51fd93f59701132084e06bd6a86c1f21"),
+            (2517, "a1be7c625341629bb524ffaf86d9ff90429a8e143bdccce68cd70a08cc494cfb"),
         "epsh.json": (560, "542a3a334a8ee7a95b8462df564503ea8d5de5b77d159ab5de78b5e3b47b3680"),
-        "rbd.json": (124, "dd180e66d983ce4d1b27d3123edbc43f2ce347ceb9b5b67b941e61942f1cacaa"),
     },
     (13, 17, 3): {
-        "bases.json": (249, "8dcb08888cca9fdd334bd3e9a04062a528c6d1db2027a6f799058a351f9cfc72"),
         "certificate.json":
-            (3574, "78a6762d0fe1772f6edd255b26cef99776bfe7e59c5aaee496a0adce93b8330b"),
+            (3574, "80dfb7dc1e4e5578c4161ad3a9ec127bb2e51e64bc7cce2ed0c393b8a5ee5fbd"),
         "epsh.json": (568, "2dd9b9326009063bc161d3d4ef2017b16d1baa9b8e21ab9b0fccc936610e6fad"),
-        "rbd.json": (124, "8000b1f59ff4a56f2f7067488c0b518c8c8e865f5478a4afaf797b1bde87c77a"),
     },
     (8, 9, 1): {
-        "bases.json": (246, "cb021cda5584f61b4a3fb17bfe9cada137c4efb2ff52bf2e07e75ffadf55da03"),
         "certificate.json":
-            (1653, "c2f5bff4e53cc9000771639fa3fc51bc164c7aa5229db4fb1963d5908f06bb32"),
+            (1654, "a01329b4528efcbef46d923828c601feb48a44fa65dbbbe72552e535ef35bebb"),
         "epsh.json": (417, "15a2fbb4ab9128616bfe312b3428a1088583db9ff1bc8db6633d91647fda49db"),
-        "rbd.json": (119, "40835181164fe184b1dd85ff5b1b0b0a5a9807a4a608e01e6bb5807771aa7f1f"),
     },
     (2, 3, 2): {
-        "bases.json": (245, "cb123ebc6f21960634546ea4fbb7f73f4ec796095160deb3e3b508ceec2e6794"),
         "certificate.json":
-            (1621, "fcb088556211f03ae42dc264f80ccf77c8950d6c4de81d27cd0cd11a9873eac0"),
+            (1623, "3589da77723f883120ead7dafafafd0c77e91a41b785f99242f4052b07bbabdb"),
         "epsh.json": (417, "3470aae8f6d8b615460bf273234ac5df28871bd54e7e7640b3cb999250c20671"),
-        "rbd.json": (116, "4f78b5047e77f6b8068b96f9ab903b763dd3928f4ba5f4d74a61f66c81260f63"),
     },
 }
 

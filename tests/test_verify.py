@@ -356,6 +356,6 @@ def test_certificate_builds_few_scalars(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     assert Fraction(1, 2) == Fraction(2, 4) and len(calls) == 2  # the count works
     calls.clear()
-    cert = jsonio.certificate_obj(bs, 3, "corner-only", {"file": "bases.json", "sha256": "0"})
+    cert = jsonio.certificate_obj(bs, 3, "corner-only", {"file": "epsh.json", "sha256": "0"})
     assert len(cert["report"]["delta"]) == 51
     assert calls == []
