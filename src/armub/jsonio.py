@@ -538,9 +538,9 @@ def ledger_obj(lines) -> list[dict]:
 def certificate_obj(bs: BasisSet, t: int, scope: str, epsh_ref: dict) -> dict:
     """The certificate of the basis set bs, whose Y the ``file_ref``
     epsh_ref names, built by ``armub armub`` with t and the search scope:
-    its bases, cross statistics, the bound ledger and the verdict.  t is Y's own for a
-    reduction; for Y = H/sqrt(k), which no reduction made, the report and
-    the ledger read the configured t."""
+    its bases, cross statistics, the bound ledger and the verdict.  t is
+    Y's own for a reduction; for Y = H/sqrt(k), which no reduction made,
+    the report and the ledger read the configured t."""
     t = bs.y.provenance.t or t
     n = (bs.k + t) // 4 if (bs.k + t) % 4 == 0 else None
     report = dataclasses.replace(cross_stats(bs), t=t, n=n)
