@@ -41,10 +41,20 @@ A scope of one split (corner-only) needs no screen: one code scan
 (``_CodeScan``) serves both variants, their occurring codes give their
 epsilons, compared by integer sign tests, and the winner is built from
 that scan.  In a larger scope, for a fixed U (signs applied) and variant,
-the magnitude codes a split's
-entries take fit one 64-bit occurrence mask.  The masks are read off exact
-counts of the codes, formed for blocks of splits at a time as float32
-products of 0/1 arrays whose every partial sum is an integer below 2^24; a
+the magnitude codes a split's entries take fit one 64-bit occurrence mask.
+For t <= 2 the masks need no counting.  H is certified Hadamard, so
+H^T H = M*I: for distinct columns c_1..c_t and j the t vectors
+H_(:,c_a) o H_(:,j) are +/-1, each sums to 0 and any two are orthogonal,
+which for t <= 2 puts each W'-code w' in exactly M/2^t rows of H.  Rows
+r_1..r_t take w' = u_e xor (2^t - 1)*bit_e(v), u_e row e of U and v the
+column's V-code, so bit (w', v) is set when a column outside C has V-code
+v and fewer than M/2^t of those t rows take w': the mask is a function of
+U and of the V-codes outside C, and only the first base of each of the at
+most 2^(t^2 + 2^t) such keys is sought (``_pairs``).  At t = 3 a column's
+count of w' is (M +/- T_j)/8, with T_j a 4-column correlation that can
+fall to t or below, so the masks are read off exact counts of the codes,
+formed for blocks of splits at a time as float32 products of 0/1 arrays
+whose every partial sum is an integer below 2^24 (``_occurrence_blocks``).  A
 negation of the selected rows or columns permutes the mask's bits by XOR
 and flips signs of U.  So a base, a row and a column selection with no
 negations, is ranked at all its negations by its (mask, U code) pair, and
@@ -355,33 +365,51 @@ class Provenance:
 
 class _CodeScan:
     """What a reduction reads of H, the same for both variants of a split:
-    U, as the caller formed it; the W- and V-codes (bit a of w_i, v_j set
-    where W_ia, V_aj is -1, negations applied); and, per column j, the
-    count of each magnitude code (w' << t) | v_j, with the codes that
-    occur.  With w' = w_i xor (2^t - 1)*[D_ij = -1], column j takes code
-    (x << t) | v_j once per row with w_i = x and D_ij = +1 or
-    w_i = x xor (2^t - 1) and D_ij = -1; the -1s are counted from sums of
-    whole rows of H, read contiguously."""
+    U, as the caller formed it; the V-codes (bit a of v_j set where V_aj
+    is -1, negations applied); and, per column j, the count of each
+    magnitude code (w' << t) | v_j, with the codes that occur.  Row i
+    takes w' = w_i xor (2^t - 1)*[D_ij = -1], bit a of w_i set where W_ia
+    is -1: bit a of w' is set where H_(i,c_a) H_ij = -1.
+
+    For t <= 2 the counts follow from H^T H = M*I, which holds for every
+    H a split accepts (``hadamard_verified``), negations applied.  For
+    j outside C the t columns H_(:,c_a) o H_(:,j) are +/-1, each sums to 0
+    and any two are orthogonal, and for t <= 2 that fixes their joint
+    distribution: every w' is taken by exactly M/2^t rows of H.  Row r_e
+    of R takes w' = u_e xor (2^t - 1)*bit_e(v_j), u_e the code of row e
+    of U, so count[w', j] = M/2^t - #{e : u_e xor (2^t - 1)*bit_e(v_j) = w'},
+    and H is read only at its t selected rows (at t = 0 all M rows count).
+    At t = 3 the count of a column is (M +/- T_j)/8 with T_j the sum of
+    H_(i,c_1) H_(i,c_2) H_(i,c_3) H_ij over i, a 4-column correlation that
+    no orthogonality fixes, so it is counted: the W-codes are read, and
+    the -1s of D from sums of whole rows of H, read contiguously."""
 
     __slots__ = ("u", "count", "codes", "occurring")
 
     def __init__(self, source: SignMatrix, provenance: Provenance, u: np.ndarray):
         m, t = source.order, provenance.t
         rows, cols = list(provenance.row_select), list(provenance.col_select)
-        keep_r, keep_c = np.ones((2, m), dtype=bool)
-        keep_r[rows], keep_c[cols] = False, False
-        rest_r, rest_c = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
-        rn, cn = np.array(provenance.row_negate, bool), np.array(provenance.col_negate, bool)
+        keep_c = np.ones(m, dtype=bool)
+        keep_c[cols] = False
+        rn = np.array(provenance.row_negate, bool)
         h = source.rows
         self.u = u.astype(object)
         bit = 1 << np.arange(t, dtype=np.uint8)
-        w = ((h[:, cols] < 0)[keep_r] ^ cn) @ bit
         v = ((h[rows] < 0)[:, keep_c] ^ rn[:, None]).T @ bit
         span, full = 1 << t, (1 << t) - 1
-        ones = np.stack([(len(r) - np.take(h, r, axis=0).sum(axis=0, dtype=np.int64)[rest_c]) // 2
-                         for r in (rest_r[w == x] for x in range(span))])  # w_i = x, D_ij = -1
-        self.count = np.bincount(w, minlength=span)[:, None] - ones + ones[np.arange(span) ^ full]
-        self.codes = np.arange(span)[:, None] << t | v  # (w', j) -> code
+        levels = np.arange(span)
+        if t <= 2:  # w' of row r_e in column j, then M/2^t less those rows
+            w = ((u < 0) @ bit)[:, None] ^ full * (v >> np.arange(t, dtype=np.uint8)[:, None] & 1)
+            self.count = (m >> t) - (w == levels[:, None, None]).sum(axis=1)
+        else:
+            keep_r = np.ones(m, dtype=bool)
+            keep_r[rows] = False
+            rest_r, rest_c = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
+            w = ((h[:, cols] < 0)[keep_r] ^ np.array(provenance.col_negate, bool)) @ bit
+            ones = np.stack([(len(r) - np.take(h, r, axis=0).sum(0, dtype=np.int64)[rest_c]) // 2
+                             for r in (rest_r[w == x] for x in range(span))])  # w_i = x, D_ij = -1
+            self.count = np.bincount(w, minlength=span)[:, None] - ones + ones[levels ^ full]
+        self.codes = levels[:, None] << t | v  # (w', j) -> code
         self.occurring = np.flatnonzero(np.bincount(self.codes[self.count > 0],
                                                     minlength=span * span))
 
@@ -907,6 +935,12 @@ def _occurrence_blocks(signs: np.ndarray, t: int, sel: np.ndarray, bases: int,
     origin + i*stride + j.  Bit (w' << t) | v of a mask is set when an entry
     has that magnitude index, and bit a*t+e of a U code when U_ae = -1.
 
+    The masks are counted, for any sign matrix.  The screen counts only at
+    t = 3: for t <= 2, H^T H = M*I fixes every count of a Hadamard H
+    (``_pairs``), but at t = 3 the count of w' in column j is (M +/- T_j)/8,
+    T_j the sum over rows of H_(i,c_1) H_(i,c_2) H_(i,c_3) H_ij, which no
+    orthogonality fixes and which can fall to t or below.
+
     For rows R with V-codes y_j, K[(d, i), v] counts the columns j with
     sign bit d in row i and y_j = v, rows of R zeroed.  For columns C with
     W-codes x_i, N[w', v] = sum_(d, i) [x_i xor d*(2^t - 1) = w'] K[(d, i), v]
@@ -988,13 +1022,99 @@ def _distinct_pairs(parts: list, t: int) -> tuple[np.ndarray, np.ndarray, np.nda
             rank + base.min() if bases is None else bases[rank])
 
 
+def _orthogonal_masks(t: int, m: int, keys: np.ndarray) -> np.ndarray:
+    """The occurrence masks, t <= 2, of keys u | p << t^2: U code u and
+    bit v of p set when some column outside C has V-code v.  Bit
+    (w' << t) | v is set when bit v of p is and
+    #{e : u_e xor (2^t - 1)*bit_e(v) = w'} < M/2^t, u_e row e of U
+    (``_pairs``)."""
+    span, full = 1 << t, (1 << t) - 1
+    levels = np.arange(span)
+    rows_u = np.arange(1 << t * t)[:, None] >> t * np.arange(t) & full  # [u, e]
+    w = rows_u[:, None] ^ full * (levels[:, None] >> np.arange(t) & 1)  # [u, v, e]
+    seen = (w[..., None] == levels).sum(axis=2) < m >> t  # [u, v, w']
+    bits = (seen.astype(np.uint64) << (levels << t | levels[:, None]).astype(np.uint64)).sum(-1)
+    u, p = keys & (1 << t * t) - 1, keys >> t * t
+    return np.where(p[:, None] >> levels & 1, bits[u], np.uint64(0)).sum(-1, dtype=np.uint64)
+
+
+def _orthogonal_pairs(signs: np.ndarray, t: int, rsel: np.ndarray, csel: np.ndarray,
+                      bases: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(occ, u, first) of ``_pairs`` for t <= 2, base b the rows
+    rsel[b // n] and columns csel[b % n], n = len(csel): csel is every
+    t-subset of the M columns in lexicographic order, or one selection.
+
+    A base's mask is fixed by its key u | p << t^2 (``_orthogonal_masks``),
+    so only the least base of each of the 2^(t^2 + 2^t) keys is sought.
+    For a row selection with V-codes y_j, C removes the V-codes of its
+    columns, which are the columns of U: the column tuple (y_(c_1), ...,
+    y_(c_t)) fixes u, and with the count of each V-code over all columns,
+    p.  The least base of a tuple is its lexicographically first column
+    selection: c_1 the first column with y = y_(c_1) and c_2 the first
+    after c_1 with y = y_(c_2).  A tile of row selections holds arrays of
+    at most _SCREEN_BUDGET elements, and the table of keys is the only
+    state kept across tiles."""
+    m, n, span = len(signs), len(csel), 1 << t
+    assert n in (1, math.comb(m, t)), "one column selection or all of them"
+    levels, e = np.arange(span), np.arange(t)
+    order = t * e[::-1]  # tuple T: y_(c_e) at bits order[e]
+    y_of = np.arange(span**t)[:, None] >> order & span - 1  # [T, e]
+    u_of = ((y_of[:, None] >> e[:, None] & 1) << t * e[:, None] + e).sum((1, 2))  # bit a*t+e
+    removed = (y_of[..., None] == levels).sum(1)  # [T, v]: the V-codes C removes
+    first = np.full(span**t << span, bases, dtype=np.int64)  # [key]: least base
+    rows = max(1, _SCREEN_BUDGET // (span**t * m))
+    for r0 in range(0, -(-bases // n), rows):
+        y = _codes(signs, rsel[r0:min(r0 + rows, -(-bases // n))])  # [r, j]
+        nr = len(y)
+        hot = y[:, None] == levels[:, None].astype(np.uint8)  # [r, v, j]
+        if n == 1:  # the one column selection
+            ok = np.arange(span**t) == (y[:, csel[0]].astype(np.intp) << order).sum(-1)[:, None]
+            c = np.zeros_like(ok, dtype=np.intp)
+        else:
+            c, ok = hot.argmax(-1), hot.any(-1)  # [r, y_(c_1)]
+            if t == 2:
+                later = hot[:, None] & (np.arange(m) > c[..., None, None])  # [r, y_c1, y_c2, j]
+                c2, ok, c = later.argmax(-1), ok[..., None] & later.any(-1), c[..., None]
+                c = c * (2 * m - c - 1) // 2 + c2 - c - 1  # index of (c_1, c_2)
+        p = (hot.sum(-1)[:, None] > removed) << levels  # [r, T, v]
+        key = u_of | p.sum(-1) << t * t
+        base = (r0 + np.arange(nr)).reshape(-1, 1) * n + np.reshape(c, (nr, -1))
+        ok = ok.reshape(nr, -1) & (base < bases)
+        np.minimum.at(first, key[ok], base[ok])
+    keys = np.flatnonzero(first < bases)
+    return _orthogonal_masks(t, m, keys), (keys & (1 << t * t) - 1).astype(np.int16), first[keys]
+
+
+def _base_pair(signs: np.ndarray, t: int, sel: np.ndarray, base: int) -> tuple:
+    """(occurrence mask, U code) of one base, each an array of one."""
+    r, c = divmod(base, len(sel))
+    if t <= 2:
+        return _orthogonal_pairs(signs, t, sel[r:r + 1], sel[c:c + 1], 1)[:2]
+    (_, _, occ, u), = _occurrence_blocks(signs, t, sel, base + 1, base)
+    return occ[0], u[0]
+
+
 def _pairs(signs: np.ndarray, t: int, sel: np.ndarray,
            bases: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(occ, u, first): each distinct (occurrence mask, U code) pair of the
     bases 0..bases-1 and the first base where it occurs, in no set order.
-    The blocks of ``_occurrence_blocks`` are reduced to their distinct
-    pairs whenever they hold more than a sixteenth of the budget or twice
-    the pairs the last reduction kept."""
+
+    For t <= 2 no entry is counted (``_orthogonal_pairs``).  H^T H = M*I,
+    which holds for every H the screen takes (``hadamard_verified``),
+    makes the t columns H_(:,c_a) o H_(:,j), j outside C, +/-1 vectors
+    that each sum to 0 and are pairwise orthogonal, so each w' is the
+    W'-code of exactly M/2^t rows of H in column j.  Row r_e of R takes
+    w' = u_e xor (2^t - 1)*bit_e(v_j), u_e row e of U's code, so bit
+    (w', v) of the mask is set when some column outside C has V-code v
+    and #{e : u_e xor (2^t - 1)*bit_e(v) = w'} < M/2^t: the mask depends
+    only on U and on the V-codes outside C.  At t = 3 the count of w' in
+    column j is (M +/- T_j)/8, T_j a 4-column correlation that can fall
+    to t or below, so the masks are counted (``_occurrence_blocks``), and
+    the blocks are reduced to their distinct pairs whenever they hold more
+    than a sixteenth of the budget or twice the pairs the last reduction
+    kept."""
+    if t <= 2:
+        return _orthogonal_pairs(signs, t, sel, sel, bases)
     parts, held, kept = [], 0, 0
     for origin, stride, occ, u in _occurrence_blocks(signs, t, sel, bases):
         base = origin + stride * np.arange(len(occ))[:, None] + np.arange(occ.shape[1])
@@ -1145,10 +1265,10 @@ class _SplitScreen:
         self.occ, self.u, self.first = _pairs(h.rows, t, self.sel, full)
         u_codes = (self.u[:, None] ^ self.u_flip).ravel()
         if rem:
-            (_, _, occ, u), = _occurrence_blocks(h.rows, t, self.sel, full + 1, full)
-            self.occ, self.u = np.append(self.occ, occ[0]), np.append(self.u, u[0])
+            occ, u = _base_pair(h.rows, t, self.sel, full)
+            self.occ, self.u = np.append(self.occ, occ), np.append(self.u, u)
             self.first = np.append(self.first, full)
-            u_codes = np.append(u_codes, u[0, 0] ^ self.u_flip[:rem])
+            u_codes = np.append(u_codes, u[0] ^ self.u_flip[:rem])
         self.table = _EpsScreen(np.unique(u_codes), t, h.order)
 
     def candidate(self, i: int) -> tuple[BlockSplit, str]:

@@ -819,26 +819,112 @@ def test_occurrence_asserts_the_float32_bound():
                          np.array([[0]], dtype=np.intp), 1)
 
 
+SCREEN_ORDERS = [2] + [m for m in CORNER_ORDERS if m <= 32]
+
+
+def _signed_permutation(h, seed):
+    """The rows of h under a seeded row and column permutation and sign
+    flip, a Hadamard matrix again."""
+    rng = np.random.default_rng(seed)
+    rows = h.rows[rng.permutation(h.order)][:, rng.permutation(h.order)]
+    flip = np.array([1, -1], dtype=np.int8)
+    return rows * rng.choice(flip, h.order)[:, None] * rng.choice(flip, h.order)
+
+
+def _first_bases(masks, codes):
+    """{(mask, U code): least base} of per-base masks and U codes."""
+    first = {}
+    for b, pair in enumerate(zip(masks, codes)):
+        first.setdefault(pair, b)
+    return first
+
+
+@pytest.mark.parametrize("m, t", [(m, t) for m in SCREEN_ORDERS for t in (1, 2) if t * t < m])
+def test_orthogonal_pairs_match_counted_masks(m, t):
+    """For t <= 2 the distinct (mask, U code) pairs and their first bases,
+    read from U and the V-codes (``_pairs``), equal those of the count
+    kernel (``_occurrence_blocks``), and of the entry-by-entry oracle up to
+    800 bases, over the full scope and a cap partway through the second row
+    selection, on H, on the benchmark's row-permuted H and on a seeded
+    signed row and column permutation of H; ``_base_pair`` gives the pair
+    of single bases.  At (8, 2), M/2^t = t: two rows of R can take all M/4
+    rows of a code, and the mask drops it."""
+    h = find_hadamard(m)
+    sel = np.array(list(itertools.combinations(range(m), t)), dtype=np.intp)
+    n = len(sel)
+    for rows in (h.rows, row_permuted(h, t, 5).rows, _signed_permutation(h, m)):
+        for bases in (n * n, n + n // 2):
+            occ, u = _occurrence(rows, t, sel, bases)
+            if bases <= 800:
+                assert oracles.occurrence_masks(rows, t, sel, bases) == (occ.tolist(), u.tolist())
+            got = epsh._pairs(rows, t, sel, bases)
+            want = _first_bases(occ.tolist(), u.tolist())
+            assert dict(zip(zip(got[0].tolist(), got[1].tolist()), got[2].tolist())) == want
+            assert len(got[0]) == len(want), (m, t, bases)
+            for b in {0, bases // 2, bases - 1}:
+                mask, code = epsh._base_pair(rows, t, sel, b)
+                assert (mask.tolist(), code.tolist()) == ([int(occ[b])], [int(u[b])])
+    if (m, t) == (8, 2):
+        taken = [sum(int(x) >> (w << t | v) & 1 for w in range(4)) for x in occ for v in range(4)]
+        assert 0 < min(c for c in taken if c) < 4
+
+
+@pytest.mark.parametrize("order", [m for m in CORNER_ORDERS if m <= 64])
+def test_orthogonal_scan_matches_dense_reduction(order):
+    """For t in {1, 2} the code scan counts each magnitude from U and the
+    V-codes alone (``_CodeScan``): on random selections and negations of
+    H_order both variants' magnitudes and column histograms equal those of
+    the dense reduction; at t = 0 (all M rows count) those of
+    EpsHadamard.from_sign_hadamard equal those of the one dense term H/sqrt(M)."""
+    h = find_hadamard(order)
+    rng = np.random.default_rng(order)
+    for t in (t for t in (1, 2) if t * t < order):
+        for _ in range(2):
+            rows, cols = (sorted(rng.choice(order, t, replace=False)) for _ in range(2))
+            negate = (rng.integers(0, 2, t).astype(bool).tolist() for _ in range(2))
+            split = BlockSplit(h, rows, cols, *negate)
+            for variant in ("Y1", "Y2"):
+                y, dense = reduce_split(split, variant), oracles.dense_reduction(split, variant)
+                assert y.distinct_abs_values() == dense.distinct_abs_values(), (split, variant)
+                assert np.array_equal(y.abs_value_counts(), dense.abs_value_counts())
+    y = EpsHadamard.from_sign_hadamard(h)
+    dense = oracles.DenseEpsHadamard(order, order, [(1 / exact_sqrt(order), h.rows)],
+                                     y.provenance)
+    assert y.distinct_abs_values() == dense.distinct_abs_values()
+    assert np.array_equal(y.abs_value_counts(), dense.abs_value_counts())
+    assert y.abs_value_counts().tolist() == [[order]] * order
+
+
 def test_screen_memory_does_not_grow_with_the_scope(monkeypatch):
     """The screen forms its masks block by block and keeps only the distinct
     (mask, U code) pairs: its traced peak, pairs and ranking together, over
     the full H_16, t = 3 scope (313,600 splits) stays under twice that at a
-    cap of 10,000.  Both runs share one code table, built beforehand for
-    the full scope, so only what depends on the splits is measured."""
-    h = find_hadamard(16)
-    table = epsh._SplitScreen(h, 3, "row-col-permutations", 10**9).table
-    monkeypatch.setattr(epsh, "_EpsScreen", lambda u_codes, t, m: table)
-    peaks = []
-    for cap in (10_000, 10**9):
-        tracemalloc.start()
-        try:
-            search = epsh._SplitScreen(h, 3, "row-col-permutations", cap)
-            _, i = search.best()
-            assert search.splits == min(cap, 313_600) and i < 2 * search.splits
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0], peaks
+    cap of 10,000, and so does that of the full H_32, t = 2 scope (246,016
+    splits), whose masks come from U and the V-codes tile by tile.  At the
+    default budget a t = 2 tile takes 128 of H_32's 496 row selections,
+    more than a cap of 10,000 needs (21), so the t = 2 runs take a budget
+    of 2^12 (8 row selections a tile) and both span several tiles.  Both
+    runs of a case share one code table, built beforehand for the full
+    scope, so only what depends on the splits is measured."""
+    build = epsh._EpsScreen
+    for order, t, size, budget in ((16, 3, 313_600, epsh._SCREEN_BUDGET),
+                                   (32, 2, 246_016, 1 << 12)):
+        monkeypatch.setattr(epsh, "_SCREEN_BUDGET", budget)
+        monkeypatch.setattr(epsh, "_EpsScreen", build)
+        h = find_hadamard(order)
+        table = epsh._SplitScreen(h, t, "row-col-permutations", 10**9).table
+        monkeypatch.setattr(epsh, "_EpsScreen", lambda u_codes, t, m: table)
+        peaks = []
+        for cap in (10_000, 10**9):
+            tracemalloc.start()
+            try:
+                search = epsh._SplitScreen(h, t, "row-col-permutations", cap)
+                _, i = search.best()
+                assert search.splits == min(cap, size) and i < 2 * search.splits
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], (order, t, peaks)
 
 
 @pytest.mark.parametrize("order, t, cap", [(8, 2, 64), (16, 3, 16), (68, 2, 40)])
