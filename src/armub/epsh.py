@@ -936,10 +936,13 @@ def _occurrence_blocks(signs: np.ndarray, t: int, sel: np.ndarray, bases: int,
     has that magnitude index, and bit a*t+e of a U code when U_ae = -1.
 
     The masks are counted, for any sign matrix.  The screen counts only at
-    t = 3: for t <= 2, H^T H = M*I fixes every count of a Hadamard H
-    (``_pairs``), but at t = 3 the count of w' in column j is (M +/- T_j)/8,
-    T_j the sum over rows of H_(i,c_1) H_(i,c_2) H_(i,c_3) H_ij, which no
-    orthogonality fixes and which can fall to t or below.
+    t = 3.  For t <= 2 it takes only a ``hadamard_verified`` H, whose
+    H^T H = M*I puts each w' in exactly M/2^t rows of every column j
+    outside C (the t columns H_(:,c_a) o H_(:,j) each sum to 0 and are
+    pairwise orthogonal), which fixes every count (``_pairs``).  At t = 3
+    the count of w' in column j is (M +/- T_j)/8, T_j the sum over rows of
+    H_(i,c_1) H_(i,c_2) H_(i,c_3) H_ij, which no orthogonality fixes and
+    which can fall to t or below.
 
     For rows R with V-codes y_j, K[(d, i), v] counts the columns j with
     sign bit d in row i and y_j = v, rows of R zeroed.  For columns C with
